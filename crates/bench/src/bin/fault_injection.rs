@@ -16,7 +16,7 @@
 use fbf_bench::env_usize;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{run_experiment, verify_campaign_faulted, ExperimentConfig, Metrics};
+use fbf_core::{run_experiment, verify_campaign_faulted, ExperimentConfig, Json, Metrics};
 use fbf_disksim::{DiskKill, FaultPlan, RetryPolicy, SimTime, SlowDisk};
 
 fn campaign() -> ExperimentConfig {
@@ -90,16 +90,16 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Hand-rolled JSON, same discipline as Metrics::to_json (no serde).
-    println!(
-        "{{\"deterministic\":true,\"verified_stripes\":{},\"verified_chunks\":{},\
-         \"verified_bytes\":{},\"lost_stripes\":{},\"metrics\":{}}}",
-        verify.stripes,
-        verify.chunks,
-        verify.bytes,
-        verify.lost,
-        first.to_json()
-    );
+    let n = |v: u64| Json::Num(v as f64);
+    let summary = Json::obj([
+        ("deterministic", Json::Bool(true)),
+        ("verified_stripes", n(verify.stripes as u64)),
+        ("verified_chunks", n(verify.chunks as u64)),
+        ("verified_bytes", n(verify.bytes)),
+        ("lost_stripes", n(verify.lost as u64)),
+        ("metrics", first.to_json_value()),
+    ]);
+    println!("{}", summary.render());
     eprintln!(
         "ok: identical metrics across reruns; {} surviving stripes verified \
          byte-exact ({} chunks), {} correctly declared lost; \

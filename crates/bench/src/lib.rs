@@ -32,8 +32,6 @@ use fbf_core::{ExperimentConfig, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-pub mod gate;
-
 /// Cache sizes (MiB) swept by the figures, matching the paper's x-axes.
 pub const CACHE_MB: [usize; 8] = [2, 8, 32, 64, 128, 256, 512, 2048];
 

@@ -22,10 +22,9 @@
 use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
 use crate::queue::OrderedQueue;
-use serde::{Deserialize, Serialize};
 
 /// Where a demoted chunk lands in the lower queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DemotePosition {
     /// Append at the MRU end (consistent with Fig. 5/6's "latest accessed
     /// data are attached to the end").
@@ -36,7 +35,7 @@ pub enum DemotePosition {
 }
 
 /// Tunables for the FBF policy.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FbfConfig {
     /// Demotion landing position; see [`DemotePosition`].
     pub demote_to: DemotePosition,

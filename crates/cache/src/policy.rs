@@ -1,7 +1,5 @@
 //! The [`ReplacementPolicy`] trait and the [`PolicyKind`] selector.
 
-use serde::{Deserialize, Serialize};
-
 /// Cache key: the global chunk identity.
 pub type Key = fbf_codes::ChunkId;
 
@@ -9,7 +7,7 @@ pub type Key = fbf_codes::ChunkId;
 ///
 /// Every policy follows the same contract, so callers never have to guess
 /// whether a duplicate insert panicked, was ignored, or aliased an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// The key was admitted. `evicted` names the resident that was
     /// displaced to make room, if the cache was full.
@@ -119,7 +117,7 @@ pub trait ReplacementPolicy: Send {
 }
 
 /// Selector for building policies from experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PolicyKind {
     /// First-in first-out.
     Fifo,

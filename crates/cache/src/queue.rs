@@ -12,9 +12,8 @@
 //! its slot. Every operation is a true O(1) pointer splice plus at most
 //! one hash-map touch — `touch` does not even re-hash, since moving a node
 //! never changes its slot. The previous `BTreeMap`-by-sequence-number
-//! implementation is retained as [`oracle::MapQueue`], both as the
-//! differential-testing oracle and as the baseline the perf harness
-//! (`perf_baseline`) measures the slab against.
+//! implementation is retained as [`oracle::MapQueue`], the
+//! differential-testing oracle.
 
 use crate::hash::FxHashMap;
 use crate::policy::Key;
@@ -287,10 +286,9 @@ impl ExactSizeIterator for Iter<'_> {}
 pub mod oracle {
     //! The original map-backed queue, retained verbatim in behaviour.
     //!
-    //! Two jobs: (1) the differential property test drives it and the slab
-    //! queue through identical random op sequences and asserts every
-    //! observable agrees; (2) `perf_baseline` measures the slab's speedup
-    //! against it, so the "before" number stays reproducible forever.
+    //! The differential property test drives it and the slab queue
+    //! through identical random op sequences and asserts every observable
+    //! agrees.
 
     use crate::policy::Key;
     use std::collections::{BTreeMap, HashMap};

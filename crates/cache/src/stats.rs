@@ -1,9 +1,7 @@
 //! Hit/miss accounting shared by the simulator's buffer cache.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one cache instance or one reconstruction campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses served from cache.
     pub hits: u64,

@@ -9,10 +9,9 @@
 
 use crate::codes::StripeCode;
 use crate::layout::Cell;
-use serde::{Deserialize, Serialize};
 
 /// Structural metrics of one code instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodeMetrics {
     /// Fraction of cells storing data (`k / n` in coding terms).
     pub storage_efficiency: f64,

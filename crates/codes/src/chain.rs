@@ -12,13 +12,12 @@
 //! block" worth keeping in cache.
 
 use crate::layout::Cell;
-use serde::{Deserialize, Serialize};
 
 /// The three chain directions of a 3DFT code.
 ///
 /// The numeric discriminants match the `CellKind::Parity(d)` direction index
 /// in [`crate::layout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// Row-aligned chains (RAID-4/5 style parity).
     Horizontal = 0,
@@ -66,7 +65,7 @@ impl std::fmt::Display for Direction {
 }
 
 /// Identifier of a chain within one stripe's chain set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChainId(pub u16);
 
 impl ChainId {
@@ -82,7 +81,7 @@ impl ChainId {
 /// `members` never contains `parity`; for STAR the adjuster-line data cells
 /// are folded into `members` of every diagonal (resp. anti-diagonal) chain,
 /// so this single equation form covers all four shipped codes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParityChain {
     /// Identifier within the stripe's chain set.
     pub id: ChainId,
@@ -168,7 +167,7 @@ impl ParityChain {
 /// Maps each cell (by its row-major layout index) to the chains whose
 /// equation includes it. Built once per [`crate::StripeCode`]; lookups are
 /// `O(1)` plus the (≤ 3, or ≤ `p+2` for STAR adjuster cells) membership list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     per_cell: Vec<Vec<ChainId>>,
     cols: usize,

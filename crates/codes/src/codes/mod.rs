@@ -23,10 +23,9 @@ pub mod triple_star;
 use crate::chain::{ChainId, Direction, Membership, ParityChain};
 use crate::layout::{Cell, CellKind, Layout};
 use crate::{CodeError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's four codes to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CodeSpec {
     /// TIP-code (Zhang et al., DSN'15) — `n = p + 1` disks.
     Tip,

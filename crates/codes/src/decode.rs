@@ -80,7 +80,7 @@ pub fn decode(code: &StripeCode, stripe: &mut Stripe, erased: &[Cell]) -> Result
                         xor_into(&mut acc, stripe.get(code.layout(), cell));
                     }
                 }
-                stripe.set(code.layout(), target, bytes::Bytes::from(acc));
+                stripe.set(code.layout(), target, acc.into());
                 unknown.remove(&target);
                 report.peeled.push(target);
                 progress = true;
@@ -184,7 +184,7 @@ fn eliminate(
                 xor_into(&mut val, s);
             }
         }
-        solution[var] = Some(bytes::Bytes::from(val));
+        solution[var] = Some(val.into());
     }
 
     Ok(unknowns

@@ -30,7 +30,7 @@ fn compute_parity(code: &StripeCode, stripe: &Stripe, members: &[Cell]) -> Resul
     for &cell in members {
         xor_into(&mut acc, stripe.get(code.layout(), cell));
     }
-    Ok(bytes::Bytes::from(acc))
+    Ok(acc.into())
 }
 
 /// Verify that every chain's equation holds (XOR of members equals parity).
@@ -76,7 +76,7 @@ mod tests {
         let victim = crate::layout::Cell::new(0, 0);
         let mut buf = stripe.get(code.layout(), victim).to_vec();
         buf[0] ^= 0xFF;
-        stripe.set(code.layout(), victim, bytes::Bytes::from(buf));
+        stripe.set(code.layout(), victim, buf.into());
         let bad = verify(&code, &stripe);
         assert!(!bad.is_empty());
         // Every violated chain must actually cover the victim.

@@ -5,11 +5,9 @@
 //! contributes to the stripe (`p - 1` for every code in this crate). The FBF
 //! paper addresses chunks as `C(row, col)` — [`Cell`] mirrors that.
 
-use serde::{Deserialize, Serialize};
-
 /// Address of a chunk inside one stripe, `C(row, col)` in the paper's
 /// notation. `col` is the disk index within the stripe's column permutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cell {
     /// Row within the stripe, `0..rows`.
     pub row: u16,
@@ -51,7 +49,7 @@ impl std::fmt::Display for Cell {
 ///
 /// This is the key type cached by the buffer cache and addressed by the
 /// simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkId {
     /// Stripe number within the array.
     pub stripe: u32,
@@ -74,7 +72,7 @@ impl std::fmt::Display for ChunkId {
 }
 
 /// What a cell of the layout stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Application data.
     Data,
@@ -101,7 +99,7 @@ impl CellKind {
 }
 
 /// The shape of one stripe: grid dimensions plus per-cell kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     rows: usize,
     cols: usize,

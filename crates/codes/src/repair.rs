@@ -9,10 +9,9 @@
 use crate::chain::{ChainId, Direction};
 use crate::codes::StripeCode;
 use crate::layout::Cell;
-use serde::{Deserialize, Serialize};
 
 /// One way of rebuilding `target`: read every cell in `reads`, XOR them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOption {
     /// The lost cell this option rebuilds.
     pub target: Cell,

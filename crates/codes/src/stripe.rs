@@ -8,10 +8,10 @@
 
 use crate::layout::{Cell, Layout};
 use crate::CodeError;
-use bytes::{Bytes, BytesMut};
+use std::sync::Arc;
 
 /// One chunk's payload. Cheaply cloneable (reference-counted).
-pub type ChunkBuf = Bytes;
+pub type ChunkBuf = Arc<[u8]>;
 
 /// All chunk payloads of one stripe, indexed by the layout's row-major order.
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct Stripe {
 impl Stripe {
     /// A stripe of all-zero chunks matching `layout`.
     pub fn zeroed(layout: &Layout, chunk_size: usize) -> Self {
-        let zero = Bytes::from(vec![0u8; chunk_size]);
+        let zero: ChunkBuf = vec![0u8; chunk_size].into();
         Stripe {
             chunk_size,
             chunks: vec![zero; layout.len()],
@@ -58,7 +58,7 @@ impl Stripe {
         let extra = seed;
         let mut s = Stripe::zeroed(layout, chunk_size);
         for cell in layout.data_cells() {
-            let mut buf = BytesMut::with_capacity(chunk_size);
+            let mut buf = Vec::with_capacity(chunk_size);
             // splitmix64 over a per-cell seed — deterministic, distinct streams.
             let seed = (cell.r() as u64) << 32
                 ^ (cell.c() as u64) << 8
@@ -72,9 +72,9 @@ impl Stripe {
                 z ^ (z >> 31)
             };
             for _ in 0..chunk_size {
-                buf.extend_from_slice(&[(next() >> 56) as u8]);
+                buf.push((next() >> 56) as u8);
             }
-            s.set(layout, cell, buf.freeze());
+            s.set(layout, cell, buf.into());
         }
         s
     }
@@ -113,7 +113,7 @@ impl Stripe {
     /// Zero a cell (model an erasure). The payload is replaced so other
     /// clones of the stripe are unaffected.
     pub fn erase(&mut self, layout: &Layout, cell: Cell) {
-        self.set(layout, cell, Bytes::from(vec![0u8; self.chunk_size]));
+        self.set(layout, cell, vec![0u8; self.chunk_size].into());
     }
 
     /// XOR the payloads of `cells` together into a fresh buffer.
@@ -122,7 +122,7 @@ impl Stripe {
         for &cell in cells {
             crate::xor::xor_into(&mut acc, self.get(layout, cell));
         }
-        Bytes::from(acc)
+        acc.into()
     }
 }
 
@@ -156,7 +156,7 @@ mod tests {
     fn set_get_roundtrip() {
         let l = Layout::all_data(2, 2);
         let mut s = Stripe::zeroed(&l, 4);
-        s.set(&l, Cell::new(1, 1), Bytes::from_static(&[1, 2, 3, 4]));
+        s.set(&l, Cell::new(1, 1), Arc::from([1u8, 2, 3, 4]));
         assert_eq!(s.get(&l, Cell::new(1, 1)).as_ref(), &[1, 2, 3, 4]);
     }
 
@@ -187,10 +187,7 @@ mod tests {
 
     #[test]
     fn from_chunks_rejects_mismatched_sizes() {
-        let r = Stripe::from_chunks(vec![
-            Bytes::from_static(&[0; 4]),
-            Bytes::from_static(&[0; 5]),
-        ]);
+        let r = Stripe::from_chunks(vec![Arc::from([0u8; 4]), Arc::from([0u8; 5])]);
         assert!(matches!(
             r,
             Err(CodeError::ChunkSizeMismatch {

@@ -37,8 +37,8 @@ use crate::runner::RunError;
 use fbf_cache::FxHashMap;
 use fbf_codes::ChunkId;
 use fbf_disksim::{
-    build_caches, ArrayMapping, BackendError, CacheSharing, DiskStats, EngineConfig, FailedRead,
-    FaultDraw, FileBackend, Lookup, ReadFailure, RunReport, SimBackend, SimTime, StorageBackend,
+    build_caches, BackendError, CacheSharing, DiskStats, FailedRead, FaultDraw, FileBackend,
+    Lookup, ReadFailure, RunReport, SimBackend, SimTime, StorageBackend,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -84,7 +84,7 @@ pub fn run_planned_on(
     }
 
     let workers = plan.scripts.len();
-    let ecfg = engine_config(cfg, plan, mapping);
+    let ecfg = cfg.engine_config(mapping, Arc::clone(&plan.victim_map), cfg.faults);
     let mut caches = build_caches(&ecfg, workers);
     // The cache tracks identities; the data plane must also hold the
     // resident payloads. One mirror per slice, kept in lockstep with the
@@ -329,32 +329,6 @@ fn classify(
                 Some(ReadFailure::RetriesExhausted)
             }
         }
-    }
-}
-
-/// The engine-config slice the executor shares with the simulator path:
-/// only the cache-construction fields matter here, but building the full
-/// struct keeps the two paths from drifting.
-fn engine_config(
-    cfg: &ExperimentConfig,
-    plan: &PlannedCampaign,
-    mapping: ArrayMapping,
-) -> EngineConfig {
-    EngineConfig {
-        policy: cfg.policy,
-        fbf: cfg.fbf,
-        victim_map: Some(std::sync::Arc::clone(&plan.victim_map)),
-        cache_chunks: cfg.cache_chunks(),
-        sharing: cfg.sharing,
-        disk_model: cfg.disk_model,
-        sched: cfg.disk_sched,
-        straggler: cfg.straggler,
-        faults: cfg.faults,
-        cache_hit_time: cfg.cache_hit_time,
-        chunk_bytes: cfg.chunk_bytes(),
-        mapping,
-        data_stripes: cfg.stripes as u64,
-        obs: cfg.obs,
     }
 }
 

@@ -1,11 +1,14 @@
 //! Experiment configuration.
 
-use fbf_cache::{FbfConfig, PolicyKind};
+use fbf_cache::{FbfConfig, FxHashMap, PolicyKind};
 use fbf_codes::prime::is_prime;
 use fbf_codes::CodeSpec;
-use fbf_disksim::{CacheSharing, DiskModel, DiskSched, FaultPlan, RequestClass, SimTime};
+use fbf_disksim::{
+    ArrayMapping, CacheSharing, DiskKill, DiskModel, DiskSched, EngineConfig, FaultPlan,
+    RequestClass, SimTime, SlowDisk,
+};
 use fbf_recovery::SchemeKind;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Latency objective for one request class: a read-latency threshold and
 /// the fraction of that class's reads allowed to exceed it.
@@ -14,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// violation when its digest bucket's upper edge exceeds the threshold, so
 /// a passing verdict is trustworthy while a borderline-failing one may be
 /// up to one bucket (~9%) pessimistic. See DESIGN.md §11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSlo {
     /// Latency threshold in milliseconds; `None` exempts the class.
     pub threshold_ms: Option<f64>,
@@ -35,7 +38,7 @@ impl Default for ClassSlo {
 /// Per-class latency objectives for one experiment. The default has no
 /// thresholds — every run passes vacuously until the caller opts in via
 /// [`SloSpec::class`] (or the builder's `.slo(...)`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SloSpec {
     /// One objective slot per [`RequestClass`], indexed by
     /// [`RequestClass::index`].
@@ -88,7 +91,7 @@ impl SloSpec {
 /// Produced by [`ExperimentConfig::validate`] (and therefore by
 /// [`ExperimentConfigBuilder::build`]) so that impossible experiments fail
 /// at construction with a precise reason instead of deep inside the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The code's `p` parameter must be prime.
     NonPrimeP(usize),
@@ -107,6 +110,21 @@ pub enum ConfigError {
         /// Configured chunk size, KiB.
         chunk_kb: usize,
     },
+    /// The cache size in KiB does not fit the address space.
+    CacheTooLarge {
+        /// Configured cache size, MiB.
+        cache_mb: usize,
+    },
+    /// [`ExperimentConfigBuilder::set`] was given a key outside [`KEYS`].
+    UnknownKey(String),
+    /// [`ExperimentConfigBuilder::set`] could not parse the value as the
+    /// key's type (wrong shape, unknown name, or out of range).
+    BadValue {
+        /// The key being set.
+        key: String,
+        /// The rejected value text.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -121,6 +139,13 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "cache of {cache_mb} MiB cannot hold one {chunk_kb} KiB chunk"
             ),
+            ConfigError::CacheTooLarge { cache_mb } => {
+                write!(f, "cache of {cache_mb} MiB overflows the chunk count")
+            }
+            ConfigError::UnknownKey(key) => write!(f, "unknown config key `{key}`"),
+            ConfigError::BadValue { key, value } => {
+                write!(f, "bad value for `{key}`: `{value}`")
+            }
         }
     }
 }
@@ -140,7 +165,7 @@ impl std::error::Error for ConfigError {}
 /// ratio is ~0 and the comparison is vacuous; the paper's Fig. 8 baselines
 /// clearly re-reference chunks. The scheme itself is ablated separately
 /// (`ablation_scheme`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Erasure code under test.
     pub code: CodeSpec,
@@ -229,6 +254,31 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// Every key [`ExperimentConfigBuilder::set`] accepts (aliases beside the
+/// name they stand for). The CLI spells them `--cache-mb`; its help text
+/// is printed from this list.
+pub const KEYS: [&str; 19] = [
+    "code",
+    "p",
+    "policy",
+    "scheme",
+    "cache_mb",
+    "cache",
+    "chunk_kb",
+    "stripes",
+    "errors",
+    "error_count",
+    "workers",
+    "decode_batch",
+    "seed",
+    "gen_threads",
+    "media",
+    "transient",
+    "fault_seed",
+    "kill",
+    "slow",
+];
+
 /// Parse a code name as the CLI and daemon protocol spell it
 /// (`tip`, `hdd1`, `triplestar`, `star`, `rdp`, `evenodd`).
 pub fn code_from_name(s: &str) -> Option<CodeSpec> {
@@ -310,6 +360,11 @@ impl ExperimentConfig {
         if self.chunk_kb == 0 {
             return Err(ConfigError::ZeroChunkSize);
         }
+        if self.cache_mb.checked_mul(1024).is_none() {
+            return Err(ConfigError::CacheTooLarge {
+                cache_mb: self.cache_mb,
+            });
+        }
         if self.cache_chunks() == 0 {
             return Err(ConfigError::CacheTooSmall {
                 cache_mb: self.cache_mb,
@@ -327,6 +382,35 @@ impl ExperimentConfig {
     /// Chunk payload size in bytes.
     pub fn chunk_bytes(&self) -> u64 {
         (self.chunk_kb as u64) << 10
+    }
+
+    /// The simulator configuration of this experiment. Every driver —
+    /// single pass, faulted rounds, data plane, rebuild waves — builds its
+    /// engine here and supplies only what differs between them: the
+    /// chunk→disk mapping, the victim map of the stripes under repair,
+    /// and the fault plan of the round at hand.
+    pub fn engine_config(
+        &self,
+        mapping: ArrayMapping,
+        victim_map: Arc<FxHashMap<u32, u16>>,
+        faults: FaultPlan,
+    ) -> EngineConfig {
+        EngineConfig {
+            policy: self.policy,
+            fbf: self.fbf,
+            victim_map: Some(victim_map),
+            cache_chunks: self.cache_chunks(),
+            sharing: self.sharing,
+            disk_model: self.disk_model,
+            sched: self.disk_sched,
+            straggler: self.straggler,
+            faults,
+            cache_hit_time: self.cache_hit_time,
+            chunk_bytes: self.chunk_bytes(),
+            mapping,
+            data_stripes: self.stripes as u64,
+            obs: self.obs,
+        }
     }
 
     /// One-line description for logs and reports.
@@ -412,6 +496,58 @@ impl ExperimentConfigBuilder {
         slo: SloSpec,
     }
 
+    /// Set one field from its textual key and value — the one place
+    /// config key names are matched. The CLI (`--cache-mb 64` →
+    /// `set("cache_mb", "64")`), the daemon's `config` object and `fbf
+    /// client` all come through here. Integers parse into the field's own
+    /// type, so an out-of-range value is a [`ConfigError::BadValue`], never
+    /// a truncation. The fault keys edit [`ExperimentConfig::faults`] in
+    /// place: `kill` is `<disk>@<ms>`, `slow` is `<disk>@<permille>`.
+    pub fn set(mut self, key: &str, value: &str) -> Result<Self, ConfigError> {
+        fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+            v.parse().ok()
+        }
+        fn at<T: std::str::FromStr>(v: &str) -> Option<(u32, T)> {
+            let (disk, n) = v.split_once('@')?;
+            Some((num(disk)?, num(n)?))
+        }
+        let cfg = &mut self.cfg;
+        let parsed = match key {
+            "code" => code_from_name(value).map(|c| cfg.code = c),
+            "p" => num(value).map(|p| cfg.p = p),
+            "policy" => policy_from_name(value).map(|p| cfg.policy = p),
+            "scheme" => scheme_from_name(value).map(|s| cfg.scheme = s),
+            "cache_mb" | "cache" => num(value).map(|c| cfg.cache_mb = c),
+            "chunk_kb" => num(value).map(|c| cfg.chunk_kb = c),
+            "stripes" => num(value).map(|s| cfg.stripes = s),
+            "errors" | "error_count" => num(value).map(|e| cfg.error_count = e),
+            "workers" => num(value).map(|w| cfg.workers = w),
+            "decode_batch" => num(value).map(|d| cfg.decode_batch = d),
+            "seed" => num(value).map(|s| cfg.seed = s),
+            "gen_threads" => num(value).map(|g| cfg.gen_threads = g),
+            "media" => num(value).map(|m| cfg.faults.media_per_mille = m),
+            "transient" => num(value).map(|t| cfg.faults.transient_per_mille = t),
+            "fault_seed" => num(value).map(|s| cfg.faults.seed = s),
+            "kill" => at::<u64>(value).and_then(|(disk, ms)| {
+                // Milliseconds on the wire, nanoseconds inside.
+                let at = SimTime(ms.checked_mul(1_000_000)?);
+                cfg.faults.disk_kill = Some(DiskKill { disk, at });
+                Some(())
+            }),
+            "slow" => at(value).map(|(disk, scale_milli)| {
+                cfg.faults.straggler = Some(SlowDisk { disk, scale_milli });
+            }),
+            _ => return Err(ConfigError::UnknownKey(key.to_string())),
+        };
+        match parsed {
+            Some(()) => Ok(self),
+            None => Err(ConfigError::BadValue {
+                key: key.to_string(),
+                value: value.to_string(),
+            }),
+        }
+    }
+
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ExperimentConfig, ConfigError> {
         self.cfg.validate()?;
@@ -453,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_cache_below_one_chunk() {
+    fn builder_rejects_cache_below_one_chunk_or_past_the_address_space() {
         assert_eq!(
             ExperimentConfig::builder().cache_mb(0).build().unwrap_err(),
             ConfigError::CacheTooSmall {
@@ -464,6 +600,15 @@ mod tests {
         assert_eq!(
             ExperimentConfig::builder().chunk_kb(0).build().unwrap_err(),
             ConfigError::ZeroChunkSize
+        );
+        // MiB → KiB would wrap (release) or panic (debug) unchecked.
+        let cache_mb = usize::MAX / 1024 + 1;
+        assert_eq!(
+            ExperimentConfig::builder()
+                .cache_mb(cache_mb)
+                .build()
+                .unwrap_err(),
+            ConfigError::CacheTooLarge { cache_mb }
         );
     }
 

@@ -4,9 +4,8 @@
 //! socket, executes campaigns on a small worker pool (each worker reuses
 //! one [`EngineScratch`] and a shared [`PlanStore`], like a sweep
 //! thread), and streams progress events to subscribed clients through
-//! the [`fbf_obs`] bridge. Everything is hand-rolled on `std` — the
-//! workspace's async crates are vendored stubs, and a poll loop with
-//! short read timeouts is all this protocol needs.
+//! the [`fbf_obs`] bridge. Everything is hand-rolled on `std` — a poll
+//! loop with short read timeouts is all this protocol needs.
 //!
 //! # Wire protocol
 //!
@@ -19,7 +18,7 @@
 //! | cmd         | request fields                               | reply |
 //! |-------------|----------------------------------------------|-------|
 //! | `ping`      | —                                            | `pong`, version info |
-//! | `repair`    | `backend` (`engine`/`sim`/`file`), `config` overrides, optional `dir`, optional inline `trace` | `job` id |
+//! | `repair`    | `backend` (`engine`/`sim`/`file`), `config` overrides (every key of [`crate::config::KEYS`], fault keys included), optional `dir`, optional inline `trace` | `job` id |
 //! | `status`    | `job`                                        | `state`, `metrics` when done |
 //! | `jobs`      | —                                            | array of `{job, state}` |
 //! | `read`      | `job`, `stripe`, `row`, `col`                | chunk length + FNV-1a digest |
@@ -28,6 +27,10 @@
 //! | `dump`      | —                                            | snapshot the flight recorder, reply with its JSONL |
 //! | `subscribe` | —                                            | stream of `{"event": <chrome line>}` frames |
 //! | `shutdown`  | —                                            | ack, then the daemon exits |
+//!
+//! Integer fields are accepted as JSON numbers or as their decimal text
+//! (what `fbf client` forwards); either way a value that does not fit
+//! its field is an error reply, never a truncation.
 //!
 //! # Causal tracing and the flight recorder
 //!
@@ -48,7 +51,6 @@
 
 use crate::backend_run::{file_backend_for, run_planned_on, sim_backend_for};
 use crate::config::ExperimentConfig;
-use crate::json::Json;
 use crate::metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
 use crate::plan::{PlanSource, PlanStore, PlannedCampaign};
 use crate::progress::Progress;
@@ -56,7 +58,7 @@ use crate::runner::run_planned_observed;
 use crate::sweep::SweepPoint;
 use fbf_codes::{Cell, ChunkId, StripeCode};
 use fbf_disksim::{EngineScratch, Histogram, RequestClass, StorageBackend};
-use fbf_obs::BridgeSubscriber;
+use fbf_obs::{BridgeSubscriber, Json};
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -212,9 +214,9 @@ struct Job {
     rebuild: Option<crate::rebuild::RebuildSpec>,
     state: JobState,
     metrics: Option<Metrics>,
-    /// Rendered [`RebuildOutcome`](crate::rebuild::RebuildOutcome) JSON of
-    /// a finished rebuild job.
-    rebuild_json: Option<String>,
+    /// The [`RebuildOutcome`](crate::rebuild::RebuildOutcome) of a
+    /// finished rebuild job, as the `status` reply carries it.
+    rebuild_outcome: Option<Json>,
     /// Retained after completion so `read` can serve repaired chunks.
     backend: Option<Box<dyn StorageBackend>>,
     /// The backend was dropped by the retention cap (distinguishes "never
@@ -237,7 +239,7 @@ impl Job {
             rebuild: None,
             state: JobState::Queued,
             metrics: None,
-            rebuild_json: None,
+            rebuild_outcome: None,
             backend: None,
             backend_evicted: false,
             trace,
@@ -514,7 +516,7 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(spec) = &rebuild {
                 crate::rebuild::execute_rebuild(spec, store, &mut scratch)
-                    .map(|o| JobSuccess::Rebuild(o.to_json()))
+                    .map(|o| JobSuccess::Rebuild(o.to_json_value()))
                     .map_err(|e| e.to_string())
             } else {
                 execute_job(
@@ -549,7 +551,7 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
                     job.state = JobState::Done;
                 }
                 Ok(JobSuccess::Rebuild(json)) => {
-                    job.rebuild_json = Some(json);
+                    job.rebuild_outcome = Some(json);
                     job.state = JobState::Done;
                 }
                 Err(msg) => job.state = JobState::Failed(msg),
@@ -585,8 +587,8 @@ type JobOutcome = Result<(Metrics, Option<Box<dyn StorageBackend>>), String>;
 enum JobSuccess {
     /// A repair: metrics, plus the retained backend for `sim`/`file`.
     Repair(Box<Metrics>, Option<Box<dyn StorageBackend>>),
-    /// An array-wide rebuild: the rendered outcome JSON.
-    Rebuild(String),
+    /// An array-wide rebuild: the outcome as `status` replies carry it.
+    Rebuild(Json),
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -733,54 +735,44 @@ fn dispatch(cmd: &str, req: &Json, ctx: &Ctx) -> Json {
 }
 
 /// Apply the request's `config` object onto the paper-default
-/// [`ExperimentConfig`]. Unknown keys are an error (a typo'd override
-/// silently running the default experiment would be worse).
-fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
+/// [`ExperimentConfig`] through [`ExperimentConfigBuilder::set`]
+/// (numbers as their integer text, strings as they are). Unknown keys
+/// are an error (a typo'd override silently running the default
+/// experiment would be worse).
+///
+/// [`ExperimentConfigBuilder::set`]: crate::config::ExperimentConfigBuilder::set
+pub fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
     let mut builder = ExperimentConfig::builder().obs(true);
     if let Some(Json::Obj(map)) = req.get("config") {
         for (key, value) in map {
-            builder = apply_override(builder, key, value)?;
+            let text = match value {
+                Json::Str(s) => s.clone(),
+                Json::Num(_) => value.render(),
+                _ => return Err(format!("config.{key} must be a number or a string")),
+            };
+            builder = builder.set(key, &text).map_err(|e| e.to_string())?;
         }
     }
     builder.build().map_err(|e| e.to_string())
 }
 
-fn apply_override(
-    b: crate::config::ExperimentConfigBuilder,
+/// An optional request field that must be a non-negative integer fitting
+/// `T`, as a JSON number or its decimal text (what `fbf client` forwards):
+/// absent is `None`, anything else out of shape or range is an error,
+/// never a truncation onto some other experiment.
+fn int_field<T: TryFrom<u64> + std::str::FromStr>(
+    req: &Json,
     key: &str,
-    value: &Json,
-) -> Result<crate::config::ExperimentConfigBuilder, String> {
-    let bad = || format!("bad value for config.{key}");
-    Ok(match key {
-        "code" => b.code(
-            value
-                .as_str()
-                .and_then(crate::config::code_from_name)
-                .ok_or_else(bad)?,
-        ),
-        "p" => b.p(value.as_u64().ok_or_else(bad)? as usize),
-        "policy" => b.policy(
-            value
-                .as_str()
-                .and_then(crate::config::policy_from_name)
-                .ok_or_else(bad)?,
-        ),
-        "scheme" => b.scheme(
-            value
-                .as_str()
-                .and_then(crate::config::scheme_from_name)
-                .ok_or_else(bad)?,
-        ),
-        "cache_mb" => b.cache_mb(value.as_u64().ok_or_else(bad)? as usize),
-        "chunk_kb" => b.chunk_kb(value.as_u64().ok_or_else(bad)? as usize),
-        "stripes" => b.stripes(value.as_u64().ok_or_else(bad)? as u32),
-        "errors" | "error_count" => b.error_count(value.as_u64().ok_or_else(bad)? as usize),
-        "workers" => b.workers(value.as_u64().ok_or_else(bad)? as usize),
-        "decode_batch" => b.decode_batch(value.as_u64().ok_or_else(bad)? as usize),
-        "seed" => b.seed(value.as_u64().ok_or_else(bad)?),
-        "gen_threads" => b.gen_threads(value.as_u64().ok_or_else(bad)? as usize),
-        other => return Err(format!("unknown config key `{other}`")),
-    })
+) -> Result<Option<T>, String> {
+    let Some(value) = req.get(key) else {
+        return Ok(None);
+    };
+    match value {
+        Json::Str(text) => text.parse().ok(),
+        _ => value.as_u64().and_then(|n| T::try_from(n).ok()),
+    }
+    .map(Some)
+    .ok_or_else(|| format!("bad value for `{key}`: {}", value.render()))
 }
 
 fn cmd_repair(req: &Json, ctx: &Ctx) -> Json {
@@ -842,69 +834,76 @@ fn cmd_repair(req: &Json, ctx: &Ctx) -> Json {
     ])
 }
 
+/// The [`RebuildSpec`](crate::rebuild::RebuildSpec) a `rebuild` request
+/// describes: its `config` overrides plus the spec fields, each checked.
+/// `fbf rebuild` reads its flags through here too.
+pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSpec, String> {
+    use fbf_disksim::Placement;
+    let base = config_from_request(req)?;
+    let code =
+        StripeCode::build(base.code, base.p).map_err(|e| format!("cannot build code: {e}"))?;
+    let disks: usize = int_field(req, "disks")?.unwrap_or(100);
+    if disks < code.cols() {
+        return Err(format!(
+            "{disks} disks cannot hold {}-column stripes",
+            code.cols()
+        ));
+    }
+    let mut spec = crate::rebuild::RebuildSpec::new(base, disks);
+    let placement_seed = int_field(req, "placement_seed")?;
+    spec.placement = match req.get("placement").and_then(Json::as_str) {
+        Some("declustered") | None => Placement::Declustered {
+            seed: placement_seed.unwrap_or(spec.base.seed),
+        },
+        Some("clustered" | "fixed") => Placement::Fixed,
+        Some("rotated") => Placement::Rotated,
+        Some(other) => {
+            return Err(format!(
+                "unknown placement `{other}` (clustered, rotated, declustered)"
+            ))
+        }
+    };
+    if placement_seed.is_some() && !matches!(spec.placement, Placement::Declustered { .. }) {
+        return Err("placement_seed only applies to declustered placement".to_string());
+    }
+    if let Some(d) = int_field::<usize>(req, "failed_disk")? {
+        if d >= disks {
+            return Err(format!("failed_disk {d} outside the {disks}-disk array"));
+        }
+        spec.failed_disk = d;
+    }
+    if let Some(cap) = int_field::<u32>(req, "cap")? {
+        if cap == 0 {
+            return Err("cap must be at least 1".to_string());
+        }
+        spec.per_disk_cap = cap;
+    }
+    if let Some(f) = req.get("fairness").and_then(Json::as_str) {
+        spec.fairness = fbf_recovery::Fairness::parse(f)
+            .ok_or_else(|| format!("unknown fairness `{f}` (rr or drr)"))?;
+    }
+    if let Some(c) = int_field::<usize>(req, "campaigns")? {
+        if c == 0 {
+            return Err("campaigns must be at least 1".to_string());
+        }
+        spec.campaigns = c;
+    }
+    if let Some(a) = int_field(req, "app_reads")? {
+        spec.app_reads_per_wave = a;
+    }
+    Ok(spec)
+}
+
 /// `rebuild`: queue an array-wide declustered rebuild
 /// ([`crate::rebuild::execute_rebuild`]) as a job. Accepts the same
 /// `config` overrides as `repair` plus `disks`, `placement`
 /// (`clustered`/`rotated`/`declustered`), `placement_seed`, `failed_disk`,
 /// `cap`, `fairness` (`rr`/`drr`), `campaigns`, and `app_reads`.
 fn cmd_rebuild(req: &Json, ctx: &Ctx) -> Json {
-    use fbf_disksim::Placement;
-    let base = match config_from_request(req) {
-        Ok(c) => c,
+    let spec = match rebuild_spec_from_request(req) {
+        Ok(s) => s,
         Err(e) => return err_reply(&e),
     };
-    let code = match StripeCode::build(base.code, base.p) {
-        Ok(c) => c,
-        Err(e) => return err_reply(&format!("cannot build code: {e}")),
-    };
-    let disks = req.get("disks").and_then(Json::as_u64).unwrap_or(100) as usize;
-    if disks < code.cols() {
-        return err_reply(&format!(
-            "{disks} disks cannot hold {}-column stripes",
-            code.cols()
-        ));
-    }
-    let mut spec = crate::rebuild::RebuildSpec::new(base, disks);
-    match req.get("placement").and_then(Json::as_str) {
-        Some("clustered" | "fixed") => spec.placement = Placement::Fixed,
-        Some("rotated") => spec.placement = Placement::Rotated,
-        Some("declustered") | None => {
-            spec.placement = Placement::Declustered {
-                seed: req
-                    .get("placement_seed")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(spec.base.seed),
-            }
-        }
-        Some(other) => return err_reply(&format!("unknown placement `{other}`")),
-    }
-    if let Some(d) = req.get("failed_disk").and_then(Json::as_u64) {
-        if d as usize >= disks {
-            return err_reply(&format!("failed_disk {d} outside the {disks}-disk array"));
-        }
-        spec.failed_disk = d as usize;
-    }
-    if let Some(cap) = req.get("cap").and_then(Json::as_u64) {
-        if cap == 0 {
-            return err_reply("cap must be at least 1");
-        }
-        spec.per_disk_cap = cap as u32;
-    }
-    if let Some(f) = req.get("fairness").and_then(Json::as_str) {
-        match fbf_recovery::Fairness::parse(f) {
-            Some(fair) => spec.fairness = fair,
-            None => return err_reply(&format!("unknown fairness `{f}` (rr or drr)")),
-        }
-    }
-    if let Some(c) = req.get("campaigns").and_then(Json::as_u64) {
-        if c == 0 {
-            return err_reply("campaigns must be at least 1");
-        }
-        spec.campaigns = c as usize;
-    }
-    if let Some(a) = req.get("app_reads").and_then(Json::as_u64) {
-        spec.app_reads_per_wave = a as usize;
-    }
 
     let trace = match req.get("trace_id").and_then(Json::as_u64) {
         Some(t) if t != 0 => t,
@@ -943,16 +942,10 @@ fn cmd_status(req: &Json, ctx: &Ctx) -> Json {
         fields.push(("error", Json::Str(msg.clone())));
     }
     if let Some(metrics) = &job.metrics {
-        match Json::parse(&metrics.to_json()) {
-            Ok(m) => fields.push(("metrics", m)),
-            Err(e) => fields.push(("error", Json::Str(format!("metrics render bug: {e}")))),
-        }
+        fields.push(("metrics", metrics.to_json_value()));
     }
-    if let Some(rebuild) = &job.rebuild_json {
-        match Json::parse(rebuild) {
-            Ok(r) => fields.push(("rebuild", r)),
-            Err(e) => fields.push(("error", Json::Str(format!("rebuild render bug: {e}")))),
-        }
+    if let Some(outcome) = &job.rebuild_outcome {
+        fields.push(("rebuild", outcome.clone()));
     }
     ok_reply(fields)
 }
@@ -976,11 +969,11 @@ fn cmd_jobs(ctx: &Ctx) -> Json {
 }
 
 fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
-    let (Some(id), Some(stripe), Some(row), Some(col)) = (
-        req.get("job").and_then(Json::as_u64),
-        req.get("stripe").and_then(Json::as_u64),
-        req.get("row").and_then(Json::as_u64),
-        req.get("col").and_then(Json::as_u64),
+    let (Ok(Some(id)), Ok(Some(stripe)), Ok(Some(row)), Ok(Some(col))) = (
+        int_field::<u64>(req, "job"),
+        int_field::<u32>(req, "stripe"),
+        int_field::<usize>(req, "row"),
+        int_field::<usize>(req, "col"),
     ) else {
         return err_reply("read needs numeric `job`, `stripe`, `row`, `col`");
     };
@@ -995,7 +988,7 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
             err_reply("job has no data-plane backend (engine jobs move identities only)")
         };
     };
-    let chunk = ChunkId::new(stripe as u32, Cell::new(row as usize, col as usize));
+    let chunk = ChunkId::new(stripe, Cell::new(row, col));
     let mut buf = vec![0u8; backend.chunk_bytes()];
     match backend.read_chunk(chunk, &mut buf) {
         Ok(()) => ok_reply([
@@ -1129,16 +1122,7 @@ fn cmd_stat(ctx: &Ctx) -> Json {
         .iter()
         .map(|c| {
             let l = ClassLatency::from_histogram(&merged[c.index()]);
-            (
-                c.name(),
-                Json::obj([
-                    ("count", Json::Num(l.count as f64)),
-                    ("p50_ms", Json::Num(l.p50_ms)),
-                    ("p90_ms", Json::Num(l.p90_ms)),
-                    ("p99_ms", Json::Num(l.p99_ms)),
-                    ("p999_ms", Json::Num(l.p999_ms)),
-                ]),
-            )
+            (c.name(), l.to_json_value())
         })
         .collect();
     let [queued, running, done, failed] = counts;

@@ -82,28 +82,18 @@ pub struct FaultedOutcome {
     pub unresolved: Vec<StripeDamage>,
 }
 
-/// Build the engine configuration for one round of `cfg`'s campaign.
-fn engine_config(
+/// The engine configuration for one pass over `plan` under `faults`
+/// (the single-pass runner's too).
+pub(crate) fn engine_config(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
     faults: FaultPlan,
 ) -> EngineConfig {
-    EngineConfig {
-        policy: cfg.policy,
-        fbf: cfg.fbf,
-        victim_map: Some(std::sync::Arc::clone(&plan.victim_map)),
-        cache_chunks: cfg.cache_chunks(),
-        sharing: cfg.sharing,
-        disk_model: cfg.disk_model,
-        sched: cfg.disk_sched,
-        straggler: cfg.straggler,
+    cfg.engine_config(
+        ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement()),
+        std::sync::Arc::clone(&plan.victim_map),
         faults,
-        cache_hit_time: cfg.cache_hit_time,
-        chunk_bytes: cfg.chunk_bytes(),
-        mapping: ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement()),
-        data_stripes: cfg.stripes as u64,
-        obs: cfg.obs,
-    }
+    )
 }
 
 /// The fault plan for rounds ≥ 1: a disk killed in round 0 stays dead, so

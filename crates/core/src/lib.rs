@@ -38,7 +38,6 @@ pub mod backend_run;
 pub mod config;
 pub mod daemon;
 pub mod faulted;
-pub mod json;
 pub mod metrics;
 pub mod plan;
 pub mod progress;
@@ -61,7 +60,7 @@ pub use daemon::{
 pub use faulted::{
     execute_faulted, execute_faulted_capped, execute_faulted_observed, FaultedOutcome, MAX_ROUNDS,
 };
-pub use json::{Json, JsonError};
+pub use fbf_obs::json::{self, Json, JsonError};
 pub use metrics::{ClassLatency, ClassVerdict, Metrics, SloVerdict, METRICS_SCHEMA_VERSION};
 pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
 pub use progress::{Progress, ProgressSnapshot};

@@ -6,18 +6,17 @@ use crate::faulted::FaultedOutcome;
 use crate::plan::PlanSource;
 use fbf_cache::CacheStats;
 use fbf_disksim::{FaultCounters, Histogram, RequestClass, RunReport, SimTime};
+use fbf_obs::Json;
 use fbf_recovery::DataLoss;
-use serde::{Deserialize, Serialize};
 
 /// Schema revision of every metrics JSON document this workspace emits
-/// ([`Metrics::to_json`], `BENCH_*.json` snapshots, daemon replies).
-/// Bump when a key is renamed, removed, or changes meaning — consumers
-/// ([`fbf-bench`'s gate, `scripts/check_trace.py`) reject documents whose
+/// ([`Metrics::to_json`], daemon replies). Bump when a key is renamed,
+/// removed, or changes meaning, so consumers can reject documents whose
 /// version they do not understand instead of misreading them.
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
 
 /// Tail summary of one request class's read latency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassLatency {
     /// Reads attributed to the class.
     pub count: u64,
@@ -44,10 +43,21 @@ impl ClassLatency {
             p999_ms: ms(h.p999()),
         }
     }
+
+    /// The summary as a JSON object (`count` plus the four quantiles).
+    pub fn to_json_value(&self) -> Json {
+        Json::obj([
+            ("count", Json::Num(self.count as f64)),
+            ("p50_ms", Json::Num(self.p50_ms)),
+            ("p90_ms", Json::Num(self.p90_ms)),
+            ("p99_ms", Json::Num(self.p99_ms)),
+            ("p999_ms", Json::Num(self.p999_ms)),
+        ])
+    }
 }
 
 /// One class's SLO evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassVerdict {
     /// Did the spec carry a threshold for this class?
     pub active: bool,
@@ -75,7 +85,7 @@ impl ClassVerdict {
 
 /// Typed outcome of evaluating an [`SloSpec`] against a run's per-class
 /// latency digests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SloVerdict {
     /// Was any objective active? `false` means `pass` is vacuous.
     pub evaluated: bool,
@@ -100,7 +110,7 @@ impl SloVerdict {
 }
 
 /// Everything measured over one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Metric 1 — buffer-cache hit ratio during reconstruction.
     pub hit_ratio: f64,
@@ -273,93 +283,71 @@ impl Metrics {
         m
     }
 
-    /// Hand-rolled JSON object of the scalar metrics (the vendored serde
-    /// is an offline stub, so reports serialise by hand like the bench
-    /// binaries do). Stable key order; data-loss stripes as an array.
-    pub fn to_json(&self) -> String {
-        let loss: Vec<String> = self
-            .data_loss
-            .iter()
-            .map(|d| format!("{{\"stripe\":{},\"columns\":{}}}", d.stripe, d.columns))
-            .collect();
-        let classes: Vec<String> = RequestClass::ALL
-            .iter()
-            .map(|c| {
-                let l = &self.class_latency[c.index()];
-                format!(
-                    concat!(
-                        "\"{}\":{{\"count\":{},\"p50_ms\":{:.6},\"p90_ms\":{:.6},",
-                        "\"p99_ms\":{:.6},\"p999_ms\":{:.6}}}"
-                    ),
-                    c.name(),
-                    l.count,
-                    l.p50_ms,
-                    l.p90_ms,
-                    l.p99_ms,
-                    l.p999_ms
-                )
-            })
-            .collect();
-        let slo_classes: Vec<String> = RequestClass::ALL
-            .iter()
-            .map(|c| {
-                let v = &self.slo.classes[c.index()];
-                format!(
-                    concat!(
-                        "\"{}\":{{\"active\":{},\"threshold_ms\":{:.6},",
-                        "\"violations\":{},\"total\":{},\"pass\":{}}}"
-                    ),
-                    c.name(),
-                    v.active,
-                    v.threshold_ms,
-                    v.violations,
-                    v.total,
-                    v.pass
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"schema_version\":{},",
-                "\"hit_ratio\":{:.6},\"disk_reads\":{},\"disk_writes\":{},",
-                "\"avg_response_ms\":{:.6},\"p99_response_ms\":{:.6},",
-                "\"reconstruction_s\":{:.6},\"stripes_repaired\":{},",
-                "\"chunks_recovered\":{},\"media_errors\":{},",
-                "\"transient_faults\":{},\"retries\":{},\"retries_exhausted\":{},",
-                "\"dead_disk_reads\":{},\"skipped_ops\":{},\"replans\":{},",
-                "\"replan_rounds\":{},\"stripes_lost\":{},\"stripes_unresolved\":{},",
-                "\"data_loss\":[{}],",
-                "\"queue_depth_max\":{},\"read_balance\":{:.6},",
-                "\"classes\":{{{}}},",
-                "\"slo\":{{\"evaluated\":{},\"pass\":{},\"classes\":{{{}}}}}}}"
+    /// The scalar metrics as a JSON object; data-loss stripes as an
+    /// array, per-class latency and SLO verdicts keyed by class name. The
+    /// daemon and CLI embed this value in their replies directly.
+    pub fn to_json_value(&self) -> Json {
+        let n = |v: u64| Json::Num(v as f64);
+        let loss = self.data_loss.iter().map(|d| {
+            Json::obj([
+                ("stripe", n(u64::from(d.stripe))),
+                ("columns", n(d.columns as u64)),
+            ])
+        });
+        let classes =
+            RequestClass::ALL.map(|c| (c.name(), self.class_latency[c.index()].to_json_value()));
+        let slo_classes = RequestClass::ALL.map(|c| {
+            let v = &self.slo.classes[c.index()];
+            (
+                c.name(),
+                Json::obj([
+                    ("active", Json::Bool(v.active)),
+                    ("threshold_ms", Json::Num(v.threshold_ms)),
+                    ("violations", n(v.violations)),
+                    ("total", n(v.total)),
+                    ("pass", Json::Bool(v.pass)),
+                ]),
+            )
+        });
+        Json::obj([
+            ("schema_version", n(METRICS_SCHEMA_VERSION)),
+            ("hit_ratio", Json::Num(self.hit_ratio)),
+            ("disk_reads", n(self.disk_reads)),
+            ("disk_writes", n(self.disk_writes)),
+            ("avg_response_ms", Json::Num(self.avg_response_ms)),
+            ("p99_response_ms", Json::Num(self.p99_response_ms)),
+            ("reconstruction_s", Json::Num(self.reconstruction_s)),
+            ("stripes_repaired", n(self.stripes_repaired as u64)),
+            ("chunks_recovered", n(self.chunks_recovered as u64)),
+            ("media_errors", n(self.faults.media_errors)),
+            ("transient_faults", n(self.faults.transient_faults)),
+            ("retries", n(self.faults.retries)),
+            ("retries_exhausted", n(self.faults.retries_exhausted)),
+            ("dead_disk_reads", n(self.faults.dead_disk_reads)),
+            ("skipped_ops", n(self.faults.skipped_ops)),
+            ("replans", n(self.replans)),
+            ("replan_rounds", n(self.replan_rounds)),
+            ("stripes_lost", n(self.stripes_lost as u64)),
+            ("stripes_unresolved", n(self.stripes_unresolved as u64)),
+            ("data_loss", Json::Arr(loss.collect())),
+            ("queue_depth_max", n(self.queue_depth_max)),
+            ("read_balance", Json::Num(self.read_balance)),
+            ("classes", Json::obj(classes)),
+            (
+                "slo",
+                Json::obj([
+                    ("evaluated", Json::Bool(self.slo.evaluated)),
+                    ("pass", Json::Bool(self.slo.pass)),
+                    ("classes", Json::obj(slo_classes)),
+                ]),
             ),
-            METRICS_SCHEMA_VERSION,
-            self.hit_ratio,
-            self.disk_reads,
-            self.disk_writes,
-            self.avg_response_ms,
-            self.p99_response_ms,
-            self.reconstruction_s,
-            self.stripes_repaired,
-            self.chunks_recovered,
-            self.faults.media_errors,
-            self.faults.transient_faults,
-            self.faults.retries,
-            self.faults.retries_exhausted,
-            self.faults.dead_disk_reads,
-            self.faults.skipped_ops,
-            self.replans,
-            self.replan_rounds,
-            self.stripes_lost,
-            self.stripes_unresolved,
-            loss.join(","),
-            self.queue_depth_max,
-            self.read_balance,
-            classes.join(","),
-            self.slo.evaluated,
-            self.slo.pass,
-            slo_classes.join(",")
-        )
+        ])
+    }
+
+    /// [`to_json_value`](Self::to_json_value), rendered: keys sorted,
+    /// floats in shortest round-trip form.
+    pub fn to_json(&self) -> String {
+        self.to_json_value().render()
     }
 }
 
@@ -552,17 +540,35 @@ mod tests {
     }
 
     #[test]
-    fn json_carries_classes_and_slo() {
+    fn json_text_parses_back_to_the_value_it_was_rendered_from() {
         let mut r = report();
         r.class_latency[RequestClass::App.index()].record(SimTime::from_millis(2));
+        r.faults.media_errors = 3;
         let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.0));
-        let json = m.to_json();
-        assert!(json.starts_with("{\"schema_version\":1,"));
-        assert!(json.contains("\"queue_depth_max\":"));
-        assert!(json.contains("\"read_balance\":"));
-        assert!(json.contains("\"app\":{\"count\":1,"));
-        assert!(json.contains("\"slo\":{\"evaluated\":true,\"pass\":true,"));
+        m.stripes_lost = 1;
+        m.data_loss = vec![DataLoss {
+            stripe: 9,
+            columns: 4,
+            cells: Vec::new(),
+        }];
+        let v = m.to_json_value();
+        assert_eq!(Json::parse(&m.to_json()).unwrap(), v);
+        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("media_errors").and_then(Json::as_u64), Some(3));
+        assert_eq!(v.get("hit_ratio").and_then(Json::as_f64), Some(m.hit_ratio));
+        let loss = &v.get("data_loss").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(loss.get("stripe").and_then(Json::as_u64), Some(9));
+        assert_eq!(loss.get("columns").and_then(Json::as_u64), Some(4));
+        let app = v.get("classes").and_then(|c| c.get("app")).unwrap();
+        assert_eq!(app.get("count").and_then(Json::as_u64), Some(1));
+        let slo = v.get("slo").unwrap();
+        assert_eq!(slo.get("evaluated"), Some(&Json::Bool(true)));
+        let app_slo = slo.get("classes").and_then(|c| c.get("app")).unwrap();
+        assert_eq!(
+            app_slo.get("threshold_ms").and_then(Json::as_f64),
+            Some(25.0)
+        );
     }
 
     #[test]

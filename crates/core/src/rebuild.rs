@@ -43,8 +43,9 @@ use crate::runner::RunError;
 use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
 use fbf_disksim::{
-    ArrayMapping, Engine, EngineConfig, EngineScratch, Placement, RequestClass, RunReport, SimTime,
+    ArrayMapping, Engine, EngineScratch, Placement, RequestClass, RunReport, SimTime,
 };
+use fbf_obs::Json;
 use fbf_recovery::{
     ErrorGroup, ExecConfig, Fairness, PartialStripeError, PriorityDictionary, RebuildItem,
     RebuildScheduler,
@@ -130,38 +131,42 @@ pub struct RebuildOutcome {
 }
 
 impl RebuildOutcome {
-    /// Render as one JSON object (schemaless sibling of
-    /// [`Metrics::to_json`](crate::metrics::Metrics::to_json)).
-    pub fn to_json(&self) -> String {
-        let per_disk: Vec<String> = self
-            .per_disk_rebuild_reads
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let failed: Vec<String> = self.failed_stripes.iter().map(|s| s.to_string()).collect();
-        format!(
-            concat!(
-                "{{\"placement\":\"{}\",\"fairness\":\"{}\",\"waves\":{},",
-                "\"stripes_affected\":{},\"stripes_rebuilt\":{},\"failed_stripes\":[{}],",
-                "\"reconstruction_s\":{:.6},\"disk_reads\":{},\"disk_writes\":{},",
-                "\"rebuild_skew\":{:.6},\"app_p99_ms\":{},\"app_p999_ms\":{},",
-                "\"per_disk_rebuild_reads\":[{}]}}"
+    /// The outcome as a JSON object (schemaless sibling of
+    /// [`Metrics::to_json_value`](crate::metrics::Metrics::to_json_value)).
+    pub fn to_json_value(&self) -> Json {
+        let n = |v: u64| Json::Num(v as f64);
+        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+        Json::obj([
+            ("placement", Json::from(self.placement.name())),
+            ("fairness", Json::from(self.fairness.name())),
+            ("waves", n(self.waves as u64)),
+            ("stripes_affected", n(self.stripes_affected as u64)),
+            ("stripes_rebuilt", n(self.stripes_rebuilt as u64)),
+            (
+                "failed_stripes",
+                Json::Arr(
+                    self.failed_stripes
+                        .iter()
+                        .map(|&s| n(u64::from(s)))
+                        .collect(),
+                ),
             ),
-            self.placement.name(),
-            self.fairness.name(),
-            self.waves,
-            self.stripes_affected,
-            self.stripes_rebuilt,
-            failed.join(","),
-            self.reconstruction_s,
-            self.report.disk_reads,
-            self.report.disk_writes,
-            self.rebuild_skew,
-            self.app_p99_ms.map_or("null".into(), |v| format!("{v:.6}")),
-            self.app_p999_ms
-                .map_or("null".into(), |v| format!("{v:.6}")),
-            per_disk.join(","),
-        )
+            ("reconstruction_s", Json::Num(self.reconstruction_s)),
+            ("disk_reads", n(self.report.disk_reads)),
+            ("disk_writes", n(self.report.disk_writes)),
+            ("rebuild_skew", Json::Num(self.rebuild_skew)),
+            ("app_p99_ms", opt(self.app_p99_ms)),
+            ("app_p999_ms", opt(self.app_p999_ms)),
+            (
+                "per_disk_rebuild_reads",
+                Json::Arr(self.per_disk_rebuild_reads.iter().map(|&r| n(r)).collect()),
+            ),
+        ])
+    }
+
+    /// [`to_json_value`](Self::to_json_value), rendered.
+    pub fn to_json(&self) -> String {
+        self.to_json_value().render()
     }
 }
 
@@ -282,22 +287,6 @@ pub fn execute_rebuild(
         decode_batch: cfg.decode_batch,
         ..Default::default()
     };
-    let engine_cfg = |faults| EngineConfig {
-        policy: cfg.policy,
-        fbf: cfg.fbf,
-        victim_map: Some(Arc::clone(&victim_map)),
-        cache_chunks: cfg.cache_chunks(),
-        sharing: cfg.sharing,
-        disk_model: cfg.disk_model,
-        sched: cfg.disk_sched,
-        straggler: cfg.straggler,
-        faults,
-        cache_hit_time: cfg.cache_hit_time,
-        chunk_bytes: cfg.chunk_bytes(),
-        mapping,
-        data_stripes: cfg.stripes as u64,
-        obs: cfg.obs,
-    };
     let obs = cfg.obs && fbf_obs::enabled();
     let mut total: Option<RunReport> = None;
     let mut waves = 0usize;
@@ -330,7 +319,8 @@ pub fn execute_rebuild(
         } else {
             later_round_faults(cfg.faults)
         };
-        let round = Engine::new(engine_cfg(faults)).run_with_scratch(&scripts, scratch);
+        let round = Engine::new(cfg.engine_config(mapping, Arc::clone(&victim_map), faults))
+            .run_with_scratch(&scripts, scratch);
         failed_stripes.extend(round.failed_reads.iter().map(|f| f.chunk.stripe));
         match total.as_mut() {
             Some(t) => merge_round(t, &round),
@@ -488,5 +478,6 @@ mod tests {
         ] {
             assert!(j.contains(key), "{key} missing from {j}");
         }
+        assert_eq!(Json::parse(&j).unwrap(), out.to_json_value());
     }
 }

@@ -14,10 +14,8 @@
 //! exactly by solving the linear system of mean first-passage times — no
 //! asymptotic shortcuts — with a tiny dense Gaussian elimination.
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs of the MTTDL model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReliabilityParams {
     /// Number of disks in the array.
     pub disks: usize,

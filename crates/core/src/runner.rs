@@ -10,7 +10,7 @@ use crate::config::{ConfigError, ExperimentConfig};
 use crate::metrics::Metrics;
 use crate::plan::{PlanKey, PlanSource, PlannedCampaign};
 use fbf_codes::CodeError;
-use fbf_disksim::{ArrayMapping, Engine, EngineConfig, EngineScratch};
+use fbf_disksim::{Engine, EngineScratch};
 use fbf_recovery::SchemeError;
 
 /// Failures a run can hit.
@@ -138,23 +138,7 @@ pub fn run_planned_observed(
         let outcome = crate::faulted::execute_faulted_observed(cfg, plan, scratch, progress);
         Metrics::from_faulted(&outcome, plan.generation, source)
     } else {
-        let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
-        let engine = Engine::new(EngineConfig {
-            policy: cfg.policy,
-            fbf: cfg.fbf,
-            victim_map: Some(std::sync::Arc::clone(&plan.victim_map)),
-            cache_chunks: cfg.cache_chunks(),
-            sharing: cfg.sharing,
-            disk_model: cfg.disk_model,
-            sched: cfg.disk_sched,
-            straggler: cfg.straggler,
-            faults: cfg.faults,
-            cache_hit_time: cfg.cache_hit_time,
-            chunk_bytes: cfg.chunk_bytes(),
-            mapping,
-            data_stripes: cfg.stripes as u64,
-            obs: cfg.obs,
-        });
+        let engine = Engine::new(crate::faulted::engine_config(cfg, plan, cfg.faults));
         let report = engine.run_with_scratch(&plan.scripts, scratch);
         Metrics::from_run(
             &report,

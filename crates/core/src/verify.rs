@@ -17,10 +17,9 @@ use fbf_codes::{Stripe, StripeCode};
 use fbf_disksim::EngineScratch;
 use fbf_recovery::{apply_scheme, generate_schemes_parallel, StripePlan};
 use fbf_workload::{generate_errors, ErrorGenConfig};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a verified campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Stripes repaired and verified.
     pub stripes: usize,
@@ -76,7 +75,7 @@ pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError>
 }
 
 /// Outcome of a verified *faulted* campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultedVerifyReport {
     /// Surviving stripes repaired and verified byte-for-byte.
     pub stripes: usize,

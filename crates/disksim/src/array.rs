@@ -11,10 +11,9 @@
 
 use crate::declust::{clustered_disk, declustered_disk, DeclusteredLayout, Placement};
 use fbf_codes::ChunkId;
-use serde::{Deserialize, Serialize};
 
 /// Maps chunks to (disk, LBA) addresses.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ArrayMapping {
     /// Number of disks (>= stripe columns; equal for clustered arrays).
     pub disks: usize,

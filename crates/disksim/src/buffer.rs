@@ -6,10 +6,9 @@
 //! disk round-trip (plus insert/evict bookkeeping) for a miss.
 
 use fbf_cache::{CacheStats, InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Result of a cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
     /// Chunk resident; served at buffer-cache speed.
     Hit,

@@ -30,8 +30,6 @@
 //! collide. `tests/declust_props.rs` checks this differentially over
 //! randomized geometries for every layout here.
 
-use serde::{Deserialize, Serialize};
-
 /// A stripe-column → physical-disk placement over an `n`-disk array.
 ///
 /// Implementations must be pure functions of `(stripe, col)` (plus their
@@ -204,7 +202,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Serializable placement selector carried by
 /// [`ArrayMapping`](crate::array::ArrayMapping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Column `c` on disk `c`.
     Fixed,

@@ -16,11 +16,10 @@
 //! queues requests behind it, which is how reconstruction workers contend.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the detailed mechanical model. Defaults approximate a
 /// 7200 RPM nearline SATA drive of the paper's era.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiskParams {
     /// Minimum (track-to-track) seek.
     pub seek_min: SimTime,
@@ -54,7 +53,7 @@ impl DiskParams {
 }
 
 /// How a disk turns a request into service time.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum DiskModel {
     /// Constant service time per access (the paper's configuration).
     Fixed {
@@ -108,7 +107,7 @@ impl DiskModel {
 }
 
 /// Per-disk counters collected by the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Chunk reads served.
     pub reads: u64,

@@ -23,10 +23,9 @@ use crate::time::SimTime;
 use fbf_cache::{CacheStats, FbfConfig, FbfPolicy, FxHashMap, FxHashSet, PolicyKind, VdfPolicy};
 use fbf_codes::ChunkId;
 use fbf_obs::RequestClass;
-use serde::{Deserialize, Serialize};
 
 /// One operation of a worker's script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Read a chunk through the buffer cache. `priority` is the FBF
     /// priority from the recovery scheme (1..=3); other policies ignore it.
@@ -43,14 +42,14 @@ pub enum Op {
 /// reads fan out to a whole parity chain; parallel repair reads do too).
 /// The worker resumes when the slowest chunk arrives. Kept separate from
 /// [`Op`] so scripts stay `Copy`-friendly in the common case.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherOp {
     /// Chunks to fetch concurrently, with their FBF priorities.
     pub chunks: Vec<(ChunkId, u8)>,
 }
 
 /// The full operation sequence of one reconstruction worker.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerScript {
     /// Operations executed strictly in order; each starts when the
     /// previous completes.
@@ -87,7 +86,7 @@ impl WorkerScript {
 }
 
 /// How the buffer cache is divided among workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheSharing {
     /// Each worker owns `capacity / workers` chunks (the paper's SOR setup:
     /// "each process is allocated with a small part of cache").
@@ -167,7 +166,7 @@ impl EngineConfig {
 }
 
 /// Latency distribution summary for one request class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResponseStats {
     /// Requests measured.
     pub count: u64,
@@ -203,7 +202,7 @@ impl ResponseStats {
 }
 
 /// Everything measured over one engine run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Virtual time from start until the last worker finished — the
     /// paper's "reconstruction time".

@@ -17,11 +17,10 @@
 
 use crate::time::SimTime;
 use fbf_codes::ChunkId;
-use serde::{Deserialize, Serialize};
 
 /// How the executor responds to transient faults: bounded retries with
 /// exponential, capped backoff — all in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
     /// Retries before a transient fault escalates to a hard failure.
     pub max_retries: u8,
@@ -64,7 +63,7 @@ impl RetryPolicy {
 }
 
 /// Straggler injection: one disk whose every service is scaled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlowDisk {
     /// Index of the degraded disk.
     pub disk: u32,
@@ -77,7 +76,7 @@ pub struct SlowDisk {
 /// or after `at` fail hard. Spare writes still succeed (the write is
 /// redirected to a hot spare; modelling the spare's geometry identically
 /// keeps timing unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DiskKill {
     /// Index of the dying disk.
     pub disk: u32,
@@ -86,7 +85,7 @@ pub struct DiskKill {
 }
 
 /// A seeded, deterministic fault-injection plan for one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     /// Seed for the per-chunk fault draws.
     pub seed: u64,
@@ -129,7 +128,7 @@ pub enum FaultDraw {
 }
 
 /// Why a recovery read failed hard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadFailure {
     /// Unreadable sector (latent sector error).
     Media,
@@ -152,7 +151,7 @@ impl ReadFailure {
 
 /// One hard read failure surfaced by the engine: the chunk is now an
 /// additional erasure the controller must re-plan around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailedRead {
     /// The chunk that could not be read.
     pub chunk: ChunkId,
@@ -164,7 +163,7 @@ pub struct FailedRead {
 
 /// Fault-path counters measured over one engine run (or merged across
 /// escalation rounds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Hard media errors hit.
     pub media_errors: u64,

@@ -16,10 +16,9 @@
 
 use crate::time::SimTime;
 use fbf_obs::digest::Digest;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-size logarithmic histogram of time spans.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     digest: Digest,
 }

@@ -19,10 +19,9 @@
 
 use crate::disk::{DiskModel, DiskStats};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Head-scheduling discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiskSched {
     /// First come, first served.
     #[default]

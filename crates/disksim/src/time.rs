@@ -5,13 +5,10 @@
 //! overhead) exactly representable in integers, so simulations are
 //! deterministic and replay-stable — no floating-point clock drift.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in (or span of) virtual time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -1,12 +1,10 @@
-//! A minimal JSON value: parse, render, navigate.
-//!
-//! The vendored `serde` is an offline stub, so the daemon protocol and
-//! the bench tooling cannot derive (de)serialisers; reports already
-//! render JSON by hand. This module adds the other direction — a small
-//! recursive-descent parser over a boxed value tree — so the daemon can
-//! *read* requests too. It is deliberately tiny: strict enough for our
-//! own wire format (UTF-8, no comments, no trailing commas), not a
-//! general-purpose JSON library.
+//! The workspace's one JSON implementation: a value tree with a
+//! recursive-descent parser and a renderer, plus the string escaper the
+//! push-style trace writer ([`crate::trace`]) shares with it. Lives in
+//! this leaf crate so every layer above can use it. Deliberately tiny:
+//! strict enough for our own wire format (UTF-8, no comments, no trailing
+//! commas, nesting capped at [`MAX_DEPTH`]), not a general-purpose JSON
+//! library.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +25,11 @@ pub enum Json {
     /// An object; sorted keys give deterministic rendering.
     Obj(BTreeMap<String, Json>),
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses per level, so an uncapped frame of `[` would overflow the
+/// stack of whichever thread parses it; our wire format nests 4 deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +53,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -73,7 +76,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => render_num(*n, out),
-            Json::Str(s) => render_str(s, out),
+            Json::Str(s) => push_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -90,7 +93,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_str(k, out);
+                    push_str(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -193,7 +196,9 @@ fn render_num(n: f64, out: &mut String) {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal, escaping per RFC 8259 — the
+/// workspace's only escaper.
+pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -217,7 +222,7 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(JsonError {
@@ -225,6 +230,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             msg: "unexpected end of input",
         });
     };
+    if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(JsonError {
+            at: *pos,
+            msg: "nesting deeper than MAX_DEPTH",
+        });
+    }
     match b {
         b'n' => parse_lit(bytes, pos, "null", Json::Null),
         b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
@@ -239,7 +250,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -275,7 +286,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     });
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -444,6 +455,7 @@ mod tests {
     fn strings_escape_and_unescape() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".to_string());
         let text = v.render();
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(Json::parse(&text).unwrap(), v);
         assert_eq!(
             Json::parse(r#""A\n""#).unwrap(),
@@ -467,17 +479,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_existing_metrics_json() {
-        // The hand-rolled Metrics::to_json output must be readable by
-        // this parser — the daemon replies embed it verbatim.
-        let m = crate::metrics::Metrics::from_run(
-            &fbf_disksim::RunReport::default(),
-            std::time::Duration::from_millis(1),
-            0,
-            0,
-            crate::plan::PlanSource::Cold,
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        // The frame that used to overflow the parsing thread's stack.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.msg, "nesting deeper than MAX_DEPTH");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&objects).unwrap_err();
+        assert_eq!(
+            (err.at, err.msg),
+            (MAX_DEPTH * 5, "nesting deeper than MAX_DEPTH")
         );
-        let v = Json::parse(&m.to_json()).unwrap();
-        assert!(v.get("hit_ratio").is_some());
     }
 }

@@ -15,8 +15,8 @@
 //! hot-path counters ride on the stats structs the engine already owns
 //! (`CacheStats`, `DiskStats`) and are published *once per run* at run
 //! boundaries, so enabling observability does not perturb the measurements
-//! it reports. The `perf_baseline` bench pins both claims
-//! (`obs_span_disabled`, `engine_run_8x` vs `engine_run_8x_obs`).
+//! it reports. The benchmark measures both claims
+//! (`obs.enabled_overhead_pct`, `obs.trace_overhead_pct`).
 //!
 //! ## Event taxonomy
 //!
@@ -63,6 +63,7 @@
 
 pub mod bridge;
 pub mod digest;
+pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod ring;
@@ -71,6 +72,7 @@ pub mod trace;
 
 pub use bridge::BridgeSubscriber;
 pub use digest::{Digest, RequestClass};
+pub use json::{Json, JsonError};
 pub use prom::PromWriter;
 pub use registry::{registry, CounterHandle, Registry};
 pub use ring::FlightRecorder;

@@ -11,9 +11,8 @@
 //! validates the same invariants in CI: legal metric-name charset and
 //! monotone cumulative buckets.
 //!
-//! Hand-rolled like every serializer in this workspace (the vendored
-//! serde is an offline stub); values format through Rust's shortest-
-//! round-trip `f64` Display, so snapshots are deterministic.
+//! Values format through Rust's shortest-round-trip `f64` Display, so
+//! snapshots are deterministic.
 
 use crate::digest::Digest;
 

@@ -13,9 +13,7 @@
 //! Each thread records into its own ring; the per-event lock is owned by
 //! the recording thread and only ever contended by a dump (rare), so the
 //! emission path never blocks on another emitter. With the recorder
-//! absent the cost is the usual single relaxed load; the `perf_baseline`
-//! benches `obs_ring_disabled` / `obs_ring_enabled` pin both sides and
-//! `scripts/bench.sh` prints the ratios.
+//! absent the cost is the usual single relaxed load.
 //!
 //! ## Memory bound and drop semantics
 //!

@@ -4,11 +4,13 @@
 //! the [chrome trace event format]. chrome://tracing and Perfetto load a
 //! JSON *array*; `scripts/check_trace.py --chrome out.json` wraps the
 //! JSONL into `{"traceEvents": [...]}` for that (JSONL itself is easier
-//! to validate, stream, and grep). JSON is hand-rolled — the workspace's
-//! vendored `serde` is a no-op stub.
+//! to validate, stream, and grep). Lines are pushed straight into a
+//! `String` (this is on the observability overhead budget), through the
+//! one string escaper in [`crate::json`].
 //!
 //! [chrome trace event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json;
 use crate::subscriber::{Event, EventKind, Subscriber, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -62,9 +64,9 @@ pub fn render_chrome_line(event: &Event<'_>) -> String {
     {
         let mut line = String::with_capacity(160);
         line.push_str("{\"name\":");
-        push_json_str(&mut line, event.name);
+        json::push_str(&mut line, event.name);
         line.push_str(",\"cat\":");
-        push_json_str(&mut line, event.cat);
+        json::push_str(&mut line, event.cat);
         match event.kind {
             EventKind::Complete { dur_us } => {
                 line.push_str(",\"ph\":\"X\"");
@@ -106,13 +108,13 @@ pub fn render_chrome_line(event: &Event<'_>) -> String {
                 line.push(',');
             }
             first = false;
-            push_json_str(&mut line, key);
+            json::push_str(&mut line, key);
             line.push(':');
             match value {
                 Value::U64(v) => line.push_str(&v.to_string()),
                 Value::I64(v) => line.push_str(&v.to_string()),
                 Value::F64(v) => push_json_f64(&mut line, *v),
-                Value::Str(v) => push_json_str(&mut line, v),
+                Value::Str(v) => json::push_str(&mut line, v),
             }
         }
         line.push_str("}}\n");
@@ -177,23 +179,6 @@ impl Drop for TraceWriter {
     }
 }
 
-/// Append `s` as a JSON string literal, escaping per RFC 8259.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Append a finite JSON number; non-finite values (invalid JSON) become 0.
 fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -229,13 +214,6 @@ mod tests {
         drop(writer);
         let bytes = buf.0.lock().unwrap().clone();
         String::from_utf8(bytes).unwrap()
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]

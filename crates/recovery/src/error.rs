@@ -7,11 +7,10 @@
 //! chunks, "since chunk is the fundamental recovery unit".
 
 use fbf_codes::{Cell, ChunkId, StripeCode};
-use serde::{Deserialize, Serialize};
 
 /// One partial stripe error: `len` consecutive chunks starting at
 /// `first_row` in column `col` of stripe `stripe`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartialStripeError {
     /// Stripe number within the array.
     pub stripe: u32,
@@ -86,7 +85,7 @@ impl std::fmt::Display for PartialStripeError {
 /// the paper's `PartialStripeErrorGroup`. One stripe may carry several
 /// errors (on different disks — the spatially-correlated case the LSE
 /// studies describe); recovery merges them into one [`StripeDamage`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErrorGroup {
     /// The individual errors.
     pub errors: Vec<PartialStripeError>,
@@ -94,7 +93,7 @@ pub struct ErrorGroup {
 
 /// All damage of one stripe, merged across errors: the unit recovery
 /// schemes are generated for.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StripeDamage {
     /// The damaged stripe.
     pub stripe: u32,

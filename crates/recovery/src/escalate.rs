@@ -21,12 +21,11 @@ use crate::priority::PriorityDictionary;
 use crate::scheme::SchemeKind;
 use fbf_codes::{Cell, StripeCode};
 use fbf_disksim::FailedRead;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A stripe whose accumulated damage exceeds the code's fault tolerance:
 /// unrecoverable, reported instead of repaired.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataLoss {
     /// The unrecoverable stripe.
     pub stripe: u32,

@@ -17,10 +17,9 @@ use crate::priority::PriorityDictionary;
 use crate::scheme::RecoveryScheme;
 use fbf_codes::{ChunkId, CodeError, Stripe, StripeCode};
 use fbf_disksim::{Op, RequestClass, SimTime, WorkerScript};
-use serde::{Deserialize, Serialize};
 
 /// Execution-shaping parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Number of SOR reconstruction workers (the paper runs 128).
     pub workers: usize,
@@ -194,7 +193,7 @@ pub fn total_read_refs(schemes: &[RecoveryScheme]) -> usize {
 }
 
 /// Helper: campaign statistics for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignShape {
     /// Number of stripes under repair.
     pub stripes: usize,

@@ -14,11 +14,10 @@
 
 use fbf_codes::decode::decode;
 use fbf_codes::{Cell, CodeError, Stripe, StripeCode};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A joint-decode plan for one stripe's damage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JointRepair {
     /// The stripe under repair.
     pub stripe: u32,

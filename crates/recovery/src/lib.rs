@@ -17,7 +17,7 @@
 //!   XOR compute, spare writes) and can also *apply* a scheme to real
 //!   stripe payloads so tests verify recovered bytes;
 //! * [`parallel`] — SOR-style partitioning of a campaign across workers,
-//!   plus multi-threaded scheme generation using crossbeam scoped threads;
+//!   plus multi-threaded scheme generation using std scoped threads;
 //! * [`scrub`] — background verification: chain-syndrome computation,
 //!   silent-corruption location, and repair (§II-C's motivation);
 //! * [`degraded`] — on-the-fly repair of application reads that hit lost

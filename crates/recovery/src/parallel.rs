@@ -7,7 +7,7 @@
 //!   partitions stripes over them.
 //! * **On the host** — scheme generation for a large campaign is pure
 //!   CPU work, embarrassingly parallel per stripe.
-//!   [`generate_schemes_parallel`] fans it out over crossbeam scoped
+//!   [`generate_schemes_parallel`] fans it out over `std::thread::scope`
 //!   threads (the guides' recommended shape: spawn N workers over disjoint
 //!   index ranges, no shared mutable state, join for the results).
 
@@ -61,16 +61,16 @@ pub fn generate_schemes_parallel(
     out.resize_with(n, || None);
     let chunk = n.div_ceil(threads);
 
-    crossbeam::thread::scope(|scope| {
+    // Joins every worker and re-raises a worker's panic.
+    std::thread::scope(|scope| {
         for (slice, damages) in out.chunks_mut(chunk).zip(damages.chunks(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, d) in slice.iter_mut().zip(damages) {
                     *slot = Some(generate_for_cells(code, d.stripe, &d.cells, kind));
                 }
             });
         }
-    })
-    .expect("scheme generation worker panicked");
+    });
 
     out.into_iter()
         .map(|r| r.expect("every slot filled by its worker"))

@@ -17,10 +17,9 @@
 use crate::scheme::RecoveryScheme;
 use fbf_codes::hash::FxHashMap;
 use fbf_codes::{Cell, ChunkId};
-use serde::{Deserialize, Serialize};
 
 /// Priorities for every chunk the schemes will touch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PriorityDictionary {
     map: FxHashMap<ChunkId, u8>,
 }

@@ -23,10 +23,9 @@ use crate::error::PartialStripeError;
 use fbf_codes::hash::FxHashSet;
 use fbf_codes::repair::{best_per_direction, RepairOption};
 use fbf_codes::{Cell, Direction, StripeCode};
-use serde::{Deserialize, Serialize};
 
 /// Which scheme generator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Horizontal-chains-only (the baseline recovery method).
     Typical,
@@ -79,7 +78,7 @@ impl std::fmt::Display for SchemeError {
 impl std::error::Error for SchemeError {}
 
 /// One scheduled repair: rebuild `target` by XOR-ing `option.reads`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkRepair {
     /// The lost cell.
     pub target: Cell,
@@ -88,7 +87,7 @@ pub struct ChunkRepair {
 }
 
 /// The ordered repair plan for one partial stripe error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryScheme {
     /// Stripe this scheme repairs.
     pub stripe: u32,

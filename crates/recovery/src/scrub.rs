@@ -138,7 +138,7 @@ mod tests {
         let mut buf = stripe.get(code.layout(), cell).to_vec();
         buf[0] ^= 0x5A;
         buf[7] ^= 0xFF;
-        stripe.set(code.layout(), cell, bytes::Bytes::from(buf));
+        stripe.set(code.layout(), cell, buf.into());
     }
 
     #[test]

@@ -10,10 +10,9 @@ use fbf_codes::{Cell, ChunkId, StripeCode};
 use fbf_disksim::{Op, RequestClass, SimTime, WorkerScript};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the application read stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppIoConfig {
     /// Stripes in the array's data zone.
     pub stripes: u32,
@@ -76,7 +75,7 @@ pub fn generate_app_reads(code: &StripeCode, cfg: &AppIoConfig) -> WorkerScript 
 }
 
 /// Configuration of a background scrub pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubConfig {
     /// Stripes in the array's data zone.
     pub stripes: u32,

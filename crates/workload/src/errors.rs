@@ -5,10 +5,9 @@ use fbf_codes::StripeCode;
 use fbf_recovery::{ErrorGroup, PartialStripeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Distribution of error run lengths (in chunks).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LengthDistribution {
     /// Uniform on `[1, p-1]` — the paper's primary setting ("the sizes of
     /// partial stripe errors obeys uniform distribution, with the average
@@ -25,7 +24,7 @@ pub enum LengthDistribution {
 }
 
 /// Configuration of one error campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorGenConfig {
     /// Stripes in the array's data zone.
     pub stripes: u32,

@@ -20,8 +20,10 @@
 //! `--cache-mb 64`, `--chunk-kb 32`, `--stripes 4096`, `--errors 512`,
 //! `--workers 128`, `--seed N`, `--gen-threads N`, plus fault injection:
 //! `--media ‰`, `--transient ‰`, `--fault-seed N`, `--kill <disk>@<ms>`,
-//! `--slow <disk>@<permille>`. The pre-daemon `key=value` spelling still
-//! works as a deprecated alias (a warning points at the flag form).
+//! `--slow <disk>@<permille>`. Every flag is one key of
+//! `ExperimentConfigBuilder::set`, dashes for underscores; `client
+//! repair`/`rebuild` forward them to the daemon, which applies the same
+//! `set`.
 //!
 //! `--json` (any command) emits the result as one JSON object on stdout
 //! instead of human-readable text. Global observability flags:
@@ -33,7 +35,6 @@
 //! Daemon transport selection (`serve`/`client`): `--socket <path>` for a
 //! unix socket (default `$TMPDIR/fbfd.sock`), `--tcp <addr:port>` for TCP.
 
-use fbf::disksim::{DiskKill, FaultPlan, SimTime, SlowDisk};
 use fbf::recovery::{scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind};
 use fbf::report::f;
 use fbf::workload::{
@@ -42,7 +43,7 @@ use fbf::workload::{
 };
 use fbf::PolicyKind;
 use fbf::{
-    run_experiment, run_experiment_with_errors, sweep, DaemonClient, DaemonOptions,
+    run_experiment, run_experiment_with_errors, sweep, ConfigError, DaemonClient, DaemonOptions,
     ExperimentConfig, ExperimentConfigBuilder, Json, ReliabilityParams, ServerAddr, Table,
 };
 use fbf::{CodeSpec, StripeCode};
@@ -187,15 +188,16 @@ fn print_usage() {
          \u{20}      read <job> <stripe> <row> <col> | metrics | watch | load [...] | shutdown\n\
          \u{20}  fbf scrub <code> <p>\n\
          \u{20}  fbf mttdl <disks> <mttr_hours>\n\n\
-         experiment flags: --code --p --policy --scheme --cache-mb --chunk-kb\n\
-         \u{20}  --stripes --errors --workers --seed --gen-threads\n\
-         \u{20}  --media --transient --fault-seed --kill d@ms --slow d@permille\n\
-         \u{20}  (key=value spelling is a deprecated alias)\n\n\
+         experiment flags (--kill d@ms, --slow d@permille):\n\
+         \u{20}  {flags}\n\n\
          global flags: --json (machine-readable stdout), --trace <path>\n\
          \u{20}  (JSONL run trace), --obs (event log on stderr), --metrics <path>\n\
          \u{20}  (Prometheus snapshot of run/sweep results)\n\n\
          codes: tip hdd1 triplestar star rdp evenodd\n\
-         policies: fifo lru lfu arc fbf lru-k 2q lrfu fbr vdf"
+         policies: fifo lru lfu arc fbf lru-k 2q lrfu fbr vdf",
+        flags = fbf::core::config::KEYS
+            .map(|k| format!("--{}", k.replace('_', "-")))
+            .join(" ")
     );
 }
 
@@ -203,130 +205,55 @@ fn parse_code(s: &str) -> Option<CodeSpec> {
     fbf::code_from_name(s)
 }
 
-fn parse_policy(s: &str) -> Option<PolicyKind> {
-    fbf::policy_from_name(s)
-}
-
 fn parse_scheme(s: &str) -> Option<SchemeKind> {
     fbf::scheme_from_name(s)
 }
 
-/// Normalise experiment arguments: typed `--key value` / `--key=value`
-/// flags become `key=value` pairs (dashes to underscores), and bare
-/// legacy `key=value` pairs pass through with a one-time deprecation
-/// warning. Anything else is rejected.
-fn normalize_config_args(args: &[String]) -> Result<Vec<String>, i32> {
+/// Split experiment arguments — `--key value` or `--key=value` — into
+/// `(key, value)` pairs, dashes in the key turned to underscores. Anything
+/// else is rejected.
+fn config_flags(args: &[String]) -> Result<Vec<(String, String)>, i32> {
     let mut out = Vec::with_capacity(args.len());
-    let mut warned = false;
     let mut i = 0;
     while i < args.len() {
-        let arg = &args[i];
-        if let Some(flag) = arg.strip_prefix("--") {
-            let (key, value) = match flag.split_once('=') {
-                Some((k, v)) => (k.to_string(), v.to_string()),
-                None => {
-                    let Some(v) = args.get(i + 1) else {
-                        eprintln!("--{flag} needs a value");
-                        return Err(2);
-                    };
-                    i += 1;
-                    (flag.to_string(), v.clone())
-                }
-            };
-            out.push(format!("{}={}", key.replace('-', "_"), value));
-        } else if arg.contains('=') {
-            if !warned {
-                eprintln!(
-                    "warning: `key=value` arguments are deprecated; \
-                     use `--key value` (e.g. `--{}`)",
-                    arg.replacen('=', " ", 1)
-                );
-                warned = true;
-            }
-            out.push(arg.clone());
-        } else {
-            eprintln!("unexpected argument `{arg}` (expected --key value)");
+        let Some(flag) = args[i].strip_prefix("--") else {
+            eprintln!("unexpected argument `{}` (expected --key value)", args[i]);
             return Err(2);
-        }
+        };
+        let (key, value) = match flag.split_once('=') {
+            Some((k, v)) => (k, v.to_string()),
+            None => {
+                let Some(v) = args.get(i + 1) else {
+                    eprintln!("--{flag} needs a value");
+                    return Err(2);
+                };
+                i += 1;
+                (flag, v.clone())
+            }
+        };
+        out.push((key.replace('-', "_"), value));
         i += 1;
     }
     Ok(out)
 }
 
-/// Parse normalised `key=value` pairs into an [`ExperimentConfigBuilder`]
-/// (starting from the paper's defaults). Validation happens in
+/// Apply experiment flags onto the paper's defaults through
+/// [`ExperimentConfigBuilder::set`]. Validation happens in
 /// [`build_or_report`], so a bad combination fails with a typed message
 /// before any work starts.
-fn parse_kv(args: &[String]) -> Result<ExperimentConfigBuilder, i32> {
-    let mut builder = ExperimentConfig::builder();
-    let mut faults = FaultPlan::none();
-    for arg in args {
-        let Some((k, v)) = arg.split_once('=') else {
-            eprintln!("expected key=value, got `{arg}`");
-            return Err(2);
-        };
-        let next = match k {
-            "code" => parse_code(v).map(|c| builder.code(c)),
-            "p" => v.parse().ok().map(|p| builder.p(p)),
-            "policy" => parse_policy(v).map(|p| builder.policy(p)),
-            "scheme" => parse_scheme(v).map(|s| builder.scheme(s)),
-            "cache" | "cache_mb" => v.parse().ok().map(|c| builder.cache_mb(c)),
-            "chunk_kb" => v.parse().ok().map(|c| builder.chunk_kb(c)),
-            "stripes" => v.parse().ok().map(|s| builder.stripes(s)),
-            "errors" => v.parse().ok().map(|e| builder.error_count(e)),
-            "workers" => v.parse().ok().map(|w| builder.workers(w)),
-            "decode_batch" => v.parse().ok().map(|d| builder.decode_batch(d)),
-            "seed" => v.parse().ok().map(|s| builder.seed(s)),
-            "gen_threads" => v.parse().ok().map(|g| builder.gen_threads(g)),
-            // Fault injection (all optional; any one activates the plan).
-            "media" => v.parse().ok().map(|m| {
-                faults.media_per_mille = m;
-                builder
-            }),
-            "transient" => v.parse().ok().map(|t| {
-                faults.transient_per_mille = t;
-                builder
-            }),
-            "fault_seed" => v.parse().ok().map(|s| {
-                faults.seed = s;
-                builder
-            }),
-            // kill=<disk>@<ms>: the disk dies at that (virtual) instant.
-            "kill" => parse_at(v).map(|(disk, ms)| {
-                faults.disk_kill = Some(DiskKill {
-                    disk,
-                    at: SimTime::from_millis(ms),
-                });
-                builder
-            }),
-            // slow=<disk>@<permille>: service time scaled by ‰ (2000 = 2x).
-            "slow" => parse_at(v).and_then(|(disk, scale)| {
-                u32::try_from(scale).ok().map(|scale_milli| {
-                    faults.straggler = Some(SlowDisk { disk, scale_milli });
-                    builder
-                })
-            }),
-            _ => {
-                eprintln!("unknown key `{k}`");
-                return Err(2);
-            }
-        };
-        let Some(b) = next else {
-            eprintln!("bad value for `{k}`: `{v}`");
-            return Err(2);
-        };
-        builder = b;
-    }
-    if faults.is_active() {
-        builder = builder.faults(faults);
-    }
-    Ok(builder)
+fn builder_from_flags(flags: &[(String, String)]) -> Result<ExperimentConfigBuilder, ConfigError> {
+    flags
+        .iter()
+        .try_fold(ExperimentConfig::builder(), |b, (k, v)| b.set(k, v))
 }
 
-/// Parse `<disk>@<n>` (e.g. `kill=3@40`, `slow=2@1500`).
-fn parse_at(v: &str) -> Option<(u32, u64)> {
-    let (disk, n) = v.split_once('@')?;
-    Some((disk.parse().ok()?, n.parse().ok()?))
+/// [`config_flags`] then [`builder_from_flags`], errors reported on
+/// stderr as exit code 2.
+fn parse_config_args(args: &[String]) -> Result<ExperimentConfigBuilder, i32> {
+    builder_from_flags(&config_flags(args)?).map_err(|e| {
+        eprintln!("{e}");
+        2
+    })
 }
 
 /// Pull a valued flag (`--name <v>` / `--name=<v>`) out of an argument
@@ -615,8 +542,7 @@ fn run_with(
     metrics_out: Option<&str>,
     json: bool,
 ) -> i32 {
-    let cfg = match normalize_config_args(args)
-        .and_then(|kv| parse_kv(&kv))
+    let cfg = match parse_config_args(args)
         .map(|b| b.obs(obs))
         .and_then(build_or_report)
     {
@@ -703,113 +629,18 @@ fn run_with(
 /// with foreground app reads sharing the spindles. Rebuild-specific
 /// flags come out first; everything left is ordinary experiment flags.
 fn cmd_rebuild(args: &[String], obs: bool, json: bool) -> i32 {
-    let mut rest = args.to_vec();
-    let mut flags = Vec::with_capacity(8);
-    for name in [
-        "disks",
-        "placement",
-        "placement-seed",
-        "failed-disk",
-        "cap",
-        "fairness",
-        "campaigns",
-        "app-reads",
-    ] {
-        match split_flag(&rest, name) {
-            Ok((r, v)) => {
-                rest = r;
-                flags.push(v);
-            }
-            Err(rc) => return rc,
-        }
-    }
-    let [disks, placement, placement_seed, failed_disk, cap, fairness, campaigns, app_reads]: [Option<String>; 8] = flags.try_into().expect("eight rebuild flags");
-
-    let base = match normalize_config_args(&rest)
-        .and_then(|kv| parse_kv(&kv))
-        .map(|b| b.obs(obs))
-        .and_then(build_or_report)
-    {
-        Ok(c) => c,
+    // The flags are read exactly as the daemon reads a `rebuild` request.
+    let spec = rebuild_request(args).and_then(|fields| {
+        fbf::core::daemon::rebuild_spec_from_request(&Json::obj(fields)).map_err(|e| {
+            eprintln!("{e}");
+            2
+        })
+    });
+    let mut spec = match spec {
+        Ok(s) => s,
         Err(rc) => return rc,
     };
-    // A whole array is wider than one stripe: default to the paper's
-    // 100-disk scale.
-    let disks = match disks.as_deref().map(str::parse::<usize>) {
-        None => 100,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => {
-            eprintln!("bad --disks (positive integer)");
-            return 2;
-        }
-    };
-    let mut spec = fbf::RebuildSpec::new(base, disks);
-    match placement.as_deref() {
-        None | Some("declustered") => {}
-        Some("clustered") | Some("fixed") => spec.placement = fbf::Placement::Fixed,
-        Some("rotated") => spec.placement = fbf::Placement::Rotated,
-        Some(other) => {
-            eprintln!("unknown placement `{other}` (clustered, rotated, declustered)");
-            return 2;
-        }
-    }
-    if let Some(s) = placement_seed {
-        let Ok(seed) = s.parse::<u64>() else {
-            eprintln!("bad --placement-seed: `{s}`");
-            return 2;
-        };
-        if matches!(spec.placement, fbf::Placement::Declustered { .. }) {
-            spec.placement = fbf::Placement::Declustered { seed };
-        } else {
-            eprintln!("--placement-seed only applies to declustered placement");
-            return 2;
-        }
-    }
-    if let Some(d) = failed_disk {
-        match d.parse::<usize>() {
-            Ok(n) if n < disks => spec.failed_disk = n,
-            _ => {
-                eprintln!("bad --failed-disk: `{d}` (0..{disks})");
-                return 2;
-            }
-        }
-    }
-    if let Some(c) = cap {
-        match c.parse::<u32>() {
-            Ok(n) if n > 0 => spec.per_disk_cap = n,
-            _ => {
-                eprintln!("bad --cap: `{c}` (positive chunk reads per disk per wave)");
-                return 2;
-            }
-        }
-    }
-    if let Some(f) = fairness {
-        match fbf::Fairness::parse(&f) {
-            Some(fair) => spec.fairness = fair,
-            None => {
-                eprintln!("unknown fairness `{f}` (rr or drr)");
-                return 2;
-            }
-        }
-    }
-    if let Some(c) = campaigns {
-        match c.parse::<usize>() {
-            Ok(n) if n > 0 => spec.campaigns = n,
-            _ => {
-                eprintln!("bad --campaigns: `{c}`");
-                return 2;
-            }
-        }
-    }
-    if let Some(a) = app_reads {
-        match a.parse::<usize>() {
-            Ok(n) => spec.app_reads_per_wave = n,
-            Err(_) => {
-                eprintln!("bad --app-reads: `{a}`");
-                return 2;
-            }
-        }
-    }
+    spec.base.obs = obs;
 
     if !json {
         println!(
@@ -857,10 +688,7 @@ fn cmd_rebuild(args: &[String], obs: bool, json: bool) -> i32 {
 }
 
 fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) -> i32 {
-    let builder = match normalize_config_args(args)
-        .and_then(|kv| parse_kv(&kv))
-        .map(|b| b.obs(obs))
-    {
+    let builder = match parse_config_args(args).map(|b| b.obs(obs)) {
         Ok(b) => b,
         Err(rc) => return rc,
     };
@@ -895,12 +723,10 @@ fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) 
         let rows: Vec<Json> = points
             .iter()
             .map(|pt| {
-                let metrics =
-                    Json::parse(&pt.metrics.to_json()).expect("Metrics::to_json emits valid JSON");
                 Json::obj([
                     ("cache_mb", Json::Num(pt.config.cache_mb as f64)),
                     ("policy", Json::Str(pt.config.policy.name().to_string())),
-                    ("metrics", metrics),
+                    ("metrics", pt.metrics.to_json_value()),
                 ])
             })
             .collect();
@@ -1005,43 +831,42 @@ fn cmd_serve(args: &[String], json: bool) -> i32 {
     0
 }
 
-/// Collect experiment flags into the daemon's `config` override object.
-/// Only daemon-supported keys are accepted (fault flags need the local
-/// engine; the daemon's executor is explicit about what it honours).
-fn overrides_from_args(args: &[String]) -> Result<Json, i32> {
-    let kv = normalize_config_args(args)?;
-    let mut pairs: Vec<(String, Json)> = Vec::new();
-    for item in &kv {
-        let Some((k, v)) = item.split_once('=') else {
-            eprintln!("expected key=value, got `{item}`");
-            return Err(2);
-        };
-        let key = match k {
-            "cache" => "cache_mb",
-            other => other,
-        };
-        let value = match key {
-            "code" | "policy" | "scheme" => Json::Str(v.to_string()),
-            "p" | "cache_mb" | "chunk_kb" | "stripes" | "errors" | "workers" | "seed"
-            | "gen_threads" => match v.parse::<u64>() {
-                Ok(n) => Json::Num(n as f64),
-                Err(_) => {
-                    eprintln!("bad value for `{key}`: `{v}`");
-                    return Err(2);
-                }
-            },
-            other => {
-                eprintln!("`--{other}` is not supported for daemon repairs");
-                return Err(2);
-            }
-        };
-        pairs.push((key.to_string(), value));
+/// The fields of a daemon `rebuild` request from `fbf rebuild` /
+/// `fbf client rebuild` arguments: rebuild-spec flags come out first,
+/// everything left is ordinary experiment flags. All forwarded as typed;
+/// `rebuild_spec_from_request` is the one reader.
+fn rebuild_request(args: &[String]) -> Result<Vec<(&'static str, Json)>, i32> {
+    let mut rest = args.to_vec();
+    let mut fields = vec![("cmd", Json::from("rebuild"))];
+    for (flag, wire_key) in [
+        ("disks", "disks"),
+        ("placement", "placement"),
+        ("placement-seed", "placement_seed"),
+        ("failed-disk", "failed_disk"),
+        ("cap", "cap"),
+        ("fairness", "fairness"),
+        ("campaigns", "campaigns"),
+        ("app-reads", "app_reads"),
+    ] {
+        let (r, value) = split_flag(&rest, flag)?;
+        rest = r;
+        fields.extend(value.map(|v| (wire_key, Json::Str(v))));
     }
-    let mut obj = std::collections::BTreeMap::new();
-    for (k, v) in pairs {
-        obj.insert(k, v);
-    }
-    Ok(Json::Obj(obj))
+    fields.push(("config", overrides_from_flags(&config_flags(&rest)?)));
+    Ok(fields)
+}
+
+/// The daemon's `config` override object: the flags forwarded as they
+/// were typed. The daemon applies them through the same
+/// `ExperimentConfigBuilder::set` a local run uses, so every key — fault
+/// injection included — means the same on both sides.
+fn overrides_from_flags(flags: &[(String, String)]) -> Json {
+    Json::Obj(
+        flags
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect(),
+    )
 }
 
 fn connect_or_report(addr: &ServerAddr) -> Result<DaemonClient, i32> {
@@ -1065,11 +890,7 @@ fn call_and_print(client: &mut DaemonClient, req: &Json, json: bool) -> i32 {
             } else if ok {
                 println!("{}", reply.render());
             } else {
-                let msg = reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error");
-                eprintln!("daemon error: {msg}");
+                eprintln!("daemon error: {}", daemon_error(&reply));
             }
             i32::from(!ok)
         }
@@ -1207,13 +1028,7 @@ fn client_top(args: &[String], addr: &ServerAddr) -> i32 {
             }
         };
         if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!(
-                "daemon error: {}",
-                reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-            );
+            eprintln!("daemon error: {}", daemon_error(&reply));
             return 1;
         }
         // Clear screen + home, like top(1); harmless when piped.
@@ -1241,16 +1056,12 @@ fn cmd_client(args: &[String], json: bool) -> i32 {
         return 2;
     };
     match action.as_str() {
-        "ping" => {
+        cmd @ ("ping" | "jobs" | "shutdown") => {
             let mut client = match connect_or_report(&addr) {
                 Ok(c) => c,
                 Err(rc) => return rc,
             };
-            call_and_print(
-                &mut client,
-                &Json::obj([("cmd", Json::Str("ping".into()))]),
-                json,
-            )
+            call_and_print(&mut client, &Json::obj([("cmd", Json::from(cmd))]), json)
         }
         "repair" => client_repair(rest, &addr, json),
         "rebuild" => client_rebuild(rest, &addr, json),
@@ -1269,17 +1080,6 @@ fn cmd_client(args: &[String], json: bool) -> i32 {
                     ("cmd", Json::Str("status".into())),
                     ("job", Json::Num(id as f64)),
                 ]),
-                json,
-            )
-        }
-        "jobs" => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            call_and_print(
-                &mut client,
-                &Json::obj([("cmd", Json::Str("jobs".into()))]),
                 json,
             )
         }
@@ -1395,13 +1195,7 @@ fn cmd_client(args: &[String], json: bool) -> i32 {
                     }
                 }
                 Ok(reply) => {
-                    eprintln!(
-                        "daemon error: {}",
-                        reply
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown error")
-                    );
+                    eprintln!("daemon error: {}", daemon_error(&reply));
                     1
                 }
                 Err(e) => {
@@ -1436,17 +1230,6 @@ fn cmd_client(args: &[String], json: bool) -> i32 {
             }
         }
         "load" => client_load(rest, &addr, json),
-        "shutdown" => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            call_and_print(
-                &mut client,
-                &Json::obj([("cmd", Json::Str("shutdown".into()))]),
-                json,
-            )
-        }
         other => {
             eprintln!("unknown client action `{other}`");
             2
@@ -1455,143 +1238,64 @@ fn cmd_client(args: &[String], json: bool) -> i32 {
 }
 
 fn client_repair(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
-    let (args, backend) = match split_flag(args, "backend") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let (args, dir) = match split_flag(&args, "dir") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let (args, trace_in) = match split_flag(&args, "trace-in") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let (args, wait) = split_switch(&args, "wait");
-    let overrides = match overrides_from_args(&args) {
-        Ok(o) => o,
-        Err(rc) => return rc,
-    };
-    let mut fields = vec![("cmd", Json::Str("repair".into())), ("config", overrides)];
-    if let Some(b) = backend {
-        fields.push(("backend", Json::Str(b)));
+    let (rest, wait) = split_switch(args, "wait");
+    match repair_request(&rest) {
+        Ok(fields) => submit_job(addr, fields, wait, "metrics", json),
+        Err(rc) => rc,
     }
-    if let Some(d) = dir {
-        fields.push(("dir", Json::Str(d)));
-    }
-    if let Some(path) = &trace_in {
-        match std::fs::read_to_string(path) {
-            Ok(text) => fields.push(("trace", Json::Str(text))),
-            Err(e) => {
-                eprintln!("cannot read trace {path}: {e}");
-                return 1;
-            }
-        }
-    }
-    let mut client = match connect_or_report(addr) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
-    let reply = match client.call(&Json::obj(fields)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            return 1;
-        }
-    };
-    let ok = reply.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    let job = reply.get("job").and_then(Json::as_u64);
-    if !ok || job.is_none() {
-        if json {
-            print_json(&reply);
-        } else {
-            eprintln!(
-                "daemon error: {}",
-                reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-            );
-        }
-        return 1;
-    }
-    let job = job.expect("checked above");
-    if !wait {
-        if json {
-            print_json(&reply);
-        } else {
-            println!("job {job} queued");
-        }
-        return 0;
-    }
-    match wait_for_job(&mut client, job) {
-        Ok(status) => {
-            let done = status.get("state").and_then(Json::as_str) == Some("done");
-            if json {
-                print_json(&status);
-            } else if done {
-                println!("job {job} done");
-                if let Some(m) = status.get("metrics") {
-                    println!("{}", m.render());
-                }
-            } else {
-                eprintln!(
-                    "job {job} failed: {}",
-                    status
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown error")
-                );
-            }
-            i32::from(!done)
-        }
-        Err(e) => {
-            eprintln!("waiting on job {job} failed: {e}");
+}
+
+/// The fields of a daemon `repair` request: `--backend`, `--dir` and the
+/// trace file's text (it travels inline; the daemon never opens client
+/// paths) come out first, everything left is experiment flags.
+fn repair_request(args: &[String]) -> Result<Vec<(&'static str, Json)>, i32> {
+    let (rest, backend) = split_flag(args, "backend")?;
+    let (rest, dir) = split_flag(&rest, "dir")?;
+    let (rest, trace_in) = split_flag(&rest, "trace-in")?;
+    let trace = match trace_in {
+        Some(path) => Some(std::fs::read_to_string(&path).map_err(|e| {
+            eprintln!("cannot read trace {path}: {e}");
             1
-        }
+        })?),
+        None => None,
+    };
+    let mut fields = vec![
+        ("cmd", Json::from("repair")),
+        ("config", overrides_from_flags(&config_flags(&rest)?)),
+    ];
+    for (wire_key, value) in [("backend", backend), ("dir", dir), ("trace", trace)] {
+        fields.extend(value.map(|v| (wire_key, Json::Str(v))));
     }
+    Ok(fields)
 }
 
 /// Submit an array-wide rebuild job (`fbf client rebuild`): the same
 /// spec flags as `fbf rebuild`, executed on the daemon's worker pool.
 fn client_rebuild(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
-    let mut rest = args.to_vec();
-    let mut values = Vec::with_capacity(8);
-    // Wire keys, in the order the flags are pulled out below.
-    let spec_flags = [
-        ("disks", "disks"),
-        ("placement", "placement"),
-        ("placement-seed", "placement_seed"),
-        ("failed-disk", "failed_disk"),
-        ("cap", "cap"),
-        ("fairness", "fairness"),
-        ("campaigns", "campaigns"),
-        ("app-reads", "app_reads"),
-    ];
-    for (flag, _) in spec_flags {
-        match split_flag(&rest, flag) {
-            Ok((r, v)) => {
-                rest = r;
-                values.push(v);
-            }
-            Err(rc) => return rc,
-        }
+    let (args, wait) = split_switch(args, "wait");
+    match rebuild_request(&args) {
+        Ok(fields) => submit_job(addr, fields, wait, "rebuild", json),
+        Err(rc) => rc,
     }
-    let (rest, wait) = split_switch(&rest, "wait");
-    let overrides = match overrides_from_args(&rest) {
-        Ok(o) => o,
-        Err(rc) => return rc,
-    };
-    let mut fields = vec![("cmd", Json::Str("rebuild".into())), ("config", overrides)];
-    for ((_, wire_key), value) in spec_flags.into_iter().zip(values) {
-        let Some(v) = value else { continue };
-        // The daemon validates; the client only distinguishes numbers
-        // (disks, seeds, caps) from names (placement, fairness).
-        match v.parse::<f64>() {
-            Ok(n) => fields.push((wire_key, Json::Num(n))),
-            Err(_) => fields.push((wire_key, Json::Str(v))),
-        }
-    }
+}
+
+/// The `error` text of a failed reply.
+fn daemon_error(reply: &Json) -> &str {
+    reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or("unknown error")
+}
+
+/// Submit a job request; with `wait`, poll it to completion and print the
+/// `result_key` object of its final status.
+fn submit_job(
+    addr: &ServerAddr,
+    fields: Vec<(&'static str, Json)>,
+    wait: bool,
+    result_key: &str,
+    json: bool,
+) -> i32 {
     let mut client = match connect_or_report(addr) {
         Ok(c) => c,
         Err(rc) => return rc,
@@ -1604,22 +1308,14 @@ fn client_rebuild(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
         }
     };
     let ok = reply.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    let job = reply.get("job").and_then(Json::as_u64);
-    if !ok || job.is_none() {
+    let Some(job) = reply.get("job").and_then(Json::as_u64).filter(|_| ok) else {
         if json {
             print_json(&reply);
         } else {
-            eprintln!(
-                "daemon error: {}",
-                reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-            );
+            eprintln!("daemon error: {}", daemon_error(&reply));
         }
         return 1;
-    }
-    let job = job.expect("checked above");
+    };
     if !wait {
         if json {
             print_json(&reply);
@@ -1635,17 +1331,11 @@ fn client_rebuild(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
                 print_json(&status);
             } else if done {
                 println!("job {job} done");
-                if let Some(outcome) = status.get("rebuild") {
-                    println!("{}", outcome.render());
+                if let Some(result) = status.get(result_key) {
+                    println!("{}", result.render());
                 }
             } else {
-                eprintln!(
-                    "job {job} failed: {}",
-                    status
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown error")
-                );
+                eprintln!("job {job} failed: {}", daemon_error(&status));
             }
             i32::from(!done)
         }
@@ -1697,18 +1387,18 @@ fn client_load(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
     // The load campaign is generated locally so every connection replays
     // a disjoint shard; the same config overrides ship with each repair
     // so the daemon executes the shard against the intended geometry.
-    let kv = match normalize_config_args(&args) {
-        Ok(kv) => kv,
+    let flags = match config_flags(&args) {
+        Ok(f) => f,
         Err(rc) => return rc,
     };
-    let cfg = match parse_kv(&kv).and_then(build_or_report) {
+    let cfg = match builder_from_flags(&flags).and_then(|b| b.build()) {
         Ok(c) => c,
-        Err(rc) => return rc,
+        Err(e) => {
+            eprintln!("invalid configuration: {e}");
+            return 2;
+        }
     };
-    let overrides = match overrides_from_args(&args) {
-        Ok(o) => o,
-        Err(rc) => return rc,
-    };
+    let overrides = overrides_from_flags(&flags);
     let code = match StripeCode::build(cfg.code, cfg.p) {
         Ok(c) => c,
         Err(e) => {
@@ -1928,4 +1618,145 @@ fn cmd_mttdl(args: &[String], json: bool) -> i32 {
     }
     println!("{}", table.render());
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fbf::core::config::KEYS;
+    use fbf::core::daemon::config_from_request;
+    use fbf::disksim::{DiskKill, SlowDisk};
+    use fbf::{FaultPlan, SimTime};
+
+    type Builder = ExperimentConfigBuilder;
+    type Setter = fn(Builder) -> Builder;
+
+    fn faults(b: Builder, edit: fn(&mut FaultPlan)) -> Builder {
+        let mut plan = FaultPlan::none();
+        edit(&mut plan);
+        b.faults(plan)
+    }
+
+    /// One sample per key of `set`: a value text and the typed setter
+    /// call that text must be equivalent to.
+    const SAMPLES: [(&str, &str, Setter); 19] = [
+        ("code", "star", |b| b.code(CodeSpec::Star)),
+        ("p", "11", |b| b.p(11)),
+        ("policy", "arc", |b| b.policy(PolicyKind::Arc)),
+        ("scheme", "greedy", |b| b.scheme(SchemeKind::Greedy)),
+        ("cache_mb", "128", |b| b.cache_mb(128)),
+        ("cache", "128", |b| b.cache_mb(128)),
+        ("chunk_kb", "64", |b| b.chunk_kb(64)),
+        ("stripes", "1024", |b| b.stripes(1024)),
+        ("errors", "100", |b| b.error_count(100)),
+        ("error_count", "100", |b| b.error_count(100)),
+        ("workers", "16", |b| b.workers(16)),
+        ("decode_batch", "4", |b| b.decode_batch(4)),
+        ("seed", "7", |b| b.seed(7)),
+        ("gen_threads", "2", |b| b.gen_threads(2)),
+        ("media", "15", |b| faults(b, |f| f.media_per_mille = 15)),
+        ("transient", "40", |b| {
+            faults(b, |f| f.transient_per_mille = 40)
+        }),
+        ("fault_seed", "9", |b| faults(b, |f| f.seed = 9)),
+        ("kill", "3@40", |b| {
+            faults(b, |f| {
+                let at = SimTime::from_millis(40);
+                f.disk_kill = Some(DiskKill { disk: 3, at });
+            })
+        }),
+        ("slow", "2@1500", |b| {
+            faults(b, |f| {
+                let (disk, scale_milli) = (2, 1500);
+                f.straggler = Some(SlowDisk { disk, scale_milli });
+            })
+        }),
+    ];
+
+    /// Debug text stands in for equality (`ExperimentConfig` holds floats
+    /// and derives no `PartialEq`); `obs` is the daemon's own default.
+    fn shown(cfg: ExperimentConfig) -> String {
+        format!("{:?}", ExperimentConfig { obs: false, ..cfg })
+    }
+
+    fn wire(key: &str, value: Json) -> Result<ExperimentConfig, String> {
+        let config = Json::Obj([(key.to_string(), value)].into());
+        config_from_request(&Json::obj([("config", config)]))
+    }
+
+    fn cli(flag: &str, value: &str) -> Result<ExperimentConfig, ConfigError> {
+        let args = [flag.to_string(), value.to_string()];
+        let flags = config_flags(&args).expect("well-formed flag");
+        builder_from_flags(&flags)?.build()
+    }
+
+    #[test]
+    fn every_key_means_the_same_on_the_cli_the_wire_and_the_builder() {
+        for key in KEYS {
+            let &(_, text, typed) = SAMPLES
+                .iter()
+                .find(|sample| sample.0 == key)
+                .unwrap_or_else(|| panic!("KEYS lists `{key}`; add a sample for it"));
+            let want = shown(typed(ExperimentConfig::builder()).build().unwrap());
+            let set = ExperimentConfig::builder().set(key, text).unwrap();
+            assert_eq!(shown(set.build().unwrap()), want, "set({key})");
+            let flag = format!("--{}", key.replace('_', "-"));
+            assert_eq!(shown(cli(&flag, text).unwrap()), want, "{flag} {text}");
+            let joined = [format!("{flag}={text}")];
+            let flags = config_flags(&joined).unwrap();
+            let built = builder_from_flags(&flags).unwrap().build().unwrap();
+            assert_eq!(shown(built), want, "{flag}={text}");
+            assert_eq!(
+                shown(wire(key, text.into()).unwrap()),
+                want,
+                "wire string {key}"
+            );
+            if let Ok(n) = text.parse::<u32>() {
+                let got = wire(key, Json::Num(f64::from(n))).unwrap();
+                assert_eq!(shown(got), want, "wire number {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_keys_and_bad_values_fail_the_same_everywhere() {
+        let cases = [
+            ("striipes", "128", "unknown config key `striipes`"),
+            (
+                "stripes",
+                "4294967301",
+                "bad value for `stripes`: `4294967301`",
+            ),
+            ("media", "70000", "bad value for `media`: `70000`"),
+            ("policy", "mru", "bad value for `policy`: `mru`"),
+            ("kill", "3", "bad value for `kill`: `3`"),
+            ("workers", "0", "workers must be at least 1"),
+            (
+                "cache_mb",
+                "18014398509481984",
+                "cache of 18014398509481984 MiB overflows the chunk count",
+            ),
+        ];
+        for (key, text, message) in cases {
+            let set = ExperimentConfig::builder()
+                .set(key, text)
+                .and_then(Builder::build)
+                .unwrap_err();
+            assert_eq!(set.to_string(), message);
+            let flag = format!("--{}", key.replace('_', "-"));
+            assert_eq!(cli(&flag, text).unwrap_err(), set, "{flag} {text}");
+            assert_eq!(
+                wire(key, text.into()).unwrap_err(),
+                message,
+                "wire string {key}"
+            );
+            if let Ok(n) = text.parse::<f64>() {
+                let as_number = wire(key, Json::Num(n)).unwrap_err();
+                assert_eq!(as_number, message, "wire number {key}");
+            }
+        }
+        // Neither a bare word nor the old `key=value` spelling is a flag.
+        assert_eq!(config_flags(&["stripes=128".to_string()]), Err(2));
+        assert_eq!(config_flags(&["--stripes".to_string()]), Err(2));
+    }
 }

@@ -8,9 +8,10 @@
 //! reply, job state transitions, chunk reads with digests, Prometheus
 //! exposition, and a clean shutdown that removes the socket file.
 
+use fbf::disksim::DiskKill;
 use fbf::{
-    run_experiment, DaemonClient, DaemonOptions, ExperimentConfig, Json, ServerAddr,
-    METRICS_SCHEMA_VERSION,
+    run_experiment, DaemonClient, DaemonOptions, ExperimentConfig, FaultPlan, Json, ServerAddr,
+    SimTime, METRICS_SCHEMA_VERSION,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -365,6 +366,127 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
         ]))
         .expect("missing job transport");
     assert_eq!(missing.get("ok").and_then(Json::as_bool), Some(false));
+
+    // Numbers that do not fit their field are typed errors, never a
+    // truncation onto some other experiment (4294967301 used to become
+    // 5 stripes; a 2^54 MiB cache used to overflow inside validate()).
+    let num = Json::Num;
+    let out_of_range = [
+        (
+            "repair",
+            "config",
+            Json::obj([("stripes", num(4294967301.0))]),
+        ),
+        (
+            "repair",
+            "config",
+            Json::obj([("cache_mb", num(2f64.powi(54)))]),
+        ),
+        (
+            "repair",
+            "config",
+            Json::obj([("kill", "3@18446744073709551615".into())]),
+        ),
+        ("repair", "config", Json::obj([("workers", num(1.5))])),
+        ("rebuild", "disks", num(24.5)),
+        ("rebuild", "disks", "4x".into()),
+        ("rebuild", "failed_disk", num(-1.0)),
+        ("rebuild", "cap", num(4294967296.0)),
+        ("rebuild", "campaigns", num(0.5)),
+        ("rebuild", "app_reads", num(1e300)),
+        ("rebuild", "placement_seed", num(-3.0)),
+        ("read", "stripe", num(4294967296.0)),
+    ];
+    for (cmd, field, value) in out_of_range {
+        let mut fields = vec![("cmd", Json::from(cmd)), (field, value)];
+        if cmd == "read" {
+            fields.extend([("job", num(1.0)), ("row", num(0.0)), ("col", num(0.0))]);
+        }
+        let request = Json::obj(fields);
+        let reply = client.call(&request).expect("out-of-range transport");
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{} -> {}",
+            request.render(),
+            reply.render()
+        );
+    }
+
+    // A frame nested past the parser's cap: an error reply, where it
+    // used to overflow the connection thread's stack and abort the
+    // process. Sent raw — a `Json` value that deep cannot be built.
+    let ServerAddr::Unix(path) = &addr else {
+        unreachable!("sock_addr is a unix socket");
+    };
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut raw = std::os::unix::net::UnixStream::connect(path).expect("raw connect");
+    fbf::core::daemon::write_frame(&mut raw, &"[".repeat(200_000)).expect("deep frame");
+    let reply = fbf::core::daemon::read_frame(&mut raw, &stop)
+        .expect("reply to the deep frame")
+        .expect("a frame, not a hang-up");
+    let reply = Json::parse(&reply).expect("reply parses");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting"), "{error}");
+    drop(raw);
+    let pong = DaemonClient::connect(&addr)
+        .expect("fresh connection after the deep frame")
+        .call(&Json::obj([("cmd", Json::Str("ping".into()))]))
+        .expect("the daemon is still alive");
+    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+
+    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
+    handle.wait();
+}
+
+/// Fault keys go through the same `set` as every other key, so a faulted
+/// repair over the wire is the faulted run a local caller gets.
+#[test]
+fn faulted_repair_over_the_wire_matches_a_local_run() {
+    let addr = sock_addr("faulted");
+    let handle = fbf::serve(&addr, DaemonOptions::default()).expect("serve");
+    let mut client = DaemonClient::connect(&addr).expect("connect");
+
+    let Json::Obj(mut config) = small_config_json() else {
+        unreachable!("small_config_json is an object");
+    };
+    config.insert("media".into(), Json::Num(15.0));
+    config.insert("transient".into(), Json::Num(40.0));
+    config.insert("fault_seed".into(), Json::Num(7.0));
+    config.insert("kill".into(), "3@40".into());
+    let reply = client
+        .call(&Json::obj([
+            ("cmd", Json::Str("repair".into())),
+            ("config", Json::Obj(config)),
+        ]))
+        .expect("repair");
+    let job = reply
+        .get("job")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no job: {}", reply.render()));
+    let status = wait_done(&mut client, job);
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("done"),
+        "{}",
+        status.render()
+    );
+
+    let mut local_cfg = small_config();
+    local_cfg.faults = FaultPlan {
+        seed: 7,
+        media_per_mille: 15,
+        transient_per_mille: 40,
+        disk_kill: Some(DiskKill {
+            disk: 3,
+            at: SimTime::from_millis(40),
+        }),
+        ..FaultPlan::none()
+    };
+    let local = run_experiment(&local_cfg).expect("local run");
+    assert!(local.faults.media_errors > 0 && local.replans > 0);
+    assert_eq!(status.get("metrics"), Some(&local.to_json_value()));
 
     let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
     handle.wait();
