@@ -849,6 +849,15 @@ pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSp
             code.cols()
         ));
     }
+    // Per-disk state is allocated for every disk asked for; more disks than
+    // stripe columns exist are disks no chunk can ever land on.
+    let columns = u64::from(base.stripes).saturating_mul(code.cols() as u64);
+    if disks as u64 > columns {
+        return Err(format!(
+            "{disks} disks exceed the {columns} stripe columns of {} stripes",
+            base.stripes
+        ));
+    }
     let mut spec = crate::rebuild::RebuildSpec::new(base, disks);
     let placement_seed = int_field(req, "placement_seed")?;
     spec.placement = match req.get("placement").and_then(Json::as_str) {

@@ -12,8 +12,12 @@
 //!   transfer time. Used by the ablation benches to check that FBF's
 //!   ranking is robust to a realistic mechanical model.
 //!
-//! Disks serve FCFS: the engine tracks each disk's `next_free` instant and
-//! queues requests behind it, which is how reconstruction workers contend.
+//! [`Disk`] is the drive itself: it serves one request at a time, each
+//! right behind whatever it is already committed to. Under FCFS that makes
+//! a request's completion instant known the moment it arrives — which is
+//! how reconstruction workers contend; the reordering disciplines hold
+//! requests back in [`QueuedDisk`](crate::sched::QueuedDisk) and hand them
+//! over one at a time.
 
 use crate::time::SimTime;
 
@@ -140,11 +144,15 @@ impl DiskStats {
     }
 }
 
-/// Mutable state of one simulated disk.
+/// One simulated drive: the service model, the head, and the instant the
+/// drive is committed until.
 #[derive(Debug, Clone)]
 pub struct Disk {
     model: DiskModel,
-    /// When the disk finishes its current queue.
+    /// Service-time multiplier in milli-units (>1000 = degraded/aged disk,
+    /// failure injection for straggler experiments).
+    scale_milli: u64,
+    /// When the disk finishes everything it has accepted so far.
     next_free: SimTime,
     /// Head position after the last access (detailed model).
     head_lba: u64,
@@ -155,24 +163,42 @@ pub struct Disk {
 impl Disk {
     /// A fresh idle disk.
     pub fn new(model: DiskModel) -> Self {
+        Self::with_scale_milli(model, 1000)
+    }
+
+    /// A fresh idle disk whose every service takes `scale_milli`/1000 × the
+    /// model time (integer so the simulation stays replay-exact).
+    pub fn with_scale_milli(model: DiskModel, scale_milli: u64) -> Self {
+        assert!(scale_milli > 0, "scale must be positive");
         Disk {
             model,
+            scale_milli,
             next_free: SimTime::ZERO,
             head_lba: 0,
             stats: DiskStats::default(),
         }
     }
 
-    /// Schedule a chunk access issued at `issue`: FCFS behind whatever the
-    /// disk is already committed to. Returns the completion instant.
-    pub fn access(&mut self, issue: SimTime, lba: u64, bytes: u64, write: bool) -> SimTime {
-        let start = issue.max(self.next_free);
-        let service = self.model.service_time(self.head_lba, lba, bytes);
+    /// Serve a chunk access that reached the disk at `issued`, right behind
+    /// whatever the disk is already committed to. `delay` is extra service
+    /// latency on top of the model time (fault stalls + retry backoff); the
+    /// disk stays busy for it. Returns the completion instant.
+    pub fn access(
+        &mut self,
+        issued: SimTime,
+        lba: u64,
+        bytes: u64,
+        write: bool,
+        delay: SimTime,
+    ) -> SimTime {
+        let start = issued.max(self.next_free);
+        let base = self.model.service_time(self.head_lba, lba, bytes);
+        let service = SimTime::from_nanos(base.as_nanos() * self.scale_milli / 1000) + delay;
         let done = start + service;
         self.next_free = done;
         self.head_lba = lba;
         self.stats.busy += service;
-        self.stats.queued += start - issue;
+        self.stats.queued += start - issued;
         if write {
             self.stats.writes += 1;
         } else {
@@ -181,9 +207,9 @@ impl Disk {
         done
     }
 
-    /// When the disk next becomes idle.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
+    /// Head position after the last access.
+    pub fn head_lba(&self) -> u64 {
+        self.head_lba
     }
 }
 
@@ -216,14 +242,14 @@ mod tests {
     fn fcfs_queueing() {
         let mut d = Disk::new(DiskModel::paper_default());
         let t0 = SimTime::ZERO;
-        let c1 = d.access(t0, 0, 1, false);
+        let c1 = d.access(t0, 0, 1, false, SimTime::ZERO);
         assert_eq!(c1, SimTime::from_millis(10));
         // Issued while busy → queues behind.
-        let c2 = d.access(SimTime::from_millis(1), 0, 1, false);
+        let c2 = d.access(SimTime::from_millis(1), 0, 1, false, SimTime::ZERO);
         assert_eq!(c2, SimTime::from_millis(20));
         assert_eq!(d.stats.queued, SimTime::from_millis(9));
         // Issued after idle → no queueing.
-        let c3 = d.access(SimTime::from_millis(30), 0, 1, false);
+        let c3 = d.access(SimTime::from_millis(30), 0, 1, false, SimTime::ZERO);
         assert_eq!(c3, SimTime::from_millis(40));
         assert_eq!(d.stats.reads, 3);
     }
@@ -231,7 +257,7 @@ mod tests {
     #[test]
     fn write_counted_separately() {
         let mut d = Disk::new(DiskModel::paper_default());
-        d.access(SimTime::ZERO, 0, 1, true);
+        d.access(SimTime::ZERO, 0, 1, true, SimTime::ZERO);
         assert_eq!(d.stats.writes, 1);
         assert_eq!(d.stats.reads, 0);
     }
@@ -239,8 +265,8 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let mut d = Disk::new(DiskModel::paper_default());
-        d.access(SimTime::ZERO, 0, 1, false);
-        d.access(SimTime::ZERO, 1, 1, false);
+        d.access(SimTime::ZERO, 0, 1, false, SimTime::ZERO);
+        d.access(SimTime::ZERO, 1, 1, false, SimTime::ZERO);
         assert_eq!(d.stats.busy, SimTime::from_millis(20));
     }
 

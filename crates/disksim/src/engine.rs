@@ -9,6 +9,12 @@
 //! naturally: each disk serves FCFS, so a worker whose read lands on a busy
 //! disk waits.
 //!
+//! A blocking op costs one queue event under FCFS: nothing that arrives
+//! later can change when the request is served, so the disk names the
+//! completion instant at issue and the worker's resume is pushed directly.
+//! SSTF and C-LOOK choose among whatever is pending when the disk falls
+//! idle, so their requests complete through a second, disk-side event.
+//!
 //! The engine is policy-agnostic; FBF priorities ride along on each read op
 //! and reach the policy through [`BufferCache::insert`].
 
@@ -18,7 +24,7 @@ use crate::disk::{DiskModel, DiskStats};
 use crate::equeue::{CalendarQueue, EventQueue};
 use crate::fault::{FailedRead, FaultCounters, FaultDraw, FaultPlan, ReadFailure};
 use crate::hist::Histogram;
-use crate::sched::{DiskSched, QueuedDisk};
+use crate::sched::{DiskRequest, DiskSched, QueuedDisk};
 use crate::time::SimTime;
 use fbf_cache::{CacheStats, FbfConfig, FbfPolicy, FxHashMap, FxHashSet, PolicyKind, VdfPolicy};
 use fbf_codes::ChunkId;
@@ -245,6 +251,25 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Account one read of a `class` script answered after `response`,
+    /// from the cache or a disk.
+    fn record_read(&mut self, class: RequestClass, response: SimTime) {
+        self.read_response.record(response);
+        self.read_latency.record(response);
+        self.class_latency[class.index()].record(response);
+    }
+
+    /// Account one disk request of a `class` script finishing at `done`.
+    fn record_completion(&mut self, class: RequestClass, req: &DiskRequest, done: SimTime) {
+        let response = done - req.issued;
+        if req.write {
+            self.write_response.record(response);
+            self.write_completions.push(done);
+        } else {
+            self.record_read(class, response);
+        }
+    }
+
     /// Deepest any disk's queue ever got — the run's queue-depth
     /// high-water mark. A *max* over per-disk high-waters (and across
     /// merged rounds), never a sum.
@@ -356,9 +381,12 @@ fn build_cache(cfg: &EngineConfig, capacity: usize) -> BufferCache {
 pub struct EngineScratch<Q: EventQueue = CalendarQueue> {
     queue: Q,
     next_op: Vec<usize>,
+    /// Per worker, under a reordering discipline: how many requests of its
+    /// current op are still queued, and the floor under its resume.
     gather_left: Vec<usize>,
     gather_floor: Vec<SimTime>,
-    touched_disks: Vec<usize>,
+    /// Backing store of [`Step::queued_on`].
+    queued_on: Vec<usize>,
 }
 
 impl EngineScratch {
@@ -380,19 +408,78 @@ impl<Q: EventQueue> EngineScratch<Q> {
         self.gather_left.resize(workers, 0);
         self.gather_floor.clear();
         self.gather_floor.resize(workers, SimTime::ZERO);
-        self.touched_disks.clear();
+        self.queued_on.clear();
+    }
+}
+
+/// One worker step: who issues, when, and what the op leaves the worker
+/// blocked on.
+struct Step<'a> {
+    worker: usize,
+    class: RequestClass,
+    now: SimTime,
+    /// Ordinal of the engine event (see [`QueuedDisk::submit`]).
+    event: u64,
+    chunk_bytes: u64,
+    /// Earliest instant the worker may resume: `now`, raised by cache-hit
+    /// and compute time and by every disk completion known at issue.
+    until: SimTime,
+    /// Disk of each request whose completion a disk event will deliver.
+    queued_on: &'a mut Vec<usize>,
+}
+
+impl Step<'_> {
+    /// Hand one chunk request to its disk — the one place the engine
+    /// issues disk I/O. An FCFS disk names the completion at once: the
+    /// response is recorded here and the worker blocked until then. A
+    /// reordering disk queues the request; the caller starts the disk once
+    /// the op's whole fan-out is queued, and the disk's completion event
+    /// records the response.
+    fn issue(
+        &mut self,
+        disks: &mut [QueuedDisk],
+        report: &mut RunReport,
+        disk: usize,
+        lba: u64,
+        write: bool,
+        delay: SimTime,
+    ) {
+        let req = DiskRequest {
+            tag: self.worker,
+            lba,
+            bytes: self.chunk_bytes,
+            write,
+            issued: self.now,
+            delay,
+        };
+        match disks[disk].submit(req, self.event) {
+            Some(done) => {
+                report.record_completion(self.class, &req, done);
+                self.until = self.until.max(done);
+            }
+            None => self.queued_on.push(disk),
+        }
     }
 }
 
 /// The simulation engine. Build once per run.
 pub struct Engine {
     config: EngineConfig,
+    /// Test seam: FCFS disks queue their requests and complete them through
+    /// disk events, as the reordering disciplines do — the oracle the
+    /// at-issue dispatch is compared against.
+    #[cfg(test)]
+    fcfs_by_events: bool,
 }
 
 impl Engine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine { config }
+        Engine {
+            config,
+            #[cfg(test)]
+            fcfs_by_events: false,
+        }
     }
 
     /// Execute all worker scripts to completion and report, allocating
@@ -438,7 +525,14 @@ impl Engine {
                         scale_milli = scale_milli * u64::from(s.scale_milli) / 1000;
                     }
                 }
-                QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli)
+                let disk = QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli);
+                #[cfg(test)]
+                let disk = if self.fcfs_by_events {
+                    disk.dispatch_by_events()
+                } else {
+                    disk
+                };
+                disk
             })
             .collect();
 
@@ -447,7 +541,7 @@ impl Engine {
         // Two event kinds, ordered by (time, kind, id): disk completions
         // before worker steps at the same instant (a completion is what
         // unblocks its worker), ids breaking the remaining ties so runs
-        // replay exactly.
+        // replay exactly. Only reordering disks schedule completions.
         const EV_DISK_DONE: u8 = 0;
         const EV_WORKER: u8 = 1;
         scratch.reset(workers);
@@ -456,7 +550,7 @@ impl Engine {
             next_op,
             gather_left,
             gather_floor,
-            touched_disks,
+            queued_on,
         } = scratch;
         for w in (0..workers).filter(|&w| !scripts[w].ops.is_empty()) {
             queue.push((SimTime::ZERO, EV_WORKER, w));
@@ -466,33 +560,23 @@ impl Engine {
             ..Default::default()
         };
 
+        // Ordinal of the event being handled (see `QueuedDisk::submit`).
+        let mut event = 0u64;
         while let Some((now, kind, id)) = queue.pop() {
+            event += 1;
             report.makespan = report.makespan.max(now);
             match kind {
                 EV_DISK_DONE => {
                     let req = disks[id].complete();
-                    let response = now - req.issued;
-                    if req.write {
-                        report.write_response.record(response);
-                        report.write_completions.push(now);
-                    } else {
-                        report.read_response.record(response);
-                        report.read_latency.record(response);
-                        report.class_latency[scripts[req.tag].class.index()].record(response);
-                    }
-                    if gather_left[req.tag] > 0 {
-                        // Part of a fan-out read: the worker resumes only
-                        // when its last outstanding chunk arrives.
-                        gather_left[req.tag] -= 1;
-                        if gather_left[req.tag] == 0 {
-                            queue.push((now.max(gather_floor[req.tag]), EV_WORKER, req.tag));
-                        }
-                    } else {
-                        // Plain blocking request: resume immediately.
-                        queue.push((now, EV_WORKER, req.tag));
+                    report.record_completion(scripts[req.tag].class, &req, now);
+                    // The worker resumes when the last request its op
+                    // queued arrives.
+                    gather_left[req.tag] -= 1;
+                    if gather_left[req.tag] == 0 {
+                        queue.push((now.max(gather_floor[req.tag]), EV_WORKER, req.tag));
                     }
                     // Keep the disk busy if more work is pending.
-                    if let Some((_, done)) = disks[id].start_next(now) {
+                    if let Some((_, done)) = disks[id].start_next() {
                         queue.push((done, EV_DISK_DONE, id));
                     }
                 }
@@ -503,6 +587,17 @@ impl Engine {
                     }
                     let op = scripts[w].ops[next_op[w]];
                     next_op[w] += 1;
+                    let class = scripts[w].class;
+                    queued_on.clear();
+                    let mut step = Step {
+                        worker: w,
+                        class,
+                        now,
+                        event,
+                        chunk_bytes: cfg.chunk_bytes,
+                        until: now,
+                        queued_on: &mut *queued_on,
+                    };
                     match op {
                         Op::Read { chunk, priority } => {
                             if faulting && failed_stripes.contains(&chunk.stripe) {
@@ -520,11 +615,8 @@ impl Engine {
                             let cache = &mut caches[cache_idx];
                             match cache.access(chunk) {
                                 Lookup::Hit => {
-                                    report.read_response.record(cfg.cache_hit_time);
-                                    report.read_latency.record(cfg.cache_hit_time);
-                                    report.class_latency[scripts[w].class.index()]
-                                        .record(cfg.cache_hit_time);
-                                    queue.push((now + cfg.cache_hit_time, EV_WORKER, w));
+                                    report.record_read(class, cfg.cache_hit_time);
+                                    step.until = now + cfg.cache_hit_time;
                                 }
                                 Lookup::Miss => {
                                     let disk = cfg.mapping.disk_of(chunk);
@@ -585,29 +677,17 @@ impl Engine {
                                     }
                                     // Reserve the frame at issue time (the
                                     // usual anti-thundering-herd design);
-                                    // the worker blocks until DiskDone.
+                                    // the worker blocks until the data
+                                    // arrives.
                                     cache.insert(chunk, priority);
                                     report.disk_reads += 1;
-                                    report.per_disk_class_reads[disk][scripts[w].class.index()] +=
-                                        1;
+                                    report.per_disk_class_reads[disk][class.index()] += 1;
                                     let lba = cfg.mapping.lba_of(chunk);
-                                    disks[disk].enqueue_after(
-                                        w,
-                                        lba,
-                                        cfg.chunk_bytes,
-                                        false,
-                                        now,
-                                        delay,
-                                    );
-                                    if let Some((_, done)) = disks[disk].start_next(now) {
-                                        queue.push((done, EV_DISK_DONE, disk));
-                                    }
+                                    step.issue(&mut disks, &mut report, disk, lba, false, delay);
                                 }
                             }
                         }
-                        Op::Compute { duration } => {
-                            queue.push((now + duration, EV_WORKER, w));
-                        }
+                        Op::Compute { duration } => step.until = now + duration,
                         Op::Gather { index } => {
                             let group = &scripts[w].gathers[index as usize];
                             if faulting {
@@ -678,27 +758,18 @@ impl Engine {
                                 CacheSharing::Shared => 0,
                                 CacheSharing::Partitioned => w,
                             };
-                            let mut misses = 0usize;
-                            let mut floor = now;
-                            touched_disks.clear();
                             for &(chunk, priority) in &group.chunks {
                                 let cache = &mut caches[cache_idx];
                                 match cache.access(chunk) {
                                     Lookup::Hit => {
-                                        report.read_response.record(cfg.cache_hit_time);
-                                        report.read_latency.record(cfg.cache_hit_time);
-                                        report.class_latency[scripts[w].class.index()]
-                                            .record(cfg.cache_hit_time);
-                                        floor = floor.max(now + cfg.cache_hit_time);
+                                        report.record_read(class, cfg.cache_hit_time);
+                                        step.until = step.until.max(now + cfg.cache_hit_time);
                                     }
                                     Lookup::Miss => {
                                         cache.insert(chunk, priority);
                                         report.disk_reads += 1;
-                                        misses += 1;
                                         let disk = cfg.mapping.disk_of(chunk);
-                                        report.per_disk_class_reads[disk]
-                                            [scripts[w].class.index()] += 1;
-                                        let lba = cfg.mapping.lba_of(chunk);
+                                        report.per_disk_class_reads[disk][class.index()] += 1;
                                         let mut delay = SimTime::ZERO;
                                         if faulting && !repaired.contains(&chunk) {
                                             // Only survivable transients
@@ -711,29 +782,15 @@ impl Engine {
                                                 delay = faults.retry.delay_for(stalls);
                                             }
                                         }
-                                        disks[disk].enqueue_after(
-                                            w,
+                                        let lba = cfg.mapping.lba_of(chunk);
+                                        step.issue(
+                                            &mut disks,
+                                            &mut report,
+                                            disk,
                                             lba,
-                                            cfg.chunk_bytes,
                                             false,
-                                            now,
                                             delay,
                                         );
-                                        touched_disks.push(disk);
-                                    }
-                                }
-                            }
-                            if misses == 0 {
-                                // Served entirely from cache.
-                                queue.push((floor, EV_WORKER, w));
-                            } else {
-                                gather_left[w] = misses;
-                                gather_floor[w] = floor;
-                                touched_disks.sort_unstable();
-                                touched_disks.dedup();
-                                for &disk in touched_disks.iter() {
-                                    if let Some((_, done)) = disks[disk].start_next(now) {
-                                        queue.push((done, EV_DISK_DONE, disk));
                                     }
                                 }
                             }
@@ -761,8 +818,20 @@ impl Engine {
                             report.disk_writes += 1;
                             let disk = cfg.mapping.disk_of(chunk);
                             let lba = cfg.mapping.spare_lba_of(chunk, cfg.data_stripes);
-                            disks[disk].enqueue(w, lba, cfg.chunk_bytes, true, now);
-                            if let Some((_, done)) = disks[disk].start_next(now) {
+                            step.issue(&mut disks, &mut report, disk, lba, true, SimTime::ZERO);
+                        }
+                    }
+                    if step.queued_on.is_empty() {
+                        queue.push((step.until, EV_WORKER, w));
+                    } else {
+                        // The last of the queued requests to complete
+                        // resumes the worker (not before `until`).
+                        gather_left[w] = step.queued_on.len();
+                        gather_floor[w] = step.until;
+                        step.queued_on.sort_unstable();
+                        step.queued_on.dedup();
+                        for &disk in step.queued_on.iter() {
+                            if let Some((_, done)) = disks[disk].start_next() {
                                 queue.push((done, EV_DISK_DONE, disk));
                             }
                         }
@@ -770,11 +839,13 @@ impl Engine {
                 }
             }
         }
+        // Completions known at issue were pushed in issue order.
+        report.write_completions.sort_unstable();
 
         for cache in &caches {
             report.cache.merge(&cache.stats());
         }
-        report.per_disk = disks.into_iter().map(|d| d.stats).collect();
+        report.per_disk = disks.iter().map(QueuedDisk::stats).collect();
         if obs {
             let run_id = fbf_obs::next_run_id();
             emit_run_events(cfg, &caches, &report, run_id);
@@ -1340,6 +1411,108 @@ mod tests {
         assert_eq!(base.disk_reads, faulted.disk_reads);
         assert_eq!(base.cache, faulted.cache);
         assert!(faulted.faults.is_empty());
+    }
+
+    /// Decode one generated tuple into a script op over a 5×5 array.
+    /// Gathers draw their chunks from two adjacent columns, so several
+    /// chunks of one fan-out land on the same disk.
+    fn push_op(
+        s: &mut WorkerScript,
+        (kind, stripe, row, col, extra): (u8, u32, usize, usize, u64),
+    ) {
+        match kind {
+            0 | 1 => s.ops.push(Op::Read {
+                chunk: chunk(stripe, row, col),
+                priority: 1 + (extra % 3) as u8,
+            }),
+            2 => s.ops.push(Op::Compute {
+                // Zero-length computes re-run the worker at the same instant.
+                duration: SimTime::from_micros(extra * 700),
+            }),
+            3 => s.ops.push(Op::Write {
+                chunk: chunk(stripe, row, col),
+            }),
+            _ => s.push_gather(
+                (0..2 + extra as usize)
+                    .map(|i| (chunk(stripe, (row + i / 2) % 5, (col + i % 2) % 5), 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// Standing invariant of the at-issue fast path: an FCFS disk that
+        /// names completions at submit and one that queues requests and
+        /// completes them through disk events (the dispatch SSTF/C-LOOK
+        /// use) yield the same report, field for field.
+        #[test]
+        fn fcfs_at_issue_matches_event_driven_dispatch(
+            ops in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u32..4, 0usize..5, 0usize..5, 0u64..4), 1..40),
+                1..6,
+            ),
+            model in 0u8..3,
+            shared in 0u8..2,
+            cache_chunks in 0usize..14,
+            zero_hit_time in 0u8..2,
+            straggler in 0u8..3,
+            transient_per_mille in 0u16..2,
+            kill_at_ms in 0u64..120,
+            seed in 0u64..1_000,
+        ) {
+            let scripts: Vec<WorkerScript> = ops
+                .into_iter()
+                .map(|worker_ops| {
+                    let mut s = WorkerScript::default();
+                    worker_ops.into_iter().for_each(|op| push_op(&mut s, op));
+                    s
+                })
+                .collect();
+            let mut cfg = EngineConfig::paper(
+                PolicyKind::Lru,
+                cache_chunks,
+                ArrayMapping::new(5, 5, false),
+                4,
+            );
+            cfg.disk_model = match model {
+                0 => DiskModel::paper_default(),
+                1 => DiskModel::Fixed { access: SimTime::ZERO },
+                _ => DiskModel::detailed_default(),
+            };
+            if shared == 1 {
+                cfg.sharing = CacheSharing::Shared;
+            }
+            if zero_hit_time == 1 {
+                cfg.cache_hit_time = SimTime::ZERO;
+            }
+            if straggler == 1 {
+                cfg.straggler = Some((1, 2.5));
+            }
+            cfg.faults = FaultPlan {
+                seed,
+                // Stalls up to 5 against 3 retries: some reads survive
+                // with a delay, some exhaust their retries.
+                transient_per_mille: transient_per_mille * 300,
+                transient_failures_max: 5,
+                straggler: (straggler == 2).then_some(crate::fault::SlowDisk {
+                    disk: 2,
+                    scale_milli: 3300,
+                }),
+                // The upper third of the range leaves the disk alive.
+                disk_kill: (kill_at_ms < 80).then_some(crate::fault::DiskKill {
+                    disk: 3,
+                    at: SimTime::from_millis(kill_at_ms),
+                }),
+                ..FaultPlan::none()
+            };
+            let at_issue = Engine::new(cfg.clone()).run(&scripts);
+            let mut oracle = Engine::new(cfg);
+            oracle.fcfs_by_events = true;
+            let by_events = oracle.run(&scripts);
+            assert_eq!(format!("{at_issue:?}"), format!("{by_events:?}"));
+        }
     }
 
     #[test]

@@ -390,6 +390,9 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
         ("repair", "config", Json::obj([("workers", num(1.5))])),
         ("rebuild", "disks", num(24.5)),
         ("rebuild", "disks", "4x".into()),
+        // Fits a usize, but per-disk vectors of 2^53 entries used to abort
+        // the process in the scheduler's allocation.
+        ("rebuild", "disks", num(9007199254740992.0)),
         ("rebuild", "failed_disk", num(-1.0)),
         ("rebuild", "cap", num(4294967296.0)),
         ("rebuild", "campaigns", num(0.5)),
@@ -588,6 +591,10 @@ fn retention_cap_evicts_the_oldest_resident_backend() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the daemon's `panic` backend seam exists only in debug builds"
+)]
 fn panicking_job_fails_cleanly_without_killing_the_worker() {
     let addr = sock_addr("panic");
     let handle = fbf::serve(
