@@ -5,7 +5,7 @@
 //! whole-disk kill — **twice**, and fails (non-zero exit) unless the two
 //! runs produce identical `Metrics` (including every fault counter, the
 //! replan/round counts, and the data-loss list). Then replays the same
-//! campaign through `verify_campaign_faulted`, proving every surviving
+//! campaign through `verify_campaign`, proving every surviving
 //! repaired stripe decodes bit-for-bit and every lost stripe genuinely
 //! exceeds the code's fault tolerance.
 //!
@@ -16,7 +16,7 @@
 use fbf_bench::env_usize;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{run_experiment, verify_campaign_faulted, ExperimentConfig, Json, Metrics};
+use fbf_core::{run_experiment, verify_campaign, ExperimentConfig, Json, Metrics};
 use fbf_disksim::{DiskKill, FaultPlan, RetryPolicy, SimTime, SlowDisk};
 
 fn campaign() -> ExperimentConfig {
@@ -80,7 +80,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let verify = verify_campaign_faulted(&cfg).expect("faulted verification completes");
+    let verify = verify_campaign(&cfg).expect("faulted verification completes");
     if verify.stripes + verify.lost != first.stripes_repaired + first.stripes_lost {
         eprintln!(
             "ACCOUNTING FAILURE: verify saw {} stripes (+{} lost) but the run \

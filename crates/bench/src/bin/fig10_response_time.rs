@@ -5,9 +5,8 @@
 //! the cache is very large (beyond ~2048 MB in the paper).
 
 use fbf_bench::{base_config, save_csv, CACHE_MB, FIG8_PRIMES};
-use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
     for code in CodeSpec::ALL {
@@ -15,26 +14,13 @@ fn main() {
             if p < code.min_prime() {
                 continue;
             }
-            let configs: Vec<_> = CACHE_MB
-                .iter()
-                .flat_map(|&mb| {
-                    PolicyKind::ALL
-                        .iter()
-                        .map(move |&policy| base_config(code, p, policy, mb))
-                })
-                .collect();
-            let points = sweep(&configs, 0).expect("sweep failed");
-
-            let mut table = Table::new(
+            let (table, _) = policy_grid(
                 format!("Fig.10 avg response time (ms) — {}(p={p})", code.name()),
-                &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-            );
-            for (i, &mb) in CACHE_MB.iter().enumerate() {
-                let row = &points[i * PolicyKind::ALL.len()..(i + 1) * PolicyKind::ALL.len()];
-                let mut cells = vec![mb.to_string()];
-                cells.extend(row.iter().map(|pt| f(pt.metrics.avg_response_ms, 3)));
-                table.push_row(cells);
-            }
+                &CACHE_MB,
+                |policy, mb| base_config(code, p, policy, mb),
+                |m| f(m.avg_response_ms, 3),
+            )
+            .expect("sweep failed");
             println!("{}", table.render());
             save_csv(
                 &format!("fig10_{}_p{p}", code.name().to_lowercase()),

@@ -6,32 +6,18 @@
 //! the same for every policy (up to ~15% over LRU in the paper).
 
 use fbf_bench::{base_config, save_csv, CACHE_MB, TIP_PRIMES};
-use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
     for p in TIP_PRIMES {
-        let configs: Vec<_> = CACHE_MB
-            .iter()
-            .flat_map(|&mb| {
-                PolicyKind::ALL
-                    .iter()
-                    .map(move |&policy| base_config(CodeSpec::Tip, p, policy, mb))
-            })
-            .collect();
-        let points = sweep(&configs, 0).expect("sweep failed");
-
-        let mut table = Table::new(
+        let (table, _) = policy_grid(
             format!("Fig.11 reconstruction time (s) — TIP(p={p})"),
-            &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-        );
-        for (i, &mb) in CACHE_MB.iter().enumerate() {
-            let row = &points[i * PolicyKind::ALL.len()..(i + 1) * PolicyKind::ALL.len()];
-            let mut cells = vec![mb.to_string()];
-            cells.extend(row.iter().map(|pt| f(pt.metrics.reconstruction_s, 3)));
-            table.push_row(cells);
-        }
+            &CACHE_MB,
+            |policy, mb| base_config(CodeSpec::Tip, p, policy, mb),
+            |m| f(m.reconstruction_s, 3),
+        )
+        .expect("sweep failed");
         println!("{}", table.render());
         save_csv(&format!("fig11_tip_p{p}"), &table);
     }

@@ -13,9 +13,8 @@
 use fbf_bench::{
     base_config, finish_obs, init_obs, save_csv, save_metrics_snapshot, CACHE_MB, FIG8_PRIMES,
 };
-use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
     init_obs();
@@ -34,26 +33,13 @@ fn main() {
             if p < code.min_prime() {
                 continue;
             }
-            let configs: Vec<_> = sizes
-                .iter()
-                .flat_map(|&mb| {
-                    PolicyKind::ALL
-                        .iter()
-                        .map(move |&policy| base_config(code, p, policy, mb))
-                })
-                .collect();
-            let points = sweep(&configs, 0).expect("sweep failed");
-
-            let mut table = Table::new(
+            let (table, points) = policy_grid(
                 format!("Fig.8 hit ratio — {}(p={p})", code.name()),
-                &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-            );
-            for (i, &mb) in sizes.iter().enumerate() {
-                let row = &points[i * PolicyKind::ALL.len()..(i + 1) * PolicyKind::ALL.len()];
-                let mut cells = vec![mb.to_string()];
-                cells.extend(row.iter().map(|pt| f(pt.metrics.hit_ratio, 4)));
-                table.push_row(cells);
-            }
+                sizes,
+                |policy, mb| base_config(code, p, policy, mb),
+                |m| f(m.hit_ratio, 4),
+            )
+            .expect("sweep failed");
             println!("{}", table.render());
             save_csv(&format!("fig8_{}_p{p}", code.name().to_lowercase()), &table);
             all_points.extend(points);

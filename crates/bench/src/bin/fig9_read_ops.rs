@@ -6,33 +6,19 @@
 //! the paper).
 
 use fbf_bench::{base_config, finish_obs, init_obs, save_csv, CACHE_MB, TIP_PRIMES};
-use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{sweep, Table};
+use fbf_core::policy_grid;
 
 fn main() {
     init_obs();
     for p in TIP_PRIMES {
-        let configs: Vec<_> = CACHE_MB
-            .iter()
-            .flat_map(|&mb| {
-                PolicyKind::ALL
-                    .iter()
-                    .map(move |&policy| base_config(CodeSpec::Tip, p, policy, mb))
-            })
-            .collect();
-        let points = sweep(&configs, 0).expect("sweep failed");
-
-        let mut table = Table::new(
+        let (table, _) = policy_grid(
             format!("Fig.9 disk reads — TIP(p={p})"),
-            &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-        );
-        for (i, &mb) in CACHE_MB.iter().enumerate() {
-            let row = &points[i * PolicyKind::ALL.len()..(i + 1) * PolicyKind::ALL.len()];
-            let mut cells = vec![mb.to_string()];
-            cells.extend(row.iter().map(|pt| pt.metrics.disk_reads.to_string()));
-            table.push_row(cells);
-        }
+            &CACHE_MB,
+            |policy, mb| base_config(CodeSpec::Tip, p, policy, mb),
+            |m| m.disk_reads.to_string(),
+        )
+        .expect("sweep failed");
         println!("{}", table.render());
         save_csv(&format!("fig9_tip_p{p}"), &table);
     }

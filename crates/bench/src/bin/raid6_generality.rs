@@ -7,33 +7,19 @@
 //! Fig. 8-style hit-ratio sweep on both RAID-6 codes.
 
 use fbf_bench::{base_config, save_csv, CACHE_MB};
-use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
     for code in [CodeSpec::Rdp, CodeSpec::Evenodd] {
         for p in [7usize, 13] {
-            let configs: Vec<_> = CACHE_MB
-                .iter()
-                .flat_map(|&mb| {
-                    PolicyKind::ALL
-                        .iter()
-                        .map(move |&policy| base_config(code, p, policy, mb))
-                })
-                .collect();
-            let points = sweep(&configs, 0).expect("sweep failed");
-
-            let mut table = Table::new(
+            let (table, _) = policy_grid(
                 format!("RAID-6 hit ratio — {}(p={p})", code.name()),
-                &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-            );
-            for (i, &mb) in CACHE_MB.iter().enumerate() {
-                let row = &points[i * PolicyKind::ALL.len()..(i + 1) * PolicyKind::ALL.len()];
-                let mut cells = vec![mb.to_string()];
-                cells.extend(row.iter().map(|pt| f(pt.metrics.hit_ratio, 4)));
-                table.push_row(cells);
-            }
+                &CACHE_MB,
+                |policy, mb| base_config(code, p, policy, mb),
+                |m| f(m.hit_ratio, 4),
+            )
+            .expect("sweep failed");
             println!("{}", table.render());
             save_csv(
                 &format!("raid6_{}_p{p}", code.name().to_lowercase()),

@@ -32,8 +32,7 @@ use fbf_core::{ExperimentConfig, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Cache sizes (MiB) swept by the figures, matching the paper's x-axes.
-pub const CACHE_MB: [usize; 8] = [2, 8, 32, 64, 128, 256, 512, 2048];
+pub use fbf_core::CACHE_MB;
 
 /// Primes used by the multi-code figures (Figs. 8 and 10).
 pub const FIG8_PRIMES: [usize; 3] = [7, 11, 13];

@@ -23,8 +23,9 @@
 //!
 //! Latency figures are **host wall-clock** (recorded as [`SimTime`]
 //! nanoseconds), not simulated disk time; they describe the backend's
-//! real I/O, not the paper's disk model. Fault classification reuses the
-//! deterministic per-chunk draw, but escalation stays single-pass: a
+//! real I/O, not the paper's disk model. Reads are resolved and counted
+//! by the engine's own [`resolve_read`] (so the fault counters equal an
+//! engine pass's), but escalation stays single-pass: a
 //! hard failure abandons the stripe (counted in
 //! [`FaultCounters::skipped_ops`] and surfaced via `failed_reads`)
 //! instead of entering the simulator's multi-round re-planning, which
@@ -37,8 +38,8 @@ use crate::runner::RunError;
 use fbf_cache::FxHashMap;
 use fbf_codes::ChunkId;
 use fbf_disksim::{
-    build_caches, BackendError, CacheSharing, DiskStats, FailedRead, FaultDraw, FileBackend,
-    Lookup, ReadFailure, RunReport, SimBackend, SimTime, StorageBackend,
+    build_caches, resolve_read, BackendError, CacheSharing, DiskStats, FailedRead, FileBackend,
+    Lookup, ReadOutcome, RunReport, SimBackend, SimTime, StorageBackend,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -155,10 +156,10 @@ pub fn run_planned_on(
                 };
                 let (abandoned, done) = &mut states[j];
                 if *abandoned {
-                    // Mirror the engine: every op of a failed stripe's
-                    // remaining repairs is skipped (reads + compute +
-                    // write).
-                    report.faults.skipped_ops += repair.option.reads.len() as u64 + 2;
+                    // Mirror the engine: the reads and the write of a
+                    // failed stripe's remaining repairs are skipped (a
+                    // compute step touches no chunk and just runs).
+                    report.faults.skipped_ops += repair.option.reads.len() as u64 + 1;
                     continue;
                 }
                 sources[j].clear();
@@ -174,34 +175,46 @@ pub fn run_planned_on(
                             sources[j].push(Arc::clone(bytes));
                             true
                         }
-                        Lookup::Miss => match classify(backend, chunk, &mut report) {
-                            Some(kind) => {
-                                report.failed_reads.push(FailedRead {
-                                    chunk,
-                                    worker: worker as u32,
-                                    kind,
-                                });
-                                false
-                            }
-                            None => {
-                                backend
-                                    .read_chunk(chunk, &mut chunk_buf)
-                                    .map_err(RunError::Backend)?;
-                                report.disk_reads += 1;
-                                report.per_disk_class_reads[mapping.disk_of(chunk)]
-                                    [class.index()] += 1;
-                                let bytes = Arc::new(chunk_buf.clone());
-                                let priority = plan.dictionary.priority_of(&chunk);
-                                if let Some(evicted) = caches[slice].insert(chunk, priority) {
-                                    payloads[slice].remove(&evicted);
+                        Lookup::Miss => {
+                            // No virtual clock: a survivable transient's
+                            // delay and a failure's wasted retries cost
+                            // nothing here, only the counters move.
+                            let retry = &backend.fault_plan().retry;
+                            let outcome = resolve_read(
+                                backend.disk_dead(mapping.disk_of(chunk)),
+                                backend.classify_read(chunk),
+                                retry,
+                            );
+                            report.faults.record(outcome, retry);
+                            match outcome {
+                                ReadOutcome::Failed { kind, .. } => {
+                                    report.failed_reads.push(FailedRead {
+                                        chunk,
+                                        worker: worker as u32,
+                                        kind,
+                                    });
+                                    false
                                 }
-                                if caches[slice].contains(&chunk) {
-                                    payloads[slice].insert(chunk, Arc::clone(&bytes));
+                                ReadOutcome::Ok { .. } => {
+                                    backend
+                                        .read_chunk(chunk, &mut chunk_buf)
+                                        .map_err(RunError::Backend)?;
+                                    report.disk_reads += 1;
+                                    report.per_disk_class_reads[mapping.disk_of(chunk)]
+                                        [class.index()] += 1;
+                                    let bytes = Arc::new(chunk_buf.clone());
+                                    let priority = plan.dictionary.priority_of(&chunk);
+                                    if let Some(evicted) = caches[slice].insert(chunk, priority) {
+                                        payloads[slice].remove(&evicted);
+                                    }
+                                    if caches[slice].contains(&chunk) {
+                                        payloads[slice].insert(chunk, Arc::clone(&bytes));
+                                    }
+                                    sources[j].push(bytes);
+                                    true
                                 }
-                                sources[j].push(bytes);
-                                true
                             }
-                        },
+                        }
                     };
                     let elapsed = SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
                     report.read_response.record(elapsed);
@@ -210,13 +223,12 @@ pub fn run_planned_on(
                     read_idx += 1;
                     if !served {
                         // Hard failure: abandon the stripe. Remaining ops
-                        // of this repair (unread sources + compute +
-                        // write) are skipped, like the engine's
-                        // failed-stripe fast path. Repairs that *did*
-                        // finish still count as recovered chunks (their
-                        // spare writes landed).
+                        // of this repair (unread sources + write) are
+                        // skipped, like the engine's failed-stripe fast
+                        // path. Repairs that *did* finish still count as
+                        // recovered chunks (their spare writes landed).
                         report.faults.skipped_ops +=
-                            (repair.option.reads.len() - read_idx) as u64 + 2;
+                            (repair.option.reads.len() - read_idx) as u64 + 1;
                         *abandoned = true;
                         chunks_recovered += *done;
                         sources[j].clear();
@@ -297,39 +309,6 @@ pub fn run_planned_on(
     );
     metrics.evaluate_slo(&cfg.slo);
     Ok(metrics)
-}
-
-/// Pre-read fault classification, mirroring the engine's order: a dead
-/// disk swallows the read before any media/transient draw.
-fn classify(
-    backend: &dyn StorageBackend,
-    chunk: ChunkId,
-    report: &mut RunReport,
-) -> Option<ReadFailure> {
-    let disk = backend.mapping().disk_of(chunk);
-    if backend.disk_dead(disk) {
-        report.faults.dead_disk_reads += 1;
-        return Some(ReadFailure::DeadDisk);
-    }
-    match backend.classify_read(chunk) {
-        FaultDraw::Ok => None,
-        FaultDraw::Media => {
-            report.faults.media_errors += 1;
-            Some(ReadFailure::Media)
-        }
-        FaultDraw::Transient { stalls } => {
-            let max = backend.fault_plan().retry.max_retries;
-            if stalls <= max {
-                report.faults.transient_faults += 1;
-                report.faults.retries += u64::from(stalls);
-                None
-            } else {
-                report.faults.retries += u64::from(max);
-                report.faults.retries_exhausted += 1;
-                Some(ReadFailure::RetriesExhausted)
-            }
-        }
-    }
 }
 
 /// A [`SimBackend`] matching `cfg`'s geometry with `plan`'s damage set —

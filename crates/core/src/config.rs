@@ -385,7 +385,7 @@ impl ExperimentConfig {
     }
 
     /// The simulator configuration of this experiment. Every driver —
-    /// single pass, faulted rounds, data plane, rebuild waves — builds its
+    /// campaign rounds, data plane, rebuild waves — builds its
     /// engine here and supplies only what differs between them: the
     /// chunk→disk mapping, the victim map of the stripes under repair,
     /// and the fault plan of the round at hand.

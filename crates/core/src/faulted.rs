@@ -1,11 +1,11 @@
-//! Multi-round faulted execution: run, absorb hard failures, re-plan,
-//! run again.
+//! The simulated campaign: run, absorb hard failures, re-plan, run again.
 //!
-//! When a [`FaultPlan`](fbf_disksim::FaultPlan) injects read faults, one
-//! engine pass is no longer the whole story: a hard failure (media error,
-//! exhausted retries, dead disk) abandons its stripe mid-repair, and the
-//! controller must fold the unreadable chunk into the stripe's damage and
-//! try again with a fresh plan. This module drives that loop:
+//! Every simulated campaign executes here, whatever its
+//! [`FaultPlan`](fbf_disksim::FaultPlan). When no read fails, one engine
+//! pass is the whole story. A hard failure (media error, exhausted
+//! retries, dead disk) abandons its stripe mid-repair, and the controller
+//! must fold the unreadable chunk into the stripe's damage and try again
+//! with a fresh plan. This module drives that loop:
 //!
 //! 1. **Round 0** executes the campaign's original scripts under the
 //!    configured fault plan.
@@ -30,22 +30,24 @@
 use crate::config::ExperimentConfig;
 use crate::plan::PlannedCampaign;
 use crate::progress::Progress;
+use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
 use fbf_disksim::{
-    ArrayMapping, Engine, EngineConfig, EngineScratch, FaultPlan, RunReport, SimTime, WorkerScript,
+    ArrayMapping, Engine, EngineScratch, FailedRead, RunReport, SimTime, WorkerScript,
 };
 use fbf_recovery::{
     build_scripts_from_plans, DataLoss, Escalator, ExecConfig, StripeDamage, StripePlan,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Hard cap on escalation rounds. Unreachable in practice (damage is
 /// bounded by geometry long before this); it exists so a logic bug can
 /// never spin the driver forever.
 pub const MAX_ROUNDS: u64 = 32;
 
-/// Everything a faulted multi-round execution produced: the merged engine
-/// report plus the escalation verdicts needed for metrics and byte-exact
+/// Everything a simulated campaign produced: the merged engine report
+/// plus the escalation verdicts needed for metrics and byte-exact
 /// verification.
 #[derive(Debug)]
 pub struct FaultedOutcome {
@@ -60,11 +62,13 @@ pub struct FaultedOutcome {
     /// Stripes whose accumulated damage exceeded the code's fault
     /// tolerance — typed, reported, never a panic.
     pub data_loss: Vec<DataLoss>,
-    /// Final accumulated damage of every surviving stripe, in stripe
-    /// order — what the repair must have recovered.
+    /// Final accumulated damage of every repaired stripe that was
+    /// re-planned, in stripe order — what its last re-plan must have
+    /// recovered. A repaired stripe absent here kept its original damage.
     pub surviving_damage: Vec<StripeDamage>,
-    /// The plan that ultimately repaired each surviving stripe (the
-    /// original scheme, or the last re-plan).
+    /// The last re-plan of every repaired stripe that was re-planned (the
+    /// stripes of [`surviving_damage`](Self::surviving_damage)). A
+    /// repaired stripe absent here was repaired by its original scheme.
     pub final_plans: BTreeMap<u32, StripePlan>,
     /// Surviving stripes (repaired despite faults).
     pub stripes_repaired: usize,
@@ -82,36 +86,70 @@ pub struct FaultedOutcome {
     pub unresolved: Vec<StripeDamage>,
 }
 
-/// The engine configuration for one pass over `plan` under `faults`
-/// (the single-pass runner's too).
-pub(crate) fn engine_config(
-    cfg: &ExperimentConfig,
-    plan: &PlannedCampaign,
-    faults: FaultPlan,
-) -> EngineConfig {
-    cfg.engine_config(
-        ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement()),
-        std::sync::Arc::clone(&plan.victim_map),
-        faults,
-    )
+/// Engine passes run back to back on one virtual clock: escalation
+/// rounds here, waves in the array-wide rebuild driver. The first pass
+/// runs under the configured fault plan; by every later one a scheduled
+/// disk kill has happened, so its instant moves to time zero — the disk
+/// died in an earlier pass and stays dead.
+pub(crate) struct Passes<'a> {
+    cfg: &'a ExperimentConfig,
+    mapping: ArrayMapping,
+    victim_map: Arc<FxHashMap<u32, u16>>,
+    total: Option<RunReport>,
 }
 
-/// The fault plan for rounds ≥ 1: a disk killed in round 0 stays dead, so
-/// its kill instant moves to time zero. Shared with the array-wide
-/// rebuild driver, whose waves chain on the virtual clock the same way.
-pub(crate) fn later_round_faults(f: FaultPlan) -> FaultPlan {
-    let mut later = f;
-    if let Some(kill) = later.disk_kill.as_mut() {
-        kill.at = SimTime::ZERO;
+impl<'a> Passes<'a> {
+    pub(crate) fn new(
+        cfg: &'a ExperimentConfig,
+        mapping: ArrayMapping,
+        victim_map: Arc<FxHashMap<u32, u16>>,
+    ) -> Self {
+        Passes {
+            cfg,
+            mapping,
+            victim_map,
+            total: None,
+        }
     }
-    later
+
+    /// Run `scripts` as the next pass and fold its report into the total;
+    /// returns the hard read failures of this pass alone.
+    pub(crate) fn run(
+        &mut self,
+        scripts: &[WorkerScript],
+        scratch: &mut EngineScratch,
+    ) -> &[FailedRead] {
+        let mut faults = self.cfg.faults;
+        if self.total.is_some() {
+            if let Some(kill) = faults.disk_kill.as_mut() {
+                kill.at = SimTime::ZERO;
+            }
+        }
+        let config = self
+            .cfg
+            .engine_config(self.mapping, Arc::clone(&self.victim_map), faults);
+        let pass = Engine::new(config).run_with_scratch(scripts, scratch);
+        let failures = pass.failed_reads.len();
+        let total = match &mut self.total {
+            Some(total) => {
+                merge_round(total, &pass);
+                total
+            }
+            first @ None => first.insert(pass),
+        };
+        &total.failed_reads[total.failed_reads.len() - failures..]
+    }
+
+    /// All passes merged (empty if none ran).
+    pub(crate) fn finish(self) -> RunReport {
+        self.total.unwrap_or_default()
+    }
 }
 
-/// Fold one round's report into the running total. Rounds execute
-/// back-to-back on the virtual clock, so makespans add and each round's
-/// write completions shift by the time already elapsed. Shared with the
-/// array-wide rebuild driver, which merges per-wave reports the same way.
-pub(crate) fn merge_round(total: &mut RunReport, round: &RunReport) {
+/// Fold one pass's report into the running total. Passes execute
+/// back-to-back on the virtual clock, so makespans add and each pass's
+/// write completions shift by the time already elapsed.
+fn merge_round(total: &mut RunReport, round: &RunReport) {
     let base = total.makespan;
     total.makespan = base + round.makespan;
     total.cache.merge(&round.cache);
@@ -144,185 +182,183 @@ pub(crate) fn merge_round(total: &mut RunReport, round: &RunReport) {
         .extend(round.failed_reads.iter().copied());
 }
 
-/// Execute `plan` under `cfg.faults`, escalating hard read failures
+/// Simulate `plan` under `cfg.faults`, escalating hard read failures
 /// through re-planning until the campaign settles (or stripes are
-/// declared lost).
+/// declared lost). A campaign in which no read fails is one pass and
+/// builds no re-planning state at all.
 ///
 /// The plan must have been generated for `cfg` (the same invariant as
 /// [`run_planned`](crate::runner::run_planned)); in particular the code
 /// must build, which `cfg.validate()` already guaranteed.
+///
+/// Live round/fault counters are published into `progress` (the daemon's
+/// `stat` reads them mid-job) and a `faulted/round` instant is emitted per
+/// escalation round. A non-empty data-loss verdict triggers a
+/// flight-recorder dump ([`fbf_obs::ring::trigger_dump`], reason
+/// `data-loss`) so the events leading up to the loss survive for
+/// post-mortem without pre-enabled tracing. Exhaustion — [`MAX_ROUNDS`]
+/// hit with failures still pending — is a typed verdict
+/// ([`FaultedOutcome::rounds_exhausted`] + [`FaultedOutcome::unresolved`]),
+/// never a silent partial success.
 pub fn execute_faulted(
-    cfg: &ExperimentConfig,
-    plan: &PlannedCampaign,
-    scratch: &mut EngineScratch,
-) -> FaultedOutcome {
-    execute_faulted_observed(cfg, plan, scratch, None)
-}
-
-/// [`execute_faulted`] that additionally publishes live round/fault
-/// counters into `progress` (the daemon's `stat` reads them mid-job) and
-/// emits a `faulted/round` instant per escalation round. A non-empty
-/// data-loss verdict triggers a flight-recorder dump
-/// ([`fbf_obs::ring::trigger_dump`], reason `data-loss`) so the events
-/// leading up to the loss survive for post-mortem without pre-enabled
-/// tracing.
-pub fn execute_faulted_observed(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
     scratch: &mut EngineScratch,
     progress: Option<&Progress>,
 ) -> FaultedOutcome {
-    execute_faulted_capped(cfg, plan, scratch, progress, MAX_ROUNDS)
+    execute_capped(cfg, plan, scratch, progress, MAX_ROUNDS)
 }
 
-/// [`execute_faulted_observed`] with an explicit escalation-round cap.
-/// Exhaustion — the cap hit with failures still pending — is a typed
-/// verdict ([`FaultedOutcome::rounds_exhausted`] +
-/// [`FaultedOutcome::unresolved`]), never a silent partial success: the
-/// affected stripes are excluded from `stripes_repaired`/`final_plans`.
-pub fn execute_faulted_capped(
+/// [`execute_faulted`] with an explicit escalation-round cap.
+fn execute_capped(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
     scratch: &mut EngineScratch,
     progress: Option<&Progress>,
     max_rounds: u64,
 ) -> FaultedOutcome {
-    let code = StripeCode::build(cfg.code, cfg.p).expect("plan was built with this code/p");
-    let mut escalator = Escalator::new(&code, cfg.scheme, &plan.errors);
-    let mut final_plans: BTreeMap<u32, StripePlan> = plan
-        .schemes
-        .iter()
-        .map(|s| (s.stripe, StripePlan::Chained(s.clone())))
-        .collect();
-
-    let run = |scripts: &[WorkerScript], faults: FaultPlan, scratch: &mut EngineScratch| {
-        Engine::new(engine_config(cfg, plan, faults)).run_with_scratch(scripts, scratch)
-    };
-
-    let mut total = run(&plan.scripts, cfg.faults, scratch);
-    let mut pending = std::mem::take(&mut total.failed_reads);
-    total.failed_reads = pending.clone();
-
-    let later = later_round_faults(cfg.faults);
-    // Escalation rounds are re-planned retries, not first-pass recovery —
-    // attribute their latency to the replan class.
-    let exec_cfg = ExecConfig {
-        workers: cfg.workers,
-        class: fbf_disksim::RequestClass::Replan,
-        decode_batch: cfg.decode_batch,
-        ..Default::default()
-    };
-    let obs = cfg.obs && fbf_obs::enabled();
-    let mut data_loss = Vec::new();
+    let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
+    let mut passes = Passes::new(cfg, mapping, Arc::clone(&plan.victim_map));
+    let mut pending = passes.run(&plan.scripts, scratch).to_vec();
+    // Every hard failure is one failed read.
+    let mut failures = pending.len() as u64;
     if let Some(p) = progress {
-        p.record(0, 0, total.faults.hard_failures(), 0);
+        p.record(0, 0, failures, 0);
     }
-    while !pending.is_empty() && escalator.rounds() < max_rounds {
-        let absorbed = escalator.absorb(&pending);
-        for dl in &absorbed.data_loss {
-            final_plans.remove(&dl.stripe);
+
+    // What holds when no read failed: the original schemes repaired
+    // everything. Escalation state is built only once a read has.
+    let (mut replans, mut rounds) = (0, 0);
+    let mut data_loss = Vec::new();
+    let mut surviving_damage = Vec::new();
+    let mut final_plans: BTreeMap<u32, StripePlan> = BTreeMap::new();
+    let mut unresolved = Vec::new();
+    let (mut stripes_repaired, mut chunks_recovered) = (plan.schemes.len(), plan.chunks_lost);
+    if !pending.is_empty() {
+        let code = StripeCode::build(cfg.code, cfg.p).expect("plan was built with this code/p");
+        let mut escalator = Escalator::new(&code, cfg.scheme, &plan.errors);
+        // Escalation rounds are re-planned retries, not first-pass
+        // recovery — attribute their latency to the replan class.
+        let exec_cfg = ExecConfig {
+            workers: cfg.workers,
+            class: fbf_disksim::RequestClass::Replan,
+            decode_batch: cfg.decode_batch,
+            ..Default::default()
+        };
+        let obs = cfg.obs && fbf_obs::enabled();
+        while !pending.is_empty() && escalator.rounds() < max_rounds {
+            let absorbed = escalator.absorb(&pending);
+            for dl in &absorbed.data_loss {
+                final_plans.remove(&dl.stripe);
+            }
+            data_loss.extend(absorbed.data_loss);
+            let publish = |failures: u64| {
+                if let Some(p) = progress {
+                    p.record(
+                        escalator.rounds(),
+                        escalator.replans(),
+                        failures,
+                        data_loss.len() as u64,
+                    );
+                }
+                if obs {
+                    fbf_obs::instant(
+                        "faulted",
+                        "round",
+                        &[
+                            ("round", fbf_obs::Value::U64(escalator.rounds())),
+                            ("replans", fbf_obs::Value::U64(escalator.replans())),
+                            ("faults", fbf_obs::Value::U64(failures)),
+                            ("lost", fbf_obs::Value::U64(data_loss.len() as u64)),
+                        ],
+                    );
+                }
+            };
+            if absorbed.replans.is_empty() {
+                // Every failure this round was on a stripe now declared
+                // (or already) lost — nothing left to retry.
+                publish(failures);
+                break;
+            }
+            let scripts =
+                build_scripts_from_plans(&absorbed.replans, &absorbed.dictionary, &exec_cfg);
+            for p in absorbed.replans {
+                final_plans.insert(p.stripe(), p);
+            }
+            pending = passes.run(&scripts, scratch).to_vec();
+            failures += pending.len() as u64;
+            publish(failures);
         }
-        data_loss.extend(absorbed.data_loss);
-        let publish = |total: &RunReport| {
-            if let Some(p) = progress {
-                p.record(
-                    escalator.rounds(),
-                    escalator.replans(),
-                    total.faults.hard_failures(),
-                    data_loss.len() as u64,
+        if !data_loss.is_empty() {
+            // Mark the loss in the event stream (so the dump's last events
+            // explain themselves), then snapshot the flight recorder.
+            if obs {
+                fbf_obs::instant(
+                    "faulted",
+                    "data-loss",
+                    &[("stripes", fbf_obs::Value::U64(data_loss.len() as u64))],
                 );
+            }
+            fbf_obs::ring::trigger_dump("data-loss");
+        }
+
+        // Exhaustion verdict: failures still pending after the loop whose
+        // stripes were never declared lost were neither repaired nor typed
+        // — surface them instead of letting them ride in the "repaired"
+        // count. (The empty-replans break leaves pending stripes too, but
+        // those are all in `data_loss`, so they filter out here.)
+        let lost: BTreeSet<u32> = data_loss.iter().map(|d| d.stripe).collect();
+        let unresolved_stripes: BTreeSet<u32> = pending
+            .iter()
+            .map(|f| f.chunk.stripe)
+            .filter(|s| !lost.contains(s))
+            .collect();
+        if !unresolved_stripes.is_empty() {
+            for s in &unresolved_stripes {
+                final_plans.remove(s);
             }
             if obs {
                 fbf_obs::instant(
                     "faulted",
-                    "round",
+                    "rounds-exhausted",
                     &[
-                        ("round", fbf_obs::Value::U64(escalator.rounds())),
-                        ("replans", fbf_obs::Value::U64(escalator.replans())),
-                        ("faults", fbf_obs::Value::U64(total.faults.hard_failures())),
-                        ("lost", fbf_obs::Value::U64(data_loss.len() as u64)),
+                        ("rounds", fbf_obs::Value::U64(escalator.rounds())),
+                        (
+                            "unresolved",
+                            fbf_obs::Value::U64(unresolved_stripes.len() as u64),
+                        ),
                     ],
                 );
             }
-        };
-        if absorbed.replans.is_empty() {
-            // Every failure this round was on a stripe now declared (or
-            // already) lost — nothing left to retry.
-            publish(&total);
-            break;
+            fbf_obs::ring::trigger_dump("rounds-exhausted");
         }
-        let scripts = build_scripts_from_plans(&absorbed.replans, &absorbed.dictionary, &exec_cfg);
-        for p in absorbed.replans {
-            final_plans.insert(p.stripe(), p);
-        }
-        let round = run(&scripts, later, scratch);
-        pending = round.failed_reads.clone();
-        merge_round(&mut total, &round);
-        publish(&total);
-    }
-    if !data_loss.is_empty() {
-        // Mark the loss in the event stream (so the dump's last events
-        // explain themselves), then snapshot the flight recorder.
-        if obs {
-            fbf_obs::instant(
-                "faulted",
-                "data-loss",
-                &[("stripes", fbf_obs::Value::U64(data_loss.len() as u64))],
-            );
-        }
-        fbf_obs::ring::trigger_dump("data-loss");
-    }
 
-    // Exhaustion verdict: failures still pending after the loop whose
-    // stripes were never declared lost were neither repaired nor typed —
-    // surface them instead of letting them ride in the "repaired" count.
-    // (The empty-replans break leaves pending stripes too, but those are
-    // all in `data_loss`, so they filter out here.)
-    let lost: std::collections::BTreeSet<u32> = data_loss.iter().map(|d| d.stripe).collect();
-    let unresolved_stripes: std::collections::BTreeSet<u32> = pending
-        .iter()
-        .map(|f| f.chunk.stripe)
-        .filter(|s| !lost.contains(s))
-        .collect();
-    let rounds_exhausted = !unresolved_stripes.is_empty();
-    if rounds_exhausted {
-        for s in &unresolved_stripes {
-            final_plans.remove(s);
+        // Every failed read belongs to a stripe of the plan, so the lost
+        // and unresolved stripes come off its scheme count.
+        stripes_repaired = plan.schemes.len() - data_loss.len() - unresolved_stripes.len();
+        chunks_recovered = 0;
+        for damage in escalator.surviving_damage() {
+            if unresolved_stripes.contains(&damage.stripe) {
+                unresolved.push(damage);
+                continue;
+            }
+            chunks_recovered += damage.cells.len();
+            if final_plans.contains_key(&damage.stripe) {
+                surviving_damage.push(damage);
+            }
         }
-        if obs {
-            fbf_obs::instant(
-                "faulted",
-                "rounds-exhausted",
-                &[
-                    ("rounds", fbf_obs::Value::U64(escalator.rounds())),
-                    (
-                        "unresolved",
-                        fbf_obs::Value::U64(unresolved_stripes.len() as u64),
-                    ),
-                ],
-            );
-        }
-        fbf_obs::ring::trigger_dump("rounds-exhausted");
+        (replans, rounds) = (escalator.replans(), escalator.rounds());
     }
-
-    let mut surviving_damage = escalator.surviving_damage();
-    let unresolved: Vec<StripeDamage> = surviving_damage
-        .iter()
-        .filter(|d| unresolved_stripes.contains(&d.stripe))
-        .cloned()
-        .collect();
-    surviving_damage.retain(|d| !unresolved_stripes.contains(&d.stripe));
-    let chunks_recovered = surviving_damage.iter().map(|d| d.cells.len()).sum();
     FaultedOutcome {
-        report: total,
-        replans: escalator.replans(),
-        rounds: escalator.rounds(),
+        report: passes.finish(),
+        replans,
+        rounds,
         data_loss,
         surviving_damage,
-        stripes_repaired: final_plans.len(),
-        chunks_recovered,
         final_plans,
-        rounds_exhausted,
+        stripes_repaired,
+        chunks_recovered,
+        rounds_exhausted: !unresolved.is_empty(),
         unresolved,
     }
 }
@@ -330,7 +366,7 @@ pub fn execute_faulted_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbf_disksim::{DiskKill, RetryPolicy};
+    use fbf_disksim::{DiskKill, FaultPlan, RetryPolicy};
 
     fn faulty(media: u16, kill: Option<u32>) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::builder()
@@ -355,7 +391,7 @@ mod tests {
 
     fn outcome(cfg: &ExperimentConfig) -> FaultedOutcome {
         let plan = PlannedCampaign::cold(cfg).unwrap();
-        execute_faulted(cfg, &plan, &mut EngineScratch::new())
+        execute_faulted(cfg, &plan, &mut EngineScratch::new(), None)
     }
 
     #[test]
@@ -373,9 +409,8 @@ mod tests {
             48,
             "every damaged stripe is repaired or typed as lost"
         );
-        // Escalated chunks count as recovered on surviving stripes.
-        let initial: usize = out.surviving_damage.iter().map(|d| d.cells.len()).sum();
-        assert_eq!(out.chunks_recovered, initial);
+        // (`verify_campaign` holds `chunks_recovered` to the cells it
+        // byte-checks, escalated damage included.)
     }
 
     #[test]
@@ -413,15 +448,24 @@ mod tests {
         let mut cfg = faulty(0, None);
         cfg.faults = FaultPlan::none();
         let plan = PlannedCampaign::cold(&cfg).unwrap();
-        let out = execute_faulted(&cfg, &plan, &mut EngineScratch::new());
+        let out = execute_faulted(&cfg, &plan, &mut EngineScratch::new(), None);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.replans, 0);
         assert!(out.data_loss.is_empty());
         assert_eq!(out.stripes_repaired, 48);
-        let direct = Engine::new(engine_config(&cfg, &plan, FaultPlan::none()))
-            .run_with_scratch(&plan.scripts, &mut EngineScratch::new());
-        assert_eq!(out.report.makespan, direct.makespan);
-        assert_eq!(out.report.disk_reads, direct.disk_reads);
+        assert_eq!(out.chunks_recovered, plan.chunks_lost);
+        assert!(
+            out.final_plans.is_empty() && out.surviving_damage.is_empty(),
+            "no read failed, so no re-plan state was built"
+        );
+        let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
+        let direct = Engine::new(cfg.engine_config(
+            mapping,
+            Arc::clone(&plan.victim_map),
+            FaultPlan::none(),
+        ))
+        .run_with_scratch(&plan.scripts, &mut EngineScratch::new());
+        assert_eq!(format!("{:?}", out.report), format!("{direct:?}"));
     }
 
     #[test]
@@ -446,7 +490,7 @@ mod tests {
         // reporting them repaired.
         let cfg = faulty(30, None);
         let plan = PlannedCampaign::cold(&cfg).unwrap();
-        let out = execute_faulted_capped(&cfg, &plan, &mut EngineScratch::new(), None, 0);
+        let out = execute_capped(&cfg, &plan, &mut EngineScratch::new(), None, 0);
         assert!(
             !out.report.failed_reads.is_empty(),
             "30‰ media errors must fail reads in round 0"
@@ -510,6 +554,10 @@ mod tests {
     fn every_survivor_has_a_final_plan_covering_its_damage() {
         let cfg = faulty(35, Some(5));
         let out = outcome(&cfg);
+        // Re-planned survivors pair up one to one with their damage; the
+        // rest were repaired by their original schemes.
+        assert!(!out.final_plans.is_empty(), "35‰ + a kill must re-plan");
+        assert_eq!(out.surviving_damage.len(), out.final_plans.len());
         for damage in &out.surviving_damage {
             let plan = out
                 .final_plans

@@ -57,9 +57,7 @@ pub use config::{
 pub use daemon::{
     serve, ClientStream, DaemonClient, DaemonHandle, DaemonOptions, JobState, ServerAddr,
 };
-pub use faulted::{
-    execute_faulted, execute_faulted_capped, execute_faulted_observed, FaultedOutcome, MAX_ROUNDS,
-};
+pub use faulted::{execute_faulted, FaultedOutcome, MAX_ROUNDS};
 pub use fbf_obs::json::{self, Json, JsonError};
 pub use metrics::{ClassLatency, ClassVerdict, Metrics, SloVerdict, METRICS_SCHEMA_VERSION};
 pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
@@ -71,5 +69,7 @@ pub use report::Table;
 pub use runner::{
     run_experiment, run_experiment_with_errors, run_planned, run_planned_observed, RunError,
 };
-pub use sweep::{sweep, sweep_with_progress, sweep_with_store, SweepPoint, SweepProgress};
-pub use verify::{verify_campaign, verify_campaign_faulted, FaultedVerifyReport, VerifyReport};
+pub use sweep::{
+    policy_grid, sweep, sweep_with_progress, sweep_with_store, SweepPoint, SweepProgress, CACHE_MB,
+};
+pub use verify::{verify_campaign, VerifyReport};

@@ -261,8 +261,8 @@ impl Metrics {
         self.slo = verdict;
     }
 
-    /// Assemble from a multi-round faulted execution: the merged report's
-    /// figures plus the escalation verdicts.
+    /// Assemble from a simulated campaign: the merged report's figures
+    /// plus the escalation verdicts.
     pub fn from_faulted(
         outcome: &FaultedOutcome,
         overhead_host: std::time::Duration,

@@ -30,21 +30,19 @@
 //! 4. **Simulate** each wave as one engine pass — recovery scripts plus an
 //!    optional foreground application-read script — and merge the waves
 //!    back-to-back on one virtual clock exactly as faulted rounds merge
-//!    ([`merge_round`](crate::faulted)).
+//!    (the passes of [`crate::faulted`]).
 //!
 //! The outcome carries the clustered-vs-declustered comparison metrics:
 //! reconstruction time, per-disk rebuild-read balance and skew, and
 //! foreground p99/p999 during the rebuild.
 
 use crate::config::ExperimentConfig;
-use crate::faulted::{later_round_faults, merge_round};
+use crate::faulted::Passes;
 use crate::plan::{PlanStore, PlannedCampaign};
 use crate::runner::RunError;
 use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
-use fbf_disksim::{
-    ArrayMapping, Engine, EngineScratch, Placement, RequestClass, RunReport, SimTime,
-};
+use fbf_disksim::{ArrayMapping, EngineScratch, Placement, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
 use fbf_recovery::{
     ErrorGroup, ExecConfig, Fairness, PartialStripeError, PriorityDictionary, RebuildItem,
@@ -256,7 +254,7 @@ pub fn execute_rebuild(
     for p in &plans {
         victims.extend(p.victim_map.iter().map(|(&s, &c)| (s, c)));
     }
-    let victim_map = Arc::new(victims);
+    let mut passes = Passes::new(cfg, mapping, Arc::new(victims));
 
     // 3. Schedule: projected per-disk read footprints feed the admission
     // scheduler.
@@ -288,9 +286,7 @@ pub fn execute_rebuild(
         ..Default::default()
     };
     let obs = cfg.obs && fbf_obs::enabled();
-    let mut total: Option<RunReport> = None;
     let mut waves = 0usize;
-    let mut failed_stripes: Vec<u32> = Vec::new();
     while !sched.is_empty() {
         let wave = sched.next_wave();
         let wave_schemes: Vec<_> = wave
@@ -313,19 +309,7 @@ pub fn execute_rebuild(
                 },
             ));
         }
-        // Like faulted rounds: a disk killed in wave 0 stays dead later.
-        let faults = if waves == 0 {
-            cfg.faults
-        } else {
-            later_round_faults(cfg.faults)
-        };
-        let round = Engine::new(cfg.engine_config(mapping, Arc::clone(&victim_map), faults))
-            .run_with_scratch(&scripts, scratch);
-        failed_stripes.extend(round.failed_reads.iter().map(|f| f.chunk.stripe));
-        match total.as_mut() {
-            Some(t) => merge_round(t, &round),
-            None => total = Some(round),
-        }
+        passes.run(&scripts, scratch);
         waves += 1;
         if obs {
             fbf_obs::instant(
@@ -339,8 +323,9 @@ pub fn execute_rebuild(
             );
         }
     }
-    let report = total.unwrap_or_default();
+    let report = passes.finish();
 
+    let mut failed_stripes: Vec<u32> = report.failed_reads.iter().map(|f| f.chunk.stripe).collect();
     failed_stripes.sort_unstable();
     failed_stripes.dedup();
     let app = RequestClass::App.index();

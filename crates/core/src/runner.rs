@@ -10,7 +10,7 @@ use crate::config::{ConfigError, ExperimentConfig};
 use crate::metrics::Metrics;
 use crate::plan::{PlanKey, PlanSource, PlannedCampaign};
 use fbf_codes::CodeError;
-use fbf_disksim::{Engine, EngineScratch};
+use fbf_disksim::EngineScratch;
 use fbf_recovery::SchemeError;
 
 /// Failures a run can hit.
@@ -112,7 +112,7 @@ pub fn run_planned_with_scratch(
 }
 
 /// [`run_planned_with_scratch`] that additionally publishes live
-/// escalation counters into `progress` while a faulted campaign runs —
+/// escalation counters into `progress` while the campaign runs —
 /// the daemon threads each job's [`Progress`](crate::progress::Progress)
 /// through here so `stat`/`top` can report rounds/replans/faults-so-far
 /// mid-job.
@@ -131,23 +131,8 @@ pub fn run_planned_observed(
     } else {
         None
     };
-    // A fault plan that can fail reads needs the multi-round escalation
-    // driver; everything else (including straggler-only plans, which slow
-    // reads but never fail them) stays on the single-pass fast path.
-    let mut metrics = if cfg.faults.injects_read_faults() {
-        let outcome = crate::faulted::execute_faulted_observed(cfg, plan, scratch, progress);
-        Metrics::from_faulted(&outcome, plan.generation, source)
-    } else {
-        let engine = Engine::new(crate::faulted::engine_config(cfg, plan, cfg.faults));
-        let report = engine.run_with_scratch(&plan.scripts, scratch);
-        Metrics::from_run(
-            &report,
-            plan.generation,
-            plan.schemes.len(),
-            plan.chunks_lost,
-            source,
-        )
-    };
+    let outcome = crate::faulted::execute_faulted(cfg, plan, scratch, progress);
+    let mut metrics = Metrics::from_faulted(&outcome, plan.generation, source);
     metrics.evaluate_slo(&cfg.slo);
 
     if let Some(span) = sim_span {

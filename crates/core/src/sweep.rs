@@ -22,7 +22,9 @@
 use crate::config::ExperimentConfig;
 use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlanStore};
+use crate::report::Table;
 use crate::runner::{run_planned_with_scratch, RunError};
+use fbf_cache::PolicyKind;
 use fbf_disksim::EngineScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,6 +53,34 @@ pub struct SweepProgress<'a> {
     pub config: &'a ExperimentConfig,
     /// Whether the point planned cold or reused a shared campaign.
     pub plan: PlanSource,
+}
+
+/// Cache sizes (MiB) swept by the figures, matching the paper's x-axes.
+pub const CACHE_MB: [usize; 8] = [2, 8, 32, 64, 128, 256, 512, 2048];
+
+/// Sweep the paper's grid — `sizes` × [`PolicyKind::ALL`], each point
+/// built by `config(policy, cache_mb)` — and tabulate one metric: a row
+/// per cache size, a column per policy, each cell rendered by `cell`.
+/// Returns the points too, in grid order (policies within a size).
+pub fn policy_grid(
+    title: impl Into<String>,
+    sizes: &[usize],
+    config: impl Fn(PolicyKind, usize) -> ExperimentConfig,
+    cell: impl Fn(&Metrics) -> String,
+) -> Result<(Table, Vec<SweepPoint>), RunError> {
+    let configs: Vec<ExperimentConfig> = sizes
+        .iter()
+        .flat_map(|&mb| PolicyKind::ALL.map(|policy| config(policy, mb)))
+        .collect();
+    let points = sweep(&configs, 0)?;
+    let mut headers = vec!["cache_mb"];
+    headers.extend(PolicyKind::ALL.iter().map(PolicyKind::name));
+    let mut table = Table::new(title, &headers);
+    for (mb, row) in sizes.iter().zip(points.chunks(PolicyKind::ALL.len())) {
+        let cells = row.iter().map(|pt| cell(&pt.metrics));
+        table.push_row(std::iter::once(mb.to_string()).chain(cells).collect());
+    }
+    Ok((table, points))
 }
 
 /// Run every configuration, preserving order. `threads = 0` uses all

@@ -13,52 +13,47 @@ use crate::faulted::execute_faulted;
 use crate::plan::PlannedCampaign;
 use crate::runner::RunError;
 use fbf_codes::encode::encode;
-use fbf_codes::{Stripe, StripeCode};
+use fbf_codes::{CodeError, Stripe, StripeCode};
 use fbf_disksim::EngineScratch;
-use fbf_recovery::{apply_scheme, generate_schemes_parallel, StripePlan};
-use fbf_workload::{generate_errors, ErrorGenConfig};
+use fbf_recovery::{apply_scheme, StripeDamage, StripePlan};
+use std::collections::BTreeSet;
+
+/// Payload bytes per chunk — small: the XOR algebra is size-independent,
+/// so this verifies the schemes, not the disk model.
+const CHUNK_SIZE: usize = 1024;
 
 /// Outcome of a verified campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Stripes repaired and verified.
+    /// Surviving stripes repaired and verified byte-for-byte.
     pub stripes: usize,
-    /// Chunks recovered and compared.
+    /// Chunks recovered and compared (original + escalated damage).
     pub chunks: usize,
     /// Bytes compared (chunks × chunk size).
     pub bytes: u64,
+    /// Stripes correctly declared unrecoverable (damage past the code's
+    /// fault tolerance) — excluded from the byte comparison. Zero unless
+    /// the config's fault plan destroyed data.
+    pub lost: usize,
 }
 
-/// Replay `cfg`'s campaign on real payloads and verify every recovered
-/// byte. Uses a small (1 KiB) payload per chunk — the XOR algebra is
-/// size-independent, so this verifies the schemes, not the disk model.
-pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError> {
-    let code = StripeCode::build(cfg.code, cfg.p)?;
-    let errors = generate_errors(
-        &code,
-        &ErrorGenConfig::paper_default(cfg.stripes, cfg.error_count, cfg.seed),
-    );
-    let schemes = generate_schemes_parallel(&code, &errors, cfg.scheme, cfg.gen_threads)?;
-
-    let chunk_size = 1024;
-    let mut report = VerifyReport {
-        stripes: 0,
-        chunks: 0,
-        bytes: 0,
-    };
-    for (damage, scheme) in errors.damage_by_stripe().iter().zip(&schemes) {
-        assert_eq!(
-            damage.stripe, scheme.stripe,
-            "scheme order matches damage order"
-        );
+impl VerifyReport {
+    /// Erase `damage` from a freshly encoded stripe, run `repair` on it
+    /// and compare every recovered chunk with the original.
+    fn check(
+        &mut self,
+        code: &StripeCode,
+        damage: &StripeDamage,
+        repair: impl FnOnce(&mut Stripe) -> Result<(), CodeError>,
+    ) -> Result<(), RunError> {
         let mut pristine =
-            Stripe::patterned_seeded(code.layout(), chunk_size, damage.stripe as u64);
-        encode(&code, &mut pristine).map_err(RunError::Code)?;
+            Stripe::patterned_seeded(code.layout(), CHUNK_SIZE, damage.stripe as u64);
+        encode(code, &mut pristine).map_err(RunError::Code)?;
         let mut damaged = pristine.clone();
         for &cell in &damage.cells {
             damaged.erase(code.layout(), cell);
         }
-        apply_scheme(&code, &mut damaged, scheme).map_err(RunError::Code)?;
+        repair(&mut damaged).map_err(RunError::Code)?;
         for &cell in &damage.cells {
             assert_eq!(
                 damaged.get(code.layout(), cell),
@@ -66,79 +61,62 @@ pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError>
                 "stripe {} cell {cell}: reconstruction produced wrong bytes",
                 damage.stripe
             );
-            report.chunks += 1;
-            report.bytes += chunk_size as u64;
+            self.chunks += 1;
+            self.bytes += CHUNK_SIZE as u64;
         }
-        report.stripes += 1;
+        self.stripes += 1;
+        Ok(())
     }
-    Ok(report)
 }
 
-/// Outcome of a verified *faulted* campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultedVerifyReport {
-    /// Surviving stripes repaired and verified byte-for-byte.
-    pub stripes: usize,
-    /// Chunks recovered and compared (original + escalated damage).
-    pub chunks: usize,
-    /// Bytes compared.
-    pub bytes: u64,
-    /// Stripes correctly declared unrecoverable (damage past the code's
-    /// fault tolerance) — excluded from the byte comparison.
-    pub lost: usize,
-}
-
-/// Replay `cfg`'s campaign *with its fault plan* and verify that every
-/// stripe the escalation driver reports as repaired decodes bit-for-bit.
+/// Replay `cfg`'s campaign — under its fault plan, if it has one — and
+/// verify that every stripe the simulated run reports as repaired decodes
+/// bit-for-bit.
 ///
-/// Re-runs the multi-round execution to learn each stripe's final damage
-/// and final plan, then checks on real payloads that the final plan
-/// recovers the full accumulated damage — proving the re-planned repairs
-/// are as sound as the originals. Lost stripes are checked to genuinely
-/// exceed the code's fault tolerance.
-pub fn verify_campaign_faulted(cfg: &ExperimentConfig) -> Result<FaultedVerifyReport, RunError> {
+/// Runs the same execution as [`run_experiment`](crate::run_experiment)
+/// to learn each stripe's final damage and final plan (its original
+/// scheme, or its last re-plan against the accumulated damage), then
+/// checks on real payloads that the plan recovers the damage — proving
+/// re-planned repairs are as sound as the originals. Lost stripes are
+/// checked to genuinely exceed the code's fault tolerance.
+pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError> {
     cfg.validate()?;
     let code = StripeCode::build(cfg.code, cfg.p)?;
     let plan = PlannedCampaign::cold(cfg)?;
-    let outcome = execute_faulted(cfg, &plan, &mut EngineScratch::new());
+    let outcome = execute_faulted(cfg, &plan, &mut EngineScratch::new(), None);
 
-    let chunk_size = 1024;
-    let mut report = FaultedVerifyReport {
-        stripes: 0,
-        chunks: 0,
-        bytes: 0,
-        lost: 0,
-    };
-    for damage in &outcome.surviving_damage {
-        let final_plan = outcome
-            .final_plans
-            .get(&damage.stripe)
-            .expect("surviving stripe has a final plan");
-        let mut pristine =
-            Stripe::patterned_seeded(code.layout(), chunk_size, damage.stripe as u64);
-        encode(&code, &mut pristine).map_err(RunError::Code)?;
-        let mut damaged = pristine.clone();
-        for &cell in &damage.cells {
-            damaged.erase(code.layout(), cell);
+    let mut report = VerifyReport::default();
+    // Stripes the original schemes did not repair: lost, unresolved, or
+    // re-planned.
+    let not_original: BTreeSet<u32> = (outcome.data_loss.iter().map(|d| d.stripe))
+        .chain(outcome.unresolved.iter().map(|d| d.stripe))
+        .chain(outcome.final_plans.keys().copied())
+        .collect();
+    for (damage, scheme) in plan.errors.damage_by_stripe().iter().zip(&plan.schemes) {
+        assert_eq!(
+            damage.stripe, scheme.stripe,
+            "scheme order matches damage order"
+        );
+        if !not_original.contains(&damage.stripe) {
+            report.check(&code, damage, |s| apply_scheme(&code, s, scheme))?;
         }
-        match final_plan {
-            StripePlan::Chained(s) => {
-                apply_scheme(&code, &mut damaged, s).map_err(RunError::Code)?
-            }
-            StripePlan::Joint(j) => j.apply(&code, &mut damaged).map_err(RunError::Code)?,
-        }
-        for &cell in &damage.cells {
-            assert_eq!(
-                damaged.get(code.layout(), cell),
-                pristine.get(code.layout(), cell),
-                "stripe {} cell {cell}: faulted reconstruction produced wrong bytes",
-                damage.stripe
-            );
-            report.chunks += 1;
-            report.bytes += chunk_size as u64;
-        }
-        report.stripes += 1;
     }
+    for (damage, replan) in outcome
+        .surviving_damage
+        .iter()
+        .zip(outcome.final_plans.values())
+    {
+        assert_eq!(damage.stripe, replan.stripe(), "re-plans pair with damage");
+        report.check(&code, damage, |s| match replan {
+            StripePlan::Chained(scheme) => apply_scheme(&code, s, scheme),
+            StripePlan::Joint(joint) => joint.apply(&code, s),
+        })?;
+    }
+    assert_eq!(
+        (report.stripes, report.chunks),
+        (outcome.stripes_repaired, outcome.chunks_recovered),
+        "the run counts as repaired exactly what was verified"
+    );
     let tolerance = code.spec().fault_tolerance();
     for loss in &outcome.data_loss {
         assert!(
@@ -212,7 +190,7 @@ mod tests {
 
     #[test]
     fn verifies_a_media_faulted_campaign() {
-        let report = verify_campaign_faulted(&faulted_cfg(30, None)).unwrap();
+        let report = verify_campaign(&faulted_cfg(30, None)).unwrap();
         assert_eq!(report.stripes + report.lost, 48);
         assert!(report.stripes > 0, "most stripes survive 30‰");
         assert_eq!(report.bytes, report.chunks as u64 * 1024);
@@ -220,18 +198,19 @@ mod tests {
 
     #[test]
     fn verifies_through_a_disk_kill() {
-        let report = verify_campaign_faulted(&faulted_cfg(20, Some(4))).unwrap();
+        let report = verify_campaign(&faulted_cfg(20, Some(4))).unwrap();
         assert_eq!(report.stripes + report.lost, 48);
     }
 
     #[test]
     fn faultless_plan_matches_plain_verify() {
+        // Without faults the verified set is the plan's own bookkeeping.
         let mut cfg = faulted_cfg(0, None);
         cfg.faults = FaultPlan::none();
-        let plain = verify_campaign(&cfg).unwrap();
-        let faulted = verify_campaign_faulted(&cfg).unwrap();
-        assert_eq!(faulted.stripes, plain.stripes);
-        assert_eq!(faulted.chunks, plain.chunks);
-        assert_eq!(faulted.lost, 0);
+        let plan = PlannedCampaign::cold(&cfg).unwrap();
+        let report = verify_campaign(&cfg).unwrap();
+        assert_eq!(report.stripes, plan.schemes.len());
+        assert_eq!(report.chunks, plan.chunks_lost);
+        assert_eq!(report.lost, 0);
     }
 }

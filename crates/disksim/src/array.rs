@@ -9,7 +9,7 @@
 //! an array with many more disks than columns, so rebuild reads after a
 //! disk failure touch every survivor instead of hammering `k - 1` disks).
 
-use crate::declust::{clustered_disk, declustered_disk, DeclusteredLayout, Placement};
+use crate::declust::{clustered_disk, declustered_disk, Placement};
 use fbf_codes::ChunkId;
 
 /// Maps chunks to (disk, LBA) addresses.
@@ -61,8 +61,8 @@ impl ArrayMapping {
         self.disk_of_col(chunk.stripe, chunk.cell.c())
     }
 
-    /// Column-level placement (the [`DeclusteredLayout`] view of this
-    /// mapping, without needing a `ChunkId`).
+    /// Column-level placement, without needing a `ChunkId` (the rebuild
+    /// scheduler projects per-disk read footprints through it).
     pub fn disk_of_col(&self, stripe: u32, col: usize) -> usize {
         debug_assert!(
             col < self.cols,
@@ -90,24 +90,6 @@ impl ArrayMapping {
     /// of replacing the whole disk", §II-C).
     pub fn spare_lba_of(&self, chunk: ChunkId, data_stripes: u64) -> u64 {
         data_stripes * self.rows as u64 + self.lba_of(chunk)
-    }
-}
-
-impl DeclusteredLayout for ArrayMapping {
-    fn disks(&self) -> usize {
-        self.disks
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn disk_of(&self, stripe: u32, col: usize) -> usize {
-        self.disk_of_col(stripe, col)
-    }
-
-    fn name(&self) -> &'static str {
-        self.placement.name()
     }
 }
 

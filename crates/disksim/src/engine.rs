@@ -22,7 +22,7 @@ use crate::array::ArrayMapping;
 use crate::buffer::{BufferCache, Lookup};
 use crate::disk::{DiskModel, DiskStats};
 use crate::equeue::{CalendarQueue, EventQueue};
-use crate::fault::{FailedRead, FaultCounters, FaultDraw, FaultPlan, ReadFailure};
+use crate::fault::{resolve_read, FailedRead, FaultCounters, FaultPlan, ReadOutcome};
 use crate::hist::Histogram;
 use crate::sched::{DiskRequest, DiskSched, QueuedDisk};
 use crate::time::SimTime;
@@ -622,57 +622,32 @@ impl Engine {
                                     let disk = cfg.mapping.disk_of(chunk);
                                     let mut delay = SimTime::ZERO;
                                     if faulting && !repaired.contains(&chunk) {
-                                        let failure = if faults.disk_dead(disk, now) {
-                                            report.faults.dead_disk_reads += 1;
-                                            Some(ReadFailure::DeadDisk)
-                                        } else {
-                                            match faults.draw(chunk) {
-                                                FaultDraw::Ok => None,
-                                                FaultDraw::Media => {
-                                                    report.faults.media_errors += 1;
-                                                    Some(ReadFailure::Media)
-                                                }
-                                                FaultDraw::Transient { stalls } => {
-                                                    report.faults.transient_faults += 1;
-                                                    let max = faults.retry.max_retries;
-                                                    if stalls <= max {
-                                                        // Retries succeed:
-                                                        // the read just
-                                                        // takes longer.
-                                                        report.faults.retries += u64::from(stalls);
-                                                        delay = faults.retry.delay_for(stalls);
-                                                        None
-                                                    } else {
-                                                        report.faults.retries += u64::from(max);
-                                                        report.faults.retries_exhausted += 1;
-                                                        delay = faults.retry.delay_for(max);
-                                                        Some(ReadFailure::RetriesExhausted)
-                                                    }
-                                                }
+                                        let outcome = resolve_read(
+                                            faults.disk_dead(disk, now),
+                                            faults.draw(chunk),
+                                            &faults.retry,
+                                        );
+                                        report.faults.record(outcome, &faults.retry);
+                                        match outcome {
+                                            ReadOutcome::Ok { delay: d, .. } => delay = d,
+                                            ReadOutcome::Failed { kind, wasted } => {
+                                                // Hard failure: no frame is
+                                                // reserved (no data will
+                                                // arrive), the chunk becomes
+                                                // an extra erasure.
+                                                report.failed_reads.push(FailedRead {
+                                                    chunk,
+                                                    worker: w as u32,
+                                                    kind,
+                                                });
+                                                failed_stripes.insert(chunk.stripe);
+                                                queue.push((
+                                                    now + wasted + faults.retry.detect,
+                                                    EV_WORKER,
+                                                    w,
+                                                ));
+                                                continue;
                                             }
-                                        };
-                                        if let Some(kind) = failure {
-                                            // Hard failure: no frame is
-                                            // reserved (no data will
-                                            // arrive), the chunk becomes
-                                            // an extra erasure.
-                                            report.failed_reads.push(FailedRead {
-                                                chunk,
-                                                worker: w as u32,
-                                                kind,
-                                            });
-                                            failed_stripes.insert(chunk.stripe);
-                                            let wasted = if kind == ReadFailure::RetriesExhausted {
-                                                delay
-                                            } else {
-                                                SimTime::ZERO
-                                            };
-                                            queue.push((
-                                                now + wasted + faults.retry.detect,
-                                                EV_WORKER,
-                                                w,
-                                            ));
-                                            continue;
                                         }
                                     }
                                     // Reserve the frame at issue time (the
@@ -707,33 +682,18 @@ impl Engine {
                                         continue;
                                     }
                                     let disk = cfg.mapping.disk_of(chunk);
-                                    let kind = if faults.disk_dead(disk, now) {
-                                        report.faults.dead_disk_reads += 1;
-                                        Some(ReadFailure::DeadDisk)
-                                    } else {
-                                        match faults.draw(chunk) {
-                                            FaultDraw::Media => {
-                                                report.faults.media_errors += 1;
-                                                Some(ReadFailure::Media)
-                                            }
-                                            FaultDraw::Transient { stalls }
-                                                if stalls > faults.retry.max_retries =>
-                                            {
-                                                report.faults.transient_faults += 1;
-                                                report.faults.retries +=
-                                                    u64::from(faults.retry.max_retries);
-                                                report.faults.retries_exhausted += 1;
-                                                wasted = wasted.max(
-                                                    faults
-                                                        .retry
-                                                        .delay_for(faults.retry.max_retries),
-                                                );
-                                                Some(ReadFailure::RetriesExhausted)
-                                            }
-                                            _ => None,
-                                        }
-                                    };
-                                    if let Some(kind) = kind {
+                                    let outcome = resolve_read(
+                                        faults.disk_dead(disk, now),
+                                        faults.draw(chunk),
+                                        &faults.retry,
+                                    );
+                                    if let ReadOutcome::Failed {
+                                        kind,
+                                        wasted: spent,
+                                    } = outcome
+                                    {
+                                        report.faults.record(outcome, &faults.retry);
+                                        wasted = wasted.max(spent);
                                         report.failed_reads.push(FailedRead {
                                             chunk,
                                             worker: w as u32,
@@ -774,12 +734,14 @@ impl Engine {
                                         if faulting && !repaired.contains(&chunk) {
                                             // Only survivable transients
                                             // remain after the pre-scan.
-                                            if let FaultDraw::Transient { stalls } =
-                                                faults.draw(chunk)
-                                            {
-                                                report.faults.transient_faults += 1;
-                                                report.faults.retries += u64::from(stalls);
-                                                delay = faults.retry.delay_for(stalls);
+                                            let outcome = resolve_read(
+                                                false,
+                                                faults.draw(chunk),
+                                                &faults.retry,
+                                            );
+                                            report.faults.record(outcome, &faults.retry);
+                                            if let ReadOutcome::Ok { delay: d, .. } = outcome {
+                                                delay = d;
                                             }
                                         }
                                         let lba = cfg.mapping.lba_of(chunk);
@@ -947,6 +909,7 @@ fn emit_run_events(cfg: &EngineConfig, caches: &[BufferCache], report: &RunRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ReadFailure;
     use fbf_codes::Cell;
 
     fn chunk(stripe: u32, r: usize, c: usize) -> ChunkId {

@@ -180,7 +180,75 @@ pub struct FaultCounters {
     pub skipped_ops: u64,
 }
 
+/// What a read under a fault plan comes to, after retries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadOutcome {
+    /// The data arrives, `delay` later than the disk alone would take.
+    Ok {
+        /// Time lost to `retries` stalled attempts.
+        delay: SimTime,
+        /// Stalled attempts the read survived (0 = no fault drawn).
+        retries: u8,
+    },
+    /// Hard failure: the chunk is an additional erasure.
+    Failed {
+        /// Failure class.
+        kind: ReadFailure,
+        /// Time spent on retries before giving up (the caller adds
+        /// [`RetryPolicy::detect`]).
+        wasted: SimTime,
+    },
+}
+
+/// Resolve one read of a chunk that is not in the cache and has not been
+/// rewritten to the spare area: a dead disk swallows the read before any
+/// media/transient draw, and a transient fault fails only once its stalls
+/// outrun the retry budget. The engine feeds it
+/// [`FaultPlan::disk_dead`]/[`FaultPlan::draw`], the data plane its
+/// backend's `disk_dead`/`classify_read`.
+pub fn resolve_read(dead: bool, draw: FaultDraw, retry: &RetryPolicy) -> ReadOutcome {
+    let failed = |kind, wasted| ReadOutcome::Failed { kind, wasted };
+    if dead {
+        return failed(ReadFailure::DeadDisk, SimTime::ZERO);
+    }
+    match draw {
+        FaultDraw::Ok => ReadOutcome::Ok {
+            delay: SimTime::ZERO,
+            retries: 0,
+        },
+        FaultDraw::Media => failed(ReadFailure::Media, SimTime::ZERO),
+        FaultDraw::Transient { stalls } if stalls <= retry.max_retries => ReadOutcome::Ok {
+            delay: retry.delay_for(stalls),
+            retries: stalls,
+        },
+        FaultDraw::Transient { .. } => failed(
+            ReadFailure::RetriesExhausted,
+            retry.delay_for(retry.max_retries),
+        ),
+    }
+}
+
 impl FaultCounters {
+    /// Count one resolved read.
+    pub fn record(&mut self, outcome: ReadOutcome, retry: &RetryPolicy) {
+        match outcome {
+            ReadOutcome::Ok { retries: 0, .. } => {}
+            ReadOutcome::Ok { retries, .. } => {
+                self.transient_faults += 1;
+                self.retries += u64::from(retries);
+            }
+            ReadOutcome::Failed { kind, .. } => match kind {
+                ReadFailure::Media => self.media_errors += 1,
+                ReadFailure::DeadDisk => self.dead_disk_reads += 1,
+                ReadFailure::RetriesExhausted => {
+                    self.transient_faults += 1;
+                    self.retries += u64::from(retry.max_retries);
+                    self.retries_exhausted += 1;
+                }
+            },
+        }
+    }
+
     /// Total hard failures (each one becomes an additional erasure).
     pub fn hard_failures(&self) -> u64 {
         self.media_errors + self.retries_exhausted + self.dead_disk_reads
@@ -237,12 +305,6 @@ impl FaultPlan {
             || self.transient_per_mille > 0
             || self.straggler.is_some()
             || self.disk_kill.is_some()
-    }
-
-    /// Can this plan produce hard or transient read failures (as opposed
-    /// to only perturbing timing)?
-    pub fn injects_read_faults(&self) -> bool {
-        self.media_per_mille > 0 || self.transient_per_mille > 0 || self.disk_kill.is_some()
     }
 
     /// Deterministic per-chunk fault draw. Pure in `(self.seed, chunk)`:
@@ -366,6 +428,24 @@ mod tests {
         let d8 = r.delay_for(8);
         let d9 = r.delay_for(9);
         assert_eq!(d9 - d8, SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn resolver_puts_dead_before_media_before_the_retry_budget() {
+        let retry = RetryPolicy::default(); // 3 retries
+        let kind = |dead, draw| match resolve_read(dead, draw, &retry) {
+            ReadOutcome::Failed { kind, .. } => Some(kind),
+            ReadOutcome::Ok { .. } => None,
+        };
+        assert_eq!(kind(true, FaultDraw::Media), Some(ReadFailure::DeadDisk));
+        assert_eq!(kind(false, FaultDraw::Media), Some(ReadFailure::Media));
+        let stalled = |stalls| FaultDraw::Transient { stalls };
+        assert_eq!(kind(false, stalled(4)), Some(ReadFailure::RetriesExhausted));
+        let (delay, retries) = (retry.delay_for(3), 3);
+        assert_eq!(
+            resolve_read(false, stalled(3), &retry),
+            ReadOutcome::Ok { delay, retries }
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod time;
 pub use array::ArrayMapping;
 pub use backend::{BackendDiskStats, BackendError, FileBackend, SimBackend, StorageBackend};
 pub use buffer::{BufferCache, Lookup};
-pub use declust::{ClusteredLayout, D3Layout, DeclusteredLayout, Placement};
+pub use declust::Placement;
 pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use engine::{
     build_caches, CacheSharing, Engine, EngineConfig, EngineScratch, Op, ResponseStats, RunReport,
@@ -43,7 +43,8 @@ pub use engine::{
 };
 pub use equeue::{CalendarQueue, Event, EventQueue};
 pub use fault::{
-    DiskKill, FailedRead, FaultCounters, FaultDraw, FaultPlan, ReadFailure, RetryPolicy, SlowDisk,
+    resolve_read, DiskKill, FailedRead, FaultCounters, FaultDraw, FaultPlan, ReadFailure,
+    ReadOutcome, RetryPolicy, SlowDisk,
 };
 pub use fbf_obs::{Digest, RequestClass};
 pub use hist::Histogram;

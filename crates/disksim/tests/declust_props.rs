@@ -1,25 +1,28 @@
-//! Differential property tests for the declustered placement layer
+//! Property tests for the declustered placement layer
 //! (`crates/disksim/src/declust.rs` + `ArrayMapping`), over randomized
 //! array geometries.
 //!
-//! The rebuild scheduler's admission projections, the engine's routing,
-//! and the layout trait all evaluate the same column→disk map
-//! independently; these properties pin the contracts they rely on:
+//! The rebuild scheduler's admission projections and the engine's routing
+//! evaluate the same column→disk map through `ArrayMapping`; these
+//! properties pin the contracts they rely on:
 //!
 //! 1. **Per-stripe injectivity** — restricted to one stripe, every
-//!    layout is an injection into the disk set (the placement
+//!    placement is an injection into the disk set (the placement
 //!    invariant on the module), so `(disk, lba)` is collision-free.
-//! 2. **Differential agreement** — `ArrayMapping::disk_of_col` equals
-//!    the standalone layout structs for every placement, geometry, and
-//!    seed: the trait view and the engine view never drift.
+//! 2. **Differential agreement** — the engine's chunk view
+//!    (`ArrayMapping::disk_of`) and the scheduler's column view
+//!    (`disk_of_col`) equal the module's closed-form maps for every
+//!    placement, geometry, and seed: the two views never drift.
 //! 3. **Permutation shape** — a D3 stripe's map extended to all `n`
 //!    columns is a full permutation of `Z_n` (affine with unit slope),
 //!    which is *why* injectivity holds for any `cols <= disks`.
 //! 4. **Determinism** — placement is a pure function of
 //!    `(geometry, seed, stripe, col)`; equal inputs agree across
-//!    separately constructed layouts.
+//!    separately constructed mappings.
 
-use fbf_disksim::{ArrayMapping, ClusteredLayout, D3Layout, DeclusteredLayout, Placement};
+use fbf_codes::{Cell, ChunkId};
+use fbf_disksim::declust::{clustered_disk, declustered_disk};
+use fbf_disksim::{ArrayMapping, Placement};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -32,10 +35,17 @@ fn geometry() -> impl Strategy<Value = (usize, usize)> {
     })
 }
 
+/// The disks of one stripe, in column order.
+fn stripe_disks(mapping: &ArrayMapping, stripe: u32) -> Vec<usize> {
+    (0..mapping.cols)
+        .map(|c| mapping.disk_of_col(stripe, c))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every layout places one stripe's columns on distinct disks, all
+    /// Every placement puts one stripe's columns on distinct disks, all
     /// inside the array.
     #[test]
     fn every_layout_is_injective_per_stripe(
@@ -44,28 +54,23 @@ proptest! {
         stripe in 0u32..10_000,
     ) {
         let (disks, cols) = geom;
-        let layouts: [&dyn DeclusteredLayout; 3] = [
-            &ClusteredLayout::new(disks, cols, false),
-            &ClusteredLayout::new(disks, cols, true),
-            &D3Layout::new(disks, cols, seed),
-        ];
-        for layout in layouts {
-            let homes = layout.stripe_disks(stripe);
-            prop_assert!(homes.iter().all(|&d| d < disks), "{}: disk out of range", layout.name());
+        for placement in [Placement::Fixed, Placement::Rotated, Placement::Declustered { seed }] {
+            let homes = stripe_disks(&ArrayMapping::with_placement(disks, 4, cols, placement), stripe);
+            prop_assert!(homes.iter().all(|&d| d < disks), "{}: disk out of range", placement.name());
             let distinct: BTreeSet<usize> = homes.iter().copied().collect();
             prop_assert_eq!(
                 distinct.len(),
                 cols,
                 "{}: stripe {} reuses a disk: {:?}",
-                layout.name(),
+                placement.name(),
                 stripe,
                 homes
             );
         }
     }
 
-    /// The engine's `ArrayMapping` and the standalone layout structs are
-    /// the same function — differentially, cell by cell.
+    /// The engine's chunk view and the scheduler's column view of an
+    /// `ArrayMapping` are the placement's closed-form map — cell by cell.
     #[test]
     fn array_mapping_matches_the_layout_structs(
         geom in geometry(),
@@ -73,22 +78,26 @@ proptest! {
         stripes in proptest::collection::vec(0u32..100_000, 1..40),
     ) {
         let (disks, cols) = geom;
-        let cases: [(&dyn DeclusteredLayout, Placement); 3] = [
-            (&ClusteredLayout::new(disks, cols, false), Placement::Fixed),
-            (&ClusteredLayout::new(disks, cols, true), Placement::Rotated),
-            (&D3Layout::new(disks, cols, seed), Placement::Declustered { seed }),
-        ];
-        for (layout, placement) in cases {
+        for placement in [Placement::Fixed, Placement::Rotated, Placement::Declustered { seed }] {
             let mapping = ArrayMapping::with_placement(disks, 4, cols, placement);
             for &stripe in &stripes {
                 for col in 0..cols {
+                    let expect = match placement {
+                        Placement::Fixed => clustered_disk(disks, false, stripe, col),
+                        Placement::Rotated => clustered_disk(disks, true, stripe, col),
+                        Placement::Declustered { seed } => declustered_disk(disks, seed, stripe, col),
+                    };
                     prop_assert_eq!(
                         mapping.disk_of_col(stripe, col),
-                        layout.disk_of(stripe, col),
+                        expect,
                         "{} mapping drifts from the layout at stripe {} col {}",
-                        layout.name(),
+                        placement.name(),
                         stripe,
                         col
+                    );
+                    prop_assert_eq!(
+                        mapping.disk_of(ChunkId::new(stripe, Cell::new(3, col))),
+                        expect
                     );
                 }
             }
@@ -104,14 +113,14 @@ proptest! {
         seed in 0u64..=u64::MAX,
         stripe in 0u32..10_000,
     ) {
-        let full = D3Layout::new(disks, disks, seed);
-        let image: BTreeSet<usize> = full.stripe_disks(stripe).into_iter().collect();
+        let full = ArrayMapping::declustered(disks, 4, disks, seed);
+        let image: BTreeSet<usize> = stripe_disks(&full, stripe).into_iter().collect();
         prop_assert_eq!(image.len(), disks, "stripe {} is not a permutation", stripe);
         prop_assert_eq!(image.into_iter().max(), Some(disks - 1));
     }
 
-    /// Placement is pure: separately constructed layouts with equal
-    /// parameters agree everywhere, and the rotated layout matches its
+    /// Placement is pure: separately constructed mappings with equal
+    /// parameters agree everywhere, and the rotated placement matches its
     /// closed form.
     #[test]
     fn placement_is_a_pure_function_of_its_parameters(
@@ -120,12 +129,12 @@ proptest! {
         stripe in 0u32..100_000,
     ) {
         let (disks, cols) = geom;
-        let a = D3Layout::new(disks, cols, seed);
-        let b = D3Layout::new(disks, cols, seed);
-        prop_assert_eq!(a.stripe_disks(stripe), b.stripe_disks(stripe));
-        let rot = ClusteredLayout::new(disks, cols, true);
+        let a = ArrayMapping::declustered(disks, 4, cols, seed);
+        let b = ArrayMapping::declustered(disks, 4, cols, seed);
+        prop_assert_eq!(stripe_disks(&a, stripe), stripe_disks(&b, stripe));
+        let rot = ArrayMapping::with_placement(disks, 4, cols, Placement::Rotated);
         for col in 0..cols {
-            prop_assert_eq!(rot.disk_of(stripe, col), (col + stripe as usize) % disks);
+            prop_assert_eq!(rot.disk_of_col(stripe, col), (col + stripe as usize) % disks);
         }
     }
 }

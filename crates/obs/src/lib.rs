@@ -1,9 +1,8 @@
 //! # fbf-obs — structured tracing and event counters for the FBF stack
 //!
 //! The simulator, cache, and sweep engine explain themselves through this
-//! crate: phase spans (plan / simulate / gather), per-run cache and disk
-//! counter events, and a process-wide counter registry. The design follows
-//! the `tracing` crate in spirit — a global pluggable [`Subscriber`] that
+//! crate: phase spans (plan / simulate / gather) and per-run cache and
+//! disk counter events. The design follows the `tracing` crate in spirit — a global pluggable [`Subscriber`] that
 //! every layer emits into — vendored-stub style like the rest of the
 //! workspace (no external dependencies, the API subset we actually use).
 //!
@@ -65,7 +64,6 @@ pub mod bridge;
 pub mod digest;
 pub mod json;
 pub mod prom;
-pub mod registry;
 pub mod ring;
 pub mod subscriber;
 pub mod trace;
@@ -74,7 +72,6 @@ pub use bridge::BridgeSubscriber;
 pub use digest::{Digest, RequestClass};
 pub use json::{Json, JsonError};
 pub use prom::PromWriter;
-pub use registry::{registry, CounterHandle, Registry};
 pub use ring::FlightRecorder;
 pub use subscriber::{
     CountingSubscriber, Event, EventKind, FanoutSubscriber, NoopSubscriber, StderrSubscriber,

@@ -63,17 +63,15 @@ fn effective_workers(config: &ExecConfig, stripes: usize) -> usize {
     config.workers.min(stripes.max(1))
 }
 
-/// Lower a campaign into per-worker scripts.
-///
-/// Scheme `i` (one stripe) goes to worker `i % workers` — SOR's
-/// stripe-oriented partitioning; each worker repairs its stripes strictly
-/// in order.
-pub fn build_scripts(
-    schemes: &[RecoveryScheme],
-    dictionary: &PriorityDictionary,
+/// Deal `items` (one stripe each) round-robin over the workers' scripts:
+/// item `i` goes to worker `i % workers` — SOR's stripe-oriented
+/// partitioning; each worker repairs its stripes strictly in order.
+fn lower_round_robin<T>(
+    items: &[T],
     config: &ExecConfig,
+    mut lower: impl FnMut(&T, &mut WorkerScript),
 ) -> Vec<WorkerScript> {
-    let workers = effective_workers(config, schemes.len());
+    let workers = effective_workers(config, items.len());
     let mut scripts = vec![
         WorkerScript {
             class: config.class,
@@ -81,26 +79,47 @@ pub fn build_scripts(
         };
         workers
     ];
-    for (i, scheme) in schemes.iter().enumerate() {
-        let script = &mut scripts[i % workers];
-        for repair in &scheme.repairs {
-            for &cell in &repair.option.reads {
-                let chunk = ChunkId::new(scheme.stripe, cell);
-                script.ops.push(Op::Read {
-                    chunk,
-                    priority: dictionary.priority_of(&chunk),
-                });
-            }
-            let xor_chunks = repair.option.reads.len() as u64;
-            script.ops.push(Op::Compute {
-                duration: SimTime::from_nanos(config.xor_time_per_chunk.as_nanos() * xor_chunks),
-            });
-            script.ops.push(Op::Write {
-                chunk: ChunkId::new(scheme.stripe, repair.target),
-            });
-        }
+    for (i, item) in items.iter().enumerate() {
+        lower(item, &mut scripts[i % workers]);
     }
     scripts
+}
+
+/// One chained scheme: every repair becomes its read burst, an XOR
+/// compute step and a spare write.
+fn lower_chained(
+    scheme: &RecoveryScheme,
+    dictionary: &PriorityDictionary,
+    config: &ExecConfig,
+    script: &mut WorkerScript,
+) {
+    for repair in &scheme.repairs {
+        for &cell in &repair.option.reads {
+            let chunk = ChunkId::new(scheme.stripe, cell);
+            script.ops.push(Op::Read {
+                chunk,
+                priority: dictionary.priority_of(&chunk),
+            });
+        }
+        let xor_chunks = repair.option.reads.len() as u64;
+        script.ops.push(Op::Compute {
+            duration: SimTime::from_nanos(config.xor_time_per_chunk.as_nanos() * xor_chunks),
+        });
+        script.ops.push(Op::Write {
+            chunk: ChunkId::new(scheme.stripe, repair.target),
+        });
+    }
+}
+
+/// Lower a campaign into per-worker scripts.
+pub fn build_scripts(
+    schemes: &[RecoveryScheme],
+    dictionary: &PriorityDictionary,
+    config: &ExecConfig,
+) -> Vec<WorkerScript> {
+    lower_round_robin(schemes, config, |scheme, script| {
+        lower_chained(scheme, dictionary, config, script)
+    })
 }
 
 /// Lower a campaign of [`StripePlan`]s (chained + joint fallbacks) into
@@ -112,64 +131,33 @@ pub fn build_scripts_from_plans(
     dictionary: &PriorityDictionary,
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
-    let workers = effective_workers(config, plans.len());
-    let mut scripts = vec![
-        WorkerScript {
-            class: config.class,
-            ..Default::default()
-        };
-        workers
-    ];
-    for (i, plan) in plans.iter().enumerate() {
-        let script = &mut scripts[i % workers];
-        match plan {
-            StripePlan::Chained(scheme) => {
-                for repair in &scheme.repairs {
-                    for &cell in &repair.option.reads {
-                        let chunk = ChunkId::new(scheme.stripe, cell);
-                        script.ops.push(Op::Read {
-                            chunk,
-                            priority: dictionary.priority_of(&chunk),
-                        });
-                    }
-                    let xor_chunks = repair.option.reads.len() as u64;
-                    script.ops.push(Op::Compute {
-                        duration: SimTime::from_nanos(
-                            config.xor_time_per_chunk.as_nanos() * xor_chunks,
-                        ),
-                    });
-                    script.ops.push(Op::Write {
-                        chunk: ChunkId::new(scheme.stripe, repair.target),
-                    });
-                }
-            }
-            StripePlan::Joint(joint) => {
-                let fan_out: Vec<(ChunkId, u8)> = joint
-                    .reads
-                    .iter()
-                    .map(|&cell| {
-                        let id = ChunkId::new(joint.stripe, cell);
-                        (id, dictionary.priority_of(&id))
-                    })
-                    .collect();
-                let n = fan_out.len() as u64;
-                script.push_gather(fan_out);
-                // Joint decode costs roughly one XOR pass per equation row
-                // touched — charge reads + lost as a conservative bound.
-                script.ops.push(Op::Compute {
-                    duration: SimTime::from_nanos(
-                        config.xor_time_per_chunk.as_nanos() * (n + joint.lost.len() as u64),
-                    ),
+    lower_round_robin(plans, config, |plan, script| match plan {
+        StripePlan::Chained(scheme) => lower_chained(scheme, dictionary, config, script),
+        StripePlan::Joint(joint) => {
+            let fan_out: Vec<(ChunkId, u8)> = joint
+                .reads
+                .iter()
+                .map(|&cell| {
+                    let id = ChunkId::new(joint.stripe, cell);
+                    (id, dictionary.priority_of(&id))
+                })
+                .collect();
+            let n = fan_out.len() as u64;
+            script.push_gather(fan_out);
+            // Joint decode costs roughly one XOR pass per equation row
+            // touched — charge reads + lost as a conservative bound.
+            script.ops.push(Op::Compute {
+                duration: SimTime::from_nanos(
+                    config.xor_time_per_chunk.as_nanos() * (n + joint.lost.len() as u64),
+                ),
+            });
+            for &cell in &joint.lost {
+                script.ops.push(Op::Write {
+                    chunk: ChunkId::new(joint.stripe, cell),
                 });
-                for &cell in &joint.lost {
-                    script.ops.push(Op::Write {
-                        chunk: ChunkId::new(joint.stripe, cell),
-                    });
-                }
             }
         }
-    }
-    scripts
+    })
 }
 
 /// Apply a scheme to real stripe payloads: for each repair, XOR the read

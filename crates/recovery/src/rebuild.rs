@@ -12,8 +12,8 @@
 //! [`RebuildScheduler`] is deliberately pure: it knows nothing about the
 //! simulator or the plan store. Callers enqueue [`RebuildItem`]s — a
 //! stripe plus its *projected* per-disk read footprint (derived from the
-//! repair scheme and the array's [`DeclusteredLayout`]
-//! (fbf_disksim::DeclusteredLayout)) — and drain waves. Determinism
+//! repair scheme and the array's
+//! [`ArrayMapping`](fbf_disksim::ArrayMapping)) — and drain waves. Determinism
 //! follows from determinism of the inputs: same items in the same order,
 //! same waves out.
 //!

@@ -1,21 +1,13 @@
 #!/usr/bin/env bash
-# Regenerate every paper artefact and extension study into results/.
+# Regenerate every paper artefact and extension study into results/:
+# every binary of the fbf-bench crate, in name order.
 # Scale with FBF_STRIPES / FBF_ERRORS / FBF_WORKERS (see README).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINS=(
-  fig2_fig3_walkthrough
-  fig8_hit_ratio fig9_read_ops fig10_response_time fig11_reconstruction_time
-  table4_overhead table5_summary
-  ablation_scheme ablation_demotion ablation_sharing ablation_scheduling
-  extended_policies tail_latency wov_curve straggler multi_disk_damage
-  disk_rebuild degraded_reads raid6_generality reliability_gain
-  code_comparison fault_tolerance_audit
-)
-
 cargo build --release -p fbf-bench
-for bin in "${BINS[@]}"; do
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
   echo "== $bin =="
   cargo run --release -q -p fbf-bench --bin "$bin"
 done

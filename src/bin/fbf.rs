@@ -35,15 +35,15 @@
 //! Daemon transport selection (`serve`/`client`): `--socket <path>` for a
 //! unix socket (default `$TMPDIR/fbfd.sock`), `--tcp <addr:port>` for TCP.
 
+use fbf::core::{policy_grid, CACHE_MB};
 use fbf::recovery::{scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind};
 use fbf::report::f;
 use fbf::workload::{
     client_trace_ids, generate_errors, parse_trace, render_trace, shard_campaign, validate_against,
     ErrorGenConfig, LoadReport,
 };
-use fbf::PolicyKind;
 use fbf::{
-    run_experiment, run_experiment_with_errors, sweep, ConfigError, DaemonClient, DaemonOptions,
+    run_experiment, run_experiment_with_errors, ConfigError, DaemonClient, DaemonOptions,
     ExperimentConfig, ExperimentConfigBuilder, Json, ReliabilityParams, ServerAddr, Table,
 };
 use fbf::{CodeSpec, StripeCode};
@@ -696,21 +696,20 @@ fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) 
         Ok(c) => c,
         Err(rc) => return rc,
     };
-    let sizes = [2usize, 8, 32, 64, 128, 256, 512, 2048];
-    let configs: Vec<ExperimentConfig> = sizes
-        .iter()
-        .flat_map(|&mb| {
-            PolicyKind::ALL.iter().map(move |&policy| {
-                builder
-                    .policy(policy)
-                    .cache_mb(mb)
-                    .build()
-                    .expect("validated base stays valid across the grid")
-            })
-        })
-        .collect();
-    let points = match sweep(&configs, 0) {
-        Ok(p) => p,
+    let grid = policy_grid(
+        format!("hit ratio — {}(p={})", base.code.name(), base.p),
+        &CACHE_MB,
+        |policy, mb| {
+            builder
+                .policy(policy)
+                .cache_mb(mb)
+                .build()
+                .expect("validated base stays valid across the grid")
+        },
+        |m| f(m.hit_ratio, 4),
+    );
+    let (table, points) = match grid {
+        Ok(g) => g,
         Err(e) => {
             eprintln!("sweep failed: {e}");
             return 1;
@@ -736,18 +735,6 @@ fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) 
             ("points", Json::Arr(rows)),
         ]));
         return 0;
-    }
-    let mut table = Table::new(
-        format!("hit ratio — {}(p={})", base.code.name(), base.p),
-        &["cache_mb", "FIFO", "LRU", "LFU", "ARC", "FBF"],
-    );
-    for (i, &mb) in sizes.iter().enumerate() {
-        let row = &points[i * 5..(i + 1) * 5];
-        table.push_row(
-            std::iter::once(mb.to_string())
-                .chain(row.iter().map(|pt| f(pt.metrics.hit_ratio, 4)))
-                .collect(),
-        );
     }
     println!("{}", table.render());
     0
@@ -1626,7 +1613,7 @@ mod tests {
     use fbf::core::config::KEYS;
     use fbf::core::daemon::config_from_request;
     use fbf::disksim::{DiskKill, SlowDisk};
-    use fbf::{FaultPlan, SimTime};
+    use fbf::{FaultPlan, PolicyKind, SimTime};
 
     type Builder = ExperimentConfigBuilder;
     type Setter = fn(Builder) -> Builder;

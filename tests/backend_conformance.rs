@@ -13,11 +13,13 @@
 //!   pristine stripe.
 
 use fbf::core::PlannedCampaign;
+use fbf::disksim::{DiskKill, Engine};
 use fbf::{
-    file_backend_for, run_experiment, run_planned_on, sim_backend_for, ChunkId, ExperimentConfig,
-    FaultPlan, PlanSource, PolicyKind, StorageBackend, StripeCode,
+    file_backend_for, run_experiment, run_planned_on, sim_backend_for, ArrayMapping, ChunkId,
+    ExperimentConfig, FaultPlan, PlanSource, PolicyKind, SimTime, StorageBackend, StripeCode,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn small(policy: PolicyKind) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -166,6 +168,50 @@ fn decode_batch_sizes_agree_under_faults() {
             "batch={batch}"
         );
         assert_eq!(m.faults.retries, oracle.faults.retries, "batch={batch}");
+    }
+}
+
+/// Fault accounting is the engine's: both resolve every read through
+/// `fbf::disksim::resolve_read`, so one engine pass over the plan's
+/// scripts and a data-plane run count the same faults — survivable and
+/// exhausted transients, media errors, dead-disk reads, and the ops an
+/// abandoned repair skips.
+#[test]
+fn fault_counters_match_one_engine_pass() {
+    let kill_at_zero = DiskKill {
+        disk: 2,
+        at: SimTime::ZERO,
+    };
+    for disk_kill in [None, Some(kill_at_zero)] {
+        let cfg = ExperimentConfig {
+            faults: FaultPlan {
+                seed: 7,
+                media_per_mille: 12,
+                transient_per_mille: 80,
+                transient_failures_max: 6,
+                disk_kill,
+                ..FaultPlan::none()
+            },
+            ..small(PolicyKind::Fbf)
+        };
+        let plan = PlannedCampaign::cold(&cfg).unwrap();
+        let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
+        let engine =
+            Engine::new(cfg.engine_config(mapping, Arc::clone(&plan.victim_map), cfg.faults))
+                .run(&plan.scripts);
+        let mut sim = sim_backend_for(&cfg, &plan).unwrap();
+        let data = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+
+        let f = engine.faults;
+        assert!(
+            f.media_errors > 0
+                && f.retries_exhausted > 0
+                && f.transient_faults > f.retries_exhausted,
+            "fault plan too tame to tell the accounting rules apart: {f:?}"
+        );
+        assert_eq!(f.dead_disk_reads > 0, disk_kill.is_some());
+        assert_eq!(data.faults, f, "kill: {disk_kill:?}");
+        assert_eq!(data.disk_reads, engine.disk_reads, "kill: {disk_kill:?}");
     }
 }
 
