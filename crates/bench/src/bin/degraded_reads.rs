@@ -13,8 +13,7 @@ use fbf_codes::{CodeSpec, StripeCode};
 use fbf_core::{report::f, Table};
 use fbf_disksim::{ArrayMapping, CacheSharing, Engine, EngineConfig, SimTime};
 use fbf_recovery::{
-    build_scripts, degrade_script, generate_schemes_parallel, ExecConfig, LostMap,
-    PriorityDictionary, SchemeKind,
+    build_scripts, degrade_script, plan_campaign_parallel, ExecConfig, LostMap, SchemeKind,
 };
 use fbf_workload::{generate_app_reads, generate_errors, AppIoConfig, ErrorGenConfig};
 
@@ -25,9 +24,8 @@ fn main() {
 
     // Reconstruction campaign and its schemes.
     let errors = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, 384, 4242));
-    let schemes =
-        generate_schemes_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
-    let dict = PriorityDictionary::from_schemes(&schemes);
+    let (schemes, dict) =
+        plan_campaign_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
     let lost = LostMap::from_group(&errors);
 
     // Application stream, biased toward the damaged region so a good

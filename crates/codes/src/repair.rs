@@ -42,15 +42,7 @@ pub fn repair_options(code: &StripeCode, target: Cell) -> Vec<RepairOption> {
     let mut opts: Vec<RepairOption> = code
         .chains_of(target)
         .iter()
-        .map(|&id| {
-            let chain = code.chain(id);
-            RepairOption {
-                target,
-                chain: id,
-                direction: chain.direction,
-                reads: chain.repair_reads(target),
-            }
-        })
+        .map(|&id| option_through(code, target, id))
         .collect();
     opts.sort_by_key(|o| (o.cost(), o.direction));
     opts
@@ -65,21 +57,31 @@ pub fn usable_repair_options(code: &StripeCode, target: Cell, lost: &[Cell]) -> 
         .collect()
 }
 
-/// For each direction, the cheapest usable option (if any). This is the menu
-/// the FBF direction-cycling scheme picks from.
+/// The option that rebuilds `target` through chain `id` (which must cover
+/// it), read set materialised.
+pub fn option_through(code: &StripeCode, target: Cell, id: ChainId) -> RepairOption {
+    let chain = code.chain(id);
+    RepairOption {
+        target,
+        chain: id,
+        direction: chain.direction,
+        reads: chain.repair_reads(target),
+    }
+}
+
+/// For each direction, the cheapest usable chain (if any) as
+/// `(read cost, chain)` — [`best_per_direction`] without the read sets.
 ///
-/// Winners are selected on `(cost, chain order)` without materialising any
-/// read set — an equation of `n` members always costs `n` reads no matter
-/// which of its cells is the target, so the whole scan is compare-only and
-/// at most three `reads` vectors are ever allocated. The scheme planner
-/// calls this once per still-lost candidate per round, which made the
-/// allocating enumerate-sort-filter formulation the hottest part of
-/// campaign planning.
-pub fn best_per_direction(
+/// Winners are selected on `(cost, chain order)`: an equation of `n`
+/// members always costs `n` reads no matter which of its cells is the
+/// target, so the whole scan is compare-only and allocates nothing. The
+/// scheme planner calls this once per still-lost candidate per round and
+/// materialises ([`option_through`]) only the chain it picks.
+pub fn best_chain_per_direction(
     code: &StripeCode,
     target: Cell,
     lost: &[Cell],
-) -> [Option<RepairOption>; 3] {
+) -> [Option<(usize, ChainId)>; 3] {
     let mut win: [Option<(usize, ChainId)>; 3] = [None, None, None];
     for &id in code.chains_of(target) {
         let chain = code.chain(id);
@@ -98,17 +100,18 @@ pub fn best_per_direction(
             *slot = Some((cost, id));
         }
     }
-    win.map(|w| {
-        w.map(|(_, id)| {
-            let chain = code.chain(id);
-            RepairOption {
-                target,
-                chain: id,
-                direction: chain.direction,
-                reads: chain.repair_reads(target),
-            }
-        })
-    })
+    win
+}
+
+/// For each direction, the cheapest usable option (if any): the winners of
+/// [`best_chain_per_direction`], each with its read set.
+pub fn best_per_direction(
+    code: &StripeCode,
+    target: Cell,
+    lost: &[Cell],
+) -> [Option<RepairOption>; 3] {
+    best_chain_per_direction(code, target, lost)
+        .map(|w| w.map(|(_, id)| option_through(code, target, id)))
 }
 
 #[cfg(test)]

@@ -45,8 +45,7 @@ use fbf_codes::StripeCode;
 use fbf_disksim::{ArrayMapping, EngineScratch, Placement, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
 use fbf_recovery::{
-    ErrorGroup, ExecConfig, Fairness, PartialStripeError, PriorityDictionary, RebuildItem,
-    RebuildScheduler,
+    ErrorGroup, ExecConfig, Fairness, PartialStripeError, RebuildItem, RebuildScheduler,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -289,15 +288,17 @@ pub fn execute_rebuild(
     let mut waves = 0usize;
     while !sched.is_empty() {
         let wave = sched.next_wave();
+        // Shards are stripe-disjoint, so each scheme lowers against the
+        // tables its own shard's plan already holds.
         let wave_schemes: Vec<_> = wave
             .iter()
             .map(|item| {
+                let plan = &plans[item.campaign];
                 let idx = scheme_index[item.campaign][&item.stripe];
-                plans[item.campaign].schemes[idx].clone()
+                (&plan.schemes[idx], &plan.dictionary)
             })
             .collect();
-        let dictionary = PriorityDictionary::from_schemes(&wave_schemes);
-        let mut scripts = fbf_recovery::build_scripts(&wave_schemes, &dictionary, &exec_cfg);
+        let mut scripts = fbf_recovery::build_scripts_borrowed(&wave_schemes, &exec_cfg);
         if spec.app_reads_per_wave > 0 {
             scripts.push(fbf_workload::generate_app_reads(
                 &code,

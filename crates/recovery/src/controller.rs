@@ -8,19 +8,21 @@
 //! be enumerated once a same format of partial stripe error is detected
 //! again, and no more calculation is required".
 //!
-//! [`RecoveryController`] implements exactly that: schemes are memoised by
-//! damage format and restamped per stripe, which turns the per-stripe
-//! planning cost into a hash lookup for recurring formats (most formats
-//! recur heavily in a campaign — there are only `O(cols · rows²)` of
-//! them). The `table4_overhead` bench measures the effect.
+//! [`RecoveryController`] implements exactly that: the scheme *and* its
+//! priority table are memoised by damage format. A recurring format
+//! (most recur heavily in a campaign — there are only `O(cols · rows²)`
+//! of them) costs a hash lookup, a restamped copy of the scheme and one
+//! `Arc` clone of the table; no share count is taken again. The
+//! `table4_overhead` bench measures the effect.
 
 use crate::error::{ErrorGroup, StripeDamage};
 use crate::joint::JointRepair;
-use crate::priority::PriorityDictionary;
+use crate::priority::{PriorityDictionary, PriorityTable};
 use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::hash::FxHashMap;
 use fbf_codes::{Cell, StripeCode};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// One stripe's repair plan: chain-by-chain (the normal case) or a joint
 /// decode (fallback when no chain ordering exists — see [`crate::joint`]).
@@ -59,7 +61,9 @@ impl Borrow<[Cell]> for Format {
 pub struct RecoveryController<'a> {
     code: &'a StripeCode,
     kind: SchemeKind,
-    memo: FxHashMap<Format, RecoveryScheme>,
+    /// Per format: the first stripe's scheme (restamped on reuse) and the
+    /// priority table every stripe of the format shares.
+    memo: FxHashMap<Format, (RecoveryScheme, Arc<PriorityTable>)>,
     hits: usize,
     misses: usize,
 }
@@ -76,40 +80,61 @@ impl<'a> RecoveryController<'a> {
         }
     }
 
-    /// Scheme for one stripe's damage, memoised by format.
-    pub fn scheme_for(&mut self, damage: &StripeDamage) -> Result<RecoveryScheme, SchemeError> {
-        if let Some(template) = self.memo.get(damage.cells.as_slice()) {
+    /// Scheme and shared priority table for one stripe's damage, memoised
+    /// by format.
+    fn plan_stripe(
+        &mut self,
+        damage: &StripeDamage,
+    ) -> Result<(RecoveryScheme, Arc<PriorityTable>), SchemeError> {
+        if let Some((template, table)) = self.memo.get(damage.cells.as_slice()) {
             self.hits += 1;
-            return Ok(RecoveryScheme {
+            let scheme = RecoveryScheme {
                 stripe: damage.stripe,
-                kind: template.kind,
-                repairs: template.repairs.clone(),
-            });
+                ..template.clone()
+            };
+            return Ok((scheme, Arc::clone(table)));
         }
         self.misses += 1;
         let scheme = generate_for_cells(self.code, damage.stripe, &damage.cells, self.kind)?;
+        let table = Arc::new(PriorityTable::new(
+            &scheme,
+            self.code.rows(),
+            self.code.cols(),
+        ));
         self.memo.insert(
             Format(damage.cells.clone()),
-            RecoveryScheme {
-                stripe: 0, // template; restamped on reuse
-                kind: scheme.kind,
-                repairs: scheme.repairs.clone(),
-            },
+            (scheme.clone(), Arc::clone(&table)),
         );
-        Ok(scheme)
+        Ok((scheme, table))
     }
 
-    /// Plan a whole campaign: schemes (stripe order) plus the merged
-    /// priority dictionary.
+    /// Scheme for one stripe's damage, memoised by format.
+    pub fn scheme_for(&mut self, damage: &StripeDamage) -> Result<RecoveryScheme, SchemeError> {
+        self.plan_stripe(damage).map(|(scheme, _)| scheme)
+    }
+
+    /// Plan a whole campaign: schemes (stripe order) plus the priority
+    /// dictionary, in which stripes of one format share one table.
     pub fn plan_campaign(
         &mut self,
         group: &ErrorGroup,
     ) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
-        let mut schemes = Vec::new();
-        for damage in group.damage_by_stripe() {
-            schemes.push(self.scheme_for(&damage)?);
+        self.plan_damages(&group.damage_by_stripe())
+    }
+
+    /// [`plan_campaign`](Self::plan_campaign) over already-merged damage,
+    /// one entry per stripe.
+    pub(crate) fn plan_damages(
+        &mut self,
+        damages: &[StripeDamage],
+    ) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
+        let mut schemes = Vec::with_capacity(damages.len());
+        let mut dictionary = PriorityDictionary::with_capacity(damages.len());
+        for damage in damages {
+            let (scheme, table) = self.plan_stripe(damage)?;
+            dictionary.insert(scheme.stripe, table);
+            schemes.push(scheme);
         }
-        let dictionary = PriorityDictionary::from_schemes(&schemes);
         Ok((schemes, dictionary))
     }
 
@@ -124,11 +149,11 @@ impl<'a> RecoveryController<'a> {
         group: &ErrorGroup,
     ) -> (Vec<StripePlan>, PriorityDictionary) {
         let mut plans = Vec::new();
-        let mut chained = Vec::new();
+        let mut dictionary = PriorityDictionary::new();
         for damage in group.damage_by_stripe() {
-            match self.scheme_for(&damage) {
-                Ok(scheme) => {
-                    chained.push(scheme.clone());
+            match self.plan_stripe(&damage) {
+                Ok((scheme, table)) => {
+                    dictionary.insert(scheme.stripe, table);
                     plans.push(StripePlan::Chained(scheme));
                 }
                 Err(SchemeError::Unschedulable(_)) => {
@@ -140,7 +165,6 @@ impl<'a> RecoveryController<'a> {
                 }
             }
         }
-        let dictionary = PriorityDictionary::from_schemes(&chained);
         (plans, dictionary)
     }
 

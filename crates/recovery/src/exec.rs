@@ -86,19 +86,20 @@ fn lower_round_robin<T>(
 }
 
 /// One chained scheme: every repair becomes its read burst, an XOR
-/// compute step and a spare write.
+/// compute step and a spare write. The stripe's priority table is fetched
+/// once and indexed per read.
 fn lower_chained(
     scheme: &RecoveryScheme,
     dictionary: &PriorityDictionary,
     config: &ExecConfig,
     script: &mut WorkerScript,
 ) {
+    let table = dictionary.table(scheme.stripe);
     for repair in &scheme.repairs {
         for &cell in &repair.option.reads {
-            let chunk = ChunkId::new(scheme.stripe, cell);
             script.ops.push(Op::Read {
-                chunk,
-                priority: dictionary.priority_of(&chunk),
+                chunk: ChunkId::new(scheme.stripe, cell),
+                priority: table.map_or(1, |t| t.priority(cell)),
             });
         }
         let xor_chunks = repair.option.reads.len() as u64;
@@ -118,6 +119,19 @@ pub fn build_scripts(
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
     lower_round_robin(schemes, config, |scheme, script| {
+        lower_chained(scheme, dictionary, config, script)
+    })
+}
+
+/// [`build_scripts`] over schemes borrowed from several planned campaigns,
+/// each lowered against the dictionary of the campaign that planned it —
+/// a rebuild wave mixes stripes of stripe-disjoint shards, so no merged
+/// dictionary (and no scheme copy) is needed to lower it.
+pub fn build_scripts_borrowed(
+    schemes: &[(&RecoveryScheme, &PriorityDictionary)],
+    config: &ExecConfig,
+) -> Vec<WorkerScript> {
+    lower_round_robin(schemes, config, |&(scheme, dictionary), script| {
         lower_chained(scheme, dictionary, config, script)
     })
 }
@@ -310,6 +324,62 @@ mod tests {
                 assert_eq!(*priority, dict.priority_of(chunk));
             }
         }
+    }
+
+    #[test]
+    fn scripts_equal_per_chunk_lowering_op_for_op() {
+        let code = StripeCode::build(CodeSpec::TripleStar, 7).unwrap();
+        let mut group = ErrorGroup::new();
+        for s in 0..11u32 {
+            let (col, first, len) = (s as usize % 3, s as usize % 2, 1 + s as usize % 4);
+            group.push(PartialStripeError::new(&code, 2 * s, col, first, len).unwrap());
+        }
+        let (schemes, dict) = crate::RecoveryController::new(&code, SchemeKind::FbfCycling)
+            .plan_campaign(&group)
+            .unwrap();
+        let config = ExecConfig {
+            workers: 3,
+            ..Default::default()
+        };
+        // The reference lowering: one dictionary lookup per read.
+        let mut expect = vec![WorkerScript::default(); 3];
+        for (i, scheme) in schemes.iter().enumerate() {
+            let ops = &mut expect[i % 3].ops;
+            for repair in &scheme.repairs {
+                for &cell in &repair.option.reads {
+                    let chunk = ChunkId::new(scheme.stripe, cell);
+                    ops.push(Op::Read {
+                        chunk,
+                        priority: dict.priority_of(&chunk),
+                    });
+                }
+                ops.push(Op::Compute {
+                    duration: SimTime::from_nanos(
+                        config.xor_time_per_chunk.as_nanos() * repair.option.reads.len() as u64,
+                    ),
+                });
+                ops.push(Op::Write {
+                    chunk: ChunkId::new(scheme.stripe, repair.target),
+                });
+            }
+        }
+        let scripts = build_scripts(&schemes, &dict, &config);
+        assert_eq!(scripts, expect);
+        assert!(scripts
+            .iter()
+            .flat_map(|s| &s.ops)
+            .any(|op| matches!(op, Op::Read { priority, .. } if *priority > 1)));
+        // Borrowed schemes, each with its own campaign's dictionary.
+        let halves: Vec<PriorityDictionary> = schemes
+            .chunks(6)
+            .map(PriorityDictionary::from_schemes)
+            .collect();
+        let borrowed: Vec<_> = schemes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s, &halves[i / 6]))
+            .collect();
+        assert_eq!(build_scripts_borrowed(&borrowed, &config), expect);
     }
 
     #[test]

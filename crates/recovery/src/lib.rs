@@ -17,7 +17,7 @@
 //!   XOR compute, spare writes) and can also *apply* a scheme to real
 //!   stripe payloads so tests verify recovered bytes;
 //! * [`parallel`] — SOR-style partitioning of a campaign across workers,
-//!   plus multi-threaded scheme generation using std scoped threads;
+//!   plus multi-threaded campaign planning using std scoped threads;
 //! * [`scrub`] — background verification: chain-syndrome computation,
 //!   silent-corruption location, and repair (§II-C's motivation);
 //! * [`degraded`] — on-the-fly repair of application reads that hit lost
@@ -43,9 +43,11 @@ pub use degraded::{degrade_script, LostMap};
 pub use disk_rebuild::{rebuild_campaign, rebuild_read_ratio, rebuild_schemes};
 pub use error::{ErrorGroup, PartialStripeError, StripeDamage};
 pub use escalate::{Absorbed, DataLoss, Escalator};
-pub use exec::{apply_scheme, build_scripts, build_scripts_from_plans, ExecConfig};
+pub use exec::{
+    apply_scheme, build_scripts, build_scripts_borrowed, build_scripts_from_plans, ExecConfig,
+};
 pub use joint::JointRepair;
-pub use parallel::{assign_round_robin, generate_schemes_parallel};
+pub use parallel::{assign_round_robin, generate_schemes_parallel, plan_campaign_parallel};
 pub use priority::PriorityDictionary;
 pub use rebuild::{Fairness, RebuildItem, RebuildScheduler};
 pub use scheme::{ChunkRepair, RecoveryScheme, SchemeError, SchemeKind};

@@ -5,13 +5,19 @@
 //! * **Inside the simulation** — SOR workers are *logical* processes whose
 //!   contention the engine models in virtual time; [`assign_round_robin`]
 //!   partitions stripes over them.
-//! * **On the host** — scheme generation for a large campaign is pure
-//!   CPU work, embarrassingly parallel per stripe.
-//!   [`generate_schemes_parallel`] fans it out over `std::thread::scope`
-//!   threads (the guides' recommended shape: spawn N workers over disjoint
-//!   index ranges, no shared mutable state, join for the results).
+//! * **On the host** — campaign planning is pure CPU work, embarrassingly
+//!   parallel per stripe. [`plan_campaign_parallel`] — the planning path of
+//!   every `gen_threads` value — runs one format-memoising
+//!   [`RecoveryController`] per `std::thread::scope` thread over disjoint
+//!   contiguous ranges of the damaged stripes (no shared mutable state,
+//!   join for the results). [`generate_schemes_parallel`] fans out the
+//!   same way but generates every stripe from scratch: it is the
+//!   un-memoised oracle the differential tests and Table IV's `full_*`
+//!   columns compare the controller against.
 
+use crate::controller::RecoveryController;
 use crate::error::{ErrorGroup, StripeDamage};
+use crate::priority::PriorityDictionary;
 use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::StripeCode;
 
@@ -26,8 +32,69 @@ pub fn assign_round_robin(group: &ErrorGroup, workers: usize) -> Vec<Vec<usize>>
     queues
 }
 
-/// Generate one scheme per *damaged stripe* (same-stripe errors merged),
-/// in parallel across host threads.
+/// Run `work` over contiguous slices of `damages` on up to `threads` host
+/// threads (`0` = one per available CPU, never more than one per stripe);
+/// at least one result, in slice order.
+fn fan_out<T: Send>(
+    damages: &[StripeDamage],
+    threads: usize,
+    work: impl Fn(&[StripeDamage]) -> T + Sync,
+) -> Vec<T> {
+    let threads = if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+    .min(damages.len());
+    if threads <= 1 {
+        return vec![work(damages)];
+    }
+    let work = &work;
+    // Joins every worker and re-raises a worker's panic.
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = damages
+            .chunks(damages.len().div_ceil(threads))
+            .map(|slice| scope.spawn(move || work(slice)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// Plan a campaign — schemes in stripe order plus the priority dictionary —
+/// on `threads` host threads (`0` = one per available CPU).
+///
+/// Each thread runs its own [`RecoveryController`] over a contiguous slice
+/// of the damaged stripes, so every thread count memoises by format; the
+/// slices' results are concatenated in stripe order. The plan does not
+/// depend on `threads`: a scheme and its table are functions of the
+/// damage format alone, and an error is the first one in stripe order.
+pub fn plan_campaign_parallel(
+    code: &StripeCode,
+    group: &ErrorGroup,
+    kind: SchemeKind,
+    threads: usize,
+) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
+    let damages = group.damage_by_stripe();
+    let mut parts = fan_out(&damages, threads, |slice| {
+        RecoveryController::new(code, kind).plan_damages(slice)
+    })
+    .into_iter();
+    let (mut schemes, mut dictionary) = parts.next().expect("fan_out yields a result")?;
+    for part in parts {
+        let (part_schemes, part_dictionary) = part?;
+        schemes.extend(part_schemes);
+        dictionary.merge(part_dictionary);
+    }
+    Ok((schemes, dictionary))
+}
+
+/// Generate one scheme per *damaged stripe* (same-stripe errors merged)
+/// from scratch — no format memo — in parallel across host threads.
 ///
 /// Results are ordered by stripe. `threads = 0` means one thread per
 /// available CPU (capped by the number of stripes).
@@ -38,43 +105,17 @@ pub fn generate_schemes_parallel(
     threads: usize,
 ) -> Result<Vec<RecoveryScheme>, SchemeError> {
     let damages = group.damage_by_stripe();
-    let n = damages.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(n);
-
-    let gen_one = |d: &StripeDamage| generate_for_cells(code, d.stripe, &d.cells, kind);
-
-    if threads <= 1 {
-        return damages.iter().map(gen_one).collect();
-    }
-
-    let mut out: Vec<Option<Result<RecoveryScheme, SchemeError>>> = Vec::new();
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(threads);
-
-    // Joins every worker and re-raises a worker's panic.
-    std::thread::scope(|scope| {
-        for (slice, damages) in out.chunks_mut(chunk).zip(damages.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, d) in slice.iter_mut().zip(damages) {
-                    *slot = Some(generate_for_cells(code, d.stripe, &d.cells, kind));
-                }
-            });
-        }
+    let parts = fan_out(&damages, threads, |slice| {
+        slice
+            .iter()
+            .map(|d| generate_for_cells(code, d.stripe, &d.cells, kind))
+            .collect::<Result<Vec<_>, _>>()
     });
-
-    out.into_iter()
-        .map(|r| r.expect("every slot filled by its worker"))
-        .collect()
+    let mut schemes = Vec::with_capacity(damages.len());
+    for part in parts {
+        schemes.extend(part?);
+    }
+    Ok(schemes)
 }
 
 #[cfg(test)]
@@ -122,6 +163,23 @@ mod tests {
         let parallel = generate_schemes_parallel(&code, &g, SchemeKind::FbfCycling, 4).unwrap();
         assert_eq!(serial, parallel, "scheme generation must be deterministic");
         assert_eq!(serial.len(), 25);
+    }
+
+    #[test]
+    fn planning_does_not_depend_on_thread_count() {
+        let code = StripeCode::build(CodeSpec::TripleStar, 7).unwrap();
+        let g = group(&code, 25);
+        let oracle = generate_schemes_parallel(&code, &g, SchemeKind::FbfCycling, 1).unwrap();
+        let oracle_dict = PriorityDictionary::from_schemes(&oracle);
+        for threads in [0, 1, 2, 4, 64] {
+            let (schemes, dict) =
+                plan_campaign_parallel(&code, &g, SchemeKind::FbfCycling, threads).unwrap();
+            assert_eq!(schemes, oracle, "{threads} threads");
+            assert_eq!(dict, oracle_dict, "{threads} threads");
+        }
+        let (none, empty) =
+            plan_campaign_parallel(&code, &ErrorGroup::new(), SchemeKind::Typical, 4).unwrap();
+        assert!(none.is_empty() && empty.is_empty());
     }
 
     #[test]

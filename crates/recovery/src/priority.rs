@@ -13,21 +13,146 @@
 //! The dictionary is consulted by the RAID controller when a fetched chunk
 //! is inserted into the FBF cache. Chunks outside any scheme (e.g.
 //! application reads during recovery) default to priority 1.
+//!
+//! Priorities belong to the damage *format*, not to the chunk: every
+//! stripe with the same lost cells gets the same scheme, hence the same
+//! cell → priority table. The dictionary is therefore
+//! `stripe → shared table`; the
+//! [`RecoveryController`](crate::RecoveryController) derives one table
+//! per format and hands the same [`Arc`] to every stripe of that format.
+//! Sharing cannot change a priority: a [`ChunkId`] carries its stripe, so
+//! the only entries that ever merge are two schemes for *one* stripe, and
+//! those max-merge cell by cell exactly as they always did.
 
 use crate::scheme::RecoveryScheme;
 use fbf_codes::hash::FxHashMap;
 use fbf_codes::{Cell, ChunkId};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
+
+/// One stripe's priorities as a dense row-major `cell → priority` table;
+/// 0 marks a cell no repair reads.
+///
+/// The geometry is whatever the builder knew — the code's `rows × cols`
+/// from the controller, the bounding box of the reads from
+/// [`PriorityDictionary::from_scheme`] — and carries no meaning: cells
+/// outside it are unread, and `==` compares priorities, not shape.
+#[derive(Debug, Clone)]
+pub(crate) struct PriorityTable {
+    cols: usize,
+    prio: Box<[u8]>,
+    /// Cells with a non-zero entry.
+    known: usize,
+}
+
+impl PriorityTable {
+    /// The table of `scheme`'s reads over a `rows × cols` grid, which must
+    /// contain every read cell.
+    pub(crate) fn new(scheme: &RecoveryScheme, rows: usize, cols: usize) -> Self {
+        // Share counts first (saturating far above Table II's top bucket),
+        // then mapped in place.
+        let mut prio = vec![0u8; rows * cols].into_boxed_slice();
+        for repair in &scheme.repairs {
+            for cell in &repair.option.reads {
+                let slot = &mut prio[cell.r() * cols + cell.c()];
+                *slot = slot.saturating_add(1);
+            }
+        }
+        for slot in prio.iter_mut().filter(|s| **s > 0) {
+            *slot = priority_for_count(usize::from(*slot));
+        }
+        Self::from_grid(cols, prio)
+    }
+
+    fn from_grid(cols: usize, prio: Box<[u8]>) -> Self {
+        let known = prio.iter().filter(|&&p| p > 0).count();
+        PriorityTable { cols, prio, known }
+    }
+
+    /// [`new`](Self::new) over the bounding box of the scheme's reads.
+    fn bounding(scheme: &RecoveryScheme) -> Self {
+        let reads = || scheme.repairs.iter().flat_map(|r| &r.option.reads);
+        let rows = reads().map(|c| c.r() + 1).max().unwrap_or(0);
+        let cols = reads().map(|c| c.c() + 1).max().unwrap_or(0);
+        Self::new(scheme, rows, cols)
+    }
+
+    fn rows(&self) -> usize {
+        self.prio.len().checked_div(self.cols).unwrap_or(0)
+    }
+
+    /// The stored entry: 0 when no repair reads `cell`.
+    fn entry(&self, cell: Cell) -> u8 {
+        if cell.c() < self.cols {
+            self.prio
+                .get(cell.r() * self.cols + cell.c())
+                .copied()
+                .unwrap_or(0)
+        } else {
+            0
+        }
+    }
+
+    /// Priority of `cell`; 1 when no repair reads it.
+    #[inline]
+    pub(crate) fn priority(&self, cell: Cell) -> u8 {
+        self.entry(cell).max(1)
+    }
+
+    /// The read cells with their priorities, in `(row, col)` order.
+    fn cells(&self) -> impl Iterator<Item = (Cell, u8)> + '_ {
+        let cols = self.cols;
+        self.prio
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p > 0)
+            .map(move |(i, &p)| (Cell::new(i / cols, i % cols), p))
+    }
+
+    /// Cell-wise maximum of two tables — what a stripe given two schemes
+    /// ends up with: a chunk keeps its highest priority.
+    fn max_merged(&self, other: &PriorityTable) -> PriorityTable {
+        let rows = self.rows().max(other.rows());
+        let cols = self.cols.max(other.cols);
+        let mut prio = vec![0u8; rows * cols].into_boxed_slice();
+        for (cell, p) in self.cells().chain(other.cells()) {
+            let slot = &mut prio[cell.r() * cols + cell.c()];
+            *slot = (*slot).max(p);
+        }
+        Self::from_grid(cols, prio)
+    }
+}
+
+/// Same priority for every cell, whatever the two geometries.
+impl PartialEq for PriorityTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.known == other.known && self.cells().all(|(cell, p)| other.entry(cell) == p)
+    }
+}
+
+impl Eq for PriorityTable {}
 
 /// Priorities for every chunk the schemes will touch.
+///
+/// `==` means "the same chunks are known, each at the same priority".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PriorityDictionary {
-    map: FxHashMap<ChunkId, u8>,
+    /// Only non-empty tables are stored, so two dictionaries that know
+    /// the same chunks hold the same stripes.
+    tables: FxHashMap<u32, Arc<PriorityTable>>,
 }
 
 impl PriorityDictionary {
     /// Empty dictionary (everything priority 1).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty dictionary with room for `stripes` tables.
+    pub(crate) fn with_capacity(stripes: usize) -> Self {
+        let mut d = Self::new();
+        d.tables.reserve(stripes);
+        d
     }
 
     /// Build from one scheme.
@@ -37,7 +162,9 @@ impl PriorityDictionary {
         d
     }
 
-    /// Build from a whole campaign of schemes.
+    /// Build from a whole campaign of schemes, deriving every stripe's
+    /// table from its own scheme — the un-memoised construction the
+    /// controller's shared tables are tested against.
     pub fn from_schemes<'a>(schemes: impl IntoIterator<Item = &'a RecoveryScheme>) -> Self {
         let mut d = Self::new();
         for s in schemes {
@@ -46,53 +173,83 @@ impl PriorityDictionary {
         d
     }
 
-    /// Merge one scheme's share counts in.
+    /// Merge one scheme's share counts in. A chunk the stripe's earlier
+    /// schemes already read keeps its highest priority.
     pub fn add_scheme(&mut self, scheme: &RecoveryScheme) {
-        for (cell, count) in scheme.share_count_list() {
-            let chunk = ChunkId::new(scheme.stripe, cell);
-            let prio = priority_for_count(count);
-            // A chunk shared across schemes keeps its highest priority.
-            let entry = self.map.entry(chunk).or_insert(1);
-            *entry = (*entry).max(prio);
+        self.insert(scheme.stripe, Arc::new(PriorityTable::bounding(scheme)));
+    }
+
+    /// Give `stripe` a (possibly shared) table, max-merging with the one
+    /// it already has, if any.
+    pub(crate) fn insert(&mut self, stripe: u32, table: Arc<PriorityTable>) {
+        if table.known == 0 {
+            return;
         }
+        match self.tables.entry(stripe) {
+            Entry::Vacant(slot) => {
+                slot.insert(table);
+            }
+            Entry::Occupied(mut slot) => {
+                let merged = slot.get().max_merged(&table);
+                slot.insert(Arc::new(merged));
+            }
+        }
+    }
+
+    /// Move every table of `other` in (max-merging on a shared stripe).
+    pub fn merge(&mut self, other: PriorityDictionary) {
+        self.tables.reserve(other.tables.len());
+        for (stripe, table) in other.tables {
+            self.insert(stripe, table);
+        }
+    }
+
+    /// The table of one stripe, if any scheme reads from it — fetch it
+    /// once to look up many chunks of the stripe without re-hashing.
+    pub(crate) fn table(&self, stripe: u32) -> Option<&PriorityTable> {
+        self.tables.get(&stripe).map(|t| &**t)
     }
 
     /// Priority of a chunk; 1 when unknown.
     pub fn priority_of(&self, chunk: &ChunkId) -> u8 {
-        self.map.get(chunk).copied().unwrap_or(1)
+        self.table(chunk.stripe)
+            .map_or(1, |t| t.priority(chunk.cell))
     }
 
     /// Chunks holding a given priority, unordered. Used by reports and the
     /// Table III reproduction example.
     pub fn chunks_with_priority(&self, prio: u8) -> Vec<ChunkId> {
-        self.map
+        self.tables
             .iter()
-            .filter(|&(_, &p)| p == prio)
-            .map(|(&k, _)| k)
+            .flat_map(|(&stripe, table)| {
+                table
+                    .cells()
+                    .filter(move |&(_, p)| p == prio)
+                    .map(move |(cell, _)| ChunkId::new(stripe, cell))
+            })
             .collect()
     }
 
     /// Cells (within `stripe`) holding a given priority, sorted — matches
-    /// the paper's Table III presentation.
+    /// the paper's Table III presentation. Reads the stripe's one table,
+    /// which is stored in `(row, col)` order already.
     pub fn cells_with_priority(&self, stripe: u32, prio: u8) -> Vec<Cell> {
-        let mut v: Vec<Cell> = self
-            .map
-            .iter()
-            .filter(|&(k, &p)| k.stripe == stripe && p == prio)
-            .map(|(k, _)| k.cell)
-            .collect();
-        v.sort_unstable();
-        v
+        self.table(stripe)
+            .into_iter()
+            .flat_map(PriorityTable::cells)
+            .filter(|&(_, p)| p == prio)
+            .map(|(cell, _)| cell)
+            .collect()
     }
 
     /// Number of known chunks.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.tables.values().map(|t| t.known).sum()
     }
 
     /// Is the dictionary empty?
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.tables.is_empty()
     }
 }
 
@@ -131,6 +288,22 @@ mod tests {
             let chunk = ChunkId::new(0, cell);
             assert_eq!(d.priority_of(&chunk), priority_for_count(count), "{cell}");
         }
+    }
+
+    #[test]
+    fn stripes_of_one_format_share_one_table() {
+        let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
+        let mut group = crate::ErrorGroup::new();
+        group.push(PartialStripeError::new(&code, 4, 0, 1, 3).unwrap());
+        group.push(PartialStripeError::new(&code, 9, 0, 1, 3).unwrap());
+        group.push(PartialStripeError::new(&code, 2, 1, 1, 3).unwrap());
+        let (_, d) = crate::RecoveryController::new(&code, SchemeKind::FbfCycling)
+            .plan_campaign(&group)
+            .unwrap();
+        assert!(Arc::ptr_eq(&d.tables[&4], &d.tables[&9]), "one format");
+        assert!(!Arc::ptr_eq(&d.tables[&4], &d.tables[&2]), "another column");
+        // Sharing a table does not share chunks: the stripe is in the key.
+        assert_eq!(d.len(), 2 * d.tables[&4].known + d.tables[&2].known);
     }
 
     #[test]

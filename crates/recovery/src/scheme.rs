@@ -21,7 +21,9 @@
 
 use crate::error::PartialStripeError;
 use fbf_codes::hash::FxHashSet;
-use fbf_codes::repair::{best_per_direction, RepairOption};
+use fbf_codes::repair::{
+    best_chain_per_direction, best_per_direction, option_through, RepairOption,
+};
 use fbf_codes::{Cell, Direction, StripeCode};
 
 /// Which scheme generator to use.
@@ -157,38 +159,33 @@ pub fn generate_for_cells(
     kind: SchemeKind,
 ) -> Result<RecoveryScheme, SchemeError> {
     let repairs = match kind {
-        SchemeKind::Typical => plan(code, lost, |i, menu, _| {
-            // Horizontal if available, else first available family.
-            let _ = i;
-            pick_in_order(
-                menu,
-                [
-                    Direction::Horizontal,
-                    Direction::Diagonal,
-                    Direction::AntiDiagonal,
-                ],
-            )
+        // Horizontal if available, else first available family.
+        SchemeKind::Typical => plan(lost, |_, target, still_lost| {
+            pick_in_order(code, target, still_lost, Direction::ALL)
         }),
-        SchemeKind::FbfCycling => plan(code, lost, |i, menu, _| {
-            // Cycle H, D, A by position within the error run.
+        // Cycle H, D, A by position within the error run.
+        SchemeKind::FbfCycling => plan(lost, |i, target, still_lost| {
             let start = i % 3;
             let order = [
                 Direction::ALL[start],
                 Direction::ALL[(start + 1) % 3],
                 Direction::ALL[(start + 2) % 3],
             ];
-            pick_in_order(menu, order)
+            pick_in_order(code, target, still_lost, order)
         }),
-        SchemeKind::Greedy => plan(code, lost, |_, menu, scheduled| {
-            // Fewest new chunks beyond what is already scheduled for read.
-            menu.iter()
-                .flatten()
-                .min_by_key(|opt| {
+        // Fewest new chunks beyond what is already scheduled for read.
+        SchemeKind::Greedy => {
+            let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
+            plan(lost, |_, target, still_lost| {
+                let menu = best_per_direction(code, target, still_lost);
+                let pick = menu.into_iter().flatten().min_by_key(|opt| {
                     let new = opt.reads.iter().filter(|c| !scheduled.contains(*c)).count();
                     (new, opt.reads.len(), opt.direction)
-                })
-                .cloned()
-        }),
+                })?;
+                scheduled.extend(pick.reads.iter().copied());
+                Some(pick)
+            })
+        }
     }?;
     Ok(RecoveryScheme {
         stripe,
@@ -200,20 +197,16 @@ pub fn generate_for_cells(
 /// Shared planning loop: repeatedly pick a repair for the first still-lost
 /// cell that has a usable option, allowing reads of already-repaired cells.
 ///
-/// `chooser(position, menu, scheduled_reads)` selects among the per-
-/// direction best options; `position` is the index of the target within the
-/// original error run (drives FBF's direction cycling).
-fn plan<F>(
-    code: &StripeCode,
-    lost: &[Cell],
-    mut chooser: F,
-) -> Result<Vec<ChunkRepair>, SchemeError>
+/// `chooser(position, target, still_lost)` returns the repair it wants for
+/// `target` (which is then scheduled — a `Some` is never declined) or
+/// `None` when no chain is usable yet; `position` is the index of the
+/// target within the original error run (drives FBF's direction cycling).
+fn plan<F>(lost: &[Cell], mut chooser: F) -> Result<Vec<ChunkRepair>, SchemeError>
 where
-    F: FnMut(usize, &[Option<RepairOption>; 3], &FxHashSet<Cell>) -> Option<RepairOption>,
+    F: FnMut(usize, Cell, &[Cell]) -> Option<RepairOption>,
 {
     let mut remaining: Vec<(usize, Cell)> = lost.iter().copied().enumerate().collect();
     let mut repairs = Vec::with_capacity(lost.len());
-    let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
     let mut still_lost: Vec<Cell> = Vec::with_capacity(lost.len());
 
     while !remaining.is_empty() {
@@ -221,27 +214,36 @@ where
         // of per candidate.
         still_lost.clear();
         still_lost.extend(remaining.iter().map(|&(_, c)| c));
-        let mut picked: Option<(usize, ChunkRepair)> = None;
-        for (slot, &(pos, target)) in remaining.iter().enumerate() {
-            let menu = best_per_direction(code, target, &still_lost);
-            if let Some(option) = chooser(pos, &menu, &scheduled) {
-                picked = Some((slot, ChunkRepair { target, option }));
-                break;
-            }
-        }
+        let picked = remaining
+            .iter()
+            .enumerate()
+            .find_map(|(slot, &(pos, target))| {
+                chooser(pos, target, &still_lost)
+                    .map(|option| (slot, ChunkRepair { target, option }))
+            });
         let Some((slot, repair)) = picked else {
             return Err(SchemeError::Unschedulable(remaining[0].1));
         };
-        scheduled.extend(repair.option.reads.iter().copied());
         repairs.push(repair);
         remaining.remove(slot);
     }
     Ok(repairs)
 }
 
-/// First available option in the given direction preference order.
-fn pick_in_order(menu: &[Option<RepairOption>; 3], order: [Direction; 3]) -> Option<RepairOption> {
-    order.into_iter().find_map(|d| menu[d.index()].clone())
+/// The cheapest usable chain of the first direction in `order` that has
+/// one. Chosen on the `(cost, chain)` winners; only the pick's read set is
+/// materialised.
+fn pick_in_order(
+    code: &StripeCode,
+    target: Cell,
+    still_lost: &[Cell],
+    order: [Direction; 3],
+) -> Option<RepairOption> {
+    let winners = best_chain_per_direction(code, target, still_lost);
+    order
+        .into_iter()
+        .find_map(|d| winners[d.index()])
+        .map(|(_, chain)| option_through(code, target, chain))
 }
 
 #[cfg(test)]

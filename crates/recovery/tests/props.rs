@@ -2,11 +2,16 @@
 //! merged damage, scrubber honesty, controller memoisation equivalence.
 
 use fbf_codes::encode::encode;
-use fbf_codes::{Cell, CodeSpec, Stripe, StripeCode};
+use fbf_codes::{Cell, ChunkId, CodeSpec, Stripe, StripeCode};
+use fbf_recovery::priority::priority_for_count;
 use fbf_recovery::scheme::generate_for_cells;
 use fbf_recovery::scrub::{scrub, ScrubOutcome};
-use fbf_recovery::{apply_scheme, ErrorGroup, PartialStripeError, RecoveryController, SchemeKind};
+use fbf_recovery::{
+    apply_scheme, ErrorGroup, PartialStripeError, PriorityDictionary, RecoveryController,
+    RecoveryScheme, SchemeKind, StripePlan,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn spec_strategy() -> impl Strategy<Value = CodeSpec> {
     prop_oneof![
@@ -17,8 +22,130 @@ fn spec_strategy() -> impl Strategy<Value = CodeSpec> {
     ]
 }
 
+fn kind_strategy() -> impl Strategy<Value = SchemeKind> {
+    prop_oneof![
+        Just(SchemeKind::Typical),
+        Just(SchemeKind::FbfCycling),
+        Just(SchemeKind::Greedy),
+    ]
+}
+
+/// Chunk → priority the slow way: every scheme's share counts through
+/// Table II, a chunk given twice keeping its highest priority.
+fn brute_force<'a>(schemes: impl IntoIterator<Item = &'a RecoveryScheme>) -> BTreeMap<ChunkId, u8> {
+    let mut brute = BTreeMap::new();
+    for scheme in schemes {
+        for (cell, count) in scheme.share_counts() {
+            let prio = brute.entry(ChunkId::new(scheme.stripe, cell)).or_insert(1);
+            *prio = (*prio).max(priority_for_count(count));
+        }
+    }
+    brute
+}
+
+/// Every observable of `dict` agrees with the brute-force map.
+fn assert_dictionary_is(dict: &PriorityDictionary, brute: &BTreeMap<ChunkId, u8>) {
+    assert_eq!(dict.len(), brute.len());
+    assert_eq!(dict.is_empty(), brute.is_empty());
+    for (chunk, &prio) in brute {
+        assert_eq!(dict.priority_of(chunk), prio, "{chunk}");
+    }
+    let stripes: std::collections::BTreeSet<u32> = brute.keys().map(|c| c.stripe).collect();
+    for prio in 1..=3u8 {
+        let mut chunks = dict.chunks_with_priority(prio);
+        chunks.sort_unstable();
+        let expect: Vec<ChunkId> = brute
+            .iter()
+            .filter(|&(_, &p)| p == prio)
+            .map(|(&c, _)| c)
+            .collect();
+        assert_eq!(chunks, expect, "priority {prio}");
+        for &stripe in &stripes {
+            // Already sorted: `BTreeMap` order is (stripe, row, col).
+            let cells: Vec<Cell> = expect
+                .iter()
+                .filter(|c| c.stripe == stripe)
+                .map(|c| c.cell)
+                .collect();
+            assert_eq!(dict.cells_with_priority(stripe, prio), cells);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The controller's dictionary — one table per damage format, shared
+    /// by its stripes — equals the brute-force per-chunk one for every
+    /// code and generator, on single- and multi-column damage with
+    /// recurring formats; and equals `from_schemes`, whose tables have
+    /// another geometry (bounding box, not the code's grid).
+    #[test]
+    fn controller_dictionary_equals_brute_force(
+        spec in spec_strategy(),
+        kind in kind_strategy(),
+        damage in proptest::collection::vec((0usize..3, 1usize..4, 0usize..2, 1usize..4), 1..24),
+    ) {
+        let code = StripeCode::build(spec, 7).unwrap();
+        let mut group = ErrorGroup::new();
+        for (i, &(col, ncols, first, len)) in damage.iter().enumerate() {
+            // Stripe ids with gaps; 1–3 adjacent columns, same rows each.
+            for c in col..col + ncols {
+                group.push(PartialStripeError::new(&code, 3 * i as u32, c, first, len).unwrap());
+            }
+        }
+        let mut ctl = RecoveryController::new(&code, kind);
+        let (plans, dict) = ctl.plan_campaign_with_fallback(&group);
+        let chained: Vec<&RecoveryScheme> = plans
+            .iter()
+            .filter_map(|p| match p {
+                StripePlan::Chained(s) => Some(s),
+                StripePlan::Joint(_) => None,
+            })
+            .collect();
+        let brute = brute_force(chained.iter().copied());
+        assert_dictionary_is(&dict, &brute);
+        prop_assert_eq!(&dict, &PriorityDictionary::from_schemes(chained.iter().copied()));
+        // Unknown chunks: an undamaged stripe, and a cell off the grid.
+        prop_assert_eq!(dict.priority_of(&ChunkId::new(1, Cell::new(0, 0))), 1);
+        prop_assert_eq!(dict.priority_of(&ChunkId::new(0, Cell::new(99, 99))), 1);
+        // The strict path agrees whenever every stripe schedules.
+        if chained.len() == plans.len() {
+            let (schemes, strict) = RecoveryController::new(&code, kind)
+                .plan_campaign(&group)
+                .unwrap();
+            prop_assert!(schemes.iter().eq(chained.iter().copied()));
+            prop_assert_eq!(&strict, &dict);
+        }
+    }
+
+    /// Two schemes given to one stripe max-merge chunk by chunk, in either
+    /// order and through `merge`, whatever the two tables' geometries.
+    #[test]
+    fn two_schemes_on_one_stripe_max_merge(
+        spec in spec_strategy(),
+        a in (0usize..8, 0usize..3, 1usize..4, kind_strategy()),
+        b in (0usize..8, 3usize..6, 1usize..4, kind_strategy()),
+    ) {
+        let code = StripeCode::build(spec, 7).unwrap();
+        let scheme = |(col, first, len, kind): (usize, usize, usize, SchemeKind)| {
+            let len = len.min(code.rows() - first);
+            let e = PartialStripeError::new(&code, 5, col % code.cols(), first, len).unwrap();
+            fbf_recovery::scheme::generate(&code, &e, kind).unwrap()
+        };
+        let (a, b) = (scheme(a), scheme(b));
+        let other = RecoveryScheme { stripe: 6, ..a.clone() };
+        let brute = brute_force([&a, &b, &other]);
+        let ab = PriorityDictionary::from_schemes([&a, &b, &other]);
+        assert_dictionary_is(&ab, &brute);
+        let ba = PriorityDictionary::from_schemes([&other, &b, &a]);
+        prop_assert_eq!(&ab, &ba);
+        let mut merged = PriorityDictionary::from_schemes([&a, &other]);
+        merged.merge(PriorityDictionary::from_scheme(&b));
+        prop_assert_eq!(&ab, &merged);
+        // A dictionary that knows less is a different dictionary.
+        prop_assert!(ab != PriorityDictionary::from_schemes([&a, &b]));
+    }
 
     /// Single-column damage (the paper's scenario) always schedules
     /// chain-by-chain and recovers exact bytes, at any length.

@@ -11,9 +11,7 @@
 //! hold up under the mixed load.
 
 use fbf::disksim::{ArrayMapping, Engine, EngineConfig};
-use fbf::recovery::{
-    build_scripts, generate_schemes_parallel, ExecConfig, PriorityDictionary, SchemeKind,
-};
+use fbf::recovery::{build_scripts, plan_campaign_parallel, ExecConfig, SchemeKind};
 use fbf::report::f;
 use fbf::workload::{generate_app_reads, generate_errors, AppIoConfig, ErrorGenConfig};
 use fbf::PolicyKind;
@@ -26,9 +24,8 @@ fn main() {
 
     // Reconstruction campaign.
     let errors = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, 256, 77));
-    let schemes =
-        generate_schemes_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
-    let dict = PriorityDictionary::from_schemes(&schemes);
+    let (schemes, dict) =
+        plan_campaign_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
     let mut scripts = build_scripts(
         &schemes,
         &dict,
