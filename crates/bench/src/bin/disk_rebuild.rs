@@ -11,7 +11,7 @@ use fbf_codes::{CodeSpec, StripeCode};
 use fbf_core::{report::f, Table};
 use fbf_disksim::{ArrayMapping, Engine, EngineConfig};
 use fbf_recovery::{
-    build_scripts, rebuild_read_ratio, rebuild_schemes, ExecConfig, PriorityDictionary, SchemeKind,
+    build_scripts, rebuild_campaign, rebuild_read_ratio, ExecConfig, RecoveryController, SchemeKind,
 };
 
 fn main() {
@@ -45,8 +45,10 @@ fn main() {
         SchemeKind::FbfCycling,
         SchemeKind::Greedy,
     ] {
-        let schemes = rebuild_schemes(&code, 0, stripes, kind).expect("schemes");
-        let dict = PriorityDictionary::from_schemes(&schemes);
+        let campaign = rebuild_campaign(&code, 0, stripes).expect("column 0 exists");
+        let (schemes, dict) = RecoveryController::new(&code, kind)
+            .plan_campaign(&campaign)
+            .expect("schemes");
         let scripts = build_scripts(
             &schemes,
             &dict,

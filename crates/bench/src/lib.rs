@@ -22,15 +22,15 @@
 //! minutes on a laptop).
 //!
 //! The figure binaries that call [`init_obs`] also accept `--trace
-//! <path>` (stream a chrome://tracing JSONL run trace) and `--obs`
-//! (pretty-print events to stderr), or the equivalent `FBF_TRACE` /
-//! `FBF_OBS=1` environment knobs.
+//! <path>` (stream a chrome://tracing JSONL run trace), `--obs`
+//! (pretty-print events to stderr) and `--metrics <path>`, or the
+//! equivalent `FBF_TRACE` / `FBF_OBS=1` / `FBF_METRICS` environment knobs.
 
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
 use fbf_core::{ExperimentConfig, Table};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use fbf_obs::ObsFlags;
+use std::sync::OnceLock;
 
 pub use fbf_core::CACHE_MB;
 
@@ -47,122 +47,50 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Set once [`init_obs`] installs a subscriber; consulted by
-/// [`base_config`] so every experiment the harness builds carries
-/// `obs = true` and the engine/runner/sweep emission sites light up.
-static OBS_REQUESTED: AtomicBool = AtomicBool::new(false);
+/// What [`init_obs`] found: the flags (environment fallbacks applied) and
+/// whether they installed a subscriber — consulted by [`base_config`] so
+/// every experiment the harness builds carries `obs = true` and the
+/// engine/runner/sweep emission sites light up.
+static OBS: OnceLock<(ObsFlags, bool)> = OnceLock::new();
 
-/// Whether [`init_obs`] installed a subscriber for this process.
-pub fn obs_requested() -> bool {
-    OBS_REQUESTED.load(Ordering::Relaxed)
-}
-
-/// Observability bootstrap shared by the figure/table binaries.
-///
-/// Recognises `--trace <path>` (or `--trace=<path>`) and `--obs` on the
-/// command line, plus `FBF_TRACE=<path>` and `FBF_OBS=1` in the
-/// environment. `--trace` streams chrome://tracing-compatible JSONL to
-/// the given file; `--obs` pretty-prints events to stderr; both together
-/// fan out to both sinks. With neither present this is a no-op and the
-/// run stays on the zero-cost disabled path.
+/// Observability bootstrap shared by the figure/table binaries: the
+/// command line's [`ObsFlags`] (`--trace`, `--obs`, `--metrics`, parsed
+/// exactly as `fbf` parses them), each falling back to its environment
+/// knob (`FBF_TRACE=<path>`, `FBF_OBS=1`, `FBF_METRICS=<path>`). With
+/// none present this is a no-op and the run stays on the zero-cost
+/// disabled path.
 ///
 /// Call at the top of `main`, and pair with [`finish_obs`] before exit —
 /// `std::process::exit` skips destructors, so the trace file must be
 /// flushed explicitly.
 pub fn init_obs() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace: Option<String> = None;
-    let mut stderr = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--obs" => stderr = true,
-            "--trace" => {
-                if let Some(p) = args.get(i + 1) {
-                    trace = Some(p.clone());
-                    i += 1;
-                }
-            }
-            s => {
-                if let Some(p) = s.strip_prefix("--trace=") {
-                    trace = Some(p.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    if trace.is_none() {
-        if let Ok(p) = std::env::var("FBF_TRACE") {
-            if !p.is_empty() {
-                trace = Some(p);
-            }
-        }
-    }
-    stderr = stderr || std::env::var("FBF_OBS").is_ok_and(|v| v == "1");
-
-    let mut sinks: Vec<Arc<dyn fbf_obs::Subscriber>> = Vec::new();
-    if let Some(path) = trace {
-        match fbf_obs::TraceWriter::create(std::path::Path::new(&path)) {
-            Ok(w) => {
-                eprintln!("(trace streaming to {path})");
-                sinks.push(Arc::new(w));
-            }
-            Err(e) => eprintln!("warning: cannot open trace file {path}: {e}"),
-        }
-    }
-    if stderr {
-        sinks.push(Arc::new(fbf_obs::StderrSubscriber::default()));
-    }
-    if sinks.is_empty() {
-        return;
-    }
-    let sub: Arc<dyn fbf_obs::Subscriber> = if sinks.len() == 1 {
-        sinks.pop().expect("one sink")
-    } else {
-        Arc::new(fbf_obs::FanoutSubscriber::new(sinks))
-    };
-    fbf_obs::install(sub);
-    OBS_REQUESTED.store(true, Ordering::Relaxed);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = ObsFlags::take(&mut args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let env = |name| std::env::var(name).ok().filter(|v: &String| !v.is_empty());
+    flags.trace = flags.trace.or_else(|| env("FBF_TRACE"));
+    flags.metrics = flags.metrics.or_else(|| env("FBF_METRICS"));
+    flags.stderr |= env("FBF_OBS").as_deref() == Some("1");
+    let on = flags.install().unwrap_or_else(|e| {
+        eprintln!("warning: {e}");
+        false
+    });
+    let _ = OBS.set((flags, on));
 }
 
 /// Flush and detach the subscriber installed by [`init_obs`] (no-op if
 /// none was). Call as the last line of a bench `main`.
 pub fn finish_obs() {
-    if OBS_REQUESTED.load(Ordering::Relaxed) {
-        fbf_obs::uninstall();
-    }
+    fbf_obs::uninstall();
 }
 
-/// The Prometheus snapshot path requested via `--metrics <path>`,
-/// `--metrics=<path>`, or `FBF_METRICS=<path>` — the metrics counterpart
-/// of [`init_obs`]'s `--trace`. Figure binaries that sweep call
-/// [`fbf_core::prometheus_snapshot`] on their points and write it here.
-pub fn metrics_path() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--metrics" {
-            if let Some(p) = args.get(i + 1) {
-                return Some(p.clone());
-            }
-        } else if let Some(p) = args[i].strip_prefix("--metrics=") {
-            return Some(p.to_string());
-        }
-        i += 1;
-    }
-    std::env::var("FBF_METRICS").ok().filter(|p| !p.is_empty())
-}
-
-/// Write a Prometheus snapshot of `points` to the path from
-/// [`metrics_path`], if one was requested (best effort, like
-/// [`save_csv`]).
+/// Write a Prometheus snapshot of `points` to the `--metrics` /
+/// `FBF_METRICS` path [`init_obs`] found, if any.
 pub fn save_metrics_snapshot(points: &[fbf_core::SweepPoint]) {
-    let Some(path) = metrics_path() else {
-        return;
-    };
-    match std::fs::write(&path, fbf_core::prometheus_snapshot(points)) {
-        Ok(()) => eprintln!("(metrics snapshot written to {path})"),
-        Err(e) => eprintln!("warning: cannot write metrics snapshot {path}: {e}"),
+    if let Some((flags, _)) = OBS.get() {
+        flags.write_metrics(|| fbf_core::prometheus_snapshot(points));
     }
 }
 
@@ -182,7 +110,7 @@ pub fn base_config(
         .stripes(env_usize("FBF_STRIPES", 4096) as u32)
         .error_count(env_usize("FBF_ERRORS", 512))
         .workers(env_usize("FBF_WORKERS", 128))
-        .obs(obs_requested())
+        .obs(OBS.get().is_some_and(|(_, on)| *on))
         .build()
         .expect("paper-shaped figure configuration is valid")
 }

@@ -9,9 +9,130 @@
 //! explicitly because slot recycling is the slab's only stateful machinery
 //! the oracle doesn't have.
 
-use fbf_cache::queue::{oracle::MapQueue, OrderedQueue};
+use fbf_cache::queue::OrderedQueue;
 use fbf_cache::{key, Key};
+use oracle::MapQueue;
 use proptest::prelude::*;
+
+mod oracle {
+    //! The original map-backed queue, retained verbatim in behaviour.
+    //!
+    //! The differential property test drives it and the slab queue
+    //! through identical random op sequences and asserts every observable
+    //! agrees.
+
+    use fbf_cache::Key;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// An ordered queue of unique keys with O(log n) operations, backed by
+    /// a `BTreeMap` keyed by a monotonic sequence number plus a SipHash
+    /// reverse index. Same public surface as
+    /// [`OrderedQueue`](fbf_cache::queue::OrderedQueue).
+    #[derive(Debug, Default, Clone)]
+    pub struct MapQueue {
+        by_seq: BTreeMap<i64, Key>,
+        seq_of: HashMap<Key, i64>,
+        /// Next sequence for push_back (grows), and previous for
+        /// push_front (shrinks); i64 gives unbounded headroom either way.
+        back: i64,
+        front: i64,
+    }
+
+    impl MapQueue {
+        /// Empty queue.
+        pub fn new() -> Self {
+            MapQueue {
+                by_seq: BTreeMap::new(),
+                seq_of: HashMap::new(),
+                back: 0,
+                front: 0,
+            }
+        }
+
+        /// Number of keys in the queue.
+        pub fn len(&self) -> usize {
+            self.by_seq.len()
+        }
+
+        /// Is the queue empty?
+        pub fn is_empty(&self) -> bool {
+            self.by_seq.is_empty()
+        }
+
+        /// Is the key present?
+        pub fn contains(&self, key: &Key) -> bool {
+            self.seq_of.contains_key(key)
+        }
+
+        /// Append at the back. Panics on duplicates.
+        pub fn push_back(&mut self, key: Key) {
+            assert!(!self.contains(&key), "duplicate push of {key}");
+            self.by_seq.insert(self.back, key);
+            self.seq_of.insert(key, self.back);
+            self.back += 1;
+        }
+
+        /// Insert at the front. Panics on duplicates.
+        pub fn push_front(&mut self, key: Key) {
+            assert!(!self.contains(&key), "duplicate push of {key}");
+            self.front -= 1;
+            self.by_seq.insert(self.front, key);
+            self.seq_of.insert(key, self.front);
+        }
+
+        /// Remove and return the front (oldest) key.
+        pub fn pop_front(&mut self) -> Option<Key> {
+            let (&seq, &key) = self.by_seq.iter().next()?;
+            self.by_seq.remove(&seq);
+            self.seq_of.remove(&key);
+            Some(key)
+        }
+
+        /// Peek at the front (oldest) key.
+        pub fn front(&self) -> Option<&Key> {
+            self.by_seq.values().next()
+        }
+
+        /// Peek at the back (newest) key.
+        pub fn back(&self) -> Option<&Key> {
+            self.by_seq.values().next_back()
+        }
+
+        /// Remove a key from anywhere. Returns whether it was present.
+        pub fn remove(&mut self, key: &Key) -> bool {
+            match self.seq_of.remove(key) {
+                Some(seq) => {
+                    self.by_seq.remove(&seq);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        /// Move an existing key to the back. Returns whether present.
+        pub fn touch(&mut self, key: Key) -> bool {
+            if self.remove(&key) {
+                self.push_back(key);
+                true
+            } else {
+                false
+            }
+        }
+
+        /// Iterate front-to-back.
+        pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Key> {
+            self.by_seq.values()
+        }
+
+        /// Drop everything.
+        pub fn clear(&mut self) {
+            self.by_seq.clear();
+            self.seq_of.clear();
+            self.back = 0;
+            self.front = 0;
+        }
+    }
+}
 
 /// One queue operation; keys are drawn from a small universe so that
 /// duplicates, removals of absent keys, and touch-of-front/back all occur
@@ -116,5 +237,33 @@ proptest! {
             step(&mut slab, &mut map, op);
             check_equal(&slab, &map);
         }
+    }
+}
+
+#[test]
+fn oracle_matches_on_a_scripted_sequence() {
+    let mut slab = OrderedQueue::new();
+    let mut map = MapQueue::new();
+    let ks: Vec<Key> = (0..6).map(|i| key(0, 0, i)).collect();
+    for q in 0..2 {
+        // Same script twice (second round exercises post-clear reuse).
+        let _ = q;
+        for (i, &k) in ks.iter().enumerate() {
+            if i % 2 == 0 {
+                slab.push_back(k);
+                map.push_back(k);
+            } else {
+                slab.push_front(k);
+                map.push_front(k);
+            }
+        }
+        assert_eq!(slab.touch(ks[2]), map.touch(ks[2]));
+        assert_eq!(slab.remove(&ks[4]), map.remove(&ks[4]));
+        assert_eq!(slab.pop_front(), map.pop_front());
+        let a: Vec<Key> = slab.iter().copied().collect();
+        let b: Vec<Key> = map.iter().copied().collect();
+        assert_eq!(a, b);
+        slab.clear();
+        map.clear();
     }
 }

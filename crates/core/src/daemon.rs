@@ -1178,6 +1178,60 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Why a [`DaemonClient`] exchange did not produce what was asked for.
+/// The three protocol variants carry the daemon's own reply, so a caller
+/// can still show it verbatim ([`DaemonError::reply`]).
+#[derive(Debug)]
+pub enum DaemonError {
+    /// The transport failed: connect, frame I/O, or a reply that is not
+    /// JSON.
+    Io(io::Error),
+    /// The daemon answered `ok: false`; its `error` field says why.
+    Refused(Json),
+    /// The job ran and failed; this is its final `status` reply.
+    JobFailed(Json),
+    /// An `ok: true` reply without a field the protocol promises.
+    Malformed(Json),
+}
+
+impl DaemonError {
+    /// The daemon's reply behind a protocol-level error.
+    pub fn reply(&self) -> Option<&Json> {
+        match self {
+            DaemonError::Io(_) => None,
+            DaemonError::Refused(r) | DaemonError::JobFailed(r) | DaemonError::Malformed(r) => {
+                Some(r)
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for DaemonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let error = |reply: &Json| {
+            let text = reply.get("error").and_then(Json::as_str);
+            text.unwrap_or("unknown error").to_string()
+        };
+        match self {
+            DaemonError::Io(e) => write!(f, "request failed: {e}"),
+            DaemonError::Refused(r) => write!(f, "daemon error: {}", error(r)),
+            DaemonError::JobFailed(r) => {
+                let job = r.get("job").and_then(Json::as_u64).unwrap_or(0);
+                write!(f, "job {job} failed: {}", error(r))
+            }
+            DaemonError::Malformed(r) => write!(f, "unexpected reply: {}", r.render()),
+        }
+    }
+}
+
+impl std::error::Error for DaemonError {}
+
+impl From<io::Error> for DaemonError {
+    fn from(e: io::Error) -> Self {
+        DaemonError::Io(e)
+    }
+}
+
 /// Blocking protocol client for `fbfd` (used by `fbf client` and tests).
 pub struct DaemonClient {
     stream: ClientStream,
@@ -1198,7 +1252,57 @@ impl DaemonClient {
         })
     }
 
-    /// Send one request and wait for its reply.
+    /// One exchange whose reply must say `ok: true`; anything else is a
+    /// typed error.
+    pub fn request(&mut self, req: &Json) -> Result<Json, DaemonError> {
+        let reply = self.call(req)?;
+        if reply.get("ok").and_then(Json::as_bool) == Some(true) {
+            Ok(reply)
+        } else {
+            Err(DaemonError::Refused(reply))
+        }
+    }
+
+    /// Submit a job request (`repair` / `rebuild`): the job id the daemon
+    /// queued it under, and the whole reply (it also carries `trace`).
+    pub fn submit(
+        &mut self,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> Result<(u64, Json), DaemonError> {
+        let reply = self.request(&Json::obj(fields))?;
+        match reply.get("job").and_then(Json::as_u64) {
+            Some(job) => Ok((job, reply)),
+            None => Err(DaemonError::Malformed(reply)),
+        }
+    }
+
+    /// Poll `status` every `interval` until `job` settles: its final
+    /// status when done, [`DaemonError::JobFailed`] when it failed,
+    /// [`DaemonError::Refused`] for an id the daemon does not know.
+    /// `on_poll` sees each poll's round-trip time — the one completion
+    /// loop every client shares.
+    pub fn wait(
+        &mut self,
+        job: u64,
+        interval: Duration,
+        mut on_poll: impl FnMut(Duration),
+    ) -> Result<Json, DaemonError> {
+        let status = Json::obj([("cmd", "status".into()), ("job", job.into())]);
+        loop {
+            let sent = Instant::now();
+            let reply = self.request(&status)?;
+            on_poll(sent.elapsed());
+            match reply.get("state").and_then(Json::as_str) {
+                Some("done") => return Ok(reply),
+                Some("failed") => return Err(DaemonError::JobFailed(reply)),
+                Some(_) => std::thread::sleep(interval),
+                None => return Err(DaemonError::Malformed(reply)),
+            }
+        }
+    }
+
+    /// Send one request and wait for its reply, whatever it says — the
+    /// raw frame exchange under [`request`](Self::request).
     pub fn call(&mut self, req: &Json) -> io::Result<Json> {
         write_frame(&mut self.stream, &req.render())?;
         self.recv()?
@@ -1214,11 +1318,6 @@ impl DaemonClient {
                 .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string())),
             None => Ok(None),
         }
-    }
-
-    /// Send without waiting (used for `shutdown` fire-and-forget paths).
-    pub fn send(&mut self, req: &Json) -> io::Result<()> {
-        write_frame(&mut self.stream, &req.render())
     }
 }
 

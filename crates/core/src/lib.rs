@@ -55,7 +55,8 @@ pub use config::{
     ExperimentConfigBuilder, SloSpec,
 };
 pub use daemon::{
-    serve, ClientStream, DaemonClient, DaemonHandle, DaemonOptions, JobState, ServerAddr,
+    serve, ClientStream, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, JobState,
+    ServerAddr,
 };
 pub use faulted::{execute_faulted, FaultedOutcome, MAX_ROUNDS};
 pub use fbf_obs::json::{self, Json, JsonError};

@@ -44,9 +44,7 @@ use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
 use fbf_disksim::{ArrayMapping, EngineScratch, Placement, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
-use fbf_recovery::{
-    ErrorGroup, ExecConfig, Fairness, PartialStripeError, RebuildItem, RebuildScheduler,
-};
+use fbf_recovery::{ErrorGroup, ExecConfig, Fairness, RebuildItem, RebuildScheduler};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -224,14 +222,8 @@ pub fn execute_rebuild(
         sub.error_count = stripes.len();
         sub.seed = shard_seed(cfg.seed, k);
         let group = || {
-            let mut g = ErrorGroup::new();
-            for &(stripe, col) in stripes {
-                g.push(
-                    PartialStripeError::new(&code, stripe, col, 0, code.rows())
-                        .expect("full-column damage is always in range"),
-                );
-            }
-            g
+            ErrorGroup::full_columns(&code, stripes.iter().copied())
+                .expect("a column the mapping placed is in range")
         };
         let (plan, _) = store.plan_custom(&sub, group)?;
         plans.push(plan);

@@ -31,6 +31,8 @@
 //! collide. `tests/declust_props.rs` checks this over randomized
 //! geometries for every placement here.
 
+use crate::fault::splitmix64;
+
 /// The original clustered placement as a pure function: column `c` on
 /// disk `c`, or shifted by one disk per stripe when `rotated` (HDD1 /
 /// RAID-5 parity rotation).
@@ -80,16 +82,6 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         (a, b) = (b, a % b);
     }
     a
-}
-
-/// Sebastiano Vigna's splitmix64 — the same generator the fault plan
-/// uses for per-chunk draws, so placement is stable across platforms.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Serializable placement selector carried by

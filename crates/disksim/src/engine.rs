@@ -372,9 +372,9 @@ fn build_cache(cfg: &EngineConfig, capacity: usize) -> BufferCache {
 /// field is fully re-initialised), so reuse cannot change results; the
 /// determinism tests in `tests/engine_equivalence.rs` pin this.
 ///
-/// The queue defaults to [`CalendarQueue`]; instantiating with
-/// [`oracle::HeapQueue`](crate::equeue::oracle::HeapQueue) swaps in the
-/// original `BinaryHeap` for differential runs. Both pop in identical
+/// The queue defaults to [`CalendarQueue`]; the differential suites
+/// instantiate with their `HeapQueue` (`tests/common`), the original
+/// `BinaryHeap`. Both pop in identical
 /// `(time, kind, id)` order, so the choice cannot change reports — the
 /// engine-level differential suite pins that, including under faults.
 #[derive(Default)]

@@ -4,10 +4,10 @@
 //! earliest event and pushes successors at `now + duration`, with durations
 //! spanning roughly cache-hit time (sub-µs) to disk service time (ms). A
 //! [`CalendarQueue`] (Brown 1988) exploits that shape for O(1) amortized
-//! push/pop, while [`oracle::HeapQueue`] keeps the original `BinaryHeap`
-//! both as the differential twin (see `tests/equeue_diff.rs` and the
-//! engine-level suite in `tests/engine_equivalence.rs`) and as the perf
-//! baseline (`calendar_queue_churn` vs `binary_heap_churn`).
+//! push/pop; the original `BinaryHeap` queue lives on in `tests/common` as
+//! the differential twin (see `tests/equeue_diff.rs` and the engine-level
+//! suite in `tests/engine_equivalence.rs`), substituted through the
+//! [`EventQueue`] trait.
 //!
 //! Ordering contract: events are `(SimTime, u8, usize)` tuples popped in
 //! ascending *tuple* order — completions (`kind 0`) before worker steps
@@ -231,41 +231,8 @@ impl EventQueue for CalendarQueue {
     }
 }
 
-/// The pre-calendar event queue, kept as the differential oracle and perf
-/// baseline.
-pub mod oracle {
-    use super::{Event, EventQueue};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// `BinaryHeap`-backed queue with the original min-heap ordering.
-    #[derive(Default)]
-    pub struct HeapQueue {
-        heap: BinaryHeap<Reverse<Event>>,
-    }
-
-    impl EventQueue for HeapQueue {
-        fn clear(&mut self) {
-            self.heap.clear();
-        }
-
-        fn push(&mut self, ev: Event) {
-            self.heap.push(Reverse(ev));
-        }
-
-        fn pop(&mut self) -> Option<Event> {
-            self.heap.pop().map(|Reverse(ev)| ev)
-        }
-
-        fn len(&self) -> usize {
-            self.heap.len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::oracle::HeapQueue;
     use super::*;
 
     fn drain<Q: EventQueue>(q: &mut Q) -> Vec<Event> {
@@ -286,12 +253,12 @@ mod tests {
             (SimTime::from_nanos(10), 1, 0),
         ];
         let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::default();
         for &ev in &evs {
             cal.push(ev);
-            heap.push(ev);
         }
-        assert_eq!(drain(&mut cal), drain(&mut heap));
+        let mut sorted = evs;
+        sorted.sort_unstable();
+        assert_eq!(drain(&mut cal), sorted);
     }
 
     #[test]

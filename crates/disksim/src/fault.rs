@@ -270,8 +270,12 @@ impl FaultCounters {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-distributed 64-bit mix.
-fn splitmix64(seed: u64) -> u64 {
+/// One SplitMix64 step (Sebastiano Vigna): advance `seed` by the golden
+/// gamma and mix. The workspace's one hash-a-seed primitive — fault
+/// draws, declustered placement and the workload generator's seeding all
+/// call it, so each is stable across platforms.
+#[inline]
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -43,8 +43,8 @@ pub use engine::{
 };
 pub use equeue::{CalendarQueue, Event, EventQueue};
 pub use fault::{
-    resolve_read, DiskKill, FailedRead, FaultCounters, FaultDraw, FaultPlan, ReadFailure,
-    ReadOutcome, RetryPolicy, SlowDisk,
+    resolve_read, splitmix64, DiskKill, FailedRead, FaultCounters, FaultDraw, FaultPlan,
+    ReadFailure, ReadOutcome, RetryPolicy, SlowDisk,
 };
 pub use fbf_obs::{Digest, RequestClass};
 pub use hist::Histogram;

@@ -9,9 +9,11 @@
 //! runs, scratch runs, and scratch runs deliberately polluted by earlier
 //! runs with different shapes.
 
+mod common;
+
+use common::HeapQueue;
 use fbf_cache::PolicyKind;
 use fbf_codes::{Cell, ChunkId};
-use fbf_disksim::equeue::oracle::HeapQueue;
 use fbf_disksim::{
     ArrayMapping, CacheSharing, DiskModel, DiskSched, Engine, EngineConfig, EngineScratch,
     FaultPlan, Op, SimTime, WorkerScript,

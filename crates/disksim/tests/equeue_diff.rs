@@ -7,7 +7,9 @@
 //! tie-breaking on `(SimTime, kind, id)`. These properties drive random
 //! and engine-shaped streams through both queues in lockstep.
 
-use fbf_disksim::equeue::oracle::HeapQueue;
+mod common;
+
+use common::HeapQueue;
 use fbf_disksim::{CalendarQueue, Event, EventQueue, SimTime};
 use proptest::prelude::*;
 

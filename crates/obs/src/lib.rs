@@ -62,6 +62,7 @@
 
 pub mod bridge;
 pub mod digest;
+pub mod flags;
 pub mod json;
 pub mod prom;
 pub mod ring;
@@ -70,6 +71,7 @@ pub mod trace;
 
 pub use bridge::BridgeSubscriber;
 pub use digest::{Digest, RequestClass};
+pub use flags::ObsFlags;
 pub use json::{Json, JsonError};
 pub use prom::PromWriter;
 pub use ring::FlightRecorder;

@@ -107,6 +107,19 @@ impl ErrorGroup {
         Self::default()
     }
 
+    /// Whole-column damage — what a failed disk leaves behind — as one
+    /// full-column error per `(stripe, col)`.
+    pub fn full_columns(
+        code: &StripeCode,
+        columns: impl IntoIterator<Item = (u32, usize)>,
+    ) -> Result<Self, String> {
+        let errors = columns
+            .into_iter()
+            .map(|(stripe, col)| PartialStripeError::new(code, stripe, col, 0, code.rows()))
+            .collect::<Result<_, _>>()?;
+        Ok(ErrorGroup { errors })
+    }
+
     /// Add an error. Same-stripe errors are allowed (multi-disk damage);
     /// recovery merges them per stripe.
     pub fn push(&mut self, e: PartialStripeError) {

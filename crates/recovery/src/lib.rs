@@ -22,12 +22,12 @@
 //!   silent-corruption location, and repair (§II-C's motivation);
 //! * [`degraded`] — on-the-fly repair of application reads that hit lost
 //!   chunks (fan-out gathers through the buffer cache);
-//! * [`disk_rebuild`] — whole-disk failure as full-column errors, with the
-//!   hybrid-chain read-ratio analysis of the paper's reference \[22\].
+//! * [`rebuild`] — whole-disk failure as full-column errors (with the
+//!   hybrid-chain read-ratio analysis of the paper's reference \[22\]) and
+//!   the wave scheduler that admits an array-wide rebuild.
 
 pub mod controller;
 pub mod degraded;
-pub mod disk_rebuild;
 pub mod error;
 pub mod escalate;
 pub mod exec;
@@ -40,7 +40,6 @@ pub mod scrub;
 
 pub use controller::{RecoveryController, StripePlan};
 pub use degraded::{degrade_script, LostMap};
-pub use disk_rebuild::{rebuild_campaign, rebuild_read_ratio, rebuild_schemes};
 pub use error::{ErrorGroup, PartialStripeError, StripeDamage};
 pub use escalate::{Absorbed, DataLoss, Escalator};
 pub use exec::{
@@ -49,6 +48,6 @@ pub use exec::{
 pub use joint::JointRepair;
 pub use parallel::{assign_round_robin, generate_schemes_parallel, plan_campaign_parallel};
 pub use priority::PriorityDictionary;
-pub use rebuild::{Fairness, RebuildItem, RebuildScheduler};
+pub use rebuild::{rebuild_campaign, rebuild_read_ratio, Fairness, RebuildItem, RebuildScheduler};
 pub use scheme::{ChunkRepair, RecoveryScheme, SchemeError, SchemeKind};
 pub use scrub::{scrub, ScrubOutcome};

@@ -6,10 +6,9 @@
 //! stream — uniform or hot-spotted — that the online-recovery experiments
 //! run alongside the reconstruction workers.
 
+use crate::rng::SeededRng;
 use fbf_codes::{Cell, ChunkId, StripeCode};
 use fbf_disksim::{Op, RequestClass, SimTime, WorkerScript};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of the application read stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,19 +43,19 @@ impl Default for AppIoConfig {
 /// Generate one application worker's read script. Reads target data cells
 /// only (applications never address parity).
 pub fn generate_app_reads(code: &StripeCode, cfg: &AppIoConfig) -> WorkerScript {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA99_C0FFEE);
+    let mut rng = SeededRng::new(cfg.seed ^ 0xA99_C0FFEE);
     let data_cells: Vec<Cell> = code.data_cells();
     assert!(!data_cells.is_empty());
     let hot_stripes = ((cfg.stripes as f64 * cfg.hot_set) as u32).max(1);
 
     let mut ops = Vec::with_capacity(cfg.reads * 2);
     for _ in 0..cfg.reads {
-        let stripe = if rng.random_bool(cfg.hot_fraction.clamp(0.0, 1.0)) {
-            rng.random_range(0..hot_stripes)
+        let stripe = if rng.bool(cfg.hot_fraction) {
+            rng.below(u64::from(hot_stripes)) as u32
         } else {
-            rng.random_range(0..cfg.stripes)
+            rng.below(u64::from(cfg.stripes)) as u32
         };
-        let cell = data_cells[rng.random_range(0..data_cells.len())];
+        let cell = data_cells[rng.below(data_cells.len() as u64) as usize];
         ops.push(Op::Read {
             chunk: ChunkId::new(stripe, cell),
             priority: 1,

@@ -1,10 +1,9 @@
 //! Partial-stripe error campaign generation (§IV-A's synthetic traces).
 
+use crate::rng::SeededRng;
 use fbf_codes::hash::FxHashSet;
 use fbf_codes::StripeCode;
 use fbf_recovery::{ErrorGroup, PartialStripeError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Distribution of error run lengths (in chunks).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +82,7 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
     );
     let rows = code.rows();
     let max_len = rows; // p - 1 chunks
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = SeededRng::new(cfg.seed);
     let mut used: FxHashSet<u32> =
         FxHashSet::with_capacity_and_hasher(cfg.count, Default::default());
     let mut group = ErrorGroup::new();
@@ -91,13 +90,13 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
 
     while used.len() < cfg.count {
         let stripe = match last_stripe {
-            Some(prev) if rng.random_bool(cfg.clustering.clamp(0.0, 1.0)) => {
+            Some(prev) if rng.bool(cfg.clustering) => {
                 // Spatially local: within cluster_span of the previous error.
                 let lo = prev.saturating_sub(cfg.cluster_span);
                 let hi = (prev.saturating_add(cfg.cluster_span)).min(cfg.stripes - 1);
-                rng.random_range(lo..=hi)
+                lo + rng.below(u64::from(hi - lo) + 1) as u32
             }
-            _ => rng.random_range(0..cfg.stripes),
+            _ => rng.below(u64::from(cfg.stripes)) as u32,
         };
         if !used.insert(stripe) {
             // Stripe already damaged; in a real array the runs would merge.
@@ -105,18 +104,18 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
             // the uniform branch eventually hits every free stripe).
             continue;
         }
-        let col = rng.random_range(0..code.cols());
+        let col = rng.below(code.cols() as u64) as usize;
         let len = sample_length(&mut rng, cfg.length, max_len);
-        let first_row = rng.random_range(0..=(rows - len));
+        let first_row = rng.below((rows - len + 1) as u64) as usize;
         let e = PartialStripeError::new(code, stripe, col, first_row, len)
             .expect("sampled within bounds");
         group.push(e);
         // Spatially correlated second failure on another disk of the same
         // stripe (counted within `count`: it damages no new stripe).
-        if rng.random_bool(cfg.multi_col_prob.clamp(0.0, 1.0)) {
-            let col2 = (col + 1 + rng.random_range(0..code.cols() - 1)) % code.cols();
+        if rng.bool(cfg.multi_col_prob) {
+            let col2 = (col + 1 + rng.below(code.cols() as u64 - 1) as usize) % code.cols();
             let len2 = sample_length(&mut rng, cfg.length, max_len);
-            let first2 = rng.random_range(0..=(rows - len2));
+            let first2 = rng.below((rows - len2 + 1) as u64) as usize;
             group.push(
                 PartialStripeError::new(code, stripe, col2, first2, len2)
                     .expect("sampled within bounds"),
@@ -127,13 +126,13 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
     group
 }
 
-fn sample_length(rng: &mut StdRng, dist: LengthDistribution, max_len: usize) -> usize {
+fn sample_length(rng: &mut SeededRng, dist: LengthDistribution, max_len: usize) -> usize {
     match dist {
-        LengthDistribution::Uniform => rng.random_range(1..=max_len),
+        LengthDistribution::Uniform => 1 + rng.below(max_len as u64) as usize,
         LengthDistribution::Geometric { stop } => {
             let stop = stop.clamp(1e-6, 1.0);
             let mut len = 1;
-            while len < max_len && !rng.random_bool(stop) {
+            while len < max_len && !rng.bool(stop) {
                 len += 1;
             }
             len

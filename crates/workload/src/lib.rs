@@ -21,6 +21,7 @@
 pub mod app_io;
 pub mod errors;
 pub mod loadgen;
+mod rng;
 pub mod trace;
 
 pub use app_io::{generate_app_reads, generate_scrub_reads, AppIoConfig, ScrubConfig};

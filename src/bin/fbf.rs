@@ -26,16 +26,26 @@
 //! `set`.
 //!
 //! `--json` (any command) emits the result as one JSON object on stdout
-//! instead of human-readable text. Global observability flags:
-//! `--trace <path>` streams a chrome://tracing-compatible JSONL run trace
-//! to `<path>`; `--obs` pretty-prints events to stderr. `--metrics <path>`
+//! instead of human-readable text. Global observability flags
+//! ([`fbf::obs::ObsFlags`], shared with the figure binaries): `--trace
+//! <path>` streams a chrome://tracing-compatible JSONL run trace to
+//! `<path>`; `--obs` pretty-prints events to stderr. `--metrics <path>`
 //! writes a Prometheus text-exposition snapshot of `run`/`sweep` results
 //! (validated by `scripts/check_trace.py --prom`).
 //!
-//! Daemon transport selection (`serve`/`client`): `--socket <path>` for a
-//! unix socket (default `$TMPDIR/fbfd.sock`), `--tcp <addr:port>` for TCP.
+//! The daemon (`serve`, the one launcher): `--socket <path>` for a unix
+//! socket (default `$TMPDIR/fbfd.sock`) or `--tcp <addr:port>`,
+//! `--daemon-workers N`, `--retain N` (finished jobs whose array stays
+//! readable), `--ring-cap N` (flight-recorder events kept per thread; same
+//! as setting `FBF_RING_CAP`). It exits when a client sends `shutdown`;
+//! `client` takes the same `--socket`/`--tcp`.
+//!
+//! Every subcommand is a `fn(&mut Args) -> Result<(), Exit>`; `main` is
+//! the only place that prints an error or picks an exit code.
 
 use fbf::core::{policy_grid, CACHE_MB};
+use fbf::obs::flags::{take_flag, take_switch};
+use fbf::obs::ObsFlags;
 use fbf::recovery::{scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind};
 use fbf::report::f;
 use fbf::workload::{
@@ -43,134 +53,216 @@ use fbf::workload::{
     ErrorGenConfig, LoadReport,
 };
 use fbf::{
-    run_experiment, run_experiment_with_errors, ConfigError, DaemonClient, DaemonOptions,
-    ExperimentConfig, ExperimentConfigBuilder, Json, ReliabilityParams, ServerAddr, Table,
+    run_experiment, run_experiment_with_errors, ConfigError, DaemonClient, DaemonError,
+    DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, Json, ReliabilityParams, ServerAddr,
+    Table,
 };
 use fbf::{CodeSpec, StripeCode};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
+/// How a command ends when it does not succeed: the process exit code,
+/// what to say on stderr (nothing, when the command already printed its
+/// result and only the code reports it), and — for a daemon refusal — the
+/// daemon's own reply, which `--json` mode prints in place of the message.
+#[derive(Debug)]
+struct Exit {
+    code: i32,
+    message: String,
+    reply: Option<Json>,
+}
+
+impl Exit {
+    /// The command line was wrong (exit 2).
+    fn usage(message: impl Into<String>) -> Self {
+        Exit {
+            code: 2,
+            message: message.into(),
+            reply: None,
+        }
+    }
+
+    /// The command line was fine and the work failed (exit 1).
+    fn fail(message: impl Into<String>) -> Self {
+        Exit {
+            code: 1,
+            ..Exit::usage(message)
+        }
+    }
+
+    /// The result is printed; exit code 1 is all there is to add.
+    fn fail_if(failed: bool) -> Result<(), Exit> {
+        if failed {
+            Err(Exit::fail(""))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl From<DaemonError> for Exit {
+    fn from(e: DaemonError) -> Self {
+        Exit {
+            reply: e.reply().cloned(),
+            ..Exit::fail(e.to_string())
+        }
+    }
+}
+
+/// The command line after the command word, consumed as it is read:
+/// flags come out by name from anywhere, positionals from the front, and
+/// whatever a command leaves behind is an error ([`Args::done`]). The
+/// global flags `main` already took ride along.
+struct Args {
+    rest: Vec<String>,
+    /// `--json`: machine-readable stdout.
+    json: bool,
+    /// A trace/stderr subscriber is installed (`--trace` / `--obs`).
+    obs: bool,
+    flags: ObsFlags,
+}
+
+impl Args {
+    /// `--name <v>` / `--name=<v>` parsed into the field's own type.
+    fn flag<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, Exit> {
+        let Some(text) = take_flag(&mut self.rest, name).map_err(Exit::usage)? else {
+            return Ok(None);
+        };
+        let parsed = text.parse().map_err(|_| format!("bad --{name} value"));
+        parsed.map(Some).map_err(Exit::usage)
+    }
+
+    /// A bare `--name`.
+    fn switch(&mut self, name: &str) -> bool {
+        take_switch(&mut self.rest, name)
+    }
+
+    /// The next positional, if there is one; one that does not parse is
+    /// the `usage` error, never a default.
+    fn optional_with<T>(
+        &mut self,
+        parse: impl FnOnce(&str) -> Option<T>,
+        usage: &str,
+    ) -> Result<Option<T>, Exit> {
+        if self.rest.is_empty() {
+            return Ok(None);
+        }
+        let word = self.rest.remove(0);
+        parse(&word).map(Some).ok_or_else(|| Exit::usage(usage))
+    }
+
+    /// The next positional, required.
+    fn positional_with<T>(
+        &mut self,
+        parse: impl FnOnce(&str) -> Option<T>,
+        usage: &str,
+    ) -> Result<T, Exit> {
+        self.optional_with(parse, usage)?
+            .ok_or_else(|| Exit::usage(usage))
+    }
+
+    fn positional<T: FromStr>(&mut self, usage: &str) -> Result<T, Exit> {
+        self.positional_with(|s| s.parse().ok(), usage)
+    }
+
+    /// Nothing may be left over.
+    fn done(&self, usage: &str) -> Result<(), Exit> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(Exit::usage(usage))
+        }
+    }
+
+    /// What is left is experiment flags: apply them onto the paper's
+    /// defaults through [`ExperimentConfigBuilder::set`].
+    fn config(&mut self) -> Result<ExperimentConfigBuilder, Exit> {
+        let flags = config_flags(&std::mem::take(&mut self.rest))?;
+        let builder = builder_from_flags(&flags).map_err(|e| Exit::usage(e.to_string()))?;
+        Ok(builder.obs(self.obs))
+    }
+
+    /// Resolve the daemon address from `--socket` / `--tcp`, defaulting to
+    /// a unix socket at `$TMPDIR/fbfd.sock`.
+    fn addr(&mut self) -> Result<ServerAddr, Exit> {
+        match (self.flag::<String>("socket")?, self.flag::<String>("tcp")?) {
+            (Some(_), Some(_)) => Err(Exit::usage("--socket and --tcp are mutually exclusive")),
+            (Some(path), None) => Ok(ServerAddr::Unix(path.into())),
+            (None, Some(addr)) => match addr.parse() {
+                Ok(sock) => Ok(ServerAddr::Tcp(sock)),
+                Err(e) => Err(Exit::usage(format!("bad --tcp address `{addr}`: {e}"))),
+            },
+            (None, None) => Ok(ServerAddr::Unix(std::env::temp_dir().join("fbfd.sock"))),
+        }
+    }
+}
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, obs, metrics_out, json) = match install_obs_flags(&raw) {
-        Ok(v) => v,
-        Err(rc) => std::process::exit(rc),
-    };
-    let metrics_out = metrics_out.as_deref();
-    let code = match args.first().map(String::as_str) {
-        Some("layout") => cmd_layout(&args[1..], json),
-        Some("plan") => cmd_plan(&args[1..], json),
-        Some("trace") => cmd_trace(&args[1..], json),
-        Some("run") => cmd_run(&args[1..], obs, metrics_out, json),
-        Some("replay") => cmd_replay(&args[1..], obs, metrics_out, json),
-        Some("sweep") => cmd_sweep(&args[1..], obs, metrics_out, json),
-        Some("rebuild") => cmd_rebuild(&args[1..], obs, json),
-        Some("serve") => cmd_serve(&args[1..], json),
-        Some("client") => cmd_client(&args[1..], json),
-        Some("scrub") => cmd_scrub(&args[1..], json),
-        Some("mttdl") => cmd_mttdl(&args[1..], json),
-        Some("help") | None => {
-            print_usage();
-            0
-        }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n");
-            print_usage();
-            2
-        }
-    };
+    let mut rest: Vec<String> = std::env::args().skip(1).collect();
+    let json = take_switch(&mut rest, "json");
+    let mut obs = false;
+    let outcome = ObsFlags::take(&mut rest)
+        .map_err(Exit::usage)
+        .and_then(|flags| {
+            obs = flags.install().map_err(Exit::fail)?;
+            let mut args = Args {
+                rest,
+                json,
+                obs,
+                flags,
+            };
+            run(&mut args)
+        });
     // `exit` skips destructors, so flush the trace subscriber explicitly.
     if obs {
         fbf::obs::uninstall();
     }
-    std::process::exit(code);
-}
-
-/// Pull `--trace <path>` / `--trace=<path>` / `--obs` / `--metrics <path>`
-/// / `--json` out of the argument list (they may appear anywhere) and
-/// install the matching subscriber. Returns the remaining arguments,
-/// whether event observability is on, the Prometheus snapshot path if
-/// requested, and whether JSON output was selected.
-#[allow(clippy::type_complexity)]
-fn install_obs_flags(raw: &[String]) -> Result<(Vec<String>, bool, Option<String>, bool), i32> {
-    let mut args = Vec::with_capacity(raw.len());
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut stderr = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--obs" => stderr = true,
-            "--json" => json = true,
-            "--trace" => {
-                let Some(p) = raw.get(i + 1) else {
-                    eprintln!("--trace needs a file path");
-                    return Err(2);
-                };
-                trace = Some(p.clone());
-                i += 1;
-            }
-            "--metrics" => {
-                let Some(p) = raw.get(i + 1) else {
-                    eprintln!("--metrics needs a file path");
-                    return Err(2);
-                };
-                metrics = Some(p.clone());
-                i += 1;
-            }
-            s => {
-                if let Some(p) = s.strip_prefix("--trace=") {
-                    trace = Some(p.to_string());
-                } else if let Some(p) = s.strip_prefix("--metrics=") {
-                    metrics = Some(p.to_string());
-                } else {
-                    args.push(raw[i].clone());
-                }
-            }
-        }
-        i += 1;
-    }
-
-    let mut sinks: Vec<std::sync::Arc<dyn fbf::obs::Subscriber>> = Vec::new();
-    if let Some(path) = trace {
-        match fbf::obs::TraceWriter::create(std::path::Path::new(&path)) {
-            Ok(w) => {
-                eprintln!("(trace streaming to {path})");
-                sinks.push(std::sync::Arc::new(w));
-            }
-            Err(e) => {
-                eprintln!("cannot open trace file {path}: {e}");
-                return Err(1);
-            }
-        }
-    }
-    if stderr {
-        sinks.push(std::sync::Arc::new(fbf::obs::StderrSubscriber::default()));
-    }
-    if sinks.is_empty() {
-        return Ok((args, false, metrics, json));
-    }
-    let sub: std::sync::Arc<dyn fbf::obs::Subscriber> = if sinks.len() == 1 {
-        sinks.pop().expect("one sink")
-    } else {
-        std::sync::Arc::new(fbf::obs::FanoutSubscriber::new(sinks))
+    let Err(exit) = outcome else {
+        return;
     };
-    fbf::obs::install(sub);
-    Ok((args, true, metrics, json))
+    match exit.reply {
+        Some(reply) if json => print_json(&reply),
+        _ if exit.message.is_empty() => {}
+        _ => eprintln!("{}", exit.message),
+    }
+    std::process::exit(exit.code);
 }
 
-/// Write a Prometheus snapshot of `points` to `path` (best-effort: an I/O
-/// failure is reported but does not change the command's exit code — the
-/// experiment itself succeeded).
-fn write_metrics_snapshot(path: &str, points: &[fbf::SweepPoint]) {
-    match std::fs::write(path, fbf::prometheus_snapshot(points)) {
-        Ok(()) => eprintln!("(metrics snapshot written to {path})"),
-        Err(e) => eprintln!("cannot write metrics snapshot {path}: {e}"),
+fn run(args: &mut Args) -> Result<(), Exit> {
+    let command = args.optional_with(|s| Some(s.to_string()), "")?;
+    match command.as_deref().unwrap_or("help") {
+        "layout" => cmd_layout(args),
+        "plan" => cmd_plan(args),
+        "trace" => cmd_trace(args),
+        "run" => {
+            let trace_in = args.flag::<String>("trace-in")?;
+            run_with(args, trace_in.as_deref())
+        }
+        "replay" => {
+            let usage = "usage: fbf replay <trace-file> [--key value ...]";
+            let is_path = |s: &str| (!s.starts_with("--")).then(|| s.to_string());
+            let path = args.positional_with(is_path, usage)?;
+            run_with(args, Some(&path))
+        }
+        "sweep" => cmd_sweep(args),
+        "rebuild" => cmd_rebuild(args),
+        "serve" => cmd_serve(args),
+        "client" => cmd_client(args),
+        "scrub" => cmd_scrub(args),
+        "mttdl" => cmd_mttdl(args),
+        "help" => {
+            eprintln!("{}", usage());
+            Ok(())
+        }
+        other => Err(Exit::usage(format!(
+            "unknown command `{other}`\n\n{}",
+            usage()
+        ))),
     }
 }
 
-fn print_usage() {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "fbf — Favorable Block First reproduction CLI\n\n\
          usage:\n\
          \u{20}  fbf layout <code> <p>\n\
@@ -183,6 +275,7 @@ fn print_usage() {
          \u{20}      [--failed-disk D] [--cap N] [--fairness rr|drr] [--campaigns N]\n\
          \u{20}      [--app-reads N] [--key value ...]\n\
          \u{20}  fbf serve [--socket <path> | --tcp <addr>] [--daemon-workers N]\n\
+         \u{20}      [--retain N] [--ring-cap N]\n\
          \u{20}  fbf client [--socket <path> | --tcp <addr>] \\\n\
          \u{20}      ping | repair [...] | rebuild [...] | status <job> | jobs |\n\
          \u{20}      read <job> <stripe> <row> <col> | metrics | watch | load [...] | shutdown\n\
@@ -198,34 +291,27 @@ fn print_usage() {
         flags = fbf::core::config::KEYS
             .map(|k| format!("--{}", k.replace('_', "-")))
             .join(" ")
-    );
-}
-
-fn parse_code(s: &str) -> Option<CodeSpec> {
-    fbf::code_from_name(s)
-}
-
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    fbf::scheme_from_name(s)
+    )
 }
 
 /// Split experiment arguments — `--key value` or `--key=value` — into
 /// `(key, value)` pairs, dashes in the key turned to underscores. Anything
 /// else is rejected.
-fn config_flags(args: &[String]) -> Result<Vec<(String, String)>, i32> {
+fn config_flags(args: &[String]) -> Result<Vec<(String, String)>, Exit> {
     let mut out = Vec::with_capacity(args.len());
     let mut i = 0;
     while i < args.len() {
         let Some(flag) = args[i].strip_prefix("--") else {
-            eprintln!("unexpected argument `{}` (expected --key value)", args[i]);
-            return Err(2);
+            let stray = &args[i];
+            return Err(Exit::usage(format!(
+                "unexpected argument `{stray}` (expected --key value)"
+            )));
         };
         let (key, value) = match flag.split_once('=') {
             Some((k, v)) => (k, v.to_string()),
             None => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("--{flag} needs a value");
-                    return Err(2);
+                    return Err(Exit::usage(format!("--{flag} needs a value")));
                 };
                 i += 1;
                 (flag, v.clone())
@@ -238,94 +324,45 @@ fn config_flags(args: &[String]) -> Result<Vec<(String, String)>, i32> {
 }
 
 /// Apply experiment flags onto the paper's defaults through
-/// [`ExperimentConfigBuilder::set`]. Validation happens in
-/// [`build_or_report`], so a bad combination fails with a typed message
-/// before any work starts.
+/// [`ExperimentConfigBuilder::set`]. Validation happens in [`build`], so
+/// a bad combination fails with a typed message before any work starts.
 fn builder_from_flags(flags: &[(String, String)]) -> Result<ExperimentConfigBuilder, ConfigError> {
     flags
         .iter()
         .try_fold(ExperimentConfig::builder(), |b, (k, v)| b.set(k, v))
 }
 
-/// [`config_flags`] then [`builder_from_flags`], errors reported on
-/// stderr as exit code 2.
-fn parse_config_args(args: &[String]) -> Result<ExperimentConfigBuilder, i32> {
-    builder_from_flags(&config_flags(args)?).map_err(|e| {
-        eprintln!("{e}");
-        2
-    })
-}
-
-/// Pull a valued flag (`--name <v>` / `--name=<v>`) out of an argument
-/// list, returning the remaining arguments and the value.
-fn split_flag(args: &[String], name: &str) -> Result<(Vec<String>, Option<String>), i32> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let mut rest = Vec::with_capacity(args.len());
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        let s = args[i].as_str();
-        if s == long {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("{long} needs a value");
-                return Err(2);
-            };
-            value = Some(v.clone());
-            i += 1;
-        } else if let Some(v) = s.strip_prefix(&prefixed) {
-            value = Some(v.to_string());
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    Ok((rest, value))
-}
-
-/// Pull a boolean flag (`--name`) out of an argument list.
-fn split_switch(args: &[String], name: &str) -> (Vec<String>, bool) {
-    let long = format!("--{name}");
-    let mut found = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            if a.as_str() == long {
-                found = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    (rest, found)
-}
-
-/// Finish a builder, turning a `ConfigError` into exit code 2.
-fn build_or_report(builder: ExperimentConfigBuilder) -> Result<ExperimentConfig, i32> {
-    builder.build().map_err(|e| {
-        eprintln!("invalid configuration: {e}");
-        2
-    })
+/// Finish a builder; a `ConfigError` is a usage error.
+fn build(builder: ExperimentConfigBuilder) -> Result<ExperimentConfig, Exit> {
+    builder
+        .build()
+        .map_err(|e| Exit::usage(format!("invalid configuration: {e}")))
 }
 
 fn print_json(value: &Json) {
     println!("{}", value.render());
 }
 
-fn cmd_layout(args: &[String], json: bool) -> i32 {
-    let code = match build_code(args) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
+/// Build a code from the next two positionals.
+fn build_code(args: &mut Args) -> Result<StripeCode, Exit> {
+    let spec = args.positional_with(
+        fbf::code_from_name,
+        "expected a code name (tip/hdd1/triplestar/star/rdp/evenodd)",
+    )?;
+    let p: usize = args.positional("expected a prime p")?;
+    StripeCode::build(spec, p).map_err(|e| Exit::fail(format!("cannot build {spec}: {e}")))
+}
+
+fn cmd_layout(args: &mut Args) -> Result<(), Exit> {
+    let code = build_code(args)?;
+    args.done("usage: fbf layout <code> <p>")?;
     let mut per_dir = [0usize; 3];
     for chain in code.chains() {
         per_dir[chain.direction.index()] += 1;
     }
     let avg_len: f64 =
         code.chains().iter().map(|c| c.len() as f64).sum::<f64>() / code.chains().len() as f64;
-    if json {
+    if args.json {
         print_json(&Json::obj([
             ("code", Json::Str(code.spec().name().to_string())),
             ("rows", Json::Num(code.rows() as f64)),
@@ -344,7 +381,7 @@ fn cmd_layout(args: &[String], json: bool) -> i32 {
             ),
             ("avg_chain_len", Json::Num(avg_len)),
         ]));
-        return 0;
+        return Ok(());
     }
     println!(
         "{}  ({} rows x {} disks, tolerates {} failures)",
@@ -359,58 +396,26 @@ fn cmd_layout(args: &[String], json: bool) -> i32 {
         per_dir[0], per_dir[1], per_dir[2]
     );
     println!("average chain length: {avg_len:.2} members");
-    0
+    Ok(())
 }
 
-/// Build a code from two positional args, reporting errors to stderr.
-fn build_code(args: &[String]) -> Result<StripeCode, i32> {
-    let spec = args.first().and_then(|s| parse_code(s)).ok_or_else(|| {
-        eprintln!("expected a code name (tip/hdd1/triplestar/star/rdp/evenodd)");
-        2
-    })?;
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-        eprintln!("expected a prime p");
-        2
-    })?;
-    StripeCode::build(spec, p).map_err(|e| {
-        eprintln!("cannot build {spec}: {e}");
-        1
-    })
-}
+fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
+    let usage = "usage: fbf plan <code> <p> <col> <first_row> <len> [scheme]";
+    let code = build_code(args)?;
+    let (col, first, len): (usize, usize, usize) = (
+        args.positional(usage)?,
+        args.positional(usage)?,
+        args.positional(usage)?,
+    );
+    let kind = args.optional_with(fbf::scheme_from_name, usage)?;
+    let kind = kind.unwrap_or(SchemeKind::FbfCycling);
+    args.done(usage)?;
 
-fn cmd_plan(args: &[String], json: bool) -> i32 {
-    let code = match build_code(args) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
-    let (Some(col), Some(first), Some(len)) = (
-        args.get(2).and_then(|s| s.parse::<usize>().ok()),
-        args.get(3).and_then(|s| s.parse::<usize>().ok()),
-        args.get(4).and_then(|s| s.parse::<usize>().ok()),
-    ) else {
-        eprintln!("usage: fbf plan <code> <p> <col> <first_row> <len> [scheme]");
-        return 2;
-    };
-    let kind = args
-        .get(5)
-        .and_then(|s| parse_scheme(s))
-        .unwrap_or(SchemeKind::FbfCycling);
-
-    let error = match PartialStripeError::new(&code, 0, col, first, len) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("invalid error: {e}");
-            return 1;
-        }
-    };
-    let scheme = match generate(&code, &error, kind) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scheme generation failed: {e}");
-            return 1;
-        }
-    };
-    if json {
+    let error = PartialStripeError::new(&code, 0, col, first, len)
+        .map_err(|e| Exit::fail(format!("invalid error: {e}")))?;
+    let scheme = generate(&code, &error, kind)
+        .map_err(|e| Exit::fail(format!("scheme generation failed: {e}")))?;
+    if args.json {
         let repairs: Vec<Json> = scheme
             .repairs
             .iter()
@@ -439,7 +444,7 @@ fn cmd_plan(args: &[String], json: bool) -> i32 {
             ("unique_reads", Json::Num(scheme.unique_reads() as f64)),
             ("shared_savings", Json::Num(scheme.shared_savings() as f64)),
         ]));
-        return 0;
+        return Ok(());
     }
     println!("{} / {} scheme for {error}:", code.describe(), kind.name());
     for r in &scheme.repairs {
@@ -465,99 +470,58 @@ fn cmd_plan(args: &[String], json: bool) -> i32 {
             println!("priority {prio}: {}", names.join(", "));
         }
     }
-    0
+    Ok(())
 }
 
-fn cmd_trace(args: &[String], json: bool) -> i32 {
-    let (Some(stripes), Some(count)) = (
-        args.first().and_then(|s| s.parse::<u32>().ok()),
-        args.get(1).and_then(|s| s.parse::<usize>().ok()),
-    ) else {
-        eprintln!("usage: fbf trace <stripes> <count> [seed]");
-        return 2;
-    };
-    let seed = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0x5EED);
+fn cmd_trace(args: &mut Args) -> Result<(), Exit> {
+    let usage = "usage: fbf trace <stripes> <count> [seed]";
+    let (stripes, count): (u32, usize) = (args.positional(usage)?, args.positional(usage)?);
+    let seed: u64 = args
+        .optional_with(|s| s.parse().ok(), usage)?
+        .unwrap_or(0x5EED);
+    args.done(usage)?;
     // Trace geometry bound: use TIP(p=13) so traces replay on any shipped
     // code with p >= 13 — or adjust to taste.
     let code = StripeCode::build(CodeSpec::Tip, 13).expect("13 is prime");
     let group = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, count, seed));
-    if json {
+    if args.json {
         print_json(&Json::obj([
             ("stripes", Json::Num(stripes as f64)),
             ("count", Json::Num(group.len() as f64)),
             ("seed", Json::Num(seed as f64)),
             ("trace", Json::Str(render_trace(&group))),
         ]));
-        return 0;
+        return Ok(());
     }
     print!("{}", render_trace(&group));
-    0
+    Ok(())
 }
 
 /// Load, parse, and geometry-check an error trace file against `cfg`.
-fn load_trace(path: &str, cfg: &ExperimentConfig) -> Result<fbf::recovery::ErrorGroup, i32> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read trace {path}: {e}");
-        1
-    })?;
-    let errors = parse_trace(&text).map_err(|e| {
-        eprintln!("bad trace {path}: {e}");
-        2
-    })?;
-    let code = StripeCode::build(cfg.code, cfg.p).map_err(|e| {
-        eprintln!("cannot build {}: {e}", cfg.code.name());
-        2
-    })?;
+fn load_trace(path: &str, cfg: &ExperimentConfig) -> Result<fbf::recovery::ErrorGroup, Exit> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Exit::fail(format!("cannot read trace {path}: {e}")))?;
+    let errors = parse_trace(&text).map_err(|e| Exit::usage(format!("bad trace {path}: {e}")))?;
+    let code = StripeCode::build(cfg.code, cfg.p)
+        .map_err(|e| Exit::usage(format!("cannot build {}: {e}", cfg.code.name())))?;
     validate_against(&errors, &code, cfg.stripes as usize).map_err(|e| {
-        eprintln!("trace {path} does not fit the configured geometry: {e}");
-        2
+        Exit::usage(format!(
+            "trace {path} does not fit the configured geometry: {e}"
+        ))
     })?;
     Ok(errors)
 }
 
-fn cmd_run(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) -> i32 {
-    let (args, trace_in) = match split_flag(args, "trace-in") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    run_with(&args, trace_in.as_deref(), obs, metrics_out, json)
-}
-
-fn cmd_replay(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) -> i32 {
-    let Some((path, rest)) = args.split_first() else {
-        eprintln!("usage: fbf replay <trace-file> [--key value ...]");
-        return 2;
-    };
-    if path.starts_with("--") {
-        eprintln!("usage: fbf replay <trace-file> [--key value ...]");
-        return 2;
-    }
-    run_with(rest, Some(path), obs, metrics_out, json)
-}
-
-fn run_with(
-    args: &[String],
-    trace_in: Option<&str>,
-    obs: bool,
-    metrics_out: Option<&str>,
-    json: bool,
-) -> i32 {
-    let cfg = match parse_config_args(args)
-        .map(|b| b.obs(obs))
-        .and_then(build_or_report)
-    {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
+/// `fbf run` / `fbf replay`: one experiment, drawn or replayed.
+fn run_with(args: &mut Args, trace_in: Option<&str>) -> Result<(), Exit> {
+    let cfg = build(args.config()?)?;
+    let json = args.json;
     if !json {
         println!("running {}", cfg.describe());
     }
     let result = match trace_in {
         Some(path) => {
-            let errors = match load_trace(path, &cfg) {
-                Ok(g) => g,
-                Err(rc) => return rc,
-            };
+            let errors = load_trace(path, &cfg)?;
             if !json {
                 println!("  (replaying {} errors from {path})", errors.len());
             }
@@ -565,84 +529,65 @@ fn run_with(
         }
         None => run_experiment(&cfg),
     };
-    match result {
-        Ok(m) => {
-            if let Some(path) = metrics_out {
-                write_metrics_snapshot(
-                    path,
-                    &[fbf::SweepPoint {
-                        config: cfg,
-                        metrics: m.clone(),
-                    }],
-                );
-            }
-            if json {
-                println!("{}", m.to_json());
-                return 0;
-            }
-            println!("  hit ratio          : {:.4}", m.hit_ratio);
-            println!("  disk reads         : {}", m.disk_reads);
-            println!("  avg response       : {:.3} ms", m.avg_response_ms);
-            println!("  reconstruction time: {:.3} s", m.reconstruction_s);
+    let m = result.map_err(|e| Exit::fail(format!("run failed: {e}")))?;
+    args.flags.write_metrics(|| {
+        fbf::prometheus_snapshot(&[fbf::SweepPoint {
+            config: cfg,
+            metrics: m.clone(),
+        }])
+    });
+    if json {
+        println!("{}", m.to_json());
+        return Ok(());
+    }
+    println!("  hit ratio          : {:.4}", m.hit_ratio);
+    println!("  disk reads         : {}", m.disk_reads);
+    println!("  avg response       : {:.3} ms", m.avg_response_ms);
+    println!("  reconstruction time: {:.3} s", m.reconstruction_s);
+    println!(
+        "  FBF overhead       : {:.4} ms/stripe ({:.3}%)",
+        m.overhead_per_stripe_ms, m.overhead_pct
+    );
+    println!("  chunks recovered   : {}", m.chunks_recovered);
+    if m.slo.evaluated {
+        println!(
+            "  slo                : {}",
+            if m.slo.pass { "PASS" } else { "FAIL" }
+        );
+    }
+    if !m.faults.is_empty() || m.stripes_lost > 0 {
+        println!(
+            "  faults             : {} media, {} transient ({} retries, {} exhausted), {} dead-disk",
+            m.faults.media_errors,
+            m.faults.transient_faults,
+            m.faults.retries,
+            m.faults.retries_exhausted,
+            m.faults.dead_disk_reads
+        );
+        println!(
+            "  escalation         : {} replans over {} rounds, {} stripes lost",
+            m.replans, m.replan_rounds, m.stripes_lost
+        );
+        for dl in &m.data_loss {
             println!(
-                "  FBF overhead       : {:.4} ms/stripe ({:.3}%)",
-                m.overhead_per_stripe_ms, m.overhead_pct
+                "    DATA LOSS stripe {}: damage spans {} columns",
+                dl.stripe, dl.columns
             );
-            println!("  chunks recovered   : {}", m.chunks_recovered);
-            if m.slo.evaluated {
-                println!(
-                    "  slo                : {}",
-                    if m.slo.pass { "PASS" } else { "FAIL" }
-                );
-            }
-            if !m.faults.is_empty() || m.stripes_lost > 0 {
-                println!(
-                    "  faults             : {} media, {} transient ({} retries, {} exhausted), {} dead-disk",
-                    m.faults.media_errors,
-                    m.faults.transient_faults,
-                    m.faults.retries,
-                    m.faults.retries_exhausted,
-                    m.faults.dead_disk_reads
-                );
-                println!(
-                    "  escalation         : {} replans over {} rounds, {} stripes lost",
-                    m.replans, m.replan_rounds, m.stripes_lost
-                );
-                for dl in &m.data_loss {
-                    println!(
-                        "    DATA LOSS stripe {}: damage spans {} columns",
-                        dl.stripe, dl.columns
-                    );
-                }
-            }
-            0
-        }
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            1
         }
     }
+    Ok(())
 }
 
 /// `fbf rebuild`: simulate a whole-disk failure on an N-disk array and
 /// drive the declustered rebuild scheduler over every affected stripe,
-/// with foreground app reads sharing the spindles. Rebuild-specific
-/// flags come out first; everything left is ordinary experiment flags.
-fn cmd_rebuild(args: &[String], obs: bool, json: bool) -> i32 {
-    // The flags are read exactly as the daemon reads a `rebuild` request.
-    let spec = rebuild_request(args).and_then(|fields| {
-        fbf::core::daemon::rebuild_spec_from_request(&Json::obj(fields)).map_err(|e| {
-            eprintln!("{e}");
-            2
-        })
-    });
-    let mut spec = match spec {
-        Ok(s) => s,
-        Err(rc) => return rc,
-    };
-    spec.base.obs = obs;
+/// with foreground app reads sharing the spindles. The flags are read
+/// exactly as the daemon reads a `rebuild` request.
+fn cmd_rebuild(args: &mut Args) -> Result<(), Exit> {
+    let request = Json::obj(rebuild_request(args)?);
+    let mut spec = fbf::core::daemon::rebuild_spec_from_request(&request).map_err(Exit::usage)?;
+    spec.base.obs = args.obs;
 
-    if !json {
+    if !args.json {
         println!(
             "rebuilding disk {} of {} ({} placement, {} fairness): {}",
             spec.failed_disk,
@@ -652,51 +597,40 @@ fn cmd_rebuild(args: &[String], obs: bool, json: bool) -> i32 {
             spec.base.describe()
         );
     }
-    match fbf::run_rebuild(&spec) {
-        Ok(outcome) => {
-            if json {
-                println!("{}", outcome.to_json());
-                return i32::from(!outcome.failed_stripes.is_empty());
-            }
-            println!(
-                "  stripes affected   : {} ({} rebuilt, {} failed)",
-                outcome.stripes_affected,
-                outcome.stripes_rebuilt,
-                outcome.failed_stripes.len()
-            );
-            println!("  waves              : {}", outcome.waves);
-            println!("  reconstruction time: {:.3} s", outcome.reconstruction_s);
-            println!(
-                "  rebuild-read skew  : {:.3} (max/mean)",
-                outcome.rebuild_skew
-            );
-            if let Some(p99) = outcome.app_p99_ms {
-                println!(
-                    "  app read p99       : {p99:.3} ms (p999 {})",
-                    outcome
-                        .app_p999_ms
-                        .map_or("n/a".to_string(), |v| format!("{v:.3} ms"))
-                );
-            }
-            i32::from(!outcome.failed_stripes.is_empty())
-        }
-        Err(e) => {
-            eprintln!("rebuild failed: {e}");
-            1
-        }
+    let outcome =
+        fbf::run_rebuild(&spec).map_err(|e| Exit::fail(format!("rebuild failed: {e}")))?;
+    let failed = !outcome.failed_stripes.is_empty();
+    if args.json {
+        println!("{}", outcome.to_json());
+        return Exit::fail_if(failed);
     }
+    println!(
+        "  stripes affected   : {} ({} rebuilt, {} failed)",
+        outcome.stripes_affected,
+        outcome.stripes_rebuilt,
+        outcome.failed_stripes.len()
+    );
+    println!("  waves              : {}", outcome.waves);
+    println!("  reconstruction time: {:.3} s", outcome.reconstruction_s);
+    println!(
+        "  rebuild-read skew  : {:.3} (max/mean)",
+        outcome.rebuild_skew
+    );
+    if let Some(p99) = outcome.app_p99_ms {
+        println!(
+            "  app read p99       : {p99:.3} ms (p999 {})",
+            outcome
+                .app_p999_ms
+                .map_or("n/a".to_string(), |v| format!("{v:.3} ms"))
+        );
+    }
+    Exit::fail_if(failed)
 }
 
-fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) -> i32 {
-    let builder = match parse_config_args(args).map(|b| b.obs(obs)) {
-        Ok(b) => b,
-        Err(rc) => return rc,
-    };
-    let base = match build_or_report(builder) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
-    let grid = policy_grid(
+fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
+    let builder = args.config()?;
+    let base = build(builder)?;
+    let (table, points) = policy_grid(
         format!("hit ratio — {}(p={})", base.code.name(), base.p),
         &CACHE_MB,
         |policy, mb| {
@@ -707,18 +641,11 @@ fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) 
                 .expect("validated base stays valid across the grid")
         },
         |m| f(m.hit_ratio, 4),
-    );
-    let (table, points) = match grid {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            return 1;
-        }
-    };
-    if let Some(path) = metrics_out {
-        write_metrics_snapshot(path, &points);
-    }
-    if json {
+    )
+    .map_err(|e| Exit::fail(format!("sweep failed: {e}")))?;
+    args.flags
+        .write_metrics(|| fbf::prometheus_snapshot(&points));
+    if args.json {
         let rows: Vec<Json> = points
             .iter()
             .map(|pt| {
@@ -734,35 +661,10 @@ fn cmd_sweep(args: &[String], obs: bool, metrics_out: Option<&str>, json: bool) 
             ("p", Json::Num(base.p as f64)),
             ("points", Json::Arr(rows)),
         ]));
-        return 0;
+        return Ok(());
     }
     println!("{}", table.render());
-    0
-}
-
-/// Resolve the daemon address from `--socket` / `--tcp`, defaulting to a
-/// unix socket at `$TMPDIR/fbfd.sock`.
-fn split_addr(args: &[String]) -> Result<(Vec<String>, ServerAddr), i32> {
-    let (args, socket) = split_flag(args, "socket")?;
-    let (args, tcp) = split_flag(&args, "tcp")?;
-    match (socket, tcp) {
-        (Some(_), Some(_)) => {
-            eprintln!("--socket and --tcp are mutually exclusive");
-            Err(2)
-        }
-        (Some(path), None) => Ok((args, ServerAddr::Unix(path.into()))),
-        (None, Some(addr)) => match addr.parse() {
-            Ok(sock) => Ok((args, ServerAddr::Tcp(sock))),
-            Err(e) => {
-                eprintln!("bad --tcp address `{addr}`: {e}");
-                Err(2)
-            }
-        },
-        (None, None) => Ok((
-            args,
-            ServerAddr::Unix(std::env::temp_dir().join("fbfd.sock")),
-        )),
-    }
+    Ok(())
 }
 
 fn addr_display(addr: &ServerAddr) -> String {
@@ -772,37 +674,23 @@ fn addr_display(addr: &ServerAddr) -> String {
     }
 }
 
-fn cmd_serve(args: &[String], json: bool) -> i32 {
-    let (args, addr) = match split_addr(args) {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let (args, workers) = match split_flag(&args, "daemon-workers") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    if let Some(stray) = args.first() {
-        eprintln!("unexpected argument `{stray}`");
-        return 2;
-    }
+/// `fbf serve`: the daemon's one launcher, in the foreground until a
+/// client sends `shutdown`.
+fn cmd_serve(args: &mut Args) -> Result<(), Exit> {
+    let addr = args.addr()?;
     let mut opts = DaemonOptions::default();
-    if let Some(w) = workers {
-        match w.parse() {
-            Ok(n) => opts.workers = n,
-            Err(_) => {
-                eprintln!("bad --daemon-workers `{w}`");
-                return 2;
-            }
-        }
+    opts.workers = args.flag("daemon-workers")?.unwrap_or(opts.workers);
+    opts.retain = args.flag("retain")?.unwrap_or(opts.retain);
+    if let Some(cap) = args.flag::<usize>("ring-cap")? {
+        // serve() installs the default recorder, which reads this env var.
+        std::env::set_var("FBF_RING_CAP", cap.to_string());
     }
-    let handle = match fbf::serve(&addr, opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot serve on {}: {e}", addr_display(&addr));
-            return 1;
-        }
-    };
-    if json {
+    if let Some(stray) = args.rest.first() {
+        return Err(Exit::usage(format!("unexpected argument `{stray}`")));
+    }
+    let handle = fbf::serve(&addr, opts)
+        .map_err(|e| Exit::fail(format!("cannot serve on {}: {e}", addr_display(&addr))))?;
+    if args.json {
         print_json(&Json::obj([
             ("listening", Json::Str(addr_display(handle.addr()))),
             ("workers", Json::Num(opts.workers as f64)),
@@ -815,31 +703,45 @@ fn cmd_serve(args: &[String], json: bool) -> i32 {
         );
     }
     handle.wait();
-    0
+    Ok(())
 }
 
 /// The fields of a daemon `rebuild` request from `fbf rebuild` /
 /// `fbf client rebuild` arguments: rebuild-spec flags come out first,
 /// everything left is ordinary experiment flags. All forwarded as typed;
 /// `rebuild_spec_from_request` is the one reader.
-fn rebuild_request(args: &[String]) -> Result<Vec<(&'static str, Json)>, i32> {
-    let mut rest = args.to_vec();
+fn rebuild_request(args: &mut Args) -> Result<Vec<(&'static str, Json)>, Exit> {
     let mut fields = vec![("cmd", Json::from("rebuild"))];
-    for (flag, wire_key) in [
-        ("disks", "disks"),
-        ("placement", "placement"),
-        ("placement-seed", "placement_seed"),
-        ("failed-disk", "failed_disk"),
-        ("cap", "cap"),
-        ("fairness", "fairness"),
-        ("campaigns", "campaigns"),
-        ("app-reads", "app_reads"),
-    ] {
-        let (r, value) = split_flag(&rest, flag)?;
-        rest = r;
+    // The spec's wire keys; each one's flag spells its underscores as dashes.
+    let spec_keys = "disks placement placement_seed failed_disk cap fairness campaigns app_reads";
+    for wire_key in spec_keys.split(' ') {
+        let value = args.flag::<String>(&wire_key.replace('_', "-"))?;
         fields.extend(value.map(|v| (wire_key, Json::Str(v))));
     }
-    fields.push(("config", overrides_from_flags(&config_flags(&rest)?)));
+    fields.push(("config", overrides(&config_flags(&args.rest)?)));
+    Ok(fields)
+}
+
+/// The fields of a daemon `repair` request: `--backend`, `--dir` and the
+/// trace file's text (it travels inline; the daemon never opens client
+/// paths) come out first, everything left is experiment flags.
+fn repair_request(args: &mut Args) -> Result<Vec<(&'static str, Json)>, Exit> {
+    let backend = args.flag::<String>("backend")?;
+    let dir = args.flag::<String>("dir")?;
+    let trace = match args.flag::<String>("trace-in")? {
+        Some(path) => Some(
+            std::fs::read_to_string(&path)
+                .map_err(|e| Exit::fail(format!("cannot read trace {path}: {e}")))?,
+        ),
+        None => None,
+    };
+    let mut fields = vec![
+        ("cmd", Json::from("repair")),
+        ("config", overrides(&config_flags(&args.rest)?)),
+    ];
+    for (wire_key, value) in [("backend", backend), ("dir", dir), ("trace", trace)] {
+        fields.extend(value.map(|v| (wire_key, Json::Str(v))));
+    }
     Ok(fields)
 }
 
@@ -847,7 +749,7 @@ fn rebuild_request(args: &[String]) -> Result<Vec<(&'static str, Json)>, i32> {
 /// were typed. The daemon applies them through the same
 /// `ExperimentConfigBuilder::set` a local run uses, so every key — fault
 /// injection included — means the same on both sides.
-fn overrides_from_flags(flags: &[(String, String)]) -> Json {
+fn overrides(flags: &[(String, String)]) -> Json {
     Json::Obj(
         flags
             .iter()
@@ -856,36 +758,18 @@ fn overrides_from_flags(flags: &[(String, String)]) -> Json {
     )
 }
 
-fn connect_or_report(addr: &ServerAddr) -> Result<DaemonClient, i32> {
+fn connect(addr: &ServerAddr) -> Result<DaemonClient, Exit> {
     DaemonClient::connect(addr).map_err(|e| {
-        eprintln!(
+        Exit::fail(format!(
             "cannot connect to fbfd at {}: {e} (is it running? start one with `fbf serve`)",
             addr_display(addr)
-        );
-        1
+        ))
     })
 }
 
-/// One request/reply exchange; prints the reply and maps `ok` to the
-/// exit code.
-fn call_and_print(client: &mut DaemonClient, req: &Json, json: bool) -> i32 {
-    match client.call(req) {
-        Ok(reply) => {
-            let ok = reply.get("ok").and_then(Json::as_bool).unwrap_or(false);
-            if json {
-                print_json(&reply);
-            } else if ok {
-                println!("{}", reply.render());
-            } else {
-                eprintln!("daemon error: {}", daemon_error(&reply));
-            }
-            i32::from(!ok)
-        }
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            1
-        }
-    }
+/// A request that is its command word alone.
+fn cmd(name: &str) -> Json {
+    Json::obj([("cmd", name.into())])
 }
 
 /// Render a daemon `stat` reply as a compact human-readable snapshot:
@@ -971,310 +855,125 @@ fn render_stat(reply: &Json) -> String {
     out
 }
 
+fn cmd_client(args: &mut Args) -> Result<(), Exit> {
+    let addr = args.addr()?;
+    let action = args.positional::<String>(
+        "usage: fbf client [--socket <path> | --tcp <addr>] \
+         ping|repair|rebuild|status|jobs|read|metrics|stat|top|dump|watch|load|shutdown",
+    )?;
+    let json = args.json;
+    // An action that takes no arguments of its own.
+    let bare = |args: &Args| args.done(&format!("usage: fbf client {action}"));
+    match action.as_str() {
+        "ping" | "jobs" | "shutdown" => {
+            bare(args)?;
+            print_json(&connect(&addr)?.request(&cmd(&action))?)
+        }
+        "repair" => {
+            let wait = args.switch("wait");
+            submit_job(&addr, repair_request(args)?, wait, "metrics", json)?
+        }
+        // The same spec flags as `fbf rebuild`, executed on the daemon's
+        // worker pool.
+        "rebuild" => {
+            let wait = args.switch("wait");
+            submit_job(&addr, rebuild_request(args)?, wait, "rebuild", json)?
+        }
+        "status" => {
+            let usage = "usage: fbf client status <job>";
+            let job: u64 = args.positional(usage)?;
+            args.done(usage)?;
+            let status = Json::obj([("cmd", "status".into()), ("job", job.into())]);
+            print_json(&connect(&addr)?.request(&status)?)
+        }
+        "read" => {
+            let usage = "usage: fbf client read <job> <stripe> <row> <col>";
+            let mut fields = vec![("cmd", Json::from("read"))];
+            for key in ["job", "stripe", "row", "col"] {
+                fields.push((key, args.positional::<u64>(usage)?.into()));
+            }
+            args.done(usage)?;
+            print_json(&connect(&addr)?.request(&Json::obj(fields))?)
+        }
+        "metrics" => {
+            bare(args)?;
+            let reply = connect(&addr)?.request(&cmd("metrics"))?;
+            match reply.get("prometheus").and_then(Json::as_str) {
+                // The Prometheus text is the payload; print it bare so it
+                // pipes straight into check_trace.py --prom.
+                Some(text) if !json => print!("{text}"),
+                _ => print_json(&reply),
+            }
+        }
+        "stat" => {
+            bare(args)?;
+            let reply = connect(&addr)?.request(&cmd("stat"))?;
+            match json {
+                true => print_json(&reply),
+                false => print!("{}", render_stat(&reply)),
+            }
+        }
+        "top" => client_top(args, &addr)?,
+        "dump" => {
+            let out = args.flag::<String>("out")?;
+            args.done("usage: fbf client dump [--out <file.jsonl>]")?;
+            let reply = connect(&addr)?.request(&cmd("dump"))?;
+            let jsonl = reply.get("jsonl").and_then(Json::as_str).unwrap_or("");
+            match out {
+                Some(path) => {
+                    std::fs::write(&path, jsonl)
+                        .map_err(|e| Exit::fail(format!("cannot write {path}: {e}")))?;
+                    eprintln!(
+                        "wrote {} flight-recorder events to {path}",
+                        reply.get("events").and_then(Json::as_u64).unwrap_or(0)
+                    );
+                }
+                None if json => print_json(&reply),
+                None => print!("{jsonl}"),
+            }
+        }
+        "watch" => {
+            bare(args)?;
+            let mut client = connect(&addr)?;
+            client.request(&cmd("subscribe"))?;
+            let ended = |e| Exit::fail(format!("stream ended: {e}"));
+            while let Some(frame) = client.recv().map_err(ended)? {
+                match frame.get("event").and_then(Json::as_str) {
+                    Some(line) => println!("{line}"),
+                    None => println!("{}", frame.render()),
+                }
+            }
+        }
+        "load" => client_load(args, &addr)?,
+        other => return Err(Exit::usage(format!("unknown client action `{other}`"))),
+    }
+    Ok(())
+}
+
 /// `fbf client top` — a refreshing `stat` view. `--interval-ms` sets the
 /// refresh period (default 1000), `--iterations` bounds the run (0 =
 /// until interrupted; CI uses a finite count).
-fn client_top(args: &[String], addr: &ServerAddr) -> i32 {
-    let (args, interval) = match split_flag(args, "interval-ms") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let interval: u64 = match interval.as_deref().map(str::parse).transpose() {
-        Ok(ms) => ms.unwrap_or(1000).max(50),
-        Err(_) => {
-            eprintln!("bad --interval-ms value");
-            return 2;
-        }
-    };
-    let (args, iterations) = match split_flag(&args, "iterations") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let iterations: u64 = match iterations.as_deref().map(str::parse).transpose() {
-        Ok(n) => n.unwrap_or(0),
-        Err(_) => {
-            eprintln!("bad --iterations value");
-            return 2;
-        }
-    };
-    if !args.is_empty() {
-        eprintln!("usage: fbf client top [--interval-ms <n>] [--iterations <n>]");
-        return 2;
-    }
-    let mut client = match connect_or_report(addr) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
+fn client_top(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
+    let interval: u64 = args.flag("interval-ms")?.unwrap_or(1000).max(50);
+    let iterations: u64 = args.flag("iterations")?.unwrap_or(0);
+    args.done("usage: fbf client top [--interval-ms <n>] [--iterations <n>]")?;
+    let mut client = connect(addr)?;
     let mut done = 0u64;
     loop {
-        let reply = match client.call(&Json::obj([("cmd", Json::Str("stat".into()))])) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("request failed: {e}");
-                return 1;
-            }
-        };
-        if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("daemon error: {}", daemon_error(&reply));
-            return 1;
-        }
+        let reply = client.request(&cmd("stat"))?;
         // Clear screen + home, like top(1); harmless when piped.
         print!("\x1b[2J\x1b[H{}", render_stat(&reply));
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         done += 1;
         if iterations != 0 && done >= iterations {
-            return 0;
+            return Ok(());
         }
         std::thread::sleep(Duration::from_millis(interval));
     }
 }
 
-fn cmd_client(args: &[String], json: bool) -> i32 {
-    let (args, addr) = match split_addr(args) {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let Some((action, rest)) = args.split_first() else {
-        eprintln!(
-            "usage: fbf client [--socket <path> | --tcp <addr>] \
-             ping|repair|rebuild|status|jobs|read|metrics|stat|top|dump|watch|load|shutdown"
-        );
-        return 2;
-    };
-    match action.as_str() {
-        cmd @ ("ping" | "jobs" | "shutdown") => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            call_and_print(&mut client, &Json::obj([("cmd", Json::from(cmd))]), json)
-        }
-        "repair" => client_repair(rest, &addr, json),
-        "rebuild" => client_rebuild(rest, &addr, json),
-        "status" => {
-            let Some(id) = rest.first().and_then(|s| s.parse::<u64>().ok()) else {
-                eprintln!("usage: fbf client status <job>");
-                return 2;
-            };
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            call_and_print(
-                &mut client,
-                &Json::obj([
-                    ("cmd", Json::Str("status".into())),
-                    ("job", Json::Num(id as f64)),
-                ]),
-                json,
-            )
-        }
-        "read" => {
-            let nums: Vec<u64> = rest.iter().filter_map(|s| s.parse().ok()).collect();
-            if nums.len() != 4 {
-                eprintln!("usage: fbf client read <job> <stripe> <row> <col>");
-                return 2;
-            }
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            call_and_print(
-                &mut client,
-                &Json::obj([
-                    ("cmd", Json::Str("read".into())),
-                    ("job", Json::Num(nums[0] as f64)),
-                    ("stripe", Json::Num(nums[1] as f64)),
-                    ("row", Json::Num(nums[2] as f64)),
-                    ("col", Json::Num(nums[3] as f64)),
-                ]),
-                json,
-            )
-        }
-        "metrics" => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            match client.call(&Json::obj([("cmd", Json::Str("metrics".into()))])) {
-                Ok(reply) if json => {
-                    print_json(&reply);
-                    0
-                }
-                Ok(reply) => {
-                    // The Prometheus text is the payload; print it bare so
-                    // it pipes straight into check_trace.py --prom.
-                    match reply.get("prometheus").and_then(Json::as_str) {
-                        Some(text) => {
-                            print!("{text}");
-                            0
-                        }
-                        None => {
-                            eprintln!("daemon error: {}", reply.render());
-                            1
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("request failed: {e}");
-                    1
-                }
-            }
-        }
-        "stat" => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            match client.call(&Json::obj([("cmd", Json::Str("stat".into()))])) {
-                Ok(reply) if json => {
-                    print_json(&reply);
-                    i32::from(reply.get("ok").and_then(Json::as_bool) != Some(true))
-                }
-                Ok(reply) => {
-                    print!("{}", render_stat(&reply));
-                    i32::from(reply.get("ok").and_then(Json::as_bool) != Some(true))
-                }
-                Err(e) => {
-                    eprintln!("request failed: {e}");
-                    1
-                }
-            }
-        }
-        "top" => client_top(rest, &addr),
-        "dump" => {
-            let (rest, out) = match split_flag(rest, "out") {
-                Ok(v) => v,
-                Err(rc) => return rc,
-            };
-            if !rest.is_empty() {
-                eprintln!("usage: fbf client dump [--out <file.jsonl>]");
-                return 2;
-            }
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            match client.call(&Json::obj([("cmd", Json::Str("dump".into()))])) {
-                Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true) => {
-                    let jsonl = reply.get("jsonl").and_then(Json::as_str).unwrap_or("");
-                    match out {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(&path, jsonl) {
-                                eprintln!("cannot write {path}: {e}");
-                                return 1;
-                            }
-                            eprintln!(
-                                "wrote {} flight-recorder events to {path}",
-                                reply.get("events").and_then(Json::as_u64).unwrap_or(0)
-                            );
-                            0
-                        }
-                        None if json => {
-                            print_json(&reply);
-                            0
-                        }
-                        None => {
-                            print!("{jsonl}");
-                            0
-                        }
-                    }
-                }
-                Ok(reply) => {
-                    eprintln!("daemon error: {}", daemon_error(&reply));
-                    1
-                }
-                Err(e) => {
-                    eprintln!("request failed: {e}");
-                    1
-                }
-            }
-        }
-        "watch" => {
-            let mut client = match connect_or_report(&addr) {
-                Ok(c) => c,
-                Err(rc) => return rc,
-            };
-            match client.call(&Json::obj([("cmd", Json::Str("subscribe".into()))])) {
-                Ok(_ack) => loop {
-                    match client.recv() {
-                        Ok(Some(frame)) => match frame.get("event").and_then(Json::as_str) {
-                            Some(line) => println!("{line}"),
-                            None => println!("{}", frame.render()),
-                        },
-                        Ok(None) => return 0,
-                        Err(e) => {
-                            eprintln!("stream ended: {e}");
-                            return 1;
-                        }
-                    }
-                },
-                Err(e) => {
-                    eprintln!("subscribe failed: {e}");
-                    1
-                }
-            }
-        }
-        "load" => client_load(rest, &addr, json),
-        other => {
-            eprintln!("unknown client action `{other}`");
-            2
-        }
-    }
-}
-
-fn client_repair(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
-    let (rest, wait) = split_switch(args, "wait");
-    match repair_request(&rest) {
-        Ok(fields) => submit_job(addr, fields, wait, "metrics", json),
-        Err(rc) => rc,
-    }
-}
-
-/// The fields of a daemon `repair` request: `--backend`, `--dir` and the
-/// trace file's text (it travels inline; the daemon never opens client
-/// paths) come out first, everything left is experiment flags.
-fn repair_request(args: &[String]) -> Result<Vec<(&'static str, Json)>, i32> {
-    let (rest, backend) = split_flag(args, "backend")?;
-    let (rest, dir) = split_flag(&rest, "dir")?;
-    let (rest, trace_in) = split_flag(&rest, "trace-in")?;
-    let trace = match trace_in {
-        Some(path) => Some(std::fs::read_to_string(&path).map_err(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            1
-        })?),
-        None => None,
-    };
-    let mut fields = vec![
-        ("cmd", Json::from("repair")),
-        ("config", overrides_from_flags(&config_flags(&rest)?)),
-    ];
-    for (wire_key, value) in [("backend", backend), ("dir", dir), ("trace", trace)] {
-        fields.extend(value.map(|v| (wire_key, Json::Str(v))));
-    }
-    Ok(fields)
-}
-
-/// Submit an array-wide rebuild job (`fbf client rebuild`): the same
-/// spec flags as `fbf rebuild`, executed on the daemon's worker pool.
-fn client_rebuild(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
-    let (args, wait) = split_switch(args, "wait");
-    match rebuild_request(&args) {
-        Ok(fields) => submit_job(addr, fields, wait, "rebuild", json),
-        Err(rc) => rc,
-    }
-}
-
-/// The `error` text of a failed reply.
-fn daemon_error(reply: &Json) -> &str {
-    reply
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or("unknown error")
-}
-
-/// Submit a job request; with `wait`, poll it to completion and print the
+/// Submit a job request; with `wait`, see it through and print the
 /// `result_key` object of its final status.
 fn submit_job(
     addr: &ServerAddr,
@@ -1282,117 +981,43 @@ fn submit_job(
     wait: bool,
     result_key: &str,
     json: bool,
-) -> i32 {
-    let mut client = match connect_or_report(addr) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
-    let reply = match client.call(&Json::obj(fields)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            return 1;
-        }
-    };
-    let ok = reply.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    let Some(job) = reply.get("job").and_then(Json::as_u64).filter(|_| ok) else {
-        if json {
-            print_json(&reply);
-        } else {
-            eprintln!("daemon error: {}", daemon_error(&reply));
-        }
-        return 1;
-    };
+) -> Result<(), Exit> {
+    let mut client = connect(addr)?;
+    let (job, reply) = client.submit(fields)?;
     if !wait {
-        if json {
-            print_json(&reply);
-        } else {
-            println!("job {job} queued");
+        match json {
+            true => print_json(&reply),
+            false => println!("job {job} queued"),
         }
-        return 0;
+        return Ok(());
     }
-    match wait_for_job(&mut client, job) {
-        Ok(status) => {
-            let done = status.get("state").and_then(Json::as_str) == Some("done");
-            if json {
-                print_json(&status);
-            } else if done {
-                println!("job {job} done");
-                if let Some(result) = status.get(result_key) {
-                    println!("{}", result.render());
-                }
-            } else {
-                eprintln!("job {job} failed: {}", daemon_error(&status));
-            }
-            i32::from(!done)
-        }
-        Err(e) => {
-            eprintln!("waiting on job {job} failed: {e}");
-            1
-        }
+    let status = client.wait(job, Duration::from_millis(50), |_| {})?;
+    if json {
+        print_json(&status);
+        return Ok(());
     }
-}
-
-/// Poll `status` until the job leaves queued/running.
-fn wait_for_job(client: &mut DaemonClient, job: u64) -> Result<Json, String> {
-    loop {
-        let status = client
-            .call(&Json::obj([
-                ("cmd", Json::Str("status".into())),
-                ("job", Json::Num(job as f64)),
-            ]))
-            .map_err(|e| e.to_string())?;
-        match status.get("state").and_then(Json::as_str) {
-            Some("done") | Some("failed") => return Ok(status),
-            Some(_) => std::thread::sleep(Duration::from_millis(50)),
-            None => {
-                return Err(format!("unexpected status reply: {}", status.render()));
-            }
-        }
+    println!("job {job} done");
+    if let Some(result) = status.get(result_key) {
+        println!("{}", result.render());
     }
+    Ok(())
 }
 
 /// Trace-driven load generator: shard a synthetic campaign across N
 /// connections, submit each shard as an inline-trace repair, and report
 /// per-class round-trip latency digests.
-fn client_load(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
-    let (args, connections) = match split_flag(args, "connections") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
-    let connections: usize = match connections.as_deref().map(str::parse).transpose() {
-        Ok(n) => n.unwrap_or(4).max(1),
-        Err(_) => {
-            eprintln!("bad --connections value");
-            return 2;
-        }
-    };
-    let (args, backend) = match split_flag(&args, "backend") {
-        Ok(v) => v,
-        Err(rc) => return rc,
-    };
+fn client_load(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
+    let connections: usize = args.flag("connections")?.unwrap_or(4).max(1);
+    let backend = args.flag::<String>("backend")?;
     // The load campaign is generated locally so every connection replays
     // a disjoint shard; the same config overrides ship with each repair
     // so the daemon executes the shard against the intended geometry.
-    let flags = match config_flags(&args) {
-        Ok(f) => f,
-        Err(rc) => return rc,
-    };
-    let cfg = match builder_from_flags(&flags).and_then(|b| b.build()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid configuration: {e}");
-            return 2;
-        }
-    };
-    let overrides = overrides_from_flags(&flags);
-    let code = match StripeCode::build(cfg.code, cfg.p) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot build {}: {e}", cfg.code.name());
-            return 2;
-        }
-    };
+    let flags = config_flags(&args.rest)?;
+    let cfg = builder_from_flags(&flags)
+        .and_then(|b| b.build())
+        .map_err(|e| Exit::usage(format!("invalid configuration: {e}")))?;
+    let code = StripeCode::build(cfg.code, cfg.p)
+        .map_err(|e| Exit::usage(format!("cannot build {}: {e}", cfg.code.name())))?;
     let group = generate_errors(
         &code,
         &ErrorGenConfig::paper_default(cfg.stripes, cfg.error_count, cfg.seed),
@@ -1407,69 +1032,33 @@ fn client_load(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
         .zip(trace_ids)
         .map(|(shard, trace_id)| {
             let addr = addr.clone();
-            let overrides = overrides.clone();
-            let backend = backend.clone();
+            let mut fields = vec![
+                ("cmd", Json::from("repair")),
+                ("config", overrides(&flags)),
+                ("trace", Json::Str(render_trace(&shard))),
+                ("trace_id", trace_id.into()),
+            ];
+            fields.extend(backend.clone().map(|b| ("backend", Json::Str(b))));
             std::thread::spawn(move || -> LoadReport {
                 let mut report = LoadReport::new();
-                let mut client = match DaemonClient::connect(&addr) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        report.record_failure("connect");
-                        return report;
-                    }
+                let Ok(mut client) = DaemonClient::connect(&addr) else {
+                    report.record_failure("connect");
+                    return report;
                 };
-                let mut fields = vec![
-                    ("cmd", Json::Str("repair".into())),
-                    ("config", overrides),
-                    ("trace", Json::Str(render_trace(&shard))),
-                    ("trace_id", Json::Num(trace_id as f64)),
-                ];
-                if let Some(b) = backend {
-                    fields.push(("backend", Json::Str(b)));
-                }
                 let submit = Instant::now();
-                let job = match client.call(&Json::obj(fields)) {
-                    Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true) => {
-                        match reply.get("job").and_then(Json::as_u64) {
-                            Some(id) => id,
-                            None => {
-                                report.record_failure("repair");
-                                return report;
-                            }
-                        }
-                    }
-                    _ => {
-                        report.record_failure("repair");
-                        return report;
-                    }
+                let Ok((job, _)) = client.submit(fields) else {
+                    report.record_failure("repair");
+                    return report;
                 };
-                loop {
-                    let poll = Instant::now();
-                    let status = client.call(&Json::obj([
-                        ("cmd", Json::Str("status".into())),
-                        ("job", Json::Num(job as f64)),
-                    ]));
-                    let Ok(status) = status else {
-                        report.record_failure("status");
-                        return report;
-                    };
-                    report.record("status", poll.elapsed().as_nanos() as u64);
-                    match status.get("state").and_then(Json::as_str) {
-                        Some("done") => {
-                            report.record("repair", submit.elapsed().as_nanos() as u64);
-                            return report;
-                        }
-                        Some("failed") => {
-                            report.record_failure("repair");
-                            return report;
-                        }
-                        Some(_) => std::thread::sleep(Duration::from_millis(20)),
-                        None => {
-                            report.record_failure("status");
-                            return report;
-                        }
-                    }
+                let polled = client.wait(job, Duration::from_millis(20), |rtt| {
+                    report.record("status", rtt.as_nanos() as u64);
+                });
+                match polled {
+                    Ok(_) => report.record("repair", submit.elapsed().as_nanos() as u64),
+                    Err(DaemonError::JobFailed(_)) => report.record_failure("repair"),
+                    Err(_) => report.record_failure("status"),
                 }
+                report
             })
         })
         .collect();
@@ -1481,7 +1070,7 @@ fn client_load(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
         }
     }
     let wall = started.elapsed();
-    if json {
+    if args.json {
         let class = |name: &str| {
             let d = merged.digest(name);
             Json::obj([
@@ -1514,58 +1103,46 @@ fn client_load(args: &[String], addr: &ServerAddr, json: bool) -> i32 {
         );
         print!("{}", merged.render());
     }
-    i32::from(merged.total_failures() > 0 || merged.count("repair") == 0)
+    Exit::fail_if(merged.total_failures() > 0 || merged.count("repair") == 0)
 }
 
-fn cmd_scrub(args: &[String], json: bool) -> i32 {
+fn cmd_scrub(args: &mut Args) -> Result<(), Exit> {
     use fbf::codes::encode::encode;
     use fbf::recovery::{scrub, ScrubOutcome};
     use fbf::{Cell, Stripe};
 
-    let code = match build_code(args) {
-        Ok(c) => c,
-        Err(rc) => return rc,
-    };
+    let code = build_code(args)?;
+    args.done("usage: fbf scrub <code> <p>")?;
     let mut stripe = Stripe::patterned(code.layout(), 4096);
     encode(&code, &mut stripe).expect("encode");
     let victim = Cell::new(code.rows() / 2, code.cols() / 3);
     let mut buf = stripe.get(code.layout(), victim).to_vec();
     buf[0] ^= 0xFF;
     stripe.set(code.layout(), victim, buf.into());
-    if !json {
+    if !args.json {
         println!("{}: silently corrupted {victim}", code.describe());
     }
     let outcome = scrub(&code, &mut stripe, 2);
     let repaired = matches!(outcome, ScrubOutcome::Repaired(_));
-    if json {
+    if args.json {
         print_json(&Json::obj([
             ("code", Json::Str(code.spec().name().to_string())),
             ("corrupted", Json::Str(victim.to_string())),
             ("outcome", Json::Str(format!("{outcome:?}"))),
             ("repaired", Json::Bool(repaired)),
         ]));
-        return i32::from(!repaired);
+    } else if let ScrubOutcome::Repaired(cells) = &outcome {
+        println!("scrubber located {cells:?} and repaired it");
+    } else {
+        println!("scrub outcome: {outcome:?}");
     }
-    match outcome {
-        ScrubOutcome::Repaired(cells) => {
-            println!("scrubber located {cells:?} and repaired it");
-            0
-        }
-        other => {
-            println!("scrub outcome: {other:?}");
-            1
-        }
-    }
+    Exit::fail_if(!repaired)
 }
 
-fn cmd_mttdl(args: &[String], json: bool) -> i32 {
-    let (Some(disks), Some(mttr)) = (
-        args.first().and_then(|s| s.parse::<usize>().ok()),
-        args.get(1).and_then(|s| s.parse::<f64>().ok()),
-    ) else {
-        eprintln!("usage: fbf mttdl <disks> <mttr_hours>");
-        return 2;
-    };
+fn cmd_mttdl(args: &mut Args) -> Result<(), Exit> {
+    let usage = "usage: fbf mttdl <disks> <mttr_hours>";
+    let (disks, mttr): (usize, f64) = (args.positional(usage)?, args.positional(usage)?);
+    args.done(usage)?;
     let mut rows = Vec::new();
     for ft in 1..=3 {
         let p = ReliabilityParams {
@@ -1576,7 +1153,7 @@ fn cmd_mttdl(args: &[String], json: bool) -> i32 {
         };
         rows.push((ft, fbf::mttdl_years(&p)));
     }
-    if json {
+    if args.json {
         print_json(&Json::obj([
             ("disks", Json::Num(disks as f64)),
             ("mttr_hours", Json::Num(mttr)),
@@ -1594,7 +1171,7 @@ fn cmd_mttdl(args: &[String], json: bool) -> i32 {
                 ),
             ),
         ]));
-        return 0;
+        return Ok(());
     }
     let mut table = Table::new(
         format!("MTTDL, {disks} nearline disks, {mttr} h repair window"),
@@ -1604,7 +1181,7 @@ fn cmd_mttdl(args: &[String], json: bool) -> i32 {
         table.push_row(vec![ft.to_string(), format!("{years:.3e}")]);
     }
     println!("{}", table.render());
-    0
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1743,7 +1320,8 @@ mod tests {
             }
         }
         // Neither a bare word nor the old `key=value` spelling is a flag.
-        assert_eq!(config_flags(&["stripes=128".to_string()]), Err(2));
-        assert_eq!(config_flags(&["--stripes".to_string()]), Err(2));
+        for bad in ["stripes=128", "--stripes"] {
+            assert_eq!(config_flags(&[bad.to_string()]).unwrap_err().code, 2);
+        }
     }
 }

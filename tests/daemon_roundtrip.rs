@@ -10,17 +10,28 @@
 
 use fbf::disksim::DiskKill;
 use fbf::{
-    run_experiment, DaemonClient, DaemonOptions, ExperimentConfig, FaultPlan, Json, ServerAddr,
-    SimTime, METRICS_SCHEMA_VERSION,
+    run_experiment, DaemonClient, DaemonError, DaemonOptions, ExperimentConfig, FaultPlan, Json,
+    ServerAddr, SimTime, METRICS_SCHEMA_VERSION,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn sock_addr(tag: &str) -> ServerAddr {
-    ServerAddr::Unix(
-        std::env::temp_dir().join(format!("fbf-test-{tag}-{}.sock", std::process::id())),
-    )
+/// A daemon on a throwaway unix socket, and a client connected to it.
+fn start(tag: &str, opts: DaemonOptions) -> (ServerAddr, fbf::DaemonHandle, DaemonClient) {
+    let name = format!("fbf-test-{tag}-{}.sock", std::process::id());
+    let addr = ServerAddr::Unix(std::env::temp_dir().join(name));
+    let handle = fbf::serve(&addr, opts).expect("serve");
+    let client = DaemonClient::connect(&addr).expect("connect");
+    (addr, handle, client)
+}
+
+/// One repair worker (the default is two), everything else default.
+fn one_worker() -> DaemonOptions {
+    DaemonOptions {
+        workers: 1,
+        ..Default::default()
+    }
 }
 
 fn small_config_json() -> Json {
@@ -47,70 +58,68 @@ fn small_config() -> ExperimentConfig {
         .unwrap()
 }
 
-/// Poll `status` until the job settles, with a wall-clock guard so a
-/// daemon bug fails the test instead of hanging it.
-fn wait_done(client: &mut DaemonClient, job: u64) -> Json {
+fn cmd(name: &str) -> Json {
+    Json::obj([("cmd", name.into())])
+}
+
+/// [`DaemonClient::wait`] with a wall-clock guard so a daemon bug fails
+/// the test instead of hanging it.
+fn wait_done(client: &mut DaemonClient, job: u64) -> Result<Json, DaemonError> {
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = client
-            .call(&Json::obj([
-                ("cmd", Json::Str("status".into())),
-                ("job", Json::Num(job as f64)),
-            ]))
-            .expect("status call");
-        match status.get("state").and_then(Json::as_str) {
-            Some("done") | Some("failed") => return status,
-            Some(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("job {job} stuck or malformed: {other:?}"),
-        }
+    client.wait(job, Duration::from_millis(20), |_| {
+        assert!(Instant::now() < deadline, "job {job} stuck");
+    })
+}
+
+/// The reply of a request the daemon must refuse.
+fn refused<T: std::fmt::Debug>(result: Result<T, DaemonError>) -> Json {
+    match result {
+        Err(DaemonError::Refused(reply)) => reply,
+        other => panic!("expected an `ok: false` reply, got {other:?}"),
     }
+}
+
+fn read_chunk(client: &mut DaemonClient, job: u64) -> Result<Json, DaemonError> {
+    client.request(&Json::obj([
+        ("cmd", "read".into()),
+        ("job", job.into()),
+        ("stripe", 0u64.into()),
+        ("row", 0u64.into()),
+        ("col", 0u64.into()),
+    ]))
+}
+
+fn prometheus(client: &mut DaemonClient) -> String {
+    let reply = client.request(&cmd("metrics")).expect("metrics");
+    let text = reply.get("prometheus").and_then(Json::as_str);
+    text.expect("prom text").to_string()
+}
+
+fn shut_down(mut client: DaemonClient, handle: fbf::DaemonHandle) {
+    client.request(&cmd("shutdown")).expect("shutdown ack");
+    handle.wait();
 }
 
 #[test]
 fn repair_over_the_wire_matches_a_local_run() {
-    let addr = sock_addr("roundtrip");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (addr, handle, mut client) = start("roundtrip", DaemonOptions::default());
 
     // Ping: protocol + schema versions are in every reply.
-    let pong = client
-        .call(&Json::obj([("cmd", Json::Str("ping".into()))]))
-        .expect("ping");
-    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+    let pong = client.request(&cmd("ping")).expect("ping");
     assert_eq!(
         pong.get("schema_version").and_then(Json::as_u64),
         Some(METRICS_SCHEMA_VERSION)
     );
 
     // Submit a sim-backend repair and wait for it.
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
-            ("backend", Json::Str("sim".into())),
+    let (job, _) = client
+        .submit([
+            ("cmd", "repair".into()),
+            ("backend", "sim".into()),
             ("config", small_config_json()),
-        ]))
+        ])
         .expect("repair");
-    assert_eq!(
-        reply.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{}",
-        reply.render()
-    );
-    let job = reply.get("job").and_then(Json::as_u64).expect("job id");
-    let status = wait_done(&mut client, job);
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("done"),
-        "{}",
-        status.render()
-    );
+    let status = wait_done(&mut client, job).expect("done");
 
     // The daemon is a transport: same config locally gives the same
     // deterministic counters.
@@ -131,59 +140,31 @@ fn repair_over_the_wire_matches_a_local_run() {
 
     // The sim job retains its backend: chunk reads come back with a
     // digest and a consistent length.
-    let read = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("read".into())),
-            ("job", Json::Num(job as f64)),
-            ("stripe", Json::Num(0.0)),
-            ("row", Json::Num(0.0)),
-            ("col", Json::Num(0.0)),
-        ]))
-        .expect("read");
-    assert_eq!(
-        read.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{}",
-        read.render()
-    );
+    let read = read_chunk(&mut client, job).expect("read");
     assert_eq!(read.get("len").and_then(Json::as_u64), Some(1024));
     let digest = read.get("fnv1a").and_then(Json::as_str).expect("digest");
     assert_eq!(digest.len(), 16, "fixed-width hex digest, got {digest}");
 
     // Jobs listing knows about it; metrics exposition parses as text.
-    let jobs = client
-        .call(&Json::obj([("cmd", Json::Str("jobs".into()))]))
-        .expect("jobs");
+    let jobs = client.request(&cmd("jobs")).expect("jobs");
     assert_eq!(
         jobs.get("jobs").and_then(Json::as_arr).map(<[Json]>::len),
         Some(1)
     );
-    let prom = client
-        .call(&Json::obj([("cmd", Json::Str("metrics".into()))]))
-        .expect("metrics");
-    let text = prom
-        .get("prometheus")
-        .and_then(Json::as_str)
-        .expect("prom text");
+    let text = prometheus(&mut client);
     assert!(text.contains("fbf_disk_reads_total"), "{text}");
 
     // Unknown config keys are rejected, not silently defaulted.
-    let bad = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
-            ("backend", Json::Str("sim".into())),
-            ("config", Json::obj([("cache_gb", Json::Num(1.0))])),
-        ]))
-        .expect("bad repair transport");
-    assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+    let bad = refused(client.submit([
+        ("cmd", "repair".into()),
+        ("backend", "sim".into()),
+        ("config", Json::obj([("cache_gb", Json::Num(1.0))])),
+    ]));
+    assert!(bad.get("error").and_then(Json::as_str).is_some());
 
     // Shutdown: daemon acks, the accept loop drains, the socket file
     // disappears with it.
-    let ack = client
-        .call(&Json::obj([("cmd", Json::Str("shutdown".into()))]))
-        .expect("shutdown");
-    assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
-    handle.wait();
+    shut_down(client, handle);
     if let ServerAddr::Unix(path) = &addr {
         assert!(!path.exists(), "socket file must be cleaned up");
     }
@@ -213,40 +194,27 @@ fn repair_spans_reassemble_into_one_rooted_trace_tree() {
     fbf::obs::install(Arc::new(fbf::obs::TraceWriter::from_writer(Box::new(
         buf.clone(),
     ))));
-    let addr = sock_addr("tracetree");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 1,
-            ..Default::default()
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (_, handle, mut client) = start("tracetree", one_worker());
 
     // Stamp the request with a client-minted trace id; the daemon must
     // adopt it (and echo it) rather than minting its own.
     let trace_id = 424_242u64;
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
+    let (job, reply) = client
+        .submit([
+            ("cmd", "repair".into()),
             ("config", small_config_json()),
-            ("trace_id", Json::Num(trace_id as f64)),
-        ]))
+            ("trace_id", trace_id.into()),
+        ])
         .expect("repair");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(
         reply.get("trace").and_then(Json::as_u64),
         Some(trace_id),
         "daemon adopts the request's trace id: {}",
         reply.render()
     );
-    let job = reply.get("job").and_then(Json::as_u64).expect("job id");
-    let status = wait_done(&mut client, job);
-    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    wait_done(&mut client, job).expect("done");
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
     fbf::obs::uninstall();
 
     // Reassemble the request's causal tree from the JSONL stream.
@@ -336,36 +304,24 @@ fn repair_spans_reassemble_into_one_rooted_trace_tree() {
 
 #[test]
 fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
-    let addr = sock_addr("reject");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 1,
-            ..Default::default()
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (addr, handle, mut client) = start("reject", one_worker());
 
     // Unknown command: structured error, connection stays usable.
-    let err = client
-        .call(&Json::obj([("cmd", Json::Str("frobnicate".into()))]))
-        .expect("unknown cmd transport");
-    assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
+    let err = refused(client.request(&cmd("frobnicate")));
     assert!(err.get("error").and_then(Json::as_str).is_some());
-    let pong = client
-        .call(&Json::obj([("cmd", Json::Str("ping".into()))]))
+    client
+        .request(&cmd("ping"))
         .expect("connection survives an error reply");
-    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
 
-    // status for a job that never existed.
-    let missing = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("status".into())),
-            ("job", Json::Num(999.0)),
-        ]))
-        .expect("missing job transport");
-    assert_eq!(missing.get("ok").and_then(Json::as_bool), Some(false));
+    // A job that never existed: a typed refusal from `status`, and from
+    // `wait` too — it must not poll an id the daemon does not know.
+    let status = Json::obj([("cmd", "status".into()), ("job", 999u64.into())]);
+    refused(client.request(&status));
+    let missing = refused(wait_done(&mut client, 999));
+    assert_eq!(
+        missing.get("error").and_then(Json::as_str),
+        Some("no such job 999")
+    );
 
     // Numbers that do not fit their field are typed errors, never a
     // truncation onto some other experiment (4294967301 used to become
@@ -406,21 +362,17 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
             fields.extend([("job", num(1.0)), ("row", num(0.0)), ("col", num(0.0))]);
         }
         let request = Json::obj(fields);
-        let reply = client.call(&request).expect("out-of-range transport");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(false),
-            "{} -> {}",
-            request.render(),
-            reply.render()
-        );
+        match client.request(&request) {
+            Err(DaemonError::Refused(_)) => {}
+            other => panic!("{} -> {other:?}", request.render()),
+        }
     }
 
     // A frame nested past the parser's cap: an error reply, where it
     // used to overflow the connection thread's stack and abort the
     // process. Sent raw — a `Json` value that deep cannot be built.
     let ServerAddr::Unix(path) = &addr else {
-        unreachable!("sock_addr is a unix socket");
+        unreachable!("`start` serves on a unix socket");
     };
     let stop = std::sync::atomic::AtomicBool::new(false);
     let mut raw = std::os::unix::net::UnixStream::connect(path).expect("raw connect");
@@ -433,23 +385,19 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
     let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(error.contains("nesting"), "{error}");
     drop(raw);
-    let pong = DaemonClient::connect(&addr)
+    DaemonClient::connect(&addr)
         .expect("fresh connection after the deep frame")
-        .call(&Json::obj([("cmd", Json::Str("ping".into()))]))
+        .request(&cmd("ping"))
         .expect("the daemon is still alive");
-    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
 }
 
 /// Fault keys go through the same `set` as every other key, so a faulted
 /// repair over the wire is the faulted run a local caller gets.
 #[test]
 fn faulted_repair_over_the_wire_matches_a_local_run() {
-    let addr = sock_addr("faulted");
-    let handle = fbf::serve(&addr, DaemonOptions::default()).expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (_, handle, mut client) = start("faulted", DaemonOptions::default());
 
     let Json::Obj(mut config) = small_config_json() else {
         unreachable!("small_config_json is an object");
@@ -458,23 +406,10 @@ fn faulted_repair_over_the_wire_matches_a_local_run() {
     config.insert("transient".into(), Json::Num(40.0));
     config.insert("fault_seed".into(), Json::Num(7.0));
     config.insert("kill".into(), "3@40".into());
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
-            ("config", Json::Obj(config)),
-        ]))
+    let (job, _) = client
+        .submit([("cmd", "repair".into()), ("config", Json::Obj(config))])
         .expect("repair");
-    let job = reply
-        .get("job")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("no job: {}", reply.render()));
-    let status = wait_done(&mut client, job);
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("done"),
-        "{}",
-        status.render()
-    );
+    let status = wait_done(&mut client, job).expect("done");
 
     let mut local_cfg = small_config();
     local_cfg.faults = FaultPlan {
@@ -491,103 +426,53 @@ fn faulted_repair_over_the_wire_matches_a_local_run() {
     assert!(local.faults.media_errors > 0 && local.replans > 0);
     assert_eq!(status.get("metrics"), Some(&local.to_json_value()));
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
 }
 
 #[test]
 fn retention_cap_evicts_the_oldest_resident_backend() {
-    let addr = sock_addr("retain");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 1,
-            retain: 1,
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let opts = DaemonOptions {
+        retain: 1,
+        ..one_worker()
+    };
+    let (_, handle, mut client) = start("retain", opts);
 
     // Two sim-backend repairs: both retain a backend on completion, but
     // with `retain: 1` the first job's backend must be evicted when the
     // second finishes.
     let mut jobs = Vec::new();
     for seed in [1u64, 2] {
-        let cfg = Json::obj([
-            ("chunk_kb", Json::Num(1.0)),
-            ("cache_mb", Json::Num(1.0)),
-            ("stripes", Json::Num(128.0)),
-            ("errors", Json::Num(32.0)),
-            ("workers", Json::Num(8.0)),
-            ("gen_threads", Json::Num(1.0)),
-            ("seed", Json::Num(seed as f64)),
-        ]);
-        let reply = client
-            .call(&Json::obj([
-                ("cmd", Json::Str("repair".into())),
-                ("backend", Json::Str("sim".into())),
-                ("config", cfg),
-            ]))
-            .expect("repair");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{}",
-            reply.render()
-        );
-        jobs.push(reply.get("job").and_then(Json::as_u64).expect("job id"));
+        let Json::Obj(mut cfg) = small_config_json() else {
+            unreachable!("small_config_json is an object");
+        };
+        cfg.insert("seed".into(), seed.into());
+        let submit = [
+            ("cmd", "repair".into()),
+            ("backend", "sim".into()),
+            ("config", Json::Obj(cfg)),
+        ];
+        jobs.push(client.submit(submit).expect("repair").0);
     }
     for &job in &jobs {
-        let status = wait_done(&mut client, job);
-        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+        wait_done(&mut client, job).expect("done");
     }
 
-    let read = |client: &mut DaemonClient, job: u64| {
-        client
-            .call(&Json::obj([
-                ("cmd", Json::Str("read".into())),
-                ("job", Json::Num(job as f64)),
-                ("stripe", Json::Num(0.0)),
-                ("row", Json::Num(0.0)),
-                ("col", Json::Num(0.0)),
-            ]))
-            .expect("read")
-    };
     // Oldest job: backend gone, and the error says why (eviction, not a
     // missing job or a never-retained backend).
-    let evicted = read(&mut client, jobs[0]);
-    assert_eq!(
-        evicted.get("ok").and_then(Json::as_bool),
-        Some(false),
-        "{}",
-        evicted.render()
-    );
+    let evicted = refused(read_chunk(&mut client, jobs[0]));
     let msg = evicted.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(msg.contains("evicted"), "error names the eviction: {msg}");
     // Newest job: still resident and readable.
-    let live = read(&mut client, jobs[1]);
-    assert_eq!(
-        live.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{}",
-        live.render()
-    );
+    read_chunk(&mut client, jobs[1]).expect("live backend reads");
 
     // The leak-check gauge agrees: exactly one backend is resident.
-    let prom = client
-        .call(&Json::obj([("cmd", Json::Str("metrics".into()))]))
-        .expect("metrics");
-    let text = prom
-        .get("prometheus")
-        .and_then(Json::as_str)
-        .expect("prom text");
+    let text = prometheus(&mut client);
     assert!(
         text.lines().any(|l| l.trim() == "fbf_backends_retained 1"),
         "gauge must report one resident backend:\n{text}"
     );
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
 }
 
 #[test]
@@ -596,65 +481,33 @@ fn retention_cap_evicts_the_oldest_resident_backend() {
     ignore = "the daemon's `panic` backend seam exists only in debug builds"
 )]
 fn panicking_job_fails_cleanly_without_killing_the_worker() {
-    let addr = sock_addr("panic");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 1,
-            ..Default::default()
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (_, handle, mut client) = start("panic", one_worker());
 
     // The debug-only `panic` backend makes the worker thread panic
     // mid-job. The daemon must convert that into a `failed` job instead
     // of silently leaking a `running` entry (gauge drift) and a dead
     // worker.
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
-            ("backend", Json::Str("panic".into())),
+    let repair = |backend: &str| {
+        [
+            ("cmd", "repair".into()),
+            ("backend", backend.into()),
             ("config", small_config_json()),
-        ]))
-        .expect("repair");
-    assert_eq!(
-        reply.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{}",
-        reply.render()
-    );
-    let job = reply.get("job").and_then(Json::as_u64).expect("job id");
-    let status = wait_done(&mut client, job);
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("failed"),
-        "{}",
-        status.render()
-    );
+        ]
+    };
+    let (job, _) = client.submit(repair("panic")).expect("repair");
+    let status = match wait_done(&mut client, job) {
+        Err(DaemonError::JobFailed(status)) => status,
+        other => panic!("expected a failed job, got {other:?}"),
+    };
     let msg = status.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(msg.contains("panicked"), "error names the panic: {msg}");
 
     // The single worker survived: a normal job still completes.
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("repair".into())),
-            ("backend", Json::Str("sim".into())),
-            ("config", small_config_json()),
-        ]))
-        .expect("repair after panic");
-    let job = reply.get("job").and_then(Json::as_u64).expect("job id");
-    let status = wait_done(&mut client, job);
-    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    let (job, _) = client.submit(repair("sim")).expect("repair after panic");
+    wait_done(&mut client, job).expect("done");
 
     // No gauge drift: the panicked job counts as failed, not running.
-    let prom = client
-        .call(&Json::obj([("cmd", Json::Str("metrics".into()))]))
-        .expect("metrics");
-    let text = prom
-        .get("prometheus")
-        .and_then(Json::as_str)
-        .expect("prom text");
+    let text = prometheus(&mut client);
     for line in [
         "fbf_jobs_total{state=\"failed\"} 1",
         "fbf_jobs_total{state=\"running\"} 0",
@@ -665,45 +518,22 @@ fn panicking_job_fails_cleanly_without_killing_the_worker() {
         );
     }
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
 }
 
 #[test]
 fn rebuild_job_over_the_wire_reports_the_campaign() {
-    let addr = sock_addr("rebuild");
-    let handle = fbf::serve(
-        &addr,
-        DaemonOptions {
-            workers: 1,
-            ..Default::default()
-        },
-    )
-    .expect("serve");
-    let mut client = DaemonClient::connect(&addr).expect("connect");
+    let (_, handle, mut client) = start("rebuild", one_worker());
 
-    let reply = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("rebuild".into())),
+    let (job, _) = client
+        .submit([
+            ("cmd", "rebuild".into()),
             ("config", small_config_json()),
-            ("disks", Json::Num(24.0)),
-            ("fairness", Json::Str("drr".into())),
-        ]))
+            ("disks", 24u64.into()),
+            ("fairness", "drr".into()),
+        ])
         .expect("rebuild");
-    assert_eq!(
-        reply.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{}",
-        reply.render()
-    );
-    let job = reply.get("job").and_then(Json::as_u64).expect("job id");
-    let status = wait_done(&mut client, job);
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("done"),
-        "{}",
-        status.render()
-    );
+    let status = wait_done(&mut client, job).expect("done");
     let rebuild = status
         .get("rebuild")
         .expect("done rebuild status carries the outcome");
@@ -728,15 +558,39 @@ fn rebuild_job_over_the_wire_reports_the_campaign() {
     );
 
     // Bad placement names are rejected up front, not queued.
-    let bad = client
-        .call(&Json::obj([
-            ("cmd", Json::Str("rebuild".into())),
-            ("config", small_config_json()),
-            ("placement", Json::Str("striped".into())),
-        ]))
-        .expect("bad rebuild transport");
-    assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+    refused(client.submit([
+        ("cmd", "rebuild".into()),
+        ("config", small_config_json()),
+        ("placement", "striped".into()),
+    ]));
 
-    let _ = client.call(&Json::obj([("cmd", Json::Str("shutdown".into()))]));
-    handle.wait();
+    shut_down(client, handle);
+}
+
+/// A job that fails while running (here: a `file` backend whose directory
+/// cannot exist) comes back from `wait` as [`DaemonError::JobFailed`]
+/// carrying the final status — in release builds too, where the `panic`
+/// seam above is compiled out.
+#[test]
+fn wait_reports_a_failed_job_as_a_typed_error() {
+    let (_, handle, mut client) = start("waitfail", DaemonOptions::default());
+
+    let (job, _) = client
+        .submit([
+            ("cmd", "repair".into()),
+            ("backend", "file".into()),
+            ("dir", "/dev/null/not-a-directory".into()),
+            ("config", small_config_json()),
+        ])
+        .expect("the request itself is well-formed");
+    let err = wait_done(&mut client, job).expect_err("the job cannot succeed");
+    let DaemonError::JobFailed(status) = &err else {
+        panic!("expected a failed job, got {err:?}");
+    };
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+    assert_eq!(status.get("job").and_then(Json::as_u64), Some(job));
+    assert!(err.to_string().starts_with(&format!("job {job} failed: ")));
+    assert_eq!(err.reply(), Some(status));
+
+    shut_down(client, handle);
 }
