@@ -85,7 +85,7 @@ pub fn run_planned_on(
     }
 
     let workers = plan.scripts.len();
-    let ecfg = cfg.engine_config(mapping, Arc::clone(&plan.victim_map), cfg.faults);
+    let ecfg = cfg.engine_config(mapping.clone(), Arc::clone(&plan.victim_map), cfg.faults);
     let mut caches = build_caches(&ecfg, workers);
     // The cache tracks identities; the data plane must also hold the
     // resident payloads. One mirror per slice, kept in lockstep with the

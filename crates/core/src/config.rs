@@ -125,6 +125,29 @@ pub enum ConfigError {
         /// The rejected value text.
         value: String,
     },
+    /// A rebuild's array has fewer disks than its stripes have columns.
+    TooFewDisks {
+        /// Disks in the array.
+        disks: usize,
+        /// Columns of the code's stripes.
+        cols: usize,
+    },
+    /// A rebuild's array has more disks than placement and the admission
+    /// scheduler, which index disks by `u32`, can address.
+    TooManyDisks(usize),
+    /// A rebuild names a failed disk the array does not have.
+    FailedDiskOutOfRange {
+        /// The disk named.
+        failed_disk: usize,
+        /// Disks in the array.
+        disks: usize,
+    },
+    /// A zero per-disk read cap admits nothing, ever.
+    ZeroRebuildCap,
+    /// A rebuild shards its stripes into at least one campaign.
+    ZeroCampaigns,
+    /// A zero-weight campaign would starve under deficit round robin.
+    ZeroCampaignWeight(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -145,6 +168,23 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownKey(key) => write!(f, "unknown config key `{key}`"),
             ConfigError::BadValue { key, value } => {
                 write!(f, "bad value for `{key}`: `{value}`")
+            }
+            ConfigError::TooFewDisks { disks, cols } => {
+                write!(f, "{disks} disks cannot hold {cols}-column stripes")
+            }
+            ConfigError::TooManyDisks(disks) => {
+                write!(f, "{disks} disks exceed the u32 disk index")
+            }
+            ConfigError::FailedDiskOutOfRange { failed_disk, disks } => {
+                write!(
+                    f,
+                    "failed_disk {failed_disk} outside the {disks}-disk array"
+                )
+            }
+            ConfigError::ZeroRebuildCap => write!(f, "cap must be at least 1"),
+            ConfigError::ZeroCampaigns => write!(f, "campaigns must be at least 1"),
+            ConfigError::ZeroCampaignWeight(campaign) => {
+                write!(f, "weight of campaign {campaign} must be at least 1")
             }
         }
     }

@@ -843,12 +843,6 @@ pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSp
     let code =
         StripeCode::build(base.code, base.p).map_err(|e| format!("cannot build code: {e}"))?;
     let disks: usize = int_field(req, "disks")?.unwrap_or(100);
-    if disks < code.cols() {
-        return Err(format!(
-            "{disks} disks cannot hold {}-column stripes",
-            code.cols()
-        ));
-    }
     // Per-disk state is allocated for every disk asked for; more disks than
     // stripe columns exist are disks no chunk can ever land on.
     let columns = u64::from(base.stripes).saturating_mul(code.cols() as u64);
@@ -875,31 +869,24 @@ pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSp
     if placement_seed.is_some() && !matches!(spec.placement, Placement::Declustered { .. }) {
         return Err("placement_seed only applies to declustered placement".to_string());
     }
-    if let Some(d) = int_field::<usize>(req, "failed_disk")? {
-        if d >= disks {
-            return Err(format!("failed_disk {d} outside the {disks}-disk array"));
-        }
+    if let Some(d) = int_field(req, "failed_disk")? {
         spec.failed_disk = d;
     }
-    if let Some(cap) = int_field::<u32>(req, "cap")? {
-        if cap == 0 {
-            return Err("cap must be at least 1".to_string());
-        }
+    if let Some(cap) = int_field(req, "cap")? {
         spec.per_disk_cap = cap;
     }
     if let Some(f) = req.get("fairness").and_then(Json::as_str) {
         spec.fairness = fbf_recovery::Fairness::parse(f)
             .ok_or_else(|| format!("unknown fairness `{f}` (rr or drr)"))?;
     }
-    if let Some(c) = int_field::<usize>(req, "campaigns")? {
-        if c == 0 {
-            return Err("campaigns must be at least 1".to_string());
-        }
+    if let Some(c) = int_field(req, "campaigns")? {
         spec.campaigns = c;
     }
     if let Some(a) = int_field(req, "app_reads")? {
         spec.app_reads_per_wave = a;
     }
+    // Array shape, failed disk, cap and campaign count: the driver's rule.
+    spec.validate(&code).map_err(|e| e.to_string())?;
     Ok(spec)
 }
 

@@ -125,9 +125,9 @@ impl<'a> Passes<'a> {
                 kill.at = SimTime::ZERO;
             }
         }
-        let config = self
-            .cfg
-            .engine_config(self.mapping, Arc::clone(&self.victim_map), faults);
+        let config =
+            self.cfg
+                .engine_config(self.mapping.clone(), Arc::clone(&self.victim_map), faults);
         let pass = Engine::new(config).run_with_scratch(scripts, scratch);
         let failures = pass.failed_reads.len();
         let total = match &mut self.total {

@@ -23,7 +23,9 @@
 //!    lowered by the same scheme generators as every other experiment.
 //!    Shard configs salt the campaign seed so each shard gets its own
 //!    [`PlanKey`](crate::plan::PlanKey).
-//! 3. **Schedule**: each stripe's projected per-disk read footprint feeds
+//! 3. **Schedule**: each stripe's projected per-disk read footprint — one
+//!    read histogram per lost column, projected through the stripe's
+//!    placement — feeds
 //!    a [`RebuildScheduler`], which admits *waves* bounded by a per-disk
 //!    read cap and arbitrated by a [`Fairness`] policy (round-robin or
 //!    deficit-weighted) across the campaigns.
@@ -36,7 +38,7 @@
 //! reconstruction time, per-disk rebuild-read balance and skew, and
 //! foreground p99/p999 during the rebuild.
 
-use crate::config::ExperimentConfig;
+use crate::config::{ConfigError, ExperimentConfig};
 use crate::faulted::Passes;
 use crate::plan::{PlanStore, PlannedCampaign};
 use crate::runner::RunError;
@@ -45,7 +47,6 @@ use fbf_codes::StripeCode;
 use fbf_disksim::{ArrayMapping, EngineScratch, Placement, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
 use fbf_recovery::{ErrorGroup, ExecConfig, Fairness, RebuildItem, RebuildScheduler};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One array-wide rebuild, fully specified.
@@ -90,6 +91,38 @@ impl RebuildSpec {
             campaigns: 4,
             weights: Vec::new(),
             app_reads_per_wave: 128,
+        }
+    }
+
+    /// Check the spec against the array `code`'s stripes go on, for what
+    /// the driver could otherwise only hit as a panic: [`execute_rebuild`]
+    /// and the daemon's request reader both refuse through here.
+    pub fn validate(&self, code: &StripeCode) -> Result<(), ConfigError> {
+        let disks = self.disks;
+        if disks < code.cols() {
+            return Err(ConfigError::TooFewDisks {
+                disks,
+                cols: code.cols(),
+            });
+        }
+        if u32::try_from(disks).is_err() {
+            return Err(ConfigError::TooManyDisks(disks));
+        }
+        if self.failed_disk >= disks {
+            return Err(ConfigError::FailedDiskOutOfRange {
+                failed_disk: self.failed_disk,
+                disks,
+            });
+        }
+        if self.per_disk_cap == 0 {
+            return Err(ConfigError::ZeroRebuildCap);
+        }
+        if self.campaigns == 0 {
+            return Err(ConfigError::ZeroCampaigns);
+        }
+        match self.weights.iter().position(|&w| w == 0) {
+            Some(campaign) => Err(ConfigError::ZeroCampaignWeight(campaign)),
+            None => Ok(()),
         }
     }
 }
@@ -187,88 +220,32 @@ pub fn execute_rebuild(
 ) -> Result<RebuildOutcome, RunError> {
     let cfg = &spec.base;
     cfg.validate()?;
-    assert!(spec.campaigns > 0, "at least one repair campaign");
-    assert!(
-        spec.failed_disk < spec.disks,
-        "failed disk {} outside the {}-disk array",
-        spec.failed_disk,
-        spec.disks
-    );
     let code = StripeCode::build(cfg.code, cfg.p)?;
+    spec.validate(&code)?;
     let mapping =
         ArrayMapping::with_placement(spec.disks, code.rows(), code.cols(), spec.placement);
 
-    // 1. Discover: the failed disk's stripes and which column each lost.
-    // Per-stripe placements are injective, so at most one column matches.
-    let affected: Vec<(u32, usize)> = (0..cfg.stripes)
-        .filter_map(|stripe| {
-            (0..mapping.cols)
-                .find(|&col| mapping.disk_of_col(stripe, col) == spec.failed_disk)
-                .map(|col| (stripe, col))
-        })
-        .collect();
-    let stripes_affected = affected.len();
+    let shards = plan_shards(spec, &code, &mapping, store)?;
+    let stripes_affected: usize = shards.iter().map(|s| s.stripes.len()).sum();
 
-    // 2. Plan: shard round-robin, one full-column campaign per shard,
-    // through the shared store under salted keys.
-    let shards = spec.campaigns.min(stripes_affected.max(1));
-    let mut shard_stripes: Vec<Vec<(u32, usize)>> = vec![Vec::new(); shards];
-    for (i, &sc) in affected.iter().enumerate() {
-        shard_stripes[i % shards].push(sc);
-    }
-    let mut plans: Vec<Arc<PlannedCampaign>> = Vec::with_capacity(shards);
-    for (k, stripes) in shard_stripes.iter().enumerate() {
-        let mut sub = *cfg;
-        sub.error_count = stripes.len();
-        sub.seed = shard_seed(cfg.seed, k);
-        let group = || {
-            ErrorGroup::full_columns(&code, stripes.iter().copied())
-                .expect("a column the mapping placed is in range")
-        };
-        let (plan, _) = store.plan_custom(&sub, group)?;
-        plans.push(plan);
-    }
-
-    // Stripe → scheme index per shard, and one merged victim map (VDF
-    // tracks damaged columns across all campaigns at once).
-    let scheme_index: Vec<FxHashMap<u32, usize>> = plans
-        .iter()
-        .map(|p| {
-            p.schemes
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.stripe, i))
-                .collect()
-        })
-        .collect();
+    // One merged victim map (VDF tracks damaged columns across all
+    // campaigns at once).
     let mut victims: FxHashMap<u32, u16> = FxHashMap::default();
-    for p in &plans {
-        victims.extend(p.victim_map.iter().map(|(&s, &c)| (s, c)));
+    for shard in &shards {
+        victims.extend(shard.plan.victim_map.iter().map(|(&s, &c)| (s, c)));
     }
-    let mut passes = Passes::new(cfg, mapping, Arc::new(victims));
 
     // 3. Schedule: projected per-disk read footprints feed the admission
     // scheduler.
     let mut sched = RebuildScheduler::new(spec.disks, spec.per_disk_cap, spec.fairness);
-    for (k, &w) in spec.weights.iter().enumerate().take(shards) {
+    for (k, &w) in spec.weights.iter().enumerate().take(shards.len()) {
         sched.set_weight(k, w);
     }
-    for (k, plan) in plans.iter().enumerate() {
-        for scheme in &plan.schemes {
-            let mut reads: BTreeMap<u32, u32> = BTreeMap::new();
-            for repair in &scheme.repairs {
-                for cell in &repair.option.reads {
-                    let disk = mapping.disk_of_col(scheme.stripe, cell.c()) as u32;
-                    *reads.entry(disk).or_insert(0) += 1;
-                }
-            }
-            sched.push(RebuildItem {
-                campaign: k,
-                stripe: scheme.stripe,
-                disk_reads: reads.into_iter().collect(),
-            });
-        }
+    for item in admission_items(&shards, &mapping) {
+        sched.push(item);
     }
+    let victims = Arc::new(victims);
+    let mut passes = Passes::new(cfg, mapping, Arc::clone(&victims));
 
     // 4. Simulate wave by wave on one virtual clock.
     let exec_cfg = ExecConfig {
@@ -285,9 +262,12 @@ pub fn execute_rebuild(
         let wave_schemes: Vec<_> = wave
             .iter()
             .map(|item| {
-                let plan = &plans[item.campaign];
-                let idx = scheme_index[item.campaign][&item.stripe];
-                (&plan.schemes[idx], &plan.dictionary)
+                let shard = &shards[item.campaign];
+                let idx = shard
+                    .stripes
+                    .binary_search_by_key(&item.stripe, |&(stripe, _)| stripe)
+                    .expect("the scheduler hands back the stripes it was given");
+                (&shard.plan.schemes[idx], &shard.plan.dictionary)
             })
             .collect();
         let mut scripts = fbf_recovery::build_scripts_borrowed(&wave_schemes, &exec_cfg);
@@ -318,28 +298,24 @@ pub fn execute_rebuild(
     }
     let report = passes.finish();
 
-    let mut failed_stripes: Vec<u32> = report.failed_reads.iter().map(|f| f.chunk.stripe).collect();
+    // A failed read abandons a repair only on a stripe under rebuild;
+    // foreground reads fail on any stripe of the zone.
+    let mut failed_stripes: Vec<u32> = report
+        .failed_reads
+        .iter()
+        .map(|f| f.chunk.stripe)
+        .filter(|s| victims.contains_key(s))
+        .collect();
     failed_stripes.sort_unstable();
     failed_stripes.dedup();
     let app = RequestClass::App.index();
-    let per_disk_rebuild_reads: Vec<u64> = report
-        .per_disk_class_reads
-        .iter()
-        .map(|c| {
-            c.iter()
-                .enumerate()
-                .filter(|&(i, _)| i != app)
-                .map(|(_, &n)| n)
-                .sum()
-        })
-        .collect();
     let to_ms = |t: Option<SimTime>| t.map(|v| v.as_secs_f64() * 1e3);
     Ok(RebuildOutcome {
         reconstruction_s: report.makespan.as_secs_f64(),
         rebuild_skew: report.rebuild_read_skew(),
         app_p99_ms: to_ms(report.class_latency[app].p99()),
         app_p999_ms: to_ms(report.class_latency[app].p999()),
-        per_disk_rebuild_reads,
+        per_disk_rebuild_reads: report.rebuild_reads_per_disk(),
         placement: spec.placement,
         fairness: spec.fairness,
         waves,
@@ -350,9 +326,74 @@ pub fn execute_rebuild(
     })
 }
 
+/// One repair campaign: a round-robin share of the failed disk's stripes.
+struct Shard {
+    /// `(stripe, lost column)`, ascending by stripe — which is also the
+    /// plan's scheme order.
+    stripes: Vec<(u32, usize)>,
+    plan: Arc<PlannedCampaign>,
+}
+
+/// Steps 1 and 2 of [`execute_rebuild`].
+fn plan_shards(
+    spec: &RebuildSpec,
+    code: &StripeCode,
+    mapping: &ArrayMapping,
+    store: &PlanStore,
+) -> Result<Vec<Shard>, RunError> {
+    let cfg = &spec.base;
+    // 1. Discover: the failed disk's stripes and which column each lost.
+    // Per-stripe placements are injective, so at most one column matches.
+    let affected: Vec<(u32, usize)> = (0..cfg.stripes)
+        .filter_map(|stripe| {
+            mapping
+                .stripe_disks(stripe)
+                .position(|disk| disk == spec.failed_disk)
+                .map(|col| (stripe, col))
+        })
+        .collect();
+
+    // 2. Plan: shard round-robin, one full-column campaign per shard,
+    // through the shared store under salted keys.
+    let shards = spec.campaigns.min(affected.len().max(1));
+    (0..shards)
+        .map(|k| {
+            let stripes: Vec<_> = affected.iter().skip(k).step_by(shards).copied().collect();
+            let mut sub = *cfg;
+            sub.error_count = stripes.len();
+            sub.seed = shard_seed(cfg.seed, k);
+            let group = || {
+                ErrorGroup::full_columns(code, stripes.iter().copied())
+                    .expect("a column the mapping placed is in range")
+            };
+            let (plan, _) = store.plan_custom(&sub, group)?;
+            Ok(Shard { stripes, plan })
+        })
+        .collect()
+}
+
+/// The scheduler's view of every planned stripe, shard by shard. A
+/// full-column error's format *is* its lost column, so the read histogram
+/// is counted once per column and only projected through the placement
+/// per stripe.
+fn admission_items(shards: &[Shard], mapping: &ArrayMapping) -> Vec<RebuildItem> {
+    let mut column_reads: Vec<Option<Vec<u32>>> = vec![None; mapping.cols];
+    let mut items = Vec::with_capacity(shards.iter().map(|s| s.stripes.len()).sum());
+    for (k, shard) in shards.iter().enumerate() {
+        for (scheme, &(stripe, lost)) in shard.plan.schemes.iter().zip(&shard.stripes) {
+            assert_eq!(scheme.stripe, stripe, "plans keep their shard's order");
+            let reads = column_reads[lost].get_or_insert_with(|| scheme.column_reads(mapping.cols));
+            let disks = mapping.stripe_disks(stripe);
+            items.push(RebuildItem::project(k, stripe, reads, disks));
+        }
+    }
+    items
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn base() -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -409,6 +450,137 @@ mod tests {
         assert_eq!(a.waves, b.waves);
         assert_eq!(a.per_disk_rebuild_reads, b.per_disk_rebuild_reads);
         assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+    }
+
+    /// The per-read-slot footprint the driver used to build for every
+    /// stripe, kept as the oracle for the per-lost-column projection.
+    fn footprint_by_read_slot(
+        scheme: &fbf_recovery::RecoveryScheme,
+        mapping: &ArrayMapping,
+    ) -> Vec<(u32, u32)> {
+        let mut reads: BTreeMap<u32, u32> = BTreeMap::new();
+        for repair in &scheme.repairs {
+            for cell in &repair.option.reads {
+                let disk = mapping.disk_of_col(scheme.stripe, cell.c()) as u32;
+                *reads.entry(disk).or_insert(0) += 1;
+            }
+        }
+        reads.into_iter().collect()
+    }
+
+    #[test]
+    fn per_column_footprints_equal_per_read_slot_footprints() {
+        use fbf_codes::CodeSpec;
+        let mut checked = 0usize;
+        for code in [
+            CodeSpec::Tip,
+            CodeSpec::Hdd1,
+            CodeSpec::TripleStar,
+            CodeSpec::Star,
+        ] {
+            for p in [5, 7, 11].into_iter().filter(|&p| p >= code.min_prime()) {
+                for placement in [
+                    Placement::Fixed,
+                    Placement::Rotated,
+                    Placement::Declustered { seed: p as u64 },
+                ] {
+                    let base = ExperimentConfig::builder()
+                        .code(code)
+                        .p(p)
+                        .stripes(96)
+                        .gen_threads(1)
+                        .build()
+                        .unwrap();
+                    let mut spec = RebuildSpec::new(base, 24);
+                    spec.placement = placement;
+                    spec.failed_disk = 5;
+                    spec.campaigns = 3;
+                    let code = StripeCode::build(base.code, base.p).unwrap();
+                    spec.validate(&code).unwrap();
+                    let mapping =
+                        ArrayMapping::with_placement(24, code.rows(), code.cols(), placement);
+                    let shards = plan_shards(&spec, &code, &mapping, &PlanStore::new()).unwrap();
+                    let mut items = admission_items(&shards, &mapping).into_iter();
+                    for (k, shard) in shards.iter().enumerate() {
+                        for scheme in &shard.plan.schemes {
+                            let item = items.next().expect("one item per planned stripe");
+                            assert_eq!((item.campaign, item.stripe), (k, scheme.stripe));
+                            assert_eq!(
+                                item.disk_reads,
+                                footprint_by_read_slot(scheme, &mapping),
+                                "{} p={p} {} stripe {}",
+                                base.code.name(),
+                                placement.name(),
+                                scheme.stripe
+                            );
+                            checked += 1;
+                        }
+                    }
+                    assert!(items.next().is_none());
+                }
+            }
+        }
+        assert!(checked > 500, "only {checked} stripes were planned");
+    }
+
+    /// The refusal `run_rebuild` gives `spec`, which must be a typed
+    /// configuration error rather than a panic.
+    fn refusal(spec: &RebuildSpec) -> ConfigError {
+        match run_rebuild(spec) {
+            Err(RunError::Config(e)) => e,
+            other => panic!("expected a configuration refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_array_narrower_than_a_stripe_is_refused() {
+        let s = RebuildSpec::new(base(), 7);
+        assert!(matches!(
+            refusal(&s),
+            ConfigError::TooFewDisks { disks: 7, cols: 8 }
+        ));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_array_beyond_the_u32_disk_index_is_refused() {
+        let s = RebuildSpec::new(base(), 1 << 32);
+        assert!(matches!(refusal(&s), ConfigError::TooManyDisks(d) if d == 1 << 32));
+    }
+
+    #[test]
+    fn a_failed_disk_outside_the_array_is_refused() {
+        let mut s = spec(Placement::Fixed);
+        s.failed_disk = 48;
+        assert!(matches!(
+            refusal(&s),
+            ConfigError::FailedDiskOutOfRange {
+                failed_disk: 48,
+                disks: 48
+            }
+        ));
+    }
+
+    #[test]
+    fn a_zero_cap_is_refused() {
+        let mut s = spec(Placement::Fixed);
+        s.per_disk_cap = 0;
+        assert!(matches!(refusal(&s), ConfigError::ZeroRebuildCap));
+    }
+
+    #[test]
+    fn zero_campaigns_are_refused() {
+        let mut s = spec(Placement::Fixed);
+        s.campaigns = 0;
+        assert!(matches!(refusal(&s), ConfigError::ZeroCampaigns));
+    }
+
+    #[test]
+    fn a_zero_weight_is_refused() {
+        let mut s = spec(Placement::Fixed);
+        s.weights = vec![2, 0, 1];
+        assert!(matches!(refusal(&s), ConfigError::ZeroCampaignWeight(1)));
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! an array with many more disks than columns, so rebuild reads after a
 //! disk failure touch every survivor instead of hammering `k - 1` disks).
 
-use crate::declust::{clustered_disk, declustered_disk, Placement};
+use crate::declust::{clustered_disk, coefficients, slope_table, Placement};
 use fbf_codes::ChunkId;
+use std::sync::Arc;
 
 /// Maps chunks to (disk, LBA) addresses.
-#[derive(Debug, Clone, Copy)]
+///
+/// Build one with [`new`](Self::new) / [`with_placement`](Self::with_placement)
+/// and treat the fields as read-only: a declustered mapping carries state
+/// derived from `disks` at construction.
+#[derive(Debug, Clone)]
 pub struct ArrayMapping {
     /// Number of disks (>= stripe columns; equal for clustered arrays).
     pub disks: usize,
@@ -24,6 +29,10 @@ pub struct ArrayMapping {
     pub cols: usize,
     /// Column→disk placement rule.
     pub placement: Placement,
+    /// The array's [`slope_table`], resolved once under
+    /// [`Placement::Declustered`] and shared by every clone; the clustered
+    /// placements carry nothing.
+    slopes: Option<Arc<[u32]>>,
 }
 
 impl ArrayMapping {
@@ -43,11 +52,13 @@ impl ArrayMapping {
     pub fn with_placement(disks: usize, rows: usize, cols: usize, placement: Placement) -> Self {
         assert!(disks > 0 && rows > 0 && cols > 0);
         assert!(cols <= disks, "{cols} stripe columns need <= {disks} disks");
+        let slopes = matches!(placement, Placement::Declustered { .. }).then(|| slope_table(disks));
         ArrayMapping {
             disks,
             rows,
             cols,
             placement,
+            slopes,
         }
     }
 
@@ -61,8 +72,8 @@ impl ArrayMapping {
         self.disk_of_col(chunk.stripe, chunk.cell.c())
     }
 
-    /// Column-level placement, without needing a `ChunkId` (the rebuild
-    /// scheduler projects per-disk read footprints through it).
+    /// Column-level placement, without needing a `ChunkId`.
+    #[inline]
     pub fn disk_of_col(&self, stripe: u32, col: usize) -> usize {
         debug_assert!(
             col < self.cols,
@@ -72,8 +83,42 @@ impl ArrayMapping {
         match self.placement {
             Placement::Fixed => clustered_disk(self.disks, false, stripe, col),
             Placement::Rotated => clustered_disk(self.disks, true, stripe, col),
-            Placement::Declustered { seed } => declustered_disk(self.disks, seed, stripe, col),
+            Placement::Declustered { seed } => {
+                let (a, b) = coefficients(self.slopes(), seed, stripe);
+                // a, b and col are all below disks <= u32::MAX.
+                ((a as u64 + col as u64 * b as u64) % self.disks as u64) as usize
+            }
         }
+    }
+
+    /// The disks of `stripe`'s columns `0..cols`, in column order, with
+    /// the stripe's placement resolved once rather than per column (the
+    /// rebuild driver's discover scan and footprint projection walk whole
+    /// stripes). Every placement is affine in the column — disk
+    /// `(a + c·b) mod disks` — so the walk is one addition per column.
+    #[inline]
+    pub fn stripe_disks(&self, stripe: u32) -> impl Iterator<Item = usize> {
+        let (first, step) = match self.placement {
+            Placement::Fixed => (0, 1),
+            Placement::Rotated => (stripe as usize % self.disks, 1),
+            Placement::Declustered { seed } => coefficients(self.slopes(), seed, stripe),
+        };
+        let disks = self.disks;
+        // Both terms are below `disks`, so one subtraction wraps. Taken as
+        // a `min` (an unneeded subtraction underflows to something huge)
+        // because the wrap is a coin flip to a branch predictor.
+        std::iter::successors(Some(first), move |&disk| {
+            let next = disk + step;
+            Some(next.min(next.wrapping_sub(disks)))
+        })
+        .take(self.cols)
+    }
+
+    #[inline]
+    fn slopes(&self) -> &[u32] {
+        self.slopes
+            .as_deref()
+            .expect("a declustered mapping is built by with_placement")
     }
 
     /// The chunk-granular LBA of `chunk` on its disk: stripes are laid out

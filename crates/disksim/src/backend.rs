@@ -266,7 +266,7 @@ impl StorageBackend for SimBackend {
     }
 
     fn mapping(&self) -> ArrayMapping {
-        self.mapping
+        self.mapping.clone()
     }
 
     fn chunk_bytes(&self) -> usize {
@@ -395,18 +395,18 @@ impl FileBackend {
         let mut backend = FileBackend {
             dir: dir.to_path_buf(),
             files,
+            stats: vec![BackendDiskStats::default(); mapping.disks],
             mapping,
             chunk_bytes,
             data_stripes,
             faults,
             damaged,
             repaired: FxHashSet::default(),
-            stats: vec![BackendDiskStats::default(); mapping.disks],
         };
         for &s in stripes {
             let stripe = materialize(code, s, chunk_bytes);
-            for r in 0..mapping.rows {
-                for c in 0..mapping.disks {
+            for r in 0..code.rows() {
+                for c in 0..code.cols() {
                     let cell = fbf_codes::Cell::new(r, c);
                     let chunk = ChunkId::new(s, cell);
                     if backend.damaged.contains(&chunk) {
@@ -459,13 +459,13 @@ impl FileBackend {
         Ok(FileBackend {
             dir: dir.to_path_buf(),
             files,
+            stats: vec![BackendDiskStats::default(); mapping.disks],
             mapping,
             chunk_bytes,
             data_stripes,
             faults: FaultPlan::none(),
             damaged: FxHashSet::default(),
             repaired: repaired.iter().copied().collect(),
-            stats: vec![BackendDiskStats::default(); mapping.disks],
         })
     }
 
@@ -501,7 +501,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn mapping(&self) -> ArrayMapping {
-        self.mapping
+        self.mapping.clone()
     }
 
     fn chunk_bytes(&self) -> usize {

@@ -32,6 +32,7 @@
 //! geometries for every placement here.
 
 use crate::fault::splitmix64;
+use std::sync::Arc;
 
 /// The original clustered placement as a pure function: column `c` on
 /// disk `c`, or shifted by one disk per stripe when `rotated` (HDD1 /
@@ -53,16 +54,27 @@ pub fn clustered_disk(disks: usize, rotated: bool, stripe: u32, col: usize) -> u
 /// `a_s` and `b_s` come from one splitmix64 draw on `seed ^ stripe`;
 /// `b_s` is stepped to the next unit of `Z_n`, so `c → (a_s + c·b_s)` is
 /// injective for `c < n`.
+///
+/// This closed form is the *specification*: it pays a gcd loop per
+/// call, so production placement goes through
+/// [`ArrayMapping`](crate::array::ArrayMapping)'s per-array
+/// [`slope_table`], and `tests/declust_props.rs` holds the two equal.
 #[inline]
 pub fn declustered_disk(disks: usize, seed: u64, stripe: u32, col: usize) -> usize {
     let n = disks as u64;
     if n == 1 {
         return 0;
     }
-    let h = splitmix64(seed ^ (u64::from(stripe).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let h = stripe_draw(seed, stripe);
     let a = h % n;
     let b = coprime_slope(h >> 32, n);
     ((a + (col as u64 % n) * b) % n) as usize
+}
+
+/// The one splitmix64 draw both of a stripe's coefficients come from.
+#[inline]
+fn stripe_draw(seed: u64, stripe: u32) -> u64 {
+    splitmix64(seed ^ (u64::from(stripe).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// The first unit of `Z_n` at or after `1 + (draw mod (n-1))`, stepping
@@ -82,6 +94,32 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         (a, b) = (b, a % b);
     }
     a
+}
+
+/// Every answer [`coprime_slope`] can give for a `disks`-disk array:
+/// entry `i` is the slope of a draw with `draw mod (n-1) == i` (no entry
+/// for one disk). The gcd stepping is the only expensive part of
+/// [`declustered_disk`] and depends on the array alone, so a declustered
+/// [`ArrayMapping`](crate::array::ArrayMapping) resolves it once — D3 and
+/// the t-design layouts are per-array tables too — and shares it between
+/// its clones.
+pub(crate) fn slope_table(disks: usize) -> Arc<[u32]> {
+    let n = u32::try_from(disks).expect("declustered placement indexes disks by u32");
+    (0..n.saturating_sub(1))
+        .map(|i| coprime_slope(u64::from(i), u64::from(n)) as u32)
+        .collect()
+}
+
+/// Stripe `s`'s affine coefficients `(a_s, b_s)`, both below `n`, from
+/// the array's [`slope_table`]: [`declustered_disk`] without the gcd loop.
+#[inline]
+pub(crate) fn coefficients(slopes: &[u32], seed: u64, stripe: u32) -> (usize, usize) {
+    if slopes.is_empty() {
+        return (0, 0);
+    }
+    let h = stripe_draw(seed, stripe);
+    let b = slopes[((h >> 32) as u32 % slopes.len() as u32) as usize];
+    ((h % (slopes.len() as u64 + 1)) as usize, b as usize)
 }
 
 /// Serializable placement selector carried by

@@ -297,25 +297,25 @@ impl RunReport {
         self.per_disk_class_reads.iter().map(|c| c[i]).collect()
     }
 
+    /// Rebuild (non-App) reads absorbed by each disk — the one definition
+    /// behind [`rebuild_read_skew`](Self::rebuild_read_skew) and the
+    /// rebuild driver's per-disk report.
+    pub fn rebuild_reads_per_disk(&self) -> Vec<u64> {
+        let app = RequestClass::App.index();
+        self.per_disk_class_reads
+            .iter()
+            .map(|c| c.iter().sum::<u64>() - c[app])
+            .collect()
+    }
+
     /// Rebuild-read skew: busiest disk's non-App reads over the all-disk
     /// mean (same max/mean shape as [`RunReport::read_balance`], but
     /// restricted to recovery traffic — the clustered-vs-declustered
     /// comparison metric). 0.0 when no rebuild reads reached the disks.
     pub fn rebuild_read_skew(&self) -> f64 {
-        let app = RequestClass::App.index();
-        let per: Vec<u64> = self
-            .per_disk_class_reads
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != app)
-                    .map(|(_, &n)| n)
-                    .sum::<u64>()
-            })
-            .collect();
+        let per = self.rebuild_reads_per_disk();
         let total: u64 = per.iter().sum();
-        if total == 0 || per.is_empty() {
+        if total == 0 {
             return 0.0;
         }
         let max = per.iter().copied().max().unwrap_or(0);

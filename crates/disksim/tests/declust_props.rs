@@ -10,9 +10,14 @@
 //!    placement is an injection into the disk set (the placement
 //!    invariant on the module), so `(disk, lba)` is collision-free.
 //! 2. **Differential agreement** — the engine's chunk view
-//!    (`ArrayMapping::disk_of`) and the scheduler's column view
-//!    (`disk_of_col`) equal the module's closed-form maps for every
-//!    placement, geometry, and seed: the two views never drift.
+//!    (`ArrayMapping::disk_of`), the scheduler's column view
+//!    (`disk_of_col`) and the rebuild driver's stripe walk
+//!    (`stripe_disks`) equal the module's closed-form maps for every
+//!    placement, geometry, and seed: the views never drift. For D3 this
+//!    is the slope table against its specification, `declustered_disk`,
+//!    including through a clone and on another thread (the table is
+//!    shared, not rebuilt). Mutation-checked: indexing the table one
+//!    entry off fails it.
 //! 3. **Permutation shape** — a D3 stripe's map extended to all `n`
 //!    columns is a full permutation of `Z_n` (affine with unit slope),
 //!    which is *why* injectivity holds for any `cols <= disks`.
@@ -32,6 +37,29 @@ fn geometry() -> impl Strategy<Value = (usize, usize)> {
     (2usize..=160, 0usize..10_000).prop_map(|(disks, draw)| {
         let max_cols = disks.min(17);
         (disks, 1 + draw % max_cols)
+    })
+}
+
+/// Disk counts whose unit groups differ most: tiny, prime (every slope
+/// a unit), powers of two (every other one), highly composite (long runs
+/// of non-units to step over).
+const SHAPED_DISKS: [usize; 13] = [2, 3, 4, 97, 1009, 4093, 64, 1024, 4096, 60, 720, 2520, 5040];
+
+/// Randomized geometry for the differential test: a shaped or arbitrary
+/// disk count up to a few thousand, with narrow stripes or `cols == disks`.
+fn wide_geometry() -> impl Strategy<Value = (usize, usize)> {
+    (2usize..=4096, 0usize..10_000, 0usize..6).prop_map(|(any, draw, shape)| {
+        let disks = if shape < 2 {
+            any
+        } else {
+            SHAPED_DISKS[draw % SHAPED_DISKS.len()]
+        };
+        let cols = if shape % 2 == 0 {
+            disks
+        } else {
+            1 + draw % disks.min(17)
+        };
+        (disks, cols)
     })
 }
 
@@ -69,19 +97,32 @@ proptest! {
         }
     }
 
-    /// The engine's chunk view and the scheduler's column view of an
-    /// `ArrayMapping` are the placement's closed-form map — cell by cell.
+    /// Every view of an `ArrayMapping` — chunk, column, whole-stripe walk,
+    /// through a clone, on another thread — is the placement's closed-form
+    /// map, cell by cell.
     #[test]
     fn array_mapping_matches_the_layout_structs(
-        geom in geometry(),
+        geom in wide_geometry(),
         seed in 0u64..=u64::MAX,
-        stripes in proptest::collection::vec(0u32..100_000, 1..40),
+        stripes in proptest::collection::vec(0u32..=u32::MAX, 1..40),
     ) {
         let (disks, cols) = geom;
+        // Wide stripes get fewer of them: the closed form pays a gcd loop
+        // per cell.
+        let stripes = &stripes[..stripes.len().min(1 + 4096 / cols)];
         for placement in [Placement::Fixed, Placement::Rotated, Placement::Declustered { seed }] {
             let mapping = ArrayMapping::with_placement(disks, 4, cols, placement);
-            for &stripe in &stripes {
-                for col in 0..cols {
+            let cloned = mapping.clone();
+            let walked_elsewhere: Vec<Vec<usize>> = std::thread::scope(|scope| {
+                let moved = mapping.clone();
+                scope
+                    .spawn(move || stripes.iter().map(|&s| moved.stripe_disks(s).collect()).collect())
+                    .join()
+                    .expect("placement does not panic")
+            });
+            for (&stripe, walked) in stripes.iter().zip(&walked_elsewhere) {
+                prop_assert_eq!(walked.len(), cols);
+                for (col, &walked_disk) in walked.iter().enumerate() {
                     let expect = match placement {
                         Placement::Fixed => clustered_disk(disks, false, stripe, col),
                         Placement::Rotated => clustered_disk(disks, true, stripe, col),
@@ -90,15 +131,18 @@ proptest! {
                     prop_assert_eq!(
                         mapping.disk_of_col(stripe, col),
                         expect,
-                        "{} mapping drifts from the layout at stripe {} col {}",
+                        "{} mapping drifts from the layout at stripe {} col {} of {} disks",
                         placement.name(),
                         stripe,
-                        col
+                        col,
+                        disks
                     );
                     prop_assert_eq!(
                         mapping.disk_of(ChunkId::new(stripe, Cell::new(3, col))),
                         expect
                     );
+                    prop_assert_eq!(cloned.disk_of_col(stripe, col), expect);
+                    prop_assert_eq!(walked_disk, expect, "the stripe walk drifts");
                 }
             }
         }

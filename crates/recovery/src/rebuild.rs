@@ -121,6 +121,36 @@ pub struct RebuildItem {
 }
 
 impl RebuildItem {
+    /// One stripe's repair from its scheme's per-column read histogram
+    /// ([`RecoveryScheme::column_reads`](crate::RecoveryScheme::column_reads)
+    /// — a property of the damage format, so every stripe that lost the
+    /// same column shares one) projected through the stripe's placement:
+    /// `disks` yields the disk of column 0, 1, … in order. Placements are
+    /// injective per stripe, so sorting by disk also deduplicates.
+    pub fn project(
+        campaign: usize,
+        stripe: u32,
+        column_reads: &[u32],
+        disks: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut disk_reads: Vec<(u32, u32)> = disks
+            .into_iter()
+            .zip(column_reads)
+            .filter(|&(_, &reads)| reads > 0)
+            .map(|(disk, &reads)| (disk as u32, reads))
+            .collect();
+        disk_reads.sort_unstable();
+        debug_assert!(
+            disk_reads.windows(2).all(|w| w[0].0 < w[1].0),
+            "stripe {stripe}: placement puts two columns on one disk"
+        );
+        RebuildItem {
+            campaign,
+            stripe,
+            disk_reads,
+        }
+    }
+
     /// Total projected reads (the DRR cost).
     pub fn cost(&self) -> u64 {
         self.disk_reads.iter().map(|&(_, n)| n as u64).sum()

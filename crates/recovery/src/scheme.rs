@@ -135,6 +135,17 @@ impl RecoveryScheme {
         self.repairs.iter().map(|r| r.option.reads.len()).sum()
     }
 
+    /// Read slots per stripe column, re-reads included: what a cacheless
+    /// executor asks of each column's disk. Like the scheme itself this
+    /// depends on the damage format only, not on the stripe.
+    pub fn column_reads(&self, cols: usize) -> Vec<u32> {
+        let mut reads = vec![0u32; cols];
+        for cell in self.repairs.iter().flat_map(|r| &r.option.reads) {
+            reads[cell.c()] += 1;
+        }
+        reads
+    }
+
     /// Reads saved by sharing relative to fetching every slot from disk.
     pub fn shared_savings(&self) -> usize {
         self.total_read_slots() - self.unique_reads()

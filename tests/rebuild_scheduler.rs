@@ -87,3 +87,46 @@ fn declustering_beats_clustering_at_array_scale() {
     assert!(clustered.app_p99_ms.is_some());
     assert!(declustered.app_p99_ms.is_some());
 }
+
+#[test]
+fn rebuild_under_faults_accounts_every_affected_stripe() {
+    // `fbf rebuild --disks 24 --stripes 128 --workers 8 --media 60`:
+    // heavy media errors fail foreground reads on stripes that are not
+    // under rebuild too, and those must not count as failed repairs.
+    let mut base = ExperimentConfig::builder()
+        .stripes(128)
+        .workers(8)
+        .build()
+        .unwrap();
+    base.faults = FaultPlan {
+        media_per_mille: 60,
+        ..FaultPlan::none()
+    };
+    let spec = RebuildSpec::new(base, 24);
+    let outcome = run_rebuild(&spec).expect("rebuild");
+
+    let app_only_failures = outcome
+        .report
+        .failed_reads
+        .iter()
+        .filter(|f| !outcome.failed_stripes.contains(&f.chunk.stripe))
+        .count();
+    assert!(
+        app_only_failures > 0,
+        "the fault rate must fail reads outside the rebuilt stripes"
+    );
+    assert!(!outcome.failed_stripes.is_empty());
+    assert!(outcome.failed_stripes.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(
+        outcome.stripes_rebuilt + outcome.failed_stripes.len(),
+        outcome.stripes_affected
+    );
+    // Every failed stripe really had a column on the failed disk.
+    let mapping = fbf::ArrayMapping::with_placement(24, 6, 8, spec.placement);
+    for &stripe in &outcome.failed_stripes {
+        assert!(
+            (0..8).any(|col| mapping.disk_of_col(stripe, col) == spec.failed_disk),
+            "stripe {stripe} was never under rebuild"
+        );
+    }
+}
