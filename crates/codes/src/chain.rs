@@ -158,7 +158,11 @@ impl ParityChain {
             "chain {:?} does not cover {target}",
             self.id
         );
-        self.all_cells().filter(|&c| c != target).collect()
+        // `filter` hints a lower bound of 0; the equation minus its target
+        // is exactly `len()` cells.
+        let mut reads = Vec::with_capacity(self.len());
+        reads.extend(self.all_cells().filter(|&c| c != target));
+        reads
     }
 }
 

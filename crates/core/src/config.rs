@@ -101,6 +101,14 @@ pub enum ConfigError {
     ZeroDecodeBatch,
     /// The data zone needs at least one stripe.
     ZeroStripes,
+    /// The error generator damages each stripe at most once, so it cannot
+    /// draw more errors than the data zone has stripes.
+    TooManyErrors {
+        /// Errors asked for.
+        errors: usize,
+        /// Stripes in the data zone.
+        stripes: u32,
+    },
     /// Chunks must have a positive size.
     ZeroChunkSize,
     /// The buffer cache cannot hold even one chunk.
@@ -157,6 +165,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
             ConfigError::ZeroDecodeBatch => write!(f, "decode_batch must be at least 1"),
             ConfigError::ZeroStripes => write!(f, "stripes must be at least 1"),
+            ConfigError::TooManyErrors { errors, stripes } => {
+                write!(f, "cannot place {errors} errors on {stripes} stripes")
+            }
             ConfigError::ZeroChunkSize => write!(f, "chunk_kb must be at least 1"),
             ConfigError::CacheTooSmall { cache_mb, chunk_kb } => write!(
                 f,
@@ -224,7 +235,9 @@ pub struct ExperimentConfig {
     pub chunk_kb: usize,
     /// Stripes in the array's data zone.
     pub stripes: u32,
-    /// Partial stripe errors in the campaign.
+    /// Partial stripe errors the seeded generator draws, each on a stripe
+    /// of its own (at most `stripes`). A run that brings its campaign — a
+    /// replayed trace, a failed disk's columns — draws none and ignores it.
     pub error_count: usize,
     /// SOR reconstruction workers.
     pub workers: usize,
@@ -396,6 +409,12 @@ impl ExperimentConfig {
         }
         if self.stripes == 0 {
             return Err(ConfigError::ZeroStripes);
+        }
+        if self.error_count as u64 > u64::from(self.stripes) {
+            return Err(ConfigError::TooManyErrors {
+                errors: self.error_count,
+                stripes: self.stripes,
+            });
         }
         if self.chunk_kb == 0 {
             return Err(ConfigError::ZeroChunkSize);
@@ -626,6 +645,27 @@ mod tests {
             ExperimentConfig::builder().stripes(0).build().unwrap_err(),
             ConfigError::ZeroStripes
         );
+    }
+
+    #[test]
+    fn validate_refuses_more_errors_than_stripes() {
+        let full = ExperimentConfig::builder().stripes(4).error_count(4);
+        assert!(full.build().is_ok(), "one error on every stripe fits");
+        let err = full.error_count(9).build().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyErrors {
+                errors: 9,
+                stripes: 4
+            }
+        );
+        assert_eq!(err.to_string(), "cannot place 9 errors on 4 stripes");
+        // The default count against a zone shrunk below it, and a config
+        // mutated after it was built.
+        assert!(ExperimentConfig::builder().stripes(128).build().is_err());
+        let mut cfg = ExperimentConfig::default();
+        cfg.error_count = cfg.stripes as usize + 1;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

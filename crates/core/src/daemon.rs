@@ -741,7 +741,7 @@ fn dispatch(cmd: &str, req: &Json, ctx: &Ctx) -> Json {
 /// experiment would be worse).
 ///
 /// [`ExperimentConfigBuilder::set`]: crate::config::ExperimentConfigBuilder::set
-pub fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
+fn builder_from_request(req: &Json) -> Result<crate::config::ExperimentConfigBuilder, String> {
     let mut builder = ExperimentConfig::builder().obs(true);
     if let Some(Json::Obj(map)) = req.get("config") {
         for (key, value) in map {
@@ -752,6 +752,16 @@ pub fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
             };
             builder = builder.set(key, &text).map_err(|e| e.to_string())?;
         }
+    }
+    Ok(builder)
+}
+
+/// The validated experiment a `repair` request describes. One that brings
+/// its campaign as an inline `trace` draws no errors of its own.
+pub fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
+    let mut builder = builder_from_request(req)?;
+    if req.get("trace").and_then(Json::as_str).is_some() {
+        builder = builder.error_count(0);
     }
     builder.build().map_err(|e| e.to_string())
 }
@@ -839,7 +849,11 @@ fn cmd_repair(req: &Json, ctx: &Ctx) -> Json {
 /// `fbf rebuild` reads its flags through here too.
 pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSpec, String> {
     use fbf_disksim::Placement;
-    let base = config_from_request(req)?;
+    // The failed disk decides the campaign: no errors are drawn.
+    let base = builder_from_request(req)?
+        .error_count(0)
+        .build()
+        .map_err(|e| e.to_string())?;
     let code =
         StripeCode::build(base.code, base.p).map_err(|e| format!("cannot build code: {e}"))?;
     let disks: usize = int_field(req, "disks")?.unwrap_or(100);

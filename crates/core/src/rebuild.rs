@@ -54,8 +54,8 @@ use std::sync::Arc;
 pub struct RebuildSpec {
     /// Code, cache, disk model, workers, seed — everything the per-wave
     /// engine passes inherit. `stripes` bounds the data zone searched for
-    /// affected stripes; `error_count` is ignored (the failed disk decides
-    /// the campaign).
+    /// affected stripes; `error_count` is not read (the failed disk decides
+    /// the campaign) beyond having to pass [`ExperimentConfig::validate`].
     pub base: ExperimentConfig,
     /// Physical disks in the array (`>=` the code's column count).
     pub disks: usize,
@@ -257,8 +257,7 @@ pub fn execute_rebuild(
     let mut waves = 0usize;
     while !sched.is_empty() {
         let wave = sched.next_wave();
-        // Shards are stripe-disjoint, so each scheme lowers against the
-        // tables its own shard's plan already holds.
+        // Schemes are borrowed from the shard plans, priorities and all.
         let wave_schemes: Vec<_> = wave
             .iter()
             .map(|item| {
@@ -267,7 +266,7 @@ pub fn execute_rebuild(
                     .stripes
                     .binary_search_by_key(&item.stripe, |&(stripe, _)| stripe)
                     .expect("the scheduler hands back the stripes it was given");
-                (&shard.plan.schemes[idx], &shard.plan.dictionary)
+                &shard.plan.schemes[idx]
             })
             .collect();
         let mut scripts = fbf_recovery::build_scripts_borrowed(&wave_schemes, &exec_cfg);
@@ -372,19 +371,21 @@ fn plan_shards(
         .collect()
 }
 
-/// The scheduler's view of every planned stripe, shard by shard. A
-/// full-column error's format *is* its lost column, so the read histogram
-/// is counted once per column and only projected through the placement
-/// per stripe.
+/// The scheduler's view of every planned stripe, shard by shard: the read
+/// histogram its format counted once, projected through the stripe's
+/// placement.
 fn admission_items(shards: &[Shard], mapping: &ArrayMapping) -> Vec<RebuildItem> {
-    let mut column_reads: Vec<Option<Vec<u32>>> = vec![None; mapping.cols];
     let mut items = Vec::with_capacity(shards.iter().map(|s| s.stripes.len()).sum());
     for (k, shard) in shards.iter().enumerate() {
-        for (scheme, &(stripe, lost)) in shard.plan.schemes.iter().zip(&shard.stripes) {
+        for (scheme, &(stripe, _)) in shard.plan.schemes.iter().zip(&shard.stripes) {
             assert_eq!(scheme.stripe, stripe, "plans keep their shard's order");
-            let reads = column_reads[lost].get_or_insert_with(|| scheme.column_reads(mapping.cols));
             let disks = mapping.stripe_disks(stripe);
-            items.push(RebuildItem::project(k, stripe, reads, disks));
+            items.push(RebuildItem::project(
+                k,
+                stripe,
+                scheme.column_reads(),
+                disks,
+            ));
         }
     }
     items
@@ -489,6 +490,7 @@ mod tests {
                         .code(code)
                         .p(p)
                         .stripes(96)
+                        .error_count(0)
                         .gen_threads(1)
                         .build()
                         .unwrap();

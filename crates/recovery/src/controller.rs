@@ -8,17 +8,18 @@
 //! be enumerated once a same format of partial stripe error is detected
 //! again, and no more calculation is required".
 //!
-//! [`RecoveryController`] implements exactly that: the scheme *and* its
-//! priority table are memoised by damage format. A recurring format
-//! (most recur heavily in a campaign — there are only `O(cols · rows²)`
-//! of them) costs a hash lookup, a restamped copy of the scheme and one
-//! `Arc` clone of the table; no share count is taken again. The
+//! [`RecoveryController`] implements exactly that: everything a format
+//! decides — repairs, priority table, per-column read histogram, lowered
+//! length — is one [`FormatPlan`](crate::scheme::FormatPlan) memoised by
+//! damage format. A recurring format (most recur heavily in a campaign —
+//! there are only `O(cols · rows²)` of them) costs a hash lookup and a
+//! stamp: two reference-count bumps, nothing copied. The
 //! `table4_overhead` bench measures the effect.
 
 use crate::error::{ErrorGroup, StripeDamage};
 use crate::joint::JointRepair;
-use crate::priority::{PriorityDictionary, PriorityTable};
-use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
+use crate::priority::PriorityDictionary;
+use crate::scheme::{FormatPlan, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::hash::FxHashMap;
 use fbf_codes::{Cell, StripeCode};
 use std::borrow::Borrow;
@@ -61,9 +62,8 @@ impl Borrow<[Cell]> for Format {
 pub struct RecoveryController<'a> {
     code: &'a StripeCode,
     kind: SchemeKind,
-    /// Per format: the first stripe's scheme (restamped on reuse) and the
-    /// priority table every stripe of the format shares.
-    memo: FxHashMap<Format, (RecoveryScheme, Arc<PriorityTable>)>,
+    /// What each format planned so far decides, stamped onto its stripes.
+    memo: FxHashMap<Format, Arc<FormatPlan>>,
     hits: usize,
     misses: usize,
 }
@@ -80,37 +80,17 @@ impl<'a> RecoveryController<'a> {
         }
     }
 
-    /// Scheme and shared priority table for one stripe's damage, memoised
-    /// by format.
-    fn plan_stripe(
-        &mut self,
-        damage: &StripeDamage,
-    ) -> Result<(RecoveryScheme, Arc<PriorityTable>), SchemeError> {
-        if let Some((template, table)) = self.memo.get(damage.cells.as_slice()) {
-            self.hits += 1;
-            let scheme = RecoveryScheme {
-                stripe: damage.stripe,
-                ..template.clone()
-            };
-            return Ok((scheme, Arc::clone(table)));
-        }
-        self.misses += 1;
-        let scheme = generate_for_cells(self.code, damage.stripe, &damage.cells, self.kind)?;
-        let table = Arc::new(PriorityTable::new(
-            &scheme,
-            self.code.rows(),
-            self.code.cols(),
-        ));
-        self.memo.insert(
-            Format(damage.cells.clone()),
-            (scheme.clone(), Arc::clone(&table)),
-        );
-        Ok((scheme, table))
-    }
-
     /// Scheme for one stripe's damage, memoised by format.
     pub fn scheme_for(&mut self, damage: &StripeDamage) -> Result<RecoveryScheme, SchemeError> {
-        self.plan_stripe(damage).map(|(scheme, _)| scheme)
+        if let Some(format) = self.memo.get(damage.cells.as_slice()) {
+            self.hits += 1;
+            return Ok(RecoveryScheme::stamp(format, damage.stripe));
+        }
+        self.misses += 1;
+        let format = Arc::new(FormatPlan::generate(self.code, &damage.cells, self.kind)?);
+        let scheme = RecoveryScheme::stamp(&format, damage.stripe);
+        self.memo.insert(Format(damage.cells.clone()), format);
+        Ok(scheme)
     }
 
     /// Plan a whole campaign: schemes (stripe order) plus the priority
@@ -131,8 +111,8 @@ impl<'a> RecoveryController<'a> {
         let mut schemes = Vec::with_capacity(damages.len());
         let mut dictionary = PriorityDictionary::with_capacity(damages.len());
         for damage in damages {
-            let (scheme, table) = self.plan_stripe(damage)?;
-            dictionary.insert(scheme.stripe, table);
+            let scheme = self.scheme_for(damage)?;
+            dictionary.add_scheme(&scheme);
             schemes.push(scheme);
         }
         Ok((schemes, dictionary))
@@ -151,9 +131,9 @@ impl<'a> RecoveryController<'a> {
         let mut plans = Vec::new();
         let mut dictionary = PriorityDictionary::new();
         for damage in group.damage_by_stripe() {
-            match self.plan_stripe(&damage) {
-                Ok((scheme, table)) => {
-                    dictionary.insert(scheme.stripe, table);
+            match self.scheme_for(&damage) {
+                Ok(scheme) => {
+                    dictionary.add_scheme(&scheme);
                     plans.push(StripePlan::Chained(scheme));
                 }
                 Err(SchemeError::Unschedulable(_)) => {

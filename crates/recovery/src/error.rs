@@ -54,9 +54,12 @@ impl PartialStripeError {
 
     /// The lost cells, top to bottom.
     pub fn cells(&self) -> Vec<Cell> {
-        (self.first_row..self.first_row + self.len)
-            .map(|r| Cell::new(r, self.col))
-            .collect()
+        self.cell_iter().collect()
+    }
+
+    fn cell_iter(&self) -> impl Iterator<Item = Cell> {
+        let col = self.col;
+        (self.first_row..self.first_row + self.len).map(move |r| Cell::new(r, col))
     }
 
     /// The lost chunks with global identity.
@@ -128,19 +131,20 @@ impl ErrorGroup {
 
     /// Merge the campaign into per-stripe damage, ordered by stripe.
     pub fn damage_by_stripe(&self) -> Vec<StripeDamage> {
-        let mut by_stripe: std::collections::BTreeMap<u32, Vec<Cell>> =
-            std::collections::BTreeMap::new();
-        for e in &self.errors {
-            by_stripe.entry(e.stripe).or_default().extend(e.cells());
+        let mut by_stripe: Vec<&PartialStripeError> = self.errors.iter().collect();
+        by_stripe.sort_unstable_by_key(|e| e.stripe);
+        let mut damages = Vec::with_capacity(by_stripe.len());
+        for run in by_stripe.chunk_by(|a, b| a.stripe == b.stripe) {
+            let mut cells = Vec::with_capacity(run.iter().map(|e| e.len).sum());
+            cells.extend(run.iter().flat_map(|e| e.cell_iter()));
+            cells.sort_unstable();
+            cells.dedup();
+            damages.push(StripeDamage {
+                stripe: run[0].stripe,
+                cells,
+            });
         }
-        by_stripe
-            .into_iter()
-            .map(|(stripe, mut cells)| {
-                cells.sort_unstable();
-                cells.dedup();
-                StripeDamage { stripe, cells }
-            })
-            .collect()
+        damages
     }
 
     /// Number of errors.

@@ -13,7 +13,7 @@
 
 use crate::controller::StripePlan;
 use crate::error::ErrorGroup;
-use crate::priority::PriorityDictionary;
+use crate::priority::{PriorityDictionary, PriorityTable};
 use crate::scheme::RecoveryScheme;
 use fbf_codes::{ChunkId, CodeError, Stripe, StripeCode};
 use fbf_disksim::{Op, RequestClass, SimTime, WorkerScript};
@@ -66,35 +66,45 @@ fn effective_workers(config: &ExecConfig, stripes: usize) -> usize {
 /// Deal `items` (one stripe each) round-robin over the workers' scripts:
 /// item `i` goes to worker `i % workers` — SOR's stripe-oriented
 /// partitioning; each worker repairs its stripes strictly in order.
+///
+/// `ops_of` is the number of ops `lower` will push for an item. Every
+/// script is allocated once at the sum over its items before anything is
+/// emitted, so lowering never moves an op it has written.
 fn lower_round_robin<T>(
     items: &[T],
     config: &ExecConfig,
+    ops_of: impl Fn(&T) -> usize,
     mut lower: impl FnMut(&T, &mut WorkerScript),
 ) -> Vec<WorkerScript> {
     let workers = effective_workers(config, items.len());
-    let mut scripts = vec![
-        WorkerScript {
+    let mut lengths = vec![0usize; workers];
+    for (i, item) in items.iter().enumerate() {
+        lengths[i % workers] += ops_of(item);
+    }
+    let mut scripts: Vec<WorkerScript> = lengths
+        .iter()
+        .map(|&ops| WorkerScript {
+            ops: Vec::with_capacity(ops),
+            gathers: Vec::new(),
             class: config.class,
-            ..Default::default()
-        };
-        workers
-    ];
+        })
+        .collect();
     for (i, item) in items.iter().enumerate() {
         lower(item, &mut scripts[i % workers]);
     }
+    debug_assert!(scripts.iter().zip(&lengths).all(|(s, &n)| s.ops.len() == n));
     scripts
 }
 
 /// One chained scheme: every repair becomes its read burst, an XOR
-/// compute step and a spare write. The stripe's priority table is fetched
-/// once and indexed per read.
+/// compute step and a spare write — `scheme.script_ops` ops in all.
+/// Reads carry `table`'s priorities (1 without a table).
 fn lower_chained(
     scheme: &RecoveryScheme,
-    dictionary: &PriorityDictionary,
+    table: Option<&PriorityTable>,
     config: &ExecConfig,
     script: &mut WorkerScript,
 ) {
-    let table = dictionary.table(scheme.stripe);
     for repair in &scheme.repairs {
         for &cell in &repair.option.reads {
             script.ops.push(Op::Read {
@@ -112,28 +122,35 @@ fn lower_chained(
     }
 }
 
-/// Lower a campaign into per-worker scripts.
+/// Lower a campaign into per-worker scripts; reads carry `dictionary`'s
+/// priorities.
 pub fn build_scripts(
     schemes: &[RecoveryScheme],
     dictionary: &PriorityDictionary,
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
-    lower_round_robin(schemes, config, |scheme, script| {
-        lower_chained(scheme, dictionary, config, script)
-    })
+    lower_round_robin(
+        schemes,
+        config,
+        |scheme| scheme.script_ops,
+        |scheme, script| lower_chained(scheme, dictionary.table(scheme.stripe), config, script),
+    )
 }
 
 /// [`build_scripts`] over schemes borrowed from several planned campaigns,
-/// each lowered against the dictionary of the campaign that planned it —
-/// a rebuild wave mixes stripes of stripe-disjoint shards, so no merged
-/// dictionary (and no scheme copy) is needed to lower it.
+/// each read carrying the priority its own scheme gives it — a rebuild
+/// wave mixes stripes of stripe-disjoint shards, so no merged dictionary
+/// (and no scheme copy) is needed to lower it.
 pub fn build_scripts_borrowed(
-    schemes: &[(&RecoveryScheme, &PriorityDictionary)],
+    schemes: &[&RecoveryScheme],
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
-    lower_round_robin(schemes, config, |&(scheme, dictionary), script| {
-        lower_chained(scheme, dictionary, config, script)
-    })
+    lower_round_robin(
+        schemes,
+        config,
+        |scheme| scheme.script_ops,
+        |scheme, script| lower_chained(scheme, Some(&scheme.table), config, script),
+    )
 }
 
 /// Lower a campaign of [`StripePlan`]s (chained + joint fallbacks) into
@@ -145,33 +162,44 @@ pub fn build_scripts_from_plans(
     dictionary: &PriorityDictionary,
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
-    lower_round_robin(plans, config, |plan, script| match plan {
-        StripePlan::Chained(scheme) => lower_chained(scheme, dictionary, config, script),
-        StripePlan::Joint(joint) => {
-            let fan_out: Vec<(ChunkId, u8)> = joint
-                .reads
-                .iter()
-                .map(|&cell| {
-                    let id = ChunkId::new(joint.stripe, cell);
-                    (id, dictionary.priority_of(&id))
-                })
-                .collect();
-            let n = fan_out.len() as u64;
-            script.push_gather(fan_out);
-            // Joint decode costs roughly one XOR pass per equation row
-            // touched — charge reads + lost as a conservative bound.
-            script.ops.push(Op::Compute {
-                duration: SimTime::from_nanos(
-                    config.xor_time_per_chunk.as_nanos() * (n + joint.lost.len() as u64),
-                ),
-            });
-            for &cell in &joint.lost {
-                script.ops.push(Op::Write {
-                    chunk: ChunkId::new(joint.stripe, cell),
-                });
+    lower_round_robin(
+        plans,
+        config,
+        |plan| match plan {
+            StripePlan::Chained(scheme) => scheme.script_ops,
+            // The gather, the decode, one write per lost cell.
+            StripePlan::Joint(joint) => 2 + joint.lost.len(),
+        },
+        |plan, script| match plan {
+            StripePlan::Chained(scheme) => {
+                lower_chained(scheme, dictionary.table(scheme.stripe), config, script)
             }
-        }
-    })
+            StripePlan::Joint(joint) => {
+                let fan_out: Vec<(ChunkId, u8)> = joint
+                    .reads
+                    .iter()
+                    .map(|&cell| {
+                        let id = ChunkId::new(joint.stripe, cell);
+                        (id, dictionary.priority_of(&id))
+                    })
+                    .collect();
+                let n = fan_out.len() as u64;
+                script.push_gather(fan_out);
+                // Joint decode costs roughly one XOR pass per equation row
+                // touched — charge reads + lost as a conservative bound.
+                script.ops.push(Op::Compute {
+                    duration: SimTime::from_nanos(
+                        config.xor_time_per_chunk.as_nanos() * (n + joint.lost.len() as u64),
+                    ),
+                });
+                for &cell in &joint.lost {
+                    script.ops.push(Op::Write {
+                        chunk: ChunkId::new(joint.stripe, cell),
+                    });
+                }
+            }
+        },
+    )
 }
 
 /// Apply a scheme to real stripe payloads: for each repair, XOR the read
@@ -369,16 +397,8 @@ mod tests {
             .iter()
             .flat_map(|s| &s.ops)
             .any(|op| matches!(op, Op::Read { priority, .. } if *priority > 1)));
-        // Borrowed schemes, each with its own campaign's dictionary.
-        let halves: Vec<PriorityDictionary> = schemes
-            .chunks(6)
-            .map(PriorityDictionary::from_schemes)
-            .collect();
-        let borrowed: Vec<_> = schemes
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s, &halves[i / 6]))
-            .collect();
+        // Borrowed schemes carry their priorities themselves.
+        let borrowed: Vec<&RecoveryScheme> = schemes.iter().collect();
         assert_eq!(build_scripts_borrowed(&borrowed, &config), expect);
     }
 

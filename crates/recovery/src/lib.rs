@@ -49,5 +49,5 @@ pub use joint::JointRepair;
 pub use parallel::{assign_round_robin, generate_schemes_parallel, plan_campaign_parallel};
 pub use priority::PriorityDictionary;
 pub use rebuild::{rebuild_campaign, rebuild_read_ratio, Fairness, RebuildItem, RebuildScheduler};
-pub use scheme::{ChunkRepair, RecoveryScheme, SchemeError, SchemeKind};
+pub use scheme::{ChunkRepair, FormatPlan, RecoveryScheme, SchemeError, SchemeKind};
 pub use scrub::{scrub, ScrubOutcome};

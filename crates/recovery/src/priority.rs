@@ -19,12 +19,12 @@
 //! cell → priority table. The dictionary is therefore
 //! `stripe → shared table`; the
 //! [`RecoveryController`](crate::RecoveryController) derives one table
-//! per format and hands the same [`Arc`] to every stripe of that format.
+//! per format and hands the same grid to every stripe of that format.
 //! Sharing cannot change a priority: a [`ChunkId`] carries its stripe, so
 //! the only entries that ever merge are two schemes for *one* stripe, and
 //! those max-merge cell by cell exactly as they always did.
 
-use crate::scheme::RecoveryScheme;
+use crate::scheme::{ChunkRepair, RecoveryScheme};
 use fbf_codes::hash::FxHashMap;
 use fbf_codes::{Cell, ChunkId};
 use std::collections::hash_map::Entry;
@@ -33,48 +33,42 @@ use std::sync::Arc;
 /// One stripe's priorities as a dense row-major `cell → priority` table;
 /// 0 marks a cell no repair reads.
 ///
-/// The geometry is whatever the builder knew — the code's `rows × cols`
-/// from the controller, the bounding box of the reads from
-/// [`PriorityDictionary::from_scheme`] — and carries no meaning: cells
-/// outside it are unread, and `==` compares priorities, not shape.
+/// The geometry is the `rows × cols` of the code the scheme was planned
+/// on and carries no meaning: cells outside it are unread, and `==`
+/// compares priorities, not shape.
+///
+/// The grid is shared: cloning a table bumps a reference count.
 #[derive(Debug, Clone)]
 pub(crate) struct PriorityTable {
     cols: usize,
-    prio: Box<[u8]>,
+    prio: Arc<[u8]>,
     /// Cells with a non-zero entry.
     known: usize,
 }
 
 impl PriorityTable {
-    /// The table of `scheme`'s reads over a `rows × cols` grid, which must
-    /// contain every read cell.
-    pub(crate) fn new(scheme: &RecoveryScheme, rows: usize, cols: usize) -> Self {
+    /// The table of the `repairs`' reads over a `rows × cols` grid, which
+    /// must contain every read cell.
+    pub(crate) fn new(repairs: &[ChunkRepair], rows: usize, cols: usize) -> Self {
         // Share counts first (saturating far above Table II's top bucket),
         // then mapped in place.
-        let mut prio = vec![0u8; rows * cols].into_boxed_slice();
-        for repair in &scheme.repairs {
+        let mut prio: Arc<[u8]> = std::iter::repeat_n(0, rows * cols).collect();
+        let grid = Arc::get_mut(&mut prio).expect("a fresh grid has one owner");
+        for repair in repairs {
             for cell in &repair.option.reads {
-                let slot = &mut prio[cell.r() * cols + cell.c()];
+                let slot = &mut grid[cell.r() * cols + cell.c()];
                 *slot = slot.saturating_add(1);
             }
         }
-        for slot in prio.iter_mut().filter(|s| **s > 0) {
+        for slot in grid.iter_mut().filter(|s| **s > 0) {
             *slot = priority_for_count(usize::from(*slot));
         }
         Self::from_grid(cols, prio)
     }
 
-    fn from_grid(cols: usize, prio: Box<[u8]>) -> Self {
+    fn from_grid(cols: usize, prio: Arc<[u8]>) -> Self {
         let known = prio.iter().filter(|&&p| p > 0).count();
         PriorityTable { cols, prio, known }
-    }
-
-    /// [`new`](Self::new) over the bounding box of the scheme's reads.
-    fn bounding(scheme: &RecoveryScheme) -> Self {
-        let reads = || scheme.repairs.iter().flat_map(|r| &r.option.reads);
-        let rows = reads().map(|c| c.r() + 1).max().unwrap_or(0);
-        let cols = reads().map(|c| c.c() + 1).max().unwrap_or(0);
-        Self::new(scheme, rows, cols)
     }
 
     fn rows(&self) -> usize {
@@ -114,12 +108,12 @@ impl PriorityTable {
     fn max_merged(&self, other: &PriorityTable) -> PriorityTable {
         let rows = self.rows().max(other.rows());
         let cols = self.cols.max(other.cols);
-        let mut prio = vec![0u8; rows * cols].into_boxed_slice();
+        let mut prio = vec![0u8; rows * cols];
         for (cell, p) in self.cells().chain(other.cells()) {
             let slot = &mut prio[cell.r() * cols + cell.c()];
             *slot = (*slot).max(p);
         }
-        Self::from_grid(cols, prio)
+        Self::from_grid(cols, prio.into())
     }
 }
 
@@ -139,7 +133,7 @@ impl Eq for PriorityTable {}
 pub struct PriorityDictionary {
     /// Only non-empty tables are stored, so two dictionaries that know
     /// the same chunks hold the same stripes.
-    tables: FxHashMap<u32, Arc<PriorityTable>>,
+    tables: FxHashMap<u32, PriorityTable>,
 }
 
 impl PriorityDictionary {
@@ -162,9 +156,9 @@ impl PriorityDictionary {
         d
     }
 
-    /// Build from a whole campaign of schemes, deriving every stripe's
-    /// table from its own scheme — the un-memoised construction the
-    /// controller's shared tables are tested against.
+    /// Build from a whole campaign of schemes, every stripe taking the
+    /// table of its own scheme — over schemes generated one by one, the
+    /// un-memoised construction the controller's sharing is tested against.
     pub fn from_schemes<'a>(schemes: impl IntoIterator<Item = &'a RecoveryScheme>) -> Self {
         let mut d = Self::new();
         for s in schemes {
@@ -173,15 +167,15 @@ impl PriorityDictionary {
         d
     }
 
-    /// Merge one scheme's share counts in. A chunk the stripe's earlier
+    /// Merge one scheme's priorities in. A chunk the stripe's earlier
     /// schemes already read keeps its highest priority.
     pub fn add_scheme(&mut self, scheme: &RecoveryScheme) {
-        self.insert(scheme.stripe, Arc::new(PriorityTable::bounding(scheme)));
+        self.insert(scheme.stripe, scheme.table.clone());
     }
 
     /// Give `stripe` a (possibly shared) table, max-merging with the one
     /// it already has, if any.
-    pub(crate) fn insert(&mut self, stripe: u32, table: Arc<PriorityTable>) {
+    fn insert(&mut self, stripe: u32, table: PriorityTable) {
         if table.known == 0 {
             return;
         }
@@ -191,7 +185,7 @@ impl PriorityDictionary {
             }
             Entry::Occupied(mut slot) => {
                 let merged = slot.get().max_merged(&table);
-                slot.insert(Arc::new(merged));
+                slot.insert(merged);
             }
         }
     }
@@ -207,7 +201,7 @@ impl PriorityDictionary {
     /// The table of one stripe, if any scheme reads from it — fetch it
     /// once to look up many chunks of the stripe without re-hashing.
     pub(crate) fn table(&self, stripe: u32) -> Option<&PriorityTable> {
-        self.tables.get(&stripe).map(|t| &**t)
+        self.tables.get(&stripe)
     }
 
     /// Priority of a chunk; 1 when unknown.
@@ -300,8 +294,14 @@ mod tests {
         let (_, d) = crate::RecoveryController::new(&code, SchemeKind::FbfCycling)
             .plan_campaign(&group)
             .unwrap();
-        assert!(Arc::ptr_eq(&d.tables[&4], &d.tables[&9]), "one format");
-        assert!(!Arc::ptr_eq(&d.tables[&4], &d.tables[&2]), "another column");
+        assert!(
+            Arc::ptr_eq(&d.tables[&4].prio, &d.tables[&9].prio),
+            "one format"
+        );
+        assert!(
+            !Arc::ptr_eq(&d.tables[&4].prio, &d.tables[&2].prio),
+            "another column"
+        );
         // Sharing a table does not share chunks: the stripe is in the key.
         assert_eq!(d.len(), 2 * d.tables[&4].known + d.tables[&2].known);
     }

@@ -122,7 +122,7 @@ pub struct RebuildItem {
 
 impl RebuildItem {
     /// One stripe's repair from its scheme's per-column read histogram
-    /// ([`RecoveryScheme::column_reads`](crate::RecoveryScheme::column_reads)
+    /// ([`FormatPlan::column_reads`](crate::FormatPlan::column_reads)
     /// — a property of the damage format, so every stripe that lost the
     /// same column shares one) projected through the stripe's placement:
     /// `disks` yields the disk of column 0, 1, … in order. Placements are

@@ -20,11 +20,13 @@
 //! in the buffer by then).
 
 use crate::error::PartialStripeError;
+use crate::priority::PriorityTable;
 use fbf_codes::hash::FxHashSet;
 use fbf_codes::repair::{
     best_chain_per_direction, best_per_direction, option_through, RepairOption,
 };
 use fbf_codes::{Cell, Direction, StripeCode};
+use std::sync::Arc;
 
 /// Which scheme generator to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,18 +90,79 @@ pub struct ChunkRepair {
     pub option: RepairOption,
 }
 
-/// The ordered repair plan for one partial stripe error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryScheme {
-    /// Stripe this scheme repairs.
-    pub stripe: u32,
+/// Everything a damage *format* decides (§III-A-1: "no more calculation
+/// is required" once a format recurs), built once — by the
+/// [`RecoveryController`](crate::RecoveryController) on a memo miss, by
+/// [`generate_for_cells`] for a one-off scheme — and shared by every
+/// stripe of that format behind one [`Arc`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct FormatPlan {
     /// Generator that produced it.
     pub kind: SchemeKind,
     /// Repairs in execution order (later repairs may read earlier targets).
     pub repairs: Vec<ChunkRepair>,
+    /// Cell → FBF priority of the reads (Table II).
+    pub(crate) table: PriorityTable,
+    /// Read slots per stripe column.
+    column_reads: Box<[u32]>,
+    /// Ops the repairs lower to: per repair its reads, one XOR, one write.
+    pub(crate) script_ops: usize,
 }
 
-impl RecoveryScheme {
+impl FormatPlan {
+    /// Plan the repair of the lost-cell set `lost` — a full generation,
+    /// what a recurring format never pays again.
+    pub(crate) fn generate(
+        code: &StripeCode,
+        lost: &[Cell],
+        kind: SchemeKind,
+    ) -> Result<Self, SchemeError> {
+        let repairs = match kind {
+            // Horizontal if available, else first available family.
+            SchemeKind::Typical => plan(lost, |_, target, still_lost| {
+                pick_in_order(code, target, still_lost, Direction::ALL)
+            }),
+            // Cycle H, D, A by position within the error run.
+            SchemeKind::FbfCycling => plan(lost, |i, target, still_lost| {
+                let start = i % 3;
+                let order = [
+                    Direction::ALL[start],
+                    Direction::ALL[(start + 1) % 3],
+                    Direction::ALL[(start + 2) % 3],
+                ];
+                pick_in_order(code, target, still_lost, order)
+            }),
+            // Fewest new chunks beyond what is already scheduled for read.
+            SchemeKind::Greedy => {
+                let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
+                plan(lost, |_, target, still_lost| {
+                    let menu = best_per_direction(code, target, still_lost);
+                    let pick = menu.into_iter().flatten().min_by_key(|opt| {
+                        let new = opt.reads.iter().filter(|c| !scheduled.contains(*c)).count();
+                        (new, opt.reads.len(), opt.direction)
+                    })?;
+                    scheduled.extend(pick.reads.iter().copied());
+                    Some(pick)
+                })
+            }
+        }?;
+        let mut column_reads = vec![0u32; code.cols()].into_boxed_slice();
+        let mut script_ops = 0;
+        for repair in &repairs {
+            script_ops += repair.option.reads.len() + 2;
+            for cell in &repair.option.reads {
+                column_reads[cell.c()] += 1;
+            }
+        }
+        Ok(FormatPlan {
+            kind,
+            table: PriorityTable::new(&repairs, code.rows(), code.cols()),
+            repairs,
+            column_reads,
+            script_ops,
+        })
+    }
+
     /// How many times each surviving cell is read across all repairs — the
     /// share counts that become FBF priorities.
     pub fn share_counts(&self) -> std::collections::HashMap<Cell, usize> {
@@ -108,8 +171,7 @@ impl RecoveryScheme {
 
     /// [`share_counts`](Self::share_counts) as a vector in first-read
     /// order. A scheme touches a few dozen cells at most, so a linear-scan
-    /// count beats a hash map and allocates once; the priority dictionary
-    /// merges thousands of these per campaign.
+    /// count beats a hash map and allocates once.
     pub fn share_count_list(&self) -> Vec<(Cell, usize)> {
         let mut counts: Vec<(Cell, usize)> = Vec::new();
         for repair in &self.repairs {
@@ -136,19 +198,49 @@ impl RecoveryScheme {
     }
 
     /// Read slots per stripe column, re-reads included: what a cacheless
-    /// executor asks of each column's disk. Like the scheme itself this
-    /// depends on the damage format only, not on the stripe.
-    pub fn column_reads(&self, cols: usize) -> Vec<u32> {
-        let mut reads = vec![0u32; cols];
-        for cell in self.repairs.iter().flat_map(|r| &r.option.reads) {
-            reads[cell.c()] += 1;
-        }
-        reads
+    /// executor asks of each column's disk.
+    pub fn column_reads(&self) -> &[u32] {
+        &self.column_reads
     }
 
     /// Reads saved by sharing relative to fetching every slot from disk.
     pub fn shared_savings(&self) -> usize {
         self.total_read_slots() - self.unique_reads()
+    }
+}
+
+/// The ordered repair plan for one partial stripe error: a stripe number
+/// stamped on its format's shared [`FormatPlan`], which it reads as
+/// (`scheme.kind`, `&scheme.repairs`, `scheme.column_reads()`, ...).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveryScheme {
+    /// Stripe this scheme repairs.
+    pub stripe: u32,
+    format: Arc<FormatPlan>,
+}
+
+impl RecoveryScheme {
+    /// `format`'s plan for `stripe`, which must carry that damage format:
+    /// one reference-count bump, nothing is copied.
+    pub fn stamp(format: &Arc<FormatPlan>, stripe: u32) -> RecoveryScheme {
+        RecoveryScheme {
+            stripe,
+            format: Arc::clone(format),
+        }
+    }
+
+    /// The shared per-format plan (pointer-equal across the stripes one
+    /// controller planned for one format).
+    pub fn format(&self) -> &Arc<FormatPlan> {
+        &self.format
+    }
+}
+
+impl std::ops::Deref for RecoveryScheme {
+    type Target = FormatPlan;
+
+    fn deref(&self) -> &FormatPlan {
+        &self.format
     }
 }
 
@@ -169,40 +261,8 @@ pub fn generate_for_cells(
     lost: &[Cell],
     kind: SchemeKind,
 ) -> Result<RecoveryScheme, SchemeError> {
-    let repairs = match kind {
-        // Horizontal if available, else first available family.
-        SchemeKind::Typical => plan(lost, |_, target, still_lost| {
-            pick_in_order(code, target, still_lost, Direction::ALL)
-        }),
-        // Cycle H, D, A by position within the error run.
-        SchemeKind::FbfCycling => plan(lost, |i, target, still_lost| {
-            let start = i % 3;
-            let order = [
-                Direction::ALL[start],
-                Direction::ALL[(start + 1) % 3],
-                Direction::ALL[(start + 2) % 3],
-            ];
-            pick_in_order(code, target, still_lost, order)
-        }),
-        // Fewest new chunks beyond what is already scheduled for read.
-        SchemeKind::Greedy => {
-            let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
-            plan(lost, |_, target, still_lost| {
-                let menu = best_per_direction(code, target, still_lost);
-                let pick = menu.into_iter().flatten().min_by_key(|opt| {
-                    let new = opt.reads.iter().filter(|c| !scheduled.contains(*c)).count();
-                    (new, opt.reads.len(), opt.direction)
-                })?;
-                scheduled.extend(pick.reads.iter().copied());
-                Some(pick)
-            })
-        }
-    }?;
-    Ok(RecoveryScheme {
-        stripe,
-        kind,
-        repairs,
-    })
+    let format = Arc::new(FormatPlan::generate(code, lost, kind)?);
+    Ok(RecoveryScheme { stripe, format })
 }
 
 /// Shared planning loop: repeatedly pick a repair for the first still-lost

@@ -8,10 +8,11 @@ use fbf_recovery::scheme::generate_for_cells;
 use fbf_recovery::scrub::{scrub, ScrubOutcome};
 use fbf_recovery::{
     apply_scheme, ErrorGroup, PartialStripeError, PriorityDictionary, RecoveryController,
-    RecoveryScheme, SchemeKind, StripePlan,
+    RecoveryScheme, SchemeError, SchemeKind, StripeDamage, StripePlan,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn spec_strategy() -> impl Strategy<Value = CodeSpec> {
     prop_oneof![
@@ -72,14 +73,120 @@ fn assert_dictionary_is(dict: &PriorityDictionary, brute: &BTreeMap<ChunkId, u8>
     }
 }
 
+/// One object per format: every stripe a controller plans for one damage
+/// format is a stamp on the first one's body — and that body is what
+/// planning the stripe from scratch yields (or, where no chain ordering
+/// exists, both refuse), its per-column histogram what counting the read
+/// slots one by one gives.
+fn assert_stamps_equal_direct_generation(
+    code: &StripeCode,
+    kind: SchemeKind,
+    formats: impl IntoIterator<Item = Vec<Cell>>,
+) {
+    let mut ctl = RecoveryController::new(code, kind);
+    let mut bodies: BTreeMap<Vec<Cell>, RecoveryScheme> = BTreeMap::new();
+    for (stripe, cells) in (0u32..).zip(formats) {
+        let direct = generate_for_cells(code, stripe, &cells, kind);
+        let damage = StripeDamage { stripe, cells };
+        let planned = ctl.scheme_for(&damage);
+        let (planned, direct) = match (planned, direct) {
+            (Ok(planned), Ok(direct)) => (planned, direct),
+            (Err(SchemeError::Unschedulable(a)), Err(SchemeError::Unschedulable(b))) => {
+                assert_eq!(a, b, "{:?}", damage.cells);
+                continue;
+            }
+            (planned, direct) => panic!("{:?}: {planned:?} vs {direct:?}", damage.cells),
+        };
+        assert_eq!(planned, direct, "{:?}", damage.cells);
+        assert!(!Arc::ptr_eq(planned.format(), direct.format()));
+        let mut by_read_slot = vec![0u32; code.cols()];
+        for cell in direct.repairs.iter().flat_map(|r| &r.option.reads) {
+            by_read_slot[cell.c()] += 1;
+        }
+        assert_eq!(planned.column_reads(), by_read_slot, "{:?}", damage.cells);
+        let first = bodies
+            .entry(damage.cells)
+            .or_insert_with(|| planned.clone());
+        assert!(Arc::ptr_eq(first.format(), planned.format()), "second body");
+    }
+    assert_eq!(
+        ctl.formats(),
+        bodies.len(),
+        "one memo entry per plannable format"
+    );
+    for pair in bodies.values().collect::<Vec<_>>().windows(2) {
+        assert!(
+            !Arc::ptr_eq(pair[0].format(), pair[1].format()),
+            "formats merged"
+        );
+    }
+}
+
+/// The format census: every contiguous single-column run of every code at
+/// every prime it accepts up to 13, under each generator — visited twice,
+/// so every format is stamped at least once.
+#[test]
+fn every_census_format_is_one_shared_body() {
+    for spec in CodeSpec::ALL {
+        for code in [3, 5, 7, 11, 13]
+            .into_iter()
+            .filter_map(|p| StripeCode::build(spec, p).ok())
+        {
+            let rows = code.rows();
+            let census: Vec<Vec<Cell>> = (0..code.cols())
+                .flat_map(|col| (0..rows).map(move |first| (col, first)))
+                .flat_map(|(col, first)| {
+                    (first + 1..=rows)
+                        .map(move |end| (first..end).map(|r| Cell::new(r, col)).collect())
+                })
+                .collect();
+            assert_eq!(census.len(), code.cols() * rows * (rows + 1) / 2);
+            for kind in SchemeKind::ALL {
+                let twice = census.iter().chain(&census).cloned();
+                assert_stamps_equal_direct_generation(&code, kind, twice);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `damage_by_stripe` equals the per-stripe ordered-map merge it
+    /// replaced, on unsorted campaigns with several errors per stripe,
+    /// overlapping rows and duplicated errors.
+    #[test]
+    fn damage_by_stripe_equals_the_ordered_map_merge(
+        errors in proptest::collection::vec((0u32..6, 0usize..8, 0usize..6, 1usize..7, 0usize..3), 0..40),
+    ) {
+        let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
+        let mut group = ErrorGroup::new();
+        for &(stripe, col, first, len, copies) in &errors {
+            let len = len.min(code.rows() - first);
+            let e = PartialStripeError::new(&code, stripe, col, first, len).unwrap();
+            for _ in 0..=copies.saturating_sub(1) {
+                group.push(e);
+            }
+        }
+        let mut by_stripe: BTreeMap<u32, Vec<Cell>> = BTreeMap::new();
+        for e in &group.errors {
+            by_stripe.entry(e.stripe).or_default().extend(e.cells());
+        }
+        let expect: Vec<StripeDamage> = by_stripe
+            .into_iter()
+            .map(|(stripe, mut cells)| {
+                cells.sort_unstable();
+                cells.dedup();
+                StripeDamage { stripe, cells }
+            })
+            .collect();
+        prop_assert_eq!(group.damage_by_stripe(), expect);
+    }
 
     /// The controller's dictionary — one table per damage format, shared
     /// by its stripes — equals the brute-force per-chunk one for every
     /// code and generator, on single- and multi-column damage with
-    /// recurring formats; and equals `from_schemes`, whose tables have
-    /// another geometry (bounding box, not the code's grid).
+    /// recurring formats; and equals `from_schemes` over the same schemes.
     #[test]
     fn controller_dictionary_equals_brute_force(
         spec in spec_strategy(),
@@ -117,6 +224,10 @@ proptest! {
             prop_assert!(schemes.iter().eq(chained.iter().copied()));
             prop_assert_eq!(&strict, &dict);
         }
+        // Recurring formats — multi-column ones with no chain ordering
+        // among them — are one body each.
+        let formats = group.damage_by_stripe().into_iter().map(|d| d.cells);
+        assert_stamps_equal_direct_generation(&code, kind, formats);
     }
 
     /// Two schemes given to one stripe max-merge chunk by chunk, in either
@@ -134,7 +245,7 @@ proptest! {
             fbf_recovery::scheme::generate(&code, &e, kind).unwrap()
         };
         let (a, b) = (scheme(a), scheme(b));
-        let other = RecoveryScheme { stripe: 6, ..a.clone() };
+        let other = RecoveryScheme::stamp(a.format(), 6);
         let brute = brute_force([&a, &b, &other]);
         let ab = PriorityDictionary::from_schemes([&a, &b, &other]);
         assert_dictionary_is(&ab, &brute);

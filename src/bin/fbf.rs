@@ -46,7 +46,11 @@
 use fbf::core::{policy_grid, CACHE_MB};
 use fbf::obs::flags::{take_flag, take_switch};
 use fbf::obs::ObsFlags;
-use fbf::recovery::{scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind};
+use fbf::recovery::priority::priority_for_count;
+use fbf::recovery::{
+    scheme::generate, JointRepair, PartialStripeError, PriorityDictionary, RecoveryController,
+    SchemeKind, StripeDamage,
+};
 use fbf::report::f;
 use fbf::workload::{
     client_trace_ids, generate_errors, parse_trace, render_trace, shard_campaign, validate_against,
@@ -267,6 +271,7 @@ fn usage() -> String {
          usage:\n\
          \u{20}  fbf layout <code> <p>\n\
          \u{20}  fbf plan <code> <p> <col> <first_row> <len> [scheme]\n\
+         \u{20}  fbf plan --census <code> <p> [scheme]\n\
          \u{20}  fbf trace <stripes> <count> [seed]\n\
          \u{20}  fbf run [--key value ...] [--trace-in <file>]\n\
          \u{20}  fbf replay <file> [--key value ...]\n\
@@ -399,7 +404,107 @@ fn cmd_layout(args: &mut Args) -> Result<(), Exit> {
     Ok(())
 }
 
+/// `fbf plan --census`: the whole format space of single-column damage —
+/// every contiguous run of every column, `cols × rows(rows+1)/2` formats —
+/// planned once through one controller: what Table IV's overhead amounts
+/// to per (code, p) before every later stripe is a lookup.
+fn plan_census(args: &mut Args) -> Result<(), Exit> {
+    let usage = "usage: fbf plan --census <code> <p> [scheme]";
+    let code = build_code(args)?;
+    let kind = args.optional_with(fbf::scheme_from_name, usage)?;
+    let kind = kind.unwrap_or(SchemeKind::FbfCycling);
+    args.done(usage)?;
+
+    let rows = code.rows();
+    let runs = (0..code.cols()).flat_map(|col| {
+        (0..rows).flat_map(move |first| (1..=rows - first).map(move |len| (col, first, len)))
+    });
+    let mut controller = RecoveryController::new(&code, kind);
+    let started = Instant::now();
+    let planned: Vec<_> = runs
+        .map(|(col, first, len)| {
+            let run = PartialStripeError::new(&code, 0, col, first, len);
+            let cells = run.expect("the run lies inside the stripe").cells();
+            let damage = StripeDamage { stripe: 0, cells };
+            // No chain ordering repairs the run: it would be decoded jointly.
+            let scheme = controller.scheme_for(&damage).map_err(|_| damage.cells);
+            (col, first, len, scheme)
+        })
+        .collect();
+    let overhead_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    // What is reported of `lost` chunks whose repairs make `refs[k]` read
+    // references at priority `k + 1`.
+    let figures = |refs: [usize; 3], lost: usize| {
+        let reads = refs.iter().sum::<usize>() as f64;
+        [
+            ("reads", reads),
+            ("reads_per_lost_chunk", reads / lost as f64),
+            ("prio3_share", refs[2] as f64 / reads),
+            ("prio2_share", refs[1] as f64 / reads),
+            ("prio1_share", refs[0] as f64 / reads),
+        ]
+    };
+    let json = |figures: [(&'static str, f64); 5]| figures.map(|(k, v)| (k, Json::Num(v)));
+    let (mut lost, mut joint, mut total) = (0, 0, [0usize; 3]);
+    let mut table = Vec::with_capacity(planned.len());
+    for (col, first, len, scheme) in &planned {
+        let mut refs = [0usize; 3];
+        match scheme {
+            // Table II: a chunk `n` chosen chains read is `n` references.
+            Ok(scheme) => scheme.share_count_list().iter().for_each(|&(_, n)| {
+                refs[usize::from(priority_for_count(n)) - 1] += n;
+            }),
+            Err(cells) => {
+                joint += 1;
+                refs[0] = JointRepair::new(&code, 0, cells).reads.len();
+            }
+        }
+        lost += len;
+        total = [0, 1, 2].map(|k| total[k] + refs[k]);
+        let plan = if scheme.is_ok() { "chained" } else { "joint" };
+        let run = [("col", col), ("first_row", first), ("len", len)];
+        let run = run.map(|(name, value)| (name, Json::Num(*value as f64)));
+        let row = run.into_iter().chain([("plan", Json::from(plan))]);
+        table.push(Json::obj(row.chain(json(figures(refs, *len)))));
+    }
+    let summary = figures(total, lost);
+    if args.json {
+        let head = [
+            ("code", Json::from(code.spec().name())),
+            ("p", Json::Num(code.p() as f64)),
+            ("scheme", Json::from(kind.name())),
+            ("formats", Json::Num(planned.len() as f64)),
+            ("joint", Json::Num(joint as f64)),
+            ("overhead_ms", Json::Num(overhead_ms)),
+            ("rows", Json::Arr(table)),
+        ];
+        print_json(&Json::obj(head.into_iter().chain(json(summary))));
+        return Ok(());
+    }
+    println!(
+        "{} / {} census: {} single-column formats ({joint} joint)",
+        code.describe(),
+        kind.name(),
+        planned.len()
+    );
+    println!("  FBF overhead       : {overhead_ms:.3} ms once per (code, p), then a lookup");
+    let labels = [
+        "reads / lost chunk",
+        "priority 3 share",
+        "priority 2 share",
+        "priority 1 share",
+    ];
+    for (label, (_, value)) in labels.iter().zip(&summary[1..]) {
+        println!("  {label:<19}: {value:.4}");
+    }
+    Ok(())
+}
+
 fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
+    if args.switch("census") {
+        return plan_census(args);
+    }
     let usage = "usage: fbf plan <code> <p> <col> <first_row> <len> [scheme]";
     let code = build_code(args)?;
     let (col, first, len): (usize, usize, usize) = (
@@ -415,6 +520,11 @@ fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
         .map_err(|e| Exit::fail(format!("invalid error: {e}")))?;
     let scheme = generate(&code, &error, kind)
         .map_err(|e| Exit::fail(format!("scheme generation failed: {e}")))?;
+    let dict = PriorityDictionary::from_scheme(&scheme);
+    let with_priority = |prio: u8| -> Vec<String> {
+        let cells = dict.cells_with_priority(0, prio);
+        cells.iter().map(|c| c.to_string()).collect()
+    };
     if args.json {
         let repairs: Vec<Json> = scheme
             .repairs
@@ -440,6 +550,13 @@ fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
             ("code", Json::Str(code.spec().name().to_string())),
             ("scheme", Json::Str(kind.name().to_string())),
             ("repairs", Json::Arr(repairs)),
+            (
+                "priorities",
+                Json::obj([(1, "1"), (2, "2"), (3, "3")].map(|(prio, key)| {
+                    let cells = with_priority(prio).into_iter().map(Json::Str);
+                    (key, Json::Arr(cells.collect()))
+                })),
+            ),
             ("read_slots", Json::Num(scheme.total_read_slots() as f64)),
             ("unique_reads", Json::Num(scheme.unique_reads() as f64)),
             ("shared_savings", Json::Num(scheme.shared_savings() as f64)),
@@ -462,11 +579,9 @@ fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
         scheme.unique_reads(),
         scheme.shared_savings()
     );
-    let dict = PriorityDictionary::from_scheme(&scheme);
     for prio in (1..=3).rev() {
-        let cells = dict.cells_with_priority(0, prio);
-        if !cells.is_empty() {
-            let names: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
+        let names = with_priority(prio);
+        if !names.is_empty() {
             println!("priority {prio}: {}", names.join(", "));
         }
     }
@@ -483,6 +598,12 @@ fn cmd_trace(args: &mut Args) -> Result<(), Exit> {
     // Trace geometry bound: use TIP(p=13) so traces replay on any shipped
     // code with p >= 13 — or adjust to taste.
     let code = StripeCode::build(CodeSpec::Tip, 13).expect("13 is prime");
+    if count as u64 > u64::from(stripes) {
+        let errors = count;
+        return Err(Exit::usage(
+            ConfigError::TooManyErrors { errors, stripes }.to_string(),
+        ));
+    }
     let group = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, count, seed));
     if args.json {
         print_json(&Json::obj([
@@ -514,7 +635,12 @@ fn load_trace(path: &str, cfg: &ExperimentConfig) -> Result<fbf::recovery::Error
 
 /// `fbf run` / `fbf replay`: one experiment, drawn or replayed.
 fn run_with(args: &mut Args, trace_in: Option<&str>) -> Result<(), Exit> {
-    let cfg = build(args.config()?)?;
+    let mut builder = args.config()?;
+    if trace_in.is_some() {
+        // A replayed campaign draws no errors: `--errors` does not apply.
+        builder = builder.error_count(0);
+    }
+    let cfg = build(builder)?;
     let json = args.json;
     if !json {
         println!("running {}", cfg.describe());

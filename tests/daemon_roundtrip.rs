@@ -344,6 +344,13 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
             Json::obj([("kill", "3@18446744073709551615".into())]),
         ),
         ("repair", "config", Json::obj([("workers", num(1.5))])),
+        // More errors than stripes to put them on used to be accepted and
+        // then panic the job inside the generator.
+        (
+            "repair",
+            "config",
+            Json::obj([("stripes", num(4.0)), ("errors", num(9.0))]),
+        ),
         ("rebuild", "disks", num(24.5)),
         ("rebuild", "disks", "4x".into()),
         // Fits a usize, but per-disk vectors of 2^53 entries used to abort
@@ -367,6 +374,10 @@ fn daemon_rejects_malformed_and_oversized_requests_gracefully() {
             other => panic!("{} -> {other:?}", request.render()),
         }
     }
+    // Every one was refused at submit: none became a job.
+    let jobs = client.request(&cmd("jobs")).expect("jobs");
+    let jobs = jobs.get("jobs").and_then(Json::as_arr).expect("a job list");
+    assert!(jobs.is_empty(), "{jobs:?}");
 
     // A frame nested past the parser's cap: an error reply, where it
     // used to overflow the connection thread's stack and abort the

@@ -95,6 +95,7 @@ fn rebuild_under_faults_accounts_every_affected_stripe() {
     // under rebuild too, and those must not count as failed repairs.
     let mut base = ExperimentConfig::builder()
         .stripes(128)
+        .error_count(0) // the failed disk decides the campaign
         .workers(8)
         .build()
         .unwrap();
