@@ -45,18 +45,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Run one experiment end to end on `backend`: validate, plan cold,
-/// execute the data plane. The backend-flavoured counterpart of
-/// [`run_experiment`](crate::runner::run_experiment).
-pub fn run_experiment_on(
-    cfg: &ExperimentConfig,
-    backend: &mut dyn StorageBackend,
-) -> Result<Metrics, RunError> {
-    cfg.validate()?;
-    let plan = PlannedCampaign::cold(cfg)?;
-    run_planned_on(cfg, &plan, PlanSource::Cold, backend)
-}
-
 /// Execute an already-planned campaign's data plane on `backend`.
 ///
 /// The backend must match the plan's geometry and the config's chunk

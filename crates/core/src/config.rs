@@ -95,12 +95,10 @@ impl SloSpec {
 pub enum ConfigError {
     /// The code's `p` parameter must be prime.
     NonPrimeP(usize),
-    /// SOR needs at least one reconstruction worker.
-    ZeroWorkers,
-    /// The data plane decodes at least one stripe per batch round.
-    ZeroDecodeBatch,
-    /// The data zone needs at least one stripe.
-    ZeroStripes,
+    /// A count that must be at least 1 — `workers`, `decode_batch`,
+    /// `stripes`, `chunk_kb`, or a rebuild's `cap` (a zero per-disk read cap
+    /// admits nothing, ever) and `campaigns` — was 0; the payload is its key.
+    Zero(&'static str),
     /// The error generator damages each stripe at most once, so it cannot
     /// draw more errors than the data zone has stripes.
     TooManyErrors {
@@ -109,8 +107,6 @@ pub enum ConfigError {
         /// Stripes in the data zone.
         stripes: u32,
     },
-    /// Chunks must have a positive size.
-    ZeroChunkSize,
     /// The buffer cache cannot hold even one chunk.
     CacheTooSmall {
         /// Configured cache size, MiB.
@@ -150,10 +146,6 @@ pub enum ConfigError {
         /// Disks in the array.
         disks: usize,
     },
-    /// A zero per-disk read cap admits nothing, ever.
-    ZeroRebuildCap,
-    /// A rebuild shards its stripes into at least one campaign.
-    ZeroCampaigns,
     /// A zero-weight campaign would starve under deficit round robin.
     ZeroCampaignWeight(usize),
 }
@@ -162,13 +154,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NonPrimeP(p) => write!(f, "p = {p} is not prime"),
-            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ConfigError::ZeroDecodeBatch => write!(f, "decode_batch must be at least 1"),
-            ConfigError::ZeroStripes => write!(f, "stripes must be at least 1"),
+            ConfigError::Zero(key) => write!(f, "{key} must be at least 1"),
             ConfigError::TooManyErrors { errors, stripes } => {
                 write!(f, "cannot place {errors} errors on {stripes} stripes")
             }
-            ConfigError::ZeroChunkSize => write!(f, "chunk_kb must be at least 1"),
             ConfigError::CacheTooSmall { cache_mb, chunk_kb } => write!(
                 f,
                 "cache of {cache_mb} MiB cannot hold one {chunk_kb} KiB chunk"
@@ -192,8 +181,6 @@ impl std::fmt::Display for ConfigError {
                     "failed_disk {failed_disk} outside the {disks}-disk array"
                 )
             }
-            ConfigError::ZeroRebuildCap => write!(f, "cap must be at least 1"),
-            ConfigError::ZeroCampaigns => write!(f, "campaigns must be at least 1"),
             ConfigError::ZeroCampaignWeight(campaign) => {
                 write!(f, "weight of campaign {campaign} must be at least 1")
             }
@@ -401,14 +388,13 @@ impl ExperimentConfig {
         if !is_prime(self.p) {
             return Err(ConfigError::NonPrimeP(self.p));
         }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if self.decode_batch == 0 {
-            return Err(ConfigError::ZeroDecodeBatch);
-        }
-        if self.stripes == 0 {
-            return Err(ConfigError::ZeroStripes);
+        let counts = [
+            ("workers", self.workers),
+            ("decode_batch", self.decode_batch),
+            ("stripes", self.stripes as usize),
+        ];
+        if let Some((key, _)) = counts.into_iter().find(|&(_, n)| n == 0) {
+            return Err(ConfigError::Zero(key));
         }
         if self.error_count as u64 > u64::from(self.stripes) {
             return Err(ConfigError::TooManyErrors {
@@ -417,7 +403,7 @@ impl ExperimentConfig {
             });
         }
         if self.chunk_kb == 0 {
-            return Err(ConfigError::ZeroChunkSize);
+            return Err(ConfigError::Zero("chunk_kb"));
         }
         if self.cache_mb.checked_mul(1024).is_none() {
             return Err(ConfigError::CacheTooLarge {
@@ -639,11 +625,11 @@ mod tests {
     fn builder_rejects_zero_workers_and_stripes() {
         assert_eq!(
             ExperimentConfig::builder().workers(0).build().unwrap_err(),
-            ConfigError::ZeroWorkers
+            ConfigError::Zero("workers")
         );
         assert_eq!(
             ExperimentConfig::builder().stripes(0).build().unwrap_err(),
-            ConfigError::ZeroStripes
+            ConfigError::Zero("stripes")
         );
     }
 
@@ -679,7 +665,7 @@ mod tests {
         );
         assert_eq!(
             ExperimentConfig::builder().chunk_kb(0).build().unwrap_err(),
-            ConfigError::ZeroChunkSize
+            ConfigError::Zero("chunk_kb")
         );
         // MiB → KiB would wrap (release) or panic (debug) unchecked.
         let cache_mb = usize::MAX / 1024 + 1;

@@ -18,8 +18,8 @@
 //! | cmd         | request fields                               | reply |
 //! |-------------|----------------------------------------------|-------|
 //! | `ping`      | —                                            | `pong`, version info |
-//! | `repair`    | `backend` (`engine`/`sim`/`file`), `config` overrides (every key of [`crate::config::KEYS`], fault keys included), optional `dir`, optional inline `trace` | `job` id |
-//! | `status`    | `job`                                        | `state`, `metrics` when done |
+//! | `repair`, `rebuild` | what [`Work::from_request`] reads: `config` overrides plus `backend` / `dir` / inline `trace`, or the rebuild spec's fields | `job` id, `trace` id |
+//! | `status`    | `job`                                        | `state`, then `metrics` / `rebuild` when done, `error` when failed |
 //! | `jobs`      | —                                            | array of `{job, state}` |
 //! | `read`      | `job`, `stripe`, `row`, `col`                | chunk length + FNV-1a digest |
 //! | `metrics`   | —                                            | Prometheus text: finished jobs + live `fbf_jobs_*` gauges |
@@ -28,9 +28,9 @@
 //! | `subscribe` | —                                            | stream of `{"event": <chrome line>}` frames |
 //! | `shutdown`  | —                                            | ack, then the daemon exits |
 //!
-//! Integer fields are accepted as JSON numbers or as their decimal text
-//! (what `fbf client` forwards); either way a value that does not fit
-//! its field is an error reply, never a truncation.
+//! This module is the transport and the job table. What a job *is* — the
+//! request's fields, every refusal before it is queued, how it runs —
+//! lives in [`crate::job`], shared with the `fbf` CLI.
 //!
 //! # Causal tracing and the flight recorder
 //!
@@ -44,22 +44,21 @@
 //! ([`fbf_obs::FlightRecorder`]); `dump` (or a `DataLoss`/SLO-breach
 //! trigger) snapshots it for post-mortems.
 //!
-//! The `read` command serves from the job's retained [`StorageBackend`]
+//! The `read` command serves from the job's retained
+//! [`StorageBackend`](fbf_disksim::StorageBackend)
 //! (repaired chunks come from the spare area), so a client can verify
 //! recovered content end to end without shipping chunk payloads through
 //! JSON — it gets a digest instead.
 
-use crate::backend_run::{file_backend_for, run_planned_on, sim_backend_for};
-use crate::config::ExperimentConfig;
+use crate::job::{int_field, scratch_root, BackendKind, Outcome, Work};
 use crate::metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
-use crate::plan::{PlanSource, PlanStore, PlannedCampaign};
+use crate::plan::PlanStore;
 use crate::progress::Progress;
-use crate::runner::run_planned_observed;
-use crate::sweep::SweepPoint;
-use fbf_codes::{Cell, ChunkId, StripeCode};
-use fbf_disksim::{EngineScratch, Histogram, RequestClass, StorageBackend};
-use fbf_obs::{BridgeSubscriber, Json};
-use std::collections::HashMap;
+use crate::sweep::{panic_message, SweepPoint};
+use fbf_codes::{Cell, ChunkId};
+use fbf_disksim::{EngineScratch, Histogram, RequestClass};
+use fbf_obs::{BridgeSubscriber, Json, PromWriter};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -180,48 +179,38 @@ fn read_exact_stoppable(
     Ok(true)
 }
 
-/// One job's lifecycle state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
+/// One job's lifecycle; what it produced lives in the state that has it.
+/// (Nearly every job in the table is `Done`: boxing the outcome saves nothing.)
+#[allow(clippy::large_enum_variant)]
+enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
     /// A worker is executing it.
     Running,
-    /// Finished successfully (metrics available).
-    Done,
+    /// Finished: the outcome `status` reports and `read` serves from.
+    Done(Outcome),
     /// Failed; the payload is the error message.
     Failed(String),
 }
 
 impl JobState {
-    /// Wire spelling of the state.
-    pub fn name(&self) -> &'static str {
+    /// Wire spellings, indexed by [`JobState::index`].
+    const NAMES: [&'static str; 4] = ["queued", "running", "done", "failed"];
+
+    fn index(&self) -> usize {
         match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed(_) => "failed",
+            JobState::Queued => 0,
+            JobState::Running => 1,
+            JobState::Done(_) => 2,
+            JobState::Failed(_) => 3,
         }
     }
 }
 
 struct Job {
-    cfg: ExperimentConfig,
-    backend_kind: String,
-    dir: Option<PathBuf>,
-    errors: Option<fbf_recovery::ErrorGroup>,
-    /// `Some` makes this an array-wide rebuild job instead of a repair.
-    rebuild: Option<crate::rebuild::RebuildSpec>,
+    /// What was asked for, shared with the worker executing it.
+    work: Arc<Work>,
     state: JobState,
-    metrics: Option<Metrics>,
-    /// The [`RebuildOutcome`](crate::rebuild::RebuildOutcome) of a
-    /// finished rebuild job, as the `status` reply carries it.
-    rebuild_outcome: Option<Json>,
-    /// Retained after completion so `read` can serve repaired chunks.
-    backend: Option<Box<dyn StorageBackend>>,
-    /// The backend was dropped by the retention cap (distinguishes "never
-    /// had one" from "had one, evicted" in `read` errors).
-    backend_evicted: bool,
     /// The request's trace id (minted or client-supplied); every event
     /// the job emits carries it.
     trace: u64,
@@ -230,26 +219,26 @@ struct Job {
 }
 
 impl Job {
-    fn new(cfg: ExperimentConfig, backend_kind: String, trace: u64) -> Self {
-        Job {
-            cfg,
-            backend_kind,
-            dir: None,
-            errors: None,
-            rebuild: None,
-            state: JobState::Queued,
-            metrics: None,
-            rebuild_outcome: None,
-            backend: None,
-            backend_evicted: false,
-            trace,
-            progress: Arc::new(Progress::new()),
+    /// What `status`, `jobs` and `stat` all say of a job.
+    fn header(&self, id: u64) -> Vec<(&'static str, Json)> {
+        vec![
+            ("job", id.into()),
+            ("state", JobState::NAMES[self.state.index()].into()),
+            ("backend", self.work.backend_name().into()),
+        ]
+    }
+
+    /// The metrics of a finished repair.
+    fn metrics(&self) -> Option<&Metrics> {
+        match &self.state {
+            JobState::Done(Outcome::Repair { metrics, .. }) => Some(metrics),
+            _ => None,
         }
     }
 }
 
 struct Ctx {
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     jobs: Mutex<HashMap<u64, Job>>,
     queue: mpsc::Sender<u64>,
     next_id: AtomicU64,
@@ -259,7 +248,10 @@ struct Ctx {
     /// Backend retention cap ([`DaemonOptions::retain`]).
     retain: usize,
     /// Jobs whose backend is resident, oldest completion first.
-    retained: Mutex<std::collections::VecDeque<u64>>,
+    retained: Mutex<VecDeque<u64>>,
+    /// Root of the directories this daemon chooses for `file` jobs that
+    /// named none: `job-<id>` under it, one per job.
+    scratch: PathBuf,
     /// When `serve` started (`stat` reports uptime).
     started: Instant,
 }
@@ -267,7 +259,7 @@ struct Ctx {
 /// A running daemon: join it via [`DaemonHandle::shutdown`].
 pub struct DaemonHandle {
     addr: ServerAddr,
-    shutdown_flag: Arc<AtomicBool>,
+    ctx: Arc<Ctx>,
     accept: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -280,7 +272,7 @@ impl DaemonHandle {
 
     /// Has a `shutdown` command (or an explicit stop) been issued?
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Relaxed)
+        self.ctx.shutdown.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, drain the worker pool, and clean up the socket.
@@ -292,14 +284,14 @@ impl DaemonHandle {
     /// command), then clean up. Used by the `fbfd` binary's foreground
     /// mode.
     pub fn wait(mut self) {
-        while !self.shutdown_flag.load(Ordering::Relaxed) {
+        while !self.ctx.shutdown.load(Ordering::Relaxed) {
             std::thread::sleep(ACCEPT_POLL);
         }
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown_flag.store(true, Ordering::Relaxed);
+        self.ctx.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -309,6 +301,7 @@ impl DaemonHandle {
         if let ServerAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }
+        let _ = std::fs::remove_dir_all(&self.ctx.scratch);
     }
 }
 
@@ -417,17 +410,24 @@ pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle>
     // and a later daemon in the same process reuses them.
     fbf_obs::ring::install_default();
 
-    let shutdown = Arc::new(AtomicBool::new(false));
+    // Job ids restart at 1 in every daemon, so a second daemon in one
+    // process (tests) gets a scratch root of its own.
+    static SERVED: AtomicU64 = AtomicU64::new(0);
+    let scratch = match SERVED.fetch_add(1, Ordering::Relaxed) {
+        0 => scratch_root(),
+        n => scratch_root().with_extension(n.to_string()),
+    };
     let (queue_tx, queue_rx) = mpsc::channel::<u64>();
     let ctx = Arc::new(Ctx {
-        shutdown: shutdown.clone(),
+        shutdown: AtomicBool::new(false),
         jobs: Mutex::new(HashMap::new()),
         queue: queue_tx,
         next_id: AtomicU64::new(1),
         bridge,
         workers: opts.workers.max(1),
         retain: opts.retain,
-        retained: Mutex::new(std::collections::VecDeque::new()),
+        retained: Mutex::new(VecDeque::new()),
+        scratch,
         started: Instant::now(),
     });
 
@@ -460,7 +460,7 @@ pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle>
 
     Ok(DaemonHandle {
         addr: bound,
-        shutdown_flag: shutdown,
+        ctx,
         accept: Some(accept),
         workers,
     })
@@ -480,19 +480,11 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
                 Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
         };
-        let Some((cfg, backend_kind, dir, errors, rebuild, trace, progress)) = ({
+        let Some((work, trace, progress)) = ({
             let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
             jobs.get_mut(&job_id).map(|job| {
                 job.state = JobState::Running;
-                (
-                    job.cfg,
-                    job.backend_kind.clone(),
-                    job.dir.clone(),
-                    job.errors.take(),
-                    job.rebuild.clone(),
-                    job.trace,
-                    Arc::clone(&job.progress),
-                )
+                (Arc::clone(&job.work), job.trace, Arc::clone(&job.progress))
             })
         }) else {
             continue;
@@ -506,7 +498,7 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
             "job-start",
             &[
                 ("job", fbf_obs::Value::U64(job_id)),
-                ("backend", fbf_obs::Value::Str(&backend_kind)),
+                ("backend", fbf_obs::Value::Str(work.backend_name())),
             ],
         );
         // A panicking job must become `Failed`, not a dead worker thread:
@@ -514,64 +506,16 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
         // the `fbf_jobs_total{state}` gauges drifted (a phantom running
         // job, one fewer live worker) for the rest of the daemon's life.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(spec) = &rebuild {
-                crate::rebuild::execute_rebuild(spec, store, &mut scratch)
-                    .map(|o| JobSuccess::Rebuild(o.to_json_value()))
-                    .map_err(|e| e.to_string())
-            } else {
-                execute_job(
-                    &cfg,
-                    &backend_kind,
-                    dir,
-                    errors,
-                    store,
-                    &mut scratch,
-                    &progress,
-                )
-                .map(|(metrics, backend)| JobSuccess::Repair(Box::new(metrics), backend))
-            }
+            work.execute(store, &mut scratch, Some(&progress))
+                .map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| {
             // The scratch may hold a torn event heap; start fresh.
             scratch = EngineScratch::new();
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string());
-            Err(format!("job panicked: {msg}"))
+            Err(format!("job panicked: {}", panic_message(&*panic)))
         });
         let failed = outcome.is_err();
-        let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(job) = jobs.get_mut(&job_id) {
-            match outcome {
-                Ok(JobSuccess::Repair(metrics, backend)) => {
-                    job.metrics = Some(*metrics);
-                    job.backend = backend;
-                    job.state = JobState::Done;
-                }
-                Ok(JobSuccess::Rebuild(json)) => {
-                    job.rebuild_outcome = Some(json);
-                    job.state = JobState::Done;
-                }
-                Err(msg) => job.state = JobState::Failed(msg),
-            }
-            if job.backend.is_some() {
-                // Retention cap: register this backend, evict the oldest
-                // beyond the cap (metrics stay — only the array goes).
-                let mut retained = ctx.retained.lock().unwrap_or_else(|p| p.into_inner());
-                retained.push_back(job_id);
-                while retained.len() > ctx.retain {
-                    if let Some(old) = retained.pop_front() {
-                        if let Some(j) = jobs.get_mut(&old) {
-                            j.backend = None;
-                            j.backend_evicted = true;
-                        }
-                    }
-                }
-            }
-        }
-        drop(jobs);
+        ctx.finish(job_id, outcome);
         fbf_obs::instant("daemon", "job-end", &[("job", fbf_obs::Value::U64(job_id))]);
         root.end_with(&[
             ("job", fbf_obs::Value::U64(job_id)),
@@ -581,62 +525,47 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
     }
 }
 
-type JobOutcome = Result<(Metrics, Option<Box<dyn StorageBackend>>), String>;
+impl Ctx {
+    /// The directory this daemon chose for job `id`'s files, if it chose.
+    fn job_dir(&self, id: u64) -> PathBuf {
+        self.scratch.join(format!("job-{id}"))
+    }
 
-/// What a worker produced for a finished job, by job kind.
-enum JobSuccess {
-    /// A repair: metrics, plus the retained backend for `sim`/`file`.
-    Repair(Box<Metrics>, Option<Box<dyn StorageBackend>>),
-    /// An array-wide rebuild: the outcome as `status` replies carry it.
-    Rebuild(Json),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    cfg: &ExperimentConfig,
-    backend_kind: &str,
-    dir: Option<PathBuf>,
-    errors: Option<fbf_recovery::ErrorGroup>,
-    store: &PlanStore,
-    scratch: &mut EngineScratch,
-    progress: &Progress,
-) -> JobOutcome {
-    cfg.validate().map_err(|e| e.to_string())?;
-    // Trace-supplied campaigns bypass the plan store (their errors are
-    // not derivable from the PlanKey); synthetic ones share it.
-    let (plan, source) = match errors {
-        Some(errors) => (
-            Arc::new(PlannedCampaign::cold_with_errors(cfg, errors).map_err(|e| e.to_string())?),
-            PlanSource::Cold,
-        ),
-        None => store.plan(cfg).map_err(|e| e.to_string())?,
-    };
-    match backend_kind {
-        "engine" => Ok((
-            run_planned_observed(cfg, &plan, source, scratch, Some(progress)),
-            None,
-        )),
-        "sim" => {
-            let mut backend = sim_backend_for(cfg, &plan).map_err(|e| e.to_string())?;
-            let metrics =
-                run_planned_on(cfg, &plan, source, &mut backend).map_err(|e| e.to_string())?;
-            Ok((metrics, Some(Box::new(backend))))
+    /// Record what a worker produced. A backend that stays resident joins
+    /// the retention queue and evicts the oldest beyond the cap — the
+    /// array and the directory the daemon chose for it go, the metrics
+    /// stay.
+    fn finish(&self, id: u64, outcome: Result<Outcome, String>) {
+        let mut evicted = Vec::new();
+        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(job) = jobs.get_mut(&id) else {
+            return;
+        };
+        job.state = match outcome {
+            Ok(outcome) => JobState::Done(outcome),
+            Err(message) => JobState::Failed(message),
+        };
+        if let JobState::Done(Outcome::Repair {
+            backend: Some(_), ..
+        }) = job.state
+        {
+            let mut retained = self.retained.lock().unwrap_or_else(|p| p.into_inner());
+            retained.push_back(id);
+            while retained.len() > self.retain {
+                evicted.extend(retained.pop_front());
+            }
         }
-        "file" => {
-            let dir = dir.unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("fbfd-{}", std::process::id()))
-            });
-            let mut backend = file_backend_for(cfg, &plan, &dir).map_err(|e| e.to_string())?;
-            let metrics =
-                run_planned_on(cfg, &plan, source, &mut backend).map_err(|e| e.to_string())?;
-            Ok((metrics, Some(Box::new(backend))))
+        for old in &evicted {
+            if let Some(JobState::Done(Outcome::Repair { backend, .. })) =
+                jobs.get_mut(old).map(|job| &mut job.state)
+            {
+                *backend = None;
+            }
         }
-        "panic" if cfg!(debug_assertions) => {
-            panic!("deliberate panic backend (worker-crash regression test)")
+        drop(jobs);
+        for old in evicted {
+            let _ = std::fs::remove_dir_all(self.job_dir(old));
         }
-        other => Err(format!(
-            "unknown backend `{other}` (expected engine, sim, or file)"
-        )),
     }
 }
 
@@ -698,21 +627,21 @@ fn stream_events(stream: &mut ClientStream, ctx: &Ctx) {
     }
 }
 
-fn ok_reply(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    let mut pairs = vec![
-        ("ok", Json::Bool(true)),
-        ("schema_version", Json::Num(METRICS_SCHEMA_VERSION as f64)),
+/// Every reply opens with `ok` and the schema version.
+fn reply(ok: bool, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    let head = [
+        ("ok", Json::Bool(ok)),
+        ("schema_version", METRICS_SCHEMA_VERSION.into()),
     ];
-    pairs.extend(fields);
-    Json::obj(pairs)
+    Json::obj(head.into_iter().chain(fields))
+}
+
+fn ok_reply(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    reply(true, fields)
 }
 
 fn err_reply(msg: &str) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        ("schema_version", Json::Num(METRICS_SCHEMA_VERSION as f64)),
-        ("error", Json::Str(msg.to_string())),
-    ])
+    reply(false, [("error", msg.into())])
 }
 
 fn dispatch(cmd: &str, req: &Json, ctx: &Ctx) -> Json {
@@ -721,8 +650,7 @@ fn dispatch(cmd: &str, req: &Json, ctx: &Ctx) -> Json {
             ("pong", Json::Bool(true)),
             ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
         ]),
-        "repair" => cmd_repair(req, ctx),
-        "rebuild" => cmd_rebuild(req, ctx),
+        "repair" | "rebuild" => submit(req, ctx),
         "status" => cmd_status(req, ctx),
         "jobs" => cmd_jobs(ctx),
         "read" => cmd_read(req, ctx),
@@ -734,92 +662,14 @@ fn dispatch(cmd: &str, req: &Json, ctx: &Ctx) -> Json {
     }
 }
 
-/// Apply the request's `config` object onto the paper-default
-/// [`ExperimentConfig`] through [`ExperimentConfigBuilder::set`]
-/// (numbers as their integer text, strings as they are). Unknown keys
-/// are an error (a typo'd override silently running the default
-/// experiment would be worse).
-///
-/// [`ExperimentConfigBuilder::set`]: crate::config::ExperimentConfigBuilder::set
-fn builder_from_request(req: &Json) -> Result<crate::config::ExperimentConfigBuilder, String> {
-    let mut builder = ExperimentConfig::builder().obs(true);
-    if let Some(Json::Obj(map)) = req.get("config") {
-        for (key, value) in map {
-            let text = match value {
-                Json::Str(s) => s.clone(),
-                Json::Num(_) => value.render(),
-                _ => return Err(format!("config.{key} must be a number or a string")),
-            };
-            builder = builder.set(key, &text).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(builder)
-}
-
-/// The validated experiment a `repair` request describes. One that brings
-/// its campaign as an inline `trace` draws no errors of its own.
-pub fn config_from_request(req: &Json) -> Result<ExperimentConfig, String> {
-    let mut builder = builder_from_request(req)?;
-    if req.get("trace").and_then(Json::as_str).is_some() {
-        builder = builder.error_count(0);
-    }
-    builder.build().map_err(|e| e.to_string())
-}
-
-/// An optional request field that must be a non-negative integer fitting
-/// `T`, as a JSON number or its decimal text (what `fbf client` forwards):
-/// absent is `None`, anything else out of shape or range is an error,
-/// never a truncation onto some other experiment.
-fn int_field<T: TryFrom<u64> + std::str::FromStr>(
-    req: &Json,
-    key: &str,
-) -> Result<Option<T>, String> {
-    let Some(value) = req.get(key) else {
-        return Ok(None);
+/// `repair` / `rebuild`: check the request whole ([`Work::from_request`]
+/// owns every refusal), then queue it as a job. The reply carries the job
+/// id and the trace id every event of the job will carry.
+fn submit(req: &Json, ctx: &Ctx) -> Json {
+    let mut work = match Work::from_request(req) {
+        Ok(work) => work,
+        Err(e) => return err_reply(&e.to_string()),
     };
-    match value {
-        Json::Str(text) => text.parse().ok(),
-        _ => value.as_u64().and_then(|n| T::try_from(n).ok()),
-    }
-    .map(Some)
-    .ok_or_else(|| format!("bad value for `{key}`: {}", value.render()))
-}
-
-fn cmd_repair(req: &Json, ctx: &Ctx) -> Json {
-    let cfg = match config_from_request(req) {
-        Ok(c) => c,
-        Err(e) => return err_reply(&e),
-    };
-    let backend_kind = req
-        .get("backend")
-        .and_then(Json::as_str)
-        .unwrap_or("engine")
-        .to_string();
-    // `panic` is a debug-build-only seam for the worker-crash regression
-    // test (a panicking job must become `Failed`, not a dead worker).
-    let test_seam = cfg!(debug_assertions) && backend_kind == "panic";
-    if !matches!(backend_kind.as_str(), "engine" | "sim" | "file") && !test_seam {
-        return err_reply(&format!("unknown backend `{backend_kind}`"));
-    }
-    let dir = req.get("dir").and_then(Json::as_str).map(PathBuf::from);
-    let errors = match req.get("trace").and_then(Json::as_str) {
-        Some(text) => {
-            let group = match fbf_workload::parse_trace(text) {
-                Ok(g) => g,
-                Err(e) => return err_reply(&format!("bad trace: {e}")),
-            };
-            let code = match StripeCode::build(cfg.code, cfg.p) {
-                Ok(c) => c,
-                Err(e) => return err_reply(&format!("cannot build code: {e}")),
-            };
-            if let Err(e) = fbf_workload::validate_against(&group, &code, cfg.stripes as usize) {
-                return err_reply(&format!("trace does not fit geometry: {e}"));
-            }
-            Some(group)
-        }
-        None => None,
-    };
-
     // Adopt the client's trace id when it sent one (load generators stamp
     // their own so client-side and daemon-side events correlate); mint
     // otherwise. Either way the reply echoes it.
@@ -828,111 +678,29 @@ fn cmd_repair(req: &Json, ctx: &Ctx) -> Json {
         _ => fbf_obs::next_trace_id(),
     };
     let id = ctx.next_id.fetch_add(1, Ordering::Relaxed);
-    let mut job = Job::new(cfg, backend_kind, trace);
-    job.dir = dir;
-    job.errors = errors;
-    ctx.jobs
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(id, job);
+    // Every `file` job that named no directory gets one of its own: a
+    // shared one would be reformatted under an earlier job's retained array.
+    if let Work::Repair {
+        backend: BackendKind::File(dir @ None),
+        ..
+    } = &mut work
+    {
+        *dir = Some(ctx.job_dir(id));
+    }
+    let job = Job {
+        work: Arc::new(work),
+        state: JobState::Queued,
+        trace,
+        progress: Arc::new(Progress::new()),
+    };
+    let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
+    jobs.insert(id, job);
     if ctx.queue.send(id).is_err() {
+        // The workers are gone: nothing would ever run it.
+        jobs.remove(&id);
         return err_reply("daemon is shutting down");
     }
-    ok_reply([
-        ("job", Json::Num(id as f64)),
-        ("trace", Json::Num(trace as f64)),
-    ])
-}
-
-/// The [`RebuildSpec`](crate::rebuild::RebuildSpec) a `rebuild` request
-/// describes: its `config` overrides plus the spec fields, each checked.
-/// `fbf rebuild` reads its flags through here too.
-pub fn rebuild_spec_from_request(req: &Json) -> Result<crate::rebuild::RebuildSpec, String> {
-    use fbf_disksim::Placement;
-    // The failed disk decides the campaign: no errors are drawn.
-    let base = builder_from_request(req)?
-        .error_count(0)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let code =
-        StripeCode::build(base.code, base.p).map_err(|e| format!("cannot build code: {e}"))?;
-    let disks: usize = int_field(req, "disks")?.unwrap_or(100);
-    // Per-disk state is allocated for every disk asked for; more disks than
-    // stripe columns exist are disks no chunk can ever land on.
-    let columns = u64::from(base.stripes).saturating_mul(code.cols() as u64);
-    if disks as u64 > columns {
-        return Err(format!(
-            "{disks} disks exceed the {columns} stripe columns of {} stripes",
-            base.stripes
-        ));
-    }
-    let mut spec = crate::rebuild::RebuildSpec::new(base, disks);
-    let placement_seed = int_field(req, "placement_seed")?;
-    spec.placement = match req.get("placement").and_then(Json::as_str) {
-        Some("declustered") | None => Placement::Declustered {
-            seed: placement_seed.unwrap_or(spec.base.seed),
-        },
-        Some("clustered" | "fixed") => Placement::Fixed,
-        Some("rotated") => Placement::Rotated,
-        Some(other) => {
-            return Err(format!(
-                "unknown placement `{other}` (clustered, rotated, declustered)"
-            ))
-        }
-    };
-    if placement_seed.is_some() && !matches!(spec.placement, Placement::Declustered { .. }) {
-        return Err("placement_seed only applies to declustered placement".to_string());
-    }
-    if let Some(d) = int_field(req, "failed_disk")? {
-        spec.failed_disk = d;
-    }
-    if let Some(cap) = int_field(req, "cap")? {
-        spec.per_disk_cap = cap;
-    }
-    if let Some(f) = req.get("fairness").and_then(Json::as_str) {
-        spec.fairness = fbf_recovery::Fairness::parse(f)
-            .ok_or_else(|| format!("unknown fairness `{f}` (rr or drr)"))?;
-    }
-    if let Some(c) = int_field(req, "campaigns")? {
-        spec.campaigns = c;
-    }
-    if let Some(a) = int_field(req, "app_reads")? {
-        spec.app_reads_per_wave = a;
-    }
-    // Array shape, failed disk, cap and campaign count: the driver's rule.
-    spec.validate(&code).map_err(|e| e.to_string())?;
-    Ok(spec)
-}
-
-/// `rebuild`: queue an array-wide declustered rebuild
-/// ([`crate::rebuild::execute_rebuild`]) as a job. Accepts the same
-/// `config` overrides as `repair` plus `disks`, `placement`
-/// (`clustered`/`rotated`/`declustered`), `placement_seed`, `failed_disk`,
-/// `cap`, `fairness` (`rr`/`drr`), `campaigns`, and `app_reads`.
-fn cmd_rebuild(req: &Json, ctx: &Ctx) -> Json {
-    let spec = match rebuild_spec_from_request(req) {
-        Ok(s) => s,
-        Err(e) => return err_reply(&e),
-    };
-
-    let trace = match req.get("trace_id").and_then(Json::as_u64) {
-        Some(t) if t != 0 => t,
-        _ => fbf_obs::next_trace_id(),
-    };
-    let id = ctx.next_id.fetch_add(1, Ordering::Relaxed);
-    let mut job = Job::new(spec.base, "rebuild".to_string(), trace);
-    job.rebuild = Some(spec);
-    ctx.jobs
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(id, job);
-    if ctx.queue.send(id).is_err() {
-        return err_reply("daemon is shutting down");
-    }
-    ok_reply([
-        ("job", Json::Num(id as f64)),
-        ("trace", Json::Num(trace as f64)),
-    ])
+    ok_reply([("job", id.into()), ("trace", trace.into())])
 }
 
 fn cmd_status(req: &Json, ctx: &Ctx) -> Json {
@@ -943,38 +711,29 @@ fn cmd_status(req: &Json, ctx: &Ctx) -> Json {
     let Some(job) = jobs.get(&id) else {
         return err_reply(&format!("no such job {id}"));
     };
-    let mut fields = vec![
-        ("job", Json::Num(id as f64)),
-        ("state", Json::Str(job.state.name().to_string())),
-        ("backend", Json::Str(job.backend_kind.clone())),
-    ];
-    if let JobState::Failed(msg) = &job.state {
-        fields.push(("error", Json::Str(msg.clone())));
-    }
-    if let Some(metrics) = &job.metrics {
-        fields.push(("metrics", metrics.to_json_value()));
-    }
-    if let Some(outcome) = &job.rebuild_outcome {
-        fields.push(("rebuild", outcome.clone()));
-    }
+    let mut fields = job.header(id);
+    fields.extend(match &job.state {
+        JobState::Queued | JobState::Running => None,
+        JobState::Failed(message) => Some(("error", message.as_str().into())),
+        JobState::Done(Outcome::Repair { metrics, .. }) => {
+            Some(("metrics", metrics.to_json_value()))
+        }
+        JobState::Done(Outcome::Rebuild(outcome)) => Some(("rebuild", outcome.to_json_value())),
+    });
     ok_reply(fields)
+}
+
+/// The job table in id order.
+fn by_id(jobs: &HashMap<u64, Job>) -> Vec<(u64, &Job)> {
+    let mut list: Vec<_> = jobs.iter().map(|(&id, job)| (id, job)).collect();
+    list.sort_unstable_by_key(|&(id, _)| id);
+    list
 }
 
 fn cmd_jobs(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-    let mut ids: Vec<u64> = jobs.keys().copied().collect();
-    ids.sort_unstable();
-    let list: Vec<Json> = ids
-        .iter()
-        .map(|id| {
-            let job = &jobs[id];
-            Json::obj([
-                ("job", Json::Num(*id as f64)),
-                ("state", Json::Str(job.state.name().to_string())),
-                ("backend", Json::Str(job.backend_kind.clone())),
-            ])
-        })
-        .collect();
+    let list = by_id(&jobs).into_iter();
+    let list = list.map(|(id, job)| Json::obj(job.header(id))).collect();
     ok_reply([("jobs", Json::Arr(list))])
 }
 
@@ -991,12 +750,18 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
     let Some(job) = jobs.get_mut(&id) else {
         return err_reply(&format!("no such job {id}"));
     };
-    let Some(backend) = job.backend.as_mut() else {
-        return if job.backend_evicted {
-            err_reply("job's backend was evicted by the retention cap (rerun or raise --retain)")
-        } else {
-            err_reply("job has no data-plane backend (engine jobs move identities only)")
-        };
+    let JobState::Done(Outcome::Repair {
+        backend: Some(backend),
+        ..
+    }) = &mut job.state
+    else {
+        // A finished repair off the engine had an array: the cap took it.
+        let evicted = matches!(job.state, JobState::Done(Outcome::Repair { .. }))
+            && job.work.backend_name() != "engine";
+        return err_reply(match evicted {
+            true => "job's backend was evicted by the retention cap (rerun or raise --retain)",
+            false => "job has no data-plane backend (engine jobs move identities only)",
+        });
     };
     let chunk = ChunkId::new(stripe, Cell::new(row, col));
     let mut buf = vec![0u8; backend.chunk_bytes()];
@@ -1010,53 +775,14 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
     }
 }
 
-/// Per-state job counts at one instant: `[queued, running, done, failed]`.
-fn job_state_counts(jobs: &HashMap<u64, Job>) -> [u64; 4] {
+/// Jobs per lifecycle state at one instant, indexed like
+/// [`JobState::NAMES`].
+fn state_counts(jobs: &HashMap<u64, Job>) -> [u64; 4] {
     let mut counts = [0u64; 4];
     for job in jobs.values() {
-        let i = match job.state {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Done => 2,
-            JobState::Failed(_) => 3,
-        };
-        counts[i] += 1;
+        counts[job.state.index()] += 1;
     }
     counts
-}
-
-/// Render the live-state gauges (`fbf_jobs_running`, `fbf_jobs_total`,
-/// `fbf_workers_busy`, `fbf_backends_retained`) as Prometheus text,
-/// appended to the finished-job snapshot by `cmd_metrics`.
-fn jobs_gauges(counts: [u64; 4], workers: usize, retained: u64) -> String {
-    let [queued, running, done, failed] = counts;
-    let mut out = String::with_capacity(512);
-    out.push_str("# HELP fbf_jobs_running Repair jobs a worker is executing right now.\n");
-    out.push_str("# TYPE fbf_jobs_running gauge\n");
-    out.push_str(&format!("fbf_jobs_running {running}\n"));
-    out.push_str("# HELP fbf_jobs_total Jobs the daemon has accepted, by lifecycle state.\n");
-    out.push_str("# TYPE fbf_jobs_total gauge\n");
-    for (state, n) in [
-        ("queued", queued),
-        ("running", running),
-        ("done", done),
-        ("failed", failed),
-    ] {
-        out.push_str(&format!("fbf_jobs_total{{state=\"{state}\"}} {n}\n"));
-    }
-    out.push_str("# HELP fbf_workers_busy Worker threads executing a job, out of the pool.\n");
-    out.push_str("# TYPE fbf_workers_busy gauge\n");
-    out.push_str(&format!(
-        "fbf_workers_busy {}\n",
-        running.min(workers as u64)
-    ));
-    out.push_str(
-        "# HELP fbf_backends_retained Completed jobs whose data-plane backend is resident \
-         (bounded by the retention cap).\n",
-    );
-    out.push_str("# TYPE fbf_backends_retained gauge\n");
-    out.push_str(&format!("fbf_backends_retained {retained}\n"));
-    out
 }
 
 fn cmd_metrics(ctx: &Ctx) -> Json {
@@ -1064,30 +790,53 @@ fn cmd_metrics(ctx: &Ctx) -> Json {
     let points: Vec<SweepPoint> = jobs
         .values()
         .filter_map(|job| {
-            job.metrics.as_ref().map(|m| SweepPoint {
-                config: job.cfg,
+            job.metrics().map(|m| SweepPoint {
+                config: *job.work.cfg(),
                 metrics: m.clone(),
             })
         })
         .collect();
-    let counts = job_state_counts(&jobs);
-    let retained = jobs.values().filter(|j| j.backend.is_some()).count() as u64;
+    let counts = state_counts(&jobs);
+    let retained = ctx.retained.lock().unwrap_or_else(|p| p.into_inner()).len();
     drop(jobs);
+    let [queued, running, ..] = counts;
     // The histogram/counter snapshot only covers *finished* jobs (their
-    // metrics are immutable); the appended fbf_jobs_*/fbf_workers_busy
-    // gauges cover live state, so a mid-job scrape still moves.
-    let mut text = crate::prom::prometheus_snapshot(&points);
-    text.push_str(&jobs_gauges(counts, ctx.workers, retained));
+    // metrics are immutable); the gauges appended to it cover live state,
+    // so a mid-job scrape still moves.
+    let mut live = PromWriter::new();
+    live.gauge(
+        "fbf_jobs_running",
+        "Repair jobs a worker is executing right now.",
+        running as f64,
+    );
+    let by_state: Vec<_> = JobState::NAMES
+        .into_iter()
+        .zip(counts.map(|n| n as f64))
+        .collect();
+    live.gauge_per(
+        "fbf_jobs_total",
+        "Jobs the daemon has accepted, by lifecycle state.",
+        "state",
+        &by_state,
+    );
+    live.gauge(
+        "fbf_workers_busy",
+        "Worker threads executing a job, out of the pool.",
+        running.min(ctx.workers as u64) as f64,
+    );
+    live.gauge(
+        "fbf_backends_retained",
+        "Completed jobs whose data-plane backend is resident (bounded by the retention cap).",
+        retained as f64,
+    );
+    let text = crate::prom::prometheus_snapshot(&points) + &live.into_string();
     ok_reply([
         ("completed", Json::Num(points.len() as f64)),
-        ("running", Json::Num(counts[1] as f64)),
-        ("queued", Json::Num(counts[0] as f64)),
+        ("running", running.into()),
+        ("queued", queued.into()),
         (
             "coverage",
-            Json::Str(
-                "histograms cover finished jobs only; fbf_jobs_* gauges cover live state"
-                    .to_string(),
-            ),
+            "histograms cover finished jobs only; fbf_jobs_* gauges cover live state".into(),
         ),
         ("prometheus", Json::Str(text)),
     ])
@@ -1098,31 +847,26 @@ fn cmd_metrics(ctx: &Ctx) -> Json {
 /// summaries merged across every finished job's digests.
 fn cmd_stat(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-    let counts = job_state_counts(&jobs);
-    let mut ids: Vec<u64> = jobs.keys().copied().collect();
-    ids.sort_unstable();
+    let [queued, running, done, failed] = state_counts(&jobs);
     let mut merged: [Histogram; RequestClass::COUNT] = Default::default();
-    let job_list: Vec<Json> = ids
-        .iter()
-        .map(|id| {
-            let job = &jobs[id];
+    let job_list: Vec<Json> = by_id(&jobs)
+        .into_iter()
+        .map(|(id, job)| {
             let p = job.progress.snapshot();
-            let mut fields = vec![
-                ("job", Json::Num(*id as f64)),
-                ("state", Json::Str(job.state.name().to_string())),
-                ("backend", Json::Str(job.backend_kind.clone())),
-                ("trace", Json::Num(job.trace as f64)),
-                ("rounds", Json::Num(p.rounds as f64)),
-                ("replans", Json::Num(p.replans as f64)),
-                ("faults", Json::Num(p.faults as f64)),
-                ("stripes_lost", Json::Num(p.stripes_lost as f64)),
-            ];
-            if let Some(m) = &job.metrics {
+            let mut fields = job.header(id);
+            fields.extend([
+                ("trace", job.trace.into()),
+                ("rounds", p.rounds.into()),
+                ("replans", p.replans.into()),
+                ("faults", p.faults.into()),
+                ("stripes_lost", p.stripes_lost.into()),
+            ]);
+            if let Some(m) = job.metrics() {
                 for (t, d) in merged.iter_mut().zip(&m.class_digests) {
                     t.merge(d);
                 }
                 fields.push(("hit_ratio", Json::Num(m.hit_ratio)));
-                fields.push(("disk_reads", Json::Num(m.disk_reads as f64)));
+                fields.push(("disk_reads", m.disk_reads.into()));
             }
             Json::obj(fields)
         })
@@ -1135,18 +879,14 @@ fn cmd_stat(ctx: &Ctx) -> Json {
             (c.name(), l.to_json_value())
         })
         .collect();
-    let [queued, running, done, failed] = counts;
     ok_reply([
         ("uptime_s", Json::Num(ctx.started.elapsed().as_secs_f64())),
         ("workers", Json::Num(ctx.workers as f64)),
-        (
-            "workers_busy",
-            Json::Num(running.min(ctx.workers as u64) as f64),
-        ),
-        ("queue_depth", Json::Num(queued as f64)),
-        ("jobs_running", Json::Num(running as f64)),
-        ("jobs_done", Json::Num(done as f64)),
-        ("jobs_failed", Json::Num(failed as f64)),
+        ("workers_busy", running.min(ctx.workers as u64).into()),
+        ("queue_depth", queued.into()),
+        ("jobs_running", running.into()),
+        ("jobs_done", done.into()),
+        ("jobs_failed", failed.into()),
         ("jobs", Json::Arr(job_list)),
         ("class_latency", Json::obj(classes)),
     ])
@@ -1361,19 +1101,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn config_overrides_apply_and_unknown_keys_fail() {
-        let req = Json::parse(
-            r#"{"cmd":"repair","config":{"policy":"lru","stripes":128,"errors":16,"chunk_kb":1}}"#,
-        )
-        .unwrap();
-        let cfg = config_from_request(&req).unwrap();
-        assert_eq!(cfg.stripes, 128);
-        assert_eq!(cfg.error_count, 16);
-        assert_eq!(cfg.chunk_kb, 1);
-        let bad = Json::parse(r#"{"config":{"striipes":128}}"#).unwrap();
-        assert!(config_from_request(&bad).is_err());
     }
 }

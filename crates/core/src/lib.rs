@@ -38,6 +38,7 @@ pub mod backend_run;
 pub mod config;
 pub mod daemon;
 pub mod faulted;
+pub mod job;
 pub mod metrics;
 pub mod plan;
 pub mod progress;
@@ -49,17 +50,17 @@ pub mod runner;
 pub mod sweep;
 pub mod verify;
 
-pub use backend_run::{file_backend_for, run_experiment_on, run_planned_on, sim_backend_for};
+pub use backend_run::{file_backend_for, run_planned_on, sim_backend_for};
 pub use config::{
     code_from_name, policy_from_name, scheme_from_name, ClassSlo, ConfigError, ExperimentConfig,
     ExperimentConfigBuilder, SloSpec,
 };
 pub use daemon::{
-    serve, ClientStream, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, JobState,
-    ServerAddr,
+    serve, ClientStream, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, ServerAddr,
 };
 pub use faulted::{execute_faulted, FaultedOutcome, MAX_ROUNDS};
 pub use fbf_obs::json::{self, Json, JsonError};
+pub use job::{BackendKind, Outcome, RequestError, Work};
 pub use metrics::{ClassLatency, ClassVerdict, Metrics, SloVerdict, METRICS_SCHEMA_VERSION};
 pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
 pub use progress::{Progress, ProgressSnapshot};
@@ -67,9 +68,7 @@ pub use prom::prometheus_snapshot;
 pub use rebuild::{execute_rebuild, run_rebuild, RebuildOutcome, RebuildSpec};
 pub use reliability::{mttdl_gain, mttdl_hours, mttdl_years, ReliabilityParams};
 pub use report::Table;
-pub use runner::{
-    run_experiment, run_experiment_with_errors, run_planned, run_planned_observed, RunError,
-};
+pub use runner::{run_experiment, run_planned, run_planned_observed, RunError};
 pub use sweep::{
     policy_grid, sweep, sweep_with_progress, sweep_with_store, SweepPoint, SweepProgress, CACHE_MB,
 };

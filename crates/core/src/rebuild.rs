@@ -115,10 +115,10 @@ impl RebuildSpec {
             });
         }
         if self.per_disk_cap == 0 {
-            return Err(ConfigError::ZeroRebuildCap);
+            return Err(ConfigError::Zero("cap"));
         }
         if self.campaigns == 0 {
-            return Err(ConfigError::ZeroCampaigns);
+            return Err(ConfigError::Zero("campaigns"));
         }
         match self.weights.iter().position(|&w| w == 0) {
             Some(campaign) => Err(ConfigError::ZeroCampaignWeight(campaign)),
@@ -568,14 +568,14 @@ mod tests {
     fn a_zero_cap_is_refused() {
         let mut s = spec(Placement::Fixed);
         s.per_disk_cap = 0;
-        assert!(matches!(refusal(&s), ConfigError::ZeroRebuildCap));
+        assert!(matches!(refusal(&s), ConfigError::Zero("cap")));
     }
 
     #[test]
     fn zero_campaigns_are_refused() {
         let mut s = spec(Placement::Fixed);
         s.campaigns = 0;
-        assert!(matches!(refusal(&s), ConfigError::ZeroCampaigns));
+        assert!(matches!(refusal(&s), ConfigError::Zero("campaigns")));
     }
 
     #[test]

@@ -75,21 +75,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Metrics, RunError> {
     Ok(run_planned(cfg, &plan, PlanSource::Cold))
 }
 
-/// [`run_experiment`] with a caller-supplied error campaign instead of the
-/// seeded synthetic one — the trace-replay path (`fbf --trace-in`).
-///
-/// The errors must already be validated against the config's geometry
-/// (see [`fbf_workload::validate_against`]); planning and simulation are
-/// then byte-identical to a synthetic run that drew the same campaign.
-pub fn run_experiment_with_errors(
-    cfg: &ExperimentConfig,
-    errors: fbf_recovery::ErrorGroup,
-) -> Result<Metrics, RunError> {
-    cfg.validate()?;
-    let plan = PlannedCampaign::cold_with_errors(cfg, errors)?;
-    Ok(run_planned(cfg, &plan, PlanSource::Cold))
-}
-
 /// Simulate one experiment against an already-planned campaign.
 ///
 /// The plan must have been generated for `cfg`'s [`PlanKey`] (debug-checked)
@@ -231,7 +216,7 @@ mod tests {
         };
         assert!(matches!(
             run_experiment(&cfg),
-            Err(RunError::Config(ConfigError::ZeroWorkers))
+            Err(RunError::Config(ConfigError::Zero("workers")))
         ));
     }
 

@@ -228,7 +228,7 @@ pub fn sweep_with_progress(
                 }
                 Err(panic) => {
                     cancelled.store(true, Ordering::Relaxed);
-                    Err(RunError::Worker(panic_message(&panic)))
+                    Err(RunError::Worker(panic_message(&*panic)))
                 }
             };
             *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
@@ -373,7 +373,9 @@ pub fn sweep_with_progress(
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The message a caught panic carried — what sweeps and the daemon say
+/// of a worker that died.
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

@@ -54,7 +54,7 @@ impl Default for ExecConfig {
 /// at the stripe count (extra workers would sit idle) but never silently
 /// promoted from zero — `workers == 0` is a configuration bug the caller
 /// must reject up front (`ExperimentConfig::validate` returns
-/// `ConfigError::ZeroWorkers`), not a value to paper over.
+/// `ConfigError::Zero("workers")`), not a value to paper over.
 fn effective_workers(config: &ExecConfig, stripes: usize) -> usize {
     assert!(
         config.workers > 0,

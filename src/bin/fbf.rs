@@ -44,6 +44,7 @@
 //! the only place that prints an error or picks an exit code.
 
 use fbf::core::{policy_grid, CACHE_MB};
+use fbf::disksim::EngineScratch;
 use fbf::obs::flags::{take_flag, take_switch};
 use fbf::obs::ObsFlags;
 use fbf::recovery::priority::priority_for_count;
@@ -53,15 +54,13 @@ use fbf::recovery::{
 };
 use fbf::report::f;
 use fbf::workload::{
-    client_trace_ids, generate_errors, parse_trace, render_trace, shard_campaign, validate_against,
-    ErrorGenConfig, LoadReport,
-};
-use fbf::{
-    run_experiment, run_experiment_with_errors, ConfigError, DaemonClient, DaemonError,
-    DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, Json, ReliabilityParams, ServerAddr,
-    Table,
+    client_trace_ids, generate_errors, render_trace, shard_campaign, ErrorGenConfig, LoadReport,
 };
 use fbf::{CodeSpec, StripeCode};
+use fbf::{
+    ConfigError, DaemonClient, DaemonError, DaemonOptions, ExperimentConfig, Json, Outcome,
+    PlanStore, ReliabilityParams, RequestError, ServerAddr, Table, Work,
+};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -121,8 +120,6 @@ struct Args {
     rest: Vec<String>,
     /// `--json`: machine-readable stdout.
     json: bool,
-    /// A trace/stderr subscriber is installed (`--trace` / `--obs`).
-    obs: bool,
     flags: ObsFlags,
 }
 
@@ -178,14 +175,6 @@ impl Args {
         }
     }
 
-    /// What is left is experiment flags: apply them onto the paper's
-    /// defaults through [`ExperimentConfigBuilder::set`].
-    fn config(&mut self) -> Result<ExperimentConfigBuilder, Exit> {
-        let flags = config_flags(&std::mem::take(&mut self.rest))?;
-        let builder = builder_from_flags(&flags).map_err(|e| Exit::usage(e.to_string()))?;
-        Ok(builder.obs(self.obs))
-    }
-
     /// Resolve the daemon address from `--socket` / `--tcp`, defaulting to
     /// a unix socket at `$TMPDIR/fbfd.sock`.
     fn addr(&mut self) -> Result<ServerAddr, Exit> {
@@ -209,13 +198,7 @@ fn main() {
         .map_err(Exit::usage)
         .and_then(|flags| {
             obs = flags.install().map_err(Exit::fail)?;
-            let mut args = Args {
-                rest,
-                json,
-                obs,
-                flags,
-            };
-            run(&mut args)
+            run(&mut Args { rest, json, flags })
         });
     // `exit` skips destructors, so flush the trace subscriber explicitly.
     if obs {
@@ -240,16 +223,16 @@ fn run(args: &mut Args) -> Result<(), Exit> {
         "trace" => cmd_trace(args),
         "run" => {
             let trace_in = args.flag::<String>("trace-in")?;
-            run_with(args, trace_in.as_deref())
+            cmd_local(args, false, trace_in.as_deref())
         }
         "replay" => {
             let usage = "usage: fbf replay <trace-file> [--key value ...]";
             let is_path = |s: &str| (!s.starts_with("--")).then(|| s.to_string());
             let path = args.positional_with(is_path, usage)?;
-            run_with(args, Some(&path))
+            cmd_local(args, false, Some(&path))
         }
         "sweep" => cmd_sweep(args),
-        "rebuild" => cmd_rebuild(args),
+        "rebuild" => cmd_local(args, true, None),
         "serve" => cmd_serve(args),
         "client" => cmd_client(args),
         "scrub" => cmd_scrub(args),
@@ -326,22 +309,6 @@ fn config_flags(args: &[String]) -> Result<Vec<(String, String)>, Exit> {
         i += 1;
     }
     Ok(out)
-}
-
-/// Apply experiment flags onto the paper's defaults through
-/// [`ExperimentConfigBuilder::set`]. Validation happens in [`build`], so
-/// a bad combination fails with a typed message before any work starts.
-fn builder_from_flags(flags: &[(String, String)]) -> Result<ExperimentConfigBuilder, ConfigError> {
-    flags
-        .iter()
-        .try_fold(ExperimentConfig::builder(), |b, (k, v)| b.set(k, v))
-}
-
-/// Finish a builder; a `ConfigError` is a usage error.
-fn build(builder: ExperimentConfigBuilder) -> Result<ExperimentConfig, Exit> {
-    builder
-        .build()
-        .map_err(|e| Exit::usage(format!("invalid configuration: {e}")))
 }
 
 fn print_json(value: &Json) {
@@ -618,51 +585,73 @@ fn cmd_trace(args: &mut Args) -> Result<(), Exit> {
     Ok(())
 }
 
-/// Load, parse, and geometry-check an error trace file against `cfg`.
-fn load_trace(path: &str, cfg: &ExperimentConfig) -> Result<fbf::recovery::ErrorGroup, Exit> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Exit::fail(format!("cannot read trace {path}: {e}")))?;
-    let errors = parse_trace(&text).map_err(|e| Exit::usage(format!("bad trace {path}: {e}")))?;
-    let code = StripeCode::build(cfg.code, cfg.p)
-        .map_err(|e| Exit::usage(format!("cannot build {}: {e}", cfg.code.name())))?;
-    validate_against(&errors, &code, cfg.stripes as usize).map_err(|e| {
-        Exit::usage(format!(
-            "trace {path} does not fit the configured geometry: {e}"
-        ))
-    })?;
-    Ok(errors)
+/// A refusal as `run`, `replay` and `sweep` word it: the daemon's text,
+/// with the trace file named and a configuration that does not add up
+/// marked as such.
+fn refusal(e: RequestError, path: &str) -> Exit {
+    Exit::usage(match &e {
+        RequestError::Config(ConfigError::UnknownKey(_) | ConfigError::BadValue { .. }) => {
+            e.to_string()
+        }
+        RequestError::Config(c) => format!("invalid configuration: {c}"),
+        RequestError::BadTrace(t) => format!("bad trace {path}: {t}"),
+        RequestError::TraceGeometry(g) => {
+            format!("trace {path} does not fit the configured geometry: {g}")
+        }
+        _ => e.to_string(),
+    })
 }
 
-/// `fbf run` / `fbf replay`: one experiment, drawn or replayed.
-fn run_with(args: &mut Args, trace_in: Option<&str>) -> Result<(), Exit> {
-    let mut builder = args.config()?;
-    if trace_in.is_some() {
-        // A replayed campaign draws no errors: `--errors` does not apply.
-        builder = builder.error_count(0);
-    }
-    let cfg = build(builder)?;
-    let json = args.json;
-    if !json {
-        println!("running {}", cfg.describe());
-    }
-    let result = match trace_in {
-        Some(path) => {
-            let errors = load_trace(path, &cfg)?;
-            if !json {
-                println!("  (replaying {} errors from {path})", errors.len());
-            }
-            run_experiment_with_errors(&cfg, errors)
-        }
-        None => run_experiment(&cfg),
+/// `fbf run` / `replay` / `rebuild`: build the request `fbf client` would
+/// send to a daemon and execute it here — one reader of the flags
+/// ([`Work::from_request`]) and one executor ([`Work::execute`]) behind
+/// both doors. `rebuild` simulates a whole-disk failure on an N-disk array
+/// and drives the declustered rebuild scheduler over every affected
+/// stripe, with foreground app reads sharing the spindles.
+fn cmd_local(args: &mut Args, rebuild: bool, trace_in: Option<&str>) -> Result<(), Exit> {
+    let (what, request) = match rebuild {
+        true => ("rebuild", rebuild_request(args)?),
+        false => ("run", repair_request(args, trace_in)?),
     };
-    let m = result.map_err(|e| Exit::fail(format!("run failed: {e}")))?;
+    let work = Work::from_request(&Json::obj(request)).map_err(|e| match rebuild {
+        true => Exit::usage(e.to_string()),
+        false => refusal(e, trace_in.unwrap_or("")),
+    })?;
+    if !args.json {
+        match &work {
+            Work::Repair { cfg, campaign, .. } => {
+                println!("running {}", cfg.describe());
+                if let (Some(errors), Some(path)) = (campaign, trace_in) {
+                    println!("  (replaying {} errors from {path})", errors.len());
+                }
+            }
+            Work::Rebuild(spec) => println!(
+                "rebuilding disk {} of {} ({} placement, {} fairness): {}",
+                spec.failed_disk,
+                spec.disks,
+                spec.placement.name(),
+                spec.fairness.name(),
+                spec.base.describe()
+            ),
+        }
+    }
+    let outcome = work
+        .execute(&PlanStore::new(), &mut EngineScratch::new(), None)
+        .map_err(|e| Exit::fail(format!("{what} failed: {e}")))?;
+    match outcome {
+        Outcome::Repair { metrics, .. } => print_run(args, work.cfg(), &metrics),
+        Outcome::Rebuild(outcome) => print_rebuild(args, &outcome),
+    }
+}
+
+fn print_run(args: &Args, cfg: &ExperimentConfig, m: &fbf::Metrics) -> Result<(), Exit> {
     args.flags.write_metrics(|| {
         fbf::prometheus_snapshot(&[fbf::SweepPoint {
-            config: cfg,
+            config: *cfg,
             metrics: m.clone(),
         }])
     });
-    if json {
+    if args.json {
         println!("{}", m.to_json());
         return Ok(());
     }
@@ -704,27 +693,7 @@ fn run_with(args: &mut Args, trace_in: Option<&str>) -> Result<(), Exit> {
     Ok(())
 }
 
-/// `fbf rebuild`: simulate a whole-disk failure on an N-disk array and
-/// drive the declustered rebuild scheduler over every affected stripe,
-/// with foreground app reads sharing the spindles. The flags are read
-/// exactly as the daemon reads a `rebuild` request.
-fn cmd_rebuild(args: &mut Args) -> Result<(), Exit> {
-    let request = Json::obj(rebuild_request(args)?);
-    let mut spec = fbf::core::daemon::rebuild_spec_from_request(&request).map_err(Exit::usage)?;
-    spec.base.obs = args.obs;
-
-    if !args.json {
-        println!(
-            "rebuilding disk {} of {} ({} placement, {} fairness): {}",
-            spec.failed_disk,
-            spec.disks,
-            spec.placement.name(),
-            spec.fairness.name(),
-            spec.base.describe()
-        );
-    }
-    let outcome =
-        fbf::run_rebuild(&spec).map_err(|e| Exit::fail(format!("rebuild failed: {e}")))?;
+fn print_rebuild(args: &Args, outcome: &fbf::RebuildOutcome) -> Result<(), Exit> {
     let failed = !outcome.failed_stripes.is_empty();
     if args.json {
         println!("{}", outcome.to_json());
@@ -754,17 +723,17 @@ fn cmd_rebuild(args: &mut Args) -> Result<(), Exit> {
 }
 
 fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
-    let builder = args.config()?;
-    let base = build(builder)?;
+    // The experiment flags, read as every other door reads them.
+    let request = Json::obj(repair_request(args, None)?);
+    let work = Work::from_request(&request).map_err(|e| refusal(e, ""))?;
+    let base = *work.cfg();
     let (table, points) = policy_grid(
         format!("hit ratio — {}(p={})", base.code.name(), base.p),
         &CACHE_MB,
-        |policy, mb| {
-            builder
-                .policy(policy)
-                .cache_mb(mb)
-                .build()
-                .expect("validated base stays valid across the grid")
+        |policy, cache_mb| ExperimentConfig {
+            policy,
+            cache_mb,
+            ..base
         },
         |m| f(m.hit_ratio, 4),
     )
@@ -835,7 +804,7 @@ fn cmd_serve(args: &mut Args) -> Result<(), Exit> {
 /// The fields of a daemon `rebuild` request from `fbf rebuild` /
 /// `fbf client rebuild` arguments: rebuild-spec flags come out first,
 /// everything left is ordinary experiment flags. All forwarded as typed;
-/// `rebuild_spec_from_request` is the one reader.
+/// `Work::from_request` is the one reader.
 fn rebuild_request(args: &mut Args) -> Result<Vec<(&'static str, Json)>, Exit> {
     let mut fields = vec![("cmd", Json::from("rebuild"))];
     // The spec's wire keys; each one's flag spells its underscores as dashes.
@@ -848,25 +817,18 @@ fn rebuild_request(args: &mut Args) -> Result<Vec<(&'static str, Json)>, Exit> {
     Ok(fields)
 }
 
-/// The fields of a daemon `repair` request: `--backend`, `--dir` and the
-/// trace file's text (it travels inline; the daemon never opens client
-/// paths) come out first, everything left is experiment flags.
-fn repair_request(args: &mut Args) -> Result<Vec<(&'static str, Json)>, Exit> {
-    let backend = args.flag::<String>("backend")?;
-    let dir = args.flag::<String>("dir")?;
-    let trace = match args.flag::<String>("trace-in")? {
-        Some(path) => Some(
-            std::fs::read_to_string(&path)
-                .map_err(|e| Exit::fail(format!("cannot read trace {path}: {e}")))?,
-        ),
-        None => None,
-    };
+/// The fields of a daemon `repair` request: the experiment flags left on
+/// the command line, and the text of the trace file to replay (it travels
+/// inline; the daemon never opens client paths).
+fn repair_request(args: &Args, trace_in: Option<&str>) -> Result<Vec<(&'static str, Json)>, Exit> {
     let mut fields = vec![
         ("cmd", Json::from("repair")),
         ("config", overrides(&config_flags(&args.rest)?)),
     ];
-    for (wire_key, value) in [("backend", backend), ("dir", dir), ("trace", trace)] {
-        fields.extend(value.map(|v| (wire_key, Json::Str(v))));
+    if let Some(path) = trace_in {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Exit::fail(format!("cannot read trace {path}: {e}")))?;
+        fields.push(("trace", Json::Str(text)));
     }
     Ok(fields)
 }
@@ -997,13 +959,20 @@ fn cmd_client(args: &mut Args) -> Result<(), Exit> {
         }
         "repair" => {
             let wait = args.switch("wait");
-            submit_job(&addr, repair_request(args)?, wait, "metrics", json)?
+            let backend = args.flag::<String>("backend")?;
+            let dir = args.flag::<String>("dir")?;
+            let trace_in = args.flag::<String>("trace-in")?;
+            let mut fields = repair_request(args, trace_in.as_deref())?;
+            for (wire_key, value) in [("backend", backend), ("dir", dir)] {
+                fields.extend(value.map(|v| (wire_key, Json::Str(v))));
+            }
+            submit_job(&addr, fields, wait, json)?
         }
         // The same spec flags as `fbf rebuild`, executed on the daemon's
         // worker pool.
         "rebuild" => {
             let wait = args.switch("wait");
-            submit_job(&addr, rebuild_request(args)?, wait, "rebuild", json)?
+            submit_job(&addr, rebuild_request(args)?, wait, json)?
         }
         "status" => {
             let usage = "usage: fbf client status <job>";
@@ -1099,13 +1068,12 @@ fn client_top(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
     }
 }
 
-/// Submit a job request; with `wait`, see it through and print the
-/// `result_key` object of its final status.
+/// Submit a job request; with `wait`, see it through and print what its
+/// final status carries: a repair's `metrics` or a rebuild's `rebuild`.
 fn submit_job(
     addr: &ServerAddr,
     fields: Vec<(&'static str, Json)>,
     wait: bool,
-    result_key: &str,
     json: bool,
 ) -> Result<(), Exit> {
     let mut client = connect(addr)?;
@@ -1123,7 +1091,7 @@ fn submit_job(
         return Ok(());
     }
     println!("job {job} done");
-    if let Some(result) = status.get(result_key) {
+    if let Some(result) = status.get("metrics").or(status.get("rebuild")) {
         println!("{}", result.render());
     }
     Ok(())
@@ -1139,9 +1107,10 @@ fn client_load(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
     // a disjoint shard; the same config overrides ship with each repair
     // so the daemon executes the shard against the intended geometry.
     let flags = config_flags(&args.rest)?;
-    let cfg = builder_from_flags(&flags)
-        .and_then(|b| b.build())
+    let request = Json::obj([("config", overrides(&flags))]);
+    let work = Work::from_request(&request)
         .map_err(|e| Exit::usage(format!("invalid configuration: {e}")))?;
+    let cfg = work.cfg();
     let code = StripeCode::build(cfg.code, cfg.p)
         .map_err(|e| Exit::usage(format!("cannot build {}: {e}", cfg.code.name())))?;
     let group = generate_errors(
@@ -1314,9 +1283,8 @@ fn cmd_mttdl(args: &mut Args) -> Result<(), Exit> {
 mod tests {
     use super::*;
     use fbf::core::config::KEYS;
-    use fbf::core::daemon::config_from_request;
     use fbf::disksim::{DiskKill, SlowDisk};
-    use fbf::{FaultPlan, PolicyKind, SimTime};
+    use fbf::{ExperimentConfigBuilder, FaultPlan, PolicyKind, SimTime};
 
     type Builder = ExperimentConfigBuilder;
     type Setter = fn(Builder) -> Builder;
@@ -1369,15 +1337,17 @@ mod tests {
         format!("{:?}", ExperimentConfig { obs: false, ..cfg })
     }
 
-    fn wire(key: &str, value: Json) -> Result<ExperimentConfig, String> {
-        let config = Json::Obj([(key.to_string(), value)].into());
-        config_from_request(&Json::obj([("config", config)]))
+    fn request(config: Json) -> Result<ExperimentConfig, RequestError> {
+        Work::from_request(&Json::obj([("config", config)])).map(|work| *work.cfg())
     }
 
-    fn cli(flag: &str, value: &str) -> Result<ExperimentConfig, ConfigError> {
-        let args = [flag.to_string(), value.to_string()];
-        let flags = config_flags(&args).expect("well-formed flag");
-        builder_from_flags(&flags)?.build()
+    fn wire(key: &str, value: Json) -> Result<ExperimentConfig, String> {
+        request(Json::Obj([(key.to_string(), value)].into())).map_err(|e| e.to_string())
+    }
+
+    /// The command line's way to a config: flags, forwarded as typed.
+    fn cli(args: &[String]) -> Result<ExperimentConfig, RequestError> {
+        request(overrides(&config_flags(args).expect("well-formed flag")))
     }
 
     #[test]
@@ -1391,11 +1361,10 @@ mod tests {
             let set = ExperimentConfig::builder().set(key, text).unwrap();
             assert_eq!(shown(set.build().unwrap()), want, "set({key})");
             let flag = format!("--{}", key.replace('_', "-"));
-            assert_eq!(shown(cli(&flag, text).unwrap()), want, "{flag} {text}");
+            let split = [flag.clone(), text.to_string()];
+            assert_eq!(shown(cli(&split).unwrap()), want, "{flag} {text}");
             let joined = [format!("{flag}={text}")];
-            let flags = config_flags(&joined).unwrap();
-            let built = builder_from_flags(&flags).unwrap().build().unwrap();
-            assert_eq!(shown(built), want, "{flag}={text}");
+            assert_eq!(shown(cli(&joined).unwrap()), want, "{flag}={text}");
             assert_eq!(
                 shown(wire(key, text.into()).unwrap()),
                 want,
@@ -1434,7 +1403,8 @@ mod tests {
                 .unwrap_err();
             assert_eq!(set.to_string(), message);
             let flag = format!("--{}", key.replace('_', "-"));
-            assert_eq!(cli(&flag, text).unwrap_err(), set, "{flag} {text}");
+            let refused = cli(&[flag.clone(), text.to_string()]).unwrap_err();
+            assert_eq!(refused, RequestError::Config(set), "{flag} {text}");
             assert_eq!(
                 wire(key, text.into()).unwrap_err(),
                 message,

@@ -55,13 +55,13 @@ pub use fbf_codes::{Cell, ChunkId, CodeSpec, Stripe, StripeCode};
 pub use fbf_core::report;
 pub use fbf_core::{
     code_from_name, file_backend_for, mttdl_gain, mttdl_hours, mttdl_years, policy_from_name,
-    prometheus_snapshot, run_experiment, run_experiment_on, run_experiment_with_errors,
-    run_planned, run_planned_on, run_rebuild, scheme_from_name, serve, sim_backend_for, sweep,
-    sweep_with_store, verify_campaign, ClassLatency, ConfigError, DaemonClient, DaemonError,
-    DaemonHandle, DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, JobState, Json,
-    JsonError, Metrics, PlanSource, PlanStore, Progress, ProgressSnapshot, RebuildOutcome,
-    RebuildSpec, ReliabilityParams, RunError, ServerAddr, SloSpec, SloVerdict, SweepPoint, Table,
-    VerifyReport, METRICS_SCHEMA_VERSION,
+    prometheus_snapshot, run_experiment, run_planned, run_planned_on, run_rebuild,
+    scheme_from_name, serve, sim_backend_for, sweep, sweep_with_store, verify_campaign,
+    BackendKind, ClassLatency, ConfigError, DaemonClient, DaemonError, DaemonHandle, DaemonOptions,
+    ExperimentConfig, ExperimentConfigBuilder, Json, JsonError, Metrics, Outcome, PlanSource,
+    PlanStore, Progress, ProgressSnapshot, RebuildOutcome, RebuildSpec, ReliabilityParams,
+    RequestError, RunError, ServerAddr, SloSpec, SloVerdict, SweepPoint, Table, VerifyReport, Work,
+    METRICS_SCHEMA_VERSION,
 };
 
 // Storage backends and the simulator types that surface in reports.

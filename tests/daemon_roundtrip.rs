@@ -8,10 +8,10 @@
 //! reply, job state transitions, chunk reads with digests, Prometheus
 //! exposition, and a clean shutdown that removes the socket file.
 
-use fbf::disksim::DiskKill;
+use fbf::disksim::{DiskKill, EngineScratch};
 use fbf::{
     run_experiment, DaemonClient, DaemonError, DaemonOptions, ExperimentConfig, FaultPlan, Json,
-    ServerAddr, SimTime, METRICS_SCHEMA_VERSION,
+    Outcome, PlanStore, ServerAddr, SimTime, Work, METRICS_SCHEMA_VERSION,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -602,6 +602,140 @@ fn wait_reports_a_failed_job_as_a_typed_error() {
     assert_eq!(status.get("job").and_then(Json::as_u64), Some(job));
     assert!(err.to_string().starts_with(&format!("job {job} failed: ")));
     assert_eq!(err.reply(), Some(status));
+
+    shut_down(client, handle);
+}
+
+/// One job, two doors: a request executed in this process — what `fbf run`
+/// / `replay` / `rebuild` do — and the same request queued on a daemon
+/// yield the same result, for each kind of work.
+#[test]
+fn a_request_yields_the_same_result_in_process_and_through_the_daemon() {
+    let (_, handle, mut client) = start("doors", one_worker());
+
+    let trace = fbf::render_trace(&fbf::generate_errors(
+        &fbf::StripeCode::build(fbf::CodeSpec::Tip, 7).unwrap(),
+        &fbf::ErrorGenConfig::paper_default(128, 16, 9),
+    ));
+    let requests = [
+        vec![("cmd", "repair".into()), ("config", small_config_json())],
+        vec![
+            ("cmd", "repair".into()),
+            ("config", small_config_json()),
+            ("trace", trace.into()),
+        ],
+        vec![
+            ("cmd", "rebuild".into()),
+            ("config", small_config_json()),
+            ("disks", 24u64.into()),
+            ("placement", "rotated".into()),
+        ],
+    ];
+    // Host time would differ between the doors; mask it as `tests/cli.rs`
+    // does (`Metrics` JSON carries none today).
+    fn masked(value: &Json) -> Json {
+        match value {
+            Json::Obj(map) => Json::Obj(
+                map.iter()
+                    .filter(|(key, _)| {
+                        !(key.starts_with("overhead_") || matches!(key.as_str(), "wall_ms"))
+                    })
+                    .map(|(key, value)| (key.clone(), masked(value)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+    for fields in requests {
+        let request = Json::obj(fields.clone());
+        let work = Work::from_request(&request).expect("a well-formed request");
+        let outcome = work
+            .execute(&PlanStore::new(), &mut EngineScratch::new(), None)
+            .expect("runs in process");
+        let (key, local) = match outcome {
+            Outcome::Repair { metrics, .. } => ("metrics", metrics.to_json_value()),
+            Outcome::Rebuild(outcome) => ("rebuild", outcome.to_json_value()),
+        };
+
+        let (job, _) = client.submit(fields).expect("the daemon takes it too");
+        let status = wait_done(&mut client, job).expect("done");
+        let remote = status
+            .get(key)
+            .unwrap_or_else(|| panic!("{}", status.render()));
+        assert_eq!(masked(remote), masked(&local), "{}", request.render());
+    }
+
+    shut_down(client, handle);
+}
+
+/// Two `file` repairs that name no `dir` used to format the same
+/// directory: the second rewrote the files under the first job's retained
+/// backend. Each job now gets a directory of its own.
+#[test]
+fn file_jobs_without_a_dir_do_not_share_one() {
+    let (_, handle, mut client) = start("filedirs", one_worker());
+
+    let config = |seed: u64| {
+        Json::obj([
+            ("chunk_kb", 1u64.into()),
+            ("cache_mb", 1u64.into()),
+            ("stripes", 64u64.into()),
+            ("errors", 8u64.into()),
+            ("workers", 8u64.into()),
+            ("seed", seed.into()),
+        ])
+    };
+    let repair = |seed: u64| {
+        [
+            ("cmd", "repair".into()),
+            ("backend", "file".into()),
+            ("config", config(seed)),
+        ]
+    };
+    // The chunks job 1 repairs: its campaign, planned here.
+    let Work::Repair { cfg, .. } = Work::from_request(&Json::obj(repair(1))).unwrap() else {
+        unreachable!("a repair request");
+    };
+    let plan = fbf::core::PlannedCampaign::cold(&cfg).expect("plan");
+    let repaired: Vec<(u64, u64, u64)> = plan
+        .errors
+        .damage_by_stripe()
+        .iter()
+        .flat_map(|d| {
+            let cell = |c: &fbf::Cell| (u64::from(d.stripe), c.r() as u64, c.c() as u64);
+            d.cells.iter().map(cell).collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(!repaired.is_empty());
+
+    let (first, _) = client.submit(repair(1)).expect("repair");
+    wait_done(&mut client, first).expect("done");
+    let digests = |client: &mut DaemonClient| -> Vec<String> {
+        repaired
+            .iter()
+            .map(|&(stripe, row, col)| {
+                let read = client
+                    .request(&Json::obj([
+                        ("cmd", "read".into()),
+                        ("job", first.into()),
+                        ("stripe", stripe.into()),
+                        ("row", row.into()),
+                        ("col", col.into()),
+                    ]))
+                    .expect("read");
+                assert_eq!(read.get("repaired").and_then(Json::as_bool), Some(true));
+                read.get("fnv1a")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    };
+    let before = digests(&mut client);
+
+    let (second, _) = client.submit(repair(2)).expect("repair");
+    wait_done(&mut client, second).expect("done");
+    assert_eq!(digests(&mut client), before, "job 2 rewrote job 1's array");
 
     shut_down(client, handle);
 }
