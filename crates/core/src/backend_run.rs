@@ -35,11 +35,10 @@ use crate::config::ExperimentConfig;
 use crate::metrics::Metrics;
 use crate::plan::{PlanKey, PlanSource, PlannedCampaign};
 use crate::runner::RunError;
-use fbf_cache::FxHashMap;
 use fbf_codes::ChunkId;
 use fbf_disksim::{
     build_caches, resolve_read, BackendError, CacheSharing, DiskStats, FailedRead, FileBackend,
-    Lookup, ReadOutcome, RunReport, SimBackend, SimTime, StorageBackend,
+    PayloadCache, ReadOutcome, RunReport, SimBackend, SimTime, Slot, StorageBackend,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -74,13 +73,10 @@ pub fn run_planned_on(
 
     let workers = plan.scripts.len();
     let ecfg = cfg.engine_config(mapping.clone(), Arc::clone(&plan.victim_map), cfg.faults);
-    let mut caches = build_caches(&ecfg, workers);
-    // The cache tracks identities; the data plane must also hold the
-    // resident payloads. One mirror per slice, kept in lockstep with the
-    // cache via insert()'s evicted key. `Arc` so sources gathered for a
-    // deferred batch decode survive an eviction in the same round.
-    let mut payloads: Vec<FxHashMap<ChunkId, Arc<Vec<u8>>>> =
-        vec![FxHashMap::default(); caches.len()];
+    // The engine's cache slices, holding the resident payloads as well.
+    // A slot evicted while a gathered repair still names it stays intact
+    // until the round's decode is done (`release_retired`).
+    let mut cache = PayloadCache::new(build_caches(&ecfg, workers), chunk_bytes);
 
     let mut report = RunReport {
         per_disk: vec![DiskStats::default(); mapping.disks],
@@ -90,7 +86,6 @@ pub fn run_planned_on(
     let mut stripes_repaired = 0usize;
     let mut chunks_recovered = 0usize;
     let started = Instant::now();
-    let mut chunk_buf = vec![0u8; chunk_bytes];
 
     // Batched decode: a batch is up to `decode_batch` *consecutive*
     // schemes. Consecutive schemes land on consecutive workers (scheme i
@@ -108,7 +103,7 @@ pub fn run_planned_on(
     let obs = cfg.obs && fbf_obs::enabled();
     let mut batches = 0u64;
     let mut accs: Vec<Vec<u8>> = vec![vec![0u8; chunk_bytes]; batch_size];
-    let mut sources: Vec<Vec<Arc<Vec<u8>>>> = vec![Vec::new(); batch_size];
+    let mut sources: Vec<Vec<Slot>> = vec![Vec::new(); batch_size];
     // Per-scheme batch state: (abandoned, repairs completed).
     let mut states: Vec<(bool, usize)> = vec![(false, 0); batch_size];
 
@@ -155,15 +150,12 @@ pub fn run_planned_on(
                 for &cell in &repair.option.reads {
                     let chunk = ChunkId::new(scheme.stripe, cell);
                     let t0 = Instant::now();
-                    let served = match caches[slice].access(chunk) {
-                        Lookup::Hit => {
-                            let bytes = payloads[slice]
-                                .get(&chunk)
-                                .expect("cache hit without mirrored payload");
-                            sources[j].push(Arc::clone(bytes));
+                    let served = match cache.access(slice, chunk) {
+                        Some(slot) => {
+                            sources[j].push(slot);
                             true
                         }
-                        Lookup::Miss => {
+                        None => {
                             // No virtual clock: a survivable transient's
                             // delay and a failure's wasted retries cost
                             // nothing here, only the counters move.
@@ -184,21 +176,16 @@ pub fn run_planned_on(
                                     false
                                 }
                                 ReadOutcome::Ok { .. } => {
-                                    backend
-                                        .read_chunk(chunk, &mut chunk_buf)
+                                    let priority = plan.dictionary.priority_of(&chunk);
+                                    let slot = cache
+                                        .fill(slice, chunk, priority, |buf| {
+                                            backend.read_chunk(chunk, buf)
+                                        })
                                         .map_err(RunError::Backend)?;
                                     report.disk_reads += 1;
                                     report.per_disk_class_reads[mapping.disk_of(chunk)]
                                         [class.index()] += 1;
-                                    let bytes = Arc::new(chunk_buf.clone());
-                                    let priority = plan.dictionary.priority_of(&chunk);
-                                    if let Some(evicted) = caches[slice].insert(chunk, priority) {
-                                        payloads[slice].remove(&evicted);
-                                    }
-                                    if caches[slice].contains(&chunk) {
-                                        payloads[slice].insert(chunk, Arc::clone(&bytes));
-                                    }
-                                    sources[j].push(bytes);
+                                    sources[j].push(slot);
                                     true
                                 }
                             }
@@ -229,9 +216,10 @@ pub fn run_planned_on(
                 if states[j].0 || scheme.repairs.get(round).is_none() {
                     continue;
                 }
-                let refs: Vec<&[u8]> = sources[j].iter().map(|a| a.as_slice()).collect();
+                let refs: Vec<&[u8]> = sources[j].iter().map(|&s| cache.bytes(s)).collect();
                 fbf_codes::xor::xor_many(&mut accs[j], &refs);
             }
+            cache.release_retired();
             // Write the recovered chunks to the spare area.
             for (j, scheme) in batch.iter().enumerate() {
                 let Some(repair) = scheme.repairs.get(round) else {
@@ -266,6 +254,11 @@ pub fn run_planned_on(
             ]);
         }
     }
+    let syncs = |b: &dyn StorageBackend| b.disk_stats().iter().map(|d| d.syncs).sum::<u64>();
+    let synced_before = syncs(backend);
+    let span = obs.then(|| fbf_obs::span("data_plane", "flush"));
+    backend.flush().map_err(RunError::Backend)?;
+    drop(span);
     if obs {
         fbf_obs::counter(
             "data_plane",
@@ -273,13 +266,17 @@ pub fn run_planned_on(
             &[
                 ("batches", fbf_obs::Value::U64(batches)),
                 ("batch_size", fbf_obs::Value::U64(batch_size as u64)),
+                ("payload_slots", fbf_obs::Value::U64(cache.slots() as u64)),
+                (
+                    "files_synced",
+                    fbf_obs::Value::U64(syncs(backend) - synced_before),
+                ),
             ],
         );
     }
-    backend.flush().map_err(RunError::Backend)?;
     report.makespan = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-    for cache in &caches {
-        report.cache.merge(&cache.stats());
+    for slice in cache.slices() {
+        report.cache.merge(&slice.stats());
     }
     for (disk, stats) in backend.disk_stats().iter().enumerate() {
         if let Some(d) = report.per_disk.get_mut(disk) {

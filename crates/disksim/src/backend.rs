@@ -45,7 +45,7 @@ use fbf_cache::{FxHashMap, FxHashSet};
 use fbf_codes::encode::encode;
 use fbf_codes::{ChunkId, Stripe, StripeCode};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Why a backend operation failed.
@@ -78,6 +78,17 @@ pub enum BackendError {
         /// What the backend has.
         got: (usize, usize),
     },
+    /// A backing file is not the size the geometry it was opened with
+    /// implies — it was formatted with another chunk size or stripe
+    /// count, and every offset computed from this one would be wrong.
+    FileLength {
+        /// Disk index of the file.
+        disk: usize,
+        /// Bytes the geometry implies.
+        expected: u64,
+        /// Bytes the file holds.
+        got: u64,
+    },
 }
 
 impl std::fmt::Display for BackendError {
@@ -104,6 +115,14 @@ impl std::fmt::Display for BackendError {
                 "backend geometry {}x{} does not match campaign {}x{}",
                 got.0, got.1, expected.0, expected.1
             ),
+            BackendError::FileLength {
+                disk,
+                expected,
+                got,
+            } => write!(
+                f,
+                "disk {disk}: backing file holds {got} B, this geometry needs {expected} B"
+            ),
         }
     }
 }
@@ -128,6 +147,8 @@ pub struct BackendDiskStats {
     pub bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
+    /// Durability barriers issued against the disk's backing store.
+    pub syncs: u64,
 }
 
 /// Chunk-granular storage under a recovery campaign.
@@ -337,9 +358,15 @@ impl StorageBackend for SimBackend {
 /// by an equally sized spare area, matching
 /// [`ArrayMapping::spare_lba_of`]. [`FileBackend::format`] materialises
 /// only the stripes a campaign touches; the rest stays sparse.
+///
+/// Chunk I/O is positional (one `pread`/`pwrite` per chunk). Every write
+/// path marks its file dirty, and [`flush`](StorageBackend::flush) waits
+/// for exactly the dirty files.
 pub struct FileBackend {
     dir: PathBuf,
     files: Vec<File>,
+    /// Per disk: written since its last successful `sync_all`.
+    dirty: Vec<bool>,
     mapping: ArrayMapping,
     chunk_bytes: usize,
     data_stripes: u64,
@@ -369,16 +396,15 @@ impl FileBackend {
             op: "create-dir",
             source,
         })?;
-        let file_len = 2 * data_stripes * mapping.rows as u64 * chunk_bytes as u64;
+        let file_len = file_len(&mapping, chunk_bytes, data_stripes);
         let mut files = Vec::with_capacity(mapping.disks);
         for disk in 0..mapping.disks {
-            let path = dir.join(format!("disk-{disk:03}.dat"));
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(&path)
+                .open(disk_path(dir, disk))
                 .map_err(|source| BackendError::Io {
                     disk,
                     op: "create",
@@ -395,6 +421,7 @@ impl FileBackend {
         let mut backend = FileBackend {
             dir: dir.to_path_buf(),
             files,
+            dirty: vec![false; mapping.disks],
             stats: vec![BackendDiskStats::default(); mapping.disks],
             mapping,
             chunk_bytes,
@@ -414,12 +441,7 @@ impl FileBackend {
                     }
                     let disk = backend.mapping.disk_of(chunk);
                     let offset = backend.mapping.lba_of(chunk) * chunk_bytes as u64;
-                    write_at(
-                        &mut backend.files[disk],
-                        disk,
-                        offset,
-                        stripe.get(code.layout(), cell),
-                    )?;
+                    backend.write_at(disk, offset, stripe.get(code.layout(), cell))?;
                 }
             }
         }
@@ -432,8 +454,11 @@ impl FileBackend {
     /// the spare area — typically the damage set of the campaign that
     /// ran against this array. Reads of those chunks come back from
     /// spare; everything else reads the data zone. Geometry is taken
-    /// from `code` and must match what the array was formatted with
-    /// (the first out-of-range access reports it as an I/O error).
+    /// from `code` and must match what the array was formatted with: a
+    /// file whose length is not what `code`, `chunk_bytes` and
+    /// `data_stripes` imply is refused with
+    /// [`BackendError::FileLength`], because every chunk offset — and
+    /// where the spare zone starts — would be computed wrong.
     pub fn open(
         dir: &Path,
         code: &StripeCode,
@@ -442,23 +467,39 @@ impl FileBackend {
         repaired: &[ChunkId],
     ) -> Result<Self, BackendError> {
         let mapping = ArrayMapping::new(code.cols(), code.rows(), code.spec().rotated_placement());
+        let expected = file_len(&mapping, chunk_bytes, data_stripes);
         let mut files = Vec::with_capacity(mapping.disks);
         for disk in 0..mapping.disks {
-            let path = dir.join(format!("disk-{disk:03}.dat"));
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
-                .open(&path)
+                .open(disk_path(dir, disk))
                 .map_err(|source| BackendError::Io {
                     disk,
                     op: "open",
                     source,
                 })?;
+            let got = file
+                .metadata()
+                .map_err(|source| BackendError::Io {
+                    disk,
+                    op: "stat",
+                    source,
+                })?
+                .len();
+            if got != expected {
+                return Err(BackendError::FileLength {
+                    disk,
+                    expected,
+                    got,
+                });
+            }
             files.push(file);
         }
         Ok(FileBackend {
             dir: dir.to_path_buf(),
             files,
+            dirty: vec![false; mapping.disks],
             stats: vec![BackendDiskStats::default(); mapping.disks],
             mapping,
             chunk_bytes,
@@ -473,26 +514,28 @@ impl FileBackend {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+
+    /// The one write path: `data` at `offset` of `disk`'s file, which is
+    /// dirty from here on (a write that fails part-way has still written).
+    fn write_at(&mut self, disk: usize, offset: u64, data: &[u8]) -> Result<(), BackendError> {
+        self.dirty[disk] = true;
+        self.files[disk]
+            .write_all_at(data, offset)
+            .map_err(|source| BackendError::Io {
+                disk,
+                op: "write",
+                source,
+            })
+    }
 }
 
-fn write_at(file: &mut File, disk: usize, offset: u64, data: &[u8]) -> Result<(), BackendError> {
-    file.seek(SeekFrom::Start(offset))
-        .and_then(|_| file.write_all(data))
-        .map_err(|source| BackendError::Io {
-            disk,
-            op: "write",
-            source,
-        })
+/// Length of each per-disk file: the data zone plus an equal spare zone.
+fn file_len(mapping: &ArrayMapping, chunk_bytes: usize, data_stripes: u64) -> u64 {
+    2 * data_stripes * mapping.rows as u64 * chunk_bytes as u64
 }
 
-fn read_at(file: &mut File, disk: usize, offset: u64, buf: &mut [u8]) -> Result<(), BackendError> {
-    file.seek(SeekFrom::Start(offset))
-        .and_then(|_| file.read_exact(buf))
-        .map_err(|source| BackendError::Io {
-            disk,
-            op: "read",
-            source,
-        })
+fn disk_path(dir: &Path, disk: usize) -> PathBuf {
+    dir.join(format!("disk-{disk:03}.dat"))
 }
 
 impl StorageBackend for FileBackend {
@@ -536,7 +579,13 @@ impl StorageBackend for FileBackend {
             }
             self.mapping.lba_of(chunk) * self.chunk_bytes as u64
         };
-        read_at(&mut self.files[disk], disk, offset, buf)?;
+        self.files[disk]
+            .read_exact_at(buf, offset)
+            .map_err(|source| BackendError::Io {
+                disk,
+                op: "read",
+                source,
+            })?;
         self.stats[disk].reads += 1;
         self.stats[disk].bytes_read += buf.len() as u64;
         Ok(())
@@ -551,7 +600,7 @@ impl StorageBackend for FileBackend {
         }
         let disk = self.mapping.disk_of(chunk);
         let offset = self.mapping.spare_lba_of(chunk, self.data_stripes) * self.chunk_bytes as u64;
-        write_at(&mut self.files[disk], disk, offset, data)?;
+        self.write_at(disk, offset, data)?;
         self.repaired.insert(chunk);
         self.stats[disk].writes += 1;
         self.stats[disk].bytes_written += data.len() as u64;
@@ -562,15 +611,47 @@ impl StorageBackend for FileBackend {
         &self.stats
     }
 
+    /// `sync_all` every file written since its last successful sync —
+    /// by [`write_spare`](StorageBackend::write_spare) or by `format` —
+    /// and no other. The syncs run concurrently (one scoped thread per
+    /// dirty file beyond the first; the device, not the caller, orders
+    /// them) and have all finished when this returns. A file stays dirty
+    /// until a sync of it succeeds; the error names the lowest failing
+    /// disk.
     fn flush(&mut self) -> Result<(), BackendError> {
-        for (disk, file) in self.files.iter_mut().enumerate() {
-            file.sync_all().map_err(|source| BackendError::Io {
-                disk,
-                op: "sync",
-                source,
-            })?;
+        let dirty: Vec<usize> = (0..self.files.len()).filter(|&d| self.dirty[d]).collect();
+        let Some((&first, rest)) = dirty.split_first() else {
+            return Ok(());
+        };
+        let files = &self.files;
+        let outcomes: Vec<std::io::Result<()>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
+                .iter()
+                .map(|&disk| scope.spawn(move || files[disk].sync_all()))
+                .collect();
+            std::iter::once(files[first].sync_all())
+                .chain(
+                    spawned
+                        .into_iter()
+                        .map(|thread| thread.join().expect("sync_all does not panic")),
+                )
+                .collect()
+        });
+        let mut failed = None;
+        for (&disk, outcome) in dirty.iter().zip(outcomes) {
+            self.stats[disk].syncs += 1;
+            match outcome {
+                Ok(()) => self.dirty[disk] = false,
+                Err(source) => {
+                    failed.get_or_insert(BackendError::Io {
+                        disk,
+                        op: "sync",
+                        source,
+                    });
+                }
+            }
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 }
 
@@ -659,6 +740,64 @@ mod tests {
             assert_eq!(buf, recovered, "{} backend", b.kind());
             assert_eq!(b.classify_read(chunk), FaultDraw::Ok);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An array reopened with a geometry other than the one it was
+    /// formatted with would compute every offset wrong; `open` refuses.
+    #[test]
+    fn open_refuses_files_of_another_geometry() {
+        let code = code();
+        let dir = tmpdir("geometry");
+        drop(FileBackend::format(&dir, &code, 1024, 8, &[2], &[], FaultPlan::none()).unwrap());
+        assert!(FileBackend::open(&dir, &code, 1024, 8, &[]).is_ok());
+        let full = 2 * 8 * code.rows() as u64 * 1024;
+        for (chunk_bytes, data_stripes, expected) in [(512, 8, full / 2), (1024, 9, full / 8 * 9)] {
+            match FileBackend::open(&dir, &code, chunk_bytes, data_stripes, &[]) {
+                Err(BackendError::FileLength {
+                    disk: 0,
+                    expected: e,
+                    got,
+                }) => assert_eq!((e, got), (expected, full)),
+                other => panic!(
+                    "{chunk_bytes} B x {data_stripes} stripes: {:?}",
+                    other.map(|_| "opened")
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `flush` waits for exactly the files written since the last flush,
+    /// whichever path wrote them.
+    #[test]
+    fn flush_syncs_the_dirty_files_and_no_other() {
+        let code = code();
+        let dir = tmpdir("syncs");
+        let lost = ChunkId::new(1, Cell::new(0, 0));
+        let mut b =
+            FileBackend::format(&dir, &code, 64, 8, &[1], &[lost], FaultPlan::none()).unwrap();
+        let syncs = |b: &FileBackend| b.disk_stats().iter().map(|d| d.syncs).collect::<Vec<_>>();
+        // `format` wrote a whole stripe: every file is dirty.
+        assert!(b.dirty.iter().all(|&d| d));
+        b.flush().unwrap();
+        assert_eq!(syncs(&b), vec![1; code.cols()]);
+        b.flush().unwrap();
+        assert_eq!(
+            syncs(&b),
+            vec![1; code.cols()],
+            "nothing written, nothing to wait for"
+        );
+
+        let target = b.mapping().disk_of(lost);
+        b.write_spare(lost, &[0xAB; 64]).unwrap();
+        let dirty: Vec<bool> = (0..code.cols()).map(|d| d == target).collect();
+        assert_eq!(b.dirty, dirty);
+        b.flush().unwrap();
+        let mut expect = vec![1; code.cols()];
+        expect[target] = 2;
+        assert_eq!(syncs(&b), expect);
+        assert!(b.dirty.iter().all(|&d| !d));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,7 +34,7 @@ pub mod time;
 
 pub use array::ArrayMapping;
 pub use backend::{BackendDiskStats, BackendError, FileBackend, SimBackend, StorageBackend};
-pub use buffer::{BufferCache, Lookup};
+pub use buffer::{BufferCache, Lookup, PayloadCache, Slot};
 pub use declust::Placement;
 pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use engine::{

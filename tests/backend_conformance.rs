@@ -15,8 +15,9 @@
 use fbf::core::PlannedCampaign;
 use fbf::disksim::{DiskKill, Engine};
 use fbf::{
-    file_backend_for, run_experiment, run_planned_on, sim_backend_for, ArrayMapping, ChunkId,
-    ExperimentConfig, FaultPlan, PlanSource, PolicyKind, SimTime, StorageBackend, StripeCode,
+    file_backend_for, run_experiment, run_planned_on, sim_backend_for, ArrayMapping, CacheSharing,
+    ChunkId, ExperimentConfig, FaultPlan, Metrics, PlanSource, PolicyKind, SimTime, StorageBackend,
+    StripeCode,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -53,32 +54,104 @@ impl Drop for Scratch {
     }
 }
 
+/// A shape whose repairs are wider than a cache slice: TIP p = 13 chains
+/// read up to 12 chunks, and 1 MiB of 1 KiB chunks over 128 workers is 8
+/// chunks a slice — so a slot is evicted inside the gather that read it,
+/// and reusing it before the decode would corrupt the repair.
+fn wide(policy: PolicyKind) -> ExperimentConfig {
+    ExperimentConfig::builder()
+        .policy(policy)
+        .p(13)
+        .cache_mb(1)
+        .chunk_kb(1)
+        .stripes(128)
+        .error_count(48)
+        .workers(128)
+        .gen_threads(1)
+        .build()
+        .unwrap()
+}
+
+/// Every damaged chunk of `plan` reads back from `backend` equal to the
+/// deterministic pre-damage content: each stripe's payload is seeded by
+/// its index, then encoded. Returns how many chunks were compared.
+fn assert_repaired_bytes(
+    cfg: &ExperimentConfig,
+    plan: &PlannedCampaign,
+    backend: &mut dyn StorageBackend,
+    label: &str,
+) -> usize {
+    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
+    let chunk_bytes = cfg.chunk_bytes() as usize;
+    let mut buf = vec![0u8; chunk_bytes];
+    let mut checked = 0usize;
+    for damage in plan.errors.damage_by_stripe() {
+        let mut pristine =
+            fbf::Stripe::patterned_seeded(code.layout(), chunk_bytes, damage.stripe as u64);
+        fbf::codes::encode::encode(&code, &mut pristine).unwrap();
+        for &cell in &damage.cells {
+            let chunk = ChunkId::new(damage.stripe, cell);
+            assert!(
+                backend.is_repaired(chunk),
+                "{label} left {chunk:?} unrepaired"
+            );
+            backend.read_chunk(chunk, &mut buf).unwrap();
+            assert_eq!(
+                &buf[..],
+                &pristine.get(code.layout(), cell)[..],
+                "{label} bytes, stripe {}",
+                damage.stripe
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// Every policy and both sharings, on [`small`] and [`wide`]. The payload
+/// slab leans on the policy contract (at most one eviction per insert,
+/// none on access) for all ten policies, so all ten run here — against
+/// `SimBackend`; `FileBackend` stays on two to keep the suite fast. Under
+/// a shared cache the engine interleaves workers on virtual time while
+/// the data plane runs them in turn, so hit counts may differ (see
+/// `backend_run`'s module docs): there the bytes and the recovered-chunk
+/// count are what must agree.
 #[test]
 fn sim_and_file_backends_agree_with_the_engine() {
-    for policy in [PolicyKind::Fbf, PolicyKind::Lru] {
-        let cfg = small(policy);
-        let engine = run_experiment(&cfg).unwrap();
-        let plan = PlannedCampaign::cold(&cfg).unwrap();
+    let counts_agree = |m: &Metrics, engine: &Metrics, label: &str| {
+        assert_eq!(m.disk_reads, engine.disk_reads, "{label}");
+        assert_eq!(m.disk_writes, engine.disk_writes, "{label}");
+        assert_eq!(m.hit_ratio, engine.hit_ratio, "{label}");
+        assert_eq!(m.stripes_repaired, engine.stripes_repaired, "{label}");
+    };
+    for policy in PolicyKind::EXTENDED {
+        for (shape, base) in [("small", small(policy)), ("wide", wide(policy))] {
+            for sharing in [CacheSharing::Partitioned, CacheSharing::Shared] {
+                let cfg = ExperimentConfig { sharing, ..base };
+                let engine = run_experiment(&cfg).unwrap();
+                let plan = PlannedCampaign::cold(&cfg).unwrap();
+                let label = format!("{policy:?}/{shape}/{sharing:?}");
 
-        let mut sim = sim_backend_for(&cfg, &plan).unwrap();
-        let sim_metrics = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+                let mut sim = sim_backend_for(&cfg, &plan).unwrap();
+                let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+                assert_eq!(m.chunks_recovered, engine.chunks_recovered, "{label}/sim");
+                if sharing == CacheSharing::Partitioned {
+                    counts_agree(&m, &engine, &format!("{label}/sim"));
+                }
+                assert_repaired_bytes(&cfg, &plan, &mut sim, &format!("{label}/sim"));
 
-        let scratch = Scratch::new(&format!("agree-{policy:?}"));
-        let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
-        let file_metrics = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
-
-        for (label, m) in [("sim", &sim_metrics), ("file", &file_metrics)] {
-            assert_eq!(m.disk_reads, engine.disk_reads, "{policy:?}/{label}");
-            assert_eq!(m.disk_writes, engine.disk_writes, "{policy:?}/{label}");
-            assert_eq!(m.hit_ratio, engine.hit_ratio, "{policy:?}/{label}");
-            assert_eq!(
-                m.stripes_repaired, engine.stripes_repaired,
-                "{policy:?}/{label}"
-            );
-            assert_eq!(
-                m.chunks_recovered, engine.chunks_recovered,
-                "{policy:?}/{label}"
-            );
+                if !matches!(policy, PolicyKind::Fbf | PolicyKind::Lru)
+                    || sharing == CacheSharing::Shared
+                {
+                    continue;
+                }
+                let scratch = Scratch::new(&format!("agree-{policy:?}-{shape}"));
+                let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
+                let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
+                assert_eq!(m.chunks_recovered, engine.chunks_recovered, "{label}/file");
+                counts_agree(&m, &engine, &format!("{label}/file"));
+                assert_repaired_bytes(&cfg, &plan, &mut file, &format!("{label}/file"));
+            }
         }
     }
 }
@@ -227,33 +300,11 @@ fn repaired_payloads_are_byte_identical_across_backends() {
     let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
     run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
 
-    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
-    let chunk_bytes = cfg.chunk_bytes() as usize;
-    let (mut from_sim, mut from_file) = (vec![0u8; chunk_bytes], vec![0u8; chunk_bytes]);
-    let mut checked = 0usize;
-    for damage in plan.errors.damage_by_stripe() {
-        // The ground truth is the deterministic pre-damage content: each
-        // stripe's payload is seeded by its index, then encoded.
-        let mut pristine =
-            fbf::Stripe::patterned_seeded(code.layout(), chunk_bytes, damage.stripe as u64);
-        fbf::codes::encode::encode(&code, &mut pristine).unwrap();
-        for &cell in &damage.cells {
-            let chunk = ChunkId::new(damage.stripe, cell);
-            assert!(sim.is_repaired(chunk), "sim left {chunk:?} unrepaired");
-            assert!(file.is_repaired(chunk), "file left {chunk:?} unrepaired");
-            sim.read_chunk(chunk, &mut from_sim).unwrap();
-            file.read_chunk(chunk, &mut from_file).unwrap();
-            let expect = &pristine.get(code.layout(), cell)[..];
-            assert_eq!(&from_sim[..], expect, "sim bytes, stripe {}", damage.stripe);
-            assert_eq!(
-                &from_file[..],
-                expect,
-                "file bytes, stripe {}",
-                damage.stripe
-            );
-            checked += 1;
-        }
-    }
+    let checked = assert_repaired_bytes(&cfg, &plan, &mut sim, "sim");
+    assert_eq!(
+        assert_repaired_bytes(&cfg, &plan, &mut file, "file"),
+        checked
+    );
     assert!(
         checked >= cfg.error_count,
         "campaign produced too few damaged chunks to be a meaningful check ({checked})"

@@ -140,6 +140,64 @@ fn counters_reconcile_with_metrics_and_replay_deterministically() {
     );
 }
 
+/// A file repair's trace says where its time went: one `decode_batch`
+/// span per batch, one `flush` span, and a `decode` counter carrying the
+/// payload slab's high-water mark and how many files the flush waited for.
+#[test]
+fn data_plane_trace_shows_the_flush() {
+    let _gate = lock();
+    let cfg = ExperimentConfig::builder()
+        .chunk_kb(1)
+        .cache_mb(1)
+        .stripes(64)
+        .error_count(16)
+        .workers(4)
+        .gen_threads(1)
+        .obs(true)
+        .build()
+        .unwrap();
+    let plan = fbf::core::PlannedCampaign::cold(&cfg).unwrap();
+    let dir = std::env::temp_dir().join(format!("fbf-obs-flush-{}", std::process::id()));
+    let mut backend = fbf::file_backend_for(&cfg, &plan, &dir).unwrap();
+
+    let run = |backend: &mut fbf::FileBackend| {
+        let counting = Arc::new(CountingSubscriber::default());
+        fbf::obs::install(counting.clone());
+        fbf::run_planned_on(&cfg, &plan, fbf::PlanSource::Cold, backend).unwrap();
+        fbf::obs::uninstall();
+        counting
+    };
+    // First repair: the format's writes are still unflushed, so the flush
+    // waits for every file.
+    let first = run(&mut backend);
+    let disks = plan.cols as u64;
+    assert_eq!(first.total("data_plane/decode/files_synced"), disks);
+    // The slab's ceiling: the cache, plus four batch lanes of a repair
+    // that reads fewer than 16 chunks.
+    let slots = first.total("data_plane/decode/payload_slots");
+    assert!(slots > 0 && slots <= cfg.cache_chunks() as u64 + 4 * 16);
+    assert_eq!(
+        first.events(),
+        first.total("data_plane/decode/batches") + 2,
+        "batch spans + the flush span + the decode counter"
+    );
+    // Second repair: only the files its spare writes touch.
+    let mapping = fbf::StorageBackend::mapping(&backend);
+    let written: std::collections::BTreeSet<usize> = plan
+        .errors
+        .damage_by_stripe()
+        .iter()
+        .flat_map(|d| d.cells.iter().map(|&c| fbf::ChunkId::new(d.stripe, c)))
+        .map(|chunk| mapping.disk_of(chunk))
+        .collect();
+    let second = run(&mut backend);
+    assert_eq!(
+        second.total("data_plane/decode/files_synced"),
+        written.len() as u64
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn class_digests_partition_read_totals() {
     let _gate = lock();

@@ -4,10 +4,12 @@
 //! memo is one stamp on the shared [`FormatPlan`](fbf::recovery::FormatPlan),
 //! and a worker script is one allocation sized before it is filled. Both
 //! are properties a timing cannot pin on a shared host and a counting
-//! allocator can: this file installs one (per-thread counters, so the
-//! test harness's other threads do not leak in) and holds the cold
-//! planning path to them.
+//! allocator can: `common` installs one and this file holds the cold
+//! planning path to it.
 
+mod common;
+
+use common::counted;
 use fbf::core::PlannedCampaign;
 use fbf::disksim::WorkerScript;
 use fbf::recovery::{
@@ -15,88 +17,6 @@ use fbf::recovery::{
     PartialStripeError, RecoveryController, RecoveryScheme, SchemeKind, StripePlan,
 };
 use fbf::{CodeSpec, ExperimentConfig, StripeCode};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Allocator calls made by the current thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Calls {
-    alloc: u64,
-    realloc: u64,
-    free: u64,
-    /// Bytes `realloc` was asked to preserve (what it may have to move).
-    realloc_bytes: u64,
-}
-
-impl Calls {
-    /// Calls that hand out memory (each is freed once, which is not
-    /// counted again).
-    fn total(&self) -> u64 {
-        self.alloc + self.realloc
-    }
-}
-
-thread_local! {
-    static CALLS: Cell<Calls> = const {
-        Cell::new(Calls { alloc: 0, realloc: 0, free: 0, realloc_bytes: 0 })
-    };
-}
-
-fn bump(update: impl FnOnce(&mut Calls)) {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|calls| {
-        let mut now = calls.get();
-        update(&mut now);
-        calls.set(now);
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(|c| c.alloc += 1);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(|c| c.alloc += 1);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(|c| c.free += 1);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(|c| {
-            c.realloc += 1;
-            c.realloc_bytes += layout.size() as u64;
-        });
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Run `work` and return what it made with the allocator calls it cost
-/// (dropping the result is not counted).
-fn counted<T>(work: impl FnOnce() -> T) -> (T, Calls) {
-    let before = CALLS.with(Cell::get);
-    let out = work();
-    let after = CALLS.with(Cell::get);
-    (
-        out,
-        Calls {
-            alloc: after.alloc - before.alloc,
-            realloc: after.realloc - before.realloc,
-            free: after.free - before.free,
-            realloc_bytes: after.realloc_bytes - before.realloc_bytes,
-        },
-    )
-}
 
 fn config(
     code: CodeSpec,
