@@ -192,9 +192,7 @@ pub fn run_planned_on(
                         }
                     };
                     let elapsed = SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
-                    report.read_response.record(elapsed);
-                    report.read_latency.record(elapsed);
-                    report.class_latency[class.index()].record(elapsed);
+                    report.record_read(class, elapsed);
                     read_idx += 1;
                     if !served {
                         // Hard failure: abandon the stripe. Remaining ops

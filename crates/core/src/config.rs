@@ -146,6 +146,15 @@ pub enum ConfigError {
         /// Disks in the array.
         disks: usize,
     },
+    /// A `kill` or `slow` fault names a disk the array does not have.
+    FaultDiskOutOfRange {
+        /// The config key of the fault.
+        key: &'static str,
+        /// The disk named.
+        disk: u32,
+        /// Disks in the array.
+        disks: usize,
+    },
     /// A zero-weight campaign would starve under deficit round robin.
     ZeroCampaignWeight(usize),
 }
@@ -180,6 +189,9 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "failed_disk {failed_disk} outside the {disks}-disk array"
                 )
+            }
+            ConfigError::FaultDiskOutOfRange { key, disk, disks } => {
+                write!(f, "{key} disk {disk} outside the {disks}-disk array")
             }
             ConfigError::ZeroCampaignWeight(campaign) => {
                 write!(f, "weight of campaign {campaign} must be at least 1")
@@ -415,6 +427,22 @@ impl ExperimentConfig {
                 cache_mb: self.cache_mb,
                 chunk_kb: self.chunk_kb,
             });
+        }
+        Ok(())
+    }
+
+    /// Refuse a `kill` or `slow` fault aimed at a disk an array of `disks`
+    /// disks lacks: the engine would never apply it, and the run would
+    /// pass for a faulted one.
+    pub(crate) fn check_fault_disks(&self, disks: usize) -> Result<(), ConfigError> {
+        let aimed = [
+            ("kill", self.faults.disk_kill.map(|k| k.disk)),
+            ("slow", self.faults.straggler.map(|s| s.disk)),
+        ];
+        for (key, disk) in aimed {
+            if let Some(disk) = disk.filter(|&d| d as usize >= disks) {
+                return Err(ConfigError::FaultDiskOutOfRange { key, disk, disks });
+            }
         }
         Ok(())
     }

@@ -56,7 +56,7 @@ use crate::plan::PlanStore;
 use crate::progress::Progress;
 use crate::sweep::{panic_message, SweepPoint};
 use fbf_codes::{Cell, ChunkId};
-use fbf_disksim::{EngineScratch, Histogram, RequestClass};
+use fbf_disksim::{Digest, EngineScratch, RequestClass};
 use fbf_obs::{BridgeSubscriber, Json, PromWriter};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -345,12 +345,6 @@ impl ClientStream {
         match self {
             ClientStream::Unix(s) => s.set_read_timeout(t),
             ClientStream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            ClientStream::Unix(s) => s.set_nonblocking(nb),
-            ClientStream::Tcp(s) => s.set_nonblocking(nb),
         }
     }
 }
@@ -848,7 +842,7 @@ fn cmd_metrics(ctx: &Ctx) -> Json {
 fn cmd_stat(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
     let [queued, running, done, failed] = state_counts(&jobs);
-    let mut merged: [Histogram; RequestClass::COUNT] = Default::default();
+    let mut merged: [Digest; RequestClass::COUNT] = Default::default();
     let job_list: Vec<Json> = by_id(&jobs)
         .into_iter()
         .map(|(id, job)| {
@@ -875,7 +869,7 @@ fn cmd_stat(ctx: &Ctx) -> Json {
     let classes: Vec<(&'static str, Json)> = RequestClass::ALL
         .iter()
         .map(|c| {
-            let l = ClassLatency::from_histogram(&merged[c.index()]);
+            let l = ClassLatency::from_digest(&merged[c.index()]);
             (c.name(), l.to_json_value())
         })
         .collect();
@@ -986,7 +980,6 @@ impl DaemonClient {
             ServerAddr::Unix(path) => ClientStream::Unix(UnixStream::connect(path)?),
             ServerAddr::Tcp(sock) => ClientStream::Tcp(TcpStream::connect(sock)?),
         };
-        stream.set_nonblocking(false)?;
         Ok(DaemonClient {
             stream,
             stop: AtomicBool::new(false),

@@ -156,7 +156,6 @@ fn merge_round(total: &mut RunReport, round: &RunReport) {
     total.disk_reads += round.disk_reads;
     total.disk_writes += round.disk_writes;
     total.read_response.merge(&round.read_response);
-    total.read_latency.merge(&round.read_latency);
     total.write_response.merge(&round.write_response);
     for (t, r) in total.class_latency.iter_mut().zip(&round.class_latency) {
         t.merge(r);
@@ -476,10 +475,10 @@ mod tests {
         assert!(out.rounds >= 1, "30‰ media errors must force a re-plan");
         let replan = &out.report.class_latency[RequestClass::Replan.index()];
         assert!(replan.count() > 0, "round ≥1 reads carry the replan class");
-        // The class digests partition the overall read-latency digest
-        // exactly, even across merged rounds.
+        // The class digests partition the run's reads exactly, even
+        // across merged rounds.
         let by_class: u64 = out.report.class_latency.iter().map(|h| h.count()).sum();
-        assert_eq!(by_class, out.report.read_latency.count());
+        assert_eq!(by_class, out.report.read_response.count);
     }
 
     #[test]

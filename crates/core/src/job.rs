@@ -212,6 +212,7 @@ impl Work {
         if rebuild {
             return rebuild_spec(req, cfg).map(Work::Rebuild);
         }
+        cfg.check_fault_disks(cfg.code.disks(cfg.p))?;
         let dir = req.get("dir").and_then(Json::as_str).map(PathBuf::from);
         let backend = match req.get("backend").and_then(Json::as_str) {
             Some("engine") | None => BackendKind::Engine,
@@ -409,6 +410,16 @@ mod tests {
                 "cannot place 9 errors on 4 stripes",
             ),
             (
+                r#"{"cmd":"repair","config":{"kill":"99@40"}}"#,
+                "config",
+                "kill disk 99 outside the 8-disk array",
+            ),
+            (
+                r#"{"cmd":"repair","config":{"code":"star","slow":"10@3000"}}"#,
+                "config",
+                "slow disk 10 outside the 10-disk array",
+            ),
+            (
                 r#"{"cmd":"repair","config":{"stripes":[4]}}"#,
                 "field",
                 "config.stripes must be a number or a string",
@@ -495,6 +506,11 @@ mod tests {
                 r#"{"cmd":"rebuild","failed_disk":100}"#,
                 "config",
                 "failed_disk 100 outside the 100-disk array",
+            ),
+            (
+                r#"{"cmd":"rebuild","disks":24,"config":{"kill":"30@5"}}"#,
+                "config",
+                "kill disk 30 outside the 24-disk array",
             ),
             (
                 r#"{"cmd":"rebuild","cap":0}"#,

@@ -5,7 +5,7 @@ use crate::config::SloSpec;
 use crate::faulted::FaultedOutcome;
 use crate::plan::PlanSource;
 use fbf_cache::CacheStats;
-use fbf_disksim::{FaultCounters, Histogram, RequestClass, RunReport, SimTime};
+use fbf_disksim::{Digest, FaultCounters, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
 use fbf_recovery::DataLoss;
 
@@ -30,17 +30,23 @@ pub struct ClassLatency {
     pub p999_ms: f64,
 }
 
+/// The `q`-quantile of a nanosecond latency digest, ms (0 when empty).
+fn quantile_ms(digest: &Digest, q: f64) -> f64 {
+    digest
+        .quantile_ns(q)
+        .map_or(0.0, |ns| SimTime::from_nanos(ns).as_millis_f64())
+}
+
 impl ClassLatency {
-    /// Tail summary of a latency histogram (the daemon's `stat` command
+    /// Tail summary of a latency digest (the daemon's `stat` command
     /// renders digests merged across jobs through this too).
-    pub fn from_histogram(h: &Histogram) -> Self {
-        let ms = |q: Option<SimTime>| q.map_or(0.0, |t| t.as_millis_f64());
+    pub fn from_digest(digest: &Digest) -> Self {
         ClassLatency {
-            count: h.count(),
-            p50_ms: ms(h.p50()),
-            p90_ms: ms(h.p90()),
-            p99_ms: ms(h.p99()),
-            p999_ms: ms(h.p999()),
+            count: digest.count(),
+            p50_ms: quantile_ms(digest, 0.50),
+            p90_ms: quantile_ms(digest, 0.90),
+            p99_ms: quantile_ms(digest, 0.99),
+            p999_ms: quantile_ms(digest, 0.999),
         }
     }
 
@@ -163,11 +169,11 @@ pub struct Metrics {
     /// Per-stripe data-loss verdicts (empty unless faults destroyed data).
     pub data_loss: Vec<DataLoss>,
     /// Per-class read-latency tail summaries, indexed by
-    /// [`RequestClass::index`]. Counts partition `read_latency` exactly.
+    /// [`RequestClass::index`]. Counts partition the run's reads exactly.
     pub class_latency: [ClassLatency; RequestClass::COUNT],
-    /// The per-class digests themselves (mergeable; Prometheus exposition
-    /// and SLO evaluation read these).
-    pub class_digests: [Histogram; RequestClass::COUNT],
+    /// The per-class nanosecond digests themselves (mergeable; Prometheus
+    /// exposition and SLO evaluation read these).
+    pub class_digests: [Digest; RequestClass::COUNT],
     /// Deepest any disk queue got during the run (high-water, merged via
     /// max across rounds and workers).
     pub queue_depth_max: u64,
@@ -190,13 +196,14 @@ impl Metrics {
     ) -> Self {
         let recon = report.makespan;
         let overhead_ms = overhead_host.as_secs_f64() * 1e3;
+        let reads = report.read_latency();
         Metrics {
             hit_ratio: report.cache.hit_ratio(),
             disk_reads: report.disk_reads,
             avg_response_ms: report.read_response.avg_millis(),
-            p50_response_ms: report.read_latency.p50().map_or(0.0, |t| t.as_millis_f64()),
-            p95_response_ms: report.read_latency.p95().map_or(0.0, |t| t.as_millis_f64()),
-            p99_response_ms: report.read_latency.p99().map_or(0.0, |t| t.as_millis_f64()),
+            p50_response_ms: quantile_ms(&reads, 0.50),
+            p95_response_ms: quantile_ms(&reads, 0.95),
+            p99_response_ms: quantile_ms(&reads, 0.99),
             reconstruction_s: recon.as_secs_f64(),
             repair_p50_s: completion_quantile(&report.write_completions, 0.50),
             repair_p90_s: completion_quantile(&report.write_completions, 0.90),
@@ -222,7 +229,7 @@ impl Metrics {
             stripes_unresolved: 0,
             data_loss: Vec::new(),
             class_latency: std::array::from_fn(|i| {
-                ClassLatency::from_histogram(&report.class_latency[i])
+                ClassLatency::from_digest(&report.class_latency[i])
             }),
             class_digests: report.class_latency.clone(),
             queue_depth_max: report.queue_depth_max(),
@@ -244,7 +251,7 @@ impl Metrics {
             let Some(threshold_ms) = spec.get(class).threshold_ms else {
                 continue;
             };
-            let digest = self.class_digests[class.index()].digest();
+            let digest = &self.class_digests[class.index()];
             let threshold_ns = (threshold_ms * 1e6).max(0.0) as u64;
             slot.active = true;
             slot.threshold_ms = threshold_ms;
@@ -484,10 +491,10 @@ mod tests {
         use fbf_disksim::DiskStats;
         let mut r = report();
         for _ in 0..90 {
-            r.class_latency[RequestClass::App.index()].record(SimTime::from_millis(2));
+            r.record_read(RequestClass::App, SimTime::from_millis(2));
         }
         for _ in 0..10 {
-            r.class_latency[RequestClass::Recovery.index()].record(SimTime::from_millis(40));
+            r.record_read(RequestClass::Recovery, SimTime::from_millis(40));
         }
         r.per_disk = vec![
             DiskStats {
@@ -515,9 +522,9 @@ mod tests {
     fn slo_verdict_passes_and_fails_per_class() {
         let mut r = report();
         for _ in 0..99 {
-            r.class_latency[RequestClass::App.index()].record(SimTime::from_millis(2));
+            r.record_read(RequestClass::App, SimTime::from_millis(2));
         }
-        r.class_latency[RequestClass::App.index()].record(SimTime::from_millis(100));
+        r.record_read(RequestClass::App, SimTime::from_millis(100));
         let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         assert!(m.slo.pass && !m.slo.evaluated, "vacuous until evaluated");
 
@@ -542,7 +549,7 @@ mod tests {
     #[test]
     fn json_text_parses_back_to_the_value_it_was_rendered_from() {
         let mut r = report();
-        r.class_latency[RequestClass::App.index()].record(SimTime::from_millis(2));
+        r.record_read(RequestClass::App, SimTime::from_millis(2));
         r.faults.media_errors = 3;
         let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.0));
@@ -574,7 +581,7 @@ mod tests {
     #[test]
     fn display_mentions_busy_classes_and_verdict() {
         let mut r = report();
-        r.class_latency[RequestClass::Recovery.index()].record(SimTime::from_millis(5));
+        r.record_read(RequestClass::Recovery, SimTime::from_millis(5));
         let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         m.evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 50.0, 0.0));
         let s = m.to_string();

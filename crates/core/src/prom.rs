@@ -46,7 +46,7 @@ pub fn prometheus_snapshot(points: &[SweepPoint]) -> String {
         stripes_lost += m.stripes_lost as u64;
         stripes_unresolved += m.stripes_unresolved as u64;
         for c in RequestClass::ALL {
-            class[c.index()].merge(m.class_digests[c.index()].digest());
+            class[c.index()].merge(&m.class_digests[c.index()]);
         }
         if m.slo.evaluated {
             slo_evaluated = true;

@@ -95,8 +95,9 @@ impl RebuildSpec {
     }
 
     /// Check the spec against the array `code`'s stripes go on, for what
-    /// the driver could otherwise only hit as a panic: [`execute_rebuild`]
-    /// and the daemon's request reader both refuse through here.
+    /// the driver could otherwise only hit as a panic or silently ignore
+    /// (a fault aimed past the last disk): [`execute_rebuild`] and the
+    /// request reader both refuse through here.
     pub fn validate(&self, code: &StripeCode) -> Result<(), ConfigError> {
         let disks = self.disks;
         if disks < code.cols() {
@@ -114,6 +115,7 @@ impl RebuildSpec {
                 disks,
             });
         }
+        self.base.check_fault_disks(disks)?;
         if self.per_disk_cap == 0 {
             return Err(ConfigError::Zero("cap"));
         }
@@ -308,12 +310,15 @@ pub fn execute_rebuild(
     failed_stripes.sort_unstable();
     failed_stripes.dedup();
     let app = RequestClass::App.index();
-    let to_ms = |t: Option<SimTime>| t.map(|v| v.as_secs_f64() * 1e3);
+    let app_ms = |q: f64| {
+        let ns = report.class_latency[app].quantile_ns(q);
+        ns.map(|ns| SimTime::from_nanos(ns).as_secs_f64() * 1e3)
+    };
     Ok(RebuildOutcome {
         reconstruction_s: report.makespan.as_secs_f64(),
         rebuild_skew: report.rebuild_read_skew(),
-        app_p99_ms: to_ms(report.class_latency[app].p99()),
-        app_p999_ms: to_ms(report.class_latency[app].p999()),
+        app_p99_ms: app_ms(0.99),
+        app_p999_ms: app_ms(0.999),
         per_disk_rebuild_reads: report.rebuild_reads_per_disk(),
         placement: spec.placement,
         fairness: spec.fairness,

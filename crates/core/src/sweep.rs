@@ -385,9 +385,6 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The cache sizes (MiB) the paper sweeps in its figures.
-pub const PAPER_CACHE_MB: [usize; 9] = [2, 8, 16, 32, 64, 128, 256, 512, 2048];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,13 +22,12 @@ use crate::array::ArrayMapping;
 use crate::buffer::{BufferCache, Lookup};
 use crate::disk::{DiskModel, DiskStats};
 use crate::equeue::{CalendarQueue, EventQueue};
-use crate::fault::{resolve_read, FailedRead, FaultCounters, FaultPlan, ReadOutcome};
-use crate::hist::Histogram;
+use crate::fault::{resolve_read, FailedRead, FaultCounters, FaultPlan, ReadFailure, ReadOutcome};
 use crate::sched::{DiskRequest, DiskSched, QueuedDisk};
 use crate::time::SimTime;
 use fbf_cache::{CacheStats, FbfConfig, FbfPolicy, FxHashMap, FxHashSet, PolicyKind, VdfPolicy};
 use fbf_codes::ChunkId;
-use fbf_obs::RequestClass;
+use fbf_obs::{Digest, RequestClass};
 
 /// One operation of a worker's script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,14 +221,12 @@ pub struct RunReport {
     pub disk_writes: u64,
     /// Response-time summary of chunk *read* requests (hit or miss).
     pub read_response: ResponseStats,
-    /// Full latency distribution of read requests (log buckets; p50/p95/
-    /// p99 queries).
-    pub read_latency: Histogram,
-    /// Read-latency digests split by [`RequestClass`], indexed by
-    /// [`RequestClass::index`]. Their counts partition
-    /// `read_latency.count()` exactly: every read completion (hit or
-    /// miss) lands in precisely one class digest.
-    pub class_latency: [Histogram; RequestClass::COUNT],
+    /// Read-latency digests (nanoseconds) split by [`RequestClass`],
+    /// indexed by [`RequestClass::index`]. Their counts partition
+    /// `read_response.count` exactly: every read completion (hit or miss)
+    /// lands in precisely one class digest. [`RunReport::read_latency`]
+    /// is their merge.
+    pub class_latency: [Digest; RequestClass::COUNT],
     /// Response-time summary of spare writes.
     pub write_response: ResponseStats,
     /// Completion instant of every spare write, in completion order — the
@@ -252,11 +249,21 @@ pub struct RunReport {
 
 impl RunReport {
     /// Account one read of a `class` script answered after `response`,
-    /// from the cache or a disk.
-    fn record_read(&mut self, class: RequestClass, response: SimTime) {
+    /// from the cache or a disk — the one place a read latency is
+    /// recorded, by the engine and the data plane alike.
+    pub fn record_read(&mut self, class: RequestClass, response: SimTime) {
         self.read_response.record(response);
-        self.read_latency.record(response);
-        self.class_latency[class.index()].record(response);
+        self.class_latency[class.index()].record_ns(response.as_nanos());
+    }
+
+    /// The latency distribution of every read, whatever its class: the
+    /// merge of [`RunReport::class_latency`].
+    pub fn read_latency(&self) -> Digest {
+        let mut all = Digest::new();
+        for class in &self.class_latency {
+            all.merge(class);
+        }
+        all
     }
 
     /// Account one disk request of a `class` script finishing at `done`.
@@ -417,6 +424,8 @@ impl<Q: EventQueue> EngineScratch<Q> {
 struct Step<'a> {
     worker: usize,
     class: RequestClass,
+    /// The cache slice the worker reads through.
+    slice: usize,
     now: SimTime,
     /// Ordinal of the engine event (see [`QueuedDisk::submit`]).
     event: u64,
@@ -498,53 +507,8 @@ impl Engine {
         scripts: &[WorkerScript],
         scratch: &mut EngineScratch<Q>,
     ) -> RunReport {
-        let cfg = &self.config;
-        let obs = cfg.obs && fbf_obs::enabled();
-        let run_span = if obs {
-            Some(fbf_obs::span("engine", "run"))
-        } else {
-            None
-        };
-        let workers = scripts.len();
-        let faults = cfg.faults;
-        let faulting = faults.is_active();
-        // Stripes with a hard read failure this run: their remaining
-        // script ops are abandoned (the controller re-plans them).
-        let mut failed_stripes: FxHashSet<u32> = FxHashSet::default();
-        // Chunks already rewritten to the spare area this run; their data
-        // has left the (possibly faulty) original location.
-        let mut repaired: FxHashSet<ChunkId> = FxHashSet::default();
-        let mut disks: Vec<QueuedDisk> = (0..cfg.mapping.disks)
-            .map(|i| {
-                let mut scale_milli: u64 = match cfg.straggler {
-                    Some((d, scale)) if d == i => (scale * 1000.0).round() as u64,
-                    _ => 1000,
-                };
-                if let Some(s) = faults.straggler {
-                    if s.disk as usize == i {
-                        scale_milli = scale_milli * u64::from(s.scale_milli) / 1000;
-                    }
-                }
-                let disk = QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli);
-                #[cfg(test)]
-                let disk = if self.fcfs_by_events {
-                    disk.dispatch_by_events()
-                } else {
-                    disk
-                };
-                disk
-            })
-            .collect();
-
-        let mut caches: Vec<BufferCache> = build_caches(cfg, workers);
-
-        // Two event kinds, ordered by (time, kind, id): disk completions
-        // before worker steps at the same instant (a completion is what
-        // unblocks its worker), ids breaking the remaining ties so runs
-        // replay exactly. Only reordering disks schedule completions.
-        const EV_DISK_DONE: u8 = 0;
-        const EV_WORKER: u8 = 1;
-        scratch.reset(workers);
+        let span = (self.config.obs && fbf_obs::enabled()).then(|| fbf_obs::span("engine", "run"));
+        scratch.reset(scripts.len());
         let EngineScratch {
             queue,
             next_op,
@@ -552,278 +516,356 @@ impl Engine {
             gather_floor,
             queued_on,
         } = scratch;
-        for w in (0..workers).filter(|&w| !scripts[w].ops.is_empty()) {
-            queue.push((SimTime::ZERO, EV_WORKER, w));
-        }
-        let mut report = RunReport {
-            per_disk_class_reads: vec![[0u64; RequestClass::COUNT]; cfg.mapping.disks],
-            ..Default::default()
-        };
-
+        let mut run = Run::new(self, scripts, queue, gather_left, gather_floor);
         // Ordinal of the event being handled (see `QueuedDisk::submit`).
         let mut event = 0u64;
-        while let Some((now, kind, id)) = queue.pop() {
+        while let Some((now, kind, id)) = run.queue.pop() {
             event += 1;
-            report.makespan = report.makespan.max(now);
-            match kind {
-                EV_DISK_DONE => {
-                    let req = disks[id].complete();
-                    report.record_completion(scripts[req.tag].class, &req, now);
-                    // The worker resumes when the last request its op
-                    // queued arrives.
-                    gather_left[req.tag] -= 1;
-                    if gather_left[req.tag] == 0 {
-                        queue.push((now.max(gather_floor[req.tag]), EV_WORKER, req.tag));
-                    }
-                    // Keep the disk busy if more work is pending.
-                    if let Some((_, done)) = disks[id].start_next() {
-                        queue.push((done, EV_DISK_DONE, id));
-                    }
-                }
-                _ => {
-                    let w = id;
-                    if next_op[w] >= scripts[w].ops.len() {
-                        continue; // final wake-up after the last op
-                    }
-                    let op = scripts[w].ops[next_op[w]];
-                    next_op[w] += 1;
-                    let class = scripts[w].class;
-                    queued_on.clear();
-                    let mut step = Step {
-                        worker: w,
-                        class,
-                        now,
-                        event,
-                        chunk_bytes: cfg.chunk_bytes,
-                        until: now,
-                        queued_on: &mut *queued_on,
-                    };
-                    match op {
-                        Op::Read { chunk, priority } => {
-                            if faulting && failed_stripes.contains(&chunk.stripe) {
-                                // The stripe already failed hard this run:
-                                // abandon the repair, let re-planning
-                                // handle it.
-                                report.faults.skipped_ops += 1;
-                                queue.push((now, EV_WORKER, w));
-                                continue;
-                            }
-                            let cache_idx = match cfg.sharing {
-                                CacheSharing::Shared => 0,
-                                CacheSharing::Partitioned => w,
-                            };
-                            let cache = &mut caches[cache_idx];
-                            match cache.access(chunk) {
-                                Lookup::Hit => {
-                                    report.record_read(class, cfg.cache_hit_time);
-                                    step.until = now + cfg.cache_hit_time;
-                                }
-                                Lookup::Miss => {
-                                    let disk = cfg.mapping.disk_of(chunk);
-                                    let mut delay = SimTime::ZERO;
-                                    if faulting && !repaired.contains(&chunk) {
-                                        let outcome = resolve_read(
-                                            faults.disk_dead(disk, now),
-                                            faults.draw(chunk),
-                                            &faults.retry,
-                                        );
-                                        report.faults.record(outcome, &faults.retry);
-                                        match outcome {
-                                            ReadOutcome::Ok { delay: d, .. } => delay = d,
-                                            ReadOutcome::Failed { kind, wasted } => {
-                                                // Hard failure: no frame is
-                                                // reserved (no data will
-                                                // arrive), the chunk becomes
-                                                // an extra erasure.
-                                                report.failed_reads.push(FailedRead {
-                                                    chunk,
-                                                    worker: w as u32,
-                                                    kind,
-                                                });
-                                                failed_stripes.insert(chunk.stripe);
-                                                queue.push((
-                                                    now + wasted + faults.retry.detect,
-                                                    EV_WORKER,
-                                                    w,
-                                                ));
-                                                continue;
-                                            }
-                                        }
-                                    }
-                                    // Reserve the frame at issue time (the
-                                    // usual anti-thundering-herd design);
-                                    // the worker blocks until the data
-                                    // arrives.
-                                    cache.insert(chunk, priority);
-                                    report.disk_reads += 1;
-                                    report.per_disk_class_reads[disk][class.index()] += 1;
-                                    let lba = cfg.mapping.lba_of(chunk);
-                                    step.issue(&mut disks, &mut report, disk, lba, false, delay);
-                                }
-                            }
-                        }
-                        Op::Compute { duration } => step.until = now + duration,
-                        Op::Gather { index } => {
-                            let group = &scripts[w].gathers[index as usize];
-                            if faulting {
-                                // Pre-scan the fan-out for hard failures:
-                                // classification is pure, so scanning
-                                // before issuing changes nothing, and a
-                                // doomed gather issues no I/O at all.
-                                let mut stale = false;
-                                let mut new_failure = false;
-                                let mut wasted = SimTime::ZERO;
-                                for &(chunk, _) in &group.chunks {
-                                    if failed_stripes.contains(&chunk.stripe) {
-                                        stale = true;
-                                        continue;
-                                    }
-                                    if repaired.contains(&chunk) {
-                                        continue;
-                                    }
-                                    let disk = cfg.mapping.disk_of(chunk);
-                                    let outcome = resolve_read(
-                                        faults.disk_dead(disk, now),
-                                        faults.draw(chunk),
-                                        &faults.retry,
-                                    );
-                                    if let ReadOutcome::Failed {
-                                        kind,
-                                        wasted: spent,
-                                    } = outcome
-                                    {
-                                        report.faults.record(outcome, &faults.retry);
-                                        wasted = wasted.max(spent);
-                                        report.failed_reads.push(FailedRead {
-                                            chunk,
-                                            worker: w as u32,
-                                            kind,
-                                        });
-                                        failed_stripes.insert(chunk.stripe);
-                                        new_failure = true;
-                                    }
-                                }
-                                if new_failure || stale {
-                                    report.faults.skipped_ops += 1;
-                                    let wait = if new_failure {
-                                        wasted + faults.retry.detect
-                                    } else {
-                                        SimTime::ZERO
-                                    };
-                                    queue.push((now + wait, EV_WORKER, w));
-                                    continue;
-                                }
-                            }
-                            let cache_idx = match cfg.sharing {
-                                CacheSharing::Shared => 0,
-                                CacheSharing::Partitioned => w,
-                            };
-                            for &(chunk, priority) in &group.chunks {
-                                let cache = &mut caches[cache_idx];
-                                match cache.access(chunk) {
-                                    Lookup::Hit => {
-                                        report.record_read(class, cfg.cache_hit_time);
-                                        step.until = step.until.max(now + cfg.cache_hit_time);
-                                    }
-                                    Lookup::Miss => {
-                                        cache.insert(chunk, priority);
-                                        report.disk_reads += 1;
-                                        let disk = cfg.mapping.disk_of(chunk);
-                                        report.per_disk_class_reads[disk][class.index()] += 1;
-                                        let mut delay = SimTime::ZERO;
-                                        if faulting && !repaired.contains(&chunk) {
-                                            // Only survivable transients
-                                            // remain after the pre-scan.
-                                            let outcome = resolve_read(
-                                                false,
-                                                faults.draw(chunk),
-                                                &faults.retry,
-                                            );
-                                            report.faults.record(outcome, &faults.retry);
-                                            if let ReadOutcome::Ok { delay: d, .. } = outcome {
-                                                delay = d;
-                                            }
-                                        }
-                                        let lba = cfg.mapping.lba_of(chunk);
-                                        step.issue(
-                                            &mut disks,
-                                            &mut report,
-                                            disk,
-                                            lba,
-                                            false,
-                                            delay,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        Op::Write { chunk } => {
-                            if faulting && failed_stripes.contains(&chunk.stripe) {
-                                // Never write a spare chunk whose repair
-                                // inputs could not be read.
-                                report.faults.skipped_ops += 1;
-                                queue.push((now, EV_WORKER, w));
-                                continue;
-                            }
-                            if faulting {
-                                // The chunk's data now lives in the spare
-                                // area (redirected to a hot spare if the
-                                // home disk is gone): later reads of it —
-                                // chained schemes deliberately re-read
-                                // repaired cells — are no longer subject
-                                // to the *original* location's fault
-                                // draws. Recorded at issue: the reader
-                                // that follows in program order observes
-                                // the write that precedes it.
-                                repaired.insert(chunk);
-                            }
-                            report.disk_writes += 1;
-                            let disk = cfg.mapping.disk_of(chunk);
-                            let lba = cfg.mapping.spare_lba_of(chunk, cfg.data_stripes);
-                            step.issue(&mut disks, &mut report, disk, lba, true, SimTime::ZERO);
-                        }
-                    }
-                    if step.queued_on.is_empty() {
-                        queue.push((step.until, EV_WORKER, w));
-                    } else {
-                        // The last of the queued requests to complete
-                        // resumes the worker (not before `until`).
-                        gather_left[w] = step.queued_on.len();
-                        gather_floor[w] = step.until;
-                        step.queued_on.sort_unstable();
-                        step.queued_on.dedup();
-                        for &disk in step.queued_on.iter() {
-                            if let Some((_, done)) = disks[disk].start_next() {
-                                queue.push((done, EV_DISK_DONE, disk));
-                            }
-                        }
-                    }
-                }
+            run.report.makespan = run.report.makespan.max(now);
+            if kind == EV_DISK_DONE {
+                run.disk_done(id, now);
+                continue;
             }
+            let Some(&op) = scripts[id].ops.get(next_op[id]) else {
+                continue; // final wake-up after the last op
+            };
+            next_op[id] += 1;
+            queued_on.clear();
+            let mut step = run.step(id, now, event, queued_on);
+            match op {
+                Op::Read { chunk, priority } => run.read(&mut step, chunk, priority),
+                Op::Compute { duration } => step.until = now + duration,
+                Op::Gather { index } => run.gather(&mut step, index),
+                Op::Write { chunk } => run.write(&mut step, chunk),
+            }
+            run.block(step);
         }
-        // Completions known at issue were pushed in issue order.
-        report.write_completions.sort_unstable();
+        run.finish(span)
+    }
+}
 
-        for cache in &caches {
-            report.cache.merge(&cache.stats());
+// Two event kinds, ordered by (time, kind, id): disk completions before
+// worker steps at the same instant (a completion is what unblocks its
+// worker), ids breaking the remaining ties so runs replay exactly. Only
+// reordering disks schedule completions.
+const EV_DISK_DONE: u8 = 0;
+const EV_WORKER: u8 = 1;
+
+/// What one [`Engine::run_with_scratch`] call carries from event to event,
+/// with one method per op; the call itself is the event loop.
+struct Run<'a, Q> {
+    cfg: &'a EngineConfig,
+    scripts: &'a [WorkerScript],
+    /// `cfg.faults.is_active()`, hoisted out of every op.
+    faulting: bool,
+    queue: &'a mut Q,
+    /// Per worker, under a reordering discipline: how many requests of its
+    /// current op are still queued, and the floor under its resume.
+    gather_left: &'a mut [usize],
+    gather_floor: &'a mut [SimTime],
+    disks: Vec<QueuedDisk>,
+    caches: Vec<BufferCache>,
+    /// Stripes with a hard read failure this run: their remaining script
+    /// ops are abandoned (the controller re-plans them).
+    failed_stripes: FxHashSet<u32>,
+    /// Chunks already rewritten to the spare area this run; their data
+    /// has left the (possibly faulty) original location.
+    repaired: FxHashSet<ChunkId>,
+    report: RunReport,
+}
+
+impl<'a, Q: EventQueue> Run<'a, Q> {
+    /// Build the disks and cache slices and queue every worker with work.
+    fn new(
+        engine: &'a Engine,
+        scripts: &'a [WorkerScript],
+        queue: &'a mut Q,
+        gather_left: &'a mut [usize],
+        gather_floor: &'a mut [SimTime],
+    ) -> Self {
+        let cfg = &engine.config;
+        let disks = (0..cfg.mapping.disks)
+            .map(|i| {
+                let mut scale_milli: u64 = match cfg.straggler {
+                    Some((d, scale)) if d == i => (scale * 1000.0).round() as u64,
+                    _ => 1000,
+                };
+                if let Some(s) = cfg.faults.straggler {
+                    if s.disk as usize == i {
+                        scale_milli = scale_milli * u64::from(s.scale_milli) / 1000;
+                    }
+                }
+                let disk = QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli);
+                #[cfg(test)]
+                let disk = if engine.fcfs_by_events {
+                    disk.dispatch_by_events()
+                } else {
+                    disk
+                };
+                disk
+            })
+            .collect();
+        for w in (0..scripts.len()).filter(|&w| !scripts[w].ops.is_empty()) {
+            queue.push((SimTime::ZERO, EV_WORKER, w));
         }
-        report.per_disk = disks.iter().map(QueuedDisk::stats).collect();
-        if obs {
-            let run_id = fbf_obs::next_run_id();
-            emit_run_events(cfg, &caches, &report, run_id);
-            if let Some(span) = run_span {
-                span.end_with(&[
-                    ("run", fbf_obs::Value::U64(run_id)),
-                    ("policy", fbf_obs::Value::Str(cfg.policy.name())),
-                    ("workers", fbf_obs::Value::U64(workers as u64)),
-                    (
-                        "makespan_ms",
-                        fbf_obs::Value::F64(report.makespan.as_millis_f64()),
-                    ),
-                ]);
+        Run {
+            cfg,
+            scripts,
+            faulting: cfg.faults.is_active(),
+            queue,
+            gather_left,
+            gather_floor,
+            disks,
+            caches: build_caches(cfg, scripts.len()),
+            failed_stripes: FxHashSet::default(),
+            repaired: FxHashSet::default(),
+            report: RunReport {
+                per_disk_class_reads: vec![[0u64; RequestClass::COUNT]; cfg.mapping.disks],
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Worker `worker` takes its next op at `now`, the loop's `event`-th.
+    fn step<'s>(
+        &self,
+        worker: usize,
+        now: SimTime,
+        event: u64,
+        queued_on: &'s mut Vec<usize>,
+    ) -> Step<'s> {
+        Step {
+            worker,
+            class: self.scripts[worker].class,
+            slice: match self.cfg.sharing {
+                CacheSharing::Shared => 0,
+                CacheSharing::Partitioned => worker,
+            },
+            now,
+            event,
+            chunk_bytes: self.cfg.chunk_bytes,
+            until: now,
+            queued_on,
+        }
+    }
+
+    /// `Op::Read`. Its fault is resolved only on a miss: a cached chunk
+    /// survives a dead disk.
+    fn read(&mut self, step: &mut Step, chunk: ChunkId, priority: u8) {
+        let cfg = self.cfg;
+        if self.faulting && self.failed_stripes.contains(&chunk.stripe) {
+            // The stripe already failed hard this run: abandon the repair,
+            // let re-planning handle it.
+            self.report.faults.skipped_ops += 1;
+            return;
+        }
+        if self.caches[step.slice].access(chunk) == Lookup::Hit {
+            self.report.record_read(step.class, cfg.cache_hit_time);
+            step.until = step.now + cfg.cache_hit_time;
+            return;
+        }
+        let disk = cfg.mapping.disk_of(chunk);
+        let mut delay = SimTime::ZERO;
+        if self.faulting && !self.repaired.contains(&chunk) {
+            let faults = &cfg.faults;
+            let outcome = resolve_read(
+                faults.disk_dead(disk, step.now),
+                faults.draw(chunk),
+                &faults.retry,
+            );
+            self.report.faults.record(outcome, &faults.retry);
+            match outcome {
+                ReadOutcome::Ok { delay: d, .. } => delay = d,
+                ReadOutcome::Failed { kind, wasted } => {
+                    // No frame is reserved: no data will arrive.
+                    self.fail(step.worker, chunk, kind);
+                    step.until = step.now + wasted + faults.retry.detect;
+                    return;
+                }
             }
         }
-        report
+        self.miss(step, chunk, priority, disk, delay);
+    }
+
+    /// `Op::Gather`. Under faults the whole fan-out is classified before
+    /// any chunk touches the cache: classification is pure, so scanning
+    /// first changes nothing, and a doomed gather issues no I/O at all.
+    fn gather(&mut self, step: &mut Step, index: u32) {
+        let (cfg, scripts) = (self.cfg, self.scripts);
+        let faults = &cfg.faults;
+        let group = &scripts[step.worker].gathers[index as usize];
+        if self.faulting {
+            let mut stale = false;
+            let mut new_failure = false;
+            let mut wasted = SimTime::ZERO;
+            for &(chunk, _) in &group.chunks {
+                if self.failed_stripes.contains(&chunk.stripe) {
+                    stale = true;
+                    continue;
+                }
+                if self.repaired.contains(&chunk) {
+                    continue;
+                }
+                let disk = cfg.mapping.disk_of(chunk);
+                let outcome = resolve_read(
+                    faults.disk_dead(disk, step.now),
+                    faults.draw(chunk),
+                    &faults.retry,
+                );
+                if let ReadOutcome::Failed {
+                    kind,
+                    wasted: spent,
+                } = outcome
+                {
+                    self.report.faults.record(outcome, &faults.retry);
+                    wasted = wasted.max(spent);
+                    self.fail(step.worker, chunk, kind);
+                    new_failure = true;
+                }
+            }
+            if new_failure || stale {
+                self.report.faults.skipped_ops += 1;
+                if new_failure {
+                    step.until = step.now + wasted + faults.retry.detect;
+                }
+                return;
+            }
+        }
+        for &(chunk, priority) in &group.chunks {
+            if self.caches[step.slice].access(chunk) == Lookup::Hit {
+                self.report.record_read(step.class, cfg.cache_hit_time);
+                step.until = step.until.max(step.now + cfg.cache_hit_time);
+                continue;
+            }
+            let mut delay = SimTime::ZERO;
+            if self.faulting && !self.repaired.contains(&chunk) {
+                // Only survivable transients remain after the pre-scan.
+                let outcome = resolve_read(false, faults.draw(chunk), &faults.retry);
+                self.report.faults.record(outcome, &faults.retry);
+                if let ReadOutcome::Ok { delay: d, .. } = outcome {
+                    delay = d;
+                }
+            }
+            let disk = cfg.mapping.disk_of(chunk);
+            self.miss(step, chunk, priority, disk, delay);
+        }
+    }
+
+    /// `Op::Write`: the recovered chunk goes to its disk's spare area.
+    fn write(&mut self, step: &mut Step, chunk: ChunkId) {
+        let cfg = self.cfg;
+        if self.faulting {
+            if self.failed_stripes.contains(&chunk.stripe) {
+                // Never write a spare chunk whose repair inputs could not
+                // be read.
+                self.report.faults.skipped_ops += 1;
+                return;
+            }
+            // The chunk's data now lives in the spare area (redirected to a
+            // hot spare if the home disk is gone): later reads of it —
+            // chained schemes deliberately re-read repaired cells — are no
+            // longer subject to the *original* location's fault draws.
+            // Recorded at issue: the reader that follows in program order
+            // observes the write that precedes it.
+            self.repaired.insert(chunk);
+        }
+        self.report.disk_writes += 1;
+        let disk = cfg.mapping.disk_of(chunk);
+        let lba = cfg.mapping.spare_lba_of(chunk, cfg.data_stripes);
+        step.issue(
+            &mut self.disks,
+            &mut self.report,
+            disk,
+            lba,
+            true,
+            SimTime::ZERO,
+        );
+    }
+
+    /// The one cache-miss path of `read` and `gather`: reserve the frame
+    /// at issue time (the usual anti-thundering-herd design), count the
+    /// read against its disk and class, and issue it; the worker blocks
+    /// until the data arrives.
+    fn miss(&mut self, step: &mut Step, chunk: ChunkId, priority: u8, disk: usize, delay: SimTime) {
+        self.caches[step.slice].insert(chunk, priority);
+        self.report.disk_reads += 1;
+        self.report.per_disk_class_reads[disk][step.class.index()] += 1;
+        let lba = self.cfg.mapping.lba_of(chunk);
+        step.issue(&mut self.disks, &mut self.report, disk, lba, false, delay);
+    }
+
+    /// The one hard-failure record: the chunk becomes an extra erasure the
+    /// controller must re-plan around, and its stripe's remaining ops are
+    /// abandoned.
+    fn fail(&mut self, worker: usize, chunk: ChunkId, kind: ReadFailure) {
+        self.report.failed_reads.push(FailedRead {
+            chunk,
+            worker: worker as u32,
+            kind,
+        });
+        self.failed_stripes.insert(chunk.stripe);
+    }
+
+    /// A reordering disk finished its request at `now`.
+    fn disk_done(&mut self, disk: usize, now: SimTime) {
+        let req = self.disks[disk].complete();
+        let worker = req.tag;
+        self.report
+            .record_completion(self.scripts[worker].class, &req, now);
+        // The worker resumes when the last request its op queued arrives.
+        self.gather_left[worker] -= 1;
+        if self.gather_left[worker] == 0 {
+            let resume = now.max(self.gather_floor[worker]);
+            self.queue.push((resume, EV_WORKER, worker));
+        }
+        // Keep the disk busy if more work is pending.
+        if let Some((_, done)) = self.disks[disk].start_next() {
+            self.queue.push((done, EV_DISK_DONE, disk));
+        }
+    }
+
+    /// Schedule the worker's next step: at `until`, or — when its op queued
+    /// requests — when the last of them completes (not before `until`).
+    fn block(&mut self, step: Step) {
+        let w = step.worker;
+        if step.queued_on.is_empty() {
+            self.queue.push((step.until, EV_WORKER, w));
+            return;
+        }
+        self.gather_left[w] = step.queued_on.len();
+        self.gather_floor[w] = step.until;
+        step.queued_on.sort_unstable();
+        step.queued_on.dedup();
+        for &disk in step.queued_on.iter() {
+            if let Some((_, done)) = self.disks[disk].start_next() {
+                self.queue.push((done, EV_DISK_DONE, disk));
+            }
+        }
+    }
+
+    /// The report: cache and disk totals folded in, and — under an obs
+    /// `span` — the run's events published.
+    fn finish(mut self, span: Option<fbf_obs::Span>) -> RunReport {
+        // Completions known at issue were pushed in issue order.
+        self.report.write_completions.sort_unstable();
+        for cache in &self.caches {
+            self.report.cache.merge(&cache.stats());
+        }
+        self.report.per_disk = self.disks.iter().map(QueuedDisk::stats).collect();
+        if let Some(span) = span {
+            let run_id = fbf_obs::next_run_id();
+            emit_run_events(self.cfg, &self.caches, &self.report, run_id);
+            span.end_with(&[
+                ("run", fbf_obs::Value::U64(run_id)),
+                ("policy", fbf_obs::Value::Str(self.cfg.policy.name())),
+                ("workers", fbf_obs::Value::U64(self.scripts.len() as u64)),
+                (
+                    "makespan_ms",
+                    fbf_obs::Value::F64(self.report.makespan.as_millis_f64()),
+                ),
+            ]);
+        }
+        self.report
     }
 }
 
@@ -1233,17 +1275,23 @@ mod tests {
             transient_failures_max: 1, // always exactly one stall
             ..FaultPlan::none()
         };
-        let script = WorkerScript {
+        let read = WorkerScript {
             ops: vec![read(0, 0, 0)],
             ..Default::default()
         };
-        let report = Engine::new(fault_config(plan)).run(&[script]);
-        assert_eq!(report.faults.transient_faults, 1);
-        assert_eq!(report.faults.retries, 1);
-        assert!(report.failed_reads.is_empty(), "the retry succeeded");
-        assert_eq!(report.disk_reads, 1);
-        // 10 ms service + one stall (10 ms timeout + 5 ms backoff).
-        assert_eq!(report.makespan, SimTime::from_millis(25));
+        // A gather pre-scans its fan-out, then draws again at issue: the
+        // transient is still booked once.
+        let mut gather = WorkerScript::default();
+        gather.push_gather(vec![(chunk(0, 0, 0), 1)]);
+        for script in [read, gather] {
+            let report = Engine::new(fault_config(plan)).run(&[script]);
+            assert_eq!(report.faults.transient_faults, 1);
+            assert_eq!(report.faults.retries, 1);
+            assert!(report.failed_reads.is_empty(), "the retry succeeded");
+            assert_eq!(report.disk_reads, 1);
+            // 10 ms service + one stall (10 ms timeout + 5 ms backoff).
+            assert_eq!(report.makespan, SimTime::from_millis(25));
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod disk;
 pub mod engine;
 pub mod equeue;
 pub mod fault;
-pub mod hist;
 pub mod sched;
 pub mod time;
 
@@ -47,6 +46,5 @@ pub use fault::{
     ReadFailure, ReadOutcome, RetryPolicy, SlowDisk,
 };
 pub use fbf_obs::{Digest, RequestClass};
-pub use hist::Histogram;
 pub use sched::{DiskSched, QueuedDisk};
 pub use time::SimTime;

@@ -4,7 +4,7 @@
 //! The paper's headline claims are *tail* claims: FBF wins by cutting
 //! recovery read cost, which shows up at p99/p999 under mixed traffic. A
 //! mean hides that; a sorted vector of every sample does not scale to
-//! sweep campaigns. [`Digest`] is the middle ground: HdrHistogram-style
+//! sweep campaigns. [`Digest`] is the middle ground: HDR-histogram-style
 //! fixed log-linear bucketing (8 sub-buckets per power of two, covering
 //! 1 ns .. 2^40 ns) with *deterministic, associative, commutative* merge —
 //! per-worker digests recorded independently combine at sweep gather time
@@ -22,8 +22,9 @@
 //!   (~9% relative width) of the sorted-vector oracle.
 //!
 //! The bucketing math here is the single source of truth: the simulator's
-//! [`Histogram`](../../disksim/src/hist.rs) wraps a `Digest`, so engine
-//! quantiles, sweep CSVs and Prometheus exposition all agree bit-for-bit.
+//! run report keeps its per-class read latencies as `Digest`s of
+//! nanoseconds, so engine quantiles, sweep CSVs and Prometheus exposition
+//! all agree bit-for-bit.
 
 /// Sub-buckets per power of two — 2^(1/8) spacing ≈ 9% relative resolution.
 pub const SUB_BUCKETS: usize = 8;
@@ -371,6 +372,56 @@ mod tests {
         let mut empty = Digest::new();
         empty.merge(&snapshot);
         assert_eq!(empty, snapshot, "merging into an empty digest must copy");
+    }
+
+    #[test]
+    fn bucket_edges_pinned() {
+        let b = Digest::bucket_of_ns;
+        // Decade lz=0 (1 ns): no sub-resolution possible.
+        assert_eq!(b(0), 0, "0 clamps to 1 ns");
+        assert_eq!(b(1), 0);
+        // Decade lz=1 (2..4 ns): 2 values over 8 sub-buckets.
+        assert_eq!(b(2), 8);
+        assert_eq!(b(3), 12);
+        // Decade lz=2 (4..8 ns): 4 values, every other sub-bucket.
+        assert_eq!(b(4), 16);
+        assert_eq!(b(5), 18);
+        assert_eq!(b(6), 20);
+        assert_eq!(b(7), 22);
+        // From 8 ns up, full 8-way sub-resolution.
+        assert_eq!(b(8), 24);
+        assert_eq!(b(9), 25);
+        assert_eq!(b(15), 31);
+        assert_eq!(b(16), 32);
+        // Every power of two starts its decade.
+        for lz in 0..40usize {
+            assert_eq!(b(1u64 << lz), lz * SUB_BUCKETS, "2^{lz}");
+        }
+    }
+
+    #[test]
+    fn sub_nanosecond_decades_resolve() {
+        // The old math collapsed everything under 8 ns into its decade's
+        // first sub-bucket; 3, 6, and 7 ns must now resolve distinctly.
+        let b = Digest::bucket_of_ns;
+        assert_ne!(b(2), b(3));
+        assert_ne!(b(4), b(6));
+        assert_ne!(b(6), b(7));
+    }
+
+    #[test]
+    fn bucket_value_is_an_upper_edge() {
+        // Exhaustively over the small decades: each value is at most its
+        // bucket's upper edge — quantile estimates then never under-report
+        // — and the bucket index never decreases as the value grows.
+        let mut prev = 0usize;
+        for ns in 1..=65_536u64 {
+            let bucket = Digest::bucket_of_ns(ns);
+            let edge = Digest::bucket_upper_ns(bucket);
+            assert!(edge >= ns, "bucket_upper_ns({bucket}) = {edge} < {ns}");
+            assert!(bucket >= prev, "bucket_of_ns({ns}) = {bucket} < {prev}");
+            prev = bucket;
+        }
     }
 
     #[test]

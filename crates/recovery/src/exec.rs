@@ -12,7 +12,6 @@
 //! originals — the schemes are not just plausible, they are *correct*.
 
 use crate::controller::StripePlan;
-use crate::error::ErrorGroup;
 use crate::priority::{PriorityDictionary, PriorityTable};
 use crate::scheme::RecoveryScheme;
 use fbf_codes::{ChunkId, CodeError, Stripe, StripeCode};
@@ -217,38 +216,10 @@ pub fn apply_scheme(
     Ok(())
 }
 
-/// Total chunk-read references a campaign will issue (cache-independent).
-pub fn total_read_refs(schemes: &[RecoveryScheme]) -> usize {
-    schemes.iter().map(|s| s.total_read_slots()).sum()
-}
-
-/// Helper: campaign statistics for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CampaignShape {
-    /// Number of stripes under repair.
-    pub stripes: usize,
-    /// Total lost chunks.
-    pub lost_chunks: usize,
-    /// Total read references.
-    pub read_refs: usize,
-    /// Distinct chunks fetched.
-    pub unique_reads: usize,
-}
-
-/// Summarise a campaign.
-pub fn campaign_shape(group: &ErrorGroup, schemes: &[RecoveryScheme]) -> CampaignShape {
-    CampaignShape {
-        stripes: schemes.len(),
-        lost_chunks: group.total_lost_chunks(),
-        read_refs: total_read_refs(schemes),
-        unique_reads: schemes.iter().map(|s| s.unique_reads()).sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PartialStripeError;
+    use crate::error::{ErrorGroup, PartialStripeError};
     use crate::scheme::{generate, SchemeKind};
     use fbf_codes::encode::encode;
     use fbf_codes::CodeSpec;
@@ -458,22 +429,5 @@ mod tests {
                 ..Default::default()
             },
         );
-    }
-
-    #[test]
-    fn campaign_shape_sums() {
-        let (code, _) = setup();
-        let mut group = ErrorGroup::new();
-        let mut schemes = Vec::new();
-        for s in 0..3 {
-            let e = PartialStripeError::new(&code, s, 0, 0, 4).unwrap();
-            group.push(e);
-            schemes.push(generate(&code, &e, SchemeKind::FbfCycling).unwrap());
-        }
-        let shape = campaign_shape(&group, &schemes);
-        assert_eq!(shape.stripes, 3);
-        assert_eq!(shape.lost_chunks, 12);
-        assert_eq!(shape.read_refs, total_read_refs(&schemes));
-        assert!(shape.unique_reads <= shape.read_refs);
     }
 }

@@ -46,7 +46,7 @@ pub use exec::{
     apply_scheme, build_scripts, build_scripts_borrowed, build_scripts_from_plans, ExecConfig,
 };
 pub use joint::JointRepair;
-pub use parallel::{assign_round_robin, generate_schemes_parallel, plan_campaign_parallel};
+pub use parallel::{generate_schemes_parallel, plan_campaign_parallel};
 pub use priority::PriorityDictionary;
 pub use rebuild::{rebuild_campaign, rebuild_read_ratio, Fairness, RebuildItem, RebuildScheduler};
 pub use scheme::{ChunkRepair, FormatPlan, RecoveryScheme, SchemeError, SchemeKind};

@@ -3,8 +3,7 @@
 //! Two layers of parallelism exist in this reproduction:
 //!
 //! * **Inside the simulation** — SOR workers are *logical* processes whose
-//!   contention the engine models in virtual time; [`assign_round_robin`]
-//!   partitions stripes over them.
+//!   contention the engine models in virtual time.
 //! * **On the host** — campaign planning is pure CPU work, embarrassingly
 //!   parallel per stripe. [`plan_campaign_parallel`] — the planning path of
 //!   every `gen_threads` value — runs one format-memoising
@@ -20,17 +19,6 @@ use crate::error::{ErrorGroup, StripeDamage};
 use crate::priority::PriorityDictionary;
 use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::StripeCode;
-
-/// Assign error indices to `workers` queues round-robin (SOR's
-/// stripe-oriented partitioning).
-pub fn assign_round_robin(group: &ErrorGroup, workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1).min(group.len().max(1));
-    let mut queues = vec![Vec::new(); workers];
-    for i in 0..group.len() {
-        queues[i % workers].push(i);
-    }
-    queues
-}
 
 /// Run `work` over contiguous slices of `damages` on up to `threads` host
 /// threads (`0` = one per available CPU, never more than one per stripe);
@@ -132,27 +120,6 @@ mod tests {
             g.push(PartialStripeError::new(code, s, col, 0, len).unwrap());
         }
         g
-    }
-
-    #[test]
-    fn round_robin_covers_everything_evenly() {
-        let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
-        let g = group(&code, 10);
-        let queues = assign_round_robin(&g, 3);
-        assert_eq!(queues.len(), 3);
-        let mut seen: Vec<usize> = queues.concat();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        let sizes: Vec<usize> = queues.iter().map(|q| q.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-    }
-
-    #[test]
-    fn round_robin_more_workers_than_errors() {
-        let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
-        let g = group(&code, 2);
-        let queues = assign_round_robin(&g, 16);
-        assert_eq!(queues.len(), 2);
     }
 
     #[test]

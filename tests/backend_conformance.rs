@@ -108,6 +108,15 @@ fn assert_repaired_bytes(
     checked
 }
 
+/// Every read the data plane answered — hit, miss or hard failure — was
+/// recorded once (`RunReport::record_read`) into exactly one class
+/// digest: the class counts sum to the report's `read_response.count`,
+/// which on the data plane is one per cache access.
+fn assert_reads_recorded_once(m: &Metrics, label: &str) {
+    let by_class: u64 = m.class_digests.iter().map(|d| d.count()).sum();
+    assert_eq!(by_class, m.cache.hits + m.cache.misses, "{label}");
+}
+
 /// Every policy and both sharings, on [`small`] and [`wide`]. The payload
 /// slab leans on the policy contract (at most one eviction per insert,
 /// none on access) for all ten policies, so all ten run here — against
@@ -135,6 +144,7 @@ fn sim_and_file_backends_agree_with_the_engine() {
                 let mut sim = sim_backend_for(&cfg, &plan).unwrap();
                 let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
                 assert_eq!(m.chunks_recovered, engine.chunks_recovered, "{label}/sim");
+                assert_reads_recorded_once(&m, &format!("{label}/sim"));
                 if sharing == CacheSharing::Partitioned {
                     counts_agree(&m, &engine, &format!("{label}/sim"));
                 }
@@ -149,6 +159,7 @@ fn sim_and_file_backends_agree_with_the_engine() {
                 let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
                 let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
                 assert_eq!(m.chunks_recovered, engine.chunks_recovered, "{label}/file");
+                assert_reads_recorded_once(&m, &format!("{label}/file"));
                 counts_agree(&m, &engine, &format!("{label}/file"));
                 assert_repaired_bytes(&cfg, &plan, &mut file, &format!("{label}/file"));
             }
@@ -285,6 +296,7 @@ fn fault_counters_match_one_engine_pass() {
         assert_eq!(f.dead_disk_reads > 0, disk_kill.is_some());
         assert_eq!(data.faults, f, "kill: {disk_kill:?}");
         assert_eq!(data.disk_reads, engine.disk_reads, "kill: {disk_kill:?}");
+        assert_reads_recorded_once(&data, &format!("kill: {disk_kill:?}"));
     }
 }
 
