@@ -87,15 +87,16 @@ pub struct FaultedOutcome {
 }
 
 /// Engine passes run back to back on one virtual clock: escalation
-/// rounds here, waves in the array-wide rebuild driver. The first pass
-/// runs under the configured fault plan; by every later one a scheduled
-/// disk kill has happened, so its instant moves to time zero — the disk
-/// died in an earlier pass and stays dead.
+/// rounds here, waves in the array-wide rebuild driver. A pass's engine
+/// depends on its index alone. The first pass runs under the configured
+/// fault plan; by every later one a scheduled disk kill has happened, so
+/// its instant moves to time zero — the disk died in an earlier pass and
+/// stays dead. Passes may therefore run in any order and on any thread,
+/// as long as their reports are folded into a [`Merged`] in pass order.
 pub(crate) struct Passes<'a> {
     cfg: &'a ExperimentConfig,
     mapping: ArrayMapping,
     victim_map: Arc<FxHashMap<u32, u16>>,
-    total: Option<RunReport>,
 }
 
 impl<'a> Passes<'a> {
@@ -108,27 +109,56 @@ impl<'a> Passes<'a> {
             cfg,
             mapping,
             victim_map,
-            total: None,
         }
     }
 
-    /// Run `scripts` as the next pass and fold its report into the total;
-    /// returns the hard read failures of this pass alone.
-    pub(crate) fn run(
-        &mut self,
-        scripts: &[WorkerScript],
-        scratch: &mut EngineScratch,
-    ) -> &[FailedRead] {
+    /// The engine that runs pass `pass` (counted from 0).
+    pub(crate) fn engine(&self, pass: usize) -> Engine {
         let mut faults = self.cfg.faults;
-        if self.total.is_some() {
+        if pass > 0 {
             if let Some(kill) = faults.disk_kill.as_mut() {
                 kill.at = SimTime::ZERO;
             }
         }
-        let config =
-            self.cfg
-                .engine_config(self.mapping.clone(), Arc::clone(&self.victim_map), faults);
-        let pass = Engine::new(config).run_with_scratch(scripts, scratch);
+        Engine::new(self.cfg.engine_config(
+            self.mapping.clone(),
+            Arc::clone(&self.victim_map),
+            faults,
+        ))
+    }
+
+    /// Run `scripts` as the next pass of `merged` and fold it in; returns
+    /// the hard read failures of this pass alone.
+    pub(crate) fn run<'m>(
+        &self,
+        merged: &'m mut Merged,
+        scripts: &[WorkerScript],
+        scratch: &mut EngineScratch,
+    ) -> &'m [FailedRead] {
+        let report = self
+            .engine(merged.passes())
+            .run_with_scratch(scripts, scratch);
+        merged.absorb(report)
+    }
+}
+
+/// Pass reports folded in pass order into one total.
+#[derive(Default)]
+pub(crate) struct Merged {
+    total: Option<RunReport>,
+    passes: usize,
+}
+
+impl Merged {
+    /// Passes folded so far: the index of the next one.
+    pub(crate) fn passes(&self) -> usize {
+        self.passes
+    }
+
+    /// Fold the next pass's report into the total; returns that pass's
+    /// hard read failures.
+    pub(crate) fn absorb(&mut self, pass: RunReport) -> &[FailedRead] {
+        self.passes += 1;
         let failures = pass.failed_reads.len();
         let total = match &mut self.total {
             Some(total) => {
@@ -217,8 +247,9 @@ fn execute_capped(
     max_rounds: u64,
 ) -> FaultedOutcome {
     let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
-    let mut passes = Passes::new(cfg, mapping, Arc::clone(&plan.victim_map));
-    let mut pending = passes.run(&plan.scripts, scratch).to_vec();
+    let passes = Passes::new(cfg, mapping, Arc::clone(&plan.victim_map));
+    let mut merged = Merged::default();
+    let mut pending = passes.run(&mut merged, &plan.scripts, scratch).to_vec();
     // Every hard failure is one failed read.
     let mut failures = pending.len() as u64;
     if let Some(p) = progress {
@@ -284,7 +315,7 @@ fn execute_capped(
             for p in absorbed.replans {
                 final_plans.insert(p.stripe(), p);
             }
-            pending = passes.run(&scripts, scratch).to_vec();
+            pending = passes.run(&mut merged, &scripts, scratch).to_vec();
             failures += pending.len() as u64;
             publish(failures);
         }
@@ -349,7 +380,7 @@ fn execute_capped(
         (replans, rounds) = (escalator.replans(), escalator.rounds());
     }
     FaultedOutcome {
-        report: passes.finish(),
+        report: merged.finish(),
         replans,
         rounds,
         data_loss,

@@ -17,37 +17,45 @@
 //!    one each — per-stripe placements are injective) and shard them
 //!    round-robin into repair *campaigns*.
 //! 2. **Plan** each campaign through the shared
-//!    [`PlanStore`](crate::plan::PlanStore) via
-//!    [`plan_custom`](crate::plan::PlanStore::plan_custom): a full-column
+//!    [`PlanStore`](crate::plan::PlanStore): a full-column
 //!    [`PartialStripeError`](fbf_recovery::PartialStripeError) per stripe,
-//!    lowered by the same scheme generators as every other experiment.
-//!    Shard configs salt the campaign seed so each shard gets its own
+//!    planned by the same scheme generators as every other experiment but
+//!    lowered to no scripts — the waves lower their own. Shard configs
+//!    salt the campaign seed so each shard gets its own
 //!    [`PlanKey`](crate::plan::PlanKey).
 //! 3. **Schedule**: each stripe's projected per-disk read footprint — one
 //!    read histogram per lost column, projected through the stripe's
 //!    placement — feeds
 //!    a [`RebuildScheduler`], which admits *waves* bounded by a per-disk
 //!    read cap and arbitrated by a [`Fairness`] policy (round-robin or
-//!    deficit-weighted) across the campaigns.
+//!    deficit-weighted) across the campaigns. Admission never looks at a
+//!    simulated outcome, so every wave is known before the first runs.
 //! 4. **Simulate** each wave as one engine pass — recovery scripts plus an
-//!    optional foreground application-read script — and merge the waves
-//!    back-to-back on one virtual clock exactly as faulted rounds merge
-//!    (the passes of [`crate::faulted`]).
+//!    optional foreground application-read script seeded by the wave's
+//!    index — and merge the waves back-to-back on one virtual clock
+//!    exactly as faulted rounds merge (the passes of [`crate::faulted`]).
+//!    No pass reads another's outcome, so the waves run on the host's
+//!    cores and their reports fold strictly in wave order: the outcome is
+//!    the same on any number of threads.
 //!
 //! The outcome carries the clustered-vs-declustered comparison metrics:
 //! reconstruction time, per-disk rebuild-read balance and skew, and
 //! foreground p99/p999 during the rebuild.
 
 use crate::config::{ConfigError, ExperimentConfig};
-use crate::faulted::Passes;
+use crate::faulted::{Merged, Passes};
 use crate::plan::{PlanStore, PlannedCampaign};
 use crate::runner::RunError;
+use crate::sweep::{host_threads, work_steal};
 use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
 use fbf_disksim::{ArrayMapping, EngineScratch, Placement, RequestClass, RunReport, SimTime};
 use fbf_obs::Json;
-use fbf_recovery::{ErrorGroup, ExecConfig, Fairness, RebuildItem, RebuildScheduler};
-use std::sync::Arc;
+use fbf_recovery::{
+    ErrorGroup, ExecConfig, Fairness, RebuildItem, RebuildScheduler, RecoveryScheme,
+};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One array-wide rebuild, fully specified.
 #[derive(Debug, Clone)]
@@ -212,13 +220,40 @@ pub fn run_rebuild(spec: &RebuildSpec) -> Result<RebuildOutcome, RunError> {
     execute_rebuild(spec, &PlanStore::new(), &mut EngineScratch::new())
 }
 
-/// Drive one array-wide rebuild to completion. See the module docs for
-/// the model; `store` is shared so concurrent rebuilds (or a rebuild next
-/// to a sweep) reuse each other's planning.
+/// Drive one array-wide rebuild to completion, simulating its waves on
+/// the host's cores. See the module docs for the model; `store` is shared
+/// so concurrent rebuilds (or a rebuild next to a sweep) reuse each
+/// other's planning, and `scratch` serves the calling thread's waves.
 pub fn execute_rebuild(
     spec: &RebuildSpec,
     store: &PlanStore,
     scratch: &mut EngineScratch,
+) -> Result<RebuildOutcome, RunError> {
+    execute_rebuild_on(spec, store, scratch, host_threads())
+}
+
+/// One admitted wave: the schemes it repairs, borrowed from the shard
+/// plans, and the stripes still queued behind it.
+struct Wave<'a> {
+    schemes: Vec<&'a RecoveryScheme>,
+    pending: usize,
+}
+
+/// Wave reports waiting for every earlier wave, and the fold they join
+/// in wave order.
+#[derive(Default)]
+struct Fold {
+    ready: BTreeMap<usize, RunReport>,
+    merged: Merged,
+}
+
+/// [`execute_rebuild`] on at most `threads` threads. The outcome does not
+/// depend on `threads`.
+pub(crate) fn execute_rebuild_on(
+    spec: &RebuildSpec,
+    store: &PlanStore,
+    scratch: &mut EngineScratch,
+    threads: usize,
 ) -> Result<RebuildOutcome, RunError> {
     let cfg = &spec.base;
     cfg.validate()?;
@@ -246,21 +281,13 @@ pub fn execute_rebuild(
     for item in admission_items(&shards, &mapping) {
         sched.push(item);
     }
-    let victims = Arc::new(victims);
-    let mut passes = Passes::new(cfg, mapping, Arc::clone(&victims));
-
-    // 4. Simulate wave by wave on one virtual clock.
-    let exec_cfg = ExecConfig {
-        workers: cfg.workers,
-        decode_batch: cfg.decode_batch,
-        ..Default::default()
-    };
-    let obs = cfg.obs && fbf_obs::enabled();
-    let mut waves = 0usize;
+    // Admission never looks at a simulated outcome, so every wave is known
+    // before any runs.
+    let mut waves = Vec::new();
     while !sched.is_empty() {
-        let wave = sched.next_wave();
         // Schemes are borrowed from the shard plans, priorities and all.
-        let wave_schemes: Vec<_> = wave
+        let schemes = sched
+            .next_wave()
             .iter()
             .map(|item| {
                 let shard = &shards[item.campaign];
@@ -271,33 +298,67 @@ pub fn execute_rebuild(
                 &shard.plan.schemes[idx]
             })
             .collect();
-        let mut scripts = fbf_recovery::build_scripts_borrowed(&wave_schemes, &exec_cfg);
-        if spec.app_reads_per_wave > 0 {
-            scripts.push(fbf_workload::generate_app_reads(
-                &code,
-                &fbf_workload::AppIoConfig {
-                    stripes: cfg.stripes,
-                    reads: spec.app_reads_per_wave,
-                    seed: cfg.seed ^ (waves as u64 + 1),
-                    ..Default::default()
-                },
-            ));
-        }
-        passes.run(&scripts, scratch);
-        waves += 1;
-        if obs {
-            fbf_obs::instant(
-                "rebuild",
-                "wave",
-                &[
-                    ("wave", fbf_obs::Value::U64(waves as u64)),
-                    ("stripes", fbf_obs::Value::U64(wave.len() as u64)),
-                    ("pending", fbf_obs::Value::U64(sched.pending() as u64)),
-                ],
-            );
-        }
+        waves.push(Wave {
+            schemes,
+            pending: sched.pending(),
+        });
     }
-    let report = passes.finish();
+
+    // 4. Simulate: every wave is an independent engine pass (its scripts,
+    // its seeded foreground reads, its pass index), so waves run on any
+    // thread and their reports fold in wave order onto one virtual clock.
+    let victims = Arc::new(victims);
+    let passes = Passes::new(cfg, mapping, Arc::clone(&victims));
+    let exec_cfg = ExecConfig {
+        workers: cfg.workers,
+        decode_batch: cfg.decode_batch,
+        ..Default::default()
+    };
+    let obs = cfg.obs && fbf_obs::enabled();
+    let fold = Mutex::new(Fold::default());
+    work_steal(waves.len(), threads, scratch, |_, cursor, scratch| {
+        while let Some(k) = cursor.claim() {
+            let mut scripts = fbf_recovery::build_scripts_borrowed(&waves[k].schemes, &exec_cfg);
+            if spec.app_reads_per_wave > 0 {
+                scripts.push(fbf_workload::generate_app_reads(
+                    &code,
+                    &fbf_workload::AppIoConfig {
+                        stripes: cfg.stripes,
+                        reads: spec.app_reads_per_wave,
+                        seed: cfg.seed ^ (k as u64 + 1),
+                        ..Default::default()
+                    },
+                ));
+            }
+            let report = passes.engine(k).run_with_scratch(&scripts, scratch);
+            drop(scripts);
+            // Fold every report whose predecessors are all in.
+            let mut fold = fold.lock().unwrap_or_else(PoisonError::into_inner);
+            let Fold { ready, merged } = &mut *fold;
+            ready.insert(k, report);
+            while let Some(report) = ready.remove(&merged.passes()) {
+                merged.absorb(report);
+                if obs {
+                    let wave = &waves[merged.passes() - 1];
+                    fbf_obs::instant(
+                        "rebuild",
+                        "wave",
+                        &[
+                            ("wave", fbf_obs::Value::U64(merged.passes() as u64)),
+                            ("stripes", fbf_obs::Value::U64(wave.schemes.len() as u64)),
+                            ("pending", fbf_obs::Value::U64(wave.pending as u64)),
+                        ],
+                    );
+                }
+            }
+        }
+    });
+    let waves = waves.len();
+    let report = fold
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .merged
+        .finish();
 
     // A failed read abandons a repair only on a stripe under rebuild;
     // foreground reads fail on any stripe of the zone.
@@ -399,7 +460,7 @@ fn admission_items(shards: &[Shard], mapping: &ArrayMapping) -> Vec<RebuildItem>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use fbf_disksim::{DiskKill, FaultPlan, SlowDisk};
 
     fn base() -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -444,6 +505,94 @@ mod tests {
             clustered.stripes_rebuilt, clustered.stripes_affected,
             "no faults → every stripe rebuilds"
         );
+    }
+
+    /// `spec` under every fault kind: media and transient errors, a
+    /// straggler, and a disk that dies mid-way through the first wave.
+    fn faulted(mut spec: RebuildSpec) -> RebuildSpec {
+        spec.base.faults = FaultPlan {
+            seed: 17,
+            media_per_mille: 20,
+            transient_per_mille: 40,
+            transient_failures_max: 4,
+            straggler: Some(SlowDisk {
+                disk: 5,
+                scale_milli: 3000,
+            }),
+            disk_kill: Some(DiskKill {
+                disk: 9,
+                at: SimTime::from_millis(5),
+            }),
+            ..FaultPlan::none()
+        };
+        spec
+    }
+
+    #[test]
+    fn the_outcome_does_not_depend_on_the_thread_count() {
+        let mut drr = spec(Placement::Declustered { seed: 5 });
+        drr.fairness = Fairness::DeficitWeighted;
+        drr.campaigns = 3;
+        drr.weights = vec![4, 2, 1];
+        let mut specs = vec![
+            spec(Placement::Fixed),
+            spec(Placement::Declustered { seed: 11 }),
+            drr,
+            faulted(spec(Placement::Declustered { seed: 13 })),
+        ];
+        for s in &mut specs {
+            s.app_reads_per_wave = 128;
+        }
+        for mut quiet in specs.clone() {
+            quiet.app_reads_per_wave = 0;
+            specs.push(quiet);
+        }
+        for s in &specs {
+            let run = |threads| {
+                execute_rebuild_on(s, &PlanStore::new(), &mut EngineScratch::new(), threads)
+                    .unwrap()
+            };
+            let serial = run(1);
+            assert!(serial.waves > 2, "{} waves", serial.waves);
+            for threads in [2, 3, 8] {
+                let parallel = run(threads);
+                let what = format!(
+                    "{} {} app_reads={} on {threads} threads",
+                    s.placement.name(),
+                    s.fairness.name(),
+                    s.app_reads_per_wave
+                );
+                assert_eq!(parallel.to_json(), serial.to_json(), "{what}");
+                assert_eq!(
+                    format!("{:?}", parallel.report),
+                    format!("{:?}", serial.report),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_killed_disk_is_dead_from_time_zero_only_after_the_first_wave() {
+        let mut s = spec(Placement::Declustered { seed: 3 });
+        let reads = run_rebuild(&s).unwrap().per_disk_rebuild_reads;
+        let busiest = (0..reads.len()).max_by_key(|&d| reads[d]).unwrap();
+        // A kill long after any wave ends.
+        s.base.faults.disk_kill = Some(DiskKill {
+            disk: busiest as u32,
+            at: SimTime::from_millis(3_600_000),
+        });
+        // One wave: it runs under the configured plan, so nothing dies.
+        s.per_disk_cap = u32::MAX;
+        let single = run_rebuild(&s).unwrap();
+        assert_eq!(single.waves, 1);
+        assert_eq!(single.report.faults.dead_disk_reads, 0);
+        // Many waves: from the second on, the disk died at time zero.
+        s.per_disk_cap = 16;
+        let many = run_rebuild(&s).unwrap();
+        assert!(many.waves > 1);
+        assert!(many.report.faults.dead_disk_reads > 0);
+        assert!(!many.failed_stripes.is_empty());
     }
 
     #[test]

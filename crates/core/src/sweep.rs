@@ -9,7 +9,8 @@
 //!   [`PlanKey`](crate::plan::PlanKey) (campaign shape), not once per
 //!   point. A Fig. 8 grid replans ~45× less.
 //! * **Work stealing.** Workers claim points one at a time off a shared
-//!   atomic cursor, so an expensive point (big prime, huge campaign) never
+//!   atomic cursor (`work_steal`, the loop the rebuild driver's waves
+//!   run on too), so an expensive point (big prime, huge campaign) never
 //!   strands a statically-assigned chunk behind it. Results are keyed by
 //!   index, and every experiment is deterministic given its config, so the
 //!   output is identical to a serial run.
@@ -114,9 +115,7 @@ pub fn sweep_with_progress(
         return Ok(Vec::new());
     }
     let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
+        host_threads()
     } else {
         threads
     }
@@ -138,28 +137,18 @@ pub fn sweep_with_progress(
     let sim_ns = AtomicU64::new(0);
     let busy_ns = AtomicU64::new(0);
 
-    let cursor = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
     let results: Vec<Mutex<Option<Result<Metrics, RunError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
 
     // One worker's life: steal the next index, run it, repeat. On any
-    // failure, flip the cancellation flag so idle workers stop claiming;
-    // in-flight siblings finish their current point untouched. Each worker
-    // owns one EngineScratch for its whole life, so the engine's event
-    // heap and per-worker vectors are allocated once per thread, not once
-    // per point.
-    let work = |worker: usize| {
-        let mut scratch = EngineScratch::new();
+    // failure, cancel the cursor so idle workers stop claiming; in-flight
+    // siblings finish their current point untouched.
+    let work = |worker: usize, cursor: &Cursor, scratch: &mut EngineScratch| {
         let mut worker_points = 0u64;
         let worker_t0 = Instant::now();
         let mut worker_busy_ns = 0u64;
-        while !cancelled.load(Ordering::Relaxed) {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
+        while let Some(i) = cursor.claim() {
             let cfg = &configs[i];
             let point_obs = obs && cfg.obs;
             // Each point is one externally-attributable unit of work: mint
@@ -182,7 +171,7 @@ pub fn sweep_with_progress(
                 let (plan, source) = store.plan(cfg)?;
                 point_plan_ns = t.elapsed().as_nanos() as u64;
                 let t = Instant::now();
-                let metrics = run_planned_with_scratch(cfg, &plan, source, &mut scratch);
+                let metrics = run_planned_with_scratch(cfg, &plan, source, scratch);
                 point_sim_ns = t.elapsed().as_nanos() as u64;
                 Ok((metrics, source))
             }));
@@ -223,11 +212,11 @@ pub fn sweep_with_progress(
                     Ok(metrics)
                 }
                 Ok(Err(e)) => {
-                    cancelled.store(true, Ordering::Relaxed);
+                    cursor.cancel();
                     Err(e)
                 }
                 Err(panic) => {
-                    cancelled.store(true, Ordering::Relaxed);
+                    cursor.cancel();
                     Err(RunError::Worker(panic_message(&*panic)))
                 }
             };
@@ -250,15 +239,7 @@ pub fn sweep_with_progress(
         }
     };
 
-    if threads <= 1 {
-        work(0);
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || work(t));
-            }
-        });
-    }
+    work_steal(n, threads, &mut EngineScratch::new(), work);
 
     // Assemble in input order (the gather phase). With cancellation some
     // points may never have run; the first recorded error (by index) is
@@ -371,6 +352,77 @@ pub fn sweep_with_progress(
         Some(e) => Err(e),
         None => Ok(out),
     }
+}
+
+/// The host's cores as this process may use them (affinity-aware), at
+/// least 1.
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// The indices `0..n` of a [`work_steal`] loop, claimed one at a time.
+pub(crate) struct Cursor {
+    next: AtomicUsize,
+    n: usize,
+    cancelled: AtomicBool,
+}
+
+impl Cursor {
+    /// The next unclaimed index; `None` once every index is claimed or
+    /// the loop was cancelled.
+    pub(crate) fn claim(&self) -> Option<usize> {
+        if self.cancelled.load(Ordering::Relaxed) {
+            return None;
+        }
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
+    }
+
+    /// Stop handing out indices; the ones already claimed run on.
+    pub(crate) fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Relaxed);
+    }
+}
+
+/// The one work-stealing loop — sweep points and rebuild waves both run
+/// on it. `worker(w, cursor, scratch)` runs on min(`threads`, `n`)
+/// threads and claims indices off the shared `cursor` until it runs dry.
+/// The calling thread is worker 0 and brings `scratch`; each helper owns
+/// a fresh [`EngineScratch`] for its whole life, so the engine's event
+/// queue and per-worker vectors are allocated once per thread, not once
+/// per index, and runs under the caller's trace context. A helper's panic
+/// resumes on the calling thread once every worker has stopped. Helpers
+/// are joined before this returns, so their thread-exit work
+/// (flight-recorder ring retirement) is done.
+pub(crate) fn work_steal(
+    n: usize,
+    threads: usize,
+    scratch: &mut EngineScratch,
+    worker: impl Fn(usize, &Cursor, &mut EngineScratch) + Sync,
+) {
+    let cursor = Cursor {
+        next: AtomicUsize::new(0),
+        n,
+        cancelled: AtomicBool::new(false),
+    };
+    let trace = fbf_obs::trace_scope();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(n))
+            .map(|w| {
+                let (cursor, worker) = (&cursor, &worker);
+                scope.spawn(move || {
+                    let _trace = trace.enter();
+                    worker(w, cursor, &mut EngineScratch::new());
+                })
+            })
+            .collect();
+        worker(0, &cursor, scratch);
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// The message a caught panic carried — what sweeps and the daemon say

@@ -214,11 +214,36 @@ impl Drop for TraceGuard {
 /// The guard starts at the trace root (parent span 0) — open one
 /// enclosing span right after minting so the trace has exactly one root.
 /// Nesting is supported (the previous context is restored on drop); the
-/// context is thread-local, so hand the trace id itself across threads
-/// and re-activate it there.
+/// context is thread-local, so work handed to another thread carries a
+/// [`TraceScope`] there instead of the bare id.
 pub fn with_trace(trace: u64) -> TraceGuard {
     let prev = CTX.with(|c| c.replace((trace, 0)));
     TraceGuard { prev }
+}
+
+/// A thread's trace context — its active trace and enclosing span —
+/// captured by [`trace_scope`] to carry work into another thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceScope {
+    trace: u64,
+    span: u64,
+}
+
+/// The calling thread's trace context, for [`TraceScope::enter`] on a
+/// helper thread.
+pub fn trace_scope() -> TraceScope {
+    let (trace, span) = CTX.with(|c| c.get());
+    TraceScope { trace, span }
+}
+
+impl TraceScope {
+    /// Re-activate the captured context on the calling thread until the
+    /// guard drops: spans opened under it are children of the captured
+    /// enclosing span, where [`with_trace`] would make them extra roots.
+    pub fn enter(self) -> TraceGuard {
+        let prev = CTX.with(|c| c.replace((self.trace, self.span)));
+        TraceGuard { prev }
+    }
 }
 
 /// The ctx instants/counters carry: inside a trace they point at the
@@ -506,6 +531,28 @@ mod tests {
         );
         let after = by_name("after").expect("counter has ctx");
         assert_eq!(after.parent, root.span, "parent restored after child");
+    }
+
+    #[test]
+    fn a_trace_scope_carries_the_enclosing_span_across_threads() {
+        let _g = lock();
+        let sub = Arc::new(CountingSubscriber::default());
+        install(sub.clone());
+        let trace = next_trace_id();
+        let _t = with_trace(trace);
+        let root = span("t", "root");
+        let root_id = root.ctx().unwrap().span;
+        let scope = trace_scope();
+        let child = std::thread::spawn(move || {
+            let _t = scope.enter();
+            span("t", "child").ctx().unwrap()
+        })
+        .join()
+        .unwrap();
+        root.end_with(&[]);
+        uninstall();
+        assert_eq!((child.trace, child.parent), (trace, root_id));
+        assert_ne!(child.span, root_id);
     }
 
     #[test]

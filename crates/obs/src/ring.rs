@@ -23,11 +23,18 @@
 //! ring's `dropped` counter grows — a dump therefore always holds the
 //! *most recent* window, and reports how much history it lost.
 //!
+//! A thread's ring lives as long as the thread. At thread exit its
+//! events fold into the recorder's one *retired* ring, bounded by the
+//! same capacity, so short-lived helper threads leave their newest
+//! history behind but no ring: a recorder holds one ring per live
+//! emitting thread, plus the retired one.
+//!
 //! ## Dumps
 //!
 //! [`FlightRecorder::dump_lines`] renders the retained events as
 //! chrome-trace JSONL (the exact lines `TraceWriter` files hold, flow
-//! records included), rings concatenated in registration order.
+//! records included), the retired ring first and then the live rings in
+//! registration order.
 //! `normalize: true` rewrites the wall-clock and process-global fields —
 //! timestamps become per-dump ordinals, durations zero, and thread /
 //! trace / span / run ids are renumbered in first-appearance order — so
@@ -39,7 +46,7 @@ use crate::subscriber::{Event, EventKind, TraceCtx, Value};
 use crate::trace::render_chrome_line;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -84,18 +91,41 @@ struct ThreadRing {
     dropped: AtomicU64,
 }
 
-/// The process flight recorder: a registry of per-thread rings.
-pub struct FlightRecorder {
-    /// Process-unique id — the per-thread ring cache keys on it (an
-    /// address would be ambiguous once a dropped recorder's allocation
-    /// is reused).
-    id: u64,
-    capacity: usize,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
+impl ThreadRing {
+    /// Append `event`, dropping the oldest one past `capacity`.
+    fn push(&self, events: &mut VecDeque<OwnedEvent>, event: OwnedEvent, capacity: usize) {
+        if events.len() == capacity {
+            events.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        events.push_back(event);
+    }
 }
 
-/// Source of [`FlightRecorder::id`] values.
-static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
+/// A thread's ring in one recorder. Dropped when the thread exits (or
+/// starts recording into another recorder), it retires the ring.
+struct Registration {
+    /// Also names the recorder: while this lives, the recorder's
+    /// allocation — and so its address — cannot be reused by another.
+    recorder: Weak<FlightRecorder>,
+    ring: Arc<ThreadRing>,
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        if let Some(recorder) = self.recorder.upgrade() {
+            recorder.retire(&self.ring);
+        }
+    }
+}
+
+/// The process flight recorder: a registry of per-thread rings.
+pub struct FlightRecorder {
+    capacity: usize,
+    /// The retired ring first, then one ring per live emitting thread in
+    /// registration order.
+    rings: Mutex<Vec<Arc<ThreadRing>>>,
+}
 
 impl FlightRecorder {
     /// A recorder with the default per-thread capacity (or `FBF_RING_CAP`
@@ -112,9 +142,8 @@ impl FlightRecorder {
     /// A recorder holding at most `capacity` events per thread.
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
-            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             capacity: capacity.max(1),
-            rings: Mutex::new(Vec::new()),
+            rings: Mutex::new(vec![Arc::default()]),
         }
     }
 
@@ -123,18 +152,24 @@ impl FlightRecorder {
         self.capacity
     }
 
+    /// Rings held: one per live thread that has recorded, plus the
+    /// retired ring.
+    pub fn rings(&self) -> usize {
+        self.rings.lock().unwrap_or_else(|p| p.into_inner()).len()
+    }
+
+    /// The calling thread's ring, registered on first use.
     fn ring_for_this_thread(self: &Arc<Self>) -> Arc<ThreadRing> {
         thread_local! {
-            // (recorder id, ring) — re-resolve if the recorder changed.
-            static RING: std::cell::RefCell<Option<(u64, Arc<ThreadRing>)>> =
+            // Re-resolved if the recorder changed.
+            static RING: std::cell::RefCell<Option<Registration>> =
                 const { std::cell::RefCell::new(None) };
         }
-        let key = self.id;
         RING.with(|slot| {
             let mut slot = slot.borrow_mut();
-            if let Some((k, ring)) = slot.as_ref() {
-                if *k == key {
-                    return Arc::clone(ring);
+            if let Some(reg) = slot.as_ref() {
+                if std::ptr::eq(reg.recorder.as_ptr(), Arc::as_ptr(self)) {
+                    return Arc::clone(&reg.ring);
                 }
             }
             let ring = Arc::new(ThreadRing::default());
@@ -142,9 +177,33 @@ impl FlightRecorder {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .push(Arc::clone(&ring));
-            *slot = Some((key, Arc::clone(&ring)));
+            // Replacing a registration with another recorder retires the
+            // old ring there.
+            *slot = Some(Registration {
+                recorder: Arc::downgrade(self),
+                ring: Arc::clone(&ring),
+            });
             ring
         })
+    }
+
+    /// Fold an exiting thread's ring into the retired ring (oldest events
+    /// dropped past capacity) and forget it.
+    fn retire(&self, ring: &Arc<ThreadRing>) {
+        let mut rings = self.rings.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(at) = rings.iter().position(|r| Arc::ptr_eq(r, ring)) else {
+            return;
+        };
+        rings.remove(at);
+        let retired = &rings[0];
+        let mut into = retired.events.lock().unwrap_or_else(|p| p.into_inner());
+        let mut from = ring.events.lock().unwrap_or_else(|p| p.into_inner());
+        for event in from.drain(..) {
+            retired.push(&mut into, event, self.capacity);
+        }
+        retired
+            .dropped
+            .fetch_add(ring.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Record one event into the calling thread's ring.
@@ -172,11 +231,7 @@ impl FlightRecorder {
         };
         let ring = self.ring_for_this_thread();
         let mut events = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-        if events.len() == self.capacity {
-            events.pop_front();
-            ring.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(owned);
+        ring.push(&mut events, owned, self.capacity);
     }
 
     /// Events dropped across every ring since installation.
@@ -216,8 +271,8 @@ impl FlightRecorder {
     }
 
     /// Render the retained events as chrome-trace JSONL lines (newline
-    /// terminated), rings concatenated in registration order, preceded by
-    /// the standard process-metadata line.
+    /// terminated), the retired ring first and then the live rings in
+    /// registration order, preceded by the standard process-metadata line.
     ///
     /// `normalize` rewrites every nondeterministic field for byte-exact
     /// reproducibility: `ts` becomes the event's dump ordinal, `dur` 0,
@@ -450,6 +505,49 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[1].contains("\"i\":2"), "{}", lines[1]);
         assert!(lines[3].contains("\"i\":4"), "{}", lines[3]);
+    }
+
+    #[test]
+    fn exited_threads_leave_their_newest_events_but_no_ring() {
+        let rec = Arc::new(FlightRecorder::with_capacity(8));
+        // Three threads alive at once: three rings plus the retired one.
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let live: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        rec.record(&ev("live", &[]));
+                        barrier.wait();
+                        barrier.wait();
+                    })
+                })
+                .collect();
+            barrier.wait();
+            assert_eq!(rec.rings(), 4);
+            barrier.wait();
+            for thread in live {
+                thread.join().unwrap();
+            }
+        });
+        assert_eq!(rec.rings(), 1);
+        // Many short-lived threads, one after another.
+        for t in 0..50u64 {
+            let thread_rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                for i in 0..10 {
+                    thread_rec.record(&ev("n", &[("i", Value::U64(t * 10 + i))]));
+                }
+            })
+            .join()
+            .unwrap();
+            assert_eq!(rec.rings(), 1, "thread {t} left its ring behind");
+        }
+        assert_eq!(rec.len(), 8);
+        assert_eq!(rec.dropped(), 3 + 500 - 8);
+        let lines = rec.dump_lines(false);
+        for (line, i) in lines[1..].iter().zip(492..) {
+            assert!(line.contains(&format!("\"i\":{i}")), "{line}");
+        }
     }
 
     #[test]

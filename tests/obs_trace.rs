@@ -418,6 +418,95 @@ fn data_loss_triggers_a_reproducible_flight_dump() {
     );
 }
 
+/// One captured event: its name, thread, phase and causal ids.
+#[derive(Clone)]
+struct Seen {
+    name: String,
+    tid: u64,
+    span: bool,
+    ctx: Option<fbf::obs::TraceCtx>,
+}
+
+/// Captures every event as a [`Seen`].
+#[derive(Default)]
+struct CtxCapture(Mutex<Vec<Seen>>);
+
+impl fbf::obs::Subscriber for CtxCapture {
+    fn event(&self, event: &fbf::obs::Event<'_>) {
+        self.0.lock().unwrap().push(Seen {
+            name: event.name.to_string(),
+            tid: event.tid,
+            span: matches!(event.kind, fbf::obs::EventKind::Complete { .. }),
+            ctx: event.ctx,
+        });
+    }
+}
+
+/// A rebuild's waves run on helper threads too; their spans must join the
+/// caller's trace under its enclosing span, not open extra roots.
+#[test]
+fn a_traced_rebuild_is_one_tree_across_its_threads() {
+    let _gate = lock();
+    let base = ExperimentConfig::builder()
+        .stripes(192)
+        .error_count(0)
+        .workers(8)
+        .gen_threads(1)
+        .obs(true)
+        .build()
+        .unwrap();
+    let mut spec = fbf::RebuildSpec::new(base, 48);
+    spec.per_disk_cap = 16;
+    let sub = Arc::new(CtxCapture::default());
+    fbf::obs::install(sub.clone());
+    let trace = fbf::obs::next_trace_id();
+    let outcome = {
+        let _trace = fbf::obs::with_trace(trace);
+        let root = fbf::obs::span("test", "rebuild");
+        let outcome = fbf::core::execute_rebuild(
+            &spec,
+            &fbf::PlanStore::new(),
+            &mut fbf::disksim::EngineScratch::new(),
+        )
+        .unwrap();
+        root.end_with(&[]);
+        outcome
+    };
+    fbf::obs::uninstall();
+    assert!(outcome.waves >= 2, "{} waves", outcome.waves);
+
+    let events = sub.0.lock().unwrap().clone();
+    let ctx = |e: &Seen| {
+        e.ctx
+            .unwrap_or_else(|| panic!("{} carries no trace", e.name))
+    };
+    let spans: Vec<&Seen> = events.iter().filter(|e| e.span).collect();
+    assert!(spans.iter().all(|e| ctx(e).trace == trace));
+    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|e| ctx(e).span).collect();
+    assert_eq!(ids.len(), spans.len(), "span ids are unique");
+    let roots: Vec<&str> = spans
+        .iter()
+        .filter(|e| ctx(e).parent == 0)
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(roots, ["rebuild"], "one root");
+    for e in &events {
+        let parent = ctx(e).parent;
+        assert!(
+            parent == 0 && e.span || ids.contains(&parent),
+            "{} has a parent outside the trace",
+            e.name
+        );
+    }
+    let runs: Vec<&&Seen> = spans.iter().filter(|e| e.name == "run").collect();
+    assert_eq!(runs.len(), outcome.waves, "one engine span per wave");
+    // The waves ran on more than one thread wherever the host has the
+    // cores for it.
+    let threads: std::collections::BTreeSet<u64> = runs.iter().map(|e| e.tid).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(threads.len() > 1, cores > 1, "{threads:?} on {cores} cores");
+}
+
 #[test]
 fn subscriber_swap_mid_sweep_loses_no_events() {
     let _gate = lock();
