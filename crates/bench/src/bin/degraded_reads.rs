@@ -13,7 +13,8 @@ use fbf_codes::{CodeSpec, StripeCode};
 use fbf_core::{report::f, Table};
 use fbf_disksim::{ArrayMapping, CacheSharing, Engine, EngineConfig, SimTime};
 use fbf_recovery::{
-    build_scripts, degrade_script, plan_campaign_parallel, ExecConfig, LostMap, SchemeKind,
+    build_scripts_from_plans, degrade_script, ExecConfig, RecoveryController, SchemeKind,
+    StripePlan,
 };
 use fbf_workload::{generate_app_reads, generate_errors, AppIoConfig, ErrorGenConfig};
 
@@ -22,11 +23,11 @@ fn main() {
     let stripes = 2048u32;
     let code = StripeCode::build(CodeSpec::Tip, p).expect("prime");
 
-    // Reconstruction campaign and its schemes.
+    // Reconstruction campaign and its per-stripe plans.
     let errors = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, 384, 4242));
-    let (schemes, dict) =
-        plan_campaign_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
-    let lost = LostMap::from_group(&errors);
+    let mut controller = RecoveryController::new(&code, SchemeKind::FbfCycling);
+    let damage = errors.damage_by_stripe();
+    let plans: Vec<StripePlan> = damage.iter().map(|d| controller.plan_for(d)).collect();
 
     // Application stream, biased toward the damaged region so a good
     // fraction of reads degrade.
@@ -42,7 +43,7 @@ fn main() {
         },
     );
     let (degraded_app, degraded_count) =
-        degrade_script(&code, &app, &lost, &dict, SimTime::from_micros(8));
+        degrade_script(&code, &app, &plans, SimTime::from_micros(8));
     println!(
         "application stream: {} reads, {} degraded ({:.1}%)\n",
         app.reads(),
@@ -61,9 +62,8 @@ fn main() {
         ],
     );
     for policy in PolicyKind::ALL {
-        let mut scripts = build_scripts(
-            &schemes,
-            &dict,
+        let mut scripts = build_scripts_from_plans(
+            &plans,
             &ExecConfig {
                 workers: 32,
                 ..Default::default()

@@ -176,7 +176,7 @@ pub fn run_planned_on(
                                     false
                                 }
                                 ReadOutcome::Ok { .. } => {
-                                    let priority = plan.dictionary.priority_of(&chunk);
+                                    let priority = scheme.priority(cell);
                                     let slot = cache
                                         .fill(slice, chunk, priority, |buf| {
                                             backend.read_chunk(chunk, buf)

@@ -62,14 +62,11 @@ pub struct FaultedOutcome {
     /// Stripes whose accumulated damage exceeded the code's fault
     /// tolerance — typed, reported, never a panic.
     pub data_loss: Vec<DataLoss>,
-    /// Final accumulated damage of every repaired stripe that was
-    /// re-planned, in stripe order — what its last re-plan must have
-    /// recovered. A repaired stripe absent here kept its original damage.
-    pub surviving_damage: Vec<StripeDamage>,
-    /// The last re-plan of every repaired stripe that was re-planned (the
-    /// stripes of [`surviving_damage`](Self::surviving_damage)). A
-    /// repaired stripe absent here was repaired by its original scheme.
-    pub final_plans: BTreeMap<u32, StripePlan>,
+    /// Every repaired stripe that was re-planned: its final accumulated
+    /// damage — what its last re-plan must have recovered — and that
+    /// re-plan. A repaired stripe absent here kept its original damage
+    /// and was repaired by its original scheme.
+    pub replanned: BTreeMap<u32, (StripeDamage, StripePlan)>,
     /// Surviving stripes (repaired despite faults).
     pub stripes_repaired: usize,
     /// Chunks of surviving stripes recovered, counting escalated damage.
@@ -260,8 +257,8 @@ fn execute_capped(
     // everything. Escalation state is built only once a read has.
     let (mut replans, mut rounds) = (0, 0);
     let mut data_loss = Vec::new();
-    let mut surviving_damage = Vec::new();
     let mut final_plans: BTreeMap<u32, StripePlan> = BTreeMap::new();
+    let mut replanned = BTreeMap::new();
     let mut unresolved = Vec::new();
     let (mut stripes_repaired, mut chunks_recovered) = (plan.schemes.len(), plan.chunks_lost);
     if !pending.is_empty() {
@@ -278,9 +275,6 @@ fn execute_capped(
         let obs = cfg.obs && fbf_obs::enabled();
         while !pending.is_empty() && escalator.rounds() < max_rounds {
             let absorbed = escalator.absorb(&pending);
-            for dl in &absorbed.data_loss {
-                final_plans.remove(&dl.stripe);
-            }
             data_loss.extend(absorbed.data_loss);
             let publish = |failures: u64| {
                 if let Some(p) = progress {
@@ -310,8 +304,7 @@ fn execute_capped(
                 publish(failures);
                 break;
             }
-            let scripts =
-                build_scripts_from_plans(&absorbed.replans, &absorbed.dictionary, &exec_cfg);
+            let scripts = build_scripts_from_plans(&absorbed.replans, &exec_cfg);
             for p in absorbed.replans {
                 final_plans.insert(p.stripe(), p);
             }
@@ -344,9 +337,6 @@ fn execute_capped(
             .filter(|s| !lost.contains(s))
             .collect();
         if !unresolved_stripes.is_empty() {
-            for s in &unresolved_stripes {
-                final_plans.remove(s);
-            }
             if obs {
                 fbf_obs::instant(
                     "faulted",
@@ -366,15 +356,17 @@ fn execute_capped(
         // Every failed read belongs to a stripe of the plan, so the lost
         // and unresolved stripes come off its scheme count.
         stripes_repaired = plan.schemes.len() - data_loss.len() - unresolved_stripes.len();
+        // A lost stripe's last plan is dropped here: the escalator's
+        // damage no longer lists it.
         chunks_recovered = 0;
-        for damage in escalator.surviving_damage() {
+        for damage in escalator.damage() {
             if unresolved_stripes.contains(&damage.stripe) {
-                unresolved.push(damage);
+                unresolved.push(damage.clone());
                 continue;
             }
             chunks_recovered += damage.cells.len();
-            if final_plans.contains_key(&damage.stripe) {
-                surviving_damage.push(damage);
+            if let Some(plan) = final_plans.remove(&damage.stripe) {
+                replanned.insert(damage.stripe, (damage.clone(), plan));
             }
         }
         (replans, rounds) = (escalator.replans(), escalator.rounds());
@@ -384,8 +376,7 @@ fn execute_capped(
         replans,
         rounds,
         data_loss,
-        surviving_damage,
-        final_plans,
+        replanned,
         stripes_repaired,
         chunks_recovered,
         rounds_exhausted: !unresolved.is_empty(),
@@ -454,7 +445,7 @@ mod tests {
         assert_eq!(a.replans, b.replans);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.data_loss, b.data_loss);
-        assert_eq!(a.surviving_damage, b.surviving_damage);
+        assert_eq!(a.replanned, b.replanned);
     }
 
     #[test]
@@ -485,7 +476,7 @@ mod tests {
         assert_eq!(out.stripes_repaired, 48);
         assert_eq!(out.chunks_recovered, plan.chunks_lost);
         assert!(
-            out.final_plans.is_empty() && out.surviving_damage.is_empty(),
+            out.replanned.is_empty(),
             "no read failed, so no re-plan state was built"
         );
         let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
@@ -535,13 +526,8 @@ mod tests {
         );
         for d in &out.unresolved {
             assert!(
-                !out.final_plans.contains_key(&d.stripe),
-                "unresolved stripe {} must not carry a final plan",
-                d.stripe
-            );
-            assert!(
-                !out.surviving_damage.iter().any(|s| s.stripe == d.stripe),
-                "unresolved stripe {} must not count as recovered damage",
+                !out.replanned.contains_key(&d.stripe),
+                "unresolved stripe {} must not carry a final plan or count as recovered",
                 d.stripe
             );
         }
@@ -584,20 +570,18 @@ mod tests {
     fn every_survivor_has_a_final_plan_covering_its_damage() {
         let cfg = faulty(35, Some(5));
         let out = outcome(&cfg);
-        // Re-planned survivors pair up one to one with their damage; the
-        // rest were repaired by their original schemes.
-        assert!(!out.final_plans.is_empty(), "35‰ + a kill must re-plan");
-        assert_eq!(out.surviving_damage.len(), out.final_plans.len());
-        for damage in &out.surviving_damage {
-            let plan = out
-                .final_plans
-                .get(&damage.stripe)
-                .expect("surviving stripe has a plan");
-            assert_eq!(plan.stripe(), damage.stripe);
+        // Each re-planned survivor's last plan rebuilds exactly its final
+        // damage; the rest were repaired by their original schemes.
+        assert!(!out.replanned.is_empty(), "35‰ + a kill must re-plan");
+        for (&stripe, (damage, plan)) in &out.replanned {
+            assert_eq!((damage.stripe, plan.stripe()), (stripe, stripe));
+            let mut lost: Vec<_> = plan.lost().collect();
+            lost.sort_unstable();
+            assert_eq!(lost, damage.cells, "stripe {stripe}");
         }
         for dl in &out.data_loss {
             assert!(
-                !out.final_plans.contains_key(&dl.stripe),
+                !out.replanned.contains_key(&dl.stripe),
                 "lost stripes carry no plan"
             );
             assert!(dl.columns > 3, "TIP tolerates 3 columns");

@@ -15,7 +15,7 @@ use crate::runner::RunError;
 use fbf_codes::encode::encode;
 use fbf_codes::{CodeError, Stripe, StripeCode};
 use fbf_disksim::EngineScratch;
-use fbf_recovery::{apply_scheme, StripeDamage, StripePlan};
+use fbf_recovery::{apply_scheme, StripeDamage};
 use std::collections::BTreeSet;
 
 /// Payload bytes per chunk — small: the XOR algebra is size-independent,
@@ -86,31 +86,18 @@ pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError>
     let outcome = execute_faulted(cfg, &plan, &mut EngineScratch::new(), None);
 
     let mut report = VerifyReport::default();
-    // Stripes the original schemes did not repair: lost, unresolved, or
-    // re-planned.
-    let not_original: BTreeSet<u32> = (outcome.data_loss.iter().map(|d| d.stripe))
+    // Stripes the original schemes did not repair, re-planned ones aside.
+    let unrepaired: BTreeSet<u32> = (outcome.data_loss.iter().map(|d| d.stripe))
         .chain(outcome.unresolved.iter().map(|d| d.stripe))
-        .chain(outcome.final_plans.keys().copied())
         .collect();
+    // A re-planned stripe is erased by the escalator's final damage, never
+    // by the targets its plan chose, so a plan that skips a cell fails.
     for (damage, scheme) in plan.errors.damage_by_stripe().iter().zip(&plan.schemes) {
-        assert_eq!(
-            damage.stripe, scheme.stripe,
-            "scheme order matches damage order"
-        );
-        if !not_original.contains(&damage.stripe) {
-            report.check(&code, damage, |s| apply_scheme(&code, s, scheme))?;
+        match outcome.replanned.get(&damage.stripe) {
+            Some((damage, replan)) => report.check(&code, damage, |s| replan.restore(&code, s))?,
+            None if unrepaired.contains(&damage.stripe) => {}
+            None => report.check(&code, damage, |s| apply_scheme(&code, s, scheme))?,
         }
-    }
-    for (damage, replan) in outcome
-        .surviving_damage
-        .iter()
-        .zip(outcome.final_plans.values())
-    {
-        assert_eq!(damage.stripe, replan.stripe(), "re-plans pair with damage");
-        report.check(&code, damage, |s| match replan {
-            StripePlan::Chained(scheme) => apply_scheme(&code, s, scheme),
-            StripePlan::Joint(joint) => joint.apply(&code, s),
-        })?;
     }
     assert_eq!(
         (report.stripes, report.chunks),

@@ -1,8 +1,8 @@
 //! The Recovery Method Generator of the paper's Fig. 4, as a service.
 //!
 //! The RAID controller receives partial-stripe error notifications and
-//! must produce, per stripe: a recovery scheme, the priority dictionary
-//! entries, and the worker script. §III-A-1 points out that the expensive
+//! must produce, per stripe: a recovery scheme, its chunks' priorities,
+//! and the worker script. §III-A-1 points out that the expensive
 //! part — scheme generation — only depends on the error's *format* (which
 //! column, which rows), not on the stripe number: "these priorities can
 //! be enumerated once a same format of partial stripe error is detected
@@ -13,20 +13,27 @@
 //! length — is one [`FormatPlan`](crate::scheme::FormatPlan) memoised by
 //! damage format. A recurring format (most recur heavily in a campaign —
 //! there are only `O(cols · rows²)` of them) costs a hash lookup and a
-//! stamp: two reference-count bumps, nothing copied. The
+//! stamp: one reference-count bump, nothing copied. The
 //! `table4_overhead` bench measures the effect.
+//!
+//! [`RecoveryController::plan_for`] is the one place the chained-or-joint
+//! choice is made; the [`StripePlan`] it returns carries the stripe's
+//! priorities and restores its bytes.
 
 use crate::error::{ErrorGroup, StripeDamage};
+use crate::exec::apply_scheme;
 use crate::joint::JointRepair;
 use crate::priority::PriorityDictionary;
 use crate::scheme::{FormatPlan, RecoveryScheme, SchemeError, SchemeKind};
+use fbf_codes::decode::decode;
 use fbf_codes::hash::FxHashMap;
-use fbf_codes::{Cell, StripeCode};
+use fbf_codes::{Cell, CodeError, Stripe, StripeCode};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One stripe's repair plan: chain-by-chain (the normal case) or a joint
 /// decode (fallback when no chain ordering exists — see [`crate::joint`]).
+/// It is the one place the stripe's priorities live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StripePlan {
     /// Ordered single-chain repairs.
@@ -41,6 +48,38 @@ impl StripePlan {
         match self {
             StripePlan::Chained(s) => s.stripe,
             StripePlan::Joint(j) => j.stripe,
+        }
+    }
+
+    /// The cells this plan rebuilds: the stripe's lost cells.
+    pub fn lost(&self) -> impl Iterator<Item = Cell> + '_ {
+        let (repairs, joint) = match self {
+            StripePlan::Chained(s) => (&s.repairs[..], &[][..]),
+            StripePlan::Joint(j) => (&[][..], &j.lost[..]),
+        };
+        repairs
+            .iter()
+            .map(|r| r.target)
+            .chain(joint.iter().copied())
+    }
+
+    /// FBF priority of reading `cell` (Table II). A joint read set carries
+    /// no chain-share structure, so every joint read is priority 1.
+    pub(crate) fn priority(&self, cell: Cell) -> u8 {
+        match self {
+            StripePlan::Chained(s) => s.priority(cell),
+            StripePlan::Joint(_) => 1,
+        }
+    }
+
+    /// Execute against real payloads: rebuild the lost cells of `stripe`
+    /// in place. The caller has erased (or corrupted) them.
+    pub fn restore(&self, code: &StripeCode, stripe: &mut Stripe) -> Result<(), CodeError> {
+        match self {
+            StripePlan::Chained(scheme) => apply_scheme(code, stripe, scheme),
+            // The decoder reads exactly from the chains whose cells the
+            // joint plan fetches, so its read set is sufficient.
+            StripePlan::Joint(joint) => decode(code, stripe, &joint.lost).map(|_| ()),
         }
     }
 }
@@ -93,59 +132,40 @@ impl<'a> RecoveryController<'a> {
         Ok(scheme)
     }
 
+    /// Plan for one stripe's damage: its chained scheme, or — when no
+    /// chain ordering exists (possible for multi-column damage on STAR) —
+    /// a joint decode, so one unorderable stripe never fails a campaign.
+    pub fn plan_for(&mut self, damage: &StripeDamage) -> StripePlan {
+        match self.scheme_for(damage) {
+            Ok(scheme) => StripePlan::Chained(scheme),
+            Err(SchemeError::Unschedulable(_)) => {
+                StripePlan::Joint(JointRepair::new(self.code, damage.stripe, &damage.cells))
+            }
+        }
+    }
+
     /// Plan a whole campaign: schemes (stripe order) plus the priority
-    /// dictionary, in which stripes of one format share one table.
+    /// dictionary over them, in which stripes of one format share one
+    /// table.
     pub fn plan_campaign(
         &mut self,
         group: &ErrorGroup,
     ) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
-        self.plan_damages(&group.damage_by_stripe())
-    }
-
-    /// [`plan_campaign`](Self::plan_campaign) over already-merged damage,
-    /// one entry per stripe.
-    pub(crate) fn plan_damages(
-        &mut self,
-        damages: &[StripeDamage],
-    ) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
-        let mut schemes = Vec::with_capacity(damages.len());
-        let mut dictionary = PriorityDictionary::with_capacity(damages.len());
-        for damage in damages {
-            let scheme = self.scheme_for(damage)?;
-            dictionary.add_scheme(&scheme);
-            schemes.push(scheme);
-        }
+        let schemes = self.plan_damages(&group.damage_by_stripe())?;
+        let dictionary = PriorityDictionary::from_schemes(&schemes);
         Ok((schemes, dictionary))
     }
 
-    /// Plan a campaign with joint-decode fallback: stripes whose damage
-    /// cannot be ordered chain-by-chain (possible for multi-column damage
-    /// on STAR) become [`StripePlan::Joint`] instead of failing the whole
-    /// campaign. Returns the plans (stripe order) and the dictionary built
-    /// from the chained schemes (joint reads carry no chain-share
-    /// structure, so they default to priority 1).
-    pub fn plan_campaign_with_fallback(
+    /// The schemes of already-merged damage, one entry per stripe.
+    pub(crate) fn plan_damages(
         &mut self,
-        group: &ErrorGroup,
-    ) -> (Vec<StripePlan>, PriorityDictionary) {
-        let mut plans = Vec::new();
-        let mut dictionary = PriorityDictionary::new();
-        for damage in group.damage_by_stripe() {
-            match self.scheme_for(&damage) {
-                Ok(scheme) => {
-                    dictionary.add_scheme(&scheme);
-                    plans.push(StripePlan::Chained(scheme));
-                }
-                Err(SchemeError::Unschedulable(_)) => {
-                    plans.push(StripePlan::Joint(JointRepair::new(
-                        self.code,
-                        damage.stripe,
-                        &damage.cells,
-                    )));
-                }
-            }
+        damages: &[StripeDamage],
+    ) -> Result<Vec<RecoveryScheme>, SchemeError> {
+        let mut schemes = Vec::with_capacity(damages.len());
+        for damage in damages {
+            schemes.push(self.scheme_for(damage)?);
         }
-        (plans, dictionary)
+        Ok(schemes)
     }
 
     /// (memo hits, memo misses) — misses are the only full generations.

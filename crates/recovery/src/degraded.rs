@@ -10,67 +10,32 @@
 //! favorable block turns part of the fan-out into cache hits and cuts the
 //! degraded read's latency.
 
-use crate::error::ErrorGroup;
-use crate::priority::PriorityDictionary;
+use crate::controller::StripePlan;
+use crate::joint::JointRepair;
 use fbf_codes::repair::usable_repair_options;
 use fbf_codes::{Cell, ChunkId, StripeCode};
 use fbf_disksim::{Op, SimTime, WorkerScript};
-use std::collections::HashMap;
-
-/// Lost-chunk lookup for a campaign: stripe → lost cells.
-#[derive(Debug, Clone, Default)]
-pub struct LostMap {
-    lost: HashMap<u32, Vec<Cell>>,
-}
-
-impl LostMap {
-    /// Index an error campaign.
-    pub fn from_group(group: &ErrorGroup) -> Self {
-        let mut lost: HashMap<u32, Vec<Cell>> = HashMap::new();
-        for e in &group.errors {
-            lost.entry(e.stripe).or_default().extend(e.cells());
-        }
-        LostMap { lost }
-    }
-
-    /// Is the chunk currently lost?
-    pub fn is_lost(&self, chunk: &ChunkId) -> bool {
-        self.lost
-            .get(&chunk.stripe)
-            .is_some_and(|cells| cells.contains(&chunk.cell))
-    }
-
-    /// The lost cells of a stripe (empty slice when undamaged).
-    pub fn lost_cells(&self, stripe: u32) -> &[Cell] {
-        self.lost.get(&stripe).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Total lost chunks indexed.
-    pub fn len(&self) -> usize {
-        self.lost.values().map(|v| v.len()).sum()
-    }
-
-    /// No damage indexed?
-    pub fn is_empty(&self) -> bool {
-        self.lost.is_empty()
-    }
-}
 
 /// Rewrite an application read stream into its *degraded* form: reads of
 /// healthy chunks pass through; reads of lost chunks become a parallel
-/// fan-out of the cheapest usable repair chain plus an XOR compute step.
+/// fan-out of the cheapest repair chain that avoids the stripe's other
+/// lost cells — or, when no chain does, of the stripe's joint read set —
+/// plus an XOR compute step.
+///
+/// `plans` are the campaign's stripe plans in stripe order: a chunk is
+/// lost when its stripe's plan rebuilds it, and each fan-out read carries
+/// that plan's priority, so a concurrently running FBF reconstruction
+/// keeps its favorable blocks hot for exactly these fan-outs.
 ///
 /// Returns the degraded script and the number of reads that were
-/// degraded. Priorities for fan-out chunks come from `dictionary`, so a
-/// concurrently running FBF reconstruction keeps its favorable blocks hot
-/// for exactly these fan-outs.
+/// degraded.
 pub fn degrade_script(
     code: &StripeCode,
     app: &WorkerScript,
-    lost: &LostMap,
-    dictionary: &PriorityDictionary,
+    plans: &[StripePlan],
     xor_time_per_chunk: SimTime,
 ) -> (WorkerScript, usize) {
+    debug_assert!(plans.windows(2).all(|w| w[0].stripe() < w[1].stripe()));
     // Degraded reads are still application reads — keep the app stream's
     // request class so latency attribution does not misfile them as
     // recovery traffic.
@@ -80,34 +45,36 @@ pub fn degrade_script(
     };
     let mut degraded = 0usize;
     for op in &app.ops {
-        match *op {
-            Op::Read { chunk, priority } if lost.is_lost(&chunk) => {
-                degraded += 1;
-                let lost_cells = lost.lost_cells(chunk.stripe);
-                let options = usable_repair_options(code, chunk.cell, lost_cells);
-                let Some(best) = options.first() else {
-                    // Unrepairable on the fly (should not happen for
-                    // single-column damage); fall back to a plain read —
-                    // the simulator treats it as served from the spare.
-                    out.ops.push(Op::Read { chunk, priority });
-                    continue;
-                };
-                let fan_out: Vec<(ChunkId, u8)> = best
-                    .reads
-                    .iter()
-                    .map(|&cell| {
-                        let id = ChunkId::new(chunk.stripe, cell);
-                        (id, dictionary.priority_of(&id))
-                    })
-                    .collect();
-                let n = fan_out.len() as u64;
-                out.push_gather(fan_out);
-                out.ops.push(Op::Compute {
-                    duration: SimTime::from_nanos(xor_time_per_chunk.as_nanos() * n),
-                });
+        let Op::Read { chunk, .. } = *op else {
+            out.ops.push(*op);
+            continue;
+        };
+        let plan = match plans.binary_search_by_key(&chunk.stripe, StripePlan::stripe) {
+            Ok(i) if plans[i].lost().any(|c| c == chunk.cell) => &plans[i],
+            _ => {
+                out.ops.push(*op);
+                continue;
             }
-            other => out.ops.push(other),
-        }
+        };
+        degraded += 1;
+        let lost: Vec<Cell> = plan.lost().collect();
+        let reads = match usable_repair_options(code, chunk.cell, &lost)
+            .into_iter()
+            .next()
+        {
+            Some(best) => best.reads,
+            None => JointRepair::new(code, chunk.stripe, &lost).reads,
+        };
+        let n = reads.len() as u64;
+        out.push_gather(
+            reads
+                .into_iter()
+                .map(|cell| (ChunkId::new(chunk.stripe, cell), plan.priority(cell)))
+                .collect(),
+        );
+        out.ops.push(Op::Compute {
+            duration: SimTime::from_nanos(xor_time_per_chunk.as_nanos() * n),
+        });
     }
     (out, degraded)
 }
@@ -115,75 +82,63 @@ pub fn degrade_script(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PartialStripeError;
+    use crate::{ErrorGroup, PartialStripeError, RecoveryController, SchemeKind};
     use fbf_codes::CodeSpec;
 
-    fn setup() -> (StripeCode, ErrorGroup) {
+    fn plans(code: &StripeCode, group: &ErrorGroup) -> Vec<StripePlan> {
+        let mut controller = RecoveryController::new(code, SchemeKind::FbfCycling);
+        let damage = group.damage_by_stripe();
+        damage.iter().map(|d| controller.plan_for(d)).collect()
+    }
+
+    fn setup() -> (StripeCode, Vec<StripePlan>) {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let mut group = ErrorGroup::new();
         group.push(PartialStripeError::new(&code, 3, 0, 0, 4).unwrap());
         group.push(PartialStripeError::new(&code, 9, 2, 1, 2).unwrap());
-        (code, group)
+        let plans = plans(&code, &group);
+        (code, plans)
     }
 
-    #[test]
-    fn lost_map_indexes_campaign() {
-        let (code, group) = setup();
-        let lost = LostMap::from_group(&group);
-        assert_eq!(lost.len(), 6);
-        assert!(lost.is_lost(&ChunkId::new(3, Cell::new(0, 0))));
-        assert!(lost.is_lost(&ChunkId::new(9, Cell::new(2, 2))));
-        assert!(!lost.is_lost(&ChunkId::new(3, Cell::new(0, 1))));
-        assert!(!lost.is_lost(&ChunkId::new(4, Cell::new(0, 0))));
-        let _ = code;
+    fn reads_of(chunks: impl IntoIterator<Item = ChunkId>) -> WorkerScript {
+        let ops = chunks
+            .into_iter()
+            .map(|chunk| Op::Read { chunk, priority: 1 });
+        WorkerScript {
+            ops: ops.collect(),
+            ..Default::default()
+        }
     }
 
     #[test]
     fn healthy_reads_pass_through() {
-        let (code, group) = setup();
-        let lost = LostMap::from_group(&group);
-        let app = WorkerScript {
-            ops: vec![Op::Read {
-                chunk: ChunkId::new(5, Cell::new(1, 1)),
-                priority: 1,
-            }],
-            ..Default::default()
-        };
-        let (out, degraded) = degrade_script(
-            &code,
-            &app,
-            &lost,
-            &PriorityDictionary::new(),
-            SimTime::from_micros(8),
-        );
+        let (code, plans) = setup();
+        // An undamaged stripe, and a healthy cell of a damaged one.
+        let app = reads_of([
+            ChunkId::new(5, Cell::new(1, 1)),
+            ChunkId::new(3, Cell::new(0, 1)),
+            ChunkId::new(4, Cell::new(0, 0)),
+        ]);
+        let (out, degraded) = degrade_script(&code, &app, &plans, SimTime::from_micros(8));
         assert_eq!(degraded, 0);
         assert_eq!(out.ops, app.ops);
     }
 
     #[test]
     fn lost_reads_become_gathers() {
-        let (code, group) = setup();
-        let lost = LostMap::from_group(&group);
-        let target = ChunkId::new(3, Cell::new(1, 0));
-        let app = WorkerScript {
-            ops: vec![Op::Read {
-                chunk: target,
-                priority: 1,
-            }],
-            ..Default::default()
-        };
-        let (out, degraded) = degrade_script(
-            &code,
-            &app,
-            &lost,
-            &PriorityDictionary::new(),
-            SimTime::from_micros(8),
-        );
+        let (code, plans) = setup();
+        let app = reads_of([ChunkId::new(3, Cell::new(1, 0))]);
+        let (out, degraded) = degrade_script(&code, &app, &plans, SimTime::from_micros(8));
         assert_eq!(degraded, 1);
         assert_eq!(out.gathers.len(), 1);
-        // The fan-out avoids other lost cells of the stripe.
-        for (chunk, _) in &out.gathers[0].chunks {
-            assert!(!lost.is_lost(chunk), "fan-out reads a lost chunk: {chunk}");
+        // The fan-out avoids other lost cells of the stripe, and reads at
+        // the stripe plan's priorities.
+        for &(chunk, priority) in &out.gathers[0].chunks {
+            assert!(
+                !plans[0].lost().any(|c| c == chunk.cell),
+                "fan-out reads lost {chunk}"
+            );
+            assert_eq!(priority, plans[0].priority(chunk.cell));
         }
         // Followed by an XOR compute step.
         assert!(matches!(out.ops[1], Op::Compute { .. }));
@@ -191,24 +146,41 @@ mod tests {
 
     #[test]
     fn degraded_fan_out_has_chain_length() {
-        let (code, group) = setup();
-        let lost = LostMap::from_group(&group);
-        let target = ChunkId::new(9, Cell::new(1, 2));
-        let app = WorkerScript {
-            ops: vec![Op::Read {
-                chunk: target,
-                priority: 1,
-            }],
-            ..Default::default()
-        };
-        let (out, _) = degrade_script(
-            &code,
-            &app,
-            &lost,
-            &PriorityDictionary::new(),
-            SimTime::ZERO,
-        );
+        let (code, plans) = setup();
+        let app = reads_of([ChunkId::new(9, Cell::new(1, 2))]);
+        let (out, _) = degrade_script(&code, &app, &plans, SimTime::ZERO);
         // Cheapest chain for a TIP(p=7) data cell has >= 4 surviving cells.
         assert!(out.gathers[0].chunks.len() >= 4);
+    }
+
+    /// Regression: when no chain of a lost chunk avoids the stripe's other
+    /// lost cells, the degraded read used to become a plain read of the
+    /// *lost* chunk, which the engine served as if it existed. It fans out
+    /// the stripe's joint read set instead.
+    #[test]
+    fn no_fan_out_reads_a_lost_chunk() {
+        // STAR p=7, columns {0, 3}, rows 0..4: chain-by-chain repair stalls.
+        let code = StripeCode::build(CodeSpec::Star, 7).unwrap();
+        let mut group = ErrorGroup::new();
+        for col in [0, 3] {
+            group.push(PartialStripeError::new(&code, 2, col, 0, 4).unwrap());
+        }
+        let plans = plans(&code, &group);
+        let lost: Vec<ChunkId> = plans[0].lost().map(|c| ChunkId::new(2, c)).collect();
+        assert_eq!(lost.len(), 8);
+        let app = reads_of(lost.iter().copied());
+        let (out, degraded) = degrade_script(&code, &app, &plans, SimTime::from_micros(8));
+        assert_eq!(degraded, lost.len());
+        assert_eq!(out.gathers.len(), lost.len(), "every lost read fans out");
+        for op in &out.ops {
+            if let Op::Read { chunk, .. } = op {
+                assert!(!lost.contains(chunk), "plain read of lost {chunk}");
+            }
+        }
+        for gather in &out.gathers {
+            for (chunk, _) in &gather.chunks {
+                assert!(!lost.contains(chunk), "fan-out reads lost {chunk}");
+            }
+        }
     }
 }

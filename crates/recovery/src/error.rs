@@ -104,6 +104,15 @@ pub struct StripeDamage {
     pub cells: Vec<Cell>,
 }
 
+impl StripeDamage {
+    /// Add a lost cell, keeping the cells sorted and distinct.
+    pub(crate) fn insert(&mut self, cell: Cell) {
+        if let Err(at) = self.cells.binary_search(&cell) {
+            self.cells.insert(at, cell);
+        }
+    }
+}
+
 impl ErrorGroup {
     /// Empty group.
     pub fn new() -> Self {
@@ -156,11 +165,6 @@ impl ErrorGroup {
     pub fn is_empty(&self) -> bool {
         self.errors.is_empty()
     }
-
-    /// Total lost chunks across the campaign.
-    pub fn total_lost_chunks(&self) -> usize {
-        self.errors.iter().map(|e| e.len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -208,8 +212,32 @@ mod tests {
         g.push(PartialStripeError::new(&c, 0, 0, 0, 3).unwrap());
         g.push(PartialStripeError::new(&c, 1, 2, 1, 5).unwrap());
         assert_eq!(g.len(), 2);
-        assert_eq!(g.total_lost_chunks(), 8);
         assert!(!g.is_empty());
+        let lost =
+            |g: &ErrorGroup| -> usize { g.damage_by_stripe().iter().map(|d| d.cells.len()).sum() };
+        assert_eq!(lost(&g), 8);
+        // An overlapping error on the same stripe loses no new chunk.
+        g.push(PartialStripeError::new(&c, 1, 2, 0, 3).unwrap());
+        assert_eq!(lost(&g), 9);
+    }
+
+    #[test]
+    fn damage_insert_keeps_cells_sorted_and_distinct() {
+        let mut d = StripeDamage {
+            stripe: 0,
+            cells: vec![Cell::new(0, 1), Cell::new(3, 1)],
+        };
+        for cell in [Cell::new(2, 0), Cell::new(0, 1), Cell::new(5, 4)] {
+            d.insert(cell);
+        }
+        let mut expect = vec![
+            Cell::new(0, 1),
+            Cell::new(3, 1),
+            Cell::new(2, 0),
+            Cell::new(5, 4),
+        ];
+        expect.sort_unstable();
+        assert_eq!(d.cells, expect);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! panic — and dropped from further rounds.
 
 use crate::controller::{RecoveryController, StripePlan};
-use crate::error::{ErrorGroup, PartialStripeError, StripeDamage};
-use crate::priority::PriorityDictionary;
+use crate::error::{ErrorGroup, StripeDamage};
 use crate::scheme::SchemeKind;
 use fbf_codes::{Cell, StripeCode};
 use fbf_disksim::FailedRead;
@@ -40,10 +39,8 @@ pub struct DataLoss {
 #[derive(Debug)]
 pub struct Absorbed {
     /// Fresh plans for every still-recoverable stripe that grew damage
-    /// this round, in stripe order.
+    /// this round, in stripe order; each carries its own priorities.
     pub replans: Vec<StripePlan>,
-    /// Priority dictionary of the re-planned chained schemes.
-    pub dictionary: PriorityDictionary,
     /// Stripes that crossed the fault-tolerance line this round.
     pub data_loss: Vec<DataLoss>,
 }
@@ -55,7 +52,7 @@ pub struct Escalator<'a> {
     controller: RecoveryController<'a>,
     /// Accumulated damage per stripe (initial campaign + every escalated
     /// read failure).
-    damage: BTreeMap<u32, BTreeSet<Cell>>,
+    damage: BTreeMap<u32, StripeDamage>,
     /// Stripes already declared unrecoverable.
     lost: BTreeSet<u32>,
     tolerance: usize,
@@ -66,10 +63,11 @@ pub struct Escalator<'a> {
 impl<'a> Escalator<'a> {
     /// Start from a campaign's initial damage.
     pub fn new(code: &'a StripeCode, kind: SchemeKind, group: &ErrorGroup) -> Self {
-        let mut damage: BTreeMap<u32, BTreeSet<Cell>> = BTreeMap::new();
-        for d in group.damage_by_stripe() {
-            damage.insert(d.stripe, d.cells.into_iter().collect());
-        }
+        let damage = group
+            .damage_by_stripe()
+            .into_iter()
+            .map(|d| (d.stripe, d))
+            .collect();
         Escalator {
             tolerance: code.spec().fault_tolerance(),
             code,
@@ -93,7 +91,10 @@ impl<'a> Escalator<'a> {
             if self.lost.contains(&stripe) {
                 continue;
             }
-            let cells = self.damage.entry(stripe).or_default();
+            let damage = self.damage.entry(stripe).or_insert_with(|| StripeDamage {
+                stripe,
+                cells: Vec::new(),
+            });
             match f.kind {
                 // A dead disk loses the whole column for this stripe (all
                 // rows of a stripe-column live on one disk); marking it
@@ -101,75 +102,40 @@ impl<'a> Escalator<'a> {
                 fbf_disksim::ReadFailure::DeadDisk => {
                     let col = f.chunk.cell.c();
                     for r in 0..self.code.rows() {
-                        cells.insert(Cell::new(r, col));
+                        damage.insert(Cell::new(r, col));
                     }
                 }
-                _ => {
-                    cells.insert(f.chunk.cell);
-                }
+                _ => damage.insert(f.chunk.cell),
             }
             touched.insert(stripe);
         }
 
-        let mut replan_group = ErrorGroup::new();
+        let mut replans = Vec::with_capacity(touched.len());
         let mut data_loss = Vec::new();
-        for &stripe in &touched {
-            let cells = &self.damage[&stripe];
-            let columns = cells.iter().map(|c| c.c()).collect::<BTreeSet<_>>().len();
-            if columns > self.tolerance {
+        for stripe in touched {
+            let damage = &self.damage[&stripe];
+            let columns = damage.cells.iter().map(|c| c.c()).collect::<BTreeSet<_>>();
+            if columns.len() > self.tolerance {
                 self.lost.insert(stripe);
                 data_loss.push(DataLoss {
                     stripe,
-                    columns,
-                    cells: cells.iter().copied().collect(),
+                    columns: columns.len(),
+                    cells: damage.cells.clone(),
                 });
             } else {
-                // One len-1 error per cell; `damage_by_stripe` re-merges
-                // them, so non-contiguous escalated damage is fine.
-                for cell in cells {
-                    let e = PartialStripeError::new(self.code, stripe, cell.c(), cell.r(), 1)
-                        .expect("damage cells are in-geometry");
-                    replan_group.push(e);
-                }
+                replans.push(self.controller.plan_for(damage));
             }
         }
-        let (replans, dictionary) = self.controller.plan_campaign_with_fallback(&replan_group);
         self.replans += replans.len() as u64;
-        Absorbed {
-            replans,
-            dictionary,
-            data_loss,
-        }
+        Absorbed { replans, data_loss }
     }
 
-    /// Final damage of every stripe that is *not* lost, in stripe order —
-    /// what a surviving stripe's repair must have recovered.
-    pub fn surviving_damage(&self) -> Vec<StripeDamage> {
+    /// Accumulated damage of every stripe *not* declared lost, in stripe
+    /// order — what a surviving stripe's repair must have recovered.
+    pub fn damage(&self) -> impl Iterator<Item = &StripeDamage> {
         self.damage
-            .iter()
-            .filter(|(stripe, _)| !self.lost.contains(stripe))
-            .map(|(&stripe, cells)| StripeDamage {
-                stripe,
-                cells: cells.iter().copied().collect(),
-            })
-            .collect()
-    }
-
-    /// Full damage of the lost stripes, in stripe order.
-    pub fn lost_damage(&self) -> Vec<StripeDamage> {
-        self.damage
-            .iter()
-            .filter(|(stripe, _)| self.lost.contains(stripe))
-            .map(|(&stripe, cells)| StripeDamage {
-                stripe,
-                cells: cells.iter().copied().collect(),
-            })
-            .collect()
-    }
-
-    /// Stripes declared unrecoverable so far.
-    pub fn lost_stripes(&self) -> usize {
-        self.lost.len()
+            .values()
+            .filter(|d| !self.lost.contains(&d.stripe))
     }
 
     /// Re-plans issued so far (stripes × rounds, not chunk count).
@@ -186,6 +152,7 @@ impl<'a> Escalator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PartialStripeError;
     use fbf_codes::{ChunkId, CodeSpec};
     use fbf_disksim::ReadFailure;
 
@@ -219,21 +186,23 @@ mod tests {
         assert_eq!(out.replans.len(), 1);
         assert_eq!(out.replans[0].stripe(), 1);
         assert_eq!(esc.replans(), 1);
-        // The new plan must not read any damaged cell.
-        let damaged: BTreeSet<Cell> = esc.surviving_damage()[1].cells.iter().copied().collect();
-        match &out.replans[0] {
-            StripePlan::Chained(s) => {
-                for repair in &s.repairs {
-                    for cell in &repair.option.reads {
-                        assert!(!damaged.contains(cell), "plan reads damaged {cell}");
-                    }
-                }
-            }
-            StripePlan::Joint(j) => {
-                for cell in &j.reads {
-                    assert!(!damaged.contains(cell), "plan reads damaged {cell}");
-                }
-            }
+        // The new plan rebuilds exactly the enlarged damage and reads no
+        // damaged cell.
+        let damage = esc.damage().nth(1).unwrap();
+        assert_eq!(damage.cells.len(), 4);
+        let mut lost: Vec<Cell> = out.replans[0].lost().collect();
+        lost.sort_unstable();
+        assert_eq!(lost, damage.cells);
+        let reads: Vec<Cell> = match &out.replans[0] {
+            StripePlan::Chained(s) => s
+                .repairs
+                .iter()
+                .flat_map(|r| r.option.reads.clone())
+                .collect(),
+            StripePlan::Joint(j) => j.reads.clone(),
+        };
+        for cell in &reads {
+            assert!(!damage.cells.contains(cell), "plan reads damaged {cell}");
         }
     }
 
@@ -251,9 +220,14 @@ mod tests {
         assert_eq!(out.data_loss[0].stripe, 0);
         assert_eq!(out.data_loss[0].columns, 4);
         assert!(out.replans.is_empty());
-        assert_eq!(esc.lost_stripes(), 1);
-        assert!(esc.surviving_damage().is_empty());
-        assert_eq!(esc.lost_damage().len(), 1);
+        assert_eq!(
+            esc.damage().count(),
+            0,
+            "a lost stripe has no surviving damage"
+        );
+        // The verdict carries the full damage: the initial run plus the
+        // three failed reads.
+        assert_eq!(out.data_loss[0].cells.len(), 3 + 3);
     }
 
     #[test]
@@ -262,7 +236,7 @@ mod tests {
         let mut esc = Escalator::new(&code, SchemeKind::FbfCycling, &group(&code, 2));
         let out = esc.absorb(&[failed(0, 2, 4, ReadFailure::DeadDisk)]);
         assert_eq!(out.replans.len(), 1);
-        let damage = &esc.surviving_damage()[0];
+        let damage = esc.damage().next().unwrap();
         let col4 = damage.cells.iter().filter(|c| c.c() == 4).count();
         assert_eq!(col4, code.rows(), "entire column marked lost");
     }
@@ -299,7 +273,7 @@ mod tests {
                     .map(StripePlan::stripe)
                     .collect::<Vec<_>>(),
                 out.data_loss.len(),
-                esc.surviving_damage(),
+                esc.damage().cloned().collect::<Vec<_>>(),
             )
         };
         assert_eq!(run(&failures), run(&failures));

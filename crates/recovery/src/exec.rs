@@ -16,6 +16,7 @@ use crate::priority::{PriorityDictionary, PriorityTable};
 use crate::scheme::RecoveryScheme;
 use fbf_codes::{ChunkId, CodeError, Stripe, StripeCode};
 use fbf_disksim::{Op, RequestClass, SimTime, WorkerScript};
+use std::borrow::Borrow;
 
 /// Execution-shaping parameters.
 #[derive(Debug, Clone, Copy)]
@@ -136,31 +137,31 @@ pub fn build_scripts(
     )
 }
 
-/// [`build_scripts`] over schemes borrowed from several planned campaigns,
-/// each read carrying the priority its own scheme gives it — a rebuild
-/// wave mixes stripes of stripe-disjoint shards, so no merged dictionary
-/// (and no scheme copy) is needed to lower it.
-pub fn build_scripts_borrowed(
-    schemes: &[&RecoveryScheme],
+/// [`build_scripts`] with each read carrying the priority its own scheme
+/// gives it, no dictionary needed: the lowering of a planned campaign, and
+/// of a rebuild wave, which mixes schemes borrowed from stripe-disjoint
+/// shards.
+pub fn build_scripts_borrowed<S: Borrow<RecoveryScheme>>(
+    schemes: &[S],
     config: &ExecConfig,
 ) -> Vec<WorkerScript> {
     lower_round_robin(
         schemes,
         config,
-        |scheme| scheme.script_ops,
-        |scheme, script| lower_chained(scheme, Some(&scheme.table), config, script),
+        |scheme| scheme.borrow().script_ops,
+        |scheme, script| {
+            let scheme = scheme.borrow();
+            lower_chained(scheme, Some(&scheme.table), config, script)
+        },
     )
 }
 
 /// Lower a campaign of [`StripePlan`]s (chained + joint fallbacks) into
-/// per-worker scripts. Chained plans lower exactly as [`build_scripts`];
-/// joint plans become one parallel fan-out of the whole read set, a decode
-/// computation, and the spare writes.
-pub fn build_scripts_from_plans(
-    plans: &[StripePlan],
-    dictionary: &PriorityDictionary,
-    config: &ExecConfig,
-) -> Vec<WorkerScript> {
+/// per-worker scripts, each read at its plan's priority. Chained plans
+/// lower exactly as [`build_scripts_borrowed`]; joint plans become one
+/// parallel fan-out of the whole read set, a decode computation, and the
+/// spare writes.
+pub fn build_scripts_from_plans(plans: &[StripePlan], config: &ExecConfig) -> Vec<WorkerScript> {
     lower_round_robin(
         plans,
         config,
@@ -171,16 +172,13 @@ pub fn build_scripts_from_plans(
         },
         |plan, script| match plan {
             StripePlan::Chained(scheme) => {
-                lower_chained(scheme, dictionary.table(scheme.stripe), config, script)
+                lower_chained(scheme, Some(&scheme.table), config, script)
             }
             StripePlan::Joint(joint) => {
                 let fan_out: Vec<(ChunkId, u8)> = joint
                     .reads
                     .iter()
-                    .map(|&cell| {
-                        let id = ChunkId::new(joint.stripe, cell);
-                        (id, dictionary.priority_of(&id))
-                    })
+                    .map(|&cell| (ChunkId::new(joint.stripe, cell), plan.priority(cell)))
                     .collect();
                 let n = fan_out.len() as u64;
                 script.push_gather(fan_out);

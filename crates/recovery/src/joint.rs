@@ -12,8 +12,7 @@
 //! surviving cells of all chains covering any lost cell, the computation is
 //! one decoder invocation, and each lost chunk gets a spare write.
 
-use fbf_codes::decode::decode;
-use fbf_codes::{Cell, CodeError, Stripe, StripeCode};
+use fbf_codes::{Cell, StripeCode};
 use std::collections::BTreeSet;
 
 /// A joint-decode plan for one stripe's damage.
@@ -48,25 +47,14 @@ impl JointRepair {
             reads: reads.into_iter().collect(),
         }
     }
-
-    /// Number of chunks fetched.
-    pub fn read_count(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Execute against real payloads: decode the lost cells in place.
-    /// (The decoder reads exactly from the chains whose cells this plan
-    /// fetches, so the plan's read set is sufficient.)
-    pub fn apply(&self, code: &StripeCode, stripe: &mut Stripe) -> Result<(), CodeError> {
-        decode(code, stripe, &self.lost).map(|_| ())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RecoveryController, SchemeKind, StripeDamage, StripePlan};
     use fbf_codes::encode::encode;
-    use fbf_codes::CodeSpec;
+    use fbf_codes::{CodeSpec, Stripe};
 
     #[test]
     fn joint_plan_covers_the_stalling_star_pattern() {
@@ -77,16 +65,19 @@ mod tests {
             .iter()
             .flat_map(|&c| (0..4).map(move |r| Cell::new(r, c)))
             .collect();
-        assert!(
-            crate::scheme::generate_for_cells(&code, 0, &lost, crate::SchemeKind::FbfCycling)
-                .is_err(),
-            "precondition: this pattern must actually stall chain repair"
-        );
-
-        let plan = JointRepair::new(&code, 0, &lost);
-        assert!(plan.read_count() > 0);
-        for cell in &plan.reads {
-            assert!(!plan.lost.contains(cell));
+        let damage = StripeDamage {
+            stripe: 0,
+            cells: lost.clone(),
+        };
+        let plan = RecoveryController::new(&code, SchemeKind::FbfCycling).plan_for(&damage);
+        let StripePlan::Joint(joint) = &plan else {
+            panic!("precondition: this pattern must actually stall chain repair");
+        };
+        assert_eq!(joint, &JointRepair::new(&code, 0, &lost));
+        assert!(!joint.reads.is_empty());
+        for cell in &joint.reads {
+            assert!(!joint.lost.contains(cell));
+            assert_eq!(plan.priority(*cell), 1, "joint reads share no chain");
         }
 
         let mut pristine = Stripe::patterned(code.layout(), 32);
@@ -95,7 +86,7 @@ mod tests {
         for &c in &lost {
             damaged.erase(code.layout(), c);
         }
-        plan.apply(&code, &mut damaged).unwrap();
+        plan.restore(&code, &mut damaged).unwrap();
         for &c in &lost {
             assert_eq!(
                 damaged.get(code.layout(), c),

@@ -10,10 +10,14 @@
 //!   *FBF* scheme cycles the three chain directions to maximise shared
 //!   chunks (§III-A-1, Fig. 2(b)/Fig. 3); a *greedy* overlap-maximising
 //!   variant is included for ablation;
-//! * [`priority`] — the [`PriorityDictionary`]: each chunk's priority is
-//!   the number of chosen chains that reference it (Table II), consumed by
-//!   the FBF cache policy at insert time;
-//! * [`exec`] — turns schemes into [`fbf_disksim::WorkerScript`]s (reads,
+//! * [`controller`] — the format-memoising planner; its [`StripePlan`]
+//!   (chained, or a joint decode when no chain ordering exists) is one
+//!   stripe's repair, priorities and byte-level restore in one value;
+//! * [`priority`] — Table II: each chunk's priority is the number of
+//!   chosen chains that reference it, consumed by the FBF cache policy at
+//!   insert time; a scheme carries its own table, the
+//!   [`PriorityDictionary`] is the campaign-wide view of them;
+//! * [`exec`] — turns plans into [`fbf_disksim::WorkerScript`]s (reads,
 //!   XOR compute, spare writes) and can also *apply* a scheme to real
 //!   stripe payloads so tests verify recovered bytes;
 //! * [`parallel`] — SOR-style partitioning of a campaign across workers,
@@ -39,7 +43,7 @@ pub mod scheme;
 pub mod scrub;
 
 pub use controller::{RecoveryController, StripePlan};
-pub use degraded::{degrade_script, LostMap};
+pub use degraded::degrade_script;
 pub use error::{ErrorGroup, PartialStripeError, StripeDamage};
 pub use escalate::{Absorbed, DataLoss, Escalator};
 pub use exec::{

@@ -16,7 +16,6 @@
 
 use crate::controller::RecoveryController;
 use crate::error::{ErrorGroup, StripeDamage};
-use crate::priority::PriorityDictionary;
 use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::StripeCode;
 
@@ -53,8 +52,9 @@ fn fan_out<T: Send>(
     })
 }
 
-/// Plan a campaign — schemes in stripe order plus the priority dictionary —
-/// on `threads` host threads (`0` = one per available CPU).
+/// Plan a campaign — one scheme per damaged stripe, in stripe order, each
+/// carrying its priorities — on `threads` host threads (`0` = one per
+/// available CPU).
 ///
 /// Each thread runs its own [`RecoveryController`] over a contiguous slice
 /// of the damaged stripes, so every thread count memoises by format; the
@@ -66,19 +66,17 @@ pub fn plan_campaign_parallel(
     group: &ErrorGroup,
     kind: SchemeKind,
     threads: usize,
-) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
+) -> Result<Vec<RecoveryScheme>, SchemeError> {
     let damages = group.damage_by_stripe();
     let mut parts = fan_out(&damages, threads, |slice| {
         RecoveryController::new(code, kind).plan_damages(slice)
     })
     .into_iter();
-    let (mut schemes, mut dictionary) = parts.next().expect("fan_out yields a result")?;
+    let mut schemes = parts.next().expect("fan_out yields a result")?;
     for part in parts {
-        let (part_schemes, part_dictionary) = part?;
-        schemes.extend(part_schemes);
-        dictionary.merge(part_dictionary);
+        schemes.extend(part?);
     }
-    Ok((schemes, dictionary))
+    Ok(schemes)
 }
 
 /// Generate one scheme per *damaged stripe* (same-stripe errors merged)
@@ -137,16 +135,15 @@ mod tests {
         let code = StripeCode::build(CodeSpec::TripleStar, 7).unwrap();
         let g = group(&code, 25);
         let oracle = generate_schemes_parallel(&code, &g, SchemeKind::FbfCycling, 1).unwrap();
-        let oracle_dict = PriorityDictionary::from_schemes(&oracle);
         for threads in [0, 1, 2, 4, 64] {
-            let (schemes, dict) =
+            let schemes =
                 plan_campaign_parallel(&code, &g, SchemeKind::FbfCycling, threads).unwrap();
+            // Scheme equality compares the priority tables too.
             assert_eq!(schemes, oracle, "{threads} threads");
-            assert_eq!(dict, oracle_dict, "{threads} threads");
         }
-        let (none, empty) =
+        let none =
             plan_campaign_parallel(&code, &ErrorGroup::new(), SchemeKind::Typical, 4).unwrap();
-        assert!(none.is_empty() && empty.is_empty());
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!
 //! Priorities belong to the damage *format*, not to the chunk: every
 //! stripe with the same lost cells gets the same scheme, hence the same
-//! cell → priority table. The dictionary is therefore
-//! `stripe → shared table`; the
-//! [`RecoveryController`](crate::RecoveryController) derives one table
-//! per format and hands the same grid to every stripe of that format.
-//! Sharing cannot change a priority: a [`ChunkId`] carries its stripe, so
-//! the only entries that ever merge are two schemes for *one* stripe, and
-//! those max-merge cell by cell exactly as they always did.
+//! cell → priority table, which the scheme itself carries
+//! ([`FormatPlan::priority`](crate::FormatPlan::priority)) and lowering
+//! reads. The dictionary is the campaign-wide view of those tables,
+//! `stripe → shared table`: Table III's listing, and the oracle lowering
+//! is checked against. Sharing cannot change a priority: a [`ChunkId`]
+//! carries its stripe, so the only entries that ever merge are two
+//! schemes for *one* stripe, and those max-merge cell by cell.
 
 use crate::scheme::{ChunkRepair, RecoveryScheme};
 use fbf_codes::hash::FxHashMap;
@@ -142,13 +142,6 @@ impl PriorityDictionary {
         Self::default()
     }
 
-    /// Empty dictionary with room for `stripes` tables.
-    pub(crate) fn with_capacity(stripes: usize) -> Self {
-        let mut d = Self::new();
-        d.tables.reserve(stripes);
-        d
-    }
-
     /// Build from one scheme.
     pub fn from_scheme(scheme: &RecoveryScheme) -> Self {
         let mut d = Self::new();
@@ -157,8 +150,7 @@ impl PriorityDictionary {
     }
 
     /// Build from a whole campaign of schemes, every stripe taking the
-    /// table of its own scheme — over schemes generated one by one, the
-    /// un-memoised construction the controller's sharing is tested against.
+    /// table of its own scheme.
     pub fn from_schemes<'a>(schemes: impl IntoIterator<Item = &'a RecoveryScheme>) -> Self {
         let mut d = Self::new();
         for s in schemes {
@@ -167,34 +159,21 @@ impl PriorityDictionary {
         d
     }
 
-    /// Merge one scheme's priorities in. A chunk the stripe's earlier
-    /// schemes already read keeps its highest priority.
+    /// Merge one scheme's (possibly shared) table in. A chunk the
+    /// stripe's earlier schemes already read keeps its highest priority.
     pub fn add_scheme(&mut self, scheme: &RecoveryScheme) {
-        self.insert(scheme.stripe, scheme.table.clone());
-    }
-
-    /// Give `stripe` a (possibly shared) table, max-merging with the one
-    /// it already has, if any.
-    fn insert(&mut self, stripe: u32, table: PriorityTable) {
+        let table = &scheme.table;
         if table.known == 0 {
             return;
         }
-        match self.tables.entry(stripe) {
+        match self.tables.entry(scheme.stripe) {
             Entry::Vacant(slot) => {
-                slot.insert(table);
+                slot.insert(table.clone());
             }
             Entry::Occupied(mut slot) => {
-                let merged = slot.get().max_merged(&table);
+                let merged = slot.get().max_merged(table);
                 slot.insert(merged);
             }
-        }
-    }
-
-    /// Move every table of `other` in (max-merging on a shared stripe).
-    pub fn merge(&mut self, other: PriorityDictionary) {
-        self.tables.reserve(other.tables.len());
-        for (stripe, table) in other.tables {
-            self.insert(stripe, table);
         }
     }
 

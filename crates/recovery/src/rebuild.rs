@@ -339,7 +339,9 @@ mod tests {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let g = rebuild_campaign(&code, 0, 50).unwrap();
         assert_eq!(g.len(), 50);
-        assert_eq!(g.total_lost_chunks(), 50 * 6);
+        let damage = g.damage_by_stripe();
+        assert_eq!(damage.len(), 50);
+        assert!(damage.iter().all(|d| d.cells.len() == 6));
         assert!(rebuild_campaign(&code, code.cols(), 1).is_err());
     }
 

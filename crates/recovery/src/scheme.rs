@@ -163,6 +163,12 @@ impl FormatPlan {
         })
     }
 
+    /// FBF priority of reading `cell` (Table II); 1 when no repair reads
+    /// it.
+    pub fn priority(&self, cell: Cell) -> u8 {
+        self.table.priority(cell)
+    }
+
     /// How many times each surviving cell is read across all repairs — the
     /// share counts that become FBF priorities.
     pub fn share_counts(&self) -> std::collections::HashMap<Cell, usize> {

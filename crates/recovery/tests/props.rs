@@ -3,12 +3,14 @@
 
 use fbf_codes::encode::encode;
 use fbf_codes::{Cell, ChunkId, CodeSpec, Stripe, StripeCode};
+use fbf_disksim::{Op, SimTime, WorkerScript};
 use fbf_recovery::priority::priority_for_count;
 use fbf_recovery::scheme::generate_for_cells;
 use fbf_recovery::scrub::{scrub, ScrubOutcome};
 use fbf_recovery::{
-    apply_scheme, ErrorGroup, PartialStripeError, PriorityDictionary, RecoveryController,
-    RecoveryScheme, SchemeError, SchemeKind, StripeDamage, StripePlan,
+    apply_scheme, build_scripts, build_scripts_borrowed, build_scripts_from_plans, ErrorGroup,
+    ExecConfig, PartialStripeError, PriorityDictionary, RecoveryController, RecoveryScheme,
+    SchemeError, SchemeKind, StripeDamage, StripePlan,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -71,6 +73,51 @@ fn assert_dictionary_is(dict: &PriorityDictionary, brute: &BTreeMap<ChunkId, u8>
             assert_eq!(dict.cells_with_priority(stripe, prio), cells);
         }
     }
+}
+
+/// `plans` lowered the reference way: stripe `i` on worker `i % workers`,
+/// every read at `dict`'s priority for its chunk.
+fn lower_through(
+    plans: &[StripePlan],
+    dict: &PriorityDictionary,
+    config: &ExecConfig,
+) -> Vec<WorkerScript> {
+    let workers = config.workers.min(plans.len().max(1));
+    let empty = WorkerScript {
+        class: config.class,
+        ..Default::default()
+    };
+    let mut scripts = vec![empty; workers];
+    let xor = |chunks: usize| Op::Compute {
+        duration: SimTime::from_nanos(config.xor_time_per_chunk.as_nanos() * chunks as u64),
+    };
+    for (i, plan) in plans.iter().enumerate() {
+        let script = &mut scripts[i % workers];
+        let chunk = |cell| ChunkId::new(plan.stripe(), cell);
+        let read = |cell| (chunk(cell), dict.priority_of(&chunk(cell)));
+        match plan {
+            StripePlan::Chained(scheme) => {
+                for repair in &scheme.repairs {
+                    for &cell in &repair.option.reads {
+                        let (chunk, priority) = read(cell);
+                        script.ops.push(Op::Read { chunk, priority });
+                    }
+                    script.ops.push(xor(repair.option.reads.len()));
+                    script.ops.push(Op::Write {
+                        chunk: chunk(repair.target),
+                    });
+                }
+            }
+            StripePlan::Joint(joint) => {
+                script.push_gather(joint.reads.iter().map(|&cell| read(cell)).collect());
+                script.ops.push(xor(joint.reads.len() + joint.lost.len()));
+                for &cell in &joint.lost {
+                    script.ops.push(Op::Write { chunk: chunk(cell) });
+                }
+            }
+        }
+    }
+    scripts
 }
 
 /// One object per format: every stripe a controller plans for one damage
@@ -183,10 +230,15 @@ proptest! {
         prop_assert_eq!(group.damage_by_stripe(), expect);
     }
 
-    /// The controller's dictionary — one table per damage format, shared
-    /// by its stripes — equals the brute-force per-chunk one for every
-    /// code and generator, on single- and multi-column damage with
-    /// recurring formats; and equals `from_schemes` over the same schemes.
+    /// Every stripe's plan carries its own priorities. For every code and
+    /// generator, on single- and multi-column damage with recurring
+    /// formats (STAR's among them with no chain ordering):
+    /// - the dictionary over the chained plans equals the brute-force
+    ///   per-chunk one;
+    /// - every `plan_for` plan rebuilds exactly its stripe's damage, and
+    ///   its `restore` reproduces the pristine bytes;
+    /// - scripts lowered from the plans' own tables equal, op for op, the
+    ///   scripts lowered through that dictionary, joint plans included.
     #[test]
     fn controller_dictionary_equals_brute_force(
         spec in spec_strategy(),
@@ -201,8 +253,14 @@ proptest! {
                 group.push(PartialStripeError::new(&code, 3 * i as u32, c, first, len).unwrap());
             }
         }
+        // The pattern `joint.rs` pins: no chain ordering on STAR p=7.
+        for col in [0, 3] {
+            let stripe = 3 * damage.len() as u32;
+            group.push(PartialStripeError::new(&code, stripe, col, 0, 4).unwrap());
+        }
+        let damages = group.damage_by_stripe();
         let mut ctl = RecoveryController::new(&code, kind);
-        let (plans, dict) = ctl.plan_campaign_with_fallback(&group);
+        let plans: Vec<StripePlan> = damages.iter().map(|d| ctl.plan_for(d)).collect();
         let chained: Vec<&RecoveryScheme> = plans
             .iter()
             .filter_map(|p| match p {
@@ -210,12 +268,35 @@ proptest! {
                 StripePlan::Joint(_) => None,
             })
             .collect();
-        let brute = brute_force(chained.iter().copied());
-        assert_dictionary_is(&dict, &brute);
-        prop_assert_eq!(&dict, &PriorityDictionary::from_schemes(chained.iter().copied()));
+        if spec == CodeSpec::Star {
+            prop_assert!(chained.len() < plans.len(), "STAR's stalling pattern plans jointly");
+        }
+        let dict = PriorityDictionary::from_schemes(chained.iter().copied());
+        assert_dictionary_is(&dict, &brute_force(chained.iter().copied()));
         // Unknown chunks: an undamaged stripe, and a cell off the grid.
         prop_assert_eq!(dict.priority_of(&ChunkId::new(1, Cell::new(0, 0))), 1);
         prop_assert_eq!(dict.priority_of(&ChunkId::new(0, Cell::new(99, 99))), 1);
+        for (plan, damage) in plans.iter().zip(&damages) {
+            prop_assert_eq!(plan.stripe(), damage.stripe);
+            let mut lost: Vec<Cell> = plan.lost().collect();
+            lost.sort_unstable();
+            prop_assert_eq!(&lost, &damage.cells);
+            let mut pristine = Stripe::patterned_seeded(code.layout(), 16, u64::from(damage.stripe));
+            encode(&code, &mut pristine).unwrap();
+            let mut damaged = pristine.clone();
+            for &cell in &damage.cells {
+                damaged.erase(code.layout(), cell);
+            }
+            plan.restore(&code, &mut damaged).unwrap();
+            for &cell in &damage.cells {
+                prop_assert_eq!(damaged.get(code.layout(), cell), pristine.get(code.layout(), cell));
+            }
+        }
+        let config = ExecConfig { workers: 3, ..Default::default() };
+        prop_assert_eq!(
+            build_scripts_from_plans(&plans, &config),
+            lower_through(&plans, &dict, &config)
+        );
         // The strict path agrees whenever every stripe schedules.
         if chained.len() == plans.len() {
             let (schemes, strict) = RecoveryController::new(&code, kind)
@@ -223,6 +304,10 @@ proptest! {
                 .unwrap();
             prop_assert!(schemes.iter().eq(chained.iter().copied()));
             prop_assert_eq!(&strict, &dict);
+            prop_assert_eq!(
+                build_scripts(&schemes, &strict, &config),
+                build_scripts_borrowed(&schemes, &config)
+            );
         }
         // Recurring formats — multi-column ones with no chain ordering
         // among them — are one body each.
@@ -231,7 +316,8 @@ proptest! {
     }
 
     /// Two schemes given to one stripe max-merge chunk by chunk, in either
-    /// order and through `merge`, whatever the two tables' geometries.
+    /// order and one `add_scheme` at a time, whatever the two tables'
+    /// geometries.
     #[test]
     fn two_schemes_on_one_stripe_max_merge(
         spec in spec_strategy(),
@@ -251,9 +337,9 @@ proptest! {
         assert_dictionary_is(&ab, &brute);
         let ba = PriorityDictionary::from_schemes([&other, &b, &a]);
         prop_assert_eq!(&ab, &ba);
-        let mut merged = PriorityDictionary::from_schemes([&a, &other]);
-        merged.merge(PriorityDictionary::from_scheme(&b));
-        prop_assert_eq!(&ab, &merged);
+        let mut added = PriorityDictionary::from_schemes([&a, &other]);
+        added.add_scheme(&b);
+        prop_assert_eq!(&ab, &added);
         // A dictionary that knows less is a different dictionary.
         prop_assert!(ab != PriorityDictionary::from_schemes([&a, &b]));
     }

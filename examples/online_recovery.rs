@@ -11,7 +11,7 @@
 //! hold up under the mixed load.
 
 use fbf::disksim::{ArrayMapping, Engine, EngineConfig};
-use fbf::recovery::{build_scripts, plan_campaign_parallel, ExecConfig, SchemeKind};
+use fbf::recovery::{build_scripts_borrowed, plan_campaign_parallel, ExecConfig, SchemeKind};
 use fbf::report::f;
 use fbf::workload::{generate_app_reads, generate_errors, AppIoConfig, ErrorGenConfig};
 use fbf::PolicyKind;
@@ -24,11 +24,10 @@ fn main() {
 
     // Reconstruction campaign.
     let errors = generate_errors(&code, &ErrorGenConfig::paper_default(stripes, 256, 77));
-    let (schemes, dict) =
+    let schemes =
         plan_campaign_parallel(&code, &errors, SchemeKind::FbfCycling, 0).expect("schemes");
-    let mut scripts = build_scripts(
+    let mut scripts = build_scripts_borrowed(
         &schemes,
-        &dict,
         &ExecConfig {
             workers: 32,
             ..Default::default()

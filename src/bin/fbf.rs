@@ -49,8 +49,8 @@ use fbf::obs::flags::{take_flag, take_switch};
 use fbf::obs::ObsFlags;
 use fbf::recovery::priority::priority_for_count;
 use fbf::recovery::{
-    scheme::generate, JointRepair, PartialStripeError, PriorityDictionary, RecoveryController,
-    SchemeKind, StripeDamage,
+    scheme::generate, PartialStripeError, PriorityDictionary, RecoveryController, SchemeKind,
+    StripeDamage, StripePlan,
 };
 use fbf::report::f;
 use fbf::workload::{
@@ -392,10 +392,8 @@ fn plan_census(args: &mut Args) -> Result<(), Exit> {
         .map(|(col, first, len)| {
             let run = PartialStripeError::new(&code, 0, col, first, len);
             let cells = run.expect("the run lies inside the stripe").cells();
-            let damage = StripeDamage { stripe: 0, cells };
-            // No chain ordering repairs the run: it would be decoded jointly.
-            let scheme = controller.scheme_for(&damage).map_err(|_| damage.cells);
-            (col, first, len, scheme)
+            let plan = controller.plan_for(&StripeDamage { stripe: 0, cells });
+            (col, first, len, plan)
         })
         .collect();
     let overhead_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -415,21 +413,25 @@ fn plan_census(args: &mut Args) -> Result<(), Exit> {
     let json = |figures: [(&'static str, f64); 5]| figures.map(|(k, v)| (k, Json::Num(v)));
     let (mut lost, mut joint, mut total) = (0, 0, [0usize; 3]);
     let mut table = Vec::with_capacity(planned.len());
-    for (col, first, len, scheme) in &planned {
+    for (col, first, len, plan) in &planned {
         let mut refs = [0usize; 3];
-        match scheme {
+        let plan = match plan {
             // Table II: a chunk `n` chosen chains read is `n` references.
-            Ok(scheme) => scheme.share_count_list().iter().for_each(|&(_, n)| {
-                refs[usize::from(priority_for_count(n)) - 1] += n;
-            }),
-            Err(cells) => {
-                joint += 1;
-                refs[0] = JointRepair::new(&code, 0, cells).reads.len();
+            StripePlan::Chained(scheme) => {
+                for &(_, n) in &scheme.share_count_list() {
+                    refs[usize::from(priority_for_count(n)) - 1] += n;
+                }
+                "chained"
             }
-        }
+            // No chain ordering repairs the run: it is decoded jointly.
+            StripePlan::Joint(joint_plan) => {
+                joint += 1;
+                refs[0] = joint_plan.reads.len();
+                "joint"
+            }
+        };
         lost += len;
         total = [0, 1, 2].map(|k| total[k] + refs[k]);
-        let plan = if scheme.is_ok() { "chained" } else { "joint" };
         let run = [("col", col), ("first_row", first), ("len", len)];
         let run = run.map(|(name, value)| (name, Json::Num(*value as f64)));
         let row = run.into_iter().chain([("plan", Json::from(plan))]);

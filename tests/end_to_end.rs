@@ -272,7 +272,8 @@ fn star_multi_disk_campaign_uses_joint_fallback() {
         },
     );
     let mut ctl = RecoveryController::new(&code, SchemeKind::FbfCycling);
-    let (plans, dict) = ctl.plan_campaign_with_fallback(&campaign);
+    let damage = campaign.damage_by_stripe();
+    let plans: Vec<StripePlan> = damage.iter().map(|d| ctl.plan_for(d)).collect();
     assert_eq!(plans.len(), 64);
     let joints = plans
         .iter()
@@ -285,22 +286,15 @@ fn star_multi_disk_campaign_uses_joint_fallback() {
     assert!(joints < plans.len(), "most patterns should still chain");
 
     // Byte-exact recovery through both plan kinds.
-    for plan in &plans {
+    for (plan, damage) in plans.iter().zip(&damage) {
+        assert_eq!(plan.stripe(), damage.stripe);
         let mut pristine = Stripe::patterned(code.layout(), 32);
         encode(&code, &mut pristine).unwrap();
-        let damage = campaign
-            .damage_by_stripe()
-            .into_iter()
-            .find(|d| d.stripe == plan.stripe())
-            .unwrap();
         let mut damaged = pristine.clone();
         for &cell in &damage.cells {
             damaged.erase(code.layout(), cell);
         }
-        match plan {
-            StripePlan::Chained(scheme) => apply_scheme(&code, &mut damaged, scheme).unwrap(),
-            StripePlan::Joint(joint) => joint.apply(&code, &mut damaged).unwrap(),
-        }
+        plan.restore(&code, &mut damaged).unwrap();
         for &cell in &damage.cells {
             assert_eq!(
                 damaged.get(code.layout(), cell),
@@ -314,7 +308,6 @@ fn star_multi_disk_campaign_uses_joint_fallback() {
     // And the simulator runs the mixed plan set.
     let scripts = build_scripts_from_plans(
         &plans,
-        &dict,
         &ExecConfig {
             workers: 16,
             ..Default::default()

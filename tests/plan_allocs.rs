@@ -130,14 +130,15 @@ fn scripts_are_sized_before_they_are_filled() {
             group.push(PartialStripeError::new(&code, stripe, col, 0, code.rows()).unwrap());
         }
     }
-    let (plans, dictionary) =
-        RecoveryController::new(&code, SchemeKind::FbfCycling).plan_campaign_with_fallback(&group);
+    let mut controller = RecoveryController::new(&code, SchemeKind::FbfCycling);
+    let damage = group.damage_by_stripe();
+    let plans: Vec<StripePlan> = damage.iter().map(|d| controller.plan_for(d)).collect();
     let joint = plans
         .iter()
         .filter(|p| matches!(p, StripePlan::Joint(_)))
         .count();
     assert!(joint > 0 && joint < plans.len(), "{joint} joint plans");
-    let (scripts, calls) = counted(|| build_scripts_from_plans(&plans, &dictionary, &exec));
+    let (scripts, calls) = counted(|| build_scripts_from_plans(&plans, &exec));
     assert_eq!(calls.realloc, 0, "build_scripts_from_plans: {calls:?}");
     assert_exactly_sized(&scripts, "build_scripts_from_plans");
 }
