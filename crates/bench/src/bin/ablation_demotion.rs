@@ -9,60 +9,41 @@
 //! * `demote-front` — to the LRU end (evicted sooner once downgraded);
 //! * `no-demotion`  — hits keep a chunk in its original queue.
 
-use fbf_bench::{base_config, save_csv, CACHE_MB};
+use fbf_bench::{Artefact, CACHE_MB};
 use fbf_cache::{DemotePosition, FbfConfig, PolicyKind};
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f, ExperimentConfig};
+
+const VARIANTS: [FbfConfig; 3] = [
+    FbfConfig {
+        demote_to: DemotePosition::Back,
+        disable_demotion: false,
+    },
+    FbfConfig {
+        demote_to: DemotePosition::Front,
+        disable_demotion: false,
+    },
+    FbfConfig {
+        demote_to: DemotePosition::Back,
+        disable_demotion: true,
+    },
+];
 
 fn main() {
-    let p = 11;
-    let variants: [(&str, FbfConfig); 3] = [
-        (
-            "demote-back",
-            FbfConfig {
-                demote_to: DemotePosition::Back,
-                disable_demotion: false,
-            },
-        ),
-        (
-            "demote-front",
-            FbfConfig {
-                demote_to: DemotePosition::Front,
-                disable_demotion: false,
-            },
-        ),
-        (
-            "no-demotion",
-            FbfConfig {
-                demote_to: DemotePosition::Back,
-                disable_demotion: true,
-            },
-        ),
-    ];
-
-    let mut table = Table::new(
-        format!("FBF demotion ablation — TIP(p={p})"),
-        &["cache_mb", "demote-back", "demote-front", "no-demotion"],
-    );
-
-    let configs: Vec<_> = CACHE_MB
-        .iter()
-        .flat_map(|&mb| {
-            variants.iter().map(move |&(_, fbf)| {
-                let mut cfg = base_config(CodeSpec::Tip, p, PolicyKind::Fbf, mb);
-                cfg.fbf = fbf;
-                cfg
-            })
-        })
-        .collect();
-    let points = sweep(&configs, 0).expect("sweep failed");
-
-    for (i, &mb) in CACHE_MB.iter().enumerate() {
-        let row = &points[i * variants.len()..(i + 1) * variants.len()];
-        let mut cells = vec![mb.to_string()];
-        cells.extend(row.iter().map(|pt| f(pt.metrics.hit_ratio, 4)));
-        table.push_row(cells);
-    }
-    println!("{}", table.render());
-    save_csv("ablation_demotion", &table);
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let grid = policy_grid(&CACHE_MB, &VARIANTS, |&mb, &fbf| ExperimentConfig {
+            fbf,
+            ..scale.config(CodeSpec::Tip, p, PolicyKind::Fbf, mb)
+        })?;
+        let table = grid.table(
+            format!("FBF demotion ablation — TIP(p={p})"),
+            &["cache_mb", "demote-back", "demote-front", "no-demotion"],
+            |mb| vec![mb.to_string()],
+            |pt| vec![f(pt.metrics.hit_ratio, 4)],
+        );
+        let mut out = Artefact::default();
+        out.table("ablation_demotion", table).points(grid.points);
+        Ok(out)
+    })
 }

@@ -11,53 +11,54 @@
 //! * the FBF-vs-LRU ranking is *robust* to the disk model — the paper's
 //!   conclusion does not depend on the fixed-latency simplification.
 
-use fbf_bench::{base_config, save_csv};
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f, ExperimentConfig};
 use fbf_disksim::{DiskModel, DiskSched};
 
 fn main() {
-    let p = 11;
-    let cache_mb = 64;
-    let mut table = Table::new(
-        format!("Disk-scheduling ablation — TIP(p={p}), {cache_mb}MB, detailed disk model"),
-        &[
-            "discipline",
-            "policy",
-            "hit_ratio",
-            "avg_resp_ms",
-            "recon_s",
-        ],
-    );
-
-    for sched in DiskSched::ALL {
-        let configs: Vec<_> = [PolicyKind::Lru, PolicyKind::Fbf]
-            .iter()
-            .map(|&policy| {
-                let mut cfg = base_config(CodeSpec::Tip, p, policy, cache_mb);
-                cfg.disk_model = DiskModel::detailed_default();
-                cfg.disk_sched = sched;
-                cfg
-            })
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let cache_mb = 64;
+        let policies = [PolicyKind::Lru, PolicyKind::Fbf];
+        let rows: Vec<_> = DiskSched::ALL
+            .into_iter()
+            .flat_map(|sched| policies.map(|policy| (sched, policy)))
             .collect();
-        let points = sweep(&configs, 0).expect("sweep failed");
-        for pt in &points {
-            table.push_row(vec![
-                sched.name().to_string(),
-                pt.config.policy.name().to_string(),
-                f(pt.metrics.hit_ratio, 4),
-                f(pt.metrics.avg_response_ms, 3),
-                f(pt.metrics.reconstruction_s, 3),
-            ]);
-        }
-        // Robustness check: FBF still wins under every discipline.
-        assert!(
-            points[1].metrics.reconstruction_s <= points[0].metrics.reconstruction_s,
-            "{}: FBF should not lose to LRU",
-            sched.name()
+        let grid = policy_grid(&rows, &[()], |&(disk_sched, policy), _| ExperimentConfig {
+            disk_model: DiskModel::detailed_default(),
+            disk_sched,
+            ..scale.config(CodeSpec::Tip, p, policy, cache_mb)
+        })?;
+        let table = grid.table(
+            format!("Disk-scheduling ablation — TIP(p={p}), {cache_mb}MB, detailed disk model"),
+            &[
+                "discipline",
+                "policy",
+                "hit_ratio",
+                "avg_resp_ms",
+                "recon_s",
+            ],
+            |(sched, policy)| vec![sched.name().to_string(), policy.name().to_string()],
+            |pt| {
+                vec![
+                    f(pt.metrics.hit_ratio, 4),
+                    f(pt.metrics.avg_response_ms, 3),
+                    f(pt.metrics.reconstruction_s, 3),
+                ]
+            },
         );
-    }
-    println!("{}", table.render());
-    save_csv("ablation_scheduling", &table);
+        let mut out = Artefact::default();
+        out.table("ablation_scheduling", table);
+        // Robustness check: FBF still wins under every discipline.
+        for (sched, pair) in DiskSched::ALL.iter().zip(grid.points.chunks(2)) {
+            let (lru, fbf) = (&pair[0].metrics, &pair[1].metrics);
+            out.check(fbf.reconstruction_s <= lru.reconstruction_s, || {
+                format!("{}: FBF should not lose to LRU", sched.name())
+            });
+        }
+        out.points(grid.points);
+        Ok(out)
+    })
 }

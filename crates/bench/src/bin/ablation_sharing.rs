@@ -6,39 +6,34 @@
 //! so the main effect is how eviction pressure distributes. This bench
 //! quantifies it per policy at a limited cache size.
 
-use fbf_bench::{base_config, save_csv, CACHE_MB};
+use fbf_bench::{Artefact, CACHE_MB};
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f, ExperimentConfig};
 use fbf_disksim::CacheSharing;
 
 fn main() {
-    let p = 11;
-    let mut table = Table::new(
-        format!("Cache-sharing ablation — TIP(p={p}), hit ratio"),
-        &["cache_mb", "policy", "partitioned", "shared"],
-    );
-    for &mb in &CACHE_MB[..6] {
-        let configs: Vec<_> = PolicyKind::ALL
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let rows: Vec<_> = CACHE_MB[..6]
             .iter()
-            .flat_map(|&policy| {
-                [CacheSharing::Partitioned, CacheSharing::Shared].map(|sharing| {
-                    let mut cfg = base_config(CodeSpec::Tip, p, policy, mb);
-                    cfg.sharing = sharing;
-                    cfg
-                })
-            })
+            .flat_map(|&mb| PolicyKind::ALL.map(|policy| (mb, policy)))
             .collect();
-        let points = sweep(&configs, 0).expect("sweep failed");
-        for pair in points.chunks(2) {
-            table.push_row(vec![
-                mb.to_string(),
-                pair[0].config.policy.name().to_string(),
-                f(pair[0].metrics.hit_ratio, 4),
-                f(pair[1].metrics.hit_ratio, 4),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    save_csv("ablation_sharing", &table);
+        let sharing = [CacheSharing::Partitioned, CacheSharing::Shared];
+        let grid = policy_grid(&rows, &sharing, |&(mb, policy), &sharing| {
+            ExperimentConfig {
+                sharing,
+                ..scale.config(CodeSpec::Tip, p, policy, mb)
+            }
+        })?;
+        let table = grid.table(
+            format!("Cache-sharing ablation — TIP(p={p}), hit ratio"),
+            &["cache_mb", "policy", "partitioned", "shared"],
+            |(mb, policy)| vec![mb.to_string(), policy.name().to_string()],
+            |pt| vec![f(pt.metrics.hit_ratio, 4)],
+        );
+        let mut out = Artefact::default();
+        out.table("ablation_sharing", table).points(grid.points);
+        Ok(out)
+    })
 }

@@ -7,53 +7,36 @@
 //! sharing; VDF protects victim-disk chunks (which FBF also implicitly
 //! favours) but not the shared *surviving* chunks, so FBF still leads.
 
-use fbf_bench::{base_config, save_csv, CACHE_MB};
+use fbf_bench::{Artefact, CACHE_MB};
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
-    let p = 11;
-    let headers: Vec<String> = std::iter::once("cache_mb".to_string())
-        .chain(PolicyKind::EXTENDED.iter().map(|k| k.name().to_string()))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-
-    let mut hit = Table::new(
-        format!("Extended policies, hit ratio — TIP(p={p})"),
-        &header_refs,
-    );
-    let mut reads = Table::new(
-        format!("Extended policies, disk reads — TIP(p={p})"),
-        &header_refs,
-    );
-
-    let configs: Vec<_> = CACHE_MB
-        .iter()
-        .flat_map(|&mb| {
-            PolicyKind::EXTENDED
-                .iter()
-                .map(move |&policy| base_config(CodeSpec::Tip, p, policy, mb))
-        })
-        .collect();
-    let points = sweep(&configs, 0).expect("sweep failed");
-
-    let n = PolicyKind::EXTENDED.len();
-    for (i, &mb) in CACHE_MB.iter().enumerate() {
-        let row = &points[i * n..(i + 1) * n];
-        hit.push_row(
-            std::iter::once(mb.to_string())
-                .chain(row.iter().map(|pt| f(pt.metrics.hit_ratio, 4)))
-                .collect(),
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let mut headers = vec!["cache_mb"];
+        headers.extend(PolicyKind::EXTENDED.iter().map(PolicyKind::name));
+        let grid = policy_grid(&CACHE_MB, &PolicyKind::EXTENDED, |&mb, &policy| {
+            scale.config(CodeSpec::Tip, p, policy, mb)
+        })?;
+        let label = |mb: &usize| vec![mb.to_string()];
+        let hit = grid.table(
+            format!("Extended policies, hit ratio — TIP(p={p})"),
+            &headers,
+            label,
+            |pt| vec![f(pt.metrics.hit_ratio, 4)],
         );
-        reads.push_row(
-            std::iter::once(mb.to_string())
-                .chain(row.iter().map(|pt| pt.metrics.disk_reads.to_string()))
-                .collect(),
+        let reads = grid.table(
+            format!("Extended policies, disk reads — TIP(p={p})"),
+            &headers,
+            label,
+            |pt| vec![pt.metrics.disk_reads.to_string()],
         );
-    }
-    println!("{}", hit.render());
-    println!("{}", reads.render());
-    save_csv("extended_policies_hit", &hit);
-    save_csv("extended_policies_reads", &reads);
+        let mut out = Artefact::default();
+        out.table("extended_policies_hit", hit)
+            .table("extended_policies_reads", reads)
+            .points(grid.points);
+        Ok(out)
+    })
 }

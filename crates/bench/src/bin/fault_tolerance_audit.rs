@@ -6,78 +6,78 @@
 //! Triple-STAR, STAR) must survive all column triples, the RAID-6 codes
 //! (RDP, EVENODD) all column pairs. Any `bad > 0` is a construction bug.
 
+use fbf_bench::Artefact;
 use fbf_codes::decode::decode;
 use fbf_codes::encode::encode;
 use fbf_codes::{Cell, CodeSpec, Stripe, StripeCode};
+use std::fmt::Write;
+
+/// Every `k`-subset of `0..n`.
+fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+    if k == 0 {
+        return vec![Vec::new()];
+    }
+    (k - 1..n)
+        .flat_map(|last| {
+            subsets(last, k - 1)
+                .into_iter()
+                .map(move |s| [s, vec![last]].concat())
+        })
+        .collect()
+}
 
 fn main() {
-    let mut failures = 0usize;
-    for spec in CodeSpec::EXTENDED {
-        for p in [5usize, 7, 11, 13] {
-            if p < spec.min_prime() {
-                continue;
-            }
-            let code = StripeCode::build(spec, p).unwrap();
-            let mut stripe = Stripe::patterned(code.layout(), 8);
-            encode(&code, &mut stripe).unwrap();
-            let n = code.cols();
-            let k = spec.fault_tolerance();
-            let (mut ok, mut bad) = (0usize, 0usize);
-
-            // All size-k column subsets (k is 2 or 3).
-            let mut combos: Vec<Vec<usize>> = Vec::new();
-            if k == 2 {
-                for a in 0..n {
-                    for b in a + 1..n {
-                        combos.push(vec![a, b]);
+    fbf_bench::main(|_| {
+        let mut out = Artefact::default();
+        let mut failures = 0usize;
+        for spec in CodeSpec::EXTENDED {
+            for p in [5usize, 7, 11, 13] {
+                let code = StripeCode::build(spec, p)?;
+                let mut stripe = Stripe::patterned(code.layout(), 8);
+                encode(&code, &mut stripe)?;
+                let k = spec.fault_tolerance();
+                let (mut ok, mut bad) = (0usize, 0usize);
+                for cols in subsets(code.cols(), k) {
+                    let erased: Vec<Cell> = cols
+                        .iter()
+                        .flat_map(|&c| (0..code.rows()).map(move |r| Cell::new(r, c)))
+                        .collect();
+                    let mut s = stripe.clone();
+                    for &e in &erased {
+                        s.erase(code.layout(), e);
                     }
-                }
-            } else {
-                for a in 0..n {
-                    for b in a + 1..n {
-                        for c in b + 1..n {
-                            combos.push(vec![a, b, c]);
-                        }
-                    }
-                }
-            }
-            for cols in combos {
-                let erased: Vec<Cell> = cols
-                    .iter()
-                    .flat_map(|&c| (0..code.rows()).map(move |r| Cell::new(r, c)))
-                    .collect();
-                let mut s = stripe.clone();
-                for &e in &erased {
-                    s.erase(code.layout(), e);
-                }
-                match decode(&code, &mut s, &erased) {
-                    Ok(_) => {
-                        // Verify payloads, not just solvability.
-                        let intact = erased
+                    // Verify payloads, not just solvability.
+                    let intact = decode(&code, &mut s, &erased).is_ok()
+                        && erased
                             .iter()
                             .all(|&e| s.get(code.layout(), e) == stripe.get(code.layout(), e));
-                        if intact {
-                            ok += 1;
-                        } else {
-                            bad += 1;
-                        }
+                    if intact {
+                        ok += 1;
+                    } else {
+                        bad += 1;
                     }
-                    Err(_) => bad += 1,
                 }
+                writeln!(
+                    out,
+                    "{:<10} p={:<2} tolerance={}: {ok} combinations ok, {bad} bad",
+                    spec.name(),
+                    p,
+                    k
+                )?;
+                failures += bad;
             }
-            println!(
-                "{:<10} p={:<2} tolerance={}: {ok} combinations ok, {bad} bad",
-                spec.name(),
-                p,
-                k
-            );
-            failures += bad;
         }
-    }
-    if failures == 0 {
-        println!("\nall codes are exhaustively erasure-tolerant at their rated level ✓");
-    } else {
-        println!("\nFAILURES: {failures}");
-        std::process::exit(1);
-    }
+        if failures == 0 {
+            writeln!(
+                out,
+                "\nall codes are exhaustively erasure-tolerant at their rated level ✓"
+            )?;
+        } else {
+            writeln!(out, "\nFAILURES: {failures}")?;
+        }
+        out.check(failures == 0, || {
+            format!("{failures} erasure combinations failed to decode")
+        });
+        Ok(out)
+    })
 }

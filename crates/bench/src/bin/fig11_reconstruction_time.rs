@@ -5,20 +5,20 @@
 //! than for response time because XOR computation and spare writes cost
 //! the same for every policy (up to ~15% over LRU in the paper).
 
-use fbf_bench::{base_config, save_csv, CACHE_MB, TIP_PRIMES};
+use fbf_bench::{CACHE_MB, TIP_PRIMES};
 use fbf_codes::CodeSpec;
-use fbf_core::{policy_grid, report::f};
+use fbf_core::report::f;
 
 fn main() {
-    for p in TIP_PRIMES {
-        let (table, _) = policy_grid(
-            format!("Fig.11 reconstruction time (s) — TIP(p={p})"),
+    fbf_bench::main(|scale| {
+        fbf_bench::figure(
+            scale,
+            "Fig.11 reconstruction time (s)",
+            "fig11",
+            &[CodeSpec::Tip],
+            &TIP_PRIMES,
             &CACHE_MB,
-            |policy, mb| base_config(CodeSpec::Tip, p, policy, mb),
             |m| f(m.reconstruction_s, 3),
         )
-        .expect("sweep failed");
-        println!("{}", table.render());
-        save_csv(&format!("fig11_tip_p{p}"), &table);
-    }
+    })
 }

@@ -5,22 +5,19 @@
 //! biggest margin at restricted cache sizes (up to ~22% fewer than LFU in
 //! the paper).
 
-use fbf_bench::{base_config, finish_obs, init_obs, save_csv, CACHE_MB, TIP_PRIMES};
+use fbf_bench::{CACHE_MB, TIP_PRIMES};
 use fbf_codes::CodeSpec;
-use fbf_core::policy_grid;
 
 fn main() {
-    init_obs();
-    for p in TIP_PRIMES {
-        let (table, _) = policy_grid(
-            format!("Fig.9 disk reads — TIP(p={p})"),
+    fbf_bench::main(|scale| {
+        fbf_bench::figure(
+            scale,
+            "Fig.9 disk reads",
+            "fig9",
+            &[CodeSpec::Tip],
+            &TIP_PRIMES,
             &CACHE_MB,
-            |policy, mb| base_config(CodeSpec::Tip, p, policy, mb),
             |m| m.disk_reads.to_string(),
         )
-        .expect("sweep failed");
-        println!("{}", table.render());
-        save_csv(&format!("fig9_tip_p{p}"), &table);
-    }
-    finish_obs();
+    })
 }

@@ -6,81 +6,62 @@
 //! and more chains cross, so sharing — and FBF's edge — *grows*. This
 //! bench sweeps the probability of a second same-stripe error.
 
-use fbf_bench::save_csv;
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::{CodeSpec, StripeCode};
-use fbf_core::{report::f, Metrics, PlanSource, Table};
-use fbf_disksim::{ArrayMapping, Engine, EngineConfig};
-use fbf_recovery::{build_scripts, ExecConfig, RecoveryController, SchemeKind};
+use fbf_core::{
+    report::f, run_planned, ExperimentConfig, PlanSource, PlannedCampaign, SweepPoint, Table,
+};
 use fbf_workload::{generate_errors, ErrorGenConfig};
 
-fn run(code: &StripeCode, multi_col_prob: f64, policy: PolicyKind, cache_mb: usize) -> Metrics {
-    let stripes = 4096u32;
-    let errors = generate_errors(
-        code,
-        &ErrorGenConfig {
-            multi_col_prob,
-            ..ErrorGenConfig::paper_default(stripes, 512, 0x5EED)
-        },
-    );
-    let t0 = std::time::Instant::now();
-    let mut ctl = RecoveryController::new(code, SchemeKind::FbfCycling);
-    let (schemes, dict) = ctl.plan_campaign(&errors).expect("plan");
-    let overhead = t0.elapsed();
-    let scripts = build_scripts(
-        &schemes,
-        &dict,
-        &ExecConfig {
-            workers: 128,
-            ..Default::default()
-        },
-    );
-    let engine = Engine::new(EngineConfig::paper(
-        policy,
-        cache_mb * 1024 / 32,
-        ArrayMapping::new(code.cols(), code.rows(), false),
-        stripes as u64,
-    ));
-    let report = engine.run(&scripts);
-    let recovered: usize = errors
-        .damage_by_stripe()
-        .iter()
-        .map(|d| d.cells.len())
-        .sum();
-    Metrics::from_run(
-        &report,
-        overhead,
-        schemes.len(),
-        recovered,
-        PlanSource::Cold,
-    )
-}
-
 fn main() {
-    let code = StripeCode::build(CodeSpec::Tip, 11).expect("prime");
-    let cache_mb = 64;
-    let mut table = Table::new(
-        format!("Multi-disk damage sweep — TIP(p=11), {cache_mb}MB"),
-        &[
-            "second_error_prob",
-            "policy",
-            "hit_ratio",
-            "disk_reads",
-            "recon_s",
-        ],
-    );
-    for prob in [0.0f64, 0.25, 0.5, 1.0] {
-        for policy in [PolicyKind::Lru, PolicyKind::Arc, PolicyKind::Fbf] {
-            let m = run(&code, prob, policy, cache_mb);
-            table.push_row(vec![
-                format!("{prob:.2}"),
-                policy.name().to_string(),
-                f(m.hit_ratio, 4),
-                m.disk_reads.to_string(),
-                f(m.reconstruction_s, 3),
-            ]);
+    fbf_bench::main(|scale| {
+        let (code, p, stripes, errors) = (CodeSpec::Tip, 11, 4096, 512);
+        let cache_mb = 64;
+        let built = StripeCode::build(code, p)?;
+        let mut table = Table::new(
+            format!("Multi-disk damage sweep — TIP(p={p}), {cache_mb}MB"),
+            &[
+                "second_error_prob",
+                "policy",
+                "hit_ratio",
+                "disk_reads",
+                "recon_s",
+            ],
+        );
+        let mut out = Artefact::default();
+        for prob in [0.0f64, 0.25, 0.5, 1.0] {
+            let campaign = generate_errors(
+                &built,
+                &ErrorGenConfig {
+                    multi_col_prob: prob,
+                    ..ErrorGenConfig::paper_default(stripes, errors, 0x5EED)
+                },
+            );
+            let base = ExperimentConfig::builder()
+                .obs(scale.obs)
+                .code(code)
+                .p(p)
+                .cache_mb(cache_mb)
+                .stripes(stripes)
+                .error_count(errors)
+                .workers(128)
+                .build()?;
+            let plan = PlannedCampaign::cold_with_errors(&base, campaign)?;
+            for policy in [PolicyKind::Lru, PolicyKind::Arc, PolicyKind::Fbf] {
+                let config = ExperimentConfig { policy, ..base };
+                let m = run_planned(&config, &plan, PlanSource::Cold);
+                table.push_row(vec![
+                    format!("{prob:.2}"),
+                    policy.name().to_string(),
+                    f(m.hit_ratio, 4),
+                    m.disk_reads.to_string(),
+                    f(m.reconstruction_s, 3),
+                ]);
+                out.points([SweepPoint { config, metrics: m }]);
+            }
         }
-    }
-    println!("{}", table.render());
-    save_csv("multi_disk_damage", &table);
+        out.table("multi_disk_damage", table);
+        Ok(out)
+    })
 }

@@ -6,25 +6,20 @@
 //! and LRU narrows — but the ranking should hold. This bench runs the
 //! Fig. 8-style hit-ratio sweep on both RAID-6 codes.
 
-use fbf_bench::{base_config, save_csv, CACHE_MB};
+use fbf_bench::CACHE_MB;
 use fbf_codes::CodeSpec;
-use fbf_core::{policy_grid, report::f};
+use fbf_core::report::f;
 
 fn main() {
-    for code in [CodeSpec::Rdp, CodeSpec::Evenodd] {
-        for p in [7usize, 13] {
-            let (table, _) = policy_grid(
-                format!("RAID-6 hit ratio — {}(p={p})", code.name()),
-                &CACHE_MB,
-                |policy, mb| base_config(code, p, policy, mb),
-                |m| f(m.hit_ratio, 4),
-            )
-            .expect("sweep failed");
-            println!("{}", table.render());
-            save_csv(
-                &format!("raid6_{}_p{p}", code.name().to_lowercase()),
-                &table,
-            );
-        }
-    }
+    fbf_bench::main(|scale| {
+        fbf_bench::figure(
+            scale,
+            "RAID-6 hit ratio",
+            "raid6",
+            &[CodeSpec::Rdp, CodeSpec::Evenodd],
+            &[7, 13],
+            &CACHE_MB,
+            |m| f(m.hit_ratio, 4),
+        )
+    })
 }

@@ -12,83 +12,69 @@
 //! Knobs: `FBF_DISKS` (default 128), `FBF_STRIPES` (default 1024),
 //! `FBF_BENCH_QUICK=1` shrinks the campaign for CI smoke.
 
-use fbf_bench::{env_usize, save_csv};
+use fbf_bench::{Artefact, Failure};
 use fbf_core::{report::f, run_rebuild, ExperimentConfig, RebuildSpec, Table};
 use fbf_disksim::Placement;
+use std::fmt::Write;
 
 fn main() {
-    let quick = std::env::var("FBF_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let disks = env_usize("FBF_DISKS", 128);
-    let stripes = env_usize("FBF_STRIPES", if quick { 192 } else { 1024 }) as u32;
+    fbf_bench::main(|scale| {
+        let disks = scale.disks.unwrap_or(128);
+        let stripes = scale.stripes.unwrap_or(scale.pick(1024, 192));
 
-    let base = ExperimentConfig::builder()
-        .cache_mb(8)
-        .chunk_kb(8)
-        .stripes(stripes)
-        .error_count(64)
-        .workers(32)
-        .gen_threads(1)
-        .build()
-        .expect("compare config is valid");
+        let base = ExperimentConfig::builder()
+            .obs(scale.obs)
+            .cache_mb(8)
+            .chunk_kb(8)
+            .stripes(stripes)
+            .error_count(64)
+            .workers(32)
+            .gen_threads(1)
+            .build()?;
 
-    let mut table = Table::new(
-        format!("Whole-disk rebuild, {disks} disks, {stripes} stripes (disk 0 fails)"),
-        &[
-            "placement",
-            "stripes_affected",
-            "rebuild_skew",
-            "reconstruction_s",
-            "waves",
-            "app_p99_ms",
-        ],
-    );
-
-    let mut skews = Vec::new();
-    for placement in [
-        Placement::Fixed,
-        Placement::Rotated,
-        Placement::Declustered { seed: base.seed },
-    ] {
-        let mut spec = RebuildSpec::new(base, disks);
-        spec.placement = placement;
-        let outcome = run_rebuild(&spec).expect("rebuild runs");
-        assert_eq!(
-            outcome.stripes_rebuilt,
-            outcome.stripes_affected,
-            "{} rebuild left stripes behind",
-            placement.name()
+        let mut table = Table::new(
+            format!("Whole-disk rebuild, {disks} disks, {stripes} stripes (disk 0 fails)"),
+            &[
+                "placement",
+                "stripes_affected",
+                "rebuild_skew",
+                "reconstruction_s",
+                "waves",
+                "app_p99_ms",
+            ],
         );
-        skews.push((placement.name(), outcome.rebuild_skew));
-        table.push_row(vec![
-            placement.name().to_string(),
-            outcome.stripes_affected.to_string(),
-            f(outcome.rebuild_skew, 3),
-            f(outcome.reconstruction_s, 3),
-            outcome.waves.to_string(),
-            outcome.app_p99_ms.map_or("-".to_string(), |ms| f(ms, 3)),
-        ]);
-    }
-    println!("{}", table.render());
-    save_csv("rebuild_compare", &table);
 
-    // The claim this benchmark exists to check: declustering cuts the
-    // max/mean rebuild-read skew against clustered placement.
-    let skew_of = |name: &str| {
-        skews
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, s)| s)
-            .expect("placement ran")
-    };
-    let (clustered, declustered) = (skew_of("clustered"), skew_of("declustered"));
-    println!(
-        "declustered/clustered skew: {:.3} ({:.3} vs {:.3})",
-        declustered / clustered,
-        declustered,
-        clustered
-    );
-    assert!(
-        declustered < clustered,
-        "declustered skew {declustered:.3} must beat clustered {clustered:.3}"
-    );
+        let mut out = Artefact::default();
+        let mut skew = |placement: Placement| -> Result<f64, Failure> {
+            let mut spec = RebuildSpec::new(base, disks);
+            spec.placement = placement;
+            let outcome = run_rebuild(&spec)?;
+            out.check(outcome.stripes_rebuilt == outcome.stripes_affected, || {
+                format!("{} rebuild left stripes behind", placement.name())
+            });
+            table.push_row(vec![
+                placement.name().to_string(),
+                outcome.stripes_affected.to_string(),
+                f(outcome.rebuild_skew, 3),
+                f(outcome.reconstruction_s, 3),
+                outcome.waves.to_string(),
+                outcome.app_p99_ms.map_or("-".to_string(), |ms| f(ms, 3)),
+            ]);
+            Ok(outcome.rebuild_skew)
+        };
+        let clustered = skew(Placement::Fixed)?;
+        skew(Placement::Rotated)?;
+        let declustered = skew(Placement::Declustered { seed: base.seed })?;
+        out.table("rebuild_compare", table);
+
+        // The claim this benchmark exists to check: declustering cuts the
+        // max/mean rebuild-read skew against clustered placement.
+        let ratio = declustered / clustered;
+        let skews = format!("{ratio:.3} ({declustered:.3} vs {clustered:.3})");
+        writeln!(out, "declustered/clustered skew: {skews}")?;
+        out.check(declustered < clustered, || {
+            format!("declustered skew {declustered:.3} must beat clustered {clustered:.3}")
+        });
+        Ok(out)
+    })
 }

@@ -7,54 +7,58 @@
 //! scales a nearline 3DFT array's repair window accordingly, and reports
 //! the exact Markov-model MTTDL — making the WOV argument quantitative.
 
-use fbf_bench::{base_config, save_csv};
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, run_experiment, ReliabilityParams};
+use fbf_core::{mttdl_years, policy_grid, report::f, ReliabilityParams};
+use std::fmt::Write;
 
 fn main() {
-    let p = 11;
-    let cache_mb = 64; // the contended regime, where FBF's gain is real
-    let mut table = fbf_core::Table::new(
-        format!("MTTDL under each policy — TIP(p={p}), {cache_mb}MB cache, nearline 3DFT"),
-        &[
-            "policy",
-            "recon_s",
-            "relative_wov",
-            "mttdl_years",
-            "gain_vs_lru",
-        ],
-    );
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let cache_mb = 64; // the contended regime, where FBF's gain is real
+        let grid = policy_grid(&PolicyKind::ALL, &[()], |&policy, _| {
+            scale.config(CodeSpec::Tip, p, policy, cache_mb)
+        })?;
+        let lru = grid
+            .points
+            .iter()
+            .find(|pt| pt.config.policy == PolicyKind::Lru);
+        let lru_recon = lru.expect("LRU present").metrics.reconstruction_s;
 
-    let mut recon: Vec<(PolicyKind, f64)> = Vec::new();
-    for policy in PolicyKind::ALL {
-        let m = run_experiment(&base_config(CodeSpec::Tip, p, policy, cache_mb)).expect("run");
-        recon.push((policy, m.reconstruction_s));
-    }
-    let lru_recon = recon
-        .iter()
-        .find(|(k, _)| *k == PolicyKind::Lru)
-        .expect("LRU present")
-        .1;
-
-    let base = ReliabilityParams::nearline_3dft(CodeSpec::Tip.disks(p));
-    let lru_mttdl = fbf_core::mttdl_years(&ReliabilityParams { ..base });
-    for (policy, rs) in &recon {
-        let scaled = ReliabilityParams {
-            mttr_hours: base.mttr_hours * rs / lru_recon,
-            ..base
-        };
-        let years = fbf_core::mttdl_years(&scaled);
-        table.push_row(vec![
-            policy.name().to_string(),
-            f(*rs, 3),
-            f(rs / lru_recon, 4),
-            format!("{years:.3e}"),
-            f(years / lru_mttdl, 3),
-        ]);
-    }
-    println!("{}", table.render());
-    println!("(WOV scales with reconstruction time; MTTDL ∝ 1/WOV³ for a 3DFT,");
-    println!(" so the paper's ~15% reconstruction gain is worth ~1.6x in MTTDL)");
-    save_csv("reliability_gain", &table);
+        let base = ReliabilityParams::nearline_3dft(CodeSpec::Tip.disks(p));
+        let lru_mttdl = mttdl_years(&base);
+        let table = grid.table(
+            format!("MTTDL under each policy — TIP(p={p}), {cache_mb}MB cache, nearline 3DFT"),
+            &[
+                "policy",
+                "recon_s",
+                "relative_wov",
+                "mttdl_years",
+                "gain_vs_lru",
+            ],
+            |policy| vec![policy.name().to_string()],
+            |pt| {
+                let rs = pt.metrics.reconstruction_s;
+                let years = mttdl_years(&ReliabilityParams {
+                    mttr_hours: base.mttr_hours * rs / lru_recon,
+                    ..base
+                });
+                vec![
+                    f(rs, 3),
+                    f(rs / lru_recon, 4),
+                    format!("{years:.3e}"),
+                    f(years / lru_mttdl, 3),
+                ]
+            },
+        );
+        let mut out = Artefact::default();
+        out.table("reliability_gain", table).points(grid.points);
+        writeln!(
+            out,
+            "(WOV scales with reconstruction time; MTTDL ∝ 1/WOV³ for a 3DFT,\n \
+             so the paper's ~15% reconstruction gain is worth ~1.6x in MTTDL)"
+        )?;
+        Ok(out)
+    })
 }

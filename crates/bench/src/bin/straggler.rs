@@ -7,64 +7,54 @@
 //! the more reads a policy serves from cache, the fewer land on the slow
 //! disk's queue.
 
-use fbf_bench::{base_config, save_csv};
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
-    let p = 11;
-    let cache_mb = 64;
-    let mut table = Table::new(
-        format!("Straggler injection — TIP(p={p}), {cache_mb}MB, disk 0 at N× latency"),
-        &[
-            "slowdown",
-            "policy",
-            "hit_ratio",
-            "recon_s",
-            "slowdown_cost_pct",
-        ],
-    );
-
-    for factor in [1.0f64, 2.0, 4.0] {
-        let configs: Vec<_> = PolicyKind::ALL
-            .iter()
-            .map(|&policy| {
-                let mut cfg = base_config(CodeSpec::Tip, p, policy, cache_mb);
-                if factor > 1.0 {
-                    cfg.straggler = Some((0, factor));
-                }
-                cfg
-            })
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let cache_mb = 64;
+        let rows: Vec<_> = [1.0f64, 2.0, 4.0]
+            .into_iter()
+            .flat_map(|factor| PolicyKind::ALL.map(|policy| (factor, policy)))
             .collect();
-        let points = sweep(&configs, 0).expect("sweep failed");
-        // Baseline (healthy) reconstruction per policy, for the cost column.
-        let healthy: Vec<_> = if factor == 1.0 {
-            points
+        let grid = policy_grid(&rows, &[()], |&(factor, policy), _| {
+            let mut cfg = scale.config(CodeSpec::Tip, p, policy, cache_mb);
+            if factor > 1.0 {
+                cfg.straggler = Some((0, factor));
+            }
+            cfg
+        })?;
+        // The factor-1.0 rows are the healthy baseline of the cost column.
+        let healthy = |policy| {
+            grid.points
                 .iter()
-                .map(|pt| pt.metrics.reconstruction_s)
-                .collect()
-        } else {
-            let base: Vec<_> = PolicyKind::ALL
-                .iter()
-                .map(|&policy| base_config(CodeSpec::Tip, p, policy, cache_mb))
-                .collect();
-            sweep(&base, 0)
-                .expect("sweep failed")
-                .iter()
-                .map(|pt| pt.metrics.reconstruction_s)
-                .collect()
+                .find(|pt| pt.config.policy == policy && pt.config.straggler.is_none())
+                .map_or(f64::NAN, |pt| pt.metrics.reconstruction_s)
         };
-        for (pt, h) in points.iter().zip(&healthy) {
-            table.push_row(vec![
-                format!("{factor}x"),
-                pt.config.policy.name().to_string(),
-                f(pt.metrics.hit_ratio, 4),
-                f(pt.metrics.reconstruction_s, 3),
-                f(100.0 * (pt.metrics.reconstruction_s - h) / h, 1),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    save_csv("straggler", &table);
+        let table = grid.table(
+            format!("Straggler injection — TIP(p={p}), {cache_mb}MB, disk 0 at N× latency"),
+            &[
+                "slowdown",
+                "policy",
+                "hit_ratio",
+                "recon_s",
+                "slowdown_cost_pct",
+            ],
+            |(factor, policy)| vec![format!("{factor}x"), policy.name().to_string()],
+            |pt| {
+                let h = healthy(pt.config.policy);
+                vec![
+                    f(pt.metrics.hit_ratio, 4),
+                    f(pt.metrics.reconstruction_s, 3),
+                    f(100.0 * (pt.metrics.reconstruction_s - h) / h, 1),
+                ]
+            },
+        );
+        let mut out = Artefact::default();
+        out.table("straggler", table).points(grid.points);
+        Ok(out)
+    })
 }

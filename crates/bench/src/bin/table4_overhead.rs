@@ -9,70 +9,67 @@
 //! each scheme. Neither builds a campaign-wide stripe → table index, which
 //! no planned campaign carries.
 
-use fbf_bench::{base_config, finish_obs, init_obs, save_csv, TIP_PRIMES};
+use fbf_bench::{Artefact, TIP_PRIMES};
 use fbf_cache::PolicyKind;
 use fbf_codes::{CodeSpec, StripeCode};
-use fbf_core::{report::f, run_planned, PlanSource, PlannedCampaign, Table};
+use fbf_core::{report::f, run_planned, PlanSource, PlannedCampaign, SweepPoint, Table};
 use fbf_recovery::generate_schemes_parallel;
 use std::time::Instant;
 
 fn main() {
-    init_obs();
-    let mut table = Table::new(
-        "Table IV — FBF temporal overhead",
-        &[
-            "p",
-            "code",
-            "memo_ms_per_stripe",
-            "memo_pct",
-            "full_ms_per_stripe",
-            "full_pct",
-        ],
-    );
-    for p in TIP_PRIMES {
-        for code in [
-            CodeSpec::Star,
-            CodeSpec::TripleStar,
-            CodeSpec::Tip,
-            CodeSpec::Hdd1,
-        ] {
-            if p < code.min_prime() {
-                continue;
+    fbf_bench::main(|scale| {
+        let mut out = Artefact::default();
+        let mut table = Table::new(
+            "Table IV — FBF temporal overhead",
+            &[
+                "p",
+                "code",
+                "memo_ms_per_stripe",
+                "memo_pct",
+                "full_ms_per_stripe",
+                "full_pct",
+            ],
+        );
+        for p in TIP_PRIMES {
+            for code in [
+                CodeSpec::Star,
+                CodeSpec::TripleStar,
+                CodeSpec::Tip,
+                CodeSpec::Hdd1,
+            ] {
+                // memo_*: the paper's format-memoised controller ("priorities
+                // can be enumerated once a same format ... is detected again"),
+                // on one host thread. full_*: the same campaign through the
+                // un-memoised oracle — every stripe's scheme and priorities
+                // generated from scratch, also on one thread — bounding what
+                // the memo saves. Both produce the same plan, so both are
+                // charged against the same simulated reconstruction time.
+                let mut config = scale.config(code, p, PolicyKind::Fbf, 64);
+                config.gen_threads = 1;
+                let plan = PlannedCampaign::cold(&config)?;
+                let metrics = run_planned(&config, &plan, PlanSource::Cold);
+                let built = StripeCode::build(code, p)?;
+                let t0 = Instant::now();
+                let schemes = generate_schemes_parallel(&built, &plan.errors, config.scheme, 1)?;
+                let full_ms = t0.elapsed().as_secs_f64() * 1e3;
+                // Scheme equality compares the priority tables too.
+                out.check(schemes == plan.schemes, || {
+                    format!("{code}(p={p}): memoised plan differs from the oracle's")
+                });
+                let full_per_stripe_ms = full_ms / schemes.len() as f64;
+                let full_pct = 100.0 * full_ms / (metrics.reconstruction_s * 1e3);
+                table.push_row(vec![
+                    p.to_string(),
+                    code.name().to_string(),
+                    f(metrics.overhead_per_stripe_ms, 4),
+                    f(metrics.overhead_pct, 3),
+                    f(full_per_stripe_ms, 4),
+                    f(full_pct, 3),
+                ]);
+                out.points([SweepPoint { config, metrics }]);
             }
-            // memo_*: the paper's format-memoised controller ("priorities
-            // can be enumerated once a same format ... is detected again"),
-            // on one host thread. full_*: the same campaign through the
-            // un-memoised oracle — every stripe's scheme and priorities
-            // generated from scratch, also on one thread — bounding what
-            // the memo saves. Both produce the same plan, so both are
-            // charged against the same simulated reconstruction time.
-            let mut cfg = base_config(code, p, PolicyKind::Fbf, 64);
-            cfg.gen_threads = 1;
-            let plan = PlannedCampaign::cold(&cfg).expect("plan failed");
-            let memo = run_planned(&cfg, &plan, PlanSource::Cold);
-            let built = StripeCode::build(code, p).expect("valid prime");
-            let t0 = Instant::now();
-            let schemes = generate_schemes_parallel(&built, &plan.errors, cfg.scheme, 1)
-                .expect("oracle failed");
-            let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-            // Scheme equality compares the priority tables too.
-            assert!(
-                schemes == plan.schemes,
-                "memoised plan differs from the oracle's"
-            );
-            let full_per_stripe_ms = full_ms / schemes.len() as f64;
-            let full_pct = 100.0 * full_ms / (memo.reconstruction_s * 1e3);
-            table.push_row(vec![
-                p.to_string(),
-                code.name().to_string(),
-                f(memo.overhead_per_stripe_ms, 4),
-                f(memo.overhead_pct, 3),
-                f(full_per_stripe_ms, 4),
-                f(full_pct, 3),
-            ]);
         }
-    }
-    println!("{}", table.render());
-    save_csv("table4_overhead", &table);
-    finish_obs();
+        out.table("table4_overhead", table);
+        Ok(out)
+    })
 }

@@ -4,95 +4,72 @@
 //! maximum improvement FBF achieves on each of the four metrics anywhere
 //! in the (P, cache size) grid — the same aggregation the paper uses.
 
-use fbf_bench::{base_config, save_csv, CACHE_MB, TIP_PRIMES};
+use fbf_bench::{Artefact, CACHE_MB, TIP_PRIMES};
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
 use fbf_core::report::{improvement_pct_higher_better, improvement_pct_lower_better};
-use fbf_core::{report::f, sweep, SweepPoint, Table};
+use fbf_core::{policy_grid, report::f, Metrics, SweepPoint, Table};
+use std::fmt::Write;
+
+/// A metric's improvement of FBF (first) over a baseline (second), %.
+type Improvement = fn(&Metrics, &Metrics) -> f64;
+
+const METRICS: [(&str, Improvement); 4] = [
+    ("hit ratio (%)", |fbf, base| {
+        improvement_pct_higher_better(fbf.hit_ratio, base.hit_ratio)
+    }),
+    ("disk reads (%)", |fbf, base| {
+        improvement_pct_lower_better(fbf.disk_reads as f64, base.disk_reads as f64)
+    }),
+    ("response time (%)", |fbf, base| {
+        improvement_pct_lower_better(fbf.avg_response_ms, base.avg_response_ms)
+    }),
+    ("reconstruction time (%)", |fbf, base| {
+        improvement_pct_lower_better(fbf.reconstruction_s, base.reconstruction_s)
+    }),
+];
 
 fn main() {
-    // One sweep covering all policies over the full TIP grid.
-    let configs: Vec<_> = TIP_PRIMES
-        .iter()
-        .flat_map(|&p| {
-            CACHE_MB.iter().flat_map(move |&mb| {
-                PolicyKind::ALL
-                    .iter()
-                    .map(move |&policy| base_config(CodeSpec::Tip, p, policy, mb))
-            })
-        })
-        .collect();
-    let points = sweep(&configs, 0).expect("sweep failed");
+    fbf_bench::main(|scale| {
+        // One sweep covering all policies over the full TIP grid.
+        let rows: Vec<_> = TIP_PRIMES
+            .into_iter()
+            .flat_map(|p| CACHE_MB.map(|mb| (p, mb)))
+            .collect();
+        let grid = policy_grid(&rows, &PolicyKind::ALL, |&(p, mb), &policy| {
+            scale.config(CodeSpec::Tip, p, policy, mb)
+        })?;
 
-    // Index results by (p, cache, policy).
-    let find = |p: usize, mb: usize, policy: PolicyKind| -> &SweepPoint {
-        points
-            .iter()
-            .find(|pt| pt.config.p == p && pt.config.cache_mb == mb && pt.config.policy == policy)
-            .expect("grid point present")
-    };
-
-    let mut table = Table::new(
-        "Table V — max improvement of FBF over baselines (TIP grid)",
-        &["metric", "FIFO", "LRU", "LFU", "ARC"],
-    );
-
-    /// A metric extractor: (fbf point, baseline point) → improvement %.
-    type Improvement = Box<dyn Fn(&SweepPoint, &SweepPoint) -> f64>;
-    let metrics: [(&str, Improvement); 4] = [
-        (
-            "hit ratio (%)",
-            Box::new(|fbf, base| {
-                improvement_pct_higher_better(fbf.metrics.hit_ratio, base.metrics.hit_ratio)
-            }),
-        ),
-        (
-            "disk reads (%)",
-            Box::new(|fbf, base| {
-                improvement_pct_lower_better(
-                    fbf.metrics.disk_reads as f64,
-                    base.metrics.disk_reads as f64,
-                )
-            }),
-        ),
-        (
-            "response time (%)",
-            Box::new(|fbf, base| {
-                improvement_pct_lower_better(
-                    fbf.metrics.avg_response_ms,
-                    base.metrics.avg_response_ms,
-                )
-            }),
-        ),
-        (
-            "reconstruction time (%)",
-            Box::new(|fbf, base| {
-                improvement_pct_lower_better(
-                    fbf.metrics.reconstruction_s,
-                    base.metrics.reconstruction_s,
-                )
-            }),
-        ),
-    ];
-
-    for (name, imp) in &metrics {
-        let mut cells = vec![name.to_string()];
-        for baseline in PolicyKind::BASELINES {
-            let mut best = f64::MIN;
-            for &p in &TIP_PRIMES {
-                for &mb in &CACHE_MB {
-                    let fbf = find(p, mb, PolicyKind::Fbf);
-                    let base = find(p, mb, baseline);
-                    best = best.max(imp(fbf, base));
-                }
+        let mut table = Table::new(
+            "Table V — max improvement of FBF over baselines (TIP grid)",
+            &["metric", "FIFO", "LRU", "LFU", "ARC"],
+        );
+        for (name, improvement) in METRICS {
+            let mut cells = vec![name.to_string()];
+            for baseline in PolicyKind::BASELINES {
+                let best = grid
+                    .points
+                    .chunks(PolicyKind::ALL.len())
+                    .map(|row| improvement(of(row, PolicyKind::Fbf), of(row, baseline)))
+                    .fold(f64::MIN, f64::max);
+                cells.push(f(best, 2));
             }
-            cells.push(f(best, 2));
+            table.push_row(cells);
         }
-        table.push_row(cells);
-    }
 
-    println!("{}", table.render());
-    println!("(positive = FBF better; the paper reports up to 247.67% hit-ratio,");
-    println!(" 22.52% reads, 31.39% response-time and 14.90% reconstruction-time gains)");
-    save_csv("table5_summary", &table);
+        let mut out = Artefact::default();
+        out.table("table5_summary", table).points(grid.points);
+        writeln!(
+            out,
+            "(positive = FBF better; the paper reports up to 247.67% hit-ratio,\n \
+             22.52% reads, 31.39% response-time and 14.90% reconstruction-time gains)"
+        )?;
+        Ok(out)
+    })
+}
+
+/// The metrics of `policy`'s point among a row's [`PolicyKind::ALL`].
+fn of(points: &[SweepPoint], policy: PolicyKind) -> &Metrics {
+    let at = PolicyKind::ALL.iter().position(|&k| k == policy);
+    &points[at.expect("a figure policy")].metrics
 }

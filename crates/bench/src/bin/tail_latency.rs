@@ -6,31 +6,32 @@
 //! that *skips the queue entirely*, so the tail compresses more than the
 //! mean suggests.
 
-use fbf_bench::{base_config, save_csv};
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
-    let p = 13;
-    let mut table = Table::new(
-        format!("Read latency distribution — TIP(p={p}), 64MB cache"),
-        &["policy", "mean_ms", "p50_ms", "p95_ms", "p99_ms"],
-    );
-    let configs: Vec<_> = PolicyKind::ALL
-        .iter()
-        .map(|&policy| base_config(CodeSpec::Tip, p, policy, 64))
-        .collect();
-    let points = sweep(&configs, 0).expect("sweep failed");
-    for pt in &points {
-        table.push_row(vec![
-            pt.config.policy.name().to_string(),
-            f(pt.metrics.avg_response_ms, 3),
-            f(pt.metrics.p50_response_ms, 3),
-            f(pt.metrics.p95_response_ms, 3),
-            f(pt.metrics.p99_response_ms, 3),
-        ]);
-    }
-    println!("{}", table.render());
-    save_csv("tail_latency", &table);
+    fbf_bench::main(|scale| {
+        let p = 13;
+        let grid = policy_grid(&PolicyKind::ALL, &[()], |&policy, _| {
+            scale.config(CodeSpec::Tip, p, policy, 64)
+        })?;
+        let table = grid.table(
+            format!("Read latency distribution — TIP(p={p}), 64MB cache"),
+            &["policy", "mean_ms", "p50_ms", "p95_ms", "p99_ms"],
+            |policy| vec![policy.name().to_string()],
+            |pt| {
+                vec![
+                    f(pt.metrics.avg_response_ms, 3),
+                    f(pt.metrics.p50_response_ms, 3),
+                    f(pt.metrics.p95_response_ms, 3),
+                    f(pt.metrics.p99_response_ms, 3),
+                ]
+            },
+        );
+        let mut out = Artefact::default();
+        out.table("tail_latency", table).points(grid.points);
+        Ok(out)
+    })
 }

@@ -6,31 +6,32 @@
 //! of the lost chunks were rewritten — FBF's cache hits pull the whole
 //! curve left, not just its endpoint.
 
-use fbf_bench::{base_config, save_csv};
+use fbf_bench::Artefact;
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{report::f, sweep, Table};
+use fbf_core::{policy_grid, report::f};
 
 fn main() {
-    let p = 11;
-    let cache_mb = 64;
-    let mut table = Table::new(
-        format!("Repair progress — TIP(p={p}), {cache_mb}MB cache"),
-        &["policy", "p50_s", "p90_s", "complete_s"],
-    );
-    let configs: Vec<_> = PolicyKind::ALL
-        .iter()
-        .map(|&policy| base_config(CodeSpec::Tip, p, policy, cache_mb))
-        .collect();
-    let points = sweep(&configs, 0).expect("sweep failed");
-    for pt in &points {
-        table.push_row(vec![
-            pt.config.policy.name().to_string(),
-            f(pt.metrics.repair_p50_s, 3),
-            f(pt.metrics.repair_p90_s, 3),
-            f(pt.metrics.reconstruction_s, 3),
-        ]);
-    }
-    println!("{}", table.render());
-    save_csv("wov_curve", &table);
+    fbf_bench::main(|scale| {
+        let p = 11;
+        let cache_mb = 64;
+        let grid = policy_grid(&PolicyKind::ALL, &[()], |&policy, _| {
+            scale.config(CodeSpec::Tip, p, policy, cache_mb)
+        })?;
+        let table = grid.table(
+            format!("Repair progress — TIP(p={p}), {cache_mb}MB cache"),
+            &["policy", "p50_s", "p90_s", "complete_s"],
+            |policy| vec![policy.name().to_string()],
+            |pt| {
+                vec![
+                    f(pt.metrics.repair_p50_s, 3),
+                    f(pt.metrics.repair_p90_s, 3),
+                    f(pt.metrics.reconstruction_s, 3),
+                ]
+            },
+        );
+        let mut out = Artefact::default();
+        out.table("wov_curve", table).points(grid.points);
+        Ok(out)
+    })
 }

@@ -1,36 +1,34 @@
 //! # fbf-bench — harness regenerating every table and figure of the paper
 //!
-//! One binary per artefact (run with `cargo run --release -p fbf-bench
-//! --bin <name>`):
+//! One binary per artefact, one file each in `src/bin/` whose module doc
+//! says what it reproduces and why (README's "Reproducing the paper"
+//! lists them). Run one with `cargo run --release -p fbf-bench --bin
+//! <name>`.
 //!
-//! | Binary | Paper artefact |
-//! |---|---|
-//! | `fig8_hit_ratio` | Fig. 8 — hit ratio vs cache size, 4 codes × P ∈ {7,11,13} |
-//! | `fig9_read_ops` | Fig. 9 — disk reads, TIP, P ∈ {5,7,11,13} |
-//! | `fig10_response_time` | Fig. 10 — avg response time, codes × P ∈ {7,11,13} |
-//! | `fig11_reconstruction_time` | Fig. 11 — reconstruction time, TIP, P ∈ {5,7,11,13} |
-//! | `table4_overhead` | Table IV — FBF temporal overhead |
-//! | `table5_summary` | Table V — max improvement of FBF over each baseline |
-//! | `ablation_scheme` | scheme generator ablation (typical / cycling / greedy) |
-//! | `ablation_demotion` | FBF demotion-mechanism ablation |
-//! | `ablation_sharing` | partitioned vs shared cache ablation |
-//! | `fig2_fig3_walkthrough` | Figs. 2–3 + Table III — scheme selection demo |
-//!
-//! Every binary prints aligned tables and drops CSVs under `results/`.
-//! Campaign scale is controlled by `FBF_ERRORS` / `FBF_STRIPES` /
-//! `FBF_WORKERS` environment variables (defaults reproduce the shapes in
-//! minutes on a laptop).
-//!
-//! The figure binaries that call [`init_obs`] also accept `--trace
+//! Every binary has one shape: it hands [`main`] a function from the
+//! [`Scale`] to an [`Artefact`] — its tables, the prose around them and
+//! the points it swept — and [`main`] does the rest. It prints each
+//! table and saves it as `results/<name>.csv`. It accepts `--trace
 //! <path>` (stream a chrome://tracing JSONL run trace), `--obs`
-//! (pretty-print events to stderr) and `--metrics <path>`, or the
-//! equivalent `FBF_TRACE` / `FBF_OBS=1` / `FBF_METRICS` environment knobs.
+//! (pretty-print events to stderr) and `--metrics <path>` (a Prometheus
+//! snapshot of every swept point), or the equivalent `FBF_TRACE` /
+//! `FBF_OBS=1` / `FBF_METRICS` environment knobs. It exits 1 when a
+//! claim the binary checks fails.
+//!
+//! Campaign scale comes from `FBF_STRIPES` / `FBF_ERRORS` /
+//! `FBF_WORKERS` (and `FBF_DISKS` for `rebuild_compare`); the defaults
+//! reproduce the shapes in minutes on a laptop. `FBF_BENCH_QUICK=1`
+//! selects the smaller grids CI smoke-runs. A value that does not parse
+//! is refused with exit 2. `multi_disk_damage`, `degraded_reads` and
+//! `disk_rebuild` pin their own scale.
 
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{ExperimentConfig, Table};
+use fbf_core::{
+    policy_grid, ExperimentConfig, ExperimentConfigBuilder, Metrics, SweepPoint, Table,
+};
 use fbf_obs::ObsFlags;
-use std::sync::OnceLock;
+use std::fmt;
 
 pub use fbf_core::CACHE_MB;
 
@@ -39,120 +37,316 @@ pub const FIG8_PRIMES: [usize; 3] = [7, 11, 13];
 /// TIP-only figures (Figs. 9 and 11) sweep all four primes.
 pub const TIP_PRIMES: [usize; 4] = [5, 7, 11, 13];
 
-/// Read a scale knob from the environment.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Why a binary could not produce its artefact (exit 1).
+pub type Failure = Box<dyn std::error::Error>;
+
+/// Campaign scale, read once by [`main`]: `FBF_STRIPES`, `FBF_ERRORS`,
+/// `FBF_WORKERS` and `FBF_DISKS` (`None` when unset), `FBF_BENCH_QUICK=1`
+/// (the smaller grids CI smoke-runs), and whether a subscriber is
+/// installed, so that every experiment is observed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scale {
+    pub stripes: Option<u32>,
+    pub errors: Option<usize>,
+    pub workers: Option<usize>,
+    pub disks: Option<usize>,
+    pub quick: bool,
+    pub obs: bool,
 }
 
-/// What [`init_obs`] found: the flags (environment fallbacks applied) and
-/// whether they installed a subscriber — consulted by [`base_config`] so
-/// every experiment the harness builds carries `obs = true` and the
-/// engine/runner/sweep emission sites light up.
-static OBS: OnceLock<(ObsFlags, bool)> = OnceLock::new();
+impl Scale {
+    /// Read the knobs through `get` (the process environment, in
+    /// [`main`]). An empty value means unset. A count that is not a
+    /// positive integer, or a quick switch other than `0` or `1`, is
+    /// refused with a message naming the variable and its value.
+    pub fn read(get: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
+        let get = |name: &str| get(name).filter(|v| !v.is_empty());
+        let count = |name: &str| {
+            get(name)
+                .map(|v| match v.parse::<u32>() {
+                    Ok(n) if n > 0 => Ok(n),
+                    _ => Err(format!("{name}={v:?} is not a positive integer")),
+                })
+                .transpose()
+        };
+        let quick = match get("FBF_BENCH_QUICK").as_deref() {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(v) => return Err(format!("FBF_BENCH_QUICK={v:?} is neither 0 nor 1")),
+        };
+        Ok(Scale {
+            stripes: count("FBF_STRIPES")?,
+            errors: count("FBF_ERRORS")?.map(|n| n as usize),
+            workers: count("FBF_WORKERS")?.map(|n| n as usize),
+            disks: count("FBF_DISKS")?.map(|n| n as usize),
+            quick,
+            obs: false,
+        })
+    }
 
-/// Observability bootstrap shared by the figure/table binaries: the
-/// command line's [`ObsFlags`] (`--trace`, `--obs`, `--metrics`, parsed
-/// exactly as `fbf` parses them), each falling back to its environment
-/// knob (`FBF_TRACE=<path>`, `FBF_OBS=1`, `FBF_METRICS=<path>`). With
-/// none present this is a no-op and the run stays on the zero-cost
-/// disabled path.
-///
-/// Call at the top of `main`, and pair with [`finish_obs`] before exit —
-/// `std::process::exit` skips destructors, so the trace file must be
-/// flushed explicitly.
-pub fn init_obs() {
+    /// `full`, or `quick` under `FBF_BENCH_QUICK=1`.
+    pub fn pick<T>(&self, full: T, quick: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// An experiment builder with a campaign of `stripes`, `errors` and
+    /// `workers`, each unless its knob says otherwise, observed when
+    /// [`main`] installed a subscriber.
+    pub fn campaign(&self, stripes: u32, errors: usize, workers: usize) -> ExperimentConfigBuilder {
+        ExperimentConfig::builder()
+            .obs(self.obs)
+            .stripes(self.stripes.unwrap_or(stripes))
+            .error_count(self.errors.unwrap_or(errors))
+            .workers(self.workers.unwrap_or(workers))
+    }
+
+    /// The figure-scale experiment: paper constants, a 4096-stripe,
+    /// 512-error, 128-worker campaign unless the knobs say otherwise.
+    pub fn config(
+        &self,
+        code: CodeSpec,
+        p: usize,
+        policy: PolicyKind,
+        cache_mb: usize,
+    ) -> ExperimentConfig {
+        self.campaign(4096, 512, 128)
+            .code(code)
+            .p(p)
+            .policy(policy)
+            .cache_mb(cache_mb)
+            .build()
+            .expect("paper-shaped figure configuration is valid")
+    }
+}
+
+/// The paper's figure shape: for each of `codes` × `primes`, one
+/// [`policy_grid`] of `sizes` × every policy, tabulated
+/// as `<label> — <code>(p=<p>)` with `cell` per point and saved as
+/// `<csv>_<code>_p<p>`.
+pub fn figure(
+    scale: &Scale,
+    label: &str,
+    csv: &str,
+    codes: &[CodeSpec],
+    primes: &[usize],
+    sizes: &[usize],
+    cell: impl Fn(&Metrics) -> String,
+) -> Result<Artefact, Failure> {
+    let mut headers = vec!["cache_mb"];
+    headers.extend(PolicyKind::ALL.iter().map(PolicyKind::name));
+    let mut out = Artefact::default();
+    for &code in codes {
+        for &p in primes {
+            let grid = policy_grid(sizes, &PolicyKind::ALL, |&mb, &policy| {
+                scale.config(code, p, policy, mb)
+            })?;
+            let table = grid.table(
+                format!("{label} — {}(p={p})", code.name()),
+                &headers,
+                |mb| vec![mb.to_string()],
+                |pt| vec![cell(&pt.metrics)],
+            );
+            out.table(format!("{csv}_{}_p{p}", code.name().to_lowercase()), table)
+                .points(grid.points);
+        }
+    }
+    Ok(out)
+}
+
+/// What a binary hands [`main`]: its stdout in order — tables and the
+/// prose written around them with `write!` — the points it swept, and
+/// the first claim it checked that failed.
+#[derive(Debug, Default)]
+pub struct Artefact {
+    out: Vec<Out>,
+    points: Vec<SweepPoint>,
+    failure: Option<String>,
+}
+
+#[derive(Debug)]
+enum Out {
+    /// A table and the name of its CSV.
+    Table(String, Table),
+    /// Prose, printed as written.
+    Text(String),
+}
+
+impl Artefact {
+    /// Print `table` here and save it as `results/<csv>.csv`.
+    pub fn table(&mut self, csv: impl Into<String>, table: Table) -> &mut Self {
+        self.out.push(Out::Table(csv.into(), table));
+        self
+    }
+
+    /// Snapshot `points` under `--metrics`.
+    pub fn points(&mut self, points: impl IntoIterator<Item = SweepPoint>) -> &mut Self {
+        self.points.extend(points);
+        self
+    }
+
+    /// Exit 1 with `message` unless `claim` holds. The output is printed
+    /// either way.
+    pub fn check(&mut self, claim: bool, message: impl FnOnce() -> String) -> &mut Self {
+        if !claim && self.failure.is_none() {
+            self.failure = Some(message());
+        }
+        self
+    }
+
+    /// Print the output, saving each table as `results/<csv>.csv` (best
+    /// effort: printing is the primary output), write the metrics
+    /// snapshot, and return the exit code.
+    fn emit(self, flags: &ObsFlags) -> i32 {
+        for out in &self.out {
+            match out {
+                Out::Table(csv, table) => {
+                    println!("{}", table.render());
+                    let path = format!("results/{csv}.csv");
+                    match std::fs::create_dir_all("results")
+                        .and_then(|()| std::fs::write(&path, table.to_csv()))
+                    {
+                        Ok(()) => eprintln!("(csv saved to {path})"),
+                        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+                    }
+                }
+                Out::Text(text) => print!("{text}"),
+            }
+        }
+        flags.write_metrics(|| fbf_core::prometheus_snapshot(&self.points));
+        self.failure.map_or(0, |message| {
+            eprintln!("{message}");
+            1
+        })
+    }
+}
+
+impl fmt::Write for Artefact {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.out.last_mut() {
+            Some(Out::Text(text)) => text.push_str(s),
+            _ => self.out.push(Out::Text(s.to_string())),
+        }
+        Ok(())
+    }
+}
+
+/// The `main` of every figure binary: read the [`Scale`] and the
+/// observability flags (the command line's [`ObsFlags`], parsed exactly
+/// as `fbf` parses them, each falling back to `FBF_TRACE=<path>`,
+/// `FBF_OBS=1` or `FBF_METRICS=<path>`), run `artefact`, print and save
+/// what it made, flush the trace, and exit: 2 on a refused knob or flag,
+/// 1 when the artefact failed or a checked claim did not hold.
+pub fn main(artefact: impl FnOnce(&Scale) -> Result<Artefact, Failure>) -> ! {
+    fn refuse<T>(message: String) -> T {
+        eprintln!("{message}");
+        std::process::exit(2)
+    }
+    let env = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
+    let mut scale = Scale::read(env).unwrap_or_else(refuse);
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags = ObsFlags::take(&mut args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let env = |name| std::env::var(name).ok().filter(|v: &String| !v.is_empty());
+    let mut flags = ObsFlags::take(&mut args).unwrap_or_else(refuse);
     flags.trace = flags.trace.or_else(|| env("FBF_TRACE"));
     flags.metrics = flags.metrics.or_else(|| env("FBF_METRICS"));
     flags.stderr |= env("FBF_OBS").as_deref() == Some("1");
-    let on = flags.install().unwrap_or_else(|e| {
+    scale.obs = flags.install().unwrap_or_else(|e| {
         eprintln!("warning: {e}");
         false
     });
-    let _ = OBS.set((flags, on));
-}
-
-/// Flush and detach the subscriber installed by [`init_obs`] (no-op if
-/// none was). Call as the last line of a bench `main`.
-pub fn finish_obs() {
-    fbf_obs::uninstall();
-}
-
-/// Write a Prometheus snapshot of `points` to the `--metrics` /
-/// `FBF_METRICS` path [`init_obs`] found, if any.
-pub fn save_metrics_snapshot(points: &[fbf_core::SweepPoint]) {
-    if let Some((flags, _)) = OBS.get() {
-        flags.write_metrics(|| fbf_core::prometheus_snapshot(points));
-    }
-}
-
-/// The figure-scale experiment base: paper constants, campaign sized by
-/// env knobs.
-pub fn base_config(
-    code: CodeSpec,
-    p: usize,
-    policy: PolicyKind,
-    cache_mb: usize,
-) -> ExperimentConfig {
-    ExperimentConfig::builder()
-        .code(code)
-        .p(p)
-        .policy(policy)
-        .cache_mb(cache_mb)
-        .stripes(env_usize("FBF_STRIPES", 4096) as u32)
-        .error_count(env_usize("FBF_ERRORS", 512))
-        .workers(env_usize("FBF_WORKERS", 128))
-        .obs(OBS.get().is_some_and(|(_, on)| *on))
-        .build()
-        .expect("paper-shaped figure configuration is valid")
-}
-
-/// Write a table's CSV under `results/<name>.csv` (best effort — printing
-/// is the primary output).
-pub fn save_csv(name: &str, table: &Table) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = std::fs::write(&path, table.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("(csv saved to {})", path.display());
+    let code = match artefact(&scale) {
+        Ok(out) => out.emit(&flags),
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
         }
-    }
-}
-
-/// Pretty-print a ratio like `2.47x`.
-pub fn times(ours: f64, theirs: f64) -> String {
-    if theirs == 0.0 {
-        "inf".to_string()
-    } else {
-        format!("{:.2}x", ours / theirs)
-    }
+    };
+    // `exit` skips destructors: flush the trace first.
+    fbf_obs::uninstall();
+    std::process::exit(code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
 
-    #[test]
-    fn base_config_uses_paper_constants() {
-        let cfg = base_config(CodeSpec::Tip, 7, PolicyKind::Fbf, 64);
-        assert_eq!(cfg.chunk_kb, 32);
-        assert_eq!(cfg.cache_mb, 64);
-        assert_eq!(cfg.code, CodeSpec::Tip);
+    fn lookup<'a>(vars: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        |name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
     }
 
     #[test]
-    fn times_formats() {
-        assert_eq!(times(2.0, 1.0), "2.00x");
-        assert_eq!(times(1.0, 0.0), "inf");
+    fn base_config_uses_paper_constants() {
+        let cfg = Scale::default().config(CodeSpec::Tip, 7, PolicyKind::Fbf, 64);
+        assert_eq!(cfg.chunk_kb, 32);
+        assert_eq!(cfg.cache_mb, 64);
+        assert_eq!(cfg.code, CodeSpec::Tip);
+        assert_eq!(
+            (cfg.stripes, cfg.error_count, cfg.workers),
+            (4096, 512, 128)
+        );
+    }
+
+    #[test]
+    fn scale_knobs_override_the_campaign() {
+        let vars = [
+            ("FBF_STRIPES", "256"),
+            ("FBF_ERRORS", "64"),
+            ("FBF_WORKERS", ""),
+            ("FBF_BENCH_QUICK", "1"),
+        ];
+        let scale = Scale::read(lookup(&vars)).unwrap();
+        assert!(scale.quick);
+        assert_eq!(scale.pick(2048, 64), 64);
+        let cfg = scale.config(CodeSpec::Tip, 7, PolicyKind::Fbf, 64);
+        // An empty value is unset, so the worker default stands.
+        assert_eq!((cfg.stripes, cfg.error_count, cfg.workers), (256, 64, 128));
+        assert_eq!(Scale::read(lookup(&[])).unwrap(), Scale::default());
+    }
+
+    #[test]
+    fn a_malformed_scale_variable_is_refused() {
+        for (name, value) in [
+            ("FBF_STRIPES", "4k"),
+            ("FBF_WORKERS", "-1"),
+            ("FBF_ERRORS", "0"),
+            ("FBF_DISKS", "1.5"),
+            ("FBF_STRIPES", "4294967296"),
+            ("FBF_BENCH_QUICK", "yes"),
+        ] {
+            let err = Scale::read(lookup(&[(name, value)])).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains(value),
+                "{name}={value}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn prose_keeps_its_place_between_tables() {
+        let mut out = Artefact::default();
+        write!(out, "before").unwrap();
+        writeln!(out, " the table").unwrap();
+        out.table("t", Table::new("t", &["a"]));
+        writeln!(out, "after").unwrap();
+        out.check(true, || unreachable!())
+            .check(false, || "first".into())
+            .check(false, || "second".into());
+        let shape: Vec<&str> = out
+            .out
+            .iter()
+            .map(|o| match o {
+                Out::Table(csv, _) => csv.as_str(),
+                Out::Text(text) => text.as_str(),
+            })
+            .collect();
+        assert_eq!(shape, ["before the table\n", "t", "after\n"]);
+        assert_eq!(out.failure.as_deref(), Some("first"));
     }
 }

@@ -19,9 +19,9 @@
 //! ([`DemotePosition`]); the default is `Back` (MRU end, consistent with
 //! the figures), and the ablation bench measures the difference.
 
-use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
 use crate::queue::OrderedQueue;
+use crate::FxHashMap;
 
 /// Where a demoted chunk lands in the lower queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

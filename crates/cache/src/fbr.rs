@@ -11,9 +11,9 @@
 //! Section sizing follows the original paper's recommendation:
 //! new ≈ 25%, old ≈ 50% of capacity.
 
-use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
 use crate::queue::OrderedQueue;
+use crate::FxHashMap;
 
 /// The FBR policy.
 #[derive(Debug)]

@@ -1,7 +1,7 @@
 //! LFU replacement: evict the least frequently used chunk.
 
-use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
+use crate::FxHashMap;
 use std::collections::BTreeSet;
 
 /// Least-frequently-used cache (Aho, Denning & Ullman 1971 — the paper's

@@ -26,7 +26,6 @@ pub mod arc;
 pub mod fbf;
 pub mod fbr;
 pub mod fifo;
-pub mod hash;
 pub mod lfu;
 pub mod lrfu;
 pub mod lru;
@@ -39,9 +38,9 @@ pub mod vdf;
 
 pub use arc::ArcPolicy;
 pub use fbf::{DemotePosition, FbfConfig, FbfPolicy};
+pub use fbf_codes::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use fbr::FbrPolicy;
 pub use fifo::FifoPolicy;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lfu::LfuPolicy;
 pub use lrfu::LrfuPolicy;
 pub use lru::LruPolicy;

@@ -14,8 +14,8 @@
 //! tick*; since decay is monotone in elapsed time, comparing
 //! `C · 2^(-λ·(t_now - t_last))` across pages is exact.
 
-use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
+use crate::FxHashMap;
 
 /// Per-page CRF state.
 #[derive(Debug, Clone, Copy)]

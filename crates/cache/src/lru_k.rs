@@ -9,8 +9,8 @@
 //! (the paper's *Retained Information Period*), so a page re-fetched soon
 //! after eviction keeps its credit.
 
-use crate::hash::FxHashMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
+use crate::FxHashMap;
 use std::collections::VecDeque;
 
 /// Reference history of one page: the last up-to-K access ticks, most

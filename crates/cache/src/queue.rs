@@ -15,8 +15,8 @@
 //! implementation lives on in `tests/queue_diff.rs` as the
 //! differential-testing oracle.
 
-use crate::hash::FxHashMap;
 use crate::policy::Key;
+use crate::FxHashMap;
 
 /// Sentinel slot index meaning "no node".
 const NIL: u32 = u32::MAX;

@@ -13,9 +13,9 @@
 //! exactly the gap the paper's scheme fills — the comparison bench
 //! (`extended_policies`) quantifies it.
 
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
 use crate::queue::OrderedQueue;
+use crate::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// The VDF policy.

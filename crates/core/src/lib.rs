@@ -70,6 +70,7 @@ pub use reliability::{mttdl_gain, mttdl_hours, mttdl_years, ReliabilityParams};
 pub use report::Table;
 pub use runner::{run_experiment, run_planned, run_planned_observed, RunError};
 pub use sweep::{
-    policy_grid, sweep, sweep_with_progress, sweep_with_store, SweepPoint, SweepProgress, CACHE_MB,
+    policy_grid, sweep, sweep_with_progress, sweep_with_store, Grid, SweepPoint, SweepProgress,
+    CACHE_MB,
 };
 pub use verify::{verify_campaign, VerifyReport};

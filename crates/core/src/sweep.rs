@@ -25,7 +25,6 @@ use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlanStore};
 use crate::report::Table;
 use crate::runner::{run_planned_with_scratch, RunError};
-use fbf_cache::PolicyKind;
 use fbf_disksim::EngineScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -59,29 +58,56 @@ pub struct SweepProgress<'a> {
 /// Cache sizes (MiB) swept by the figures, matching the paper's x-axes.
 pub const CACHE_MB: [usize; 8] = [2, 8, 32, 64, 128, 256, 512, 2048];
 
-/// Sweep the paper's grid — `sizes` × [`PolicyKind::ALL`], each point
-/// built by `config(policy, cache_mb)` — and tabulate one metric: a row
-/// per cache size, a column per policy, each cell rendered by `cell`.
-/// Returns the points too, in grid order (policies within a size).
-pub fn policy_grid(
-    title: impl Into<String>,
-    sizes: &[usize],
-    config: impl Fn(PolicyKind, usize) -> ExperimentConfig,
-    cell: impl Fn(&Metrics) -> String,
-) -> Result<(Table, Vec<SweepPoint>), RunError> {
-    let configs: Vec<ExperimentConfig> = sizes
+/// A swept [`policy_grid`]: one point per (row, column) pair.
+#[derive(Debug, Clone)]
+pub struct Grid<R> {
+    /// The grid's rows, in sweep order.
+    pub rows: Vec<R>,
+    /// Every point, row-major: a row's points are contiguous, in column
+    /// order.
+    pub points: Vec<SweepPoint>,
+}
+
+/// Sweep the paper's grid — `rows` × `cols`, each point built by
+/// `config(row, col)`, in one [`sweep`]. The figures' rows are cache
+/// sizes and their columns policies; the ablations and extensions put
+/// any experiment axis on either side, and a column list of one `()`
+/// gives a point per row.
+pub fn policy_grid<R: Clone, C>(
+    rows: &[R],
+    cols: &[C],
+    config: impl Fn(&R, &C) -> ExperimentConfig,
+) -> Result<Grid<R>, RunError> {
+    let config = &config;
+    let configs: Vec<ExperimentConfig> = rows
         .iter()
-        .flat_map(|&mb| PolicyKind::ALL.map(|policy| config(policy, mb)))
+        .flat_map(|r| cols.iter().map(move |c| config(r, c)))
         .collect();
-    let points = sweep(&configs, 0)?;
-    let mut headers = vec!["cache_mb"];
-    headers.extend(PolicyKind::ALL.iter().map(PolicyKind::name));
-    let mut table = Table::new(title, &headers);
-    for (mb, row) in sizes.iter().zip(points.chunks(PolicyKind::ALL.len())) {
-        let cells = row.iter().map(|pt| cell(&pt.metrics));
-        table.push_row(std::iter::once(mb.to_string()).chain(cells).collect());
+    Ok(Grid {
+        rows: rows.to_vec(),
+        points: sweep(&configs, 0)?,
+    })
+}
+
+impl<R> Grid<R> {
+    /// Tabulate the grid: a table row per grid row, `label(row)` followed
+    /// by `cells(point)` for each of its points.
+    pub fn table(
+        &self,
+        title: impl Into<String>,
+        headers: &[&str],
+        label: impl Fn(&R) -> Vec<String>,
+        cells: impl Fn(&SweepPoint) -> Vec<String>,
+    ) -> Table {
+        let mut table = Table::new(title, headers);
+        let width = (self.points.len() / self.rows.len().max(1)).max(1);
+        for (row, points) in self.rows.iter().zip(self.points.chunks(width)) {
+            let mut line = label(row);
+            line.extend(points.iter().flat_map(&cells));
+            table.push_row(line);
+        }
+        table
     }
-    Ok((table, points))
 }
 
 /// Run every configuration, preserving order. `threads = 0` uses all

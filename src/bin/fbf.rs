@@ -59,7 +59,7 @@ use fbf::workload::{
 use fbf::{CodeSpec, StripeCode};
 use fbf::{
     ConfigError, DaemonClient, DaemonError, DaemonOptions, ExperimentConfig, Json, Outcome,
-    PlanStore, ReliabilityParams, RequestError, ServerAddr, Table, Work,
+    PlanStore, PolicyKind, ReliabilityParams, RequestError, ServerAddr, Table, Work,
 };
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -729,21 +729,19 @@ fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
     let request = Json::obj(repair_request(args, None)?);
     let work = Work::from_request(&request).map_err(|e| refusal(e, ""))?;
     let base = *work.cfg();
-    let (table, points) = policy_grid(
-        format!("hit ratio — {}(p={})", base.code.name(), base.p),
-        &CACHE_MB,
-        |policy, cache_mb| ExperimentConfig {
+    let grid = policy_grid(&CACHE_MB, &PolicyKind::ALL, |&cache_mb, &policy| {
+        ExperimentConfig {
             policy,
             cache_mb,
             ..base
-        },
-        |m| f(m.hit_ratio, 4),
-    )
+        }
+    })
     .map_err(|e| Exit::fail(format!("sweep failed: {e}")))?;
     args.flags
-        .write_metrics(|| fbf::prometheus_snapshot(&points));
+        .write_metrics(|| fbf::prometheus_snapshot(&grid.points));
     if args.json {
-        let rows: Vec<Json> = points
+        let rows: Vec<Json> = grid
+            .points
             .iter()
             .map(|pt| {
                 Json::obj([
@@ -760,6 +758,14 @@ fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
         ]));
         return Ok(());
     }
+    let mut headers = vec!["cache_mb"];
+    headers.extend(PolicyKind::ALL.iter().map(PolicyKind::name));
+    let table = grid.table(
+        format!("hit ratio — {}(p={})", base.code.name(), base.p),
+        &headers,
+        |mb| vec![mb.to_string()],
+        |pt| vec![f(pt.metrics.hit_ratio, 4)],
+    );
     println!("{}", table.render());
     Ok(())
 }

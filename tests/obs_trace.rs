@@ -19,7 +19,8 @@ use fbf::obs::{CountingSubscriber, TraceWriter};
 use fbf::PolicyKind;
 use fbf::{sweep, ExperimentConfig};
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Serialise tests that install a global subscriber.
 fn lock() -> MutexGuard<'static, ()> {
@@ -427,18 +428,54 @@ struct Seen {
     ctx: Option<fbf::obs::TraceCtx>,
 }
 
-/// Captures every event as a [`Seen`].
+/// Captures every event as a [`Seen`]. With `hold` set, the thread that
+/// ends the first `run` span waits (ten seconds at most) until a `run`
+/// span ends on another thread: while it waits, a second worker must
+/// claim a pass of its own, however the host schedules threads.
 #[derive(Default)]
-struct CtxCapture(Mutex<Vec<Seen>>);
+struct CtxCapture {
+    captured: Mutex<Captured>,
+    run_elsewhere: Condvar,
+    hold: bool,
+}
+
+#[derive(Default)]
+struct Captured {
+    seen: Vec<Seen>,
+    /// The thread that ended the first `run` span.
+    first_run: Option<u64>,
+    /// A `run` span has since ended on another thread.
+    run_elsewhere: bool,
+}
 
 impl fbf::obs::Subscriber for CtxCapture {
     fn event(&self, event: &fbf::obs::Event<'_>) {
-        self.0.lock().unwrap().push(Seen {
+        let span = matches!(event.kind, fbf::obs::EventKind::Complete { .. });
+        let mut captured = self.captured.lock().unwrap();
+        captured.seen.push(Seen {
             name: event.name.to_string(),
             tid: event.tid,
-            span: matches!(event.kind, fbf::obs::EventKind::Complete { .. }),
+            span,
             ctx: event.ctx,
         });
+        if !(span && event.name == "run") {
+            return;
+        }
+        match captured.first_run {
+            None if self.hold => {
+                captured.first_run = Some(event.tid);
+                let _released = self
+                    .run_elsewhere
+                    .wait_timeout_while(captured, Duration::from_secs(10), |c| !c.run_elsewhere)
+                    .unwrap();
+            }
+            None => captured.first_run = Some(event.tid),
+            Some(first) if first != event.tid => {
+                captured.run_elsewhere = true;
+                self.run_elsewhere.notify_all();
+            }
+            Some(_) => {}
+        }
     }
 }
 
@@ -457,7 +494,14 @@ fn a_traced_rebuild_is_one_tree_across_its_threads() {
         .unwrap();
     let mut spec = fbf::RebuildSpec::new(base, 48);
     spec.per_disk_cap = 16;
-    let sub = Arc::new(CtxCapture::default());
+    // Hold the first wave's engine span until another thread ends one,
+    // so that a helper thread must claim a wave; a 1-core host has no
+    // helper to wait for.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sub = Arc::new(CtxCapture {
+        hold: cores > 1,
+        ..CtxCapture::default()
+    });
     fbf::obs::install(sub.clone());
     let trace = fbf::obs::next_trace_id();
     let outcome = {
@@ -475,7 +519,7 @@ fn a_traced_rebuild_is_one_tree_across_its_threads() {
     fbf::obs::uninstall();
     assert!(outcome.waves >= 2, "{} waves", outcome.waves);
 
-    let events = sub.0.lock().unwrap().clone();
+    let events = sub.captured.lock().unwrap().seen.clone();
     let ctx = |e: &Seen| {
         e.ctx
             .unwrap_or_else(|| panic!("{} carries no trace", e.name))
@@ -503,7 +547,6 @@ fn a_traced_rebuild_is_one_tree_across_its_threads() {
     // The waves ran on more than one thread wherever the host has the
     // cores for it.
     let threads: std::collections::BTreeSet<u64> = runs.iter().map(|e| e.tid).collect();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(threads.len() > 1, cores > 1, "{threads:?} on {cores} cores");
 }
 
