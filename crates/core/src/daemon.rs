@@ -3,9 +3,9 @@
 //! The daemon accepts repair / status / read requests over a unix or TCP
 //! socket, executes campaigns on a small worker pool (each worker reuses
 //! one [`EngineScratch`] and a shared [`PlanStore`], like a sweep
-//! thread), and streams progress events to subscribed clients through
-//! the [`fbf_obs`] bridge. Everything is hand-rolled on `std` — a poll
-//! loop with short read timeouts is all this protocol needs.
+//! thread), and streams progress events to subscribed clients from its
+//! flight recorder. Everything is hand-rolled on `std` — a poll loop with
+//! short read timeouts is all this protocol needs.
 //!
 //! # Wire protocol
 //!
@@ -25,7 +25,7 @@
 //! | `metrics`   | —                                            | Prometheus text: finished jobs + live `fbf_jobs_*` gauges |
 //! | `stat`      | —                                            | live introspection: job states, per-job progress, merged class latency |
 //! | `dump`      | —                                            | snapshot the flight recorder, reply with its JSONL |
-//! | `subscribe` | —                                            | stream of `{"event": <chrome line>}` frames |
+//! | `subscribe` | —                                            | stream of `{"event": <chrome line>}` frames, followed from the flight recorder |
 //! | `shutdown`  | —                                            | ack, then the daemon exits |
 //!
 //! This module is the transport and the job table. What a job *is* — the
@@ -41,8 +41,9 @@
 //! batches, escalation rounds — carries the request's ids and
 //! `check_trace.py --flows` reassembles one tree per request. `serve`
 //! also installs an always-on flight recorder
-//! ([`fbf_obs::FlightRecorder`]); `dump` (or a `DataLoss`/SLO-breach
-//! trigger) snapshots it for post-mortems.
+//! ([`fbf_obs::FlightRecorder`]), the daemon's one event tap: `dump` (or
+//! a `DataLoss`/SLO-breach trigger) snapshots it for post-mortems, and
+//! `subscribe` follows it live, whatever subscriber is installed.
 //!
 //! The `read` command serves from the job's retained
 //! [`StorageBackend`](fbf_disksim::StorageBackend)
@@ -57,7 +58,7 @@ use crate::progress::Progress;
 use crate::sweep::{panic_message, SweepPoint};
 use fbf_codes::{Cell, ChunkId};
 use fbf_disksim::{Digest, EngineScratch, RequestClass};
-use fbf_obs::{BridgeSubscriber, Json, PromWriter};
+use fbf_obs::{FlightRecorder, Json, PromWriter};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -75,6 +76,9 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// fraction of this; anything bigger is a corrupt length prefix).
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// A frame body's first allocation; see [`read_frame`].
+const FRAME_STEP: usize = 8 << 10;
+
 const ACCEPT_POLL: Duration = Duration::from_millis(50);
 const READ_POLL: Duration = Duration::from_millis(200);
 
@@ -91,7 +95,8 @@ pub enum ServerAddr {
 /// Daemon tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct DaemonOptions {
-    /// Repair worker threads (each owns an [`EngineScratch`]).
+    /// Repair worker threads (each owns an [`EngineScratch`]); 0 is read
+    /// as 1.
     pub workers: usize,
     /// Completed jobs whose data-plane backend stays resident for `read`.
     /// When a job finishes past this cap, the *oldest* retained backend is
@@ -124,7 +129,10 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
 /// Read one length-prefixed frame. `Ok(None)` means the peer closed the
 /// connection cleanly before a frame started. Read timeouts are retried
 /// internally until `stop` flips (then `Ok(None)`), so callers never see
-/// a frame torn across a timeout boundary.
+/// a frame torn across a timeout boundary. The body is allocated as it
+/// arrives, each step no larger than what came before it (the first is
+/// 8 KiB), so a length prefix the peer does not back with bytes cannot
+/// make the reader allocate the length it claims.
 pub fn read_frame(r: &mut impl Read, stop: &AtomicBool) -> io::Result<Option<String>> {
     let mut len_buf = [0u8; 4];
     if !read_exact_stoppable(r, &mut len_buf, stop, true)? {
@@ -137,12 +145,16 @@ pub fn read_frame(r: &mut impl Read, stop: &AtomicBool) -> io::Result<Option<Str
             "frame length exceeds cap",
         ));
     }
-    let mut body = vec![0u8; len];
-    if !read_exact_stoppable(r, &mut body, stop, false)? {
-        return Err(io::Error::new(
-            ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        ));
+    let mut body = Vec::new();
+    while body.len() < len {
+        let filled = body.len();
+        body.resize(len.min(filled + filled.max(FRAME_STEP)), 0);
+        if !read_exact_stoppable(r, &mut body[filled..], stop, false)? {
+            return Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            ));
+        }
     }
     String::from_utf8(body)
         .map(Some)
@@ -242,7 +254,8 @@ struct Ctx {
     jobs: Mutex<HashMap<u64, Job>>,
     queue: mpsc::Sender<u64>,
     next_id: AtomicU64,
-    bridge: Arc<BridgeSubscriber>,
+    /// The flight recorder `subscribe` follows.
+    recorder: Arc<FlightRecorder>,
     /// Worker-pool size (`stat` reports busy/total).
     workers: usize,
     /// Backend retention cap ([`DaemonOptions::retain`]).
@@ -373,9 +386,9 @@ impl Write for ClientStream {
     }
 }
 
-/// Start serving on `addr`. Installs a [`BridgeSubscriber`] as the
-/// process-wide observability sink (unless one is already installed) so
-/// repair progress streams to `subscribe`d clients.
+/// Start serving on `addr`. Installs the process flight recorder (unless
+/// one is already installed), which `subscribe`d clients follow and
+/// `dump` snapshots.
 pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle> {
     let (listener, bound) = match addr {
         ServerAddr::Unix(path) => {
@@ -394,15 +407,11 @@ pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle>
     };
     listener.set_nonblocking(true)?;
 
-    let bridge = Arc::new(BridgeSubscriber::new());
-    if !fbf_obs::has_subscriber() {
-        fbf_obs::install(bridge.clone());
-    }
     // Always-on flight recorder: post-mortems of faulted jobs need no
-    // pre-enabled tracing. Kept if one is already installed (tests), and
-    // deliberately never uninstalled on shutdown — rings are per-process
-    // and a later daemon in the same process reuses them.
-    fbf_obs::ring::install_default();
+    // pre-enabled tracing. Kept if one is already installed (`fbf serve
+    // --ring-cap`, tests), and deliberately never uninstalled on shutdown
+    // — the recorder is per-process and a later daemon reuses it.
+    let recorder = fbf_obs::ring::install_default();
 
     // Job ids restart at 1 in every daemon, so a second daemon in one
     // process (tests) gets a scratch root of its own.
@@ -412,13 +421,14 @@ pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle>
         n => scratch_root().with_extension(n.to_string()),
     };
     let (queue_tx, queue_rx) = mpsc::channel::<u64>();
+    let workers = opts.workers.max(1);
     let ctx = Arc::new(Ctx {
         shutdown: AtomicBool::new(false),
         jobs: Mutex::new(HashMap::new()),
         queue: queue_tx,
         next_id: AtomicU64::new(1),
-        bridge,
-        workers: opts.workers.max(1),
+        recorder,
+        workers,
         retain: opts.retain,
         retained: Mutex::new(VecDeque::new()),
         scratch,
@@ -427,7 +437,7 @@ pub fn serve(addr: &ServerAddr, opts: DaemonOptions) -> io::Result<DaemonHandle>
 
     let queue_rx = Arc::new(Mutex::new(queue_rx));
     let store = Arc::new(PlanStore::new());
-    let workers: Vec<_> = (0..opts.workers.max(1))
+    let workers: Vec<_> = (0..workers)
         .map(|_| {
             let rx = Arc::clone(&queue_rx);
             let ctx = Arc::clone(&ctx);
@@ -603,7 +613,7 @@ fn handle_conn(mut stream: ClientStream, ctx: &Ctx) {
 }
 
 fn stream_events(stream: &mut ClientStream, ctx: &Ctx) {
-    let rx = ctx.bridge.subscribe();
+    let rx = ctx.recorder.follow();
     loop {
         if ctx.shutdown.load(Ordering::Relaxed) {
             return;
@@ -970,7 +980,6 @@ impl From<io::Error> for DaemonError {
 /// Blocking protocol client for `fbfd` (used by `fbf client` and tests).
 pub struct DaemonClient {
     stream: ClientStream,
-    stop: AtomicBool,
 }
 
 impl DaemonClient {
@@ -980,10 +989,7 @@ impl DaemonClient {
             ServerAddr::Unix(path) => ClientStream::Unix(UnixStream::connect(path)?),
             ServerAddr::Tcp(sock) => ClientStream::Tcp(TcpStream::connect(sock)?),
         };
-        Ok(DaemonClient {
-            stream,
-            stop: AtomicBool::new(false),
-        })
+        Ok(DaemonClient { stream })
     }
 
     /// One exchange whose reply must say `ok: true`; anything else is a
@@ -1046,7 +1052,8 @@ impl DaemonClient {
     /// Receive the next frame (used after `subscribe`). `Ok(None)` on a
     /// clean close.
     pub fn recv(&mut self) -> io::Result<Option<Json>> {
-        match read_frame(&mut self.stream, &self.stop)? {
+        // The client sets no read timeout, so nothing ever needs to stop it.
+        match read_frame(&mut self.stream, &AtomicBool::new(false))? {
             Some(body) => Json::parse(&body)
                 .map(Some)
                 .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string())),

@@ -23,19 +23,10 @@
 //! name, a phase (complete span / instant / counter), microsecond
 //! timestamps, a per-thread track id, and typed key→value args.
 //!
-//! | cat/name | kind | emitted by |
-//! |---|---|---|
-//! | `plan/cold` | span | campaign generation (code, p, stripes, …) |
-//! | `plan/warm` | instant | plan-store hit |
-//! | `runner/simulate` | span | one experiment's engine run |
-//! | `engine/run` | span | engine execution (makespan, event count) |
-//! | `engine/cache` | counter | per-run hit/miss/eviction/demotion totals |
-//! | `engine/queues` | counter | FBF Q1/Q2/Q3 final occupancy |
-//! | `engine/disk` | counter | per-disk reads/writes/queue depth |
-//! | `sweep/run` | span | whole sweep |
-//! | `sweep/point` | span | one sweep point (plan + simulate split) |
-//! | `sweep/worker` | instant | per-worker points + busy time |
-//! | `sweep/summary` | counter | end-of-sweep phase totals + utilization |
+//! The catalogue of every `cat/name` the workspace emits, with its
+//! kind, trigger and args, is DESIGN.md §9 ("Event taxonomy"), the one
+//! table; CI's `scripts/event_table.sh` fails when an emission site names
+//! an event the table lacks.
 //!
 //! ## Metrics layer
 //!
@@ -60,7 +51,6 @@
 //! assert_eq!(sub.total("demo/cache/hits"), 3);
 //! ```
 
-pub mod bridge;
 pub mod digest;
 pub mod flags;
 pub mod json;
@@ -69,7 +59,6 @@ pub mod ring;
 pub mod subscriber;
 pub mod trace;
 
-pub use bridge::BridgeSubscriber;
 pub use digest::{Digest, RequestClass};
 pub use flags::ObsFlags;
 pub use json::{Json, JsonError};
@@ -103,16 +92,6 @@ static RUN_ID: AtomicU64 = AtomicU64::new(1);
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Is a subscriber installed in the global slot? Unlike [`enabled`],
-/// this ignores the flight recorder — the daemon uses it to decide
-/// whether to install its progress bridge alongside an always-on ring.
-pub fn has_subscriber() -> bool {
-    SUBSCRIBER
-        .read()
-        .unwrap_or_else(|p| p.into_inner())
-        .is_some()
 }
 
 /// Recompute the fast-path gate after a sink change: emission stays live

@@ -1,5 +1,6 @@
-//! Always-on flight recorder: per-thread ring buffers of the last N
-//! events, dumped on demand or on a fault trigger.
+//! Always-on flight recorder: one bounded, process-wide log of the last
+//! N events in record order, dumped on demand or on a fault trigger and
+//! followed live by the daemon's `subscribe` streams.
 //!
 //! The recorder sits *beside* the subscriber slot, not in it: `emit`
 //! delivers every event to the recorder first, then to whatever
@@ -10,48 +11,50 @@
 //!
 //! ## Cost model
 //!
-//! Each thread records into its own ring; the per-event lock is owned by
-//! the recording thread and only ever contended by a dump (rare), so the
-//! emission path never blocks on another emitter. With the recorder
-//! absent the cost is the usual single relaxed load.
+//! Every emitting thread appends to the one log under one mutex, held for
+//! a `VecDeque` push (the event's owned copy is made before the lock).
+//! Emission sites fire per run, per wave or per request — never from the
+//! engine's per-access loop — so the lock is rarely contended. With the
+//! recorder absent the cost is the usual single relaxed load.
 //!
 //! ## Memory bound and drop semantics
 //!
-//! Every ring holds at most `capacity` owned events (default
-//! [`DEFAULT_CAPACITY`], override via [`FlightRecorder::with_capacity`]
-//! or `FBF_RING_CAP`). When full, the oldest event is dropped and the
-//! ring's `dropped` counter grows — a dump therefore always holds the
-//! *most recent* window, and reports how much history it lost.
+//! The log holds at most `capacity` owned events (default
+//! [`DEFAULT_CAPACITY`], override via [`FlightRecorder::with_capacity`]),
+//! whichever threads recorded them. When full, the oldest event is
+//! dropped and the `dropped` counter grows — a dump therefore always
+//! holds the *most recent* window, and reports how much history it lost.
 //!
-//! A thread's ring lives as long as the thread. At thread exit its
-//! events fold into the recorder's one *retired* ring, bounded by the
-//! same capacity, so short-lived helper threads leave their newest
-//! history behind but no ring: a recorder holds one ring per live
-//! emitting thread, plus the retired one.
+//! ## Followers
+//!
+//! [`FlightRecorder::follow`] attaches a live consumer: every later event
+//! arrives on its channel as one rendered chrome-trace line, in record
+//! order. A follower that has gone away is pruned by the next event's
+//! failed send, and nothing is rendered while no one follows.
 //!
 //! ## Dumps
 //!
-//! [`FlightRecorder::dump_lines`] renders the retained events as
-//! chrome-trace JSONL (the exact lines `TraceWriter` files hold, flow
-//! records included), the retired ring first and then the live rings in
-//! registration order.
+//! [`FlightRecorder::dump_lines`] renders the retained events in record
+//! order as chrome-trace JSONL: the event lines `TraceWriter` files hold,
+//! without their flow records.
 //! `normalize: true` rewrites the wall-clock and process-global fields —
 //! timestamps become per-dump ordinals, durations zero, and thread /
 //! trace / span / run ids are renumbered in first-appearance order — so
 //! two seeded runs of the same faulted campaign dump byte-identical
-//! files. Triggers ([`trigger_dump`]) snapshot the rings, remember the
+//! files. Triggers ([`trigger_dump`]) snapshot the log, remember the
 //! last dump for inspection, and append to `$FBF_FLIGHT_DIR` when set.
 
 use crate::subscriber::{Event, EventKind, TraceCtx, Value};
 use crate::trace::render_chrome_line;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// Default per-thread ring capacity, in events.
+/// Default recorder capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// An event the ring owns outright (the emission-site `Event` borrows
+/// An event the recorder owns outright (the emission-site `Event` borrows
 /// its strings and args from the caller's stack).
 #[derive(Debug, Clone)]
 struct OwnedEvent {
@@ -83,131 +86,49 @@ impl OwnedValue {
     }
 }
 
-/// One thread's ring. Only its owner thread pushes; dumps briefly lock
-/// it to clone the contents.
-#[derive(Debug, Default)]
-struct ThreadRing {
-    events: Mutex<VecDeque<OwnedEvent>>,
-    dropped: AtomicU64,
+/// What the recorder holds behind its one lock.
+#[derive(Default)]
+struct Log {
+    /// Retained events, oldest first, in record order.
+    events: VecDeque<OwnedEvent>,
+    /// Events pushed out past capacity.
+    dropped: u64,
+    /// Live consumers of rendered lines.
+    followers: Vec<Sender<String>>,
 }
 
-impl ThreadRing {
-    /// Append `event`, dropping the oldest one past `capacity`.
-    fn push(&self, events: &mut VecDeque<OwnedEvent>, event: OwnedEvent, capacity: usize) {
-        if events.len() == capacity {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(event);
-    }
-}
-
-/// A thread's ring in one recorder. Dropped when the thread exits (or
-/// starts recording into another recorder), it retires the ring.
-struct Registration {
-    /// Also names the recorder: while this lives, the recorder's
-    /// allocation — and so its address — cannot be reused by another.
-    recorder: Weak<FlightRecorder>,
-    ring: Arc<ThreadRing>,
-}
-
-impl Drop for Registration {
-    fn drop(&mut self) {
-        if let Some(recorder) = self.recorder.upgrade() {
-            recorder.retire(&self.ring);
-        }
-    }
-}
-
-/// The process flight recorder: a registry of per-thread rings.
+/// The process flight recorder: one bounded log of owned events.
 pub struct FlightRecorder {
     capacity: usize,
-    /// The retired ring first, then one ring per live emitting thread in
-    /// registration order.
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
+    log: Mutex<Log>,
 }
 
 impl FlightRecorder {
-    /// A recorder with the default per-thread capacity (or `FBF_RING_CAP`
-    /// when set to a positive integer).
+    /// A recorder with the default capacity.
     pub fn new() -> Self {
-        let capacity = std::env::var("FBF_RING_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        Self::with_capacity(capacity)
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A recorder holding at most `capacity` events per thread.
+    /// A recorder holding at most `capacity` events (at least one).
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
             capacity: capacity.max(1),
-            rings: Mutex::new(vec![Arc::default()]),
+            log: Mutex::default(),
         }
     }
 
-    /// Per-thread ring capacity, in events.
+    /// Capacity, in events.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Rings held: one per live thread that has recorded, plus the
-    /// retired ring.
-    pub fn rings(&self) -> usize {
-        self.rings.lock().unwrap_or_else(|p| p.into_inner()).len()
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The calling thread's ring, registered on first use.
-    fn ring_for_this_thread(self: &Arc<Self>) -> Arc<ThreadRing> {
-        thread_local! {
-            // Re-resolved if the recorder changed.
-            static RING: std::cell::RefCell<Option<Registration>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        RING.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if let Some(reg) = slot.as_ref() {
-                if std::ptr::eq(reg.recorder.as_ptr(), Arc::as_ptr(self)) {
-                    return Arc::clone(&reg.ring);
-                }
-            }
-            let ring = Arc::new(ThreadRing::default());
-            self.rings
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(Arc::clone(&ring));
-            // Replacing a registration with another recorder retires the
-            // old ring there.
-            *slot = Some(Registration {
-                recorder: Arc::downgrade(self),
-                ring: Arc::clone(&ring),
-            });
-            ring
-        })
-    }
-
-    /// Fold an exiting thread's ring into the retired ring (oldest events
-    /// dropped past capacity) and forget it.
-    fn retire(&self, ring: &Arc<ThreadRing>) {
-        let mut rings = self.rings.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(at) = rings.iter().position(|r| Arc::ptr_eq(r, ring)) else {
-            return;
-        };
-        rings.remove(at);
-        let retired = &rings[0];
-        let mut into = retired.events.lock().unwrap_or_else(|p| p.into_inner());
-        let mut from = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-        for event in from.drain(..) {
-            retired.push(&mut into, event, self.capacity);
-        }
-        retired
-            .dropped
-            .fetch_add(ring.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Record one event into the calling thread's ring.
-    pub fn record(self: &Arc<Self>, event: &Event<'_>) {
+    /// Record one event, dropping the oldest past capacity, and send its
+    /// rendered line to every follower.
+    pub fn record(&self, event: &Event<'_>) {
         let owned = OwnedEvent {
             cat: event.cat.to_string(),
             name: event.name.to_string(),
@@ -229,29 +150,36 @@ impl FlightRecorder {
                 })
                 .collect(),
         };
-        let ring = self.ring_for_this_thread();
-        let mut events = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-        ring.push(&mut events, owned, self.capacity);
+        let mut log = self.log();
+        if !log.followers.is_empty() {
+            let line = render_chrome_line(event);
+            log.followers.retain(|tx| tx.send(line.clone()).is_ok());
+        }
+        if log.events.len() == self.capacity {
+            log.events.pop_front();
+            log.dropped += 1;
+        }
+        log.events.push_back(owned);
     }
 
-    /// Events dropped across every ring since installation.
+    /// Follow the recorder: every later event arrives on the receiver as
+    /// one rendered chrome-trace line (trailing newline included).
+    pub fn follow(&self) -> Receiver<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.log().followers.push(tx);
+        rx
+    }
+
+    /// Events dropped past capacity since installation (or [`clear`]).
+    ///
+    /// [`clear`]: FlightRecorder::clear
     pub fn dropped(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|r| r.dropped.load(Ordering::Relaxed))
-            .sum()
+        self.log().dropped
     }
 
-    /// Events currently retained across every ring.
+    /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.rings
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|r| r.events.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
+        self.log().events.len()
     }
 
     /// No events retained?
@@ -259,41 +187,25 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Drop every retained event (capacity and registration survive).
+    /// Drop every retained event and reset `dropped` (capacity and
+    /// followers survive).
     pub fn clear(&self) {
-        for ring in self.rings.lock().unwrap_or_else(|p| p.into_inner()).iter() {
-            ring.events
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clear();
-            ring.dropped.store(0, Ordering::Relaxed);
-        }
+        let mut log = self.log();
+        log.events.clear();
+        log.dropped = 0;
     }
 
     /// Render the retained events as chrome-trace JSONL lines (newline
-    /// terminated), the retired ring first and then the live rings in
-    /// registration order, preceded by the standard process-metadata line.
+    /// terminated) in record order, preceded by the standard
+    /// process-metadata line.
     ///
     /// `normalize` rewrites every nondeterministic field for byte-exact
     /// reproducibility: `ts` becomes the event's dump ordinal, `dur` 0,
     /// and tids plus trace/span/parent/`run` ids are renumbered in
     /// first-appearance order.
     pub fn dump_lines(&self, normalize: bool) -> Vec<String> {
-        let snapshots: Vec<Vec<OwnedEvent>> = self
-            .rings
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|r| {
-                r.events
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .iter()
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        let mut lines = Vec::new();
+        let events: Vec<OwnedEvent> = self.log().events.iter().cloned().collect();
+        let mut lines = Vec::with_capacity(events.len() + 1);
         lines.push(
             concat!(
                 r#"{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"#,
@@ -303,28 +215,24 @@ impl FlightRecorder {
             .to_string(),
         );
         let mut norm = Normalizer::default();
-        let mut ordinal = 0u64;
-        for ring in snapshots {
-            for mut ev in ring {
-                if normalize {
-                    norm.apply(&mut ev, ordinal);
-                }
-                ordinal += 1;
-                let args: Vec<(&str, Value<'_>)> = ev
-                    .args
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.borrow()))
-                    .collect();
-                lines.push(render_chrome_line(&Event {
-                    cat: &ev.cat,
-                    name: &ev.name,
-                    kind: ev.kind,
-                    ts_us: ev.ts_us,
-                    tid: ev.tid,
-                    ctx: ev.ctx,
-                    args: &args,
-                }));
+        for (ordinal, mut ev) in events.into_iter().enumerate() {
+            if normalize {
+                norm.apply(&mut ev, ordinal as u64);
             }
+            let args: Vec<(&str, Value<'_>)> = ev
+                .args
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.borrow()))
+                .collect();
+            lines.push(render_chrome_line(&Event {
+                cat: &ev.cat,
+                name: &ev.name,
+                kind: ev.kind,
+                ts_us: ev.ts_us,
+                tid: ev.tid,
+                ctx: ev.ctx,
+                args: &args,
+            }));
         }
         lines
     }
@@ -448,7 +356,7 @@ pub(crate) fn record(event: &Event<'_>) {
     }
 }
 
-/// Snapshot the rings because something went wrong (`reason` is a short
+/// Snapshot the log because something went wrong (`reason` is a short
 /// slug: `data-loss`, `slo-breach`, `client-dump`). The normalized dump
 /// is remembered for [`last_dump`] and, when `$FBF_FLIGHT_DIR` names a
 /// directory, written to `flight-<reason>-<seq>.jsonl` inside it.
@@ -492,9 +400,19 @@ mod tests {
         }
     }
 
+    /// The `"key":<u64>` arg of a rendered line.
+    fn arg(line: &str, key: &str) -> u64 {
+        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    }
+
     #[test]
     fn ring_keeps_the_most_recent_window() {
-        let rec = Arc::new(FlightRecorder::with_capacity(3));
+        let rec = FlightRecorder::with_capacity(3);
         for i in 0..5u64 {
             rec.record(&ev("n", &[("i", Value::U64(i))]));
         }
@@ -508,52 +426,71 @@ mod tests {
     }
 
     #[test]
-    fn exited_threads_leave_their_newest_events_but_no_ring() {
-        let rec = Arc::new(FlightRecorder::with_capacity(8));
-        // Three threads alive at once: three rings plus the retired one.
-        let barrier = std::sync::Barrier::new(4);
+    fn threads_share_one_bounded_log_in_record_order() {
+        const CAP: usize = 16;
+        const THREADS: u64 = 4;
+        let rec = FlightRecorder::with_capacity(CAP);
+        // Recording under `turn` makes the global sequence number the
+        // record order, so the dump's order can be checked exactly.
+        let turn = Mutex::new(0u64);
         std::thread::scope(|s| {
-            let live: Vec<_> = (0..3)
-                .map(|_| {
-                    s.spawn(|| {
-                        rec.record(&ev("live", &[]));
-                        barrier.wait();
-                        barrier.wait();
-                    })
-                })
-                .collect();
-            barrier.wait();
-            assert_eq!(rec.rings(), 4);
-            barrier.wait();
-            for thread in live {
-                thread.join().unwrap();
+            for t in 0..THREADS {
+                let (rec, turn) = (&rec, &turn);
+                s.spawn(move || {
+                    for _ in 0..2 * CAP {
+                        let mut seq = turn.lock().unwrap();
+                        rec.record(&ev("n", &[("t", Value::U64(t)), ("seq", Value::U64(*seq))]));
+                        *seq += 1;
+                    }
+                });
             }
         });
-        assert_eq!(rec.rings(), 1);
-        // Many short-lived threads, one after another.
-        for t in 0..50u64 {
-            let thread_rec = Arc::clone(&rec);
-            std::thread::spawn(move || {
-                for i in 0..10 {
-                    thread_rec.record(&ev("n", &[("i", Value::U64(t * 10 + i))]));
-                }
-            })
-            .join()
-            .unwrap();
-            assert_eq!(rec.rings(), 1, "thread {t} left its ring behind");
+        let total = THREADS * 2 * CAP as u64;
+        assert_eq!(rec.len(), CAP, "one capacity bounds every thread together");
+        assert_eq!(rec.dropped(), total - CAP as u64);
+        let lines = rec.dump_lines(true);
+        assert_eq!(lines.len(), CAP + 1);
+        for (ordinal, line) in lines[1..].iter().enumerate() {
+            assert_eq!(
+                arg(line, "seq"),
+                total - CAP as u64 + ordinal as u64,
+                "{line}"
+            );
+            assert!(line.contains(&format!("\"ts\":{ordinal}.000,")), "{line}");
         }
-        assert_eq!(rec.len(), 8);
-        assert_eq!(rec.dropped(), 3 + 500 - 8);
-        let lines = rec.dump_lines(false);
-        for (line, i) in lines[1..].iter().zip(492..) {
-            assert!(line.contains(&format!("\"i\":{i}")), "{line}");
-        }
+    }
+
+    #[test]
+    fn followers_get_each_event_rendered_once() {
+        let rec = FlightRecorder::with_capacity(4);
+        let a = rec.follow();
+        let b = rec.follow();
+        rec.record(&ev("job", &[("i", Value::U64(1))]));
+        let la = a.try_recv().unwrap();
+        assert_eq!(la, b.try_recv().unwrap());
+        assert_eq!(la, rec.dump_lines(false)[1], "the line a dump holds");
+        assert!(la.ends_with('\n'));
+        assert!(a.try_recv().is_err(), "one line per event");
+    }
+
+    #[test]
+    fn gone_followers_are_pruned() {
+        let rec = FlightRecorder::with_capacity(4);
+        let keep = rec.follow();
+        drop(rec.follow());
+        rec.record(&ev("job", &[]));
+        assert_eq!(rec.log().followers.len(), 1);
+        assert!(keep.try_recv().is_ok());
+        drop(keep);
+        rec.record(&ev("job", &[]));
+        assert!(rec.log().followers.is_empty());
+        assert_eq!(rec.len(), 2, "recording goes on without followers");
     }
 
     #[test]
     fn normalized_dumps_are_reproducible_across_id_shifts() {
         let dump = |tid_base: u64, run_base: u64, trace_base: u64| {
-            let rec = Arc::new(FlightRecorder::with_capacity(16));
+            let rec = FlightRecorder::with_capacity(16);
             for i in 0..3u64 {
                 rec.record(&Event {
                     cat: "engine",
@@ -577,7 +514,7 @@ mod tests {
         assert_eq!(dump(3, 100, 50), dump(9, 777, 4000));
         // Content differences still show.
         assert_ne!(dump(3, 100, 50), {
-            let rec = Arc::new(FlightRecorder::with_capacity(16));
+            let rec = FlightRecorder::with_capacity(16);
             rec.record(&ev("other", &[]));
             rec.dump_lines(true).concat()
         });

@@ -58,7 +58,7 @@ impl TraceWriter {
 
 /// Render one event as a chrome-trace JSON object plus trailing newline —
 /// the exact line [`TraceWriter`] files end up holding. Public so other
-/// sinks (the daemon's progress bridge) stream the same format over the
+/// sinks (the flight recorder's followers) stream the same format over the
 /// wire that the JSONL files contain on disk.
 pub fn render_chrome_line(event: &Event<'_>) -> String {
     {

@@ -36,8 +36,8 @@
 //! The daemon (`serve`, the one launcher): `--socket <path>` for a unix
 //! socket (default `$TMPDIR/fbfd.sock`) or `--tcp <addr:port>`,
 //! `--daemon-workers N`, `--retain N` (finished jobs whose array stays
-//! readable), `--ring-cap N` (flight-recorder events kept per thread; same
-//! as setting `FBF_RING_CAP`). It exits when a client sends `shutdown`;
+//! readable), `--ring-cap N` (events the flight recorder keeps); a zero
+//! count is refused. It exits when a client sends `shutdown`;
 //! `client` takes the same `--socket`/`--tcp`.
 //!
 //! Every subcommand is a `fn(&mut Args) -> Result<(), Exit>`; `main` is
@@ -61,6 +61,7 @@ use fbf::{
     ConfigError, DaemonClient, DaemonError, DaemonOptions, ExperimentConfig, Json, Outcome,
     PlanStore, PolicyKind, ReliabilityParams, RequestError, ServerAddr, Table, Work,
 };
+use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -782,14 +783,17 @@ fn addr_display(addr: &ServerAddr) -> String {
 fn cmd_serve(args: &mut Args) -> Result<(), Exit> {
     let addr = args.addr()?;
     let mut opts = DaemonOptions::default();
-    opts.workers = args.flag("daemon-workers")?.unwrap_or(opts.workers);
+    let workers = args.flag::<NonZeroUsize>("daemon-workers")?;
+    opts.workers = workers.map_or(opts.workers, NonZeroUsize::get);
     opts.retain = args.flag("retain")?.unwrap_or(opts.retain);
-    if let Some(cap) = args.flag::<usize>("ring-cap")? {
-        // serve() installs the default recorder, which reads this env var.
-        std::env::set_var("FBF_RING_CAP", cap.to_string());
-    }
+    let ring_cap = args.flag::<NonZeroUsize>("ring-cap")?;
     if let Some(stray) = args.rest.first() {
         return Err(Exit::usage(format!("unexpected argument `{stray}`")));
+    }
+    if let Some(cap) = ring_cap {
+        // serve() keeps a recorder that is already installed.
+        let recorder = fbf::obs::FlightRecorder::with_capacity(cap.get());
+        fbf::obs::ring::install(std::sync::Arc::new(recorder));
     }
     let handle = fbf::serve(&addr, opts)
         .map_err(|e| Exit::fail(format!("cannot serve on {}: {e}", addr_display(&addr))))?;

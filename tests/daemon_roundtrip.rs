@@ -170,6 +170,12 @@ fn repair_over_the_wire_matches_a_local_run() {
     }
 }
 
+/// Serialises the tests that install the process-wide subscriber.
+fn subscriber_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// `Write` sink whose bytes stay inspectable after the writer is
 /// consumed by [`fbf::obs::TraceWriter::from_writer`].
 #[derive(Clone, Default)]
@@ -187,9 +193,10 @@ impl Write for SharedBuf {
 
 #[test]
 fn repair_spans_reassemble_into_one_rooted_trace_tree() {
-    // Capture the process-wide event stream before serving: the daemon
-    // sees a subscriber already installed and skips its own bridge, so
-    // every span of the repair lands in this buffer.
+    let _gate = subscriber_gate();
+    // Capture the process-wide event stream: the daemon installs no
+    // subscriber of its own, so every span of the repair lands in this
+    // buffer.
     let buf = SharedBuf::default();
     fbf::obs::install(Arc::new(fbf::obs::TraceWriter::from_writer(Box::new(
         buf.clone(),
@@ -300,6 +307,72 @@ fn repair_spans_reassemble_into_one_rooted_trace_tree() {
         spans.len() - 1,
         "one parent step per child span"
     );
+}
+
+#[test]
+fn subscribe_streams_a_repair_under_an_installed_trace_writer() {
+    let _gate = subscriber_gate();
+    // `subscribe` follows the flight recorder, so a subscriber installed
+    // before serving (`fbf serve --trace`) does not silence the stream.
+    fbf::obs::install(Arc::new(fbf::obs::TraceWriter::from_writer(Box::new(
+        SharedBuf::default(),
+    ))));
+    let (addr, handle, mut client) = start("watch", one_worker());
+    let mut watcher = DaemonClient::connect(&addr).expect("connect");
+    let ack = watcher.request(&cmd("subscribe")).expect("subscribed");
+    assert_eq!(ack.get("subscribed").and_then(Json::as_bool), Some(true));
+    // Read on a thread, so a silent stream fails the deadline below
+    // instead of hanging the test.
+    let (lines, stream) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        while let Ok(Some(frame)) = watcher.recv() {
+            let line = frame
+                .get("event")
+                .and_then(Json::as_str)
+                .map(str::to_string);
+            if lines.send(line.expect("event frames")).is_err() {
+                return;
+            }
+        }
+    });
+
+    let trace_id = 515_151u64;
+    let (job, _) = client
+        .submit([
+            ("cmd", "repair".into()),
+            ("config", small_config_json()),
+            ("trace_id", trace_id.into()),
+        ])
+        .expect("repair");
+    wait_done(&mut client, job).expect("done");
+
+    // Other tests' daemons record into the same process-wide recorder:
+    // keep this request's events, in arrival order, through its end.
+    let ours = format!("\"trace_id\":{trace_id},");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut names = Vec::new();
+    while names.last().map(String::as_str) != Some("daemon/job-end") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let line = stream
+            .recv_timeout(left)
+            .unwrap_or_else(|e| panic!("stream stalled after {names:?}: {e}"));
+        if !line.contains(&ours) {
+            continue;
+        }
+        let ev = Json::parse(&line).expect("each event is one chrome line");
+        let field = |key: &str| ev.get(key).and_then(Json::as_str).unwrap_or("").to_string();
+        names.push(format!("{}/{}", field("cat"), field("name")));
+    }
+    shut_down(client, handle);
+    fbf::obs::uninstall();
+    reader
+        .join()
+        .expect("the stream ends when the daemon stops");
+
+    assert_eq!(names[0], "daemon/job-start", "{names:?}");
+    for event in ["plan/cold", "engine/run", "engine/cache", "runner/simulate"] {
+        assert!(names.iter().any(|n| n == event), "{event} in {names:?}");
+    }
 }
 
 #[test]
