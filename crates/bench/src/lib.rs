@@ -216,7 +216,9 @@ impl Artefact {
                 Out::Text(text) => print!("{text}"),
             }
         }
-        flags.write_metrics(|| fbf_core::prometheus_snapshot(&self.points));
+        flags.write_metrics(|| {
+            fbf_core::prometheus_snapshot(self.points.iter().map(|p| &p.metrics))
+        });
         self.failure.map_or(0, |message| {
             eprintln!("{message}");
             1

@@ -55,7 +55,7 @@ use crate::job::{int_field, scratch_root, BackendKind, Outcome, Work};
 use crate::metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
 use crate::plan::PlanStore;
 use crate::progress::Progress;
-use crate::sweep::{panic_message, SweepPoint};
+use crate::sweep::panic_message;
 use fbf_codes::{Cell, ChunkId};
 use fbf_disksim::{Digest, EngineScratch, RequestClass};
 use fbf_obs::{FlightRecorder, Json, PromWriter};
@@ -791,15 +791,11 @@ fn state_counts(jobs: &HashMap<u64, Job>) -> [u64; 4] {
 
 fn cmd_metrics(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-    let points: Vec<SweepPoint> = jobs
-        .values()
-        .filter_map(|job| {
-            job.metrics().map(|m| SweepPoint {
-                config: *job.work.cfg(),
-                metrics: m.clone(),
-            })
-        })
-        .collect();
+    // Rendered from the finished jobs' metrics where they live: a scrape
+    // copies no job.
+    let finished = || jobs.values().filter_map(Job::metrics);
+    let completed = finished().count();
+    let snapshot = crate::prom::prometheus_snapshot(finished());
     let counts = state_counts(&jobs);
     let retained = ctx.retained.lock().unwrap_or_else(|p| p.into_inner()).len();
     drop(jobs);
@@ -833,9 +829,9 @@ fn cmd_metrics(ctx: &Ctx) -> Json {
         "Completed jobs whose data-plane backend is resident (bounded by the retention cap).",
         retained as f64,
     );
-    let text = crate::prom::prometheus_snapshot(&points) + &live.into_string();
+    let text = snapshot + &live.into_string();
     ok_reply([
-        ("completed", Json::Num(points.len() as f64)),
+        ("completed", Json::Num(completed as f64)),
         ("running", running.into()),
         ("queued", queued.into()),
         (

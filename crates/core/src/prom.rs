@@ -1,7 +1,8 @@
 //! Prometheus snapshot assembly for sweep results.
 //!
-//! [`prometheus_snapshot`] renders a slice of [`SweepPoint`]s into one
-//! text-exposition document (format 0.0.4, via
+//! [`prometheus_snapshot`] renders the [`Metrics`] of a set of runs — a
+//! sweep's points, or the daemon's finished jobs, borrowed where they
+//! live — into one text-exposition document (format 0.0.4, via
 //! [`fbf_obs::PromWriter`]): campaign counters, per-class latency
 //! histograms merged **associatively** across all points — the digest's
 //! mergeability claim doing real work — plus queue-depth high-water
@@ -11,18 +12,20 @@
 //! snapshots next to their CSVs; `scripts/check_trace.py --prom` validates
 //! the output in CI.
 
-use crate::sweep::SweepPoint;
+use crate::metrics::Metrics;
 use fbf_disksim::{Digest, RequestClass};
 use fbf_obs::PromWriter;
 
-/// Render `points` as one Prometheus text-exposition snapshot.
+/// Render the metrics of `points` as one Prometheus text-exposition
+/// snapshot.
 ///
-/// Counters sum across points; queue-depth high-water takes the max;
-/// per-class digests merge element-wise (associative and commutative, so
-/// the result is independent of point order — pinned by a test below).
-/// SLO gauges report 1/0 for pass/fail and appear only when at least one
-/// point evaluated an active spec.
-pub fn prometheus_snapshot(points: &[SweepPoint]) -> String {
+/// Counters sum across points; queue-depth high-water and read balance
+/// take the max; per-class digests merge element-wise (associative and
+/// commutative, so the result is independent of point order — pinned by a
+/// test below). SLO gauges report 1/0 for pass/fail and appear only when
+/// at least one point evaluated an active spec.
+pub fn prometheus_snapshot<'a>(points: impl IntoIterator<Item = &'a Metrics>) -> String {
+    let mut count = 0usize;
     let mut disk_reads = 0u64;
     let mut disk_writes = 0u64;
     let mut hits = 0u64;
@@ -35,13 +38,18 @@ pub fn prometheus_snapshot(points: &[SweepPoint]) -> String {
     let mut slo_evaluated = false;
     let mut slo_pass = true;
     let mut class_pass = [true; RequestClass::COUNT];
-    for p in points {
-        let m = &p.metrics;
+    let mut worst_balance: Option<f64> = None;
+    for m in points {
+        count += 1;
         disk_reads += m.disk_reads;
         disk_writes += m.disk_writes;
         hits += m.cache.hits;
         misses += m.cache.misses;
         queue_depth_max = queue_depth_max.max(m.queue_depth_max);
+        worst_balance = Some(match worst_balance {
+            Some(worst) if worst.total_cmp(&m.read_balance).is_gt() => worst,
+            _ => m.read_balance,
+        });
         replans += m.replans;
         stripes_lost += m.stripes_lost as u64;
         stripes_unresolved += m.stripes_unresolved as u64;
@@ -64,7 +72,7 @@ pub fn prometheus_snapshot(points: &[SweepPoint]) -> String {
     w.gauge(
         "fbf_sweep_points",
         "experiment points aggregated into this snapshot",
-        points.len() as f64,
+        count as f64,
     );
     w.counter(
         "fbf_disk_reads_total",
@@ -106,11 +114,7 @@ pub fn prometheus_snapshot(points: &[SweepPoint]) -> String {
         "deepest disk queue observed (high-water, max-merged)",
         queue_depth_max as f64,
     );
-    if let Some(worst) = points
-        .iter()
-        .map(|p| p.metrics.read_balance)
-        .max_by(|a, b| a.total_cmp(b))
-    {
+    if let Some(worst) = worst_balance {
         w.gauge(
             "fbf_read_balance_worst",
             "worst per-point declustering uniformity (busiest disk / mean; 1.0 = even)",
@@ -168,7 +172,7 @@ mod tests {
     use crate::config::{ExperimentConfig, SloSpec};
     use crate::runner::run_experiment;
 
-    fn points() -> Vec<SweepPoint> {
+    fn points() -> Vec<Metrics> {
         [2usize, 16]
             .into_iter()
             .map(|mb| {
@@ -180,8 +184,7 @@ mod tests {
                     .gen_threads(1)
                     .build()
                     .unwrap();
-                let metrics = run_experiment(&config).unwrap();
-                SweepPoint { config, metrics }
+                run_experiment(&config).unwrap()
             })
             .collect()
     }
@@ -190,12 +193,12 @@ mod tests {
     fn snapshot_totals_match_points() {
         let pts = points();
         let s = prometheus_snapshot(&pts);
-        let reads: u64 = pts.iter().map(|p| p.metrics.disk_reads).sum();
+        let reads: u64 = pts.iter().map(|p| p.disk_reads).sum();
         assert!(s.contains(&format!("\nfbf_disk_reads_total {reads}\n")));
         // The merged recovery digest covers every read-latency sample.
         let count: u64 = pts
             .iter()
-            .map(|p| p.metrics.class_latency[RequestClass::Recovery.index()].count)
+            .map(|p| p.class_latency[RequestClass::Recovery.index()].count)
             .sum();
         assert!(
             s.contains(&format!(
@@ -211,7 +214,7 @@ mod tests {
     fn snapshot_is_order_independent() {
         let pts = points();
         let forward = prometheus_snapshot(&pts);
-        let reversed: Vec<SweepPoint> = pts.into_iter().rev().collect();
+        let reversed: Vec<Metrics> = pts.into_iter().rev().collect();
         assert_eq!(
             forward,
             prometheus_snapshot(&reversed),
@@ -223,8 +226,7 @@ mod tests {
     fn slo_gauges_appear_when_evaluated() {
         let mut pts = points();
         for p in &mut pts {
-            p.metrics
-                .evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 1e6, 0.0));
+            p.evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 1e6, 0.0));
         }
         let s = prometheus_snapshot(&pts);
         assert!(s.contains("\nfbf_slo_pass 1\n"), "{s}");

@@ -26,6 +26,8 @@
 //! nanoseconds, so engine quantiles, sweep CSVs and Prometheus exposition
 //! all agree bit-for-bit.
 
+use std::collections::VecDeque;
+
 /// Sub-buckets per power of two — 2^(1/8) spacing ≈ 9% relative resolution.
 pub const SUB_BUCKETS: usize = 8;
 /// Covers 1 ns .. ~2^40 ns (≈ 18 minutes) of latency.
@@ -83,24 +85,25 @@ impl std::fmt::Display for RequestClass {
     }
 }
 
-/// A fixed-size mergeable log-linear histogram of nanosecond values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A mergeable log-linear histogram of nanosecond values.
+///
+/// Counts are kept only for the *span* from the lowest to the highest
+/// occupied bucket, so a digest costs what it holds: an empty one
+/// allocates nothing, and a run whose reads all land within a few decades
+/// keeps a few dozen counters, not [`BUCKETS`]. The span is canonical —
+/// both its end buckets are occupied, and an empty digest has no span —
+/// so the derived equality still means "the same samples".
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Digest {
-    counts: Vec<u64>,
+    /// Bucket index of `counts[0]` (0 while empty).
+    lo: usize,
+    /// Counts of buckets `lo .. lo + counts.len()`. A deque, so a new
+    /// lowest bucket grows the span at the front without shifting it.
+    counts: VecDeque<u64>,
     total: u64,
     /// Exact sum of recorded values (Prometheus `_sum`); u128 so a digest
     /// can absorb 2^64 samples of 2^40 ns without overflow.
     sum_ns: u128,
-}
-
-impl Default for Digest {
-    fn default() -> Self {
-        Digest {
-            counts: vec![0; BUCKETS],
-            total: 0,
-            sum_ns: 0,
-        }
-    }
 }
 
 impl Digest {
@@ -156,9 +159,34 @@ impl Digest {
     /// Record one nanosecond value.
     #[inline]
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[Self::bucket_of_ns(ns)] += 1;
+        let bucket = Self::bucket_of_ns(ns);
+        let at = match bucket.checked_sub(self.lo) {
+            Some(at) if at < self.counts.len() => at,
+            _ => self.widen(bucket, bucket),
+        };
+        self.counts[at] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
+    }
+
+    /// Grow the span to cover buckets `lo ..= hi` with zero counts, and
+    /// return the offset of `lo` in it.
+    fn widen(&mut self, lo: usize, hi: usize) -> usize {
+        if self.counts.is_empty() {
+            self.lo = lo;
+        }
+        if lo < self.lo {
+            self.counts.reserve(self.lo - lo);
+            for _ in lo..self.lo {
+                self.counts.push_front(0);
+            }
+            self.lo = lo;
+        }
+        let len = hi + 1 - self.lo;
+        if self.counts.len() < len {
+            self.counts.resize(len, 0);
+        }
+        lo - self.lo
     }
 
     /// Number of recorded values.
@@ -186,10 +214,10 @@ impl Digest {
         let q = q.clamp(0.0, 1.0);
         let rank = ((self.total as f64 * q).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (&c, bucket) in self.counts.iter().zip(self.lo..) {
             seen += c;
             if seen >= rank {
-                return Some(Self::bucket_upper_ns(i));
+                return Some(Self::bucket_upper_ns(bucket));
             }
         }
         Some(Self::bucket_upper_ns(BUCKETS - 1))
@@ -203,16 +231,21 @@ impl Digest {
     pub fn count_over_ns(&self, threshold_ns: u64) -> u64 {
         self.counts
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| Self::bucket_upper_ns(i) > threshold_ns)
-            .map(|(_, &c)| c)
+            .zip(self.lo..)
+            .filter(|&(_, bucket)| Self::bucket_upper_ns(bucket) > threshold_ns)
+            .map(|(&c, _)| c)
             .sum()
     }
 
-    /// Merge another digest in. Element-wise addition: associative,
-    /// commutative, conserves `count()` and `sum_ns()` exactly.
+    /// Merge another digest in. Element-wise addition over the union of
+    /// the two spans: associative, commutative, conserves `count()` and
+    /// `sum_ns()` exactly.
     pub fn merge(&mut self, other: &Digest) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        if other.counts.is_empty() {
+            return;
+        }
+        let at = self.widen(other.lo, other.lo + other.counts.len() - 1);
+        for (a, b) in self.counts.iter_mut().skip(at).zip(&other.counts) {
             *a += b;
         }
         self.total += other.total;
@@ -224,9 +257,9 @@ impl Digest {
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
             .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper_ns(i), c))
+            .zip(self.lo..)
+            .filter(|&(&c, _)| c > 0)
+            .map(|(&c, bucket)| (Self::bucket_upper_ns(bucket), c))
     }
 }
 
@@ -422,6 +455,31 @@ mod tests {
             assert!(bucket >= prev, "bucket_of_ns({ns}) = {bucket} < {prev}");
             prev = bucket;
         }
+    }
+
+    #[test]
+    fn the_span_covers_exactly_the_occupied_buckets() {
+        let mut d = Digest::new();
+        assert_eq!(d.counts.capacity(), 0, "an empty digest allocates nothing");
+        let b = Digest::bucket_of_ns;
+        d.record_ns(1_000);
+        assert_eq!((d.lo, d.counts.len()), (b(1_000), 1));
+        // A new lowest bucket grows the span downward, a new highest one
+        // upward; the occupied ends stay the span's ends.
+        d.record_ns(9);
+        d.record_ns(1 << 20);
+        d.record_ns(5_000);
+        assert_eq!(d.lo, b(9));
+        assert_eq!(d.counts.len(), b(1 << 20) - b(9) + 1);
+        assert_eq!((d.counts.front(), d.counts.back()), (Some(&1), Some(&1)));
+        // Merging a digest below and above widens to the union.
+        let mut other = Digest::new();
+        other.record_ns(2);
+        other.record_ns(1 << 30);
+        d.merge(&other);
+        assert_eq!(d.lo, b(2));
+        assert_eq!(d.counts.len(), b(1 << 30) - b(2) + 1);
+        assert_eq!(d.nonzero_buckets().map(|(_, c)| c).sum::<u64>(), 6);
     }
 
     #[test]

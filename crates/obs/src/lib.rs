@@ -250,7 +250,7 @@ fn emit(event: &Event<'_>) {
 
 /// Emit a counter event (chrome phase `C`): a named set of series values
 /// at one instant.
-pub fn counter(cat: &str, name: &str, args: &[(&str, Value<'_>)]) {
+pub fn counter(cat: &'static str, name: &'static str, args: &[(&'static str, Value<'_>)]) {
     if !enabled() {
         return;
     }
@@ -266,7 +266,7 @@ pub fn counter(cat: &str, name: &str, args: &[(&str, Value<'_>)]) {
 }
 
 /// Emit an instant event (chrome phase `i`).
-pub fn instant(cat: &str, name: &str, args: &[(&str, Value<'_>)]) {
+pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, Value<'_>)]) {
     if !enabled() {
         return;
     }
@@ -338,7 +338,7 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
 
 impl Span {
     /// End the span, attaching `args` to the emitted event.
-    pub fn end_with(mut self, args: &[(&str, Value<'_>)]) {
+    pub fn end_with(mut self, args: &[(&'static str, Value<'_>)]) {
         self.finish(args);
     }
 
@@ -350,7 +350,7 @@ impl Span {
         (self.ctx.trace != 0).then_some(self.ctx)
     }
 
-    fn finish(&mut self, args: &[(&str, Value<'_>)]) {
+    fn finish(&mut self, args: &[(&'static str, Value<'_>)]) {
         if !self.live {
             return;
         }

@@ -41,8 +41,16 @@
 //! timestamps become per-dump ordinals, durations zero, and thread /
 //! trace / span / run ids are renumbered in first-appearance order — so
 //! two seeded runs of the same faulted campaign dump byte-identical
-//! files. Triggers ([`trigger_dump`]) snapshot the log, remember the
-//! last dump for inspection, and append to `$FBF_FLIGHT_DIR` when set.
+//! files. Triggers ([`trigger_dump`]) snapshot the log's owned events and
+//! remember the snapshot for inspection; it is rendered only when read
+//! ([`last_dump`]) or when `$FBF_FLIGHT_DIR` asks for a file.
+//!
+//! ## What an event costs
+//!
+//! Category, name and argument keys are `&'static str` pointers, so a
+//! retained event is one fixed-size slot in the log plus one boxed
+//! argument slice of 32 bytes per argument — a second buffer only when
+//! an argument is a string.
 
 use crate::subscriber::{Event, EventKind, TraceCtx, Value};
 use crate::trace::render_chrome_line;
@@ -54,35 +62,109 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// Default recorder capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// An event the recorder owns outright (the emission-site `Event` borrows
-/// its strings and args from the caller's stack).
+/// An event the recorder owns outright. The emission-site `Event`
+/// borrows its args from the caller's stack; category, name and keys are
+/// `'static` there already, so owning the event copies only the values:
+/// one boxed argument slice, plus one text buffer when an argument is a
+/// string.
 #[derive(Debug, Clone)]
 struct OwnedEvent {
-    cat: String,
-    name: String,
+    cat: &'static str,
+    name: &'static str,
     kind: EventKind,
     ts_us: f64,
     tid: u64,
     ctx: Option<TraceCtx>,
-    args: Vec<(String, OwnedValue)>,
+    args: Box<[(&'static str, OwnedValue)]>,
+    /// Every string argument, concatenated (empty, so unallocated, when
+    /// there is none).
+    text: Box<str>,
 }
 
-#[derive(Debug, Clone)]
+/// An owned argument value: 16 bytes, so an argument is 32.
+#[derive(Debug, Clone, Copy)]
 enum OwnedValue {
     U64(u64),
     I64(i64),
     F64(f64),
-    Str(String),
+    /// A string argument: its byte range in the event's `text`.
+    Str(u32, u32),
 }
 
-impl OwnedValue {
-    fn borrow(&self) -> Value<'_> {
-        match self {
-            OwnedValue::U64(v) => Value::U64(*v),
-            OwnedValue::I64(v) => Value::I64(*v),
-            OwnedValue::F64(v) => Value::F64(*v),
-            OwnedValue::Str(v) => Value::Str(v),
+impl OwnedEvent {
+    fn new(event: &Event<'_>) -> Self {
+        let mut text = String::with_capacity(
+            event
+                .args
+                .iter()
+                .map(|(_, v)| match v {
+                    Value::Str(v) => v.len(),
+                    _ => 0,
+                })
+                .sum(),
+        );
+        let args = event
+            .args
+            .iter()
+            .map(|&(key, value)| {
+                let value = match value {
+                    Value::U64(v) => OwnedValue::U64(v),
+                    Value::I64(v) => OwnedValue::I64(v),
+                    Value::F64(v) => OwnedValue::F64(v),
+                    Value::Str(v) => {
+                        let at = |len: usize| u32::try_from(len).expect("labels under 4 GiB");
+                        let start = at(text.len());
+                        text.push_str(v);
+                        OwnedValue::Str(start, at(text.len()))
+                    }
+                };
+                (key, value)
+            })
+            .collect();
+        OwnedEvent {
+            cat: event.cat,
+            name: event.name,
+            kind: event.kind,
+            ts_us: event.ts_us,
+            tid: event.tid,
+            ctx: event.ctx,
+            args,
+            text: text.into_boxed_str(),
         }
+    }
+
+    /// The event as a chrome-trace line; `norm` rewrites its
+    /// nondeterministic fields first (see [`Normalizer`]).
+    fn render(&self, norm: Option<(&mut Normalizer, u64)>) -> String {
+        let mut args: Vec<(&'static str, Value<'_>)> = self
+            .args
+            .iter()
+            .map(|&(key, value)| {
+                let value = match value {
+                    OwnedValue::U64(v) => Value::U64(v),
+                    OwnedValue::I64(v) => Value::I64(v),
+                    OwnedValue::F64(v) => Value::F64(v),
+                    OwnedValue::Str(start, end) => {
+                        Value::Str(&self.text[start as usize..end as usize])
+                    }
+                };
+                (key, value)
+            })
+            .collect();
+        let mut event = Event {
+            cat: self.cat,
+            name: self.name,
+            kind: self.kind,
+            ts_us: self.ts_us,
+            tid: self.tid,
+            ctx: self.ctx,
+            args: &[],
+        };
+        if let Some((norm, ordinal)) = norm {
+            norm.apply(&mut event, &mut args, ordinal);
+        }
+        event.args = &args;
+        render_chrome_line(&event)
     }
 }
 
@@ -129,27 +211,7 @@ impl FlightRecorder {
     /// Record one event, dropping the oldest past capacity, and send its
     /// rendered line to every follower.
     pub fn record(&self, event: &Event<'_>) {
-        let owned = OwnedEvent {
-            cat: event.cat.to_string(),
-            name: event.name.to_string(),
-            kind: event.kind,
-            ts_us: event.ts_us,
-            tid: event.tid,
-            ctx: event.ctx,
-            args: event
-                .args
-                .iter()
-                .map(|(k, v)| {
-                    let v = match v {
-                        Value::U64(v) => OwnedValue::U64(*v),
-                        Value::I64(v) => OwnedValue::I64(*v),
-                        Value::F64(v) => OwnedValue::F64(*v),
-                        Value::Str(v) => OwnedValue::Str((*v).to_string()),
-                    };
-                    ((*k).to_string(), v)
-                })
-                .collect(),
-        };
+        let owned = OwnedEvent::new(event);
         let mut log = self.log();
         if !log.followers.is_empty() {
             let line = render_chrome_line(event);
@@ -204,38 +266,32 @@ impl FlightRecorder {
     /// and tids plus trace/span/parent/`run` ids are renumbered in
     /// first-appearance order.
     pub fn dump_lines(&self, normalize: bool) -> Vec<String> {
-        let events: Vec<OwnedEvent> = self.log().events.iter().cloned().collect();
-        let mut lines = Vec::with_capacity(events.len() + 1);
-        lines.push(
-            concat!(
-                r#"{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"#,
-                r#""pid":1,"tid":0,"args":{"name":"fbf-flight"}}"#,
-                "\n"
-            )
-            .to_string(),
-        );
-        let mut norm = Normalizer::default();
-        for (ordinal, mut ev) in events.into_iter().enumerate() {
-            if normalize {
-                norm.apply(&mut ev, ordinal as u64);
-            }
-            let args: Vec<(&str, Value<'_>)> = ev
-                .args
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.borrow()))
-                .collect();
-            lines.push(render_chrome_line(&Event {
-                cat: &ev.cat,
-                name: &ev.name,
-                kind: ev.kind,
-                ts_us: ev.ts_us,
-                tid: ev.tid,
-                ctx: ev.ctx,
-                args: &args,
-            }));
-        }
-        lines
+        render_dump(&self.snapshot(), normalize)
     }
+
+    /// The retained events, oldest first.
+    fn snapshot(&self) -> Vec<OwnedEvent> {
+        self.log().events.iter().cloned().collect()
+    }
+}
+
+/// Render `events` as a dump: the process-metadata line, then one line
+/// per event in order (see [`FlightRecorder::dump_lines`]).
+fn render_dump(events: &[OwnedEvent], normalize: bool) -> Vec<String> {
+    let mut lines = Vec::with_capacity(events.len() + 1);
+    lines.push(
+        concat!(
+            r#"{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"#,
+            r#""pid":1,"tid":0,"args":{"name":"fbf-flight"}}"#,
+            "\n"
+        )
+        .to_string(),
+    );
+    let mut norm = Normalizer::default();
+    for (ordinal, event) in events.iter().enumerate() {
+        lines.push(event.render(normalize.then_some((&mut norm, ordinal as u64))));
+    }
+    lines
 }
 
 impl Default for FlightRecorder {
@@ -269,7 +325,7 @@ impl Normalizer {
         }
     }
 
-    fn apply(&mut self, ev: &mut OwnedEvent, ordinal: u64) {
+    fn apply(&mut self, ev: &mut Event<'_>, args: &mut [(&'static str, Value<'_>)], ordinal: u64) {
         ev.ts_us = ordinal as f64;
         if let EventKind::Complete { dur_us } = &mut ev.kind {
             *dur_us = 0.0;
@@ -280,9 +336,9 @@ impl Normalizer {
             ctx.span = Self::map(&mut self.spans, ctx.span);
             ctx.parent = Self::map(&mut self.spans, ctx.parent);
         }
-        for (key, value) in ev.args.iter_mut() {
-            if key == "run" {
-                if let OwnedValue::U64(v) = value {
+        for (key, value) in args.iter_mut() {
+            if *key == "run" {
+                if let Value::U64(v) = value {
                     *v = Self::map(&mut self.runs, *v);
                 }
             }
@@ -290,7 +346,7 @@ impl Normalizer {
             // span's `generation_ms`) vary run to run like `dur` does;
             // zero them so normalized dumps stay byte-diffable.
             if key.ends_with("_ms") {
-                if let OwnedValue::F64(v) = value {
+                if let Value::F64(v) = value {
                     *v = 0.0;
                 }
             }
@@ -304,8 +360,10 @@ static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
 /// this relaxed flag instead of taking the lock, so a subscriber-only
 /// process pays one load — not a lock round-trip — per event.
 static RECORDER_ON: AtomicBool = AtomicBool::new(false);
-/// Rendered lines of the most recent triggered dump, for inspection.
-static LAST_DUMP: Mutex<Option<(String, Vec<String>)>> = Mutex::new(None);
+/// A triggered dump: its reason and the events it snapshot.
+type Dump = (String, Vec<OwnedEvent>);
+/// The most recent triggered dump, rendered only when [`last_dump`] asks.
+static LAST_DUMP: Mutex<Option<Arc<Dump>>> = Mutex::new(None);
 /// Per-process dump counter (distinct trigger file names).
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -357,38 +415,46 @@ pub(crate) fn record(event: &Event<'_>) {
 }
 
 /// Snapshot the log because something went wrong (`reason` is a short
-/// slug: `data-loss`, `slo-breach`, `client-dump`). The normalized dump
-/// is remembered for [`last_dump`] and, when `$FBF_FLIGHT_DIR` names a
-/// directory, written to `flight-<reason>-<seq>.jsonl` inside it.
-/// Returns the dump's line count (0 when no recorder is installed).
+/// slug: `data-loss`, `slo-breach`, `client-dump`). The snapshot is
+/// remembered for [`last_dump`] and, when `$FBF_FLIGHT_DIR` names a
+/// directory, its normalized dump is written to
+/// `flight-<reason>-<seq>.jsonl` inside it; otherwise nothing is rendered
+/// on the caller's thread. Returns the dump's line count (0 when no
+/// recorder is installed).
 pub fn trigger_dump(reason: &str) -> usize {
     let Some(rec) = recorder() else {
         return 0;
     };
-    let lines = rec.dump_lines(true);
-    let n = lines.len();
+    let events = rec.snapshot();
+    let n = events.len() + 1;
     if let Ok(dir) = std::env::var("FBF_FLIGHT_DIR") {
         if !dir.is_empty() {
             let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
             let path = std::path::Path::new(&dir).join(format!("flight-{reason}-{seq}.jsonl"));
             let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(&path, lines.concat());
+            let _ = std::fs::write(&path, render_dump(&events, true).concat());
         }
     }
-    *LAST_DUMP.lock().unwrap_or_else(|p| p.into_inner()) = Some((reason.to_string(), lines));
+    let last = Arc::new((reason.to_string(), events));
+    *LAST_DUMP.lock().unwrap_or_else(|p| p.into_inner()) = Some(last);
     n
 }
 
-/// The most recent triggered dump, as `(reason, rendered lines)`.
+/// The most recent triggered dump, as `(reason, normalized lines)`.
 pub fn last_dump() -> Option<(String, Vec<String>)> {
-    LAST_DUMP.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    let last = LAST_DUMP
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .clone()?;
+    let (reason, events) = &*last;
+    Some((reason.clone(), render_dump(events, true)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev<'a>(name: &'a str, args: &'a [(&'a str, Value<'a>)]) -> Event<'a> {
+    fn ev<'a>(name: &'static str, args: &'a [(&'static str, Value<'a>)]) -> Event<'a> {
         Event {
             cat: "t",
             name,
@@ -461,6 +527,25 @@ mod tests {
     }
 
     #[test]
+    fn owned_events_render_like_the_borrowed_ones() {
+        assert_eq!(std::mem::size_of::<OwnedValue>(), 16);
+        let args = [
+            ("run", Value::U64(3)),
+            ("policy", Value::Str("fbf")),
+            ("delta", Value::I64(-2)),
+            ("plan", Value::Str("warm \"q\"")),
+            ("busy_ms", Value::F64(1.5)),
+            ("empty", Value::Str("")),
+        ];
+        let event = ev("mixed", &args);
+        let owned = OwnedEvent::new(&event);
+        assert_eq!(&*owned.text, "fbfwarm \"q\"");
+        assert_eq!(owned.render(None), render_chrome_line(&event));
+        let plain = OwnedEvent::new(&ev("plain", &args[..1]));
+        assert!(plain.text.is_empty());
+    }
+
+    #[test]
     fn followers_get_each_event_rendered_once() {
         let rec = FlightRecorder::with_capacity(4);
         let a = rec.follow();
@@ -530,9 +615,11 @@ mod tests {
         rec.record(&ev("boom", &[]));
         let n = trigger_dump("test-reason");
         assert_eq!(n, 2, "metadata + one event");
+        let at_trigger = rec.dump_lines(true);
+        rec.record(&ev("after", &[]));
         let (reason, lines) = last_dump().expect("dump recorded");
         assert_eq!(reason, "test-reason");
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines, at_trigger, "the dump renders what the trigger saw");
         uninstall();
         assert!(recorder().is_none());
         if let Some(prev) = prev {

@@ -75,12 +75,16 @@ pub enum EventKind {
 }
 
 /// One observability event, borrowed from the emission site.
+///
+/// Category, name and argument keys are `'static`: every emission site
+/// names its event with literals, so a sink that keeps the event (the
+/// flight recorder) keeps them as pointers, never as copies.
 #[derive(Debug, Clone, Copy)]
 pub struct Event<'a> {
     /// Category (`engine`, `plan`, `sweep`, …) — groups related events.
-    pub cat: &'a str,
+    pub cat: &'static str,
     /// Event name within the category.
-    pub name: &'a str,
+    pub name: &'static str,
     /// Span / instant / counter.
     pub kind: EventKind,
     /// Microseconds since the process obs epoch (span start for spans).
@@ -90,7 +94,7 @@ pub struct Event<'a> {
     /// Causal ids when the event fired inside an active trace.
     pub ctx: Option<TraceCtx>,
     /// Typed key→value payload.
-    pub args: &'a [(&'a str, Value<'a>)],
+    pub args: &'a [(&'static str, Value<'a>)],
 }
 
 /// Receives every event emitted while installed. Implementations must be
@@ -275,7 +279,7 @@ mod tests {
     #[test]
     fn counting_sums_by_cat_name_arg() {
         let sub = CountingSubscriber::default();
-        fn ev<'a>(args: &'a [(&'a str, Value<'a>)]) -> Event<'a> {
+        fn ev<'a>(args: &'a [(&'static str, Value<'a>)]) -> Event<'a> {
             Event {
                 cat: "engine",
                 name: "cache",

@@ -70,16 +70,19 @@ proptest! {
     #[test]
     fn chrome_lines_parse_with_the_tree_parser(draws in entropy()) {
         let mut draws = draws.iter().copied().cycle();
+        // Category, name and keys are `'static` in every event (emission
+        // sites pass literals); a drawn one is leaked to stand in for it.
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
         let (cat, name, key, text) = (
-            string(&mut draws),
-            string(&mut draws),
-            string(&mut draws),
+            leak(string(&mut draws)),
+            leak(string(&mut draws)),
+            leak(string(&mut draws)),
             string(&mut draws),
         );
         let pick = draws.next().unwrap();
         let event = Event {
-            cat: &cat,
-            name: &name,
+            cat,
+            name,
             kind: match pick % 3 {
                 0 => EventKind::Instant,
                 1 => EventKind::Counter,
@@ -89,7 +92,7 @@ proptest! {
             tid: pick >> 32,
             ctx: (pick & 1 == 1).then_some(TraceCtx { trace: pick, span: pick % 5, parent: 1 }),
             args: &[
-                (&key, Value::Str(&text)),
+                (key, Value::Str(&text)),
                 ("n", Value::U64(pick)),
                 ("i", Value::I64(-(pick as i64 >> 1))),
                 ("f", Value::F64(f64::from_bits(draws.next().unwrap()))),
@@ -97,10 +100,10 @@ proptest! {
         };
         let line = render_chrome_line(&event);
         let parsed = Json::parse(&line).unwrap();
-        prop_assert_eq!(parsed.get("name").and_then(Json::as_str), Some(name.as_str()));
-        prop_assert_eq!(parsed.get("cat").and_then(Json::as_str), Some(cat.as_str()));
-        if !["n", "i", "f"].contains(&key.as_str()) {
-            let arg = parsed.get("args").and_then(|a| a.get(&key));
+        prop_assert_eq!(parsed.get("name").and_then(Json::as_str), Some(name));
+        prop_assert_eq!(parsed.get("cat").and_then(Json::as_str), Some(cat));
+        if !["n", "i", "f"].contains(&key) {
+            let arg = parsed.get("args").and_then(|a| a.get(key));
             prop_assert_eq!(arg.and_then(Json::as_str), Some(text.as_str()));
         }
     }

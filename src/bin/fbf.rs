@@ -642,18 +642,13 @@ fn cmd_local(args: &mut Args, rebuild: bool, trace_in: Option<&str>) -> Result<(
         .execute(&PlanStore::new(), &mut EngineScratch::new(), None)
         .map_err(|e| Exit::fail(format!("{what} failed: {e}")))?;
     match outcome {
-        Outcome::Repair { metrics, .. } => print_run(args, work.cfg(), &metrics),
+        Outcome::Repair { metrics, .. } => print_run(args, &metrics),
         Outcome::Rebuild(outcome) => print_rebuild(args, &outcome),
     }
 }
 
-fn print_run(args: &Args, cfg: &ExperimentConfig, m: &fbf::Metrics) -> Result<(), Exit> {
-    args.flags.write_metrics(|| {
-        fbf::prometheus_snapshot(&[fbf::SweepPoint {
-            config: *cfg,
-            metrics: m.clone(),
-        }])
-    });
+fn print_run(args: &Args, m: &fbf::Metrics) -> Result<(), Exit> {
+    args.flags.write_metrics(|| fbf::prometheus_snapshot([m]));
     if args.json {
         println!("{}", m.to_json());
         return Ok(());
@@ -739,7 +734,7 @@ fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
     })
     .map_err(|e| Exit::fail(format!("sweep failed: {e}")))?;
     args.flags
-        .write_metrics(|| fbf::prometheus_snapshot(&grid.points));
+        .write_metrics(|| fbf::prometheus_snapshot(grid.points.iter().map(|p| &p.metrics)));
     if args.json {
         let rows: Vec<Json> = grid
             .points

@@ -1,5 +1,6 @@
 //! A counting global allocator for the exact-counter suites
-//! (`plan_allocs.rs`, `dataplane_allocs.rs`): allocation behaviour is a
+//! (`plan_allocs.rs`, `dataplane_allocs.rs`, `footprint_allocs.rs`):
+//! allocation behaviour is a
 //! property a timing cannot pin on a shared host and a counter can. The
 //! counters are per thread, so the test harness's other threads do not
 //! leak in. A test crate opts in with `mod common;`.
@@ -24,6 +25,9 @@ pub struct Calls {
     pub realloc_bytes: u64,
     /// `alloc`/`realloc` calls that asked for at least [`LARGE`] bytes.
     pub large: u64,
+    /// Bytes handed out: the size `alloc` was asked for, or the new size
+    /// of a `realloc`.
+    pub bytes: u64,
 }
 
 impl Calls {
@@ -36,7 +40,7 @@ impl Calls {
 
 thread_local! {
     static CALLS: Cell<Calls> = const {
-        Cell::new(Calls { alloc: 0, realloc: 0, free: 0, realloc_bytes: 0, large: 0 })
+        Cell::new(Calls { alloc: 0, realloc: 0, free: 0, realloc_bytes: 0, large: 0, bytes: 0 })
     };
 }
 
@@ -59,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
         bump(|c| {
             c.alloc += 1;
             c.large += u64::from(layout.size() >= LARGE);
+            c.bytes += layout.size() as u64;
         });
         System.alloc(layout)
     }
@@ -66,6 +71,7 @@ unsafe impl GlobalAlloc for Counting {
         bump(|c| {
             c.alloc += 1;
             c.large += u64::from(layout.size() >= LARGE);
+            c.bytes += layout.size() as u64;
         });
         System.alloc_zeroed(layout)
     }
@@ -78,6 +84,7 @@ unsafe impl GlobalAlloc for Counting {
             c.realloc += 1;
             c.realloc_bytes += layout.size() as u64;
             c.large += u64::from(new_size >= LARGE);
+            c.bytes += new_size as u64;
         });
         System.realloc(ptr, layout, new_size)
     }
@@ -100,6 +107,7 @@ pub fn counted<T>(work: impl FnOnce() -> T) -> (T, Calls) {
             free: after.free - before.free,
             realloc_bytes: after.realloc_bytes - before.realloc_bytes,
             large: after.large - before.large,
+            bytes: after.bytes - before.bytes,
         },
     )
 }
