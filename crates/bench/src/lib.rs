@@ -11,9 +11,8 @@
 //! table and saves it as `results/<name>.csv`. It accepts `--trace
 //! <path>` (stream a chrome://tracing JSONL run trace), `--obs`
 //! (pretty-print events to stderr) and `--metrics <path>` (a Prometheus
-//! snapshot of every swept point), or the equivalent `FBF_TRACE` /
-//! `FBF_OBS=1` / `FBF_METRICS` environment knobs. It exits 1 when a
-//! claim the binary checks fails.
+//! snapshot of every swept point). It exits 1 when a claim the binary
+//! checks fails.
 //!
 //! Campaign scale comes from `FBF_STRIPES` / `FBF_ERRORS` /
 //! `FBF_WORKERS` (and `FBF_DISKS` for `rebuild_compare`); the defaults
@@ -216,9 +215,8 @@ impl Artefact {
                 Out::Text(text) => print!("{text}"),
             }
         }
-        flags.write_metrics(|| {
-            fbf_core::prometheus_snapshot(self.points.iter().map(|p| &p.metrics))
-        });
+        let points = self.points.iter().map(|p| &p.metrics);
+        flags.write_metrics(|| fbf_core::prometheus_snapshot(points, None));
         self.failure.map_or(0, |message| {
             eprintln!("{message}");
             1
@@ -238,10 +236,9 @@ impl fmt::Write for Artefact {
 
 /// The `main` of every figure binary: read the [`Scale`] and the
 /// observability flags (the command line's [`ObsFlags`], parsed exactly
-/// as `fbf` parses them, each falling back to `FBF_TRACE=<path>`,
-/// `FBF_OBS=1` or `FBF_METRICS=<path>`), run `artefact`, print and save
-/// what it made, flush the trace, and exit: 2 on a refused knob or flag,
-/// 1 when the artefact failed or a checked claim did not hold.
+/// as `fbf` parses them), run `artefact`, print and save what it made,
+/// flush the trace, and exit: 2 on a refused knob or flag, 1 when the
+/// artefact failed or a checked claim did not hold.
 pub fn main(artefact: impl FnOnce(&Scale) -> Result<Artefact, Failure>) -> ! {
     fn refuse<T>(message: String) -> T {
         eprintln!("{message}");
@@ -250,10 +247,7 @@ pub fn main(artefact: impl FnOnce(&Scale) -> Result<Artefact, Failure>) -> ! {
     let env = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
     let mut scale = Scale::read(env).unwrap_or_else(refuse);
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags = ObsFlags::take(&mut args).unwrap_or_else(refuse);
-    flags.trace = flags.trace.or_else(|| env("FBF_TRACE"));
-    flags.metrics = flags.metrics.or_else(|| env("FBF_METRICS"));
-    flags.stderr |= env("FBF_OBS").as_deref() == Some("1");
+    let flags = ObsFlags::take(&mut args).unwrap_or_else(refuse);
     scale.obs = flags.install().unwrap_or_else(|e| {
         eprintln!("warning: {e}");
         false

@@ -26,8 +26,8 @@
 //! real I/O, not the paper's disk model. Reads are resolved and counted
 //! by the engine's own [`resolve_read`] (so the fault counters equal an
 //! engine pass's), but escalation stays single-pass: a
-//! hard failure abandons the stripe (counted in
-//! [`FaultCounters::skipped_ops`] and surfaced via `failed_reads`)
+//! hard failure abandons the stripe (its skipped reads and write counted
+//! in [`FaultCounters::skipped_ops`], the stripe in `stripes_unresolved`)
 //! instead of entering the simulator's multi-round re-planning, which
 //! needs a virtual clock to be meaningful.
 
@@ -290,6 +290,8 @@ pub fn run_planned_on(
         chunks_recovered,
         source,
     );
+    // Single pass: an abandoned stripe is neither repaired nor typed lost.
+    metrics.stripes_unresolved = plan.schemes.len() - stripes_repaired;
     metrics.evaluate_slo(&cfg.slo);
     Ok(metrics)
 }

@@ -54,11 +54,12 @@
 use crate::job::{int_field, scratch_root, BackendKind, Outcome, Work};
 use crate::metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
 use crate::plan::PlanStore;
-use crate::progress::Progress;
+use crate::progress::{Progress, ProgressSnapshot};
+use crate::prom::{prometheus_snapshot, Live};
 use crate::sweep::panic_message;
 use fbf_codes::{Cell, ChunkId};
 use fbf_disksim::{Digest, EngineScratch, RequestClass};
-use fbf_obs::{FlightRecorder, Json, PromWriter};
+use fbf_obs::{FlightRecorder, Json};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -245,6 +246,20 @@ impl Job {
         match &self.state {
             JobState::Done(Outcome::Repair { metrics, .. }) => Some(metrics),
             _ => None,
+        }
+    }
+
+    /// What `stat` says of the job's escalation: a finished repair's
+    /// metrics, whatever backend ran it, else the live progress.
+    fn escalation(&self) -> ProgressSnapshot {
+        match self.metrics() {
+            Some(m) => ProgressSnapshot {
+                rounds: m.replan_rounds,
+                replans: m.replans,
+                faults: m.faults.hard_failures(),
+                stripes_lost: m.stripes_lost as u64,
+            },
+            None => self.progress.snapshot(),
         }
     }
 }
@@ -779,60 +794,37 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
     }
 }
 
-/// Jobs per lifecycle state at one instant, indexed like
-/// [`JobState::NAMES`].
-fn state_counts(jobs: &HashMap<u64, Job>) -> [u64; 4] {
+/// The job table at one instant, read under the jobs lock: what the live
+/// gauges of `metrics` and the header of `stat` report.
+fn live(ctx: &Ctx, jobs: &HashMap<u64, Job>) -> Live {
     let mut counts = [0u64; 4];
     for job in jobs.values() {
         counts[job.state.index()] += 1;
     }
-    counts
+    let running = counts[JobState::Running.index()];
+    Live {
+        jobs: std::array::from_fn(|i| (JobState::NAMES[i], counts[i])),
+        running,
+        busy: running.min(ctx.workers as u64),
+        retained: ctx.retained.lock().unwrap_or_else(|p| p.into_inner()).len() as u64,
+    }
 }
 
 fn cmd_metrics(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
     // Rendered from the finished jobs' metrics where they live: a scrape
-    // copies no job.
+    // copies no job. The histograms and counters cover *finished* jobs
+    // (their metrics are immutable); the live gauges after them cover the
+    // table, so a mid-job scrape still moves.
     let finished = || jobs.values().filter_map(Job::metrics);
     let completed = finished().count();
-    let snapshot = crate::prom::prometheus_snapshot(finished());
-    let counts = state_counts(&jobs);
-    let retained = ctx.retained.lock().unwrap_or_else(|p| p.into_inner()).len();
+    let live = live(ctx, &jobs);
+    let text = prometheus_snapshot(finished(), Some(&live));
     drop(jobs);
-    let [queued, running, ..] = counts;
-    // The histogram/counter snapshot only covers *finished* jobs (their
-    // metrics are immutable); the gauges appended to it cover live state,
-    // so a mid-job scrape still moves.
-    let mut live = PromWriter::new();
-    live.gauge(
-        "fbf_jobs_running",
-        "Repair jobs a worker is executing right now.",
-        running as f64,
-    );
-    let by_state: Vec<_> = JobState::NAMES
-        .into_iter()
-        .zip(counts.map(|n| n as f64))
-        .collect();
-    live.gauge_per(
-        "fbf_jobs_total",
-        "Jobs the daemon has accepted, by lifecycle state.",
-        "state",
-        &by_state,
-    );
-    live.gauge(
-        "fbf_workers_busy",
-        "Worker threads executing a job, out of the pool.",
-        running.min(ctx.workers as u64) as f64,
-    );
-    live.gauge(
-        "fbf_backends_retained",
-        "Completed jobs whose data-plane backend is resident (bounded by the retention cap).",
-        retained as f64,
-    );
-    let text = snapshot + &live.into_string();
+    let [(_, queued), ..] = live.jobs;
     ok_reply([
         ("completed", Json::Num(completed as f64)),
-        ("running", running.into()),
+        ("running", live.running.into()),
         ("queued", queued.into()),
         (
             "coverage",
@@ -842,17 +834,18 @@ fn cmd_metrics(ctx: &Ctx) -> Json {
     ])
 }
 
-/// Live introspection: job-state gauges, per-job progress (trace id,
-/// escalation rounds/replans/faults so far), and per-class latency
-/// summaries merged across every finished job's digests.
+/// Live introspection: job-state gauges, per-job escalation counters
+/// (trace id, rounds/replans/faults — live while the job runs, from its
+/// metrics once it is done), and per-class latency summaries merged
+/// across every finished job's digests.
 fn cmd_stat(ctx: &Ctx) -> Json {
     let jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-    let [queued, running, done, failed] = state_counts(&jobs);
+    let live = live(ctx, &jobs);
     let mut merged: [Digest; RequestClass::COUNT] = Default::default();
     let job_list: Vec<Json> = by_id(&jobs)
         .into_iter()
         .map(|(id, job)| {
-            let p = job.progress.snapshot();
+            let p = job.escalation();
             let mut fields = job.header(id);
             fields.extend([
                 ("trace", job.trace.into()),
@@ -879,12 +872,13 @@ fn cmd_stat(ctx: &Ctx) -> Json {
             (c.name(), l.to_json_value())
         })
         .collect();
+    let [(_, queued), _, (_, done), (_, failed)] = live.jobs;
     ok_reply([
         ("uptime_s", Json::Num(ctx.started.elapsed().as_secs_f64())),
         ("workers", Json::Num(ctx.workers as f64)),
-        ("workers_busy", running.min(ctx.workers as u64).into()),
+        ("workers_busy", live.busy.into()),
         ("queue_depth", queued.into()),
-        ("jobs_running", running.into()),
+        ("jobs_running", live.running.into()),
         ("jobs_done", done.into()),
         ("jobs_failed", failed.into()),
         ("jobs", Json::Arr(job_list)),

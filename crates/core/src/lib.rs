@@ -64,7 +64,7 @@ pub use job::{BackendKind, Outcome, RequestError, Work};
 pub use metrics::{ClassLatency, ClassVerdict, Metrics, SloVerdict, METRICS_SCHEMA_VERSION};
 pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
 pub use progress::{Progress, ProgressSnapshot};
-pub use prom::prometheus_snapshot;
+pub use prom::{prometheus_snapshot, Live};
 pub use rebuild::{execute_rebuild, run_rebuild, RebuildOutcome, RebuildSpec};
 pub use reliability::{mttdl_gain, mttdl_hours, mttdl_years, ReliabilityParams};
 pub use report::Table;

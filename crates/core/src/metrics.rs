@@ -162,9 +162,10 @@ pub struct Metrics {
     pub replan_rounds: u64,
     /// Stripes whose damage exceeded the code's fault tolerance.
     pub stripes_lost: usize,
-    /// Stripes left neither repaired nor typed lost because the
-    /// escalation round cap hit ([`FaultedOutcome::rounds_exhausted`]).
-    /// Non-zero means the campaign did NOT converge.
+    /// Stripes left neither repaired nor typed lost: the escalation round
+    /// cap hit ([`FaultedOutcome::rounds_exhausted`]), or a single-pass
+    /// data-plane run abandoned them. Non-zero means the campaign did NOT
+    /// converge.
     pub stripes_unresolved: usize,
     /// Per-stripe data-loss verdicts (empty unless faults destroyed data).
     pub data_loss: Vec<DataLoss>,

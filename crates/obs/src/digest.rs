@@ -253,7 +253,7 @@ impl Digest {
     }
 
     /// Occupied buckets in ascending order: `(upper_edge_ns, count)`.
-    /// The Prometheus writer turns these into cumulative `le` buckets.
+    /// `fbf_core::prom` turns these into cumulative `le` buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
             .iter()

@@ -28,14 +28,11 @@
 //! table; CI's `scripts/event_table.sh` fails when an emission site names
 //! an event the table lacks.
 //!
-//! ## Metrics layer
+//! ## Latency digests
 //!
-//! Beyond events, the crate carries the `fbf-metrics` module family:
-//! [`digest`] — mergeable log-linear quantile digests plus the
-//! [`RequestClass`] taxonomy that attributes every engine completion to
-//! app / recovery / replan / scrub traffic — and [`prom`], a Prometheus
-//! text-exposition snapshot writer rendering those digests as cumulative
-//! `le` histograms (see DESIGN.md §11).
+//! Beyond events, [`digest`] holds mergeable log-linear quantile digests
+//! and the [`RequestClass`] taxonomy that attributes every engine
+//! completion to app / recovery / replan / scrub traffic (DESIGN.md §11).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,7 +51,6 @@
 pub mod digest;
 pub mod flags;
 pub mod json;
-pub mod prom;
 pub mod ring;
 pub mod subscriber;
 pub mod trace;
@@ -62,7 +58,6 @@ pub mod trace;
 pub use digest::{Digest, RequestClass};
 pub use flags::ObsFlags;
 pub use json::{Json, JsonError};
-pub use prom::PromWriter;
 pub use ring::FlightRecorder;
 pub use subscriber::{
     CountingSubscriber, Event, EventKind, FanoutSubscriber, NoopSubscriber, StderrSubscriber,

@@ -271,7 +271,7 @@ def check_prom(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("trace", nargs="?", help="JSONL trace emitted via --trace / FBF_TRACE")
+    ap.add_argument("trace", nargs="?", help="JSONL trace emitted via --trace")
     ap.add_argument("--chrome", metavar="OUT", help="write a chrome://tracing JSON array file")
     ap.add_argument("--prom", metavar="METRICS", help="validate a Prometheus snapshot too")
     ap.add_argument(

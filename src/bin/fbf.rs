@@ -648,7 +648,8 @@ fn cmd_local(args: &mut Args, rebuild: bool, trace_in: Option<&str>) -> Result<(
 }
 
 fn print_run(args: &Args, m: &fbf::Metrics) -> Result<(), Exit> {
-    args.flags.write_metrics(|| fbf::prometheus_snapshot([m]));
+    args.flags
+        .write_metrics(|| fbf::prometheus_snapshot([m], None));
     if args.json {
         println!("{}", m.to_json());
         return Ok(());
@@ -733,8 +734,8 @@ fn cmd_sweep(args: &mut Args) -> Result<(), Exit> {
         }
     })
     .map_err(|e| Exit::fail(format!("sweep failed: {e}")))?;
-    args.flags
-        .write_metrics(|| fbf::prometheus_snapshot(grid.points.iter().map(|p| &p.metrics)));
+    let snapshot = || fbf::prometheus_snapshot(grid.points.iter().map(|p| &p.metrics), None);
+    args.flags.write_metrics(snapshot);
     if args.json {
         let rows: Vec<Json> = grid
             .points

@@ -58,7 +58,7 @@ pub use fbf_core::{
     prometheus_snapshot, run_experiment, run_planned, run_planned_on, run_rebuild,
     scheme_from_name, serve, sim_backend_for, sweep, sweep_with_store, verify_campaign,
     BackendKind, ClassLatency, ConfigError, DaemonClient, DaemonError, DaemonHandle, DaemonOptions,
-    ExperimentConfig, ExperimentConfigBuilder, Json, JsonError, Metrics, Outcome, PlanSource,
+    ExperimentConfig, ExperimentConfigBuilder, Json, JsonError, Live, Metrics, Outcome, PlanSource,
     PlanStore, Progress, ProgressSnapshot, RebuildOutcome, RebuildSpec, ReliabilityParams,
     RequestError, RunError, ServerAddr, SloSpec, SloVerdict, SweepPoint, Table, VerifyReport, Work,
     METRICS_SCHEMA_VERSION,

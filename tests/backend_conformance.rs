@@ -255,6 +255,28 @@ fn decode_batch_sizes_agree_under_faults() {
     }
 }
 
+/// A stripe the single-pass data plane abandons is reported: every
+/// planned stripe is either repaired or unresolved.
+#[test]
+fn abandoned_stripes_are_reported_unresolved() {
+    let cfg = ExperimentConfig {
+        faults: FaultPlan {
+            seed: 7,
+            media_per_mille: 30,
+            ..FaultPlan::none()
+        },
+        ..small(PolicyKind::Fbf)
+    };
+    let plan = PlannedCampaign::cold(&cfg).unwrap();
+    let mut sim = sim_backend_for(&cfg, &plan).unwrap();
+    let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+    assert!(m.stripes_unresolved > 0, "no stripe was abandoned: {m}");
+    assert_eq!(
+        m.stripes_repaired + m.stripes_unresolved,
+        plan.schemes.len()
+    );
+}
+
 /// Fault accounting is the engine's: both resolve every read through
 /// `fbf::disksim::resolve_read`, so one engine pass over the plan's
 /// scripts and a data-plane run count the same faults — survivable and

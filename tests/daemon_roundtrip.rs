@@ -513,6 +513,47 @@ fn faulted_repair_over_the_wire_matches_a_local_run() {
     shut_down(client, handle);
 }
 
+/// `stat`'s row of a finished repair reports what its metrics say, on
+/// every backend: the data plane publishes no live progress.
+#[test]
+fn stat_rows_of_finished_faulted_jobs_read_their_metrics() {
+    let (_, handle, mut client) = start("stat-faults", one_worker());
+    let mut jobs = Vec::new();
+    for backend in ["engine", "sim"] {
+        let Json::Obj(mut config) = small_config_json() else {
+            unreachable!("small_config_json is an object");
+        };
+        config.insert("media".into(), Json::Num(30.0));
+        config.insert("seed".into(), Json::Num(4.0));
+        let submit = [
+            ("cmd", "repair".into()),
+            ("backend", backend.into()),
+            ("config", Json::Obj(config)),
+        ];
+        let (job, _) = client.submit(submit).expect("repair");
+        jobs.push((job, wait_done(&mut client, job).expect("done")));
+    }
+    let stat = client.request(&cmd("stat")).expect("stat");
+    let Some(Json::Arr(rows)) = stat.get("jobs") else {
+        panic!("stat has no job list: {stat:?}");
+    };
+    for (job, status) in jobs {
+        let row = rows
+            .iter()
+            .find(|r| r.get("job").and_then(Json::as_u64) == Some(job));
+        let row = row.expect("every job has a row");
+        let m = status.get("metrics").expect("metrics");
+        let u = |v: &Json, key| v.get(key).and_then(Json::as_u64).unwrap();
+        let faults = u(m, "media_errors") + u(m, "retries_exhausted") + u(m, "dead_disk_reads");
+        assert!(faults > 0, "job {job} met no fault");
+        assert_eq!(u(row, "faults"), faults, "job {job}");
+        assert_eq!(u(row, "rounds"), u(m, "replan_rounds"), "job {job}");
+        assert_eq!(u(row, "replans"), u(m, "replans"), "job {job}");
+        assert_eq!(u(row, "stripes_lost"), u(m, "stripes_lost"), "job {job}");
+    }
+    shut_down(client, handle);
+}
+
 #[test]
 fn retention_cap_evicts_the_oldest_resident_backend() {
     let opts = DaemonOptions {
