@@ -1,50 +1,48 @@
-//! Execute a planned campaign against a [`StorageBackend`] data plane.
+//! A planned campaign run against a [`StorageBackend`]: the data plane.
 //!
-//! Where [`run_planned`](crate::runner::run_planned) moves chunk
-//! *identities* on the simulator's virtual clock, [`run_planned_on`]
-//! moves actual payload bytes: every repair reads its source chunks
-//! through the same per-worker buffer-cache slices the engine would
-//! build ([`fbf_disksim::build_caches`]), XORs them, and writes the
-//! recovered chunk to the backend's spare area.
+//! There is one executor, the engine. [`run_planned_on`] runs the passes
+//! [`run_planned`](crate::runner::run_planned) runs — escalation,
+//! re-planning, shared caches, workers interleaved on the virtual clock —
+//! with a `DataPlane` attached as the engine's [`ByteHook`], then
+//! flushes the backend. A `sim` or `file` repair so reports exactly the
+//! [`Metrics`] an `engine` repair of the same config reports.
 //!
-//! # What matches the simulator, and what cannot
+//! **The byte hook.** The engine tells it, op by op in event order, which
+//! chunk each worker was served and from where, which spare chunk it
+//! writes, and which repair a failed read voided. The payloads of the
+//! cache slices' residents live in one slab ([`PayloadCache`]): a hit
+//! reads the resident slot, a miss reads the backend into a free slot. A
+//! chained repair XORs each source into its worker's one accumulator as
+//! it is served, and its `Op::Write` writes the accumulator. A joint
+//! re-plan (escalation only) copies the gathered cells into the worker's
+//! [`Stripe`]; the gather's first `Op::Write` solves it
+//! ([`StripePlan::restore`]) and each write takes its own cell. No slot
+//! outlives the access, so the slab never holds more slots than the
+//! slices hold chunks. The first [`BackendError`] ends the run.
 //!
-//! Under [`CacheSharing::Partitioned`] (the default) each worker's cache
-//! slice sees exactly that worker's accesses in script order, so hit /
-//! miss accounting — and therefore `disk_reads` — reproduces the engine
-//! *by construction*: same caches, same access sequence. Batched decode
-//! (`decode_batch` consecutive schemes gathered per round, one XOR
-//! kernel pass per stripe) preserves that property because a batch never
-//! holds two schemes of the same slice; the backend conformance suite
-//! pins conformance across batch sizes. Under [`CacheSharing::Shared`]
-//! the engine interleaves workers on virtual time while this executor
-//! runs them sequentially, so shared-cache hit counts may legitimately
-//! differ — batching is disabled there (batch of 1).
-//!
-//! Latency figures are **host wall-clock** (recorded as [`SimTime`]
-//! nanoseconds), not simulated disk time; they describe the backend's
-//! real I/O, not the paper's disk model. Reads are resolved and counted
-//! by the engine's own [`resolve_read`] (so the fault counters equal an
-//! engine pass's), but escalation stays single-pass: a
-//! hard failure abandons the stripe (its skipped reads and write counted
-//! in [`FaultCounters::skipped_ops`], the stripe in `stripes_unresolved`)
-//! instead of entering the simulator's multi-round re-planning, which
-//! needs a virtual clock to be meaningful.
+//! **One clock.** Every time the data plane reports is the engine's
+//! virtual time. On a wall clock the order of events — and with it cache
+//! hits, which reads a disk kill fails, and the bytes each worker is
+//! served — would depend on host timing, and it would be a second mode to
+//! test. Host time is measured where it is the point: the `engine/run`
+//! and `data_plane/flush` spans.
 
 use crate::config::ExperimentConfig;
+use crate::faulted::PassBytes;
 use crate::metrics::Metrics;
-use crate::plan::{PlanKey, PlanSource, PlannedCampaign};
-use crate::runner::RunError;
-use fbf_codes::ChunkId;
+use crate::plan::{PlanSource, PlannedCampaign};
+use crate::progress::Progress;
+use crate::runner::{simulate, RunError};
+use fbf_cache::{FxHashMap, InsertOutcome};
+use fbf_codes::{ChunkId, Stripe, StripeCode};
 use fbf_disksim::{
-    build_caches, resolve_read, BackendError, CacheSharing, DiskStats, FailedRead, FileBackend,
-    PayloadCache, ReadOutcome, RunReport, SimBackend, SimTime, Slot, StorageBackend,
+    BackendError, ByteHook, EngineScratch, FileBackend, PayloadCache, SimBackend, StorageBackend,
 };
+use fbf_recovery::StripePlan;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Execute an already-planned campaign's data plane on `backend`.
+/// Execute an already-planned campaign on `backend`: the engine's run,
+/// moving the bytes.
 ///
 /// The backend must match the plan's geometry and the config's chunk
 /// size; mismatches are reported as [`RunError::Backend`], never
@@ -55,7 +53,19 @@ pub fn run_planned_on(
     source: PlanSource,
     backend: &mut dyn StorageBackend,
 ) -> Result<Metrics, RunError> {
-    debug_assert_eq!(plan.key, PlanKey::of(cfg), "plan/config key mismatch");
+    run_observed_on(cfg, plan, source, &mut EngineScratch::new(), None, backend)
+}
+
+/// [`run_planned_on`] against caller-owned [`EngineScratch`], publishing
+/// live escalation counters into `progress` — a daemon `sim`/`file` job.
+pub(crate) fn run_observed_on(
+    cfg: &ExperimentConfig,
+    plan: &PlannedCampaign,
+    source: PlanSource,
+    scratch: &mut EngineScratch,
+    progress: Option<&Progress>,
+    backend: &mut dyn StorageBackend,
+) -> Result<Metrics, RunError> {
     let mapping = backend.mapping();
     if (mapping.disks, mapping.rows) != (plan.cols, plan.rows) {
         return Err(RunError::Backend(BackendError::Geometry {
@@ -70,188 +80,18 @@ pub fn run_planned_on(
             got: backend.chunk_bytes(),
         }));
     }
-
-    let workers = plan.scripts.len();
-    let ecfg = cfg.engine_config(mapping.clone(), Arc::clone(&plan.victim_map), cfg.faults);
-    // The engine's cache slices, holding the resident payloads as well.
-    // A slot evicted while a gathered repair still names it stays intact
-    // until the round's decode is done (`release_retired`).
-    let mut cache = PayloadCache::new(build_caches(&ecfg, workers), chunk_bytes);
-
-    let mut report = RunReport {
-        per_disk: vec![DiskStats::default(); mapping.disks],
-        per_disk_class_reads: vec![[0; fbf_obs::RequestClass::COUNT]; mapping.disks],
-        ..Default::default()
+    let mut bytes = DataPlane {
+        slots: PayloadCache::new(cfg.workers, chunk_bytes),
+        lanes: (0..cfg.workers).map(|_| Lane::default()).collect(),
+        code: None,
+        joint: FxHashMap::default(),
+        backend,
     };
-    let mut stripes_repaired = 0usize;
-    let mut chunks_recovered = 0usize;
-    let started = Instant::now();
+    let metrics =
+        simulate(cfg, plan, source, scratch, progress, &mut bytes).map_err(RunError::Backend)?;
+    let slots = bytes.slots.slots();
 
-    // Batched decode: a batch is up to `decode_batch` *consecutive*
-    // schemes. Consecutive schemes land on consecutive workers (scheme i
-    // runs on worker i % workers, the same round-robin `build_scripts`
-    // lowered the scripts with), so a batch capped at `workers` touches
-    // each cache slice at most once — per-slice access order, and with it
-    // hit/miss accounting, is exactly the sequential executor's, which is
-    // what keeps the engine-conformance pins green at any batch size.
-    // A shared cache serializes everything through slice 0, so batching
-    // would reorder its accesses: force a batch of 1 there.
-    let batch_size = match cfg.sharing {
-        CacheSharing::Shared => 1,
-        CacheSharing::Partitioned => cfg.decode_batch.clamp(1, workers),
-    };
     let obs = cfg.obs && fbf_obs::enabled();
-    let mut batches = 0u64;
-    let mut accs: Vec<Vec<u8>> = vec![vec![0u8; chunk_bytes]; batch_size];
-    let mut sources: Vec<Vec<Slot>> = vec![Vec::new(); batch_size];
-    // Per-scheme batch state: (abandoned, repairs completed).
-    let mut states: Vec<(bool, usize)> = vec![(false, 0); batch_size];
-
-    for (base, batch) in plan.schemes.chunks(batch_size).enumerate() {
-        let span = if obs {
-            Some(fbf_obs::span("data_plane", "decode_batch"))
-        } else {
-            None
-        };
-        batches += 1;
-        for st in states.iter_mut() {
-            *st = (false, 0);
-        }
-        let rounds = batch.iter().map(|s| s.repairs.len()).max().unwrap_or(0);
-        // Round r handles repair #r of every scheme in the batch: gather
-        // every source chunk (cache hit or backend read), then one XOR
-        // kernel pass per stripe, then the spare writes. Chained repairs
-        // stay correct because a repair only ever reads chunks recovered
-        // by *earlier* rounds of its own scheme — written to the spare
-        // area before this round's gathers run — never by a batch peer
-        // (peers are different stripes).
-        for round in 0..rounds {
-            // Gather.
-            for (j, scheme) in batch.iter().enumerate() {
-                let worker = (base * batch_size + j) % workers;
-                let slice = match cfg.sharing {
-                    CacheSharing::Shared => 0,
-                    CacheSharing::Partitioned => worker,
-                };
-                let class = plan.scripts[worker].class;
-                let Some(repair) = scheme.repairs.get(round) else {
-                    continue;
-                };
-                let (abandoned, done) = &mut states[j];
-                if *abandoned {
-                    // Mirror the engine: the reads and the write of a
-                    // failed stripe's remaining repairs are skipped (a
-                    // compute step touches no chunk and just runs).
-                    report.faults.skipped_ops += repair.option.reads.len() as u64 + 1;
-                    continue;
-                }
-                sources[j].clear();
-                let mut read_idx = 0usize;
-                for &cell in &repair.option.reads {
-                    let chunk = ChunkId::new(scheme.stripe, cell);
-                    let t0 = Instant::now();
-                    let served = match cache.access(slice, chunk) {
-                        Some(slot) => {
-                            sources[j].push(slot);
-                            true
-                        }
-                        None => {
-                            // No virtual clock: a survivable transient's
-                            // delay and a failure's wasted retries cost
-                            // nothing here, only the counters move.
-                            let retry = &backend.fault_plan().retry;
-                            let outcome = resolve_read(
-                                backend.disk_dead(mapping.disk_of(chunk)),
-                                backend.classify_read(chunk),
-                                retry,
-                            );
-                            report.faults.record(outcome, retry);
-                            match outcome {
-                                ReadOutcome::Failed { kind, .. } => {
-                                    report.failed_reads.push(FailedRead {
-                                        chunk,
-                                        worker: worker as u32,
-                                        kind,
-                                    });
-                                    false
-                                }
-                                ReadOutcome::Ok { .. } => {
-                                    let priority = scheme.priority(cell);
-                                    let slot = cache
-                                        .fill(slice, chunk, priority, |buf| {
-                                            backend.read_chunk(chunk, buf)
-                                        })
-                                        .map_err(RunError::Backend)?;
-                                    report.disk_reads += 1;
-                                    report.per_disk_class_reads[mapping.disk_of(chunk)]
-                                        [class.index()] += 1;
-                                    sources[j].push(slot);
-                                    true
-                                }
-                            }
-                        }
-                    };
-                    let elapsed = SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
-                    report.record_read(class, elapsed);
-                    read_idx += 1;
-                    if !served {
-                        // Hard failure: abandon the stripe. Remaining ops
-                        // of this repair (unread sources + write) are
-                        // skipped, like the engine's failed-stripe fast
-                        // path. Repairs that *did* finish still count as
-                        // recovered chunks (their spare writes landed).
-                        report.faults.skipped_ops +=
-                            (repair.option.reads.len() - read_idx) as u64 + 1;
-                        *abandoned = true;
-                        chunks_recovered += *done;
-                        sources[j].clear();
-                        break;
-                    }
-                }
-            }
-            // Decode: one multi-source kernel pass per gathered stripe.
-            for (j, scheme) in batch.iter().enumerate() {
-                if states[j].0 || scheme.repairs.get(round).is_none() {
-                    continue;
-                }
-                let refs: Vec<&[u8]> = sources[j].iter().map(|&s| cache.bytes(s)).collect();
-                fbf_codes::xor::xor_many(&mut accs[j], &refs);
-            }
-            cache.release_retired();
-            // Write the recovered chunks to the spare area.
-            for (j, scheme) in batch.iter().enumerate() {
-                let Some(repair) = scheme.repairs.get(round) else {
-                    continue;
-                };
-                if states[j].0 {
-                    continue;
-                }
-                let t0 = Instant::now();
-                backend
-                    .write_spare(ChunkId::new(scheme.stripe, repair.target), &accs[j])
-                    .map_err(RunError::Backend)?;
-                let elapsed = SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
-                report.disk_writes += 1;
-                report.write_response.record(elapsed);
-                report
-                    .write_completions
-                    .push(SimTime::from_nanos(started.elapsed().as_nanos() as u64));
-                states[j].1 += 1;
-            }
-        }
-        for (j, scheme) in batch.iter().enumerate() {
-            if !states[j].0 {
-                stripes_repaired += 1;
-                chunks_recovered += scheme.repairs.len();
-            }
-        }
-        if let Some(span) = span {
-            span.end_with(&[
-                ("stripes", fbf_obs::Value::U64(batch.len() as u64)),
-                ("rounds", fbf_obs::Value::U64(rounds as u64)),
-            ]);
-        }
-    }
     let syncs = |b: &dyn StorageBackend| b.disk_stats().iter().map(|d| d.syncs).sum::<u64>();
     let synced_before = syncs(backend);
     let span = obs.then(|| fbf_obs::span("data_plane", "flush"));
@@ -262,9 +102,7 @@ pub fn run_planned_on(
             "data_plane",
             "decode",
             &[
-                ("batches", fbf_obs::Value::U64(batches)),
-                ("batch_size", fbf_obs::Value::U64(batch_size as u64)),
-                ("payload_slots", fbf_obs::Value::U64(cache.slots() as u64)),
+                ("payload_slots", fbf_obs::Value::U64(slots as u64)),
                 (
                     "files_synced",
                     fbf_obs::Value::U64(syncs(backend) - synced_before),
@@ -272,28 +110,122 @@ pub fn run_planned_on(
             ],
         );
     }
-    report.makespan = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-    for slice in cache.slices() {
-        report.cache.merge(&slice.stats());
-    }
-    for (disk, stats) in backend.disk_stats().iter().enumerate() {
-        if let Some(d) = report.per_disk.get_mut(disk) {
-            d.reads += stats.reads;
-            d.writes += stats.writes;
+    Ok(metrics)
+}
+
+/// The [`ByteHook`] that moves a run's payloads through a backend.
+pub(crate) struct DataPlane<'b> {
+    backend: &'b mut dyn StorageBackend,
+    slots: PayloadCache,
+    lanes: Vec<Lane>,
+    /// Set by a re-plan: the code, and the pass's joint plans by stripe.
+    code: Option<StripeCode>,
+    joint: FxHashMap<u32, StripePlan>,
+}
+
+/// One worker's repair in progress: the XOR of the `sources` chunks a
+/// chained repair was served so far, or the stripe a joint gather fills
+/// (its id, cells, and whether it is solved).
+#[derive(Default)]
+struct Lane {
+    acc: Vec<u8>,
+    sources: usize,
+    joint: Option<(u32, Stripe, bool)>,
+}
+
+impl Lane {
+    /// `chunk`'s `bytes` were served to the repair.
+    fn serve(&mut self, chunk: ChunkId, bytes: &[u8], gathered: bool, code: Option<&StripeCode>) {
+        if gathered {
+            let layout = code.expect("a gather runs in a re-planned pass").layout();
+            let (_, cells, _) = match &mut self.joint {
+                Some(joint) if joint.0 == chunk.stripe && !joint.2 => joint,
+                joint => joint.insert((chunk.stripe, Stripe::zeroed(layout, bytes.len()), false)),
+            };
+            cells.set(layout, chunk.cell, bytes.into());
+        } else if self.sources == 0 {
+            self.acc.clear();
+            self.acc.extend_from_slice(bytes);
+            self.sources = 1;
+        } else {
+            fbf_codes::xor::xor_into(&mut self.acc, bytes);
+            self.sources += 1;
         }
     }
 
-    let mut metrics = Metrics::from_run(
-        &report,
-        plan.generation,
-        stripes_repaired,
-        chunks_recovered,
-        source,
-    );
-    // Single pass: an abandoned stripe is neither repaired nor typed lost.
-    metrics.stripes_unresolved = plan.schemes.len() - stripes_repaired;
-    metrics.evaluate_slo(&cfg.slo);
-    Ok(metrics)
+    /// Nothing served so far counts.
+    fn clear(&mut self) {
+        self.sources = 0;
+        self.joint = None;
+    }
+}
+
+impl ByteHook for DataPlane<'_> {
+    type Error = BackendError;
+
+    fn served(
+        &mut self,
+        worker: usize,
+        slice: usize,
+        chunk: ChunkId,
+        fetched: Option<InsertOutcome>,
+        gathered: bool,
+    ) -> Result<(), BackendError> {
+        let backend = &mut *self.backend;
+        let bytes = match fetched {
+            None => self.slots.hit(slice, chunk),
+            Some(outcome) => self
+                .slots
+                .miss(slice, chunk, outcome, |buf| backend.read_chunk(chunk, buf))?,
+        };
+        self.lanes[worker].serve(chunk, bytes, gathered, self.code.as_ref());
+        Ok(())
+    }
+
+    fn write(&mut self, worker: usize, chunk: ChunkId) -> Result<(), BackendError> {
+        let lane = &mut self.lanes[worker];
+        let data: &[u8] = match &mut lane.joint {
+            Some((stripe, cells, solved)) if *stripe == chunk.stripe => {
+                let code = self
+                    .code
+                    .as_ref()
+                    .expect("a gather runs in a re-planned pass");
+                if !*solved {
+                    self.joint[stripe]
+                        .restore(code, cells)
+                        .expect("a joint plan solves the damage it was planned for");
+                    *solved = true;
+                }
+                cells.get(code.layout(), chunk.cell)
+            }
+            _ => {
+                lane.sources = 0;
+                &lane.acc
+            }
+        };
+        self.backend.write_spare(chunk, data)
+    }
+
+    fn abandon(&mut self, worker: usize) {
+        self.lanes[worker].clear();
+    }
+}
+
+impl PassBytes for DataPlane<'_> {
+    fn fresh(&mut self) -> &mut Self {
+        self.slots.reset();
+        self.lanes.iter_mut().for_each(Lane::clear);
+        self
+    }
+
+    fn replan(&mut self, code: &StripeCode, plans: &[StripePlan]) {
+        self.code.get_or_insert_with(|| code.clone());
+        self.joint = plans
+            .iter()
+            .filter(|plan| matches!(plan, StripePlan::Joint(_)))
+            .map(|plan| (plan.stripe(), plan.clone()))
+            .collect();
+    }
 }
 
 /// A [`SimBackend`] matching `cfg`'s geometry with `plan`'s damage set —

@@ -95,9 +95,9 @@ impl SloSpec {
 pub enum ConfigError {
     /// The code's `p` parameter must be prime.
     NonPrimeP(usize),
-    /// A count that must be at least 1 — `workers`, `decode_batch`,
-    /// `stripes`, `chunk_kb`, or a rebuild's `cap` (a zero per-disk read cap
-    /// admits nothing, ever) and `campaigns` — was 0; the payload is its key.
+    /// A count that must be at least 1 — `workers`, `stripes`, `chunk_kb`,
+    /// or a rebuild's `cap` (a zero per-disk read cap admits nothing, ever)
+    /// and `campaigns` — was 0; the payload is its key.
     Zero(&'static str),
     /// The error generator damages each stripe at most once, so it cannot
     /// draw more errors than the data zone has stripes.
@@ -240,13 +240,9 @@ pub struct ExperimentConfig {
     pub error_count: usize,
     /// SOR reconstruction workers.
     pub workers: usize,
-    /// Data-plane decode batch: stripes whose reads are gathered together
-    /// before the per-stripe XOR pass in
-    /// [`run_planned_on`](crate::backend_run::run_planned_on). Clamped to
-    /// `workers` at run time (a batch never spans two schemes of the same
-    /// cache slice) and forced to 1 under [`CacheSharing::Shared`]; 1
-    /// disables batching. Purely a throughput knob — per-slice access
-    /// order, and therefore hit/miss accounting, is independent of it.
+    /// Inert: nothing reads it. The data plane runs on the engine and
+    /// decodes no batches; the field stays only until the benchmark stops
+    /// setting it.
     pub decode_batch: usize,
     /// Cache partitioning across workers.
     pub sharing: CacheSharing,
@@ -309,7 +305,7 @@ impl Default for ExperimentConfig {
 /// Every key [`ExperimentConfigBuilder::set`] accepts (aliases beside the
 /// name they stand for). The CLI spells them `--cache-mb`; its help text
 /// is printed from this list.
-pub const KEYS: [&str; 19] = [
+pub const KEYS: [&str; 18] = [
     "code",
     "p",
     "policy",
@@ -321,7 +317,6 @@ pub const KEYS: [&str; 19] = [
     "errors",
     "error_count",
     "workers",
-    "decode_batch",
     "seed",
     "gen_threads",
     "media",
@@ -402,7 +397,6 @@ impl ExperimentConfig {
         }
         let counts = [
             ("workers", self.workers),
-            ("decode_batch", self.decode_batch),
             ("stripes", self.stripes as usize),
         ];
         if let Some((key, _)) = counts.into_iter().find(|&(_, n)| n == 0) {
@@ -545,7 +539,7 @@ impl ExperimentConfigBuilder {
         error_count: usize,
         /// SOR reconstruction workers.
         workers: usize,
-        /// Data-plane decode batch size (stripes per gather/XOR round).
+        /// Inert (see [`ExperimentConfig::decode_batch`]).
         decode_batch: usize,
         /// Cache partitioning across workers.
         sharing: CacheSharing,
@@ -595,7 +589,6 @@ impl ExperimentConfigBuilder {
             "stripes" => num(value).map(|s| cfg.stripes = s),
             "errors" | "error_count" => num(value).map(|e| cfg.error_count = e),
             "workers" => num(value).map(|w| cfg.workers = w),
-            "decode_batch" => num(value).map(|d| cfg.decode_batch = d),
             "seed" => num(value).map(|s| cfg.seed = s),
             "gen_threads" => num(value).map(|g| cfg.gen_threads = g),
             "media" => num(value).map(|m| cfg.faults.media_per_mille = m),

@@ -782,6 +782,13 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
             false => "job has no data-plane backend (engine jobs move identities only)",
         });
     };
+    let mapping = backend.mapping();
+    if row >= mapping.rows || col >= mapping.cols {
+        return err_reply(&format!(
+            "read failed: cell ({row},{col}) is outside the {}x{} stripe",
+            mapping.rows, mapping.cols
+        ));
+    }
     let chunk = ChunkId::new(stripe, Cell::new(row, col));
     let mut buf = vec![0u8; backend.chunk_bytes()];
     match backend.read_chunk(chunk, &mut buf) {

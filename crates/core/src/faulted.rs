@@ -33,7 +33,8 @@ use crate::progress::Progress;
 use fbf_cache::FxHashMap;
 use fbf_codes::StripeCode;
 use fbf_disksim::{
-    ArrayMapping, Engine, EngineScratch, FailedRead, RunReport, SimTime, WorkerScript,
+    ArrayMapping, ByteHook, Engine, EngineScratch, FailedRead, NoBytes, RunReport, SimTime,
+    WorkerScript,
 };
 use fbf_recovery::{
     build_scripts_from_plans, DataLoss, Escalator, ExecConfig, StripeDamage, StripePlan,
@@ -83,6 +84,22 @@ pub struct FaultedOutcome {
     pub unresolved: Vec<StripeDamage>,
 }
 
+/// What the passes of a campaign do with the bytes they move: nothing
+/// ([`NoBytes`]), or repair a storage backend's array
+/// ([`DataPlane`](crate::backend_run::DataPlane)).
+pub(crate) trait PassBytes: ByteHook {
+    /// Forget the previous pass — it starts with fresh payload slots, as
+    /// it starts with fresh caches.
+    fn fresh(&mut self) -> &mut Self {
+        self
+    }
+
+    /// The next pass runs `plans`, re-planned for `code`.
+    fn replan(&mut self, _code: &StripeCode, _plans: &[StripePlan]) {}
+}
+
+impl PassBytes for NoBytes {}
+
 /// Engine passes run back to back on one virtual clock: escalation
 /// rounds here, waves in the array-wide rebuild driver. A pass's engine
 /// depends on its index alone. The first pass runs under the configured
@@ -124,18 +141,20 @@ impl<'a> Passes<'a> {
         ))
     }
 
-    /// Run `scripts` as the next pass of `merged` and fold it in; returns
-    /// the hard read failures of this pass alone.
-    pub(crate) fn run<'m>(
+    /// Run `scripts` as the next pass of `merged`, moving their bytes
+    /// through `bytes`, and fold it in; returns the hard read failures of
+    /// this pass alone.
+    pub(crate) fn run<'m, B: PassBytes>(
         &self,
         merged: &'m mut Merged,
         scripts: &[WorkerScript],
         scratch: &mut EngineScratch,
-    ) -> &'m [FailedRead] {
-        let report = self
-            .engine(merged.passes())
-            .run_with_scratch(scripts, scratch);
-        merged.absorb(report)
+        bytes: &mut B,
+    ) -> Result<&'m [FailedRead], B::Error> {
+        let report =
+            self.engine(merged.passes())
+                .run_with_bytes(scripts, scratch, bytes.fresh())?;
+        Ok(merged.absorb(report))
     }
 }
 
@@ -232,21 +251,26 @@ pub fn execute_faulted(
     scratch: &mut EngineScratch,
     progress: Option<&Progress>,
 ) -> FaultedOutcome {
-    execute_capped(cfg, plan, scratch, progress, MAX_ROUNDS)
+    let Ok(outcome) = execute_capped(cfg, plan, scratch, progress, &mut NoBytes, MAX_ROUNDS);
+    outcome
 }
 
-/// [`execute_faulted`] with an explicit escalation-round cap.
-fn execute_capped(
+/// [`execute_faulted`] with every pass's bytes moved through `bytes` and
+/// an explicit escalation-round cap.
+pub(crate) fn execute_capped<B: PassBytes>(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
     scratch: &mut EngineScratch,
     progress: Option<&Progress>,
+    bytes: &mut B,
     max_rounds: u64,
-) -> FaultedOutcome {
+) -> Result<FaultedOutcome, B::Error> {
     let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
     let passes = Passes::new(cfg, mapping, Arc::clone(&plan.victim_map));
     let mut merged = Merged::default();
-    let mut pending = passes.run(&mut merged, &plan.scripts, scratch).to_vec();
+    let mut pending = passes
+        .run(&mut merged, &plan.scripts, scratch, bytes)?
+        .to_vec();
     // Every hard failure is one failed read.
     let mut failures = pending.len() as u64;
     if let Some(p) = progress {
@@ -269,7 +293,6 @@ fn execute_capped(
         let exec_cfg = ExecConfig {
             workers: cfg.workers,
             class: fbf_disksim::RequestClass::Replan,
-            decode_batch: cfg.decode_batch,
             ..Default::default()
         };
         let obs = cfg.obs && fbf_obs::enabled();
@@ -305,10 +328,11 @@ fn execute_capped(
                 break;
             }
             let scripts = build_scripts_from_plans(&absorbed.replans, &exec_cfg);
+            bytes.replan(&code, &absorbed.replans);
             for p in absorbed.replans {
                 final_plans.insert(p.stripe(), p);
             }
-            pending = passes.run(&mut merged, &scripts, scratch).to_vec();
+            pending = passes.run(&mut merged, &scripts, scratch, bytes)?.to_vec();
             failures += pending.len() as u64;
             publish(failures);
         }
@@ -371,7 +395,7 @@ fn execute_capped(
         }
         (replans, rounds) = (escalator.replans(), escalator.rounds());
     }
-    FaultedOutcome {
+    Ok(FaultedOutcome {
         report: merged.finish(),
         replans,
         rounds,
@@ -381,7 +405,7 @@ fn execute_capped(
         chunks_recovered,
         rounds_exhausted: !unresolved.is_empty(),
         unresolved,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -511,7 +535,14 @@ mod tests {
         // reporting them repaired.
         let cfg = faulty(30, None);
         let plan = PlannedCampaign::cold(&cfg).unwrap();
-        let out = execute_capped(&cfg, &plan, &mut EngineScratch::new(), None, 0);
+        let Ok(out) = execute_capped(
+            &cfg,
+            &plan,
+            &mut EngineScratch::new(),
+            None,
+            &mut NoBytes,
+            0,
+        );
         assert!(
             !out.report.failed_reads.is_empty(),
             "30‰ media errors must fail reads in round 0"

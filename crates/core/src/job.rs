@@ -6,7 +6,7 @@
 //! stringifies them. The daemon queues a `Work` and keeps its [`Outcome`];
 //! the CLI builds the request it would have sent and executes it in place.
 
-use crate::backend_run::{file_backend_for, run_planned_on, sim_backend_for};
+use crate::backend_run::{file_backend_for, run_observed_on, sim_backend_for};
 use crate::config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
 use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlanStore, PlannedCampaign};
@@ -302,7 +302,7 @@ impl Work {
             BackendKind::Panic => panic!("deliberate panic backend (worker-crash regression test)"),
         };
         let metrics = match kept.as_deref_mut() {
-            Some(backend) => run_planned_on(cfg, &plan, source, backend)?,
+            Some(backend) => run_observed_on(cfg, &plan, source, scratch, progress, backend)?,
             None => run_planned_observed(cfg, &plan, source, scratch, progress),
         };
         Ok(Outcome::Repair {

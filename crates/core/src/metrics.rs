@@ -5,7 +5,7 @@ use crate::config::SloSpec;
 use crate::faulted::FaultedOutcome;
 use crate::plan::PlanSource;
 use fbf_cache::CacheStats;
-use fbf_disksim::{Digest, FaultCounters, RequestClass, RunReport, SimTime};
+use fbf_disksim::{Digest, FaultCounters, RequestClass, SimTime};
 use fbf_obs::Json;
 use fbf_recovery::DataLoss;
 
@@ -163,9 +163,8 @@ pub struct Metrics {
     /// Stripes whose damage exceeded the code's fault tolerance.
     pub stripes_lost: usize,
     /// Stripes left neither repaired nor typed lost: the escalation round
-    /// cap hit ([`FaultedOutcome::rounds_exhausted`]), or a single-pass
-    /// data-plane run abandoned them. Non-zero means the campaign did NOT
-    /// converge.
+    /// cap hit ([`FaultedOutcome::rounds_exhausted`]). Non-zero means the
+    /// campaign did NOT converge.
     pub stripes_unresolved: usize,
     /// Per-stripe data-loss verdicts (empty unless faults destroyed data).
     pub data_loss: Vec<DataLoss>,
@@ -187,58 +186,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Assemble from an engine report plus campaign bookkeeping.
-    pub fn from_run(
-        report: &RunReport,
-        overhead_host: std::time::Duration,
-        stripes_repaired: usize,
-        chunks_recovered: usize,
-        plan_source: PlanSource,
-    ) -> Self {
-        let recon = report.makespan;
-        let overhead_ms = overhead_host.as_secs_f64() * 1e3;
-        let reads = report.read_latency();
-        Metrics {
-            hit_ratio: report.cache.hit_ratio(),
-            disk_reads: report.disk_reads,
-            avg_response_ms: report.read_response.avg_millis(),
-            p50_response_ms: quantile_ms(&reads, 0.50),
-            p95_response_ms: quantile_ms(&reads, 0.95),
-            p99_response_ms: quantile_ms(&reads, 0.99),
-            reconstruction_s: recon.as_secs_f64(),
-            repair_p50_s: completion_quantile(&report.write_completions, 0.50),
-            repair_p90_s: completion_quantile(&report.write_completions, 0.90),
-            overhead_per_stripe_ms: if stripes_repaired == 0 {
-                0.0
-            } else {
-                overhead_ms / stripes_repaired as f64
-            },
-            overhead_pct: if recon == SimTime::ZERO {
-                0.0
-            } else {
-                100.0 * overhead_ms / recon.as_millis_f64()
-            },
-            disk_writes: report.disk_writes,
-            cache: report.cache,
-            stripes_repaired,
-            chunks_recovered,
-            plan_source,
-            faults: report.faults,
-            replans: 0,
-            replan_rounds: 0,
-            stripes_lost: 0,
-            stripes_unresolved: 0,
-            data_loss: Vec::new(),
-            class_latency: std::array::from_fn(|i| {
-                ClassLatency::from_digest(&report.class_latency[i])
-            }),
-            class_digests: report.class_latency.clone(),
-            queue_depth_max: report.queue_depth_max(),
-            read_balance: report.read_balance(),
-            slo: SloVerdict::vacuous(),
-        }
-    }
-
     /// Evaluate `spec` against the run's per-class digests, storing the
     /// typed verdict in `self.slo`. Violation counting is conservative at
     /// bucket resolution (see [`ClassSlo`](crate::ClassSlo)): a read
@@ -276,19 +223,49 @@ impl Metrics {
         overhead_host: std::time::Duration,
         plan_source: PlanSource,
     ) -> Self {
-        let mut m = Metrics::from_run(
-            &outcome.report,
-            overhead_host,
-            outcome.stripes_repaired,
-            outcome.chunks_recovered,
+        let report = &outcome.report;
+        let recon = report.makespan;
+        let overhead_ms = overhead_host.as_secs_f64() * 1e3;
+        let reads = report.read_latency();
+        Metrics {
+            hit_ratio: report.cache.hit_ratio(),
+            disk_reads: report.disk_reads,
+            avg_response_ms: report.read_response.avg_millis(),
+            p50_response_ms: quantile_ms(&reads, 0.50),
+            p95_response_ms: quantile_ms(&reads, 0.95),
+            p99_response_ms: quantile_ms(&reads, 0.99),
+            reconstruction_s: recon.as_secs_f64(),
+            repair_p50_s: completion_quantile(&report.write_completions, 0.50),
+            repair_p90_s: completion_quantile(&report.write_completions, 0.90),
+            overhead_per_stripe_ms: if outcome.stripes_repaired == 0 {
+                0.0
+            } else {
+                overhead_ms / outcome.stripes_repaired as f64
+            },
+            overhead_pct: if recon == SimTime::ZERO {
+                0.0
+            } else {
+                100.0 * overhead_ms / recon.as_millis_f64()
+            },
+            disk_writes: report.disk_writes,
+            cache: report.cache,
+            stripes_repaired: outcome.stripes_repaired,
+            chunks_recovered: outcome.chunks_recovered,
             plan_source,
-        );
-        m.replans = outcome.replans;
-        m.replan_rounds = outcome.rounds;
-        m.stripes_lost = outcome.data_loss.len();
-        m.stripes_unresolved = outcome.unresolved.len();
-        m.data_loss = outcome.data_loss.clone();
-        m
+            faults: report.faults,
+            replans: outcome.replans,
+            replan_rounds: outcome.rounds,
+            stripes_lost: outcome.data_loss.len(),
+            stripes_unresolved: outcome.unresolved.len(),
+            data_loss: outcome.data_loss.clone(),
+            class_latency: std::array::from_fn(|i| {
+                ClassLatency::from_digest(&report.class_latency[i])
+            }),
+            class_digests: report.class_latency.clone(),
+            queue_depth_max: report.queue_depth_max(),
+            read_balance: report.read_balance(),
+            slo: SloVerdict::vacuous(),
+        }
     }
 
     /// The scalar metrics as a JSON object; data-loss stripes as an
@@ -412,7 +389,7 @@ impl std::fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbf_disksim::ResponseStats;
+    use fbf_disksim::{ResponseStats, RunReport};
 
     fn report() -> RunReport {
         let cache = CacheStats {
@@ -438,9 +415,32 @@ mod tests {
         }
     }
 
+    /// Metrics of one pass that repaired `stripes_repaired` stripes and
+    /// `chunks_recovered` chunks, with no escalation.
+    fn from_run(
+        report: &RunReport,
+        overhead_host: std::time::Duration,
+        stripes_repaired: usize,
+        chunks_recovered: usize,
+        plan_source: PlanSource,
+    ) -> Metrics {
+        let outcome = FaultedOutcome {
+            report: report.clone(),
+            replans: 0,
+            rounds: 0,
+            data_loss: Vec::new(),
+            replanned: Default::default(),
+            stripes_repaired,
+            chunks_recovered,
+            rounds_exhausted: false,
+            unresolved: Vec::new(),
+        };
+        Metrics::from_faulted(&outcome, overhead_host, plan_source)
+    }
+
     #[test]
     fn from_run_maps_fields() {
-        let m = Metrics::from_run(
+        let m = from_run(
             &report(),
             std::time::Duration::from_millis(20),
             10,
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn zero_denominators_are_safe() {
         let r = RunReport::default();
-        let m = Metrics::from_run(&r, std::time::Duration::ZERO, 0, 0, PlanSource::Cold);
+        let m = from_run(&r, std::time::Duration::ZERO, 0, 0, PlanSource::Cold);
         assert_eq!(m.overhead_per_stripe_ms, 0.0);
         assert_eq!(m.overhead_pct, 0.0);
         assert_eq!(m.hit_ratio, 0.0);
@@ -469,14 +469,14 @@ mod tests {
     fn repair_progress_quantiles() {
         let mut r = report();
         r.write_completions = (1..=10).map(SimTime::from_secs).collect();
-        let m = Metrics::from_run(&r, std::time::Duration::ZERO, 10, 10, PlanSource::Cold);
+        let m = from_run(&r, std::time::Duration::ZERO, 10, 10, PlanSource::Cold);
         assert!((m.repair_p50_s - 5.0).abs() < 1e-9);
         assert!((m.repair_p90_s - 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn repair_progress_empty_is_zero() {
-        let m = Metrics::from_run(
+        let m = from_run(
             &RunReport::default(),
             std::time::Duration::ZERO,
             0,
@@ -509,7 +509,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         assert_eq!(m.class_latency[RequestClass::App.index()].count, 90);
         assert_eq!(m.class_latency[RequestClass::Recovery.index()].count, 10);
         assert!(m.class_latency[RequestClass::App.index()].p99_ms < 3.0);
@@ -526,7 +526,7 @@ mod tests {
             r.record_read(RequestClass::App, SimTime::from_millis(2));
         }
         r.record_read(RequestClass::App, SimTime::from_millis(100));
-        let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         assert!(m.slo.pass && !m.slo.evaluated, "vacuous until evaluated");
 
         // 1% of reads at 100 ms: a 25 ms threshold with 2% allowance passes.
@@ -552,7 +552,7 @@ mod tests {
         let mut r = report();
         r.record_read(RequestClass::App, SimTime::from_millis(2));
         r.faults.media_errors = 3;
-        let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.0));
         m.stripes_lost = 1;
         m.data_loss = vec![DataLoss {
@@ -583,7 +583,7 @@ mod tests {
     fn display_mentions_busy_classes_and_verdict() {
         let mut r = report();
         r.record_read(RequestClass::Recovery, SimTime::from_millis(5));
-        let mut m = Metrics::from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
         m.evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 50.0, 0.0));
         let s = m.to_string();
         assert!(s.contains("recovery[n=1"), "{s}");
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let m = Metrics::from_run(
+        let m = from_run(
             &report(),
             std::time::Duration::from_millis(20),
             10,

@@ -166,7 +166,6 @@ impl PlannedCampaign {
                 &schemes,
                 &ExecConfig {
                     workers: cfg.workers,
-                    decode_batch: cfg.decode_batch,
                     ..Default::default()
                 },
             )

@@ -311,7 +311,6 @@ pub(crate) fn execute_rebuild_on(
     let passes = Passes::new(cfg, mapping, Arc::clone(&victims));
     let exec_cfg = ExecConfig {
         workers: cfg.workers,
-        decode_batch: cfg.decode_batch,
         ..Default::default()
     };
     let obs = cfg.obs && fbf_obs::enabled();

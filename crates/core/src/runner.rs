@@ -7,10 +7,11 @@
 //! [`PlanKey`](crate::plan::PlanKey) instead of once per point.
 
 use crate::config::{ConfigError, ExperimentConfig};
+use crate::faulted::{execute_capped, PassBytes, MAX_ROUNDS};
 use crate::metrics::Metrics;
 use crate::plan::{PlanKey, PlanSource, PlannedCampaign};
 use fbf_codes::CodeError;
-use fbf_disksim::EngineScratch;
+use fbf_disksim::{EngineScratch, NoBytes};
 use fbf_recovery::SchemeError;
 
 /// Failures a run can hit.
@@ -23,8 +24,8 @@ pub enum RunError {
     /// Scheme generation failed (unschedulable damage).
     Scheme(SchemeError),
     /// A storage backend refused or failed an operation (I/O error,
-    /// geometry/chunk-size mismatch, damaged read) — the data-plane
-    /// execution paths ([`crate::backend_run`]) only.
+    /// geometry/chunk-size mismatch, damaged read) — a run on a backend
+    /// ([`crate::backend_run`]) only.
     Backend(fbf_disksim::BackendError),
     /// A sweep worker died; the payload is the panic message. Unlike the
     /// other variants this indicates a bug, but it is reported as an error
@@ -108,6 +109,20 @@ pub fn run_planned_observed(
     scratch: &mut EngineScratch,
     progress: Option<&crate::progress::Progress>,
 ) -> Metrics {
+    let Ok(metrics) = simulate(cfg, plan, source, scratch, progress, &mut NoBytes);
+    metrics
+}
+
+/// [`run_planned_observed`] with every pass's bytes moved through
+/// `bytes` — the one simulated path, whether or not it moves payloads.
+pub(crate) fn simulate<B: PassBytes>(
+    cfg: &ExperimentConfig,
+    plan: &PlannedCampaign,
+    source: PlanSource,
+    scratch: &mut EngineScratch,
+    progress: Option<&crate::progress::Progress>,
+    bytes: &mut B,
+) -> Result<Metrics, B::Error> {
     debug_assert_eq!(plan.key, PlanKey::of(cfg), "plan/config key mismatch");
 
     let obs = cfg.obs && fbf_obs::enabled();
@@ -116,7 +131,7 @@ pub fn run_planned_observed(
     } else {
         None
     };
-    let outcome = crate::faulted::execute_faulted(cfg, plan, scratch, progress);
+    let outcome = execute_capped(cfg, plan, scratch, progress, bytes, MAX_ROUNDS)?;
     let mut metrics = Metrics::from_faulted(&outcome, plan.generation, source);
     metrics.evaluate_slo(&cfg.slo);
 
@@ -127,7 +142,7 @@ pub fn run_planned_observed(
             ("plan", fbf_obs::Value::Str(source.name())),
         ]);
     }
-    metrics
+    Ok(metrics)
 }
 
 #[cfg(test)]

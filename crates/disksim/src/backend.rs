@@ -2,10 +2,10 @@
 //! medium it runs against.
 //!
 //! The engine ([`crate::engine`]) moves chunk *identities* on a virtual
-//! clock; this module defines [`StorageBackend`] — chunk-granular
-//! read / spare-write / XOR-gather operations plus a deterministic fault
-//! surface and per-disk counters — so the same planned campaign can also
-//! execute against real payload bytes:
+//! clock; this module defines [`StorageBackend`] — chunk-granular read and
+//! spare-write operations plus per-disk counters — so that the same
+//! engine run, through a [`ByteHook`](crate::engine::ByteHook), can also
+//! move real payload bytes:
 //!
 //! * [`SimBackend`] synthesises the array's content in memory from the
 //!   same seeded generator the verification path uses
@@ -29,11 +29,14 @@
 //! * **Damaged cells.** Reading a chunk that is marked damaged and has
 //!   not been repaired is a caller bug and must fail with
 //!   [`BackendError::DamagedRead`], never return stale or zero bytes.
-//! * **Fault surface.** `classify_read` must be a pure function of the
-//!   fault plan's seed and the chunk identity (plus the redirect rule
-//!   above); `disk_dead` models a whole-disk kill. Data-plane executors
-//!   have no virtual clock, so a scheduled kill counts as dead only when
-//!   its instant is time zero (escalation rounds move it there).
+//! * **The array's bounds.** A chunk outside the array — its stripe past
+//!   `data_stripes`, its row or column past the mapping's — is refused
+//!   with [`BackendError::OutOfArray`] by `read_chunk` and `write_spare`
+//!   alike, never served from or written to another chunk's place.
+//! * **Faults are the engine's.** The data plane runs on the engine, which
+//!   draws every fault from its own [`FaultPlan`] on its virtual clock; a
+//!   backend only stores bytes. `fault_plan`, `classify_read`,
+//!   `disk_dead` and `xor_gather` are called by no executor.
 //! * **Ordering.** Callers issue the reads of one repair before its
 //!   spare write, and repairs of one stripe in scheme order; backends may
 //!   not reorder a read past the write that precedes it in program order.
@@ -63,6 +66,9 @@ pub enum BackendError {
     /// A damaged (erased) chunk was read before being repaired — a
     /// planner/executor bug, surfaced instead of returning garbage.
     DamagedRead(ChunkId),
+    /// A chunk the array does not have: its stripe, row or column is past
+    /// the array's.
+    OutOfArray(ChunkId),
     /// The caller's buffer does not match the backend's chunk size.
     SizeMismatch {
         /// Backend chunk size in bytes.
@@ -100,6 +106,13 @@ impl std::fmt::Display for BackendError {
             BackendError::DamagedRead(chunk) => write!(
                 f,
                 "read of damaged, unrepaired chunk (stripe {}, r{} c{})",
+                chunk.stripe,
+                chunk.cell.r(),
+                chunk.cell.c()
+            ),
+            BackendError::OutOfArray(chunk) => write!(
+                f,
+                "chunk (stripe {}, r{} c{}) is outside the array",
                 chunk.stripe,
                 chunk.cell.r(),
                 chunk.cell.c()
@@ -169,14 +182,16 @@ pub trait StorageBackend: Send {
     /// Stripes in the data zone (the spare area begins after it).
     fn data_stripes(&self) -> u64;
 
-    /// The deterministic fault plan in force.
+    /// The fault plan the backend was built with. No executor reads it:
+    /// the engine draws faults from its own plan (see the module docs).
     fn fault_plan(&self) -> &FaultPlan;
 
     /// Has `chunk` been rewritten to the spare area?
     fn is_repaired(&self, chunk: ChunkId) -> bool;
 
-    /// Classify a prospective read of `chunk`. Spare-redirected chunks
-    /// always classify `Ok` (their bytes left the faulty location).
+    /// Classify a prospective read of `chunk` under
+    /// [`fault_plan`](Self::fault_plan). Spare-redirected chunks always
+    /// classify `Ok` (their bytes left the faulty location).
     fn classify_read(&self, chunk: ChunkId) -> FaultDraw {
         if self.is_repaired(chunk) {
             FaultDraw::Ok
@@ -185,8 +200,9 @@ pub trait StorageBackend: Send {
         }
     }
 
-    /// Is `disk` dead for the whole run? Data-plane executors have no
-    /// virtual clock, so only a kill scheduled at time zero counts.
+    /// Is `disk` dead for the whole run under
+    /// [`fault_plan`](Self::fault_plan)? Only a kill scheduled at time
+    /// zero counts.
     fn disk_dead(&self, disk: usize) -> bool {
         matches!(
             self.fault_plan().disk_kill,
@@ -196,24 +212,18 @@ pub trait StorageBackend: Send {
 
     /// Read `chunk`'s payload into `buf` (`buf.len()` must equal
     /// [`chunk_bytes`](Self::chunk_bytes)). Serves the spare copy when
-    /// the chunk has been repaired.
+    /// the chunk has been repaired; refuses a chunk outside the array.
     fn read_chunk(&mut self, chunk: ChunkId, buf: &mut [u8]) -> Result<(), BackendError>;
 
     /// Write a recovered chunk to its spare location and register the
-    /// redirect for later reads.
+    /// redirect for later reads; refuses a chunk outside the array.
     fn write_spare(&mut self, chunk: ChunkId, data: &[u8]) -> Result<(), BackendError>;
 
-    /// Read every chunk in `chunks` and XOR the payloads into `acc`.
-    /// The default loops [`read_chunk`](Self::read_chunk); backends with
-    /// cheaper bulk paths may override.
+    /// Read every chunk in `chunks` and XOR the payloads into `acc`: the
+    /// default loops [`read_chunk`](Self::read_chunk). No executor calls
+    /// it; the engine's byte hook reads chunk by chunk.
     fn xor_gather(&mut self, chunks: &[ChunkId], acc: &mut [u8]) -> Result<(), BackendError> {
-        if acc.len() != self.chunk_bytes() {
-            return Err(BackendError::SizeMismatch {
-                expected: self.chunk_bytes(),
-                got: acc.len(),
-            });
-        }
-        let mut tmp = vec![0u8; self.chunk_bytes()];
+        let mut tmp = vec![0u8; acc.len()];
         for &chunk in chunks {
             self.read_chunk(chunk, &mut tmp)?;
             fbf_codes::xor::xor_into(acc, &tmp);
@@ -227,6 +237,16 @@ pub trait StorageBackend: Send {
     /// Durably persist outstanding writes (no-op for volatile backends).
     fn flush(&mut self) -> Result<(), BackendError> {
         Ok(())
+    }
+}
+
+/// Refuse a chunk outside an array of `mapping`'s stripes with
+/// `data_stripes` stripes.
+fn in_array(mapping: &ArrayMapping, data_stripes: u64, chunk: ChunkId) -> Result<(), BackendError> {
+    let (r, c) = (chunk.cell.r(), chunk.cell.c());
+    match u64::from(chunk.stripe) < data_stripes && r < mapping.rows && c < mapping.cols {
+        true => Ok(()),
+        false => Err(BackendError::OutOfArray(chunk)),
     }
 }
 
@@ -313,6 +333,7 @@ impl StorageBackend for SimBackend {
                 got: buf.len(),
             });
         }
+        in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
         if let Some(spare) = self.spare.get(&chunk) {
             buf.copy_from_slice(spare);
@@ -340,6 +361,7 @@ impl StorageBackend for SimBackend {
                 got: data.len(),
             });
         }
+        in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
         self.spare.insert(chunk, data.to_vec());
         self.stats[disk].writes += 1;
@@ -570,6 +592,7 @@ impl StorageBackend for FileBackend {
                 got: buf.len(),
             });
         }
+        in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
         let offset = if self.repaired.contains(&chunk) {
             self.mapping.spare_lba_of(chunk, self.data_stripes) * self.chunk_bytes as u64
@@ -598,6 +621,7 @@ impl StorageBackend for FileBackend {
                 got: data.len(),
             });
         }
+        in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
         let offset = self.mapping.spare_lba_of(chunk, self.data_stripes) * self.chunk_bytes as u64;
         self.write_at(disk, offset, data)?;
@@ -743,6 +767,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A chunk the array lacks — past its stripes, rows or columns — is
+    /// refused on read and on spare write, never aliased onto one it has.
+    fn refuses_chunks_outside_the_array(mut b: impl StorageBackend, code: &StripeCode) {
+        let mut buf = vec![0u8; b.chunk_bytes()];
+        for chunk in [
+            ChunkId::new(8, Cell::new(0, 0)),
+            ChunkId::new(1, Cell::new(code.rows(), 0)),
+            ChunkId::new(1, Cell::new(0, code.cols())),
+        ] {
+            let refused = |r: Result<(), BackendError>| matches!(r, Err(BackendError::OutOfArray(c)) if c == chunk);
+            assert!(refused(b.read_chunk(chunk, &mut buf)), "{chunk:?}");
+            assert!(refused(b.write_spare(chunk, &buf)), "{chunk:?}");
+        }
+        assert!(b.disk_stats().iter().all(|d| d.reads + d.writes == 0));
+    }
+
+    #[test]
+    fn sim_backend_refuses_chunks_outside_the_array() {
+        let code = code();
+        let b = SimBackend::new(code.clone(), 64, 8, [], FaultPlan::none());
+        refuses_chunks_outside_the_array(b, &code);
+    }
+
+    #[test]
+    fn file_backend_refuses_chunks_outside_the_array() {
+        let code = code();
+        let dir = tmpdir("bounds");
+        let b = FileBackend::format(&dir, &code, 64, 8, &[1], &[], FaultPlan::none()).unwrap();
+        refuses_chunks_outside_the_array(b, &code);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// An array reopened with a geometry other than the one it was
     /// formatted with would compute every offset wrong; `open` refuses.
     #[test]
@@ -874,9 +930,6 @@ mod tests {
             ..FaultPlan::none()
         };
         let b = SimBackend::new(code, 64, 8, [], later);
-        assert!(
-            !b.disk_dead(1),
-            "mid-run kills need a clock the data plane lacks"
-        );
+        assert!(!b.disk_dead(1), "only a kill at time zero counts");
     }
 }

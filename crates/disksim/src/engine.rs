@@ -17,6 +17,14 @@
 //!
 //! The engine is policy-agnostic; FBF priorities ride along on each read op
 //! and reach the policy through [`BufferCache::insert`].
+//!
+//! A run moves chunk *identities*. What happens to their bytes is a
+//! [`ByteHook`]'s business: the engine tells it which chunk each worker
+//! was served and from where, which spare chunk it writes, and which
+//! repair it abandoned. Timing runs pass [`NoBytes`], which compiles to
+//! nothing; the data plane passes a hook that reads, XORs and writes a
+//! storage backend's payloads in exactly the order the event loop serves
+//! them.
 
 use crate::array::ArrayMapping;
 use crate::buffer::{BufferCache, Lookup};
@@ -25,7 +33,9 @@ use crate::equeue::{CalendarQueue, EventQueue};
 use crate::fault::{resolve_read, FailedRead, FaultCounters, FaultPlan, ReadFailure, ReadOutcome};
 use crate::sched::{DiskRequest, DiskSched, QueuedDisk};
 use crate::time::SimTime;
-use fbf_cache::{CacheStats, FbfConfig, FbfPolicy, FxHashMap, FxHashSet, PolicyKind, VdfPolicy};
+use fbf_cache::{
+    CacheStats, FbfConfig, FbfPolicy, FxHashMap, FxHashSet, InsertOutcome, PolicyKind, VdfPolicy,
+};
 use fbf_codes::ChunkId;
 use fbf_obs::{Digest, RequestClass};
 
@@ -88,6 +98,49 @@ impl WorkerScript {
         self.gathers.push(GatherOp { chunks });
         self.ops.push(Op::Gather { index });
     }
+}
+
+/// What a run does with the bytes of the chunks it moves, told op by op
+/// in the order the event loop runs them. Every method defaults to doing
+/// nothing, which is all [`NoBytes`] does.
+///
+/// `worker` is the script's index and `slice` the cache slice it reads
+/// through. The first `Err` ends the run.
+pub trait ByteHook {
+    /// What ends a run early.
+    type Error;
+
+    /// `worker` was served `chunk` through `slice`: the resident bytes on
+    /// a hit (`fetched` is `None`), or after a miss the chunk read from
+    /// its disk, inserted with outcome `fetched`. `gathered` says it came
+    /// in through an [`Op::Gather`] rather than an [`Op::Read`].
+    fn served(
+        &mut self,
+        _worker: usize,
+        _slice: usize,
+        _chunk: ChunkId,
+        _fetched: Option<InsertOutcome>,
+        _gathered: bool,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// `worker` writes the chunk it recovered to `chunk`'s spare location.
+    fn write(&mut self, _worker: usize, _chunk: ChunkId) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// A read of `worker`'s failed hard: what its repair was served is
+    /// void, and the rest of the stripe's ops are skipped.
+    fn abandon(&mut self, _worker: usize) {}
+}
+
+/// The [`ByteHook`] of a run that only tracks chunk ids.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoBytes;
+
+impl ByteHook for NoBytes {
+    type Error = std::convert::Infallible;
 }
 
 /// How the buffer cache is divided among workers.
@@ -250,7 +303,7 @@ pub struct RunReport {
 impl RunReport {
     /// Account one read of a `class` script answered after `response`,
     /// from the cache or a disk — the one place a read latency is
-    /// recorded, by the engine and the data plane alike.
+    /// recorded.
     pub fn record_read(&mut self, class: RequestClass, response: SimTime) {
         self.read_response.record(response);
         self.class_latency[class.index()].record_ns(response.as_nanos());
@@ -335,10 +388,6 @@ impl RunReport {
 /// as [`Engine::run_with_scratch`] does: one cache of the full capacity
 /// under [`CacheSharing::Shared`], or equal shares (remainder spread over
 /// the first workers) under [`CacheSharing::Partitioned`].
-///
-/// Exported so data-plane executors over a
-/// [`StorageBackend`](crate::backend::StorageBackend) reproduce the
-/// engine's hit/miss accounting by construction instead of by imitation.
 pub fn build_caches(cfg: &EngineConfig, workers: usize) -> Vec<BufferCache> {
     match cfg.sharing {
         CacheSharing::Shared => vec![build_cache(cfg, cfg.cache_chunks)],
@@ -507,6 +556,18 @@ impl Engine {
         scripts: &[WorkerScript],
         scratch: &mut EngineScratch<Q>,
     ) -> RunReport {
+        let Ok(report) = self.run_with_bytes(scripts, scratch, &mut NoBytes);
+        report
+    }
+
+    /// [`run_with_scratch`](Engine::run_with_scratch) with `bytes` told of
+    /// every chunk the run moves; its first error ends the run.
+    pub fn run_with_bytes<Q: EventQueue, B: ByteHook>(
+        &self,
+        scripts: &[WorkerScript],
+        scratch: &mut EngineScratch<Q>,
+        bytes: &mut B,
+    ) -> Result<RunReport, B::Error> {
         let span = (self.config.obs && fbf_obs::enabled()).then(|| fbf_obs::span("engine", "run"));
         scratch.reset(scripts.len());
         let EngineScratch {
@@ -516,7 +577,7 @@ impl Engine {
             gather_floor,
             queued_on,
         } = scratch;
-        let mut run = Run::new(self, scripts, queue, gather_left, gather_floor);
+        let mut run = Run::new(self, scripts, queue, gather_left, gather_floor, bytes);
         // Ordinal of the event being handled (see `QueuedDisk::submit`).
         let mut event = 0u64;
         while let Some((now, kind, id)) = run.queue.pop() {
@@ -533,14 +594,14 @@ impl Engine {
             queued_on.clear();
             let mut step = run.step(id, now, event, queued_on);
             match op {
-                Op::Read { chunk, priority } => run.read(&mut step, chunk, priority),
+                Op::Read { chunk, priority } => run.read(&mut step, chunk, priority)?,
                 Op::Compute { duration } => step.until = now + duration,
-                Op::Gather { index } => run.gather(&mut step, index),
-                Op::Write { chunk } => run.write(&mut step, chunk),
+                Op::Gather { index } => run.gather(&mut step, index)?,
+                Op::Write { chunk } => run.write(&mut step, chunk)?,
             }
             run.block(step);
         }
-        run.finish(span)
+        Ok(run.finish(span))
     }
 }
 
@@ -553,7 +614,7 @@ const EV_WORKER: u8 = 1;
 
 /// What one [`Engine::run_with_scratch`] call carries from event to event,
 /// with one method per op; the call itself is the event loop.
-struct Run<'a, Q> {
+struct Run<'a, Q, B> {
     cfg: &'a EngineConfig,
     scripts: &'a [WorkerScript],
     /// `cfg.faults.is_active()`, hoisted out of every op.
@@ -572,9 +633,10 @@ struct Run<'a, Q> {
     /// has left the (possibly faulty) original location.
     repaired: FxHashSet<ChunkId>,
     report: RunReport,
+    bytes: &'a mut B,
 }
 
-impl<'a, Q: EventQueue> Run<'a, Q> {
+impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
     /// Build the disks and cache slices and queue every worker with work.
     fn new(
         engine: &'a Engine,
@@ -582,6 +644,7 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
         queue: &'a mut Q,
         gather_left: &'a mut [usize],
         gather_floor: &'a mut [SimTime],
+        bytes: &'a mut B,
     ) -> Self {
         let cfg = &engine.config;
         let disks = (0..cfg.mapping.disks)
@@ -623,6 +686,7 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
                 per_disk_class_reads: vec![[0u64; RequestClass::COUNT]; cfg.mapping.disks],
                 ..Default::default()
             },
+            bytes,
         }
     }
 
@@ -651,18 +715,20 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
 
     /// `Op::Read`. Its fault is resolved only on a miss: a cached chunk
     /// survives a dead disk.
-    fn read(&mut self, step: &mut Step, chunk: ChunkId, priority: u8) {
+    fn read(&mut self, step: &mut Step, chunk: ChunkId, priority: u8) -> Result<(), B::Error> {
         let cfg = self.cfg;
         if self.faulting && self.failed_stripes.contains(&chunk.stripe) {
             // The stripe already failed hard this run: abandon the repair,
             // let re-planning handle it.
             self.report.faults.skipped_ops += 1;
-            return;
+            return Ok(());
         }
         if self.caches[step.slice].access(chunk) == Lookup::Hit {
             self.report.record_read(step.class, cfg.cache_hit_time);
             step.until = step.now + cfg.cache_hit_time;
-            return;
+            return self
+                .bytes
+                .served(step.worker, step.slice, chunk, None, false);
         }
         let disk = cfg.mapping.disk_of(chunk);
         let mut delay = SimTime::ZERO;
@@ -680,17 +746,17 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
                     // No frame is reserved: no data will arrive.
                     self.fail(step.worker, chunk, kind);
                     step.until = step.now + wasted + faults.retry.detect;
-                    return;
+                    return Ok(());
                 }
             }
         }
-        self.miss(step, chunk, priority, disk, delay);
+        self.miss(step, chunk, priority, disk, delay, false)
     }
 
     /// `Op::Gather`. Under faults the whole fan-out is classified before
     /// any chunk touches the cache: classification is pure, so scanning
     /// first changes nothing, and a doomed gather issues no I/O at all.
-    fn gather(&mut self, step: &mut Step, index: u32) {
+    fn gather(&mut self, step: &mut Step, index: u32) -> Result<(), B::Error> {
         let (cfg, scripts) = (self.cfg, self.scripts);
         let faults = &cfg.faults;
         let group = &scripts[step.worker].gathers[index as usize];
@@ -728,13 +794,15 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
                 if new_failure {
                     step.until = step.now + wasted + faults.retry.detect;
                 }
-                return;
+                return Ok(());
             }
         }
         for &(chunk, priority) in &group.chunks {
             if self.caches[step.slice].access(chunk) == Lookup::Hit {
                 self.report.record_read(step.class, cfg.cache_hit_time);
                 step.until = step.until.max(step.now + cfg.cache_hit_time);
+                self.bytes
+                    .served(step.worker, step.slice, chunk, None, true)?;
                 continue;
             }
             let mut delay = SimTime::ZERO;
@@ -747,19 +815,20 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
                 }
             }
             let disk = cfg.mapping.disk_of(chunk);
-            self.miss(step, chunk, priority, disk, delay);
+            self.miss(step, chunk, priority, disk, delay, true)?;
         }
+        Ok(())
     }
 
     /// `Op::Write`: the recovered chunk goes to its disk's spare area.
-    fn write(&mut self, step: &mut Step, chunk: ChunkId) {
+    fn write(&mut self, step: &mut Step, chunk: ChunkId) -> Result<(), B::Error> {
         let cfg = self.cfg;
         if self.faulting {
             if self.failed_stripes.contains(&chunk.stripe) {
                 // Never write a spare chunk whose repair inputs could not
                 // be read.
                 self.report.faults.skipped_ops += 1;
-                return;
+                return Ok(());
             }
             // The chunk's data now lives in the spare area (redirected to a
             // hot spare if the home disk is gone): later reads of it —
@@ -780,18 +849,29 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
             true,
             SimTime::ZERO,
         );
+        self.bytes.write(step.worker, chunk)
     }
 
     /// The one cache-miss path of `read` and `gather`: reserve the frame
     /// at issue time (the usual anti-thundering-herd design), count the
     /// read against its disk and class, and issue it; the worker blocks
     /// until the data arrives.
-    fn miss(&mut self, step: &mut Step, chunk: ChunkId, priority: u8, disk: usize, delay: SimTime) {
-        self.caches[step.slice].insert(chunk, priority);
+    fn miss(
+        &mut self,
+        step: &mut Step,
+        chunk: ChunkId,
+        priority: u8,
+        disk: usize,
+        delay: SimTime,
+        gathered: bool,
+    ) -> Result<(), B::Error> {
+        let outcome = self.caches[step.slice].insert(chunk, priority);
         self.report.disk_reads += 1;
         self.report.per_disk_class_reads[disk][step.class.index()] += 1;
         let lba = self.cfg.mapping.lba_of(chunk);
         step.issue(&mut self.disks, &mut self.report, disk, lba, false, delay);
+        self.bytes
+            .served(step.worker, step.slice, chunk, Some(outcome), gathered)
     }
 
     /// The one hard-failure record: the chunk becomes an extra erasure the
@@ -804,6 +884,7 @@ impl<'a, Q: EventQueue> Run<'a, Q> {
             kind,
         });
         self.failed_stripes.insert(chunk.stripe);
+        self.bytes.abandon(worker);
     }
 
     /// A reordering disk finished its request at `now`.

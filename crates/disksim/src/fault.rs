@@ -204,8 +204,7 @@ pub enum ReadOutcome {
 /// rewritten to the spare area: a dead disk swallows the read before any
 /// media/transient draw, and a transient fault fails only once its stalls
 /// outrun the retry budget. The engine feeds it
-/// [`FaultPlan::disk_dead`]/[`FaultPlan::draw`], the data plane its
-/// backend's `disk_dead`/`classify_read`.
+/// [`FaultPlan::disk_dead`]/[`FaultPlan::draw`].
 pub fn resolve_read(dead: bool, draw: FaultDraw, retry: &RetryPolicy) -> ReadOutcome {
     let failed = |kind, wasted| ReadOutcome::Failed { kind, wasted };
     if dead {

@@ -33,12 +33,12 @@ pub mod time;
 
 pub use array::ArrayMapping;
 pub use backend::{BackendDiskStats, BackendError, FileBackend, SimBackend, StorageBackend};
-pub use buffer::{BufferCache, Lookup, PayloadCache, Slot};
+pub use buffer::{BufferCache, Lookup, PayloadCache};
 pub use declust::Placement;
 pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use engine::{
-    build_caches, CacheSharing, Engine, EngineConfig, EngineScratch, Op, ResponseStats, RunReport,
-    WorkerScript,
+    build_caches, ByteHook, CacheSharing, Engine, EngineConfig, EngineScratch, NoBytes, Op,
+    ResponseStats, RunReport, WorkerScript,
 };
 pub use equeue::{CalendarQueue, Event, EventQueue};
 pub use fault::{

@@ -30,11 +30,8 @@ pub struct ExecConfig {
     /// so the latency attribution separates first-pass repair from
     /// re-planned retries.
     pub class: RequestClass,
-    /// Stripes decoded per data-plane batch round (`run_planned_on`
-    /// gathers all of a batch's chunk reads, then runs one XOR kernel pass
-    /// per stripe). Script lowering ignores it — the engine charges XOR as
-    /// virtual [`Op::Compute`] time either way — but it rides along here
-    /// so the executor and the simulator are shaped by one config.
+    /// Inert: nothing reads it. It stays only until the benchmark stops
+    /// setting it.
     pub decode_batch: usize,
 }
 

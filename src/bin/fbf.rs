@@ -1305,7 +1305,7 @@ mod tests {
 
     /// One sample per key of `set`: a value text and the typed setter
     /// call that text must be equivalent to.
-    const SAMPLES: [(&str, &str, Setter); 19] = [
+    const SAMPLES: [(&str, &str, Setter); 18] = [
         ("code", "star", |b| b.code(CodeSpec::Star)),
         ("p", "11", |b| b.p(11)),
         ("policy", "arc", |b| b.policy(PolicyKind::Arc)),
@@ -1317,7 +1317,6 @@ mod tests {
         ("errors", "100", |b| b.error_count(100)),
         ("error_count", "100", |b| b.error_count(100)),
         ("workers", "16", |b| b.workers(16)),
-        ("decode_batch", "4", |b| b.decode_batch(4)),
         ("seed", "7", |b| b.seed(7)),
         ("gen_threads", "2", |b| b.gen_threads(2)),
         ("media", "15", |b| faults(b, |f| f.media_per_mille = 15)),

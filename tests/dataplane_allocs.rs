@@ -1,11 +1,10 @@
 //! Allocation discipline on the data plane, counted exactly.
 //!
 //! `run_planned_on` keeps chunk payloads in a slab
-//! ([`PayloadCache`](fbf::disksim::PayloadCache)) that recycles its slots:
-//! how many chunk-sized buffers a run allocates is a function of the
-//! config — cache size, batch lanes, widest repair — not of how many
-//! chunks it reads. The executor this replaced allocated one per disk
-//! read.
+//! ([`PayloadCache`](fbf::disksim::PayloadCache)) that recycles its slots,
+//! and gives each worker one accumulator: how many chunk-sized buffers a
+//! run allocates is a function of the config — cache size and workers —
+//! not of how many chunks it reads.
 
 mod common;
 
@@ -67,15 +66,14 @@ fn config(errors: usize) -> ExperimentConfig {
         .workers(8)
         .chunk_kb(16)
         .cache_mb(1)
-        .decode_batch(4)
         .gen_threads(1)
         .build()
         .unwrap()
 }
 
 /// Chunk-sized allocations of one run, its disk reads, and the config's
-/// ceiling on the former: a slot per cache chunk, plus — per batch lane —
-/// the widest repair's sources and the lane's accumulator.
+/// ceiling on the former: a slot per cache chunk, plus one accumulator per
+/// worker.
 fn run(errors: usize) -> (u64, u64, u64) {
     let cfg = config(errors);
     assert_eq!(cfg.chunk_bytes() as usize, LARGE);
@@ -91,15 +89,7 @@ fn run(errors: usize) -> (u64, u64, u64) {
     };
     let (metrics, calls) =
         counted(|| run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend).unwrap());
-    let widest = plan
-        .schemes
-        .iter()
-        .flat_map(|s| &s.repairs)
-        .map(|r| r.option.reads.len())
-        .max()
-        .unwrap();
-    let lanes = cfg.decode_batch.min(cfg.workers);
-    let ceiling = cfg.cache_chunks() + lanes * (widest + 1);
+    let ceiling = cfg.cache_chunks() + cfg.workers;
     println!(
         "{errors} errors: {} chunk-sized allocations for {} disk reads (ceiling {ceiling})",
         calls.large, metrics.disk_reads
