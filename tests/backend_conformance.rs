@@ -12,14 +12,15 @@
 //!   encode, escalated damage and joint re-plans included.
 
 use fbf::core::PlannedCampaign;
-use fbf::disksim::{DiskKill, EngineScratch};
+use fbf::disksim::{DiskKill, Engine, EngineScratch};
 use fbf::recovery::StripePlan;
 use fbf::{
-    file_backend_for, run_planned, run_planned_on, sim_backend_for, CacheSharing, Cell, ChunkId,
-    CodeSpec, ExperimentConfig, FaultPlan, PlanSource, PolicyKind, SimTime, StorageBackend,
-    StripeCode,
+    file_backend_for, run_planned, run_planned_on, sim_backend_for, ArrayMapping, CacheSharing,
+    Cell, ChunkId, CodeSpec, ExperimentConfig, FaultPlan, PlanSource, PolicyKind, SimTime,
+    StorageBackend, StripeCode,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn small(policy: PolicyKind) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -172,6 +173,81 @@ fn sim_and_file_backends_agree_with_the_engine() {
     }
     assert!(skipped > 0, "no repair was abandoned mid-stripe");
     assert!(joint > 0, "no stripe was re-planned jointly");
+}
+
+/// Fault accounting is the engine's: a data-plane repair resolves every
+/// read through the engine's own passes, so its counters — survivable and
+/// exhausted transients, media errors, dead-disk reads, the ops an
+/// abandoned repair skips — equal an engine repair's. That repair opens
+/// with one engine pass over the plan's scripts, so no counter of that
+/// pass may exceed the repair's; escalation rounds only add to them.
+#[test]
+fn fault_counters_match_one_engine_pass() {
+    let kill_at_zero = DiskKill {
+        disk: 2,
+        at: SimTime::ZERO,
+    };
+    for disk_kill in [None, Some(kill_at_zero)] {
+        let cfg = ExperimentConfig {
+            faults: FaultPlan {
+                seed: 7,
+                media_per_mille: 12,
+                transient_per_mille: 80,
+                transient_failures_max: 6,
+                disk_kill,
+                ..FaultPlan::none()
+            },
+            ..small(PolicyKind::Fbf)
+        };
+        let label = format!("kill: {disk_kill:?}");
+        let plan = PlannedCampaign::cold(&cfg).unwrap();
+        let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
+        let pass =
+            Engine::new(cfg.engine_config(mapping, Arc::clone(&plan.victim_map), cfg.faults))
+                .run(&plan.scripts)
+                .faults;
+        let engine = run_planned(&cfg, &plan, PlanSource::Cold);
+        let mut sim = sim_backend_for(&cfg, &plan).unwrap();
+        let data = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+
+        assert!(
+            pass.media_errors > 0
+                && pass.retries_exhausted > 0
+                && pass.transient_faults > pass.retries_exhausted,
+            "fault plan too tame to tell the accounting rules apart: {pass:?}"
+        );
+        assert_eq!(pass.dead_disk_reads > 0, disk_kill.is_some(), "{label}");
+        let f = data.faults;
+        for (name, first, all) in [
+            ("media_errors", pass.media_errors, f.media_errors),
+            (
+                "transient_faults",
+                pass.transient_faults,
+                f.transient_faults,
+            ),
+            ("retries", pass.retries, f.retries),
+            (
+                "retries_exhausted",
+                pass.retries_exhausted,
+                f.retries_exhausted,
+            ),
+            ("dead_disk_reads", pass.dead_disk_reads, f.dead_disk_reads),
+            ("skipped_ops", pass.skipped_ops, f.skipped_ops),
+        ] {
+            assert!(first <= all, "{label}: {name} {first} > {all}");
+        }
+        assert_eq!(f, engine.faults, "{label}");
+        assert_eq!(data.disk_reads, engine.disk_reads, "{label}");
+        // Every cache lookup is recorded once in a class digest, unless
+        // its disk read failed hard: no data arrived, so no latency.
+        let by_class: u64 = data.class_digests.iter().map(|d| d.count()).sum();
+        let lookups = data.cache.hits + data.cache.misses;
+        assert!(
+            lookups - f.hard_failures() <= by_class && by_class <= lookups,
+            "{label}: {by_class} recorded reads of {lookups} lookups, {} hard failures",
+            f.hard_failures()
+        );
+    }
 }
 
 #[test]
