@@ -4,10 +4,11 @@
 //! transiently-stalling array, a straggler disk, and a mid-campaign
 //! whole-disk kill — **twice**, and fails (non-zero exit) unless the two
 //! runs produce identical `Metrics` (including every fault counter, the
-//! replan/round counts, and the data-loss list). Then replays the same
-//! campaign through `verify_campaign`, proving every surviving
-//! repaired stripe decodes bit-for-bit and every lost stripe genuinely
-//! exceeds the code's fault tolerance.
+//! replan/round counts, and the data-loss list). Then runs the same
+//! campaign through `verify_campaign` — the data plane on a `SimBackend`
+//! at the config's 32 KiB chunks, every repaired stripe read back —
+//! proving every surviving repaired stripe holds its pristine bytes and
+//! every lost stripe genuinely exceeds the code's fault tolerance.
 //!
 //! CI runs this on every push (`FBF_BENCH_QUICK=1` shrinks the scale;
 //! the assertions are identical). Scale knobs: `FBF_STRIPES`,

@@ -9,33 +9,13 @@
 //!   oracle: every SIMD path must produce byte-identical output, enforced by
 //!   the proptest suite in `tests/xor_diff.rs`.
 //! * [`XorKernel::Sse2`] — 16-byte lanes, 64-byte strides, unaligned loads.
-//! * [`XorKernel::Avx2`] — 32-byte lanes, 64-byte strides, unaligned loads.
+//! * [`XorKernel::Avx2`] — 32-byte lanes, 128-byte strides, unaligned loads.
 //!
-//! The active kernel is picked once per process via
-//! `is_x86_feature_detected!` and cached ([`active_kernel`]); the
-//! `FBF_XOR_KERNEL` env var can *downgrade* the choice (e.g. `scalar` to
-//! benchmark the oracle) but never selects an unsupported path.
-//!
-//! Multi-source decode ([`xor_many`]) folds many sources per pass over `dst`
-//! instead of one. The seeded first pass takes up to [`MANY_FOLD_WIDTH`] (8)
-//! sources and never reads `dst`; continuation passes take [`FOLD_WIDTH`] (4).
-//! For the paper's 6-source decode shape this cuts memory traffic by more
-//! than half: sequential `xor_into` does 6 passes (11 buffer reads + 6 writes
-//! counting dst re-reads), while the single seeded pass does 6 reads + 1
-//! write — `dst` is touched exactly once.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Maximum number of sources consumed per pass over `dst` in the public
-/// fold primitive ([`xor_fold_into_with`]).
-pub const FOLD_WIDTH: usize = 4;
-
-/// Maximum sources consumed by the *seeded* first pass of [`xor_many`].
-/// Wider than [`FOLD_WIDTH`] because the seeded pass never reads `dst`:
-/// at 8 sources plus the store stream the AVX2 loop still fits its four
-/// accumulators comfortably, and one pass covers every decode shape a
-/// triple-fault code produces (≤ 8 chain members).
-pub const MANY_FOLD_WIDTH: usize = 8;
+//! Each kernel has one primitive per operation: `dst ^= src` and the
+//! all-zero scan. The active kernel is the best one the CPU supports
+//! ([`active_kernel`], via `is_x86_feature_detected!`). A multi-source XOR
+//! ([`xor_many`]) copies its first source and XORs the rest in one at a
+//! time — the same accumulator the data plane keeps per worker.
 
 /// An XOR kernel implementation, ordered weakest to strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -57,21 +37,14 @@ impl XorKernel {
             XorKernel::Avx2 => "avx2",
         }
     }
-
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(XorKernel::Scalar),
-            "sse2" => Some(XorKernel::Sse2),
-            "avx2" => Some(XorKernel::Avx2),
-            _ => None,
-        }
-    }
 }
 
-/// Best kernel the host CPU supports. Under Miri only the scalar path runs:
-/// runtime feature detection and vendor intrinsics are not supported there,
-/// and the point of the Miri job is the `align_to` surface of the oracle.
-fn detect() -> XorKernel {
+/// The kernel used by [`xor_into`] / [`xor_many`] / [`is_zero`]: the best
+/// the CPU supports (`is_x86_feature_detected!` probes once and caches).
+/// Under Miri only the scalar path runs: runtime feature detection and
+/// vendor intrinsics are not supported there, and the point of the Miri
+/// job is the `align_to` surface of the oracle.
+pub fn active_kernel() -> XorKernel {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if is_x86_feature_detected!("avx2") {
@@ -87,7 +60,7 @@ fn detect() -> XorKernel {
 /// Every kernel the host supports, weakest first. Test suites iterate this
 /// so a run on non-x86 hardware still exercises (trivially) the full matrix.
 pub fn supported_kernels() -> Vec<XorKernel> {
-    let best = detect();
+    let best = active_kernel();
     let mut out = vec![XorKernel::Scalar];
     if best >= XorKernel::Sse2 {
         out.push(XorKernel::Sse2);
@@ -98,161 +71,73 @@ pub fn supported_kernels() -> Vec<XorKernel> {
     out
 }
 
-// 0 = not yet resolved; otherwise kernel discriminant + 1.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The kernel used by [`xor_into`] / [`xor_many`] / [`is_zero`]. Resolved
-/// once: hardware detection, optionally downgraded by `FBF_XOR_KERNEL`
-/// (`scalar` | `sse2` | `avx2`). An override *above* what the CPU supports
-/// is clamped to the detected best, so the env var can never select an
-/// unsupported instruction set.
-pub fn active_kernel() -> XorKernel {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => return XorKernel::Scalar,
-        2 => return XorKernel::Sse2,
-        3 => return XorKernel::Avx2,
-        _ => {}
-    }
-    let best = detect();
-    let chosen = match std::env::var("FBF_XOR_KERNEL") {
-        Ok(s) => match XorKernel::from_name(s.trim()) {
-            Some(k) => k.min(best),
-            None => best,
-        },
-        Err(_) => best,
-    };
-    let tag = match chosen {
-        XorKernel::Scalar => 1,
-        XorKernel::Sse2 => 2,
-        XorKernel::Avx2 => 3,
-    };
-    ACTIVE.store(tag, Ordering::Relaxed);
-    chosen
-}
-
 /// `dst ^= src`, element-wise. Panics if lengths differ.
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    xor_into_with(active_kernel(), dst, src);
+    // SAFETY: the active kernel is the detected one.
+    unsafe { xor_into_unchecked(active_kernel(), dst, src) }
 }
 
-/// `dst = XOR(srcs)`; no sources zeroes `dst`. Panics if any source's
-/// length differs from `dst`'s. SIMD kernels fold up to [`FOLD_WIDTH`]
-/// sources per pass over `dst`; the first pass seeds `dst` directly from
-/// the sources without reading it.
+/// `dst = XOR(srcs)`: copy the first source, XOR the rest in one at a
+/// time; no sources zeroes `dst`. Panics if any source's length differs
+/// from `dst`'s.
 pub fn xor_many(dst: &mut [u8], srcs: &[&[u8]]) {
-    xor_many_with(active_kernel(), dst, srcs);
+    let Some((first, rest)) = srcs.split_first() else {
+        dst.fill(0);
+        return;
+    };
+    assert_eq!(dst.len(), first.len(), "xor_many length mismatch");
+    dst.copy_from_slice(first);
+    for s in rest {
+        xor_into(dst, s);
+    }
 }
 
 /// Returns true if the buffer is all zero — handy for parity-consistency
 /// checks (`XOR of a whole chain must be zero`).
 pub fn is_zero(buf: &[u8]) -> bool {
-    is_zero_with(active_kernel(), buf)
+    // SAFETY: the active kernel is the detected one.
+    unsafe { is_zero_unchecked(active_kernel(), buf) }
 }
 
-/// [`xor_into`] on an explicit kernel. Callers must only pass kernels from
-/// [`supported_kernels`].
+/// [`xor_into`] on an explicit kernel, clamped to what the CPU supports:
+/// asking for a kernel above [`active_kernel`] runs the active one.
 pub fn xor_into_with(kernel: XorKernel, dst: &mut [u8], src: &[u8]) {
+    // SAFETY: clamped to the detected kernel.
+    unsafe { xor_into_unchecked(kernel.min(active_kernel()), dst, src) }
+}
+
+/// [`is_zero`] on an explicit kernel, clamped like [`xor_into_with`].
+pub fn is_zero_with(kernel: XorKernel, buf: &[u8]) -> bool {
+    // SAFETY: clamped to the detected kernel.
+    unsafe { is_zero_unchecked(kernel.min(active_kernel()), buf) }
+}
+
+/// # Safety
+/// `kernel` must be one of [`supported_kernels`].
+unsafe fn xor_into_unchecked(kernel: XorKernel, dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_into length mismatch");
     match kernel {
         XorKernel::Scalar => scalar::xor_into(dst, src),
-        // SAFETY: callers only pass kernels reported by supported_kernels(),
-        // so the corresponding target feature is present on this CPU.
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Sse2 => unsafe { sse2::fold(dst, &[src], false) },
+        XorKernel::Sse2 => sse2::xor_into(dst, src),
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Avx2 => unsafe { avx2::fold(dst, &[src], false) },
+        XorKernel::Avx2 => avx2::xor_into(dst, src),
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::xor_into(dst, src),
     }
 }
 
-/// [`xor_many`] on an explicit kernel. The scalar path is the plain
-/// copy-then-fold-one-at-a-time oracle; SIMD paths fold up to
-/// [`MANY_FOLD_WIDTH`] sources in the seeded first pass (so the paper's
-/// 6-source decode shape touches `dst` exactly once), then up to
-/// [`FOLD_WIDTH`] per continuation pass. A zero-source call zeroes `dst`
-/// on every path.
-pub fn xor_many_with(kernel: XorKernel, dst: &mut [u8], srcs: &[&[u8]]) {
-    for s in srcs {
-        assert_eq!(dst.len(), s.len(), "xor_many length mismatch");
-    }
-    if srcs.is_empty() {
-        // The fold path below never touches dst for an empty group; zero it
-        // explicitly so every dispatch path honours the documented contract.
-        dst.fill(0);
-        return;
-    }
-    match kernel {
-        XorKernel::Scalar => scalar::xor_many(dst, srcs),
-        _ => {
-            let lead = srcs.len().min(MANY_FOLD_WIDTH);
-            let (first, rest) = srcs.split_at(lead);
-            fold_dispatch(kernel, dst, first, true);
-            for group in rest.chunks(FOLD_WIDTH) {
-                fold_dispatch(kernel, dst, group, false);
-            }
-        }
-    }
-}
-
-/// One fold pass: `dst = XOR(group)` when `seed` is true (dst is not read),
-/// else `dst ^= XOR(group)`. At most [`FOLD_WIDTH`] sources per call; this
-/// is the primitive the `xor_fold4_6x32k` bench times. Panics on length
-/// mismatch, more than [`FOLD_WIDTH`] sources, or (`seed` only) an empty
-/// group.
-pub fn xor_fold_into_with(kernel: XorKernel, dst: &mut [u8], group: &[&[u8]], seed: bool) {
-    assert!(group.len() <= FOLD_WIDTH, "fold group too wide");
-    assert!(
-        !(seed && group.is_empty()),
-        "cannot seed from an empty group"
-    );
-    for s in group {
-        assert_eq!(dst.len(), s.len(), "xor_fold length mismatch");
-    }
-    fold_dispatch(kernel, dst, group, seed)
-}
-
-/// Width-unchecked fold dispatch. The SIMD fold loops accept any group
-/// length; only the public [`xor_fold_into_with`] entry enforces the
-/// [`FOLD_WIDTH`] contract. [`xor_many_with`] calls this directly so its
-/// seeded first pass can run [`MANY_FOLD_WIDTH`] wide.
-fn fold_dispatch(kernel: XorKernel, dst: &mut [u8], group: &[&[u8]], seed: bool) {
-    match kernel {
-        XorKernel::Scalar => fold_bytes(dst, group, seed),
-        // SAFETY: as in xor_into_with — kernel implies the target feature.
-        #[cfg(target_arch = "x86_64")]
-        XorKernel::Sse2 => unsafe { sse2::fold(dst, group, seed) },
-        #[cfg(target_arch = "x86_64")]
-        XorKernel::Avx2 => unsafe { avx2::fold(dst, group, seed) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => fold_bytes(dst, group, seed),
-    }
-}
-
-/// [`is_zero`] on an explicit kernel.
-pub fn is_zero_with(kernel: XorKernel, buf: &[u8]) -> bool {
+/// # Safety
+/// `kernel` must be one of [`supported_kernels`].
+unsafe fn is_zero_unchecked(kernel: XorKernel, buf: &[u8]) -> bool {
     match kernel {
         XorKernel::Scalar => scalar::is_zero(buf),
-        // SAFETY: as in xor_into_with.
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Sse2 => unsafe { sse2::is_zero(buf) },
+        XorKernel::Sse2 => sse2::is_zero(buf),
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Avx2 => unsafe { avx2::is_zero(buf) },
+        XorKernel::Avx2 => avx2::is_zero(buf),
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::is_zero(buf),
-    }
-}
-
-/// Byte-wise fold used for SIMD tails and as the scalar fold reference.
-/// Bounds checks dominate here, which is fine: it only ever sees fewer than
-/// one SIMD stride's worth of bytes on the hot paths.
-fn fold_bytes(dst: &mut [u8], group: &[&[u8]], seed: bool) {
-    for i in 0..dst.len() {
-        let mut v = if seed { 0 } else { dst[i] };
-        for s in group {
-            v ^= s[i];
-        }
-        dst[i] = v;
     }
 }
 
@@ -307,69 +192,33 @@ pub mod scalar {
     }
 }
 
-/// Collect the sub-`stride` tails of a fold group into a fixed array so the
-/// byte fallback can run without allocating. Returns the tail slices.
-#[cfg(target_arch = "x86_64")]
-fn group_tails<'a>(group: &[&'a [u8]], from: usize) -> ([&'a [u8]; MANY_FOLD_WIDTH], usize) {
-    let mut tails: [&[u8]; MANY_FOLD_WIDTH] = [&[]; MANY_FOLD_WIDTH];
-    for (t, s) in tails.iter_mut().zip(group) {
-        *t = &s[from..];
-    }
-    (tails, group.len())
-}
-
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::{fold_bytes, group_tails};
     use std::arch::x86_64::*;
 
-    /// `dst (^)= XOR(group)` with 4×16-byte unrolled lanes. `seed` skips the
-    /// initial load of `dst`, seeding the accumulators from the first source.
+    /// `dst ^= src` with 4×16-byte unrolled lanes per 64-byte stride.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports SSE2 (guaranteed on `x86_64`, but
-    /// dispatch still checks). All loads/stores are unaligned-safe
-    /// (`loadu`/`storeu`) and stay within the checked slice bounds.
+    /// dispatch still checks) and `dst.len() == src.len()`. All loads/stores
+    /// are unaligned-safe (`loadu`/`storeu`) and stay within the slices.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn fold(dst: &mut [u8], group: &[&[u8]], seed: bool) {
+    pub unsafe fn xor_into(dst: &mut [u8], src: &[u8]) {
         const STRIDE: usize = 64;
         let len = dst.len();
         let main = len - len % STRIDE;
-        let dp = dst.as_mut_ptr();
+        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
         let mut off = 0;
         while off < main {
-            let (mut v0, mut v1, mut v2, mut v3);
-            let rest: &[&[u8]];
-            if seed {
-                let sp = group[0].as_ptr().add(off);
-                v0 = _mm_loadu_si128(sp as *const __m128i);
-                v1 = _mm_loadu_si128(sp.add(16) as *const __m128i);
-                v2 = _mm_loadu_si128(sp.add(32) as *const __m128i);
-                v3 = _mm_loadu_si128(sp.add(48) as *const __m128i);
-                rest = &group[1..];
-            } else {
-                v0 = _mm_loadu_si128(dp.add(off) as *const __m128i);
-                v1 = _mm_loadu_si128(dp.add(off + 16) as *const __m128i);
-                v2 = _mm_loadu_si128(dp.add(off + 32) as *const __m128i);
-                v3 = _mm_loadu_si128(dp.add(off + 48) as *const __m128i);
-                rest = group;
+            for lane in [0, 16, 32, 48] {
+                let d = dp.add(off + lane) as *mut __m128i;
+                let s = sp.add(off + lane) as *const __m128i;
+                _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), _mm_loadu_si128(s)));
             }
-            for s in rest {
-                let sp = s.as_ptr().add(off);
-                v0 = _mm_xor_si128(v0, _mm_loadu_si128(sp as *const __m128i));
-                v1 = _mm_xor_si128(v1, _mm_loadu_si128(sp.add(16) as *const __m128i));
-                v2 = _mm_xor_si128(v2, _mm_loadu_si128(sp.add(32) as *const __m128i));
-                v3 = _mm_xor_si128(v3, _mm_loadu_si128(sp.add(48) as *const __m128i));
-            }
-            _mm_storeu_si128(dp.add(off) as *mut __m128i, v0);
-            _mm_storeu_si128(dp.add(off + 16) as *mut __m128i, v1);
-            _mm_storeu_si128(dp.add(off + 32) as *mut __m128i, v2);
-            _mm_storeu_si128(dp.add(off + 48) as *mut __m128i, v3);
             off += STRIDE;
         }
-        if main < len {
-            let (tails, n) = group_tails(group, main);
-            fold_bytes(&mut dst[main..], &tails[..n], seed);
+        for (d, s) in dst[main..].iter_mut().zip(&src[main..]) {
+            *d ^= s;
         }
     }
 
@@ -407,60 +256,35 @@ mod sse2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{fold_bytes, group_tails};
     use std::arch::x86_64::*;
 
-    /// `dst (^)= XOR(group)` with 4×32-byte unrolled lanes (128-byte
-    /// stride). `seed` skips the initial load of `dst`, seeding the
-    /// accumulators from the first source. Four accumulators give the
-    /// out-of-order core enough independent chains to hide L2 latency
-    /// across up to five concurrent streams (4 sources + dst) — with only
-    /// two, the fold runs load-latency-bound well below L2 bandwidth.
+    /// `dst ^= src` with 4×32-byte unrolled lanes per 128-byte stride.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2 (dispatch checks via
-    /// `is_x86_feature_detected!`). All loads/stores are unaligned-safe
-    /// (`loadu`/`storeu`) and stay within the checked slice bounds.
+    /// `is_x86_feature_detected!`) and `dst.len() == src.len()`. All
+    /// loads/stores are unaligned-safe (`loadu`/`storeu`) and stay within
+    /// the slices.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn fold(dst: &mut [u8], group: &[&[u8]], seed: bool) {
+    pub unsafe fn xor_into(dst: &mut [u8], src: &[u8]) {
         const STRIDE: usize = 128;
         let len = dst.len();
         let main = len - len % STRIDE;
-        let dp = dst.as_mut_ptr();
+        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
         let mut off = 0;
         while off < main {
-            let (mut v0, mut v1, mut v2, mut v3);
-            let rest: &[&[u8]];
-            if seed {
-                let sp = group[0].as_ptr().add(off);
-                v0 = _mm256_loadu_si256(sp as *const __m256i);
-                v1 = _mm256_loadu_si256(sp.add(32) as *const __m256i);
-                v2 = _mm256_loadu_si256(sp.add(64) as *const __m256i);
-                v3 = _mm256_loadu_si256(sp.add(96) as *const __m256i);
-                rest = &group[1..];
-            } else {
-                v0 = _mm256_loadu_si256(dp.add(off) as *const __m256i);
-                v1 = _mm256_loadu_si256(dp.add(off + 32) as *const __m256i);
-                v2 = _mm256_loadu_si256(dp.add(off + 64) as *const __m256i);
-                v3 = _mm256_loadu_si256(dp.add(off + 96) as *const __m256i);
-                rest = group;
+            for lane in [0, 32, 64, 96] {
+                let d = dp.add(off + lane) as *mut __m256i;
+                let s = sp.add(off + lane) as *const __m256i;
+                _mm256_storeu_si256(
+                    d,
+                    _mm256_xor_si256(_mm256_loadu_si256(d), _mm256_loadu_si256(s)),
+                );
             }
-            for s in rest {
-                let sp = s.as_ptr().add(off);
-                v0 = _mm256_xor_si256(v0, _mm256_loadu_si256(sp as *const __m256i));
-                v1 = _mm256_xor_si256(v1, _mm256_loadu_si256(sp.add(32) as *const __m256i));
-                v2 = _mm256_xor_si256(v2, _mm256_loadu_si256(sp.add(64) as *const __m256i));
-                v3 = _mm256_xor_si256(v3, _mm256_loadu_si256(sp.add(96) as *const __m256i));
-            }
-            _mm256_storeu_si256(dp.add(off) as *mut __m256i, v0);
-            _mm256_storeu_si256(dp.add(off + 32) as *mut __m256i, v1);
-            _mm256_storeu_si256(dp.add(off + 64) as *mut __m256i, v2);
-            _mm256_storeu_si256(dp.add(off + 96) as *mut __m256i, v3);
             off += STRIDE;
         }
-        if main < len {
-            let (tails, n) = group_tails(group, main);
-            fold_bytes(&mut dst[main..], &tails[..n], seed);
+        for (d, s) in dst[main..].iter_mut().zip(&src[main..]) {
+            *d ^= s;
         }
     }
 
@@ -564,23 +388,21 @@ mod tests {
         let a = vec![1u8; 32];
         let b = vec![2u8; 32];
         let c = vec![4u8; 32];
-        for kernel in supported_kernels() {
-            let mut out = vec![0xFFu8; 32];
-            xor_many_with(kernel, &mut out, &[&a, &b, &c]);
-            assert!(out.iter().all(|&x| x == 7), "{kernel:?}");
-        }
+        let mut out = vec![0xFFu8; 32];
+        xor_many(&mut out, &[&a, &b, &c]);
+        assert!(out.iter().all(|&x| x == 7));
     }
 
     #[test]
     fn xor_many_zero_sources_zeroes_dst_on_every_kernel() {
-        // Pinned: a zero-source decode must zero dst on every dispatch
-        // path, not just the scalar one (the fold path never reads dst for
-        // an empty group, so this is an explicit edge).
-        for kernel in supported_kernels() {
-            let mut out = vec![0xEEu8; 97];
-            xor_many_with(kernel, &mut out, &[]);
-            assert!(out.iter().all(|&x| x == 0), "{kernel:?}");
-        }
+        // Pinned: a zero-source decode zeroes dst on the dispatched path
+        // and on the oracle alike.
+        let mut out = vec![0xEEu8; 97];
+        xor_many(&mut out, &[]);
+        assert!(out.iter().all(|&x| x == 0));
+        let mut out = vec![0xEEu8; 97];
+        scalar::xor_many(&mut out, &[]);
+        assert!(out.iter().all(|&x| x == 0));
     }
 
     #[test]
@@ -592,33 +414,29 @@ mod tests {
         let refs: Vec<&[u8]> = srcs.iter().map(|v| v.as_slice()).collect();
         let mut want = vec![0u8; 1000];
         scalar::xor_many(&mut want, &refs);
-        for kernel in supported_kernels() {
-            let mut got = vec![0x5Au8; 1000];
-            xor_many_with(kernel, &mut got, &refs);
-            assert_eq!(got, want, "{kernel:?}");
-        }
+        let mut got = vec![0x5Au8; 1000];
+        xor_many(&mut got, &refs);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn fold_seed_and_accumulate_match_reference() {
-        let srcs: Vec<Vec<u8>> = (0..4u8)
-            .map(|k| (0..130).map(|i| (i as u8) ^ (k * 17)).collect())
-            .collect();
-        let refs: Vec<&[u8]> = srcs.iter().map(|v| v.as_slice()).collect();
-        for kernel in supported_kernels() {
-            for n in 1..=4usize {
-                // seed: dst = XOR(group)
-                let mut got = vec![0xA5u8; 130];
-                xor_fold_into_with(kernel, &mut got, &refs[..n], true);
-                let mut want = vec![0u8; 130];
-                scalar::xor_many(&mut want, &refs[..n]);
-                assert_eq!(got, want, "{kernel:?} seed n={n}");
-                // accumulate: dst ^= XOR(group)
-                let base: Vec<u8> = (0..130).map(|i| (i * 13 % 251) as u8).collect();
-                let mut got = base.clone();
-                xor_fold_into_with(kernel, &mut got, &refs[..n], false);
-                let want2: Vec<u8> = base.iter().zip(&want).map(|(a, b)| a ^ b).collect();
-                assert_eq!(got, want2, "{kernel:?} acc n={n}");
+    fn every_kernel_variant_matches_scalar() {
+        // Not only the supported kernels: an explicit kernel the CPU lacks
+        // is clamped to the detected one, never dispatched.
+        let dst: Vec<u8> = (0..333).map(|i| (i * 13 % 251) as u8).collect();
+        let src: Vec<u8> = (0..333).map(|i| (i * 7 + 1) as u8).collect();
+        let mut want = dst.clone();
+        scalar::xor_into(&mut want, &src);
+        for kernel in [XorKernel::Scalar, XorKernel::Sse2, XorKernel::Avx2] {
+            let mut got = dst.clone();
+            xor_into_with(kernel, &mut got, &src);
+            assert_eq!(got, want, "{kernel:?}");
+            for buf in [&dst[..], &[0u8; 333], &[]] {
+                assert_eq!(
+                    is_zero_with(kernel, buf),
+                    scalar::is_zero(buf),
+                    "{kernel:?}"
+                );
             }
         }
     }

@@ -2,18 +2,15 @@
 //! reference.
 //!
 //! The SIMD rewrite keeps the original word-wise kernels verbatim in
-//! `xor::scalar` exactly so they can serve as the oracle here. Each
-//! property drives the full kernel matrix (`supported_kernels()` — on a
-//! non-x86 or pre-SSE2 host that is just `[Scalar]` and the suite
-//! degenerates to a self-check) over adversarial shapes: lengths that
-//! are not multiples of any vector width, buffers deliberately
-//! misaligned by 0..8 bytes, and source counts straddling the fold
-//! width on both sides.
+//! `xor::scalar` exactly so they can serve as the oracle here. The
+//! `xor_into` and `is_zero` properties drive the full kernel matrix
+//! (`supported_kernels()` — on a non-x86 or pre-SSE2 host that is just
+//! `[Scalar]` and the suite degenerates to a self-check) over adversarial
+//! shapes: lengths that are not multiples of any vector width and buffers
+//! deliberately misaligned by 0..8 bytes. `xor_many` is the dispatched
+//! copy-then-`xor_into` driver, checked against `scalar::xor_many`.
 
-use fbf_codes::xor::{
-    is_zero_with, scalar, supported_kernels, xor_fold_into_with, xor_into_with, xor_many_with,
-    FOLD_WIDTH, MANY_FOLD_WIDTH,
-};
+use fbf_codes::xor::{is_zero_with, scalar, supported_kernels, xor_into_with, xor_many};
 use proptest::prelude::*;
 
 /// Deterministic bytes from a seed — xorshift, one byte per step.
@@ -60,11 +57,9 @@ proptest! {
         }
     }
 
-    /// `xor_many` (dst = ⊕ srcs) is byte-identical to the scalar kernel
-    /// for source counts straddling both fold widths: 0..=13 covers the
-    /// single seeded pass (≤ MANY_FOLD_WIDTH=8), a partial continuation
-    /// group, and a full FOLD_WIDTH=4 continuation group (12+ sources) —
-    /// independent of the dst's prior contents.
+    /// `xor_many` (dst = ⊕ srcs) is byte-identical to the scalar oracle
+    /// for 0..=13 misaligned sources, independent of the dst's prior
+    /// contents.
     #[test]
     fn xor_many_matches_scalar(
         len in 0usize..=4096,
@@ -72,10 +67,6 @@ proptest! {
         src_offs in proptest::collection::vec(0usize..8, 0..14),
         seed in 0u64..u64::MAX,
     ) {
-        prop_assert!(
-            MANY_FOLD_WIDTH + FOLD_WIDTH <= 13,
-            "widen src_offs to keep straddling both fold widths"
-        );
         let srcs: Vec<(Vec<u8>, std::ops::Range<usize>)> = src_offs
             .iter()
             .enumerate()
@@ -86,42 +77,10 @@ proptest! {
         let mut expected = vec![0u8; len];
         scalar::xor_many(&mut expected, &refs);
 
-        for &k in &supported_kernels() {
-            // Poisoned dst: xor_many must fully overwrite it.
-            let (dst_buf, dst_r) = offset_buf(!seed, dst_off, len);
-            let mut got = dst_buf;
-            xor_many_with(k, &mut got[dst_r.clone()], &refs);
-            prop_assert_eq!(&got[dst_r.clone()], &expected[..], "kernel {:?} diverged", k);
-        }
-    }
-
-    /// The fold primitive agrees with a scalar re-derivation in both
-    /// seed modes: seeded folds overwrite dst with ⊕ group, unseeded
-    /// folds accumulate ⊕ group on top of dst.
-    #[test]
-    fn fold_matches_scalar_in_both_seed_modes(
-        len in 0usize..=4096,
-        group_len in 1usize..=4,
-        seed_sel in 0u8..2,
-        seed in 0u64..u64::MAX,
-    ) {
-        let seed_mode = seed_sel == 1;
-        let srcs: Vec<Vec<u8>> = (0..group_len)
-            .map(|i| bytes(seed.wrapping_add(i as u64), len))
-            .collect();
-        let refs: Vec<&[u8]> = srcs.iter().map(|s| s.as_slice()).collect();
-        let dst0 = bytes(!seed, len);
-
-        let mut expected = if seed_mode { vec![0u8; len] } else { dst0.clone() };
-        for r in &refs {
-            scalar::xor_into(&mut expected, r);
-        }
-
-        for &k in &supported_kernels() {
-            let mut got = dst0.clone();
-            xor_fold_into_with(k, &mut got, &refs, seed_mode);
-            prop_assert_eq!(&got, &expected, "kernel {:?} seed={} diverged", k, seed_mode);
-        }
+        // Poisoned dst: xor_many must fully overwrite it.
+        let (mut got, dst_r) = offset_buf(!seed, dst_off, len);
+        xor_many(&mut got[dst_r.clone()], &refs);
+        prop_assert_eq!(&got[dst_r], &expected[..]);
     }
 
     /// `is_zero` agrees with the scalar kernel on all-zero buffers and on
@@ -147,16 +106,16 @@ proptest! {
     }
 }
 
-/// Zero sources must zero the destination on every dispatch path — the
-/// edge the fold rewrite originally got wrong (pinned here and in the
-/// unit suite).
+/// Zero sources must zero the destination, on the dispatched path as on
+/// the oracle (pinned here and in the unit suite).
 #[test]
 fn zero_sources_zero_the_dst_on_every_kernel() {
-    for &k in &supported_kernels() {
-        for len in [0usize, 1, 7, 64, 4097] {
-            let mut dst = vec![0xEEu8; len];
-            xor_many_with(k, &mut dst, &[]);
-            assert!(dst.iter().all(|&b| b == 0), "kernel {k:?} len {len}");
-        }
+    for len in [0usize, 1, 7, 64, 4097] {
+        let mut dst = vec![0xEEu8; len];
+        xor_many(&mut dst, &[]);
+        let mut expected = vec![0xEEu8; len];
+        scalar::xor_many(&mut expected, &[]);
+        assert_eq!(dst, expected, "len {len}");
+        assert!(dst.iter().all(|&b| b == 0), "len {len}");
     }
 }

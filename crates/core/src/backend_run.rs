@@ -325,30 +325,10 @@ mod tests {
         let cfg = small(PolicyKind::Fbf);
         let plan = PlannedCampaign::cold(&cfg).unwrap();
         let mut backend = sim_backend_for(&cfg, &plan).unwrap();
-        run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend).unwrap();
-        let code = fbf_codes::StripeCode::build(cfg.code, cfg.p).unwrap();
-        let mut buf = vec![0u8; cfg.chunk_bytes() as usize];
-        for damage in plan.errors.damage_by_stripe() {
-            let mut pristine = fbf_codes::Stripe::patterned_seeded(
-                code.layout(),
-                cfg.chunk_bytes() as usize,
-                damage.stripe as u64,
-            );
-            fbf_codes::encode::encode(&code, &mut pristine).unwrap();
-            for &cell in &damage.cells {
-                let chunk = ChunkId::new(damage.stripe, cell);
-                assert!(backend.is_repaired(chunk));
-                backend.read_chunk(chunk, &mut buf).unwrap();
-                assert_eq!(
-                    &buf[..],
-                    &pristine.get(code.layout(), cell)[..],
-                    "stripe {} cell ({},{})",
-                    damage.stripe,
-                    cell.r(),
-                    cell.c()
-                );
-            }
-        }
+        let metrics = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend).unwrap();
+        let report = crate::verify_backend(&cfg, &plan, &metrics, &mut backend).unwrap();
+        assert_eq!(report.stripes, cfg.error_count);
+        assert_eq!(report.chunks, plan.chunks_lost);
     }
 
     #[test]

@@ -454,8 +454,9 @@ mod tests {
             48,
             "every damaged stripe is repaired or typed as lost"
         );
-        // (`verify_campaign` holds `chunks_recovered` to the cells it
-        // byte-checks, escalated damage included.)
+        // (`verify_backend` holds `chunks_recovered` to the chunks the
+        // repaired stripes hold in the spare area, escalated damage
+        // included.)
     }
 
     #[test]

@@ -73,4 +73,4 @@ pub use sweep::{
     policy_grid, sweep, sweep_with_progress, sweep_with_store, Grid, SweepPoint, SweepProgress,
     CACHE_MB,
 };
-pub use verify::{verify_campaign, VerifyReport};
+pub use verify::{verify_backend, verify_campaign, VerifyReport};

@@ -168,11 +168,10 @@ pub struct Metrics {
     pub stripes_unresolved: usize,
     /// Per-stripe data-loss verdicts (empty unless faults destroyed data).
     pub data_loss: Vec<DataLoss>,
-    /// Per-class read-latency tail summaries, indexed by
-    /// [`RequestClass::index`]. Counts partition the run's reads exactly.
-    pub class_latency: [ClassLatency; RequestClass::COUNT],
-    /// The per-class nanosecond digests themselves (mergeable; Prometheus
-    /// exposition and SLO evaluation read these).
+    /// Per-class nanosecond read-latency digests, indexed by
+    /// [`RequestClass::index`] (mergeable; summaries, Prometheus exposition
+    /// and SLO evaluation read these). Counts partition the run's reads
+    /// exactly.
     pub class_digests: [Digest; RequestClass::COUNT],
     /// Deepest any disk queue got during the run (high-water, merged via
     /// max across rounds and workers).
@@ -186,6 +185,11 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Tail summary of `class`'s read latency.
+    pub fn class_latency(&self, class: RequestClass) -> ClassLatency {
+        ClassLatency::from_digest(&self.class_digests[class.index()])
+    }
+
     /// Evaluate `spec` against the run's per-class digests, storing the
     /// typed verdict in `self.slo`. Violation counting is conservative at
     /// bucket resolution (see [`ClassSlo`](crate::ClassSlo)): a read
@@ -258,9 +262,6 @@ impl Metrics {
             stripes_lost: outcome.data_loss.len(),
             stripes_unresolved: outcome.unresolved.len(),
             data_loss: outcome.data_loss.clone(),
-            class_latency: std::array::from_fn(|i| {
-                ClassLatency::from_digest(&report.class_latency[i])
-            }),
             class_digests: report.class_latency.clone(),
             queue_depth_max: report.queue_depth_max(),
             read_balance: report.read_balance(),
@@ -279,8 +280,7 @@ impl Metrics {
                 ("columns", n(d.columns as u64)),
             ])
         });
-        let classes =
-            RequestClass::ALL.map(|c| (c.name(), self.class_latency[c.index()].to_json_value()));
+        let classes = RequestClass::ALL.map(|c| (c.name(), self.class_latency(c).to_json_value()));
         let slo_classes = RequestClass::ALL.map(|c| {
             let v = &self.slo.classes[c.index()];
             (
@@ -374,7 +374,7 @@ impl std::fmt::Display for Metrics {
             write!(f, " UNRESOLVED[stripes={}]", self.stripes_unresolved)?;
         }
         for class in RequestClass::ALL {
-            let l = &self.class_latency[class.index()];
+            let l = self.class_latency(class);
             if l.count > 0 {
                 write!(f, " {}[n={} p99={:.2}ms]", class.name(), l.count, l.p99_ms)?;
             }
@@ -510,10 +510,10 @@ mod tests {
             },
         ];
         let m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
-        assert_eq!(m.class_latency[RequestClass::App.index()].count, 90);
-        assert_eq!(m.class_latency[RequestClass::Recovery.index()].count, 10);
-        assert!(m.class_latency[RequestClass::App.index()].p99_ms < 3.0);
-        assert!(m.class_latency[RequestClass::Recovery.index()].p99_ms > 30.0);
+        assert_eq!(m.class_latency(RequestClass::App).count, 90);
+        assert_eq!(m.class_latency(RequestClass::Recovery).count, 10);
+        assert!(m.class_latency(RequestClass::App).p99_ms < 3.0);
+        assert!(m.class_latency(RequestClass::Recovery).p99_ms > 30.0);
         assert_eq!(m.queue_depth_max, 9, "high-water is a max over disks");
         // 30 reads on the busiest of two disks, mean 20 → balance 1.5.
         assert!((m.read_balance - 1.5).abs() < 1e-12);

@@ -407,7 +407,7 @@ mod tests {
         // The merged recovery digest covers every read-latency sample.
         let count: u64 = pts
             .iter()
-            .map(|p| p.class_latency[RequestClass::Recovery.index()].count)
+            .map(|p| p.class_latency(RequestClass::Recovery).count)
             .sum();
         assert!(
             s.contains(&format!(

@@ -27,6 +27,9 @@ pub enum RunError {
     /// geometry/chunk-size mismatch, damaged read) — a run on a backend
     /// ([`crate::backend_run`]) only.
     Backend(fbf_disksim::BackendError),
+    /// A repaired array did not read back as the run reported it
+    /// ([`verify_backend`](crate::verify::verify_backend)).
+    Verify(String),
     /// A sweep worker died; the payload is the panic message. Unlike the
     /// other variants this indicates a bug, but it is reported as an error
     /// so one poisoned point cannot abort a whole campaign's process.
@@ -40,6 +43,7 @@ impl std::fmt::Display for RunError {
             RunError::Code(e) => write!(f, "code construction failed: {e}"),
             RunError::Scheme(e) => write!(f, "scheme generation failed: {e}"),
             RunError::Backend(e) => write!(f, "storage backend failed: {e}"),
+            RunError::Verify(msg) => write!(f, "verification failed: {msg}"),
             RunError::Worker(msg) => write!(f, "sweep worker panicked: {msg}"),
         }
     }
@@ -251,10 +255,7 @@ mod tests {
         assert!(lenient.slo.evaluated && lenient.slo.pass);
         // The verdict covers every recovery read.
         let v = lenient.slo.classes[RequestClass::Recovery.index()];
-        assert_eq!(
-            v.total,
-            lenient.class_latency[RequestClass::Recovery.index()].count
-        );
+        assert_eq!(v.total, lenient.class_latency(RequestClass::Recovery).count);
     }
 
     #[test]

@@ -1,119 +1,121 @@
-//! Campaign verification: the simulated reconstruction, re-executed on
-//! real bytes.
+//! Campaign verification: read the repaired array back.
 //!
-//! The simulator moves chunk *identities*; this module closes the loop by
-//! replaying the exact same campaign (same seed, same schemes) against
-//! per-stripe payload buffers and checking every recovered chunk
-//! bit-for-bit against the original. Run it after a sweep to certify that
-//! the timing results describe a reconstruction that actually produces
-//! correct data.
+//! The data plane ([`crate::backend_run`]) is the engine's run moving real
+//! bytes, so checking a campaign is checking what that run left on its
+//! backend. [`verify_backend`] reads every chunk of every repaired stripe
+//! back and compares it with the stripe's pristine encode, and holds the
+//! run's counts to what it read. [`verify_campaign`] is that check after a
+//! run on a [`SimBackend`](fbf_disksim::SimBackend) at the config's chunk
+//! size: run it after a sweep to certify that the timing results describe a
+//! reconstruction that actually produces correct data.
 
+use crate::backend_run::{run_planned_on, sim_backend_for};
 use crate::config::ExperimentConfig;
-use crate::faulted::execute_faulted;
-use crate::plan::PlannedCampaign;
+use crate::metrics::Metrics;
+use crate::plan::{PlanSource, PlannedCampaign};
 use crate::runner::RunError;
-use fbf_codes::encode::encode;
-use fbf_codes::{CodeError, Stripe, StripeCode};
-use fbf_disksim::EngineScratch;
-use fbf_recovery::{apply_scheme, StripeDamage};
-use std::collections::BTreeSet;
-
-/// Payload bytes per chunk — small: the XOR algebra is size-independent,
-/// so this verifies the schemes, not the disk model.
-const CHUNK_SIZE: usize = 1024;
+use fbf_codes::{ChunkId, StripeCode};
+use fbf_disksim::backend::materialize;
+use fbf_disksim::StorageBackend;
 
 /// Outcome of a verified campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Surviving stripes repaired and verified byte-for-byte.
+    /// Damaged stripes that read back whole as their pristine encode.
     pub stripes: usize,
-    /// Chunks recovered and compared (original + escalated damage).
+    /// Chunks of those stripes served from the spare area: the original
+    /// damage plus what escalation added.
     pub chunks: usize,
-    /// Bytes compared (chunks × chunk size).
+    /// Bytes of those chunks (chunks × chunk size).
     pub bytes: u64,
     /// Stripes correctly declared unrecoverable (damage past the code's
-    /// fault tolerance) — excluded from the byte comparison. Zero unless
-    /// the config's fault plan destroyed data.
+    /// fault tolerance) — excluded from the read-back. Zero unless the
+    /// config's fault plan destroyed data.
     pub lost: usize,
 }
 
-impl VerifyReport {
-    /// Erase `damage` from a freshly encoded stripe, run `repair` on it
-    /// and compare every recovered chunk with the original.
-    fn check(
-        &mut self,
-        code: &StripeCode,
-        damage: &StripeDamage,
-        repair: impl FnOnce(&mut Stripe) -> Result<(), CodeError>,
-    ) -> Result<(), RunError> {
-        let mut pristine =
-            Stripe::patterned_seeded(code.layout(), CHUNK_SIZE, damage.stripe as u64);
-        encode(code, &mut pristine).map_err(RunError::Code)?;
-        let mut damaged = pristine.clone();
-        for &cell in &damage.cells {
-            damaged.erase(code.layout(), cell);
-        }
-        repair(&mut damaged).map_err(RunError::Code)?;
-        for &cell in &damage.cells {
-            assert_eq!(
-                damaged.get(code.layout(), cell),
-                pristine.get(code.layout(), cell),
-                "stripe {} cell {cell}: reconstruction produced wrong bytes",
-                damage.stripe
-            );
-            self.chunks += 1;
-            self.bytes += CHUNK_SIZE as u64;
-        }
-        self.stripes += 1;
-        Ok(())
-    }
-}
-
-/// Replay `cfg`'s campaign — under its fault plan, if it has one — and
-/// verify that every stripe the simulated run reports as repaired decodes
-/// bit-for-bit.
-///
-/// Runs the same execution as [`run_experiment`](crate::run_experiment)
-/// to learn each stripe's final damage and final plan (its original
-/// scheme, or its last re-plan against the accumulated damage), then
-/// checks on real payloads that the plan recovers the damage — proving
-/// re-planned repairs are as sound as the originals. Lost stripes are
-/// checked to genuinely exceed the code's fault tolerance.
+/// Run `cfg`'s campaign — under its fault plan, if it has one — on a
+/// [`SimBackend`](fbf_disksim::SimBackend) and [`verify_backend`] the
+/// result.
 pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError> {
     cfg.validate()?;
-    let code = StripeCode::build(cfg.code, cfg.p)?;
     let plan = PlannedCampaign::cold(cfg)?;
-    let outcome = execute_faulted(cfg, &plan, &mut EngineScratch::new(), None);
+    let mut backend = sim_backend_for(cfg, &plan)?;
+    let metrics = run_planned_on(cfg, &plan, PlanSource::Cold, &mut backend)?;
+    verify_backend(cfg, &plan, &metrics, &mut backend)
+}
 
-    let mut report = VerifyReport::default();
-    // Stripes the original schemes did not repair, re-planned ones aside.
-    let unrepaired: BTreeSet<u32> = (outcome.data_loss.iter().map(|d| d.stripe))
-        .chain(outcome.unresolved.iter().map(|d| d.stripe))
-        .collect();
-    // A re-planned stripe is erased by the escalator's final damage, never
-    // by the targets its plan chose, so a plan that skips a cell fails.
-    for (damage, scheme) in plan.errors.damage_by_stripe().iter().zip(&plan.schemes) {
-        match outcome.replanned.get(&damage.stripe) {
-            Some((damage, replan)) => report.check(&code, damage, |s| replan.restore(&code, s))?,
-            None if unrepaired.contains(&damage.stripe) => {}
-            None => report.check(&code, damage, |s| apply_scheme(&code, s, scheme))?,
-        }
-    }
-    assert_eq!(
-        (report.stripes, report.chunks),
-        (outcome.stripes_repaired, outcome.chunks_recovered),
-        "the run counts as repaired exactly what was verified"
-    );
+/// Check what the run that reported `metrics` left on `backend`:
+///
+/// * every stripe in `metrics.data_loss` exceeds the code's fault
+///   tolerance;
+/// * every other damaged stripe whose originally lost chunks were all
+///   rewritten to the spare area reads back, chunk for chunk, as its pristine encode
+///   (the generator [`materialize`]);
+/// * the stripes so verified, their spare-written chunks, the lost stripes
+///   and the rest (left with an original chunk unwritten) equal the run's
+///   `stripes_repaired`, `chunks_recovered`, `stripes_lost` and
+///   `stripes_unresolved`. Escalated damage is covered by the chunk count.
+///
+/// A failed check is [`RunError::Verify`]; a backend that cannot serve a
+/// read is [`RunError::Backend`].
+pub fn verify_backend(
+    cfg: &ExperimentConfig,
+    plan: &PlannedCampaign,
+    metrics: &Metrics,
+    backend: &mut dyn StorageBackend,
+) -> Result<VerifyReport, RunError> {
+    let code = StripeCode::build(cfg.code, cfg.p)?;
     let tolerance = code.spec().fault_tolerance();
-    for loss in &outcome.data_loss {
-        assert!(
-            loss.columns > tolerance,
-            "stripe {} declared lost at {} columns within tolerance {}",
-            loss.stripe,
-            loss.columns,
-            tolerance
-        );
-        report.lost += 1;
+    if let Some(loss) = metrics.data_loss.iter().find(|l| l.columns <= tolerance) {
+        return Err(RunError::Verify(format!(
+            "stripe {} declared lost at {} columns within tolerance {tolerance}",
+            loss.stripe, loss.columns
+        )));
+    }
+    let mut report = VerifyReport {
+        lost: metrics.data_loss.len(),
+        ..VerifyReport::default()
+    };
+    let mut unresolved = 0;
+    let chunk_bytes = backend.chunk_bytes();
+    let mut buf = vec![0u8; chunk_bytes];
+    for damage in plan.errors.damage_by_stripe() {
+        let stripe = damage.stripe;
+        if metrics.data_loss.iter().any(|l| l.stripe == stripe) {
+            continue;
+        }
+        if !(damage.cells.iter()).all(|&cell| backend.is_repaired(ChunkId::new(stripe, cell))) {
+            unresolved += 1;
+            continue;
+        }
+        let pristine = materialize(&code, stripe, chunk_bytes);
+        for cell in code.layout().cells() {
+            let chunk = ChunkId::new(stripe, cell);
+            backend
+                .read_chunk(chunk, &mut buf)
+                .map_err(RunError::Backend)?;
+            if buf[..] != pristine.get(code.layout(), cell)[..] {
+                return Err(RunError::Verify(format!(
+                    "stripe {stripe} cell {cell} reads back wrong bytes"
+                )));
+            }
+            report.chunks += usize::from(backend.is_repaired(chunk));
+        }
+        report.stripes += 1;
+    }
+    report.bytes = (report.chunks * chunk_bytes) as u64;
+    let read_back = (report.stripes, report.chunks, report.lost, unresolved);
+    let run = (
+        metrics.stripes_repaired,
+        metrics.chunks_recovered,
+        metrics.stripes_lost,
+        metrics.stripes_unresolved,
+    );
+    if read_back != run {
+        return Err(RunError::Verify(format!(
+            "read back (stripes, chunks, lost, unresolved) = {read_back:?}, the run reports {run:?}"
+        )));
     }
     Ok(report)
 }
@@ -129,6 +131,7 @@ mod tests {
         let cfg = ExperimentConfig::builder()
             .stripes(128)
             .error_count(48)
+            .chunk_kb(1)
             .gen_threads(1)
             .build()
             .unwrap();
@@ -146,6 +149,7 @@ mod tests {
                 .p(7)
                 .stripes(64)
                 .error_count(24)
+                .chunk_kb(1)
                 .gen_threads(1)
                 .build()
                 .unwrap();
@@ -159,6 +163,7 @@ mod tests {
             .stripes(128)
             .error_count(48)
             .workers(8)
+            .chunk_kb(1)
             .gen_threads(1)
             .build()
             .unwrap();

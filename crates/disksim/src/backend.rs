@@ -7,10 +7,10 @@
 //! engine run, through a [`ByteHook`](crate::engine::ByteHook), can also
 //! move real payload bytes:
 //!
-//! * [`SimBackend`] synthesises the array's content in memory from the
-//!   same seeded generator the verification path uses
-//!   (`Stripe::patterned_seeded` + encode), so repaired bytes can be
-//!   checked against `verify_campaign` exactly.
+//! * [`SimBackend`] synthesises the array's content in memory from one
+//!   seeded generator, [`materialize`] (`Stripe::patterned_seeded` +
+//!   encode), which is also the pristine content `verify_backend` reads
+//!   repaired stripes back against.
 //! * [`FileBackend`] performs actual file I/O against one backing file
 //!   per disk, laid out by [`ArrayMapping`] (chunk LBA × chunk size, the
 //!   spare area past the data zone).
@@ -250,9 +250,10 @@ fn in_array(mapping: &ArrayMapping, data_stripes: u64, chunk: ChunkId) -> Result
     }
 }
 
-/// Materialise the encoded payloads of one stripe, seeded by its id —
-/// the exact generator `verify_campaign` checks recovered bytes against.
-fn materialize(code: &StripeCode, stripe: u32, chunk_bytes: usize) -> Stripe {
+/// Materialise the encoded payloads of one stripe, seeded by its id: the
+/// array content both backends start from, and the pristine encode
+/// `verify_backend` compares repaired bytes with.
+pub fn materialize(code: &StripeCode, stripe: u32, chunk_bytes: usize) -> Stripe {
     let mut s = Stripe::patterned_seeded(code.layout(), chunk_bytes, stripe as u64);
     encode(code, &mut s).expect("encode of a well-formed stripe cannot fail");
     s

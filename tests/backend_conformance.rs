@@ -9,14 +9,17 @@
 //!   for byte the engine's for the same planned campaign, fault-free and
 //!   faulted, under all ten policies and both cache sharings, and
 //! * every chunk of every repaired stripe reads back as its pristine
-//!   encode, escalated damage and joint re-plans included.
+//!   encode, escalated damage and joint re-plans included
+//!   ([`verify_backend`]), and that check fails on a flipped byte or a
+//!   dropped spare write.
 
 use fbf::core::PlannedCampaign;
 use fbf::disksim::{DiskKill, Engine, EngineScratch};
 use fbf::recovery::StripePlan;
 use fbf::{
-    file_backend_for, run_planned, run_planned_on, sim_backend_for, ArrayMapping, CacheSharing,
-    Cell, ChunkId, CodeSpec, ExperimentConfig, FaultPlan, PlanSource, PolicyKind, SimTime,
+    file_backend_for, run_planned, run_planned_on, sim_backend_for, verify_backend,
+    verify_campaign, ArrayMapping, BackendDiskStats, BackendError, CacheSharing, ChunkId, CodeSpec,
+    ExperimentConfig, FaultPlan, Metrics, PlanSource, PolicyKind, RunError, SimTime,
     StorageBackend, StripeCode,
 };
 use std::path::PathBuf;
@@ -75,57 +78,24 @@ impl Drop for Scratch {
     }
 }
 
-/// Every chunk of every stripe the campaign repaired reads back from
-/// `backend` equal to the deterministic pre-damage content (each stripe
-/// seeded by its index, then encoded), and each of its lost chunks —
-/// escalated damage included — comes from the spare area. Returns how
-/// many lost chunks were checked and how many stripes a joint re-plan
-/// repaired.
-fn assert_repaired_stripes(
+/// [`verify_backend`] on what the run that reported `metrics` left on
+/// `backend`, panicking with `label` on a failed check.
+fn assert_verifies(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
+    metrics: &Metrics,
     backend: &mut dyn StorageBackend,
     label: &str,
-) -> (usize, usize) {
+) -> fbf::VerifyReport {
+    verify_backend(cfg, plan, metrics, backend).unwrap_or_else(|e| panic!("{label}: {e}"))
+}
+
+/// Stripes of `cfg`'s campaign that a joint re-plan repaired.
+fn joint_replans(cfg: &ExperimentConfig, plan: &PlannedCampaign) -> usize {
     let outcome = fbf::core::execute_faulted(cfg, plan, &mut EngineScratch::new(), None);
-    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
-    let layout = code.layout();
-    let chunk_bytes = cfg.chunk_bytes() as usize;
-    let mut buf = vec![0u8; chunk_bytes];
-    let (mut checked, mut joint) = (0usize, 0usize);
-    for damage in plan.errors.damage_by_stripe() {
-        if outcome.data_loss.iter().any(|d| d.stripe == damage.stripe) {
-            continue;
-        }
-        let lost = match outcome.replanned.get(&damage.stripe) {
-            Some((escalated, replan)) => {
-                joint += usize::from(matches!(replan, StripePlan::Joint(_)));
-                &escalated.cells
-            }
-            None => &damage.cells,
-        };
-        let mut pristine = fbf::Stripe::patterned_seeded(layout, chunk_bytes, damage.stripe as u64);
-        fbf::codes::encode::encode(&code, &mut pristine).unwrap();
-        for r in 0..code.rows() {
-            for c in 0..code.cols() {
-                let cell = Cell::new(r, c);
-                let chunk = ChunkId::new(damage.stripe, cell);
-                backend.read_chunk(chunk, &mut buf).unwrap();
-                assert_eq!(
-                    &buf[..],
-                    &pristine.get(layout, cell)[..],
-                    "{label}: stripe {} cell {cell}",
-                    damage.stripe
-                );
-            }
-        }
-        for &cell in lost {
-            let chunk = ChunkId::new(damage.stripe, cell);
-            assert!(backend.is_repaired(chunk), "{label} left {chunk:?}");
-            checked += 1;
-        }
-    }
-    (checked, joint)
+    (outcome.replanned.values())
+        .filter(|(_, replan)| matches!(replan, StripePlan::Joint(_)))
+        .count()
 }
 
 /// All ten policies × both sharings × fault-free and faulted, on
@@ -156,9 +126,10 @@ fn sim_and_file_backends_agree_with_the_engine() {
                 let mut sim = sim_backend_for(&cfg, &plan).unwrap();
                 let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
                 assert_eq!(m.to_json(), engine.to_json(), "{label}/sim");
-                let (_, joints) =
-                    assert_repaired_stripes(&cfg, &plan, &mut sim, &format!("{label}/sim"));
-                joint += joints;
+                assert_verifies(&cfg, &plan, &m, &mut sim, &format!("{label}/sim"));
+                if cfg.faults.is_active() && joint == 0 {
+                    joint = joint_replans(&cfg, &plan);
+                }
 
                 if !matches!(policy, PolicyKind::Fbf | PolicyKind::Lru) {
                     continue;
@@ -167,7 +138,7 @@ fn sim_and_file_backends_agree_with_the_engine() {
                 let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
                 let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
                 assert_eq!(m.to_json(), engine.to_json(), "{label}/file");
-                assert_repaired_stripes(&cfg, &plan, &mut file, &format!("{label}/file"));
+                assert_verifies(&cfg, &plan, &m, &mut file, &format!("{label}/file"));
             }
         }
     }
@@ -256,21 +227,172 @@ fn repaired_payloads_are_byte_identical_across_backends() {
     let plan = PlannedCampaign::cold(&cfg).unwrap();
 
     let mut sim = sim_backend_for(&cfg, &plan).unwrap();
-    run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+    let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
 
     let scratch = Scratch::new("bytes");
     let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
     run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
 
-    let (checked, _) = assert_repaired_stripes(&cfg, &plan, &mut sim, "sim");
-    assert_eq!(
-        assert_repaired_stripes(&cfg, &plan, &mut file, "file").0,
-        checked
-    );
+    let report = assert_verifies(&cfg, &plan, &m, &mut sim, "sim");
+    assert_eq!(assert_verifies(&cfg, &plan, &m, &mut file, "file"), report);
     assert!(
-        checked >= cfg.error_count,
-        "campaign produced too few damaged chunks to be a meaningful check ({checked})"
+        report.chunks >= cfg.error_count,
+        "campaign produced too few damaged chunks to be a meaningful check ({})",
+        report.chunks
     );
+}
+
+/// A repair's backends, fresh for each call: `SimBackend`, or a
+/// `FileBackend` under `scratch`.
+fn fresh_backend(
+    cfg: &ExperimentConfig,
+    plan: &PlannedCampaign,
+    file: Option<&Scratch>,
+) -> Box<dyn StorageBackend> {
+    match file {
+        None => Box::new(sim_backend_for(cfg, plan).unwrap()),
+        Some(scratch) => {
+            let _ = std::fs::remove_dir_all(&scratch.0);
+            Box::new(file_backend_for(cfg, plan, &scratch.0).unwrap())
+        }
+    }
+}
+
+/// One spare chunk overwritten with a single flipped byte fails the
+/// read-back, on both backends.
+#[test]
+fn a_flipped_spare_byte_fails_verification() {
+    let cfg = small(PolicyKind::Fbf);
+    let plan = PlannedCampaign::cold(&cfg).unwrap();
+    let scratch = Scratch::new("flip");
+    for file in [None, Some(&scratch)] {
+        let mut backend = fresh_backend(&cfg, &plan, file);
+        let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut *backend).unwrap();
+        let damage = &plan.errors.damage_by_stripe()[0];
+        let chunk = ChunkId::new(damage.stripe, damage.cells[0]);
+        let mut buf = vec![0u8; backend.chunk_bytes()];
+        backend.read_chunk(chunk, &mut buf).unwrap();
+        let mid = buf.len() / 2;
+        buf[mid] ^= 0x10;
+        backend.write_spare(chunk, &buf).unwrap();
+        let kind = backend.kind();
+        assert!(
+            matches!(
+                verify_backend(&cfg, &plan, &m, &mut *backend),
+                Err(RunError::Verify(_))
+            ),
+            "{kind}: a flipped byte in {chunk:?} verified"
+        );
+    }
+}
+
+/// Forwards to `inner`, except that the `drop`-th spare write (1-based)
+/// is acknowledged and discarded. `written` logs every spare write.
+struct DropWrite {
+    inner: Box<dyn StorageBackend>,
+    drop: usize,
+    written: Vec<ChunkId>,
+}
+
+impl StorageBackend for DropWrite {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn mapping(&self) -> ArrayMapping {
+        self.inner.mapping()
+    }
+    fn chunk_bytes(&self) -> usize {
+        self.inner.chunk_bytes()
+    }
+    fn data_stripes(&self) -> u64 {
+        self.inner.data_stripes()
+    }
+    fn fault_plan(&self) -> &FaultPlan {
+        self.inner.fault_plan()
+    }
+    fn is_repaired(&self, chunk: ChunkId) -> bool {
+        self.inner.is_repaired(chunk)
+    }
+    fn read_chunk(&mut self, chunk: ChunkId, buf: &mut [u8]) -> Result<(), BackendError> {
+        self.inner.read_chunk(chunk, buf)
+    }
+    fn write_spare(&mut self, chunk: ChunkId, data: &[u8]) -> Result<(), BackendError> {
+        self.written.push(chunk);
+        match self.written.len() == self.drop {
+            true => Ok(()),
+            false => self.inner.write_spare(chunk, data),
+        }
+    }
+    fn disk_stats(&self) -> &[BackendDiskStats] {
+        self.inner.disk_stats()
+    }
+    fn flush(&mut self) -> Result<(), BackendError> {
+        self.inner.flush()
+    }
+}
+
+/// A backend that loses a spare write fails the read-back: the stripe's
+/// lost chunk is not repaired, so the verified counts fall short of the
+/// run's. The write dropped is the last one that counts — its chunk is
+/// written once, in a stripe the run repairs — and that no later read
+/// needs (the run completes). On the faulted STAR campaign it may be
+/// escalated damage, which only the chunk count covers.
+#[test]
+fn a_dropped_spare_write_fails_verification() {
+    for cfg in [small(PolicyKind::Fbf), faulted(small(PolicyKind::Fbf))] {
+        let plan = PlannedCampaign::cold(&cfg).unwrap();
+        let scratch = Scratch::new("drop");
+        for file in [None, Some(&scratch)] {
+            let lossy = |drop| DropWrite {
+                inner: fresh_backend(&cfg, &plan, file),
+                drop,
+                written: Vec::new(),
+            };
+            let mut all = lossy(0);
+            let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut all).unwrap();
+            assert_verifies(&cfg, &plan, &m, &mut all, "all writes kept");
+            let counts = |chunk: &ChunkId| {
+                all.written.iter().filter(|&c| c == chunk).count() == 1
+                    && !m.data_loss.iter().any(|l| l.stripe == chunk.stripe)
+            };
+            let (mut backend, m) = (all.written.iter().enumerate().rev())
+                .filter(|(_, chunk)| counts(chunk))
+                .find_map(|(i, _)| {
+                    let mut backend = lossy(i + 1);
+                    let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend).ok()?;
+                    Some((backend, m))
+                })
+                .expect("some dropped write is read by no later repair");
+            assert!(
+                matches!(
+                    verify_backend(&cfg, &plan, &m, &mut backend),
+                    Err(RunError::Verify(_))
+                ),
+                "{}/{:?}: dropping spare write {} ({:?}) verified",
+                backend.kind(),
+                cfg.code,
+                backend.drop,
+                all.written[backend.drop - 1]
+            );
+        }
+    }
+}
+
+/// `verify_campaign` certifies the faulted STAR campaign, whose
+/// escalation re-plans some stripes jointly.
+#[test]
+fn verify_campaign_certifies_a_joint_replanned_campaign() {
+    let cfg = faulted(small(PolicyKind::Fbf));
+    let plan = PlannedCampaign::cold(&cfg).unwrap();
+    assert!(
+        joint_replans(&cfg, &plan) > 0,
+        "no joint re-plan to certify"
+    );
+    let report = verify_campaign(&cfg).unwrap();
+    let engine = run_planned(&cfg, &plan, PlanSource::Cold);
+    assert_eq!(report.stripes, engine.stripes_repaired);
+    assert_eq!(report.chunks, engine.chunks_recovered);
+    assert_eq!(report.lost, engine.stripes_lost);
 }
 
 #[test]

@@ -219,7 +219,10 @@ fn class_digests_partition_read_totals() {
         // Every chunk read completion was attributed to exactly one class:
         // digest counts partition the read total (hits + disk reads).
         let by_digest: u64 = m.class_digests.iter().map(|h| h.count()).sum();
-        let by_summary: u64 = m.class_latency.iter().map(|c| c.count).sum();
+        let by_summary: u64 = RequestClass::ALL
+            .iter()
+            .map(|&c| m.class_latency(c).count)
+            .sum();
         assert_eq!(by_digest, by_summary, "summaries mirror the digests");
         assert_eq!(
             by_digest,
