@@ -4,87 +4,11 @@ use fbf_cache::{FbfConfig, FxHashMap, PolicyKind};
 use fbf_codes::prime::is_prime;
 use fbf_codes::CodeSpec;
 use fbf_disksim::{
-    ArrayMapping, CacheSharing, DiskKill, DiskModel, DiskSched, EngineConfig, FaultPlan,
-    RequestClass, SimTime, SlowDisk,
+    ArrayMapping, CacheSharing, DiskKill, DiskModel, DiskSched, EngineConfig, FaultPlan, SimTime,
+    SlowDisk,
 };
 use fbf_recovery::SchemeKind;
 use std::sync::Arc;
-
-/// Latency objective for one request class: a read-latency threshold and
-/// the fraction of that class's reads allowed to exceed it.
-///
-/// Evaluation is *conservative* at bucket resolution: a read counts as a
-/// violation when its digest bucket's upper edge exceeds the threshold, so
-/// a passing verdict is trustworthy while a borderline-failing one may be
-/// up to one bucket (~9%) pessimistic. See DESIGN.md §11.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassSlo {
-    /// Latency threshold in milliseconds; `None` exempts the class.
-    pub threshold_ms: Option<f64>,
-    /// Fraction of the class's reads allowed over the threshold
-    /// (`0.01` = "99% of reads must meet it").
-    pub allowed_violation_fraction: f64,
-}
-
-impl Default for ClassSlo {
-    fn default() -> Self {
-        ClassSlo {
-            threshold_ms: None,
-            allowed_violation_fraction: 0.0,
-        }
-    }
-}
-
-/// Per-class latency objectives for one experiment. The default has no
-/// thresholds — every run passes vacuously until the caller opts in via
-/// [`SloSpec::class`] (or the builder's `.slo(...)`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SloSpec {
-    /// One objective slot per [`RequestClass`], indexed by
-    /// [`RequestClass::index`].
-    pub classes: [ClassSlo; RequestClass::COUNT],
-}
-
-impl SloSpec {
-    /// No objectives: every run passes vacuously.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Set one class's objective (chainable).
-    ///
-    /// ```
-    /// use fbf_core::SloSpec;
-    /// use fbf_disksim::RequestClass;
-    ///
-    /// let slo = SloSpec::none()
-    ///     .class(RequestClass::App, 25.0, 0.01)
-    ///     .class(RequestClass::Recovery, 200.0, 0.05);
-    /// assert!(slo.is_active());
-    /// ```
-    pub fn class(
-        mut self,
-        class: RequestClass,
-        threshold_ms: f64,
-        allowed_violation_fraction: f64,
-    ) -> Self {
-        self.classes[class.index()] = ClassSlo {
-            threshold_ms: Some(threshold_ms),
-            allowed_violation_fraction,
-        };
-        self
-    }
-
-    /// The objective for `class`.
-    pub fn get(&self, class: RequestClass) -> &ClassSlo {
-        &self.classes[class.index()]
-    }
-
-    /// Does any class carry a threshold?
-    pub fn is_active(&self) -> bool {
-        self.classes.iter().any(|c| c.threshold_ms.is_some())
-    }
-}
 
 /// Why a configuration was rejected before running.
 ///
@@ -155,8 +79,6 @@ pub enum ConfigError {
         /// Disks in the array.
         disks: usize,
     },
-    /// A zero-weight campaign would starve under deficit round robin.
-    ZeroCampaignWeight(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -192,9 +114,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::FaultDiskOutOfRange { key, disk, disks } => {
                 write!(f, "{key} disk {disk} outside the {disks}-disk array")
-            }
-            ConfigError::ZeroCampaignWeight(campaign) => {
-                write!(f, "weight of campaign {campaign} must be at least 1")
             }
         }
     }
@@ -268,10 +187,6 @@ pub struct ExperimentConfig {
     /// Only takes effect when a subscriber is installed via
     /// `fbf_obs::install`; off by default so plain runs stay zero-cost.
     pub obs: bool,
-    /// Per-class latency objectives, evaluated into the run's
-    /// [`Metrics`](crate::Metrics) as a typed pass/fail verdict. The
-    /// default has no thresholds (vacuous pass).
-    pub slo: SloSpec,
 }
 
 impl Default for ExperimentConfig {
@@ -297,7 +212,6 @@ impl Default for ExperimentConfig {
             seed: 0x5EED,
             gen_threads: 0,
             obs: false,
-            slo: SloSpec::none(),
         }
     }
 }
@@ -559,8 +473,6 @@ impl ExperimentConfigBuilder {
         gen_threads: usize,
         /// Emit fbf-obs events for this experiment.
         obs: bool,
-        /// Per-class latency objectives.
-        slo: SloSpec,
     }
 
     /// Set one field from its textual key and value — the one place
@@ -733,18 +645,6 @@ mod tests {
     #[test]
     fn validate_accepts_paper_defaults() {
         assert!(ExperimentConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn slo_spec_defaults_inactive_and_builder_carries_it() {
-        assert!(!SloSpec::none().is_active());
-        let slo = SloSpec::none().class(RequestClass::App, 25.0, 0.01);
-        assert!(slo.is_active());
-        assert_eq!(slo.get(RequestClass::App).threshold_ms, Some(25.0));
-        assert_eq!(slo.get(RequestClass::Recovery).threshold_ms, None);
-        let cfg = ExperimentConfig::builder().slo(slo).build().unwrap();
-        assert!(cfg.slo.is_active());
-        assert_eq!(cfg.slo, slo);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! `check_trace.py --flows` reassembles one tree per request. `serve`
 //! also installs an always-on flight recorder
 //! ([`fbf_obs::FlightRecorder`]), the daemon's one event tap: `dump` (or
-//! a `DataLoss`/SLO-breach trigger) snapshots it for post-mortems, and
+//! a `DataLoss` trigger) snapshots it for post-mortems, and
 //! `subscribe` follows it live, whatever subscriber is installed.
 //!
 //! The `read` command serves from the job's retained

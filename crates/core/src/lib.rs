@@ -52,8 +52,8 @@ pub mod verify;
 
 pub use backend_run::{file_backend_for, run_planned_on, sim_backend_for};
 pub use config::{
-    code_from_name, policy_from_name, scheme_from_name, ClassSlo, ConfigError, ExperimentConfig,
-    ExperimentConfigBuilder, SloSpec,
+    code_from_name, policy_from_name, scheme_from_name, ConfigError, ExperimentConfig,
+    ExperimentConfigBuilder,
 };
 pub use daemon::{
     serve, ClientStream, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, ServerAddr,
@@ -61,7 +61,7 @@ pub use daemon::{
 pub use faulted::{execute_faulted, FaultedOutcome, MAX_ROUNDS};
 pub use fbf_obs::json::{self, Json, JsonError};
 pub use job::{BackendKind, Outcome, RequestError, Work};
-pub use metrics::{ClassLatency, ClassVerdict, Metrics, SloVerdict, METRICS_SCHEMA_VERSION};
+pub use metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
 pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
 pub use progress::{Progress, ProgressSnapshot};
 pub use prom::{prometheus_snapshot, Live};

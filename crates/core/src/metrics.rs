@@ -1,7 +1,6 @@
 //! The four evaluation metrics of §IV-A, plus FBF's overhead (Table IV)
 //! and — when a fault plan is active — the fault/escalation counters.
 
-use crate::config::SloSpec;
 use crate::faulted::FaultedOutcome;
 use crate::plan::PlanSource;
 use fbf_cache::CacheStats;
@@ -13,7 +12,7 @@ use fbf_recovery::DataLoss;
 /// ([`Metrics::to_json`], daemon replies). Bump when a key is renamed,
 /// removed, or changes meaning, so consumers can reject documents whose
 /// version they do not understand instead of misreading them.
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
+pub const METRICS_SCHEMA_VERSION: u64 = 2;
 
 /// Tail summary of one request class's read latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -59,59 +58,6 @@ impl ClassLatency {
             ("p99_ms", Json::Num(self.p99_ms)),
             ("p999_ms", Json::Num(self.p999_ms)),
         ])
-    }
-}
-
-/// One class's SLO evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClassVerdict {
-    /// Did the spec carry a threshold for this class?
-    pub active: bool,
-    /// The threshold evaluated against, ms (0 when inactive).
-    pub threshold_ms: f64,
-    /// Reads over the threshold (conservative, bucket-resolution).
-    pub violations: u64,
-    /// Reads the class saw in total.
-    pub total: u64,
-    /// Violation fraction stayed within the allowance? Inactive classes
-    /// pass vacuously.
-    pub pass: bool,
-}
-
-impl ClassVerdict {
-    /// Observed violation fraction (0 when the class saw no reads).
-    pub fn violation_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
-    }
-}
-
-/// Typed outcome of evaluating an [`SloSpec`] against a run's per-class
-/// latency digests.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SloVerdict {
-    /// Was any objective active? `false` means `pass` is vacuous.
-    pub evaluated: bool,
-    /// Every active class within its allowance?
-    pub pass: bool,
-    /// Per-class detail, indexed by [`RequestClass::index`].
-    pub classes: [ClassVerdict; RequestClass::COUNT],
-}
-
-impl SloVerdict {
-    /// The verdict of a run evaluated against an empty spec.
-    pub fn vacuous() -> Self {
-        SloVerdict {
-            evaluated: false,
-            pass: true,
-            classes: [ClassVerdict {
-                pass: true,
-                ..Default::default()
-            }; RequestClass::COUNT],
-        }
     }
 }
 
@@ -169,9 +115,8 @@ pub struct Metrics {
     /// Per-stripe data-loss verdicts (empty unless faults destroyed data).
     pub data_loss: Vec<DataLoss>,
     /// Per-class nanosecond read-latency digests, indexed by
-    /// [`RequestClass::index`] (mergeable; summaries, Prometheus exposition
-    /// and SLO evaluation read these). Counts partition the run's reads
-    /// exactly.
+    /// [`RequestClass::index`] (mergeable; summaries and Prometheus
+    /// exposition read these). Counts partition the run's reads exactly.
     pub class_digests: [Digest; RequestClass::COUNT],
     /// Deepest any disk queue got during the run (high-water, merged via
     /// max across rounds and workers).
@@ -179,45 +124,12 @@ pub struct Metrics {
     /// Declustering uniformity: busiest disk's reads over the per-disk
     /// mean (1.0 = perfectly balanced; 0 = no reads).
     pub read_balance: f64,
-    /// SLO evaluation outcome (vacuous pass until
-    /// [`evaluate_slo`](Self::evaluate_slo) runs with an active spec).
-    pub slo: SloVerdict,
 }
 
 impl Metrics {
     /// Tail summary of `class`'s read latency.
     pub fn class_latency(&self, class: RequestClass) -> ClassLatency {
         ClassLatency::from_digest(&self.class_digests[class.index()])
-    }
-
-    /// Evaluate `spec` against the run's per-class digests, storing the
-    /// typed verdict in `self.slo`. Violation counting is conservative at
-    /// bucket resolution (see [`ClassSlo`](crate::ClassSlo)): a read
-    /// counts against the threshold when its bucket's upper edge exceeds
-    /// it.
-    pub fn evaluate_slo(&mut self, spec: &SloSpec) {
-        let mut verdict = SloVerdict::vacuous();
-        verdict.evaluated = spec.is_active();
-        for class in RequestClass::ALL {
-            let slot = &mut verdict.classes[class.index()];
-            let Some(threshold_ms) = spec.get(class).threshold_ms else {
-                continue;
-            };
-            let digest = &self.class_digests[class.index()];
-            let threshold_ns = (threshold_ms * 1e6).max(0.0) as u64;
-            slot.active = true;
-            slot.threshold_ms = threshold_ms;
-            slot.total = digest.count();
-            slot.violations = digest.count_over_ns(threshold_ns);
-            slot.pass = slot.violation_fraction() <= spec.get(class).allowed_violation_fraction;
-            verdict.pass &= slot.pass;
-        }
-        if verdict.evaluated && !verdict.pass {
-            // A breached objective is a post-mortem moment: snapshot the
-            // flight recorder (no-op unless one is installed).
-            fbf_obs::ring::trigger_dump("slo-breach");
-        }
-        self.slo = verdict;
     }
 
     /// Assemble from a simulated campaign: the merged report's figures
@@ -265,12 +177,11 @@ impl Metrics {
             class_digests: report.class_latency.clone(),
             queue_depth_max: report.queue_depth_max(),
             read_balance: report.read_balance(),
-            slo: SloVerdict::vacuous(),
         }
     }
 
     /// The scalar metrics as a JSON object; data-loss stripes as an
-    /// array, per-class latency and SLO verdicts keyed by class name. The
+    /// array, per-class latency keyed by class name. The
     /// daemon and CLI embed this value in their replies directly.
     pub fn to_json_value(&self) -> Json {
         let n = |v: u64| Json::Num(v as f64);
@@ -281,19 +192,6 @@ impl Metrics {
             ])
         });
         let classes = RequestClass::ALL.map(|c| (c.name(), self.class_latency(c).to_json_value()));
-        let slo_classes = RequestClass::ALL.map(|c| {
-            let v = &self.slo.classes[c.index()];
-            (
-                c.name(),
-                Json::obj([
-                    ("active", Json::Bool(v.active)),
-                    ("threshold_ms", Json::Num(v.threshold_ms)),
-                    ("violations", n(v.violations)),
-                    ("total", n(v.total)),
-                    ("pass", Json::Bool(v.pass)),
-                ]),
-            )
-        });
         Json::obj([
             ("schema_version", n(METRICS_SCHEMA_VERSION)),
             ("hit_ratio", Json::Num(self.hit_ratio)),
@@ -318,14 +216,6 @@ impl Metrics {
             ("queue_depth_max", n(self.queue_depth_max)),
             ("read_balance", Json::Num(self.read_balance)),
             ("classes", Json::obj(classes)),
-            (
-                "slo",
-                Json::obj([
-                    ("evaluated", Json::Bool(self.slo.evaluated)),
-                    ("pass", Json::Bool(self.slo.pass)),
-                    ("classes", Json::obj(slo_classes)),
-                ]),
-            ),
         ])
     }
 
@@ -378,9 +268,6 @@ impl std::fmt::Display for Metrics {
             if l.count > 0 {
                 write!(f, " {}[n={} p99={:.2}ms]", class.name(), l.count, l.p99_ms)?;
             }
-        }
-        if self.slo.evaluated {
-            write!(f, " slo={}", if self.slo.pass { "PASS" } else { "FAIL" })?;
         }
         Ok(())
     }
@@ -520,40 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn slo_verdict_passes_and_fails_per_class() {
-        let mut r = report();
-        for _ in 0..99 {
-            r.record_read(RequestClass::App, SimTime::from_millis(2));
-        }
-        r.record_read(RequestClass::App, SimTime::from_millis(100));
-        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
-        assert!(m.slo.pass && !m.slo.evaluated, "vacuous until evaluated");
-
-        // 1% of reads at 100 ms: a 25 ms threshold with 2% allowance passes.
-        m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.02));
-        assert!(m.slo.evaluated);
-        assert!(m.slo.pass, "{:?}", m.slo.classes[RequestClass::App.index()]);
-        let v = m.slo.classes[RequestClass::App.index()];
-        assert!(v.active);
-        assert_eq!(v.total, 100);
-        assert_eq!(v.violations, 1);
-
-        // Zero allowance fails on the same tail.
-        m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.0));
-        assert!(!m.slo.pass);
-        // A class with no traffic passes vacuously even at zero allowance.
-        m.evaluate_slo(&SloSpec::none().class(RequestClass::Scrub, 1.0, 0.0));
-        assert!(m.slo.pass);
-        assert_eq!(m.slo.classes[RequestClass::Scrub.index()].total, 0);
-    }
-
-    #[test]
     fn json_text_parses_back_to_the_value_it_was_rendered_from() {
         let mut r = report();
         r.record_read(RequestClass::App, SimTime::from_millis(2));
         r.faults.media_errors = 3;
         let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
-        m.evaluate_slo(&SloSpec::none().class(RequestClass::App, 25.0, 0.0));
         m.stripes_lost = 1;
         m.data_loss = vec![DataLoss {
             stripe: 9,
@@ -562,7 +420,7 @@ mod tests {
         }];
         let v = m.to_json_value();
         assert_eq!(Json::parse(&m.to_json()).unwrap(), v);
-        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("media_errors").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("hit_ratio").and_then(Json::as_f64), Some(m.hit_ratio));
         let loss = &v.get("data_loss").and_then(Json::as_arr).unwrap()[0];
@@ -570,13 +428,12 @@ mod tests {
         assert_eq!(loss.get("columns").and_then(Json::as_u64), Some(4));
         let app = v.get("classes").and_then(|c| c.get("app")).unwrap();
         assert_eq!(app.get("count").and_then(Json::as_u64), Some(1));
-        let slo = v.get("slo").unwrap();
-        assert_eq!(slo.get("evaluated"), Some(&Json::Bool(true)));
-        let app_slo = slo.get("classes").and_then(|c| c.get("app")).unwrap();
-        assert_eq!(
-            app_slo.get("threshold_ms").and_then(Json::as_f64),
-            Some(25.0)
-        );
+        let Some(Json::Obj(classes)) = v.get("classes") else {
+            panic!("classes is an object");
+        };
+        let names: Vec<&str> = classes.keys().map(String::as_str).collect();
+        assert_eq!(names, ["app", "recovery", "replan"]);
+        assert!(v.get("slo").is_none());
     }
 
     #[test]
@@ -584,11 +441,11 @@ mod tests {
         let mut r = report();
         r.record_read(RequestClass::Recovery, SimTime::from_millis(5));
         let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
-        m.evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 50.0, 0.0));
+        m.stripes_lost = 2;
         let s = m.to_string();
         assert!(s.contains("recovery[n=1"), "{s}");
-        assert!(s.contains("slo=PASS"), "{s}");
-        assert!(!s.contains("scrub["), "idle classes stay out of the line");
+        assert!(s.contains("lost=2]"), "the data-loss verdict is shown: {s}");
+        assert!(!s.contains("replan["), "idle classes stay out of the line");
     }
 
     #[test]

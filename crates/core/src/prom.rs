@@ -10,7 +10,7 @@
 //! named here has no row there, and `scripts/check_trace.py --prom`
 //! validates the snapshots CI writes.
 
-use crate::metrics::{Metrics, SloVerdict};
+use crate::metrics::Metrics;
 use fbf_disksim::{Digest, RequestClass};
 use std::fmt::Write;
 
@@ -133,9 +133,7 @@ fn histogram(class: RequestClass, digest: &Digest) -> impl Iterator<Item = Sampl
 /// Counters sum across points; queue-depth high-water and read balance
 /// take the max; per-class digests merge element-wise (associative and
 /// commutative, so the result is independent of point order — pinned by a
-/// test below). SLO gauges report 1/0 for pass/fail and appear only when
-/// at least one point evaluated an active spec; the live gauges come last,
-/// and only with a `live` table.
+/// test below). The live gauges come last, and only with a `live` table.
 pub fn prometheus_snapshot<'a>(
     points: impl IntoIterator<Item = &'a Metrics>,
     live: Option<&Live>,
@@ -183,31 +181,6 @@ pub fn prometheus_snapshot<'a>(
         "per-class p99 read latency over the merged digest",
         per_class(|c| class[c.index()].quantile_ns(0.99).unwrap_or(0) as f64 / 1e9),
     );
-    let slo: Vec<&SloVerdict> = points
-        .iter()
-        .map(|m| &m.slo)
-        .filter(|s| s.evaluated)
-        .collect();
-    if !slo.is_empty() {
-        let verdict = |pass: bool| if pass { 1.0 } else { 0.0 };
-        w.gauge(
-            "fbf_slo_pass",
-            "1 when every point met every active latency objective",
-            verdict(slo.iter().all(|s| s.pass)),
-        );
-        w.family(
-            "gauge",
-            "fbf_slo_class_pass",
-            "per-class SLO verdict across all points (1 = pass)",
-            per_class(|c| {
-                let mut active = slo
-                    .iter()
-                    .map(|s| &s.classes[c.index()])
-                    .filter(|v| v.active);
-                verdict(active.all(|v| v.pass))
-            }),
-        );
-    }
     if let Some(live) = live {
         w.gauge(
             "fbf_jobs_running",
@@ -238,7 +211,7 @@ pub fn prometheus_snapshot<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ExperimentConfig, SloSpec};
+    use crate::config::ExperimentConfig;
     use crate::runner::run_experiment;
 
     fn points() -> Vec<Metrics> {
@@ -258,19 +231,15 @@ mod tests {
             .collect()
     }
 
-    /// A snapshot with every optional family: SLO verdicts and live gauges.
+    /// A snapshot with every optional family: the live job gauges.
     fn everything() -> String {
-        let mut pts = points();
-        for p in &mut pts {
-            p.evaluate_slo(&SloSpec::none().class(RequestClass::Recovery, 1e6, 0.0));
-        }
         let live = Live {
             jobs: [("queued", 2), ("running", 1), ("done", 5), ("failed", 1)],
             running: 1,
             busy: 1,
             retained: 3,
         };
-        prometheus_snapshot(&pts, Some(&live))
+        prometheus_snapshot(&points(), Some(&live))
     }
 
     /// Is `name` a legal Prometheus metric (or label) name:
@@ -415,9 +384,7 @@ mod tests {
             )),
             "{s}"
         );
-        // No SLO configured → no verdict gauges; no live table → no
-        // job gauges.
-        assert!(!s.contains("fbf_slo_pass"));
+        // No live table → no job gauges.
         assert!(!s.contains("fbf_jobs_"));
     }
 
@@ -431,12 +398,5 @@ mod tests {
             prometheus_snapshot(&reversed, None),
             "digest merge must be commutative across points"
         );
-    }
-
-    #[test]
-    fn slo_gauges_appear_when_evaluated() {
-        let s = everything();
-        assert!(s.contains("\nfbf_slo_pass 1\n"), "{s}");
-        assert!(s.contains("fbf_slo_class_pass{class=\"recovery\"} 1"));
     }
 }

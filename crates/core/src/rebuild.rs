@@ -77,8 +77,6 @@ pub struct RebuildSpec {
     pub fairness: Fairness,
     /// Campaign shards the affected stripes are split into.
     pub campaigns: usize,
-    /// DRR weights per campaign (empty = all 1; ignored by round-robin).
-    pub weights: Vec<u64>,
     /// Foreground application reads issued alongside each wave (0 = no
     /// foreground traffic).
     pub app_reads_per_wave: usize,
@@ -97,7 +95,6 @@ impl RebuildSpec {
             per_disk_cap: 64,
             fairness: Fairness::RoundRobin,
             campaigns: 4,
-            weights: Vec::new(),
             app_reads_per_wave: 128,
         }
     }
@@ -130,10 +127,7 @@ impl RebuildSpec {
         if self.campaigns == 0 {
             return Err(ConfigError::Zero("campaigns"));
         }
-        match self.weights.iter().position(|&w| w == 0) {
-            Some(campaign) => Err(ConfigError::ZeroCampaignWeight(campaign)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -275,9 +269,6 @@ pub(crate) fn execute_rebuild_on(
     // 3. Schedule: projected per-disk read footprints feed the admission
     // scheduler.
     let mut sched = RebuildScheduler::new(spec.disks, spec.per_disk_cap, spec.fairness);
-    for (k, &w) in spec.weights.iter().enumerate().take(shards.len()) {
-        sched.set_weight(k, w);
-    }
     for item in admission_items(&shards, &mapping) {
         sched.push(item);
     }
@@ -532,7 +523,6 @@ mod tests {
         let mut drr = spec(Placement::Declustered { seed: 5 });
         drr.fairness = Fairness::DeficitWeighted;
         drr.campaigns = 3;
-        drr.weights = vec![4, 2, 1];
         let mut specs = vec![
             spec(Placement::Fixed),
             spec(Placement::Declustered { seed: 11 }),
@@ -732,13 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_weight_is_refused() {
-        let mut s = spec(Placement::Fixed);
-        s.weights = vec![2, 0, 1];
-        assert!(matches!(refusal(&s), ConfigError::ZeroCampaignWeight(1)));
-    }
-
-    #[test]
     fn every_lost_chunk_is_rewritten_once() {
         let out = run_rebuild(&spec(Placement::Declustered { seed: 3 })).unwrap();
         // One spare write per chunk of each failed column.
@@ -759,10 +742,15 @@ mod tests {
         let mut s = spec(Placement::Declustered { seed: 5 });
         s.fairness = Fairness::DeficitWeighted;
         s.campaigns = 3;
-        s.weights = vec![4, 2, 1];
         let store = PlanStore::new();
         let a = execute_rebuild(&s, &store, &mut EngineScratch::new()).unwrap();
         assert_eq!(store.stats().misses, 3, "one cold plan per campaign shard");
+        assert!(
+            a.waves < a.stripes_affected,
+            "DRR packs several stripes a wave: {} waves for {} stripes",
+            a.waves,
+            a.stripes_affected
+        );
         let b = execute_rebuild(&s, &store, &mut EngineScratch::new()).unwrap();
         assert_eq!(store.stats().misses, 3, "second rebuild reuses every plan");
         assert_eq!(a.report.makespan, b.report.makespan);

@@ -136,8 +136,7 @@ pub(crate) fn simulate<B: PassBytes>(
         None
     };
     let outcome = execute_capped(cfg, plan, scratch, progress, bytes, MAX_ROUNDS)?;
-    let mut metrics = Metrics::from_faulted(&outcome, plan.generation, source);
-    metrics.evaluate_slo(&cfg.slo);
+    let metrics = Metrics::from_faulted(&outcome, plan.generation, source);
 
     if let Some(span) = sim_span {
         span.end_with(&[
@@ -237,25 +236,6 @@ mod tests {
             run_experiment(&cfg),
             Err(RunError::Config(ConfigError::Zero("workers")))
         ));
-    }
-
-    #[test]
-    fn runner_evaluates_slo_from_config() {
-        use crate::config::SloSpec;
-        use fbf_disksim::RequestClass;
-        // Recovery reads wait behind 10 ms disk accesses — a 1 ms
-        // zero-allowance objective cannot hold; a lenient one must.
-        let mut cfg = small(PolicyKind::Fbf, 16);
-        cfg.slo = SloSpec::none().class(RequestClass::Recovery, 1.0, 0.0);
-        let strict = run_experiment(&cfg).unwrap();
-        assert!(strict.slo.evaluated);
-        assert!(!strict.slo.pass);
-        cfg.slo = SloSpec::none().class(RequestClass::Recovery, 1e6, 0.0);
-        let lenient = run_experiment(&cfg).unwrap();
-        assert!(lenient.slo.evaluated && lenient.slo.pass);
-        // The verdict covers every recovery read.
-        let v = lenient.slo.classes[RequestClass::Recovery.index()];
-        assert_eq!(v.total, lenient.class_latency(RequestClass::Recovery).count);
     }
 
     #[test]

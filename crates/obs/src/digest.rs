@@ -46,20 +46,17 @@ pub enum RequestClass {
     /// Escalation rounds: reads issued by re-planned repairs after hard
     /// failures.
     Replan,
-    /// Background verification sweeps (proactive scrub passes).
-    Scrub,
 }
 
 impl RequestClass {
     /// Number of classes (array dimension for per-class state).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every class, in index order.
     pub const ALL: [RequestClass; Self::COUNT] = [
         RequestClass::App,
         RequestClass::Recovery,
         RequestClass::Replan,
-        RequestClass::Scrub,
     ];
 
     /// Dense index for per-class arrays.
@@ -74,7 +71,6 @@ impl RequestClass {
             RequestClass::App => "app",
             RequestClass::Recovery => "recovery",
             RequestClass::Replan => "replan",
-            RequestClass::Scrub => "scrub",
         }
     }
 }
@@ -223,20 +219,6 @@ impl Digest {
         Some(Self::bucket_upper_ns(BUCKETS - 1))
     }
 
-    /// Samples that may exceed `threshold_ns`: the count in every bucket
-    /// whose upper edge lies above the threshold. Conservative by design —
-    /// a bucket straddling the threshold counts as violating, so an SLO
-    /// verdict built on this can flag false positives within one bucket
-    /// width but never miss a real violation.
-    pub fn count_over_ns(&self, threshold_ns: u64) -> u64 {
-        self.counts
-            .iter()
-            .zip(self.lo..)
-            .filter(|&(_, bucket)| Self::bucket_upper_ns(bucket) > threshold_ns)
-            .map(|(&c, _)| c)
-            .sum()
-    }
-
     /// Merge another digest in. Element-wise addition over the union of
     /// the two spans: associative, commutative, conserves `count()` and
     /// `sum_ns()` exactly.
@@ -326,23 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn count_over_is_conservative() {
-        let mut d = Digest::new();
-        for _ in 0..90 {
-            d.record_ns(1_000); // 1 µs
-        }
-        for _ in 0..10 {
-            d.record_ns(1_000_000_000); // 1 s
-        }
-        // Everything over 1 ms: exactly the 10 slow samples.
-        assert_eq!(d.count_over_ns(1_000_000), 10);
-        // A threshold inside the fast bucket flags the whole bucket.
-        assert!(d.count_over_ns(999) >= 10);
-        // Over the max bucket edge: nothing.
-        assert_eq!(d.count_over_ns(u64::MAX), 0);
-    }
-
-    #[test]
     fn nonzero_buckets_cover_total() {
         let mut d = Digest::new();
         for ns in [5u64, 5, 70, 900, 1 << 20] {
@@ -366,9 +331,8 @@ mod tests {
         d.record_ns(1u64 << 50);
         assert_eq!(d.quantile_ns(1.0), Some(u64::MAX));
         assert_eq!(d.quantile_ns(0.5), Some(u64::MAX));
-        // The overflow bucket straddles every finite threshold.
-        assert_eq!(d.count_over_ns(u64::MAX - 1), 3);
-        assert_eq!(d.count_over_ns(u64::MAX), 0);
+        // All three share the overflow bucket, whose edge is u64::MAX.
+        assert_eq!(d.nonzero_buckets().collect::<Vec<_>>(), [(u64::MAX, 3)]);
     }
 
     #[test]
@@ -489,6 +453,7 @@ mod tests {
         }
         assert_eq!(RequestClass::default(), RequestClass::Recovery);
         assert_eq!(RequestClass::App.name(), "app");
-        assert_eq!(RequestClass::Scrub.to_string(), "scrub");
+        assert_eq!(RequestClass::Replan.to_string(), "replan");
+        assert_eq!(RequestClass::COUNT, 3);
     }
 }

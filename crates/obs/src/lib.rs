@@ -32,7 +32,7 @@
 //!
 //! Beyond events, [`digest`] holds mergeable log-linear quantile digests
 //! and the [`RequestClass`] taxonomy that attributes every engine
-//! completion to app / recovery / replan / scrub traffic (DESIGN.md §11).
+//! completion to app / recovery / replan traffic (DESIGN.md §11).
 //!
 //! ```
 //! use std::sync::Arc;

@@ -415,7 +415,7 @@ pub(crate) fn record(event: &Event<'_>) {
 }
 
 /// Snapshot the log because something went wrong (`reason` is a short
-/// slug: `data-loss`, `slo-breach`, `client-dump`). The snapshot is
+/// slug: `data-loss`, `client-dump`). The snapshot is
 /// remembered for [`last_dump`] and, when `$FBF_FLIGHT_DIR` names a
 /// directory, its normalized dump is written to
 /// `flight-<reason>-<seq>.jsonl` inside it; otherwise nothing is rendered

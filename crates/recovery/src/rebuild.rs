@@ -23,9 +23,11 @@
 //!   at a time, skipping campaigns whose next stripe no longer fits the
 //!   wave. Equal stripes-per-wave shares regardless of stripe cost.
 //! * [`Fairness::DeficitWeighted`] — deficit round robin (Shreedhar &
-//!   Varghese): each campaign accrues `weight` credits per wave and
-//!   admits stripes while its credit covers their read cost, so shares
-//!   are proportional to weight in *read volume*, not stripe count.
+//!   Varghese): each backlogged campaign accrues one quantum of credit per
+//!   wave and admits stripes while its credit covers their read cost, so
+//!   shares are equal in *read volume*, not stripe count. The quantum is
+//!   the largest read cost pushed so far — their rule that it be at least
+//!   the largest packet, so every campaign can send each wave.
 //!
 //! Both guarantee progress: a stripe whose footprint alone exceeds the
 //! per-disk cap is admitted as a singleton wave rather than starving.
@@ -81,8 +83,7 @@ pub enum Fairness {
     /// One stripe per campaign per turn.
     #[default]
     RoundRobin,
-    /// Deficit round robin: read-volume shares proportional to campaign
-    /// weight.
+    /// Deficit round robin: equal read-volume shares per campaign.
     DeficitWeighted,
 }
 
@@ -162,8 +163,10 @@ impl RebuildItem {
 #[derive(Debug)]
 pub struct RebuildScheduler {
     queues: Vec<VecDeque<RebuildItem>>,
-    weights: Vec<u64>,
     deficits: Vec<u64>,
+    /// DRR credit per backlogged campaign per wave: the largest read cost
+    /// pushed so far.
+    quantum: u64,
     cursor: usize,
     fairness: Fairness,
     per_disk_cap: u32,
@@ -178,30 +181,13 @@ impl RebuildScheduler {
         assert!(per_disk_cap > 0, "a zero cap admits nothing, ever");
         RebuildScheduler {
             queues: Vec::new(),
-            weights: Vec::new(),
             deficits: Vec::new(),
+            quantum: 0,
             cursor: 0,
             fairness,
             per_disk_cap,
             wave_load: vec![0; disks],
         }
-    }
-
-    /// Ensure campaign `c` exists (weight 1 unless set later).
-    fn ensure_campaign(&mut self, c: usize) {
-        while self.queues.len() <= c {
-            self.queues.push(VecDeque::new());
-            self.weights.push(1);
-            self.deficits.push(0);
-        }
-    }
-
-    /// Set campaign `c`'s DRR weight (read-volume share). Ignored under
-    /// round-robin.
-    pub fn set_weight(&mut self, c: usize, weight: u64) {
-        assert!(weight > 0, "a zero-weight campaign would starve");
-        self.ensure_campaign(c);
-        self.weights[c] = weight;
     }
 
     /// Enqueue one stripe repair on its campaign's queue.
@@ -213,7 +199,11 @@ impl RebuildScheduler {
                 self.wave_load.len()
             );
         }
-        self.ensure_campaign(item.campaign);
+        while self.queues.len() <= item.campaign {
+            self.queues.push(VecDeque::new());
+            self.deficits.push(0);
+        }
+        self.quantum = self.quantum.max(item.cost());
         self.queues[item.campaign].push_back(item);
     }
 
@@ -266,7 +256,7 @@ impl RebuildScheduler {
                 if self.queues[c].is_empty() {
                     self.deficits[c] = 0;
                 } else {
-                    self.deficits[c] = self.deficits[c].saturating_add(self.weights[c]);
+                    self.deficits[c] = self.deficits[c].saturating_add(self.quantum);
                 }
             }
         }
@@ -482,26 +472,20 @@ mod tests {
     }
 
     #[test]
-    fn deficit_weights_split_read_volume() {
-        // Same-cost stripes, weights 2:1, shared disk with a roomy cap:
-        // campaign 0 should move ~2x campaign 1's volume per wave.
-        let mut s = RebuildScheduler::new(1, u32::MAX, Fairness::DeficitWeighted);
-        s.set_weight(0, 2);
-        s.set_weight(1, 1);
-        for stripe in 0..30u32 {
-            s.push(item(0, stripe, &[(0, 1)]));
-            s.push(item(1, 100 + stripe, &[(0, 1)]));
+    fn drr_admits_one_stripe_of_every_campaign_per_wave() {
+        // Four campaigns of equal 20-read stripes under a roomy cap. The
+        // quantum covers one stripe, so each wave takes one of each.
+        let mut s = RebuildScheduler::new(8, u32::MAX, Fairness::DeficitWeighted);
+        for stripe in 0..12u32 {
+            let reads: Vec<(u32, u32)> = (0..4).map(|d| ((stripe + d) % 8, 5)).collect();
+            s.push(item((stripe % 4) as usize, stripe, &reads));
         }
-        let first = s.next_wave();
-        let c0 = first.iter().filter(|i| i.campaign == 0).count();
-        let c1 = first.iter().filter(|i| i.campaign == 1).count();
-        assert_eq!(c0, 2 * c1, "weight-2 campaign admits twice the volume");
-        // The full drain still delivers everything.
-        let mut rest: Vec<RebuildItem> = first;
-        while !s.is_empty() {
-            rest.extend(s.next_wave());
+        let waves = drain(&mut s);
+        assert_eq!(waves.len(), 3);
+        for wave in &waves {
+            let campaigns: Vec<usize> = wave.iter().map(|i| i.campaign).collect();
+            assert_eq!(campaigns, [0, 1, 2, 3]);
         }
-        assert_eq!(rest.len(), 60);
     }
 
     #[test]
@@ -523,8 +507,6 @@ mod tests {
     fn waves_are_deterministic() {
         let build = || {
             let mut s = RebuildScheduler::new(16, 5, Fairness::DeficitWeighted);
-            s.set_weight(0, 3);
-            s.set_weight(1, 1);
             for stripe in 0..64u32 {
                 s.push(item(
                     (stripe % 2) as usize,

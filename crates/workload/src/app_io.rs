@@ -73,58 +73,6 @@ pub fn generate_app_reads(code: &StripeCode, cfg: &AppIoConfig) -> WorkerScript 
     }
 }
 
-/// Configuration of a background scrub pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScrubConfig {
-    /// Stripes in the array's data zone.
-    pub stripes: u32,
-    /// Stride between scrubbed stripes (1 = every stripe; a full-array
-    /// scrub during recovery would swamp the experiment).
-    pub stride: u32,
-    /// Pause between consecutive stripe verifications.
-    pub pause: SimTime,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            stripes: 1024,
-            stride: 16,
-            pause: SimTime::from_millis(10),
-        }
-    }
-}
-
-/// Generate a background scrub worker: a sequential sweep reading every
-/// cell (data *and* parity — scrub verifies redundancy) of every
-/// `stride`-th stripe, tagged [`RequestClass::Scrub`] so its disk traffic
-/// is attributed separately from app and recovery I/O.
-pub fn generate_scrub_reads(code: &StripeCode, cfg: &ScrubConfig) -> WorkerScript {
-    let stride = cfg.stride.max(1);
-    let cells: Vec<Cell> = code.layout().cells().collect();
-    let mut ops = Vec::new();
-    let mut stripe = 0u32;
-    while stripe < cfg.stripes {
-        for &cell in &cells {
-            ops.push(Op::Read {
-                chunk: ChunkId::new(stripe, cell),
-                priority: 1,
-            });
-        }
-        if cfg.pause > SimTime::ZERO {
-            ops.push(Op::Compute {
-                duration: cfg.pause,
-            });
-        }
-        stripe += stride;
-    }
-    WorkerScript {
-        ops,
-        class: RequestClass::Scrub,
-        ..Default::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,35 +159,5 @@ mod tests {
     fn app_stream_is_classed_app() {
         let s = generate_app_reads(&code(), &AppIoConfig::default());
         assert_eq!(s.class, RequestClass::App);
-    }
-
-    #[test]
-    fn scrub_sweeps_strided_stripes_and_is_classed_scrub() {
-        let c = code();
-        let cfg = ScrubConfig {
-            stripes: 64,
-            stride: 16,
-            pause: SimTime::ZERO,
-        };
-        let s = generate_scrub_reads(&c, &cfg);
-        assert_eq!(s.class, RequestClass::Scrub);
-        let cells_per_stripe = c.layout().cells().count();
-        assert_eq!(s.reads(), 4 * cells_per_stripe, "stripes 0,16,32,48");
-        // Scrub reads parity cells too — it verifies redundancy.
-        let touches_parity = s.ops.iter().any(
-            |op| matches!(op, Op::Read { chunk, .. } if !c.layout().kind(chunk.cell).is_data()),
-        );
-        assert!(touches_parity);
-    }
-
-    #[test]
-    fn scrub_zero_stride_clamps() {
-        let cfg = ScrubConfig {
-            stripes: 4,
-            stride: 0,
-            pause: SimTime::ZERO,
-        };
-        let s = generate_scrub_reads(&code(), &cfg);
-        assert!(s.reads() > 0, "stride 0 must clamp to 1, not loop forever");
     }
 }

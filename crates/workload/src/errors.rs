@@ -5,23 +5,6 @@ use fbf_codes::hash::FxHashSet;
 use fbf_codes::StripeCode;
 use fbf_recovery::{ErrorGroup, PartialStripeError};
 
-/// Distribution of error run lengths (in chunks).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LengthDistribution {
-    /// Uniform on `[1, p-1]` — the paper's primary setting ("the sizes of
-    /// partial stripe errors obeys uniform distribution, with the average
-    /// number lies in the half size of the stripe").
-    Uniform,
-    /// Geometric with success probability `stop`, truncated to `[1, p-1]` —
-    /// skews short, for the "other distributions" footnote.
-    Geometric {
-        /// Per-chunk stop probability in `(0, 1]`.
-        stop: f64,
-    },
-    /// Every error is exactly `len` chunks (clamped to `[1, p-1]`).
-    Fixed(usize),
-}
-
 /// Configuration of one error campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorGenConfig {
@@ -30,8 +13,6 @@ pub struct ErrorGenConfig {
     /// Number of partial stripe errors to produce (each on a distinct
     /// stripe).
     pub count: usize,
-    /// Run-length distribution.
-    pub length: LengthDistribution,
     /// Probability that an error lands near the previous one (spatial
     /// locality of latent sector errors; 0 disables clustering).
     pub clustering: f64,
@@ -53,12 +34,11 @@ pub struct ErrorGenConfig {
 
 impl ErrorGenConfig {
     /// A sensible default shaped like the paper's runs: moderate clustering,
-    /// uniform lengths.
+    /// one column per stripe.
     pub fn paper_default(stripes: u32, count: usize, seed: u64) -> Self {
         ErrorGenConfig {
             stripes,
             count,
-            length: LengthDistribution::Uniform,
             clustering: 0.5,
             cluster_span: 16,
             multi_col_prob: 0.0,
@@ -71,7 +51,10 @@ impl ErrorGenConfig {
 ///
 /// Every error sits on its own stripe (same-stripe damage merges into one
 /// run in practice); the failed column, start row and length are sampled
-/// per [`ErrorGenConfig`]. Panics if `count` exceeds `stripes` (cannot
+/// per [`ErrorGenConfig`]. Lengths are uniform on `[1, p-1]`, the paper's
+/// setting: "the sizes of partial stripe errors obeys uniform
+/// distribution, with the average number lies in the half size of the
+/// stripe". Panics if `count` exceeds `stripes` (cannot
 /// place distinct-stripe errors).
 pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
     assert!(
@@ -105,7 +88,7 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
             continue;
         }
         let col = rng.below(code.cols() as u64) as usize;
-        let len = sample_length(&mut rng, cfg.length, max_len);
+        let len = sample_length(&mut rng, max_len);
         let first_row = rng.below((rows - len + 1) as u64) as usize;
         let e = PartialStripeError::new(code, stripe, col, first_row, len)
             .expect("sampled within bounds");
@@ -114,7 +97,7 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
         // stripe (counted within `count`: it damages no new stripe).
         if rng.bool(cfg.multi_col_prob) {
             let col2 = (col + 1 + rng.below(code.cols() as u64 - 1) as usize) % code.cols();
-            let len2 = sample_length(&mut rng, cfg.length, max_len);
+            let len2 = sample_length(&mut rng, max_len);
             let first2 = rng.below((rows - len2 + 1) as u64) as usize;
             group.push(
                 PartialStripeError::new(code, stripe, col2, first2, len2)
@@ -126,19 +109,9 @@ pub fn generate_errors(code: &StripeCode, cfg: &ErrorGenConfig) -> ErrorGroup {
     group
 }
 
-fn sample_length(rng: &mut SeededRng, dist: LengthDistribution, max_len: usize) -> usize {
-    match dist {
-        LengthDistribution::Uniform => 1 + rng.below(max_len as u64) as usize,
-        LengthDistribution::Geometric { stop } => {
-            let stop = stop.clamp(1e-6, 1.0);
-            let mut len = 1;
-            while len < max_len && !rng.bool(stop) {
-                len += 1;
-            }
-            len
-        }
-        LengthDistribution::Fixed(len) => len.clamp(1, max_len),
-    }
+/// A run length uniform on `[1, max_len]`.
+fn sample_length(rng: &mut SeededRng, max_len: usize) -> usize {
+    1 + rng.below(max_len as u64) as usize
 }
 
 #[cfg(test)]
@@ -229,30 +202,6 @@ mod tests {
             spread(0.9) < spread(0.0),
             "clustered campaigns must have smaller consecutive-stripe gaps"
         );
-    }
-
-    #[test]
-    fn geometric_skews_short() {
-        let c = code();
-        let cfg = ErrorGenConfig {
-            length: LengthDistribution::Geometric { stop: 0.6 },
-            clustering: 0.0,
-            ..ErrorGenConfig::paper_default(20_000, 4_000, 5)
-        };
-        let g = generate_errors(&c, &cfg);
-        let mean = g.errors.iter().map(|e| e.len).sum::<usize>() as f64 / g.len() as f64;
-        assert!(mean < 2.5, "geometric(0.6) mean {mean} should be short");
-    }
-
-    #[test]
-    fn fixed_lengths() {
-        let c = code();
-        let cfg = ErrorGenConfig {
-            length: LengthDistribution::Fixed(3),
-            ..ErrorGenConfig::paper_default(100, 50, 1)
-        };
-        let g = generate_errors(&c, &cfg);
-        assert!(g.errors.iter().all(|e| e.len == 3));
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! * [`errors`] — partial-stripe error campaigns: run lengths uniform on
 //!   `[1, p-1]` chunks (mean `(p-1)/2`), contiguous within a stripe, with
 //!   optional spatial clustering of affected stripes (latent sector errors
-//!   are strongly spatially local — the paper cites \[7\], \[8\]). Geometric
-//!   and fixed-length distributions cover the paper's footnote that "FBF
-//!   can be proved under other distributions as well".
+//!   are strongly spatially local — the paper cites \[7\], \[8\]).
 //! * [`app_io`] — a background application read stream, for experiments
 //!   where recovery competes with foreground traffic.
 //! * [`trace`] — a plain-text serialisation of error campaigns so runs can
@@ -24,7 +22,7 @@ pub mod loadgen;
 mod rng;
 pub mod trace;
 
-pub use app_io::{generate_app_reads, generate_scrub_reads, AppIoConfig, ScrubConfig};
-pub use errors::{generate_errors, ErrorGenConfig, LengthDistribution};
+pub use app_io::{generate_app_reads, AppIoConfig};
+pub use errors::{generate_errors, ErrorGenConfig};
 pub use loadgen::{client_trace_ids, shard_campaign, LoadReport};
 pub use trace::{parse_trace, render_trace, validate_against};

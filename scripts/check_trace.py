@@ -29,12 +29,16 @@ With `--prom METRICS.prom` (the file written by `fbf ... --metrics` or a
 figure binary) the snapshot is checked against text-exposition format
 0.0.4: legal metric names, every sample preceded by `# HELP`/`# TYPE`,
 counters non-negative, histogram `_bucket` series cumulative/monotone and
-ending in `+Inf`, with `_count` equal to the `+Inf` bucket. Prints a
-one-line digest summary per request class.
+ending in `+Inf`, with `_count` equal to the `+Inf` bucket. Every family
+must also have a row of that type in the family table under DESIGN.md's
+"### Prometheus exposition" heading (the catalogue `scripts/metric_table.sh`
+checks against the code). Prints a one-line digest summary per request
+class.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -170,8 +174,31 @@ def prom_fail(lineno, msg, line=""):
     sys.exit(1)
 
 
+DESIGN_MD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "DESIGN.md")
+CATALOGUE_ROW_RE = re.compile(r"^\| `(fbf_[a-z0-9_]+)` \| (\w+)")
+
+
+def family_catalogue():
+    """Family name -> type, from the table under DESIGN.md's
+    "### Prometheus exposition" heading (the rows metric_table.sh reads)."""
+    catalogue = {}
+    section = False
+    with open(DESIGN_MD, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("### Prometheus exposition"):
+                section = True
+            elif line.startswith("#"):
+                section = False
+            elif section and (m := CATALOGUE_ROW_RE.match(line)):
+                catalogue[m.group(1)] = m.group(2)
+    if not catalogue:
+        prom_fail(0, f"no metric family table in {DESIGN_MD}")
+    return catalogue
+
+
 def check_prom(path):
     """Validate a Prometheus text-exposition snapshot; return parsed samples."""
+    catalogue = family_catalogue()
     declared_type = {}  # base metric name -> type from `# TYPE`
     samples = []  # (lineno, name, labels-dict, value)
     with open(path, encoding="utf-8") as fh:
@@ -186,6 +213,11 @@ def check_prom(path):
                 if parts[1] == "TYPE":
                     if parts[3] not in ("counter", "gauge", "histogram"):
                         prom_fail(lineno, f"unknown metric type {parts[3]!r}", line)
+                    listed = catalogue.get(parts[2])
+                    if listed is None:
+                        prom_fail(lineno, f"family {parts[2]} is not in DESIGN.md's table", line)
+                    if listed != parts[3]:
+                        prom_fail(lineno, f"family {parts[2]} is a {listed} in DESIGN.md", line)
                     declared_type[parts[2]] = parts[3]
                 continue
             if line.startswith("#"):

@@ -663,12 +663,6 @@ fn print_run(args: &Args, m: &fbf::Metrics) -> Result<(), Exit> {
         m.overhead_per_stripe_ms, m.overhead_pct
     );
     println!("  chunks recovered   : {}", m.chunks_recovered);
-    if m.slo.evaluated {
-        println!(
-            "  slo                : {}",
-            if m.slo.pass { "PASS" } else { "FAIL" }
-        );
-    }
     if !m.faults.is_empty() || m.stripes_lost > 0 {
         println!(
             "  faults             : {} media, {} transient ({} retries, {} exhausted), {} dead-disk",

@@ -60,8 +60,8 @@ pub use fbf_core::{
     verify_campaign, BackendKind, ClassLatency, ConfigError, DaemonClient, DaemonError,
     DaemonHandle, DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, Json, JsonError, Live,
     Metrics, Outcome, PlanSource, PlanStore, Progress, ProgressSnapshot, RebuildOutcome,
-    RebuildSpec, ReliabilityParams, RequestError, RunError, ServerAddr, SloSpec, SloVerdict,
-    SweepPoint, Table, VerifyReport, Work, METRICS_SCHEMA_VERSION,
+    RebuildSpec, ReliabilityParams, RequestError, RunError, ServerAddr, SweepPoint, Table,
+    VerifyReport, Work, METRICS_SCHEMA_VERSION,
 };
 
 // Storage backends and the simulator types that surface in reports.

@@ -327,3 +327,40 @@ fn star_multi_disk_campaign_uses_joint_fallback() {
         .sum();
     assert_eq!(report.disk_writes as usize, expected_writes);
 }
+
+/// Every request class is reachable from the request front door that the
+/// CLI and the daemon share: a faulted repair issues recovery and replan
+/// reads, a rebuild with foreground traffic issues app reads.
+#[test]
+fn every_request_class_has_a_front_door() {
+    use fbf::disksim::{Digest, EngineScratch};
+    use fbf::{Json, Outcome, PlanStore, RequestClass, Work};
+
+    let execute = |request: &str| {
+        let work = Work::from_request(&Json::parse(request).unwrap()).expect("valid request");
+        work.execute(&PlanStore::new(), &mut EngineScratch::new(), None)
+            .expect("request executes")
+    };
+    let mut seen: [Digest; RequestClass::COUNT] = Default::default();
+    let mut merge = |digests: &[Digest; RequestClass::COUNT]| {
+        for (into, d) in seen.iter_mut().zip(digests) {
+            into.merge(d);
+        }
+    };
+    match execute(
+        r#"{"cmd":"repair","config":{"stripes":"256","errors":"64","workers":"16",
+            "media":"20","transient":"30","kill":"2@30"}}"#,
+    ) {
+        Outcome::Repair { metrics, .. } => merge(&metrics.class_digests),
+        Outcome::Rebuild(_) => panic!("a repair request ran a rebuild"),
+    }
+    match execute(
+        r#"{"cmd":"rebuild","config":{"stripes":64,"workers":8},"disks":24,"app_reads":32}"#,
+    ) {
+        Outcome::Rebuild(out) => merge(&out.report.class_latency),
+        Outcome::Repair { .. } => panic!("a rebuild request ran a repair"),
+    }
+    for class in RequestClass::ALL {
+        assert!(seen[class.index()].count() > 0, "no {class} reads");
+    }
+}

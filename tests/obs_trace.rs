@@ -236,7 +236,7 @@ fn class_digests_partition_read_totals() {
             m.class_digests[RequestClass::Recovery.index()].count(),
             by_digest
         );
-        for class in [RequestClass::App, RequestClass::Replan, RequestClass::Scrub] {
+        for class in [RequestClass::App, RequestClass::Replan] {
             assert_eq!(m.class_digests[class.index()].count(), 0, "{class} is idle");
         }
         // The high-water and balance gauges are live on a real campaign.

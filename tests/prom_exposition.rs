@@ -6,8 +6,6 @@
 //!   --errors 64 --workers 16 --metrics <path>` writes;
 //! - `faulted.prom`: the same run with `--media 20 --transient 30 --kill
 //!   2@30` (re-plans and data loss);
-//! - `slo.prom`: the fault-free run after an SLO evaluation (one class
-//!   fails, one passes);
 //! - `empty.prom`: a snapshot of no points;
 //! - `live.prom`: no finished job plus a daemon's live job-table gauges.
 //!
@@ -17,7 +15,7 @@
 //! committed file.
 
 use fbf::disksim::EngineScratch;
-use fbf::{Json, Live, Metrics, Outcome, PlanStore, RequestClass, SloSpec, Work};
+use fbf::{Json, Live, Metrics, Outcome, PlanStore, Work};
 use std::path::Path;
 
 /// The metrics `fbf run` reports for these experiment flags.
@@ -66,18 +64,6 @@ fn a_faulted_run_renders_its_fixture() {
         "the fixture must cover both"
     );
     pinned("faulted.prom", &fbf::prometheus_snapshot([&m], None));
-}
-
-#[test]
-fn an_slo_evaluated_run_renders_its_fixture() {
-    let mut m = run(&CLEAN);
-    m.evaluate_slo(
-        &SloSpec::none()
-            .class(RequestClass::Recovery, 1.0, 0.0)
-            .class(RequestClass::App, 1e6, 0.0),
-    );
-    assert!(m.slo.evaluated && !m.slo.pass);
-    pinned("slo.prom", &fbf::prometheus_snapshot([&m], None));
 }
 
 #[test]
