@@ -8,29 +8,19 @@
 //! cells of *strictly earlier* directions, so this order is well-defined.
 
 use crate::codes::StripeCode;
-use crate::layout::Cell;
 use crate::stripe::Stripe;
 use crate::xor::xor_into;
 use crate::Result;
 
-/// Compute all parity cells of `stripe` in place.
+/// Compute all parity cells of `stripe` in place. A parity buffer that no
+/// clone of the stripe shares is overwritten; a shared one is replaced.
 pub fn encode(code: &StripeCode, stripe: &mut Stripe) -> Result<()> {
     // Chains are stored grouped by direction (all H, then D, then A) by the
     // ChainBuilder; rely on that to encode in one pass.
     for chain in code.chains() {
-        let parity = compute_parity(code, stripe, &chain.members)?;
-        stripe.set(code.layout(), chain.parity, parity);
+        stripe.set_xor(code.layout(), chain.parity, &chain.members);
     }
     Ok(())
-}
-
-/// XOR the payloads of `members` into a fresh buffer.
-fn compute_parity(code: &StripeCode, stripe: &Stripe, members: &[Cell]) -> Result<crate::ChunkBuf> {
-    let mut acc = vec![0u8; stripe.chunk_size()];
-    for &cell in members {
-        xor_into(&mut acc, stripe.get(code.layout(), cell));
-    }
-    Ok(acc.into())
 }
 
 /// Verify that every chain's equation holds (XOR of members equals parity).
@@ -83,6 +73,37 @@ mod tests {
         for id in bad {
             assert!(code.chain(id).covers(victim));
         }
+    }
+
+    #[test]
+    fn encode_reuses_its_own_buffers_and_leaves_clones_alone() {
+        let code = StripeCode::build(CodeSpec::Tip, 5).unwrap();
+        let layout = code.layout();
+        let mut stripe = Stripe::patterned_seeded(layout, 16, 1);
+        encode(&code, &mut stripe).unwrap();
+        let parity: Vec<_> = layout.parity_cells().collect();
+        let ptrs = |s: &Stripe| {
+            parity
+                .iter()
+                .map(|&c| s.get(layout, c).as_ptr())
+                .collect::<Vec<_>>()
+        };
+        let owned = ptrs(&stripe);
+
+        // Unshared: a refill and re-encode write the same buffers.
+        stripe.refill_seeded(layout, 2);
+        encode(&code, &mut stripe).unwrap();
+        assert_eq!(ptrs(&stripe), owned);
+        assert!(verify(&code, &stripe).is_empty());
+
+        // Shared with a clone: the clone keeps its bytes.
+        let clone = stripe.clone();
+        stripe.refill_seeded(layout, 3);
+        encode(&code, &mut stripe).unwrap();
+        assert!(verify(&code, &stripe).is_empty());
+        assert!(verify(&code, &clone).is_empty());
+        assert_eq!(ptrs(&clone), owned);
+        assert_ne!(clone.get(layout, parity[0]), stripe.get(layout, parity[0]));
     }
 
     #[test]

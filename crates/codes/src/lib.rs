@@ -12,8 +12,9 @@
 //! * [`repair`] sets — exactly which surviving chunks must be fetched to
 //!   rebuild a lost chunk through a given chain,
 //! * an [`encode`]r and a peeling + GF(2)-elimination [`decode`]r so that
-//!   reconstruction results can be checked bit-for-bit, and
-//! * a word-wide [`xor`] kernel shared by all of the above.
+//!   reconstruction results can be checked bit-for-bit,
+//! * a word-wide [`xor`] kernel shared by all of the above, and
+//! * the payload generator ([`fill`]) behind test and pristine stripes.
 //!
 //! Every code is represented uniformly as a [`StripeCode`]: a layout plus a
 //! list of XOR equations ([`chain::ParityChain`]). STAR's EVENODD-style
@@ -39,6 +40,7 @@ pub mod chain;
 pub mod codes;
 pub mod decode;
 pub mod encode;
+pub mod fill;
 pub mod hash;
 pub mod layout;
 pub mod prime;

@@ -55,28 +55,37 @@ impl Stripe {
     /// [`Stripe::patterned`] with an extra seed mixed in, so different
     /// *stripes* of an array carry different payloads too.
     pub fn patterned_seeded(layout: &Layout, chunk_size: usize, seed: u64) -> Self {
-        let extra = seed;
         let mut s = Stripe::zeroed(layout, chunk_size);
-        for cell in layout.data_cells() {
-            let mut buf = Vec::with_capacity(chunk_size);
-            // splitmix64 over a per-cell seed — deterministic, distinct streams.
-            let seed = (cell.r() as u64) << 32
-                ^ (cell.c() as u64) << 8
-                ^ extra.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut next = || {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for _ in 0..chunk_size {
-                buf.push((next() >> 56) as u8);
-            }
-            s.set(layout, cell, buf.into());
-        }
+        s.refill_seeded(layout, seed);
         s
+    }
+
+    /// Overwrite the data cells with [`Stripe::patterned_seeded`]'s
+    /// payloads for `seed`, in place: a chunk buffer no clone shares is
+    /// reused, a shared one is replaced by a fresh buffer (so clones are
+    /// unaffected). Parity cells are left as they are; [`encode`] them.
+    ///
+    /// [`encode`]: crate::encode::encode
+    pub fn refill_seeded(&mut self, layout: &Layout, seed: u64) {
+        assert_eq!(self.chunks.len(), layout.len(), "stripe/layout mismatch");
+        for cell in layout.data_cells() {
+            // splitmix64 over a per-cell seed — deterministic, distinct streams.
+            let cell_seed = (cell.r() as u64) << 32
+                ^ (cell.c() as u64) << 8
+                ^ seed.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            let buf = self.unique_mut(layout.index_of(cell));
+            crate::fill::fill(buf, cell_seed.wrapping_add(crate::fill::GAMMA));
+        }
+    }
+
+    /// Chunk `i`'s buffer, writable: the same buffer when no clone shares
+    /// it, otherwise a fresh (zeroed) one put in its place.
+    fn unique_mut(&mut self, i: usize) -> &mut [u8] {
+        if Arc::get_mut(&mut self.chunks[i]).is_none() {
+            // One allocation, no copy: `repeat_n` reports its exact length.
+            self.chunks[i] = std::iter::repeat_n(0, self.chunk_size).collect();
+        }
+        Arc::get_mut(&mut self.chunks[i]).expect("uniquely owned")
     }
 
     /// Bytes per chunk.
@@ -114,6 +123,31 @@ impl Stripe {
     /// clones of the stripe are unaffected.
     pub fn erase(&mut self, layout: &Layout, cell: Cell) {
         self.set(layout, cell, vec![0u8; self.chunk_size].into());
+    }
+
+    /// Set `dst`'s payload to the XOR of `cells`' (none: all zero), in
+    /// place when no clone shares `dst`'s buffer: copy the first, XOR the
+    /// rest in. `dst` must not be one of `cells`.
+    pub(crate) fn set_xor(&mut self, layout: &Layout, dst: Cell, cells: &[Cell]) {
+        debug_assert!(!cells.contains(&dst), "{dst} XORed into itself");
+        let d = layout.index_of(dst);
+        let Some((&first, rest)) = cells.split_first() else {
+            self.unique_mut(d).fill(0);
+            return;
+        };
+        // Park a clone of the first source in `dst`'s slot (a count bump,
+        // no allocation) while its buffer is written.
+        let src = self.get(layout, first).clone();
+        let mut acc = std::mem::replace(&mut self.chunks[d], src);
+        match Arc::get_mut(&mut acc) {
+            Some(buf) => buf.copy_from_slice(&self.chunks[d]),
+            None => acc = Arc::from(&self.chunks[d][..]),
+        }
+        let buf = Arc::get_mut(&mut acc).expect("uniquely owned");
+        for &cell in rest {
+            crate::xor::xor_into(buf, self.get(layout, cell));
+        }
+        self.chunks[d] = acc;
     }
 
     /// XOR the payloads of `cells` together into a fresh buffer.

@@ -14,8 +14,8 @@ use crate::config::ExperimentConfig;
 use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlannedCampaign};
 use crate::runner::RunError;
-use fbf_codes::{ChunkId, StripeCode};
-use fbf_disksim::backend::materialize;
+use fbf_codes::{ChunkId, Stripe, StripeCode};
+use fbf_disksim::backend::materialize_into;
 use fbf_disksim::StorageBackend;
 
 /// Outcome of a verified campaign.
@@ -51,7 +51,7 @@ pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError>
 ///   tolerance;
 /// * every other damaged stripe whose originally lost chunks were all
 ///   rewritten to the spare area reads back, chunk for chunk, as its pristine encode
-///   (the generator [`materialize`]);
+///   (the generator [`materialize`](fbf_disksim::backend::materialize));
 /// * the stripes so verified, their spare-written chunks, the lost stripes
 ///   and the rest (left with an original chunk unwritten) equal the run's
 ///   `stripes_repaired`, `chunks_recovered`, `stripes_lost` and
@@ -80,6 +80,7 @@ pub fn verify_backend(
     let mut unresolved = 0;
     let chunk_bytes = backend.chunk_bytes();
     let mut buf = vec![0u8; chunk_bytes];
+    let mut pristine = Stripe::zeroed(code.layout(), chunk_bytes);
     for damage in plan.errors.damage_by_stripe() {
         let stripe = damage.stripe;
         if metrics.data_loss.iter().any(|l| l.stripe == stripe) {
@@ -89,7 +90,7 @@ pub fn verify_backend(
             unresolved += 1;
             continue;
         }
-        let pristine = materialize(&code, stripe, chunk_bytes);
+        materialize_into(&code, stripe, &mut pristine);
         for cell in code.layout().cells() {
             let chunk = ChunkId::new(stripe, cell);
             backend

@@ -254,9 +254,17 @@ fn in_array(mapping: &ArrayMapping, data_stripes: u64, chunk: ChunkId) -> Result
 /// array content both backends start from, and the pristine encode
 /// `verify_backend` compares repaired bytes with.
 pub fn materialize(code: &StripeCode, stripe: u32, chunk_bytes: usize) -> Stripe {
-    let mut s = Stripe::patterned_seeded(code.layout(), chunk_bytes, stripe as u64);
-    encode(code, &mut s).expect("encode of a well-formed stripe cannot fail");
+    let mut s = Stripe::zeroed(code.layout(), chunk_bytes);
+    materialize_into(code, stripe, &mut s);
     s
+}
+
+/// [`materialize`] into an existing stripe of `code`'s layout, reusing
+/// every chunk buffer no clone of it shares: a loop over stripes that
+/// keeps one `Stripe` allocates its chunks once.
+pub fn materialize_into(code: &StripeCode, stripe: u32, out: &mut Stripe) {
+    out.refill_seeded(code.layout(), u64::from(stripe));
+    encode(code, out).expect("encode of a well-formed stripe cannot fail");
 }
 
 /// In-memory backend synthesising array content on demand.
@@ -265,6 +273,13 @@ pub fn materialize(code: &StripeCode, stripe: u32, chunk_bytes: usize) -> Stripe
 /// damaged cells are erased, and spare writes are held in a map — so a
 /// campaign's data plane runs with no setup cost and its repaired bytes
 /// are directly comparable to the verification path's pristine payloads.
+///
+/// Residency: a stripe with a damaged chunk not yet written to spare is
+/// held once read; when its last damaged chunk gets its spare copy the
+/// stripe is let go. Every other read goes through a one-entry cache that
+/// re-derives the stripe in place, byte-identical by construction — so
+/// memory is bounded by the stripes under repair plus one, and a
+/// sequential reader materialises each stripe once.
 pub struct SimBackend {
     code: StripeCode,
     mapping: ArrayMapping,
@@ -273,8 +288,65 @@ pub struct SimBackend {
     faults: FaultPlan,
     damaged: FxHashSet<ChunkId>,
     spare: FxHashMap<ChunkId, Vec<u8>>,
-    stripes: FxHashMap<u32, Stripe>,
+    resident: Resident,
     stats: Vec<BackendDiskStats>,
+}
+
+/// The materialised stripes a [`SimBackend`] keeps.
+struct Resident {
+    /// Per stripe: damaged chunks without a spare copy yet (absent: none).
+    outstanding: FxHashMap<u32, u32>,
+    /// Materialised stripes with outstanding damage.
+    held: FxHashMap<u32, Stripe>,
+    /// The one-entry cache every other read goes through.
+    recent: Option<(u32, Stripe)>,
+}
+
+impl Resident {
+    fn new(damaged: &FxHashSet<ChunkId>) -> Self {
+        let mut outstanding = FxHashMap::default();
+        for chunk in damaged {
+            *outstanding.entry(chunk.stripe).or_insert(0) += 1;
+        }
+        Resident {
+            outstanding,
+            held: FxHashMap::default(),
+            recent: None,
+        }
+    }
+
+    /// The pristine encode of `stripe`: held while it has outstanding
+    /// damage, else re-derived through the one-entry cache.
+    fn pristine(&mut self, code: &StripeCode, chunk_bytes: usize, stripe: u32) -> &Stripe {
+        if self.outstanding.contains_key(&stripe) {
+            return self
+                .held
+                .entry(stripe)
+                .or_insert_with(|| materialize(code, stripe, chunk_bytes));
+        }
+        match &mut self.recent {
+            Some((id, _)) if *id == stripe => {}
+            Some((id, cached)) => {
+                materialize_into(code, stripe, cached);
+                *id = stripe;
+            }
+            None => self.recent = Some((stripe, materialize(code, stripe, chunk_bytes))),
+        }
+        &self.recent.as_ref().expect("just filled").1
+    }
+
+    /// A damaged chunk of `stripe` got its first spare copy; after the
+    /// stripe's last one, the stripe is let go (into the one-entry cache).
+    fn spared(&mut self, stripe: u32) {
+        let left = self.outstanding.get_mut(&stripe).expect("a damaged stripe");
+        *left -= 1;
+        if *left == 0 {
+            self.outstanding.remove(&stripe);
+            if let Some(held) = self.held.remove(&stripe) {
+                self.recent = Some((stripe, held));
+            }
+        }
+    }
 }
 
 impl SimBackend {
@@ -288,15 +360,16 @@ impl SimBackend {
     ) -> Self {
         let mapping = ArrayMapping::new(code.cols(), code.rows(), code.spec().rotated_placement());
         let disks = mapping.disks;
+        let damaged: FxHashSet<ChunkId> = damaged.into_iter().collect();
         SimBackend {
             code,
             mapping,
             chunk_bytes,
             data_stripes,
             faults,
-            damaged: damaged.into_iter().collect(),
+            resident: Resident::new(&damaged),
+            damaged,
             spare: FxHashMap::default(),
-            stripes: FxHashMap::default(),
             stats: vec![BackendDiskStats::default(); disks],
         }
     }
@@ -342,13 +415,10 @@ impl StorageBackend for SimBackend {
             if self.damaged.contains(&chunk) {
                 return Err(BackendError::DamagedRead(chunk));
             }
-            let code = &self.code;
-            let chunk_bytes = self.chunk_bytes;
-            let stripe = self
-                .stripes
-                .entry(chunk.stripe)
-                .or_insert_with(|| materialize(code, chunk.stripe, chunk_bytes));
-            buf.copy_from_slice(stripe.get(code.layout(), chunk.cell));
+            let pristine = self
+                .resident
+                .pristine(&self.code, self.chunk_bytes, chunk.stripe);
+            buf.copy_from_slice(pristine.get(self.code.layout(), chunk.cell));
         }
         self.stats[disk].reads += 1;
         self.stats[disk].bytes_read += buf.len() as u64;
@@ -364,7 +434,10 @@ impl StorageBackend for SimBackend {
         }
         in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
-        self.spare.insert(chunk, data.to_vec());
+        let first_copy = self.spare.insert(chunk, data.to_vec()).is_none();
+        if first_copy && self.damaged.contains(&chunk) {
+            self.resident.spared(chunk.stripe);
+        }
         self.stats[disk].writes += 1;
         self.stats[disk].bytes_written += data.len() as u64;
         Ok(())
@@ -453,8 +526,9 @@ impl FileBackend {
             damaged,
             repaired: FxHashSet::default(),
         };
+        let mut stripe = Stripe::zeroed(code.layout(), chunk_bytes);
         for &s in stripes {
-            let stripe = materialize(code, s, chunk_bytes);
+            materialize_into(code, s, &mut stripe);
             for r in 0..code.rows() {
                 for c in 0..code.cols() {
                     let cell = fbf_codes::Cell::new(r, c);
@@ -721,6 +795,49 @@ mod tests {
         b.read_chunk(chunk, &mut buf).unwrap();
         assert_eq!(buf, pristine_bytes(&code, 3, cell, 256));
         assert_eq!(b.disk_stats()[b.mapping().disk_of(chunk)].reads, 1);
+    }
+
+    /// A stripe is held from its first read until its last damaged chunk
+    /// has a spare copy; every other read re-derives the same bytes.
+    #[test]
+    fn sim_backend_holds_only_stripes_under_repair() {
+        let code = code();
+        let (a, b) = (
+            ChunkId::new(1, Cell::new(0, 0)),
+            ChunkId::new(1, Cell::new(1, 1)),
+        );
+        let other = ChunkId::new(2, Cell::new(0, 0));
+        let mut sim = SimBackend::new(code.clone(), 64, 8, [a, b, other], FaultPlan::none());
+        let mut buf = vec![0u8; 64];
+        for chunk in [
+            ChunkId::new(1, Cell::new(2, 2)),
+            ChunkId::new(2, Cell::new(1, 0)),
+        ] {
+            sim.read_chunk(chunk, &mut buf).unwrap();
+        }
+        assert_eq!(sim.resident.held.len(), 2);
+
+        // A second copy of the same chunk is not a second repair.
+        sim.write_spare(a, &[1; 64]).unwrap();
+        sim.write_spare(a, &[2; 64]).unwrap();
+        assert_eq!(sim.resident.held.len(), 2);
+        sim.write_spare(b, &[3; 64]).unwrap();
+        assert_eq!(sim.resident.held.len(), 1, "stripe 1 is let go");
+
+        for stripe in [1, 5, 1] {
+            for cell in code.layout().cells() {
+                let chunk = ChunkId::new(stripe, cell);
+                sim.read_chunk(chunk, &mut buf).unwrap();
+                let want = match chunk {
+                    c if c == a => vec![2; 64],
+                    c if c == b => vec![3; 64],
+                    _ => pristine_bytes(&code, stripe, cell, 64),
+                };
+                assert_eq!(buf, want, "{chunk:?}");
+            }
+            assert_eq!(sim.resident.held.len(), 1);
+            assert_eq!(sim.resident.recent.as_ref().map(|r| r.0), Some(stripe));
+        }
     }
 
     #[test]

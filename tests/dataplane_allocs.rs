@@ -4,15 +4,17 @@
 //! ([`PayloadCache`](fbf::disksim::PayloadCache)) that recycles its slots,
 //! and gives each worker one accumulator: how many chunk-sized buffers a
 //! run allocates is a function of the config — cache size and workers —
-//! not of how many chunks it reads.
+//! not of how many chunks it reads. `FileBackend::format` keeps one
+//! stripe across its per-stripe loop: its chunk-sized allocations do not
+//! grow with the stripes it writes.
 
 mod common;
 
 use common::{counted, LARGE};
 use fbf::core::PlannedCampaign;
 use fbf::{
-    run_planned_on, ArrayMapping, BackendDiskStats, BackendError, ChunkId, ExperimentConfig,
-    FaultPlan, PlanSource, StorageBackend, StripeCode,
+    run_planned_on, ArrayMapping, BackendDiskStats, BackendError, ChunkId, CodeSpec,
+    ExperimentConfig, FaultPlan, FileBackend, PlanSource, StorageBackend, StripeCode,
 };
 
 /// A backend that moves no bytes and allocates nothing per call, so every
@@ -116,4 +118,34 @@ fn chunk_buffers_are_a_function_of_the_config_not_of_the_reads() {
         many <= ceiling,
         "{many} chunk-sized allocations, over {ceiling}"
     );
+}
+
+/// Chunk-sized allocations of formatting the first `stripes` stripes of a
+/// 64-stripe TIP p = 5 array.
+fn format(stripes: u32) -> u64 {
+    let code = StripeCode::build(CodeSpec::Tip, 5).unwrap();
+    let dir = std::env::temp_dir().join(format!("fbf-format-allocs-{}", std::process::id()));
+    let ids: Vec<u32> = (0..stripes).collect();
+    let (backend, calls) = counted(|| {
+        FileBackend::format(&dir, &code, LARGE, 64, &ids, &[], FaultPlan::none()).unwrap()
+    });
+    drop(backend);
+    std::fs::remove_dir_all(&dir).unwrap();
+    println!(
+        "format of {stripes} stripes: {} chunk-sized allocations",
+        calls.large
+    );
+    calls.large
+}
+
+#[test]
+fn format_allocates_one_stripe_whatever_it_writes() {
+    let cells = StripeCode::build(CodeSpec::Tip, 5).unwrap().layout().len() as u64;
+    let (few, many) = (format(8), format(64));
+    assert_eq!(
+        few, many,
+        "chunk-sized allocations grow with the stripes formatted"
+    );
+    // One buffer per cell, plus the zero chunk the empty stripe shares.
+    assert_eq!(few, cells + 1);
 }
