@@ -41,11 +41,6 @@ impl ArcPolicy {
         }
     }
 
-    /// Current adaptation target for T1; exposed for tests/diagnostics.
-    pub fn target_p(&self) -> usize {
-        self.p
-    }
-
     /// REPLACE(x, p) from the paper: demote one resident page to its ghost
     /// list and return it.
     fn replace(&mut self, requested_in_b2: bool) -> Option<Key> {
@@ -212,9 +207,9 @@ mod tests {
         miss(&mut arc, key(0, 0, 1)); // T1 = [1]
         miss(&mut arc, key(0, 0, 2)); // REPLACE: T1 LRU (1) → B1
         assert!(arc.b1.contains(&key(0, 0, 1)));
-        let p_before = arc.target_p();
+        let p_before = arc.p;
         miss(&mut arc, key(0, 0, 1)); // ghost hit in B1
-        assert!(arc.target_p() > p_before);
+        assert!(arc.p > p_before);
         // Ghost-hit key is resident again, in T2.
         assert!(arc.t2.contains(&key(0, 0, 1)));
     }
@@ -236,7 +231,7 @@ mod tests {
         // Grow p first so there is something to shrink.
         arc.p = 2;
         miss(&mut arc, key(0, 0, 0));
-        assert!(arc.target_p() < 2);
+        assert!(arc.p < 2);
         assert!(arc.t2.contains(&key(0, 0, 0)));
     }
 

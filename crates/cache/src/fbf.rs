@@ -85,12 +85,6 @@ impl FbfPolicy {
         self.queues[n - 1].len()
     }
 
-    /// Front-to-back contents of `Queue{n}`; front is the next victim.
-    pub fn queue_contents(&self, n: usize) -> Vec<Key> {
-        assert!((1..=3).contains(&n), "queues are numbered 1..=3");
-        self.queues[n - 1].iter().copied().collect()
-    }
-
     /// The queue level (1..=3) a resident key sits in.
     pub fn level(&self, key: &Key) -> Option<u8> {
         self.level_of.get(key).map(|&l| l + 1)
@@ -197,6 +191,11 @@ mod tests {
         key(0, r, col)
     }
 
+    /// Front-to-back contents of `Queue{n}`; front is the next victim.
+    fn queue_contents(fbf: &FbfPolicy, n: usize) -> Vec<Key> {
+        fbf.queues[n - 1].iter().copied().collect()
+    }
+
     #[test]
     fn fig5_warm_up_lands_chunks_in_priority_queues() {
         // Fig. 5: requests C(1,1), C(2,2), C(4,4), C(5,5), C(0,6) arrive;
@@ -213,9 +212,9 @@ mod tests {
             assert!(!fbf.on_access(k));
             fbf.on_insert(k, prio);
         }
-        assert_eq!(fbf.queue_contents(3), vec![c(1, 1)]);
-        assert_eq!(fbf.queue_contents(2), vec![c(4, 4)]);
-        assert_eq!(fbf.queue_contents(1), vec![c(2, 2), c(5, 5), c(0, 6)]);
+        assert_eq!(queue_contents(&fbf, 3), vec![c(1, 1)]);
+        assert_eq!(queue_contents(&fbf, 2), vec![c(4, 4)]);
+        assert_eq!(queue_contents(&fbf, 1), vec![c(2, 2), c(5, 5), c(0, 6)]);
     }
 
     #[test]
@@ -285,7 +284,7 @@ mod tests {
         fbf.on_insert(c(0, 0), 1);
         fbf.on_insert(c(0, 1), 2);
         fbf.on_access(c(0, 1)); // demoted to front of Queue1
-        assert_eq!(fbf.queue_contents(1), vec![c(0, 1), c(0, 0)]);
+        assert_eq!(queue_contents(&fbf, 1), vec![c(0, 1), c(0, 0)]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl LrfuPolicy {
     }
 
     /// LRFU with an explicit λ ∈ [0, 1].
-    pub fn with_lambda(capacity: usize, lambda: f64) -> Self {
+    fn with_lambda(capacity: usize, lambda: f64) -> Self {
         assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
         LrfuPolicy {
             capacity,

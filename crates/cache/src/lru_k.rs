@@ -57,7 +57,7 @@ impl LruKPolicy {
     }
 
     /// LRU-K for arbitrary K ≥ 1 (K = 1 degenerates to plain LRU).
-    pub fn with_k(capacity: usize, k: usize) -> Self {
+    fn with_k(capacity: usize, k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
         LruKPolicy {
             capacity,

@@ -46,11 +46,6 @@ impl CacheStats {
         self.misses += 1;
     }
 
-    /// Record an insert, with whether it evicted a resident.
-    pub fn record_insert(&mut self, evicted: bool) {
-        self.record_insert_prio(1, evicted);
-    }
-
     /// Record an insert at FBF `priority` (clamped to 1..=3), with
     /// whether it evicted a resident.
     pub fn record_insert_prio(&mut self, priority: u8, evicted: bool) {
@@ -60,11 +55,6 @@ impl CacheStats {
         if evicted {
             self.evictions += 1;
         }
-    }
-
-    /// Record a queue demotion.
-    pub fn record_demotion(&mut self) {
-        self.demotions += 1;
     }
 
     /// Merge another instance's counters into this one (used when SOR
@@ -114,8 +104,8 @@ mod tests {
     #[test]
     fn insert_eviction_accounting() {
         let mut s = CacheStats::default();
-        s.record_insert(false);
-        s.record_insert(true);
+        s.record_insert_prio(1, false);
+        s.record_insert_prio(1, true);
         assert_eq!(s.inserts, 2);
         assert_eq!(s.evictions, 1);
         assert_eq!(
@@ -141,9 +131,12 @@ mod tests {
 
     #[test]
     fn demotions_count_and_merge() {
-        let mut s = CacheStats::default();
-        s.record_demotion();
-        s.record_demotion();
+        let one = CacheStats {
+            demotions: 1,
+            ..CacheStats::default()
+        };
+        let mut s = one;
+        s.merge(&one);
         assert_eq!(s.demotions, 2);
     }
 

@@ -42,7 +42,7 @@ impl VdfPolicy {
 
     /// VDF protecting chunks whose stripe-column is in `victim_cols`
     /// (the columns currently under repair).
-    pub fn with_victims(capacity: usize, victim_cols: FxHashSet<u16>) -> Self {
+    fn with_victims(capacity: usize, victim_cols: FxHashSet<u16>) -> Self {
         VdfPolicy {
             capacity,
             victim_cols,

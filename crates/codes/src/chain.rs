@@ -41,16 +41,6 @@ impl Direction {
     pub fn index(&self) -> usize {
         *self as usize
     }
-
-    /// Direction from index, panicking on `>= 3`.
-    pub fn from_index(i: usize) -> Direction {
-        match i {
-            0 => Direction::Horizontal,
-            1 => Direction::Diagonal,
-            2 => Direction::AntiDiagonal,
-            _ => panic!("direction index {i} out of range"),
-        }
-    }
 }
 
 impl std::fmt::Display for Direction {
@@ -272,7 +262,7 @@ mod tests {
     #[test]
     fn direction_roundtrip() {
         for d in Direction::ALL {
-            assert_eq!(Direction::from_index(d.index()), d);
+            assert_eq!(Direction::ALL[d.index()], d);
         }
     }
 }

@@ -114,7 +114,8 @@ impl std::fmt::Display for CodeSpec {
     }
 }
 
-/// A fully-built stripe code: layout + chains + membership index.
+/// A fully-built stripe code: layout + chains + membership index + each
+/// cell's data support.
 #[derive(Debug, Clone)]
 pub struct StripeCode {
     spec: CodeSpec,
@@ -122,6 +123,38 @@ pub struct StripeCode {
     layout: Layout,
     chains: Vec<ParityChain>,
     membership: Membership,
+    /// Every cell's data support, end to end, and (by row-major index)
+    /// each cell's range in it; see [`StripeCode::data_support`].
+    support: (Vec<Cell>, Vec<(u32, u32)>),
+}
+
+/// A [`StripeCode`]'s `support` table: a data cell's support is itself; a
+/// parity cell's is the symmetric difference of its members' supports,
+/// taken in encode order (a member parity cell is of an earlier direction,
+/// so its support is already known).
+fn data_supports(layout: &Layout, chains: &[ParityChain]) -> (Vec<Cell>, Vec<(u32, u32)>) {
+    let mut cells: Vec<Cell> = layout.data_cells().collect();
+    let mut ranges = vec![(0, 0); layout.len()];
+    for (i, &cell) in cells.iter().enumerate() {
+        ranges[layout.index_of(cell)] = (i as u32, i as u32 + 1);
+    }
+    let mut odd = vec![false; layout.len()];
+    for chain in chains {
+        for &member in &chain.members {
+            let (start, end) = ranges[layout.index_of(member)];
+            for &cell in &cells[start as usize..end as usize] {
+                odd[layout.index_of(cell)] ^= true;
+            }
+        }
+        let start = cells.len() as u32;
+        cells.extend(
+            layout
+                .cells()
+                .filter(|&c| std::mem::take(&mut odd[layout.index_of(c)])),
+        );
+        ranges[layout.index_of(chain.parity)] = (start, cells.len() as u32);
+    }
+    (cells, ranges)
 }
 
 impl StripeCode {
@@ -145,12 +178,14 @@ impl StripeCode {
             CodeSpec::Evenodd => raid6::generate_evenodd(p),
         };
         let membership = Membership::build(layout.rows(), layout.cols(), &chains);
+        let support = data_supports(&layout, &chains);
         let code = StripeCode {
             spec,
             p,
             layout,
             chains,
             membership,
+            support,
         };
         code.debug_validate();
         Ok(code)
@@ -239,13 +274,12 @@ impl StripeCode {
         self.membership.chains_of(cell)
     }
 
-    /// Chains of a given direction covering `cell`.
-    pub fn chains_of_direction(&self, cell: Cell, dir: Direction) -> Vec<ChainId> {
-        self.chains_of(cell)
-            .iter()
-            .copied()
-            .filter(|&id| self.chain(id).direction == dir)
-            .collect()
+    /// The data cells whose XOR is `cell`'s content in every encoded
+    /// stripe: `[cell]` for a data cell, row-major for a parity cell.
+    #[inline]
+    pub fn data_support(&self, cell: Cell) -> &[Cell] {
+        let (start, end) = self.support.1[self.layout.index_of(cell)];
+        &self.support.0[start as usize..end as usize]
     }
 
     /// Data cells of the stripe, row-major.
@@ -341,8 +375,28 @@ mod tests {
         for spec in CodeSpec::ALL {
             let code = StripeCode::build(spec, 7).unwrap();
             for cell in code.data_cells() {
-                let h = code.chains_of_direction(cell, Direction::Horizontal);
-                assert_eq!(h.len(), 1, "{spec} cell {cell} horizontal chains");
+                let h = (code.chains_of(cell).iter())
+                    .filter(|&&id| code.chain(id).direction == Direction::Horizontal);
+                assert_eq!(h.count(), 1, "{spec} cell {cell} horizontal chains");
+            }
+        }
+    }
+
+    /// Every cell of an encoded stripe is the XOR of its data support.
+    #[test]
+    fn data_support_xors_to_the_encoded_cell() {
+        for spec in CodeSpec::EXTENDED {
+            let code = StripeCode::build(spec, 5).unwrap();
+            let mut stripe = crate::Stripe::patterned_seeded(code.layout(), 16, 9);
+            crate::encode::encode(&code, &mut stripe).unwrap();
+            for cell in code.layout().cells() {
+                let support = code.data_support(cell);
+                assert!(support.iter().all(|&c| code.layout().kind(c).is_data()));
+                assert_eq!(
+                    stripe.xor_cells(code.layout(), support),
+                    *stripe.get(code.layout(), cell),
+                    "{spec} {cell}"
+                );
             }
         }
     }

@@ -93,7 +93,7 @@ impl CellKind {
 
     /// Is this a parity cell (of any direction)?
     #[inline]
-    pub fn is_parity(&self) -> bool {
+    fn is_parity(&self) -> bool {
         matches!(self, CellKind::Parity(_))
     }
 }
@@ -160,13 +160,6 @@ impl Layout {
         cell.r() * self.cols + cell.c()
     }
 
-    /// Inverse of [`Layout::index_of`].
-    #[inline]
-    pub fn cell_at(&self, index: usize) -> Cell {
-        debug_assert!(index < self.kinds.len());
-        Cell::new(index / self.cols, index % self.cols)
-    }
-
     /// Kind of the given cell.
     #[inline]
     pub fn kind(&self, cell: Cell) -> CellKind {
@@ -192,16 +185,6 @@ impl Layout {
     /// Iterate over the parity cells only.
     pub fn parity_cells(&self) -> impl Iterator<Item = Cell> + '_ {
         self.cells().filter(|&c| self.kind(c).is_parity())
-    }
-
-    /// Number of data cells.
-    pub fn data_count(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_data()).count()
-    }
-
-    /// Number of parity cells.
-    pub fn parity_count(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_parity()).count()
     }
 
     /// Cells of one column, top to bottom. A column corresponds to the part
@@ -256,8 +239,8 @@ mod tests {
     #[test]
     fn layout_index_roundtrip() {
         let l = Layout::all_data(6, 8);
-        for cell in l.cells() {
-            assert_eq!(l.cell_at(l.index_of(cell)), cell);
+        for (i, cell) in l.cells().enumerate() {
+            assert_eq!(l.index_of(cell), i);
         }
         assert_eq!(l.len(), 48);
     }
@@ -267,8 +250,8 @@ mod tests {
         let mut l = Layout::all_data(4, 6);
         l.set_kind(Cell::new(0, 5), CellKind::Parity(0));
         l.set_kind(Cell::new(1, 5), CellKind::Parity(1));
-        assert_eq!(l.parity_count(), 2);
-        assert_eq!(l.data_count(), 22);
+        assert_eq!(l.parity_cells().count(), 2);
+        assert_eq!(l.data_cells().count(), 22);
         assert!(l.kind(Cell::new(0, 5)).is_parity());
         assert!(!l.kind(Cell::new(0, 0)).is_parity());
     }

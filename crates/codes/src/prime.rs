@@ -32,23 +32,6 @@ pub fn is_prime(n: usize) -> bool {
 /// The primes the paper evaluates with (§IV uses `P = 5, 7, 11, 13`).
 pub const PAPER_PRIMES: [usize; 4] = [5, 7, 11, 13];
 
-/// `(a - b) mod p`, correct for `a < b`.
-#[inline]
-pub fn sub_mod(a: usize, b: usize, p: usize) -> usize {
-    (a + p - (b % p)) % p
-}
-
-/// `(a + b) mod p`.
-#[inline]
-pub fn add_mod(a: usize, b: usize, p: usize) -> usize {
-    (a + b) % p
-}
-
-/// Iterator over primes `>= lo`, unbounded. Useful for sweeps and tests.
-pub fn primes_from(lo: usize) -> impl Iterator<Item = usize> {
-    (lo..).filter(|&n| is_prime(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,26 +56,5 @@ mod tests {
         for p in PAPER_PRIMES {
             assert!(is_prime(p));
         }
-    }
-
-    #[test]
-    fn sub_mod_wraps() {
-        assert_eq!(sub_mod(0, 1, 5), 4);
-        assert_eq!(sub_mod(3, 3, 5), 0);
-        assert_eq!(sub_mod(2, 4, 7), 5);
-        // b may exceed p
-        assert_eq!(sub_mod(1, 9, 7), 6);
-    }
-
-    #[test]
-    fn add_mod_wraps() {
-        assert_eq!(add_mod(4, 4, 5), 3);
-        assert_eq!(add_mod(0, 0, 5), 0);
-    }
-
-    #[test]
-    fn primes_from_yields_in_order() {
-        let v: Vec<usize> = primes_from(5).take(5).collect();
-        assert_eq!(v, vec![5, 7, 11, 13, 17]);
     }
 }

@@ -13,6 +13,15 @@ use std::sync::Arc;
 /// One chunk's payload. Cheaply cloneable (reference-counted).
 pub type ChunkBuf = Arc<[u8]>;
 
+/// Write data cell `cell` of [`Stripe::patterned_seeded`]`(.., seed)` into
+/// `buf`, whatever its length: the one place the per-cell seed is formed.
+pub fn fill_data_cell(buf: &mut [u8], seed: u64, cell: Cell) {
+    // splitmix64 over a per-cell seed — deterministic, distinct streams.
+    let cell_seed =
+        (cell.r() as u64) << 32 ^ (cell.c() as u64) << 8 ^ seed.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    crate::fill::fill(buf, cell_seed.wrapping_add(crate::fill::GAMMA));
+}
+
 /// All chunk payloads of one stripe, indexed by the layout's row-major order.
 #[derive(Debug, Clone)]
 pub struct Stripe {
@@ -69,12 +78,7 @@ impl Stripe {
     pub fn refill_seeded(&mut self, layout: &Layout, seed: u64) {
         assert_eq!(self.chunks.len(), layout.len(), "stripe/layout mismatch");
         for cell in layout.data_cells() {
-            // splitmix64 over a per-cell seed — deterministic, distinct streams.
-            let cell_seed = (cell.r() as u64) << 32
-                ^ (cell.c() as u64) << 8
-                ^ seed.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            let buf = self.unique_mut(layout.index_of(cell));
-            crate::fill::fill(buf, cell_seed.wrapping_add(crate::fill::GAMMA));
+            fill_data_cell(self.unique_mut(layout.index_of(cell)), seed, cell);
         }
     }
 

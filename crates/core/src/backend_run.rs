@@ -241,7 +241,6 @@ pub fn sim_backend_for(
         cfg.chunk_bytes() as usize,
         cfg.stripes as u64,
         damaged_chunks(plan),
-        cfg.faults,
     ))
 }
 
@@ -268,7 +267,6 @@ pub fn file_backend_for(
         cfg.stripes as u64,
         &stripes,
         &damaged,
-        cfg.faults,
     )
     .map_err(RunError::Backend)
 }
@@ -341,13 +339,7 @@ mod tests {
         };
         let mut backend = {
             let code = fbf_codes::StripeCode::build(other.code, other.p).unwrap();
-            SimBackend::new(
-                code,
-                other.chunk_bytes() as usize,
-                other.stripes as u64,
-                [],
-                other.faults,
-            )
+            SimBackend::new(code, other.chunk_bytes() as usize, other.stripes as u64, [])
         };
         assert!(matches!(
             run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend),

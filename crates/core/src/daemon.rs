@@ -71,7 +71,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Protocol revision spoken by this daemon (bumped on breaking changes).
-pub const PROTOCOL_VERSION: u64 = 1;
+const PROTOCOL_VERSION: u64 = 1;
 
 /// Hard cap on one frame's payload (a config + inline trace fits in a
 /// fraction of this; anything bigger is a corrupt length prefix).

@@ -3,25 +3,27 @@
 //! The data plane ([`crate::backend_run`]) is the engine's run moving real
 //! bytes, so checking a campaign is checking what that run left on its
 //! backend. [`verify_backend`] reads every chunk of every repaired stripe
-//! back and compares it with the stripe's pristine encode, and holds the
-//! run's counts to what it read. [`verify_campaign`] is that check after a
-//! run on a [`SimBackend`](fbf_disksim::SimBackend) at the config's chunk
-//! size: run it after a sweep to certify that the timing results describe a
-//! reconstruction that actually produces correct data.
+//! back and requires every chain equation of the code to hold, and holds
+//! the run's counts to what it read. It checks the code, not a generator,
+//! so it verifies any content a backend holds. [`verify_campaign`] is that
+//! check after a run on a [`SimBackend`](fbf_disksim::SimBackend) at the
+//! config's chunk size: run it after a sweep to certify that the timing
+//! results describe a reconstruction that actually produces correct data.
 
 use crate::backend_run::{run_planned_on, sim_backend_for};
 use crate::config::ExperimentConfig;
 use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlannedCampaign};
 use crate::runner::RunError;
-use fbf_codes::{ChunkId, Stripe, StripeCode};
-use fbf_disksim::backend::materialize_into;
+use fbf_codes::encode::verify;
+use fbf_codes::{ChunkBuf, ChunkId, Stripe, StripeCode};
 use fbf_disksim::StorageBackend;
+use std::sync::Arc;
 
 /// Outcome of a verified campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Damaged stripes that read back whole as their pristine encode.
+    /// Damaged stripes that read back with every chain equation holding.
     pub stripes: usize,
     /// Chunks of those stripes served from the spare area: the original
     /// damage plus what escalation added.
@@ -50,8 +52,10 @@ pub fn verify_campaign(cfg: &ExperimentConfig) -> Result<VerifyReport, RunError>
 /// * every stripe in `metrics.data_loss` exceeds the code's fault
 ///   tolerance;
 /// * every other damaged stripe whose originally lost chunks were all
-///   rewritten to the spare area reads back, chunk for chunk, as its pristine encode
-///   (the generator [`materialize`](fbf_disksim::backend::materialize));
+///   rewritten to the spare area reads back with no violated chain. The
+///   stripe was decoded from its surviving cells, so its erased cells have
+///   exactly one assignment that satisfies every chain: zero syndromes
+///   mean the repaired bytes are the lost bytes, whatever the content;
 /// * the stripes so verified, their spare-written chunks, the lost stripes
 ///   and the rest (left with an original chunk unwritten) equal the run's
 ///   `stripes_repaired`, `chunks_recovered`, `stripes_lost` and
@@ -79,8 +83,11 @@ pub fn verify_backend(
     };
     let mut unresolved = 0;
     let chunk_bytes = backend.chunk_bytes();
-    let mut buf = vec![0u8; chunk_bytes];
-    let mut pristine = Stripe::zeroed(code.layout(), chunk_bytes);
+    // One buffer per cell for the whole check: each stripe read back holds
+    // clones of them only until its equations are checked.
+    let mut cells: Vec<ChunkBuf> = (code.layout().cells())
+        .map(|_| vec![0u8; chunk_bytes].into())
+        .collect();
     for damage in plan.errors.damage_by_stripe() {
         let stripe = damage.stripe;
         if metrics.data_loss.iter().any(|l| l.stripe == stripe) {
@@ -90,18 +97,16 @@ pub fn verify_backend(
             unresolved += 1;
             continue;
         }
-        materialize_into(&code, stripe, &mut pristine);
-        for cell in code.layout().cells() {
+        for (cell, buf) in code.layout().cells().zip(&mut cells) {
             let chunk = ChunkId::new(stripe, cell);
-            backend
-                .read_chunk(chunk, &mut buf)
-                .map_err(RunError::Backend)?;
-            if buf[..] != pristine.get(code.layout(), cell)[..] {
-                return Err(RunError::Verify(format!(
-                    "stripe {stripe} cell {cell} reads back wrong bytes"
-                )));
-            }
+            let buf = Arc::get_mut(buf).expect("no read-back stripe outlives its check");
+            backend.read_chunk(chunk, buf).map_err(RunError::Backend)?;
             report.chunks += usize::from(backend.is_repaired(chunk));
+        }
+        if !verify(&code, &Stripe::from_chunks(cells.clone())?).is_empty() {
+            return Err(RunError::Verify(format!(
+                "stripe {stripe} reads back with violated chain equations"
+            )));
         }
         report.stripes += 1;
     }

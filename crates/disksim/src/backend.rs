@@ -7,13 +7,19 @@
 //! engine run, through a [`ByteHook`](crate::engine::ByteHook), can also
 //! move real payload bytes:
 //!
-//! * [`SimBackend`] synthesises the array's content in memory from one
-//!   seeded generator, [`materialize`] (`Stripe::patterned_seeded` +
-//!   encode), which is also the pristine content `verify_backend` reads
-//!   repaired stripes back against.
+//! * [`SimBackend`] holds no stripes: it derives each chunk it serves
+//!   from the stripe id, the seeded generator's data cells
+//!   ([`fill_data_cell`]) XORed over the cell's data support
+//!   ([`StripeCode::data_support`]) — the encode of
+//!   `Stripe::patterned_seeded`, one chunk at a time.
 //! * [`FileBackend`] performs actual file I/O against one backing file
 //!   per disk, laid out by [`ArrayMapping`] (chunk LBA × chunk size, the
-//!   spare area past the data zone).
+//!   spare area past the data zone); `format` writes the same content,
+//!   a whole stripe at a time.
+//!
+//! No other module of the data plane calls the generator:
+//! `verify_backend` checks a repaired stripe by the code's chain
+//! equations, not against it.
 //!
 //! # Contract (see DESIGN.md §12)
 //!
@@ -22,10 +28,8 @@
 //!   location is `mapping.spare_lba_of(chunk, data_stripes)` on the same
 //!   disk. Implementations must not invent their own placement.
 //! * **Spare redirect.** After `write_spare(chunk, data)` succeeds, every
-//!   later `read_chunk(chunk)` must return `data` (the recovered copy),
-//!   and the chunk is exempt from fault draws — its bytes have left the
-//!   (possibly faulty) original location. This mirrors the engine's
-//!   `repaired` set.
+//!   later `read_chunk(chunk)` must return `data` (the recovered copy).
+//!   This mirrors the engine's `repaired` set.
 //! * **Damaged cells.** Reading a chunk that is marked damaged and has
 //!   not been repaired is a caller bug and must fail with
 //!   [`BackendError::DamagedRead`], never return stale or zero bytes.
@@ -35,8 +39,9 @@
 //!   alike, never served from or written to another chunk's place.
 //! * **Faults are the engine's.** The data plane runs on the engine, which
 //!   draws every fault from its own [`FaultPlan`] on its virtual clock; a
-//!   backend only stores bytes. `fault_plan`, `classify_read`,
-//!   `disk_dead` and `xor_gather` are called by no executor.
+//!   backend only stores bytes and holds no fault plan. `fault_plan`,
+//!   `classify_read`, `disk_dead` and `xor_gather` are called by no
+//!   executor.
 //! * **Ordering.** Callers issue the reads of one repair before its
 //!   spare write, and repairs of one stripe in scheme order; backends may
 //!   not reorder a read past the write that precedes it in program order.
@@ -46,6 +51,8 @@ use crate::fault::{FaultDraw, FaultPlan};
 use crate::time::SimTime;
 use fbf_cache::{FxHashMap, FxHashSet};
 use fbf_codes::encode::encode;
+use fbf_codes::stripe::fill_data_cell;
+use fbf_codes::xor::xor_into;
 use fbf_codes::{ChunkId, Stripe, StripeCode};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -182,9 +189,13 @@ pub trait StorageBackend: Send {
     /// Stripes in the data zone (the spare area begins after it).
     fn data_stripes(&self) -> u64;
 
-    /// The fault plan the backend was built with. No executor reads it:
-    /// the engine draws faults from its own plan (see the module docs).
-    fn fault_plan(&self) -> &FaultPlan;
+    /// The backend's fault plan: none, for every backend here. No
+    /// executor reads it: the engine draws faults from its own plan (see
+    /// the module docs).
+    fn fault_plan(&self) -> &FaultPlan {
+        static NONE: FaultPlan = FaultPlan::none();
+        &NONE
+    }
 
     /// Has `chunk` been rewritten to the spare area?
     fn is_repaired(&self, chunk: ChunkId) -> bool;
@@ -226,7 +237,7 @@ pub trait StorageBackend: Send {
         let mut tmp = vec![0u8; acc.len()];
         for &chunk in chunks {
             self.read_chunk(chunk, &mut tmp)?;
-            fbf_codes::xor::xor_into(acc, &tmp);
+            xor_into(acc, &tmp);
         }
         Ok(())
     }
@@ -250,103 +261,30 @@ fn in_array(mapping: &ArrayMapping, data_stripes: u64, chunk: ChunkId) -> Result
     }
 }
 
-/// Materialise the encoded payloads of one stripe, seeded by its id: the
-/// array content both backends start from, and the pristine encode
-/// `verify_backend` compares repaired bytes with.
-pub fn materialize(code: &StripeCode, stripe: u32, chunk_bytes: usize) -> Stripe {
-    let mut s = Stripe::zeroed(code.layout(), chunk_bytes);
-    materialize_into(code, stripe, &mut s);
-    s
-}
-
-/// [`materialize`] into an existing stripe of `code`'s layout, reusing
-/// every chunk buffer no clone of it shares: a loop over stripes that
-/// keeps one `Stripe` allocates its chunks once.
-pub fn materialize_into(code: &StripeCode, stripe: u32, out: &mut Stripe) {
+/// Fill and encode stripe `stripe` of the array into `out`, reusing every
+/// chunk buffer no clone of it shares: [`FileBackend::format`]'s content.
+fn materialize_into(code: &StripeCode, stripe: u32, out: &mut Stripe) {
     out.refill_seeded(code.layout(), u64::from(stripe));
     encode(code, out).expect("encode of a well-formed stripe cannot fail");
 }
 
-/// In-memory backend synthesising array content on demand.
+/// In-memory backend that derives the array's content on read.
 ///
-/// Stripes are materialised lazily (seeded by stripe id, then encoded),
-/// damaged cells are erased, and spare writes are held in a map — so a
-/// campaign's data plane runs with no setup cost and its repaired bytes
-/// are directly comparable to the verification path's pristine payloads.
-///
-/// Residency: a stripe with a damaged chunk not yet written to spare is
-/// held once read; when its last damaged chunk gets its spare copy the
-/// stripe is let go. Every other read goes through a one-entry cache that
-/// re-derives the stripe in place, byte-identical by construction — so
-/// memory is bounded by the stripes under repair plus one, and a
-/// sequential reader materialises each stripe once.
+/// A chunk's pristine bytes are a function of its stripe id and cell: the
+/// XOR of its data support's seeded fills, written straight into the
+/// caller's buffer (a data cell is one fill; a parity cell fills its first
+/// support cell there and XORs each other one in through one chunk-sized
+/// scratch buffer). Damaged cells are erased and spare writes are held in
+/// a map, so the backend's memory is the spare copies, whatever it reads.
 pub struct SimBackend {
     code: StripeCode,
     mapping: ArrayMapping,
     chunk_bytes: usize,
     data_stripes: u64,
-    faults: FaultPlan,
     damaged: FxHashSet<ChunkId>,
     spare: FxHashMap<ChunkId, Vec<u8>>,
-    resident: Resident,
     stats: Vec<BackendDiskStats>,
-}
-
-/// The materialised stripes a [`SimBackend`] keeps.
-struct Resident {
-    /// Per stripe: damaged chunks without a spare copy yet (absent: none).
-    outstanding: FxHashMap<u32, u32>,
-    /// Materialised stripes with outstanding damage.
-    held: FxHashMap<u32, Stripe>,
-    /// The one-entry cache every other read goes through.
-    recent: Option<(u32, Stripe)>,
-}
-
-impl Resident {
-    fn new(damaged: &FxHashSet<ChunkId>) -> Self {
-        let mut outstanding = FxHashMap::default();
-        for chunk in damaged {
-            *outstanding.entry(chunk.stripe).or_insert(0) += 1;
-        }
-        Resident {
-            outstanding,
-            held: FxHashMap::default(),
-            recent: None,
-        }
-    }
-
-    /// The pristine encode of `stripe`: held while it has outstanding
-    /// damage, else re-derived through the one-entry cache.
-    fn pristine(&mut self, code: &StripeCode, chunk_bytes: usize, stripe: u32) -> &Stripe {
-        if self.outstanding.contains_key(&stripe) {
-            return self
-                .held
-                .entry(stripe)
-                .or_insert_with(|| materialize(code, stripe, chunk_bytes));
-        }
-        match &mut self.recent {
-            Some((id, _)) if *id == stripe => {}
-            Some((id, cached)) => {
-                materialize_into(code, stripe, cached);
-                *id = stripe;
-            }
-            None => self.recent = Some((stripe, materialize(code, stripe, chunk_bytes))),
-        }
-        &self.recent.as_ref().expect("just filled").1
-    }
-
-    /// A damaged chunk of `stripe` got its first spare copy; after the
-    /// stripe's last one, the stripe is let go (into the one-entry cache).
-    fn spared(&mut self, stripe: u32) {
-        let left = self.outstanding.get_mut(&stripe).expect("a damaged stripe");
-        *left -= 1;
-        if *left == 0 {
-            self.outstanding.remove(&stripe);
-            if let Some(held) = self.held.remove(&stripe) {
-                self.recent = Some((stripe, held));
-            }
-        }
-    }
+    scratch: Vec<u8>,
 }
 
 impl SimBackend {
@@ -356,21 +294,18 @@ impl SimBackend {
         chunk_bytes: usize,
         data_stripes: u64,
         damaged: impl IntoIterator<Item = ChunkId>,
-        faults: FaultPlan,
     ) -> Self {
         let mapping = ArrayMapping::new(code.cols(), code.rows(), code.spec().rotated_placement());
         let disks = mapping.disks;
-        let damaged: FxHashSet<ChunkId> = damaged.into_iter().collect();
         SimBackend {
             code,
             mapping,
             chunk_bytes,
             data_stripes,
-            faults,
-            resident: Resident::new(&damaged),
-            damaged,
+            damaged: damaged.into_iter().collect(),
             spare: FxHashMap::default(),
             stats: vec![BackendDiskStats::default(); disks],
+            scratch: vec![0; chunk_bytes],
         }
     }
 }
@@ -392,10 +327,6 @@ impl StorageBackend for SimBackend {
         self.data_stripes
     }
 
-    fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     fn is_repaired(&self, chunk: ChunkId) -> bool {
         self.spare.contains_key(&chunk)
     }
@@ -415,10 +346,16 @@ impl StorageBackend for SimBackend {
             if self.damaged.contains(&chunk) {
                 return Err(BackendError::DamagedRead(chunk));
             }
-            let pristine = self
-                .resident
-                .pristine(&self.code, self.chunk_bytes, chunk.stripe);
-            buf.copy_from_slice(pristine.get(self.code.layout(), chunk.cell));
+            let seed = u64::from(chunk.stripe);
+            let support = self.code.data_support(chunk.cell);
+            let (&first, rest) = support
+                .split_first()
+                .expect("every cell has a data support");
+            fill_data_cell(buf, seed, first);
+            for &cell in rest {
+                fill_data_cell(&mut self.scratch, seed, cell);
+                xor_into(buf, &self.scratch);
+            }
         }
         self.stats[disk].reads += 1;
         self.stats[disk].bytes_read += buf.len() as u64;
@@ -434,10 +371,7 @@ impl StorageBackend for SimBackend {
         }
         in_array(&self.mapping, self.data_stripes, chunk)?;
         let disk = self.mapping.disk_of(chunk);
-        let first_copy = self.spare.insert(chunk, data.to_vec()).is_none();
-        if first_copy && self.damaged.contains(&chunk) {
-            self.resident.spared(chunk.stripe);
-        }
+        self.spare.insert(chunk, data.to_vec());
         self.stats[disk].writes += 1;
         self.stats[disk].bytes_written += data.len() as u64;
         Ok(())
@@ -466,7 +400,6 @@ pub struct FileBackend {
     mapping: ArrayMapping,
     chunk_bytes: usize,
     data_stripes: u64,
-    faults: FaultPlan,
     damaged: FxHashSet<ChunkId>,
     repaired: FxHashSet<ChunkId>,
     stats: Vec<BackendDiskStats>,
@@ -476,7 +409,6 @@ impl FileBackend {
     /// Create (truncating) per-disk backing files under `dir` for
     /// `code`'s geometry, writing the encoded payloads of `stripes`
     /// (seeded by stripe id) and leaving `damaged` cells unwritten.
-    #[allow(clippy::too_many_arguments)]
     pub fn format(
         dir: &Path,
         code: &StripeCode,
@@ -484,7 +416,6 @@ impl FileBackend {
         data_stripes: u64,
         stripes: &[u32],
         damaged: &[ChunkId],
-        faults: FaultPlan,
     ) -> Result<Self, BackendError> {
         let mapping = ArrayMapping::new(code.cols(), code.rows(), code.spec().rotated_placement());
         std::fs::create_dir_all(dir).map_err(|source| BackendError::Io {
@@ -522,7 +453,6 @@ impl FileBackend {
             mapping,
             chunk_bytes,
             data_stripes,
-            faults,
             damaged,
             repaired: FxHashSet::default(),
         };
@@ -601,7 +531,6 @@ impl FileBackend {
             mapping,
             chunk_bytes,
             data_stripes,
-            faults: FaultPlan::none(),
             damaged: FxHashSet::default(),
             repaired: repaired.iter().copied().collect(),
         })
@@ -650,10 +579,6 @@ impl StorageBackend for FileBackend {
 
     fn data_stripes(&self) -> u64 {
         self.data_stripes
-    }
-
-    fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     fn is_repaired(&self, chunk: ChunkId) -> bool {
@@ -770,9 +695,9 @@ mod tests {
     }
 
     fn pristine_bytes(code: &StripeCode, stripe: u32, cell: Cell, chunk_bytes: usize) -> Vec<u8> {
-        materialize(code, stripe, chunk_bytes)
-            .get(code.layout(), cell)
-            .to_vec()
+        let mut pristine = Stripe::zeroed(code.layout(), chunk_bytes);
+        materialize_into(code, stripe, &mut pristine);
+        pristine.get(code.layout(), cell).to_vec()
     }
 
     fn backends_agree(mut a: impl StorageBackend, mut b: impl StorageBackend, chunks: &[ChunkId]) {
@@ -788,7 +713,7 @@ mod tests {
     #[test]
     fn sim_reads_match_verification_payloads() {
         let code = code();
-        let mut b = SimBackend::new(code.clone(), 256, 16, [], FaultPlan::none());
+        let mut b = SimBackend::new(code.clone(), 256, 16, []);
         let cell = Cell::new(1, 2);
         let chunk = ChunkId::new(3, cell);
         let mut buf = vec![0u8; 256];
@@ -797,33 +722,21 @@ mod tests {
         assert_eq!(b.disk_stats()[b.mapping().disk_of(chunk)].reads, 1);
     }
 
-    /// A stripe is held from its first read until its last damaged chunk
-    /// has a spare copy; every other read re-derives the same bytes.
+    /// A chunk with a spare copy reads back its latest copy; every other
+    /// chunk, in any order and again, reads back its pristine bytes.
     #[test]
-    fn sim_backend_holds_only_stripes_under_repair() {
+    fn sim_backend_serves_spare_copies_and_derives_the_rest() {
         let code = code();
         let (a, b) = (
             ChunkId::new(1, Cell::new(0, 0)),
             ChunkId::new(1, Cell::new(1, 1)),
         );
         let other = ChunkId::new(2, Cell::new(0, 0));
-        let mut sim = SimBackend::new(code.clone(), 64, 8, [a, b, other], FaultPlan::none());
-        let mut buf = vec![0u8; 64];
-        for chunk in [
-            ChunkId::new(1, Cell::new(2, 2)),
-            ChunkId::new(2, Cell::new(1, 0)),
-        ] {
-            sim.read_chunk(chunk, &mut buf).unwrap();
-        }
-        assert_eq!(sim.resident.held.len(), 2);
-
-        // A second copy of the same chunk is not a second repair.
+        let mut sim = SimBackend::new(code.clone(), 64, 8, [a, b, other]);
         sim.write_spare(a, &[1; 64]).unwrap();
         sim.write_spare(a, &[2; 64]).unwrap();
-        assert_eq!(sim.resident.held.len(), 2);
         sim.write_spare(b, &[3; 64]).unwrap();
-        assert_eq!(sim.resident.held.len(), 1, "stripe 1 is let go");
-
+        let mut buf = vec![0u8; 64];
         for stripe in [1, 5, 1] {
             for cell in code.layout().cells() {
                 let chunk = ChunkId::new(stripe, cell);
@@ -835,9 +748,11 @@ mod tests {
                 };
                 assert_eq!(buf, want, "{chunk:?}");
             }
-            assert_eq!(sim.resident.held.len(), 1);
-            assert_eq!(sim.resident.recent.as_ref().map(|r| r.0), Some(stripe));
         }
+        assert!(matches!(
+            sim.read_chunk(other, &mut buf),
+            Err(BackendError::DamagedRead(c)) if c == other
+        ));
     }
 
     #[test]
@@ -846,9 +761,9 @@ mod tests {
         let chunks: Vec<ChunkId> = (0..code.rows())
             .flat_map(|r| (0..code.cols()).map(move |c| ChunkId::new(2, Cell::new(r, c))))
             .collect();
-        let sim = SimBackend::new(code.clone(), 128, 8, [], FaultPlan::none());
+        let sim = SimBackend::new(code.clone(), 128, 8, []);
         let dir = tmpdir("agree");
-        let file = FileBackend::format(&dir, &code, 128, 8, &[2], &[], FaultPlan::none()).unwrap();
+        let file = FileBackend::format(&dir, &code, 128, 8, &[2], &[]).unwrap();
         backends_agree(sim, file, &chunks);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -859,16 +774,8 @@ mod tests {
         let chunk = ChunkId::new(1, Cell::new(0, 0));
         let dir = tmpdir("spare");
         for mut b in [
-            Box::new(SimBackend::new(
-                code.clone(),
-                64,
-                8,
-                [chunk],
-                FaultPlan::none(),
-            )) as Box<dyn StorageBackend>,
-            Box::new(
-                FileBackend::format(&dir, &code, 64, 8, &[1], &[chunk], FaultPlan::none()).unwrap(),
-            ),
+            Box::new(SimBackend::new(code.clone(), 64, 8, [chunk])) as Box<dyn StorageBackend>,
+            Box::new(FileBackend::format(&dir, &code, 64, 8, &[1], &[chunk]).unwrap()),
         ] {
             let mut buf = vec![0u8; 64];
             assert!(matches!(
@@ -904,7 +811,7 @@ mod tests {
     #[test]
     fn sim_backend_refuses_chunks_outside_the_array() {
         let code = code();
-        let b = SimBackend::new(code.clone(), 64, 8, [], FaultPlan::none());
+        let b = SimBackend::new(code.clone(), 64, 8, []);
         refuses_chunks_outside_the_array(b, &code);
     }
 
@@ -912,7 +819,7 @@ mod tests {
     fn file_backend_refuses_chunks_outside_the_array() {
         let code = code();
         let dir = tmpdir("bounds");
-        let b = FileBackend::format(&dir, &code, 64, 8, &[1], &[], FaultPlan::none()).unwrap();
+        let b = FileBackend::format(&dir, &code, 64, 8, &[1], &[]).unwrap();
         refuses_chunks_outside_the_array(b, &code);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -923,7 +830,7 @@ mod tests {
     fn open_refuses_files_of_another_geometry() {
         let code = code();
         let dir = tmpdir("geometry");
-        drop(FileBackend::format(&dir, &code, 1024, 8, &[2], &[], FaultPlan::none()).unwrap());
+        drop(FileBackend::format(&dir, &code, 1024, 8, &[2], &[]).unwrap());
         assert!(FileBackend::open(&dir, &code, 1024, 8, &[]).is_ok());
         let full = 2 * 8 * code.rows() as u64 * 1024;
         for (chunk_bytes, data_stripes, expected) in [(512, 8, full / 2), (1024, 9, full / 8 * 9)] {
@@ -949,8 +856,7 @@ mod tests {
         let code = code();
         let dir = tmpdir("syncs");
         let lost = ChunkId::new(1, Cell::new(0, 0));
-        let mut b =
-            FileBackend::format(&dir, &code, 64, 8, &[1], &[lost], FaultPlan::none()).unwrap();
+        let mut b = FileBackend::format(&dir, &code, 64, 8, &[1], &[lost]).unwrap();
         let syncs = |b: &FileBackend| b.disk_stats().iter().map(|d| d.syncs).collect::<Vec<_>>();
         // `format` wrote a whole stripe: every file is dirty.
         assert!(b.dirty.iter().all(|&d| d));
@@ -978,7 +884,7 @@ mod tests {
     #[test]
     fn xor_gather_equals_manual_xor() {
         let code = code();
-        let mut b = SimBackend::new(code.clone(), 32, 8, [], FaultPlan::none());
+        let mut b = SimBackend::new(code.clone(), 32, 8, []);
         let chunks = [
             ChunkId::new(0, Cell::new(0, 0)),
             ChunkId::new(0, Cell::new(0, 1)),
@@ -1000,7 +906,7 @@ mod tests {
     #[test]
     fn size_mismatch_is_typed() {
         let code = code();
-        let mut b = SimBackend::new(code, 64, 8, [], FaultPlan::none());
+        let mut b = SimBackend::new(code, 64, 8, []);
         let chunk = ChunkId::new(0, Cell::new(0, 0));
         let mut small = vec![0u8; 32];
         assert!(matches!(
@@ -1010,44 +916,5 @@ mod tests {
                 got: 32
             })
         ));
-    }
-
-    #[test]
-    fn fault_surface_classifies_deterministically() {
-        let code = code();
-        let faults = FaultPlan {
-            seed: 11,
-            media_per_mille: 500,
-            ..FaultPlan::none()
-        };
-        let b = SimBackend::new(code, 64, 8, [], faults);
-        let chunk = ChunkId::new(4, Cell::new(2, 1));
-        assert_eq!(b.classify_read(chunk), b.classify_read(chunk));
-        assert_eq!(b.classify_read(chunk), faults.draw(chunk));
-        assert!(!b.disk_dead(0));
-    }
-
-    #[test]
-    fn dead_disk_requires_time_zero_kill() {
-        let code = code();
-        let killed = FaultPlan {
-            disk_kill: Some(crate::fault::DiskKill {
-                disk: 1,
-                at: SimTime::ZERO,
-            }),
-            ..FaultPlan::none()
-        };
-        let b = SimBackend::new(code.clone(), 64, 8, [], killed);
-        assert!(b.disk_dead(1));
-        assert!(!b.disk_dead(0));
-        let later = FaultPlan {
-            disk_kill: Some(crate::fault::DiskKill {
-                disk: 1,
-                at: SimTime::from_millis(5),
-            }),
-            ..FaultPlan::none()
-        };
-        let b = SimBackend::new(code, 64, 8, [], later);
-        assert!(!b.disk_dead(1), "only a kill at time zero counts");
     }
 }

@@ -102,12 +102,6 @@ impl BufferCache {
         self.policy.capacity()
     }
 
-    /// Which replacement policy this cache runs. Display goes through
-    /// [`PolicyKind`]'s `Display`/`name()` — the one place names live.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
     /// Drop residents and stats (fresh campaign).
     pub fn reset(&mut self) {
         self.policy.clear();
@@ -378,7 +372,7 @@ mod tests {
     #[test]
     fn policy_kind_propagates() {
         let c = BufferCache::new(PolicyKind::Arc, 2);
-        assert_eq!(c.policy_kind(), PolicyKind::Arc);
-        assert_eq!(c.policy_kind().name(), "ARC");
+        assert_eq!(c.policy.kind(), PolicyKind::Arc);
+        assert_eq!(c.policy.kind().name(), "ARC");
     }
 }

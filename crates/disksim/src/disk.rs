@@ -51,7 +51,7 @@ impl Default for DiskParams {
 
 impl DiskParams {
     /// One full revolution.
-    pub fn revolution(&self) -> SimTime {
+    fn revolution(&self) -> SimTime {
         SimTime::from_nanos(60_000_000_000 / self.rpm as u64)
     }
 }
@@ -83,7 +83,7 @@ impl DiskModel {
 
     /// Service time for accessing `lba` when the head sits at `head_lba`,
     /// transferring `bytes`.
-    pub fn service_time(&self, head_lba: u64, lba: u64, bytes: u64) -> SimTime {
+    fn service_time(&self, head_lba: u64, lba: u64, bytes: u64) -> SimTime {
         match *self {
             DiskModel::Fixed { access } => access,
             DiskModel::Detailed(p) => {

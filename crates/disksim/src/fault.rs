@@ -51,7 +51,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Total simulated delay of `stalls` failed attempts: each costs the
     /// stall `timeout` plus an exponentially growing (capped) backoff.
-    pub fn delay_for(&self, stalls: u8) -> SimTime {
+    fn delay_for(&self, stalls: u8) -> SimTime {
         let mut total = SimTime::ZERO;
         let mut backoff = self.backoff;
         for _ in 0..stalls {

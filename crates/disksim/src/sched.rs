@@ -100,7 +100,7 @@ impl QueuedDisk {
     /// An idle disk whose every service takes `scale`× the model time
     /// (straggler injection; `scale` is stored with milli precision so
     /// the simulation stays integer-deterministic).
-    pub fn with_scale(model: DiskModel, sched: DiskSched, scale: f64) -> Self {
+    fn with_scale(model: DiskModel, sched: DiskSched, scale: f64) -> Self {
         assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
         Self::with_scale_milli(model, sched, (scale * 1000.0).round() as u64)
     }

@@ -33,12 +33,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// From fractional milliseconds (rounds to the nearest nanosecond).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms >= 0.0 && ms.is_finite(), "negative or non-finite time");
-        SimTime((ms * 1e6).round() as u64)
-    }
-
     /// From whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
@@ -129,7 +123,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(10).as_nanos(), 10_000_000);
         assert_eq!(SimTime::from_micros(500).as_nanos(), 500_000);
         assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2000.0);
-        assert_eq!(SimTime::from_millis_f64(0.5).as_nanos(), 500_000);
     }
 
     #[test]
@@ -154,11 +147,5 @@ mod tests {
         assert_eq!(SimTime::from_micros(3).to_string(), "3.000us");
         assert_eq!(SimTime::from_millis(7).to_string(), "7.000ms");
         assert_eq!(SimTime::from_secs(2).to_string(), "2.000s");
-    }
-
-    #[test]
-    #[should_panic(expected = "negative")]
-    fn negative_ms_rejected() {
-        SimTime::from_millis_f64(-1.0);
     }
 }

@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 
 /// Sub-buckets per power of two — 2^(1/8) spacing ≈ 9% relative resolution.
-pub const SUB_BUCKETS: usize = 8;
+const SUB_BUCKETS: usize = 8;
 /// Covers 1 ns .. ~2^40 ns (≈ 18 minutes) of latency.
 pub const BUCKETS: usize = 40 * SUB_BUCKETS;
 

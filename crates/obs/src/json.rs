@@ -29,7 +29,7 @@ pub enum Json {
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses per level, so an uncapped frame of `[` would overflow the
 /// stack of whichever thread parses it; our wire format nests 4 deep.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -128,7 +128,7 @@ pub fn uninstall() -> Option<Arc<dyn Subscriber>> {
 }
 
 /// Microseconds since the process's first observability action.
-pub fn now_us() -> f64 {
+fn now_us() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e6
 }
 
@@ -139,7 +139,7 @@ pub fn next_run_id() -> u64 {
 
 /// Stable small integer identifying the calling thread (chrome-trace
 /// `tid`), assigned in first-use order.
-pub fn thread_id() -> u64 {
+fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
         static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -162,11 +162,6 @@ thread_local! {
 /// A fresh process-unique trace id.
 pub fn next_trace_id() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The calling thread's active trace id (0 = none).
-pub fn current_trace() -> u64 {
-    CTX.with(|c| c.get().0)
 }
 
 /// Scope guard restoring the previous trace context on drop.
@@ -466,7 +461,7 @@ mod tests {
         let trace = next_trace_id();
         {
             let _t = with_trace(trace);
-            assert_eq!(current_trace(), trace);
+            assert_eq!(CTX.with(|c| c.get().0), trace);
             let root = span("t", "root");
             let root_id = root.ctx().unwrap().span;
             assert_ne!(root_id, 0);
@@ -479,7 +474,11 @@ mod tests {
             counter("t", "after", &[]);
             root.end_with(&[]);
         }
-        assert_eq!(current_trace(), 0, "guard drop restores the outer ctx");
+        assert_eq!(
+            CTX.with(|c| c.get().0),
+            0,
+            "guard drop restores the outer ctx"
+        );
         span("t", "outside").end_with(&[]);
         uninstall();
 

@@ -60,7 +60,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Default recorder capacity, in events.
-pub const DEFAULT_CAPACITY: usize = 4096;
+const DEFAULT_CAPACITY: usize = 4096;
 
 /// An event the recorder owns outright. The emission-site `Event`
 /// borrows its args from the caller's stack; category, name and keys are

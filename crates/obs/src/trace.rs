@@ -129,7 +129,7 @@ pub fn render_chrome_line(event: &Event<'_>) -> String {
 /// share one name/cat (the format matches flows by name+cat+id) and carry
 /// the trace id as an arg so `check_trace.py --flows` can bucket them.
 /// Returns the rendered lines (possibly empty) for `event`.
-pub fn render_flow_lines(event: &Event<'_>) -> String {
+fn render_flow_lines(event: &Event<'_>) -> String {
     let (Some(ctx), EventKind::Complete { .. }) = (event.ctx, event.kind) else {
         return String::new();
     };

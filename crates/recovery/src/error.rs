@@ -6,7 +6,7 @@
 //! handled by prior work \[22\]/\[36\]). Sector-level errors are rounded up to
 //! chunks, "since chunk is the fundamental recovery unit".
 
-use fbf_codes::{Cell, ChunkId, StripeCode};
+use fbf_codes::{Cell, StripeCode};
 
 /// One partial stripe error: `len` consecutive chunks starting at
 /// `first_row` in column `col` of stripe `stripe`.
@@ -60,14 +60,6 @@ impl PartialStripeError {
     fn cell_iter(&self) -> impl Iterator<Item = Cell> {
         let col = self.col;
         (self.first_row..self.first_row + self.len).map(move |r| Cell::new(r, col))
-    }
-
-    /// The lost chunks with global identity.
-    pub fn chunk_ids(&self) -> Vec<ChunkId> {
-        self.cells()
-            .into_iter()
-            .map(|c| ChunkId::new(self.stripe, c))
-            .collect()
     }
 }
 
@@ -182,7 +174,7 @@ mod tests {
         assert_eq!(e.cells().len(), 4);
         assert_eq!(e.cells()[0], Cell::new(1, 0));
         assert_eq!(e.cells()[3], Cell::new(4, 0));
-        assert_eq!(e.chunk_ids()[0].stripe, 3);
+        assert_eq!(e.stripe, 3);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum ScrubOutcome {
 }
 
 /// Chains whose XOR equation does not hold for this stripe.
-pub fn violated_chains(code: &StripeCode, stripe: &Stripe) -> BTreeSet<ChainId> {
+fn violated_chains(code: &StripeCode, stripe: &Stripe) -> BTreeSet<ChainId> {
     fbf_codes::encode::verify(code, stripe)
         .into_iter()
         .collect()
@@ -52,7 +52,7 @@ pub fn violated_chains(code: &StripeCode, stripe: &Stripe) -> BTreeSet<ChainId> 
 /// Candidate corruption sets of size ≤ `max_cells` whose combined coverage
 /// equals `violated`. Sorted smallest-first, so single-cell explanations
 /// precede pair explanations.
-pub fn locate(code: &StripeCode, violated: &BTreeSet<ChainId>, max_cells: usize) -> Vec<Vec<Cell>> {
+fn locate(code: &StripeCode, violated: &BTreeSet<ChainId>, max_cells: usize) -> Vec<Vec<Cell>> {
     if violated.is_empty() {
         return Vec::new();
     }

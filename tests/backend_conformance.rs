@@ -8,11 +8,15 @@
 //! * the `Metrics` JSON of a `SimBackend` or `FileBackend` repair is byte
 //!   for byte the engine's for the same planned campaign, fault-free and
 //!   faulted, under all ten policies and both cache sharings, and
+//! * every repaired stripe satisfies the code's chain equations and the
+//!   run's counts, escalated damage and joint re-plans included
+//!   ([`verify_backend`]); that check fails on a flipped byte anywhere in
+//!   a repaired stripe or a dropped spare write, and passes on an array
+//!   whose content the generator did not write; and
 //! * every chunk of every repaired stripe reads back as its pristine
-//!   encode, escalated damage and joint re-plans included
-//!   ([`verify_backend`]), and that check fails on a flipped byte or a
-//!   dropped spare write.
+//!   encode, byte for byte (the oracle in [`assert_verifies`]).
 
+use fbf::codes::encode::encode;
 use fbf::core::PlannedCampaign;
 use fbf::disksim::{DiskKill, Engine, EngineScratch};
 use fbf::recovery::StripePlan;
@@ -20,8 +24,10 @@ use fbf::{
     file_backend_for, run_planned, run_planned_on, sim_backend_for, verify_backend,
     verify_campaign, ArrayMapping, BackendDiskStats, BackendError, CacheSharing, ChunkId, CodeSpec,
     ExperimentConfig, FaultPlan, Metrics, PlanSource, PolicyKind, RunError, SimTime,
-    StorageBackend, StripeCode,
+    StorageBackend, Stripe, StripeCode,
 };
+use proptest::prelude::*;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -79,7 +85,9 @@ impl Drop for Scratch {
 }
 
 /// [`verify_backend`] on what the run that reported `metrics` left on
-/// `backend`, panicking with `label` on a failed check.
+/// `backend`, panicking with `label` on a failed check; then the oracle:
+/// every chunk of every stripe it verified reads back as the stripe's
+/// pristine encode (`Stripe::patterned_seeded` + `encode`), byte for byte.
 fn assert_verifies(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
@@ -87,7 +95,34 @@ fn assert_verifies(
     backend: &mut dyn StorageBackend,
     label: &str,
 ) -> fbf::VerifyReport {
-    verify_backend(cfg, plan, metrics, backend).unwrap_or_else(|e| panic!("{label}: {e}"))
+    let report =
+        verify_backend(cfg, plan, metrics, backend).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
+    let layout = code.layout();
+    let mut buf = vec![0u8; backend.chunk_bytes()];
+    let mut compared = 0;
+    for damage in plan.errors.damage_by_stripe() {
+        let stripe = damage.stripe;
+        let repaired = (damage.cells.iter()).all(|&c| backend.is_repaired(ChunkId::new(stripe, c)));
+        if !repaired || metrics.data_loss.iter().any(|l| l.stripe == stripe) {
+            continue;
+        }
+        let mut pristine = Stripe::patterned_seeded(layout, buf.len(), u64::from(stripe));
+        encode(&code, &mut pristine).unwrap();
+        for cell in layout.cells() {
+            backend
+                .read_chunk(ChunkId::new(stripe, cell), &mut buf)
+                .unwrap();
+            assert_eq!(
+                &buf[..],
+                &pristine.get(layout, cell)[..],
+                "{label}: stripe {stripe} cell {cell}"
+            );
+        }
+        compared += 1;
+    }
+    assert_eq!(compared, report.stripes, "{label}");
+    report
 }
 
 /// Stripes of `cfg`'s campaign that a joint re-plan repaired.
@@ -433,4 +468,146 @@ fn file_backend_survives_reopen_with_repaired_data() {
         .read_chunk(ChunkId::new(damage.stripe, cell), &mut buf)
         .unwrap();
     assert_eq!(&buf[..], &pristine.get(code.layout(), cell)[..]);
+}
+
+/// Forwards to `inner`, except that every read of `chunk` comes back with
+/// byte `at` flipped: a stripe whose bytes are wrong without the run's
+/// counts moving.
+struct FlipOnRead {
+    inner: Box<dyn StorageBackend>,
+    chunk: ChunkId,
+    at: usize,
+}
+
+impl StorageBackend for FlipOnRead {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn mapping(&self) -> ArrayMapping {
+        self.inner.mapping()
+    }
+    fn chunk_bytes(&self) -> usize {
+        self.inner.chunk_bytes()
+    }
+    fn data_stripes(&self) -> u64 {
+        self.inner.data_stripes()
+    }
+    fn is_repaired(&self, chunk: ChunkId) -> bool {
+        self.inner.is_repaired(chunk)
+    }
+    fn read_chunk(&mut self, chunk: ChunkId, buf: &mut [u8]) -> Result<(), BackendError> {
+        self.inner.read_chunk(chunk, buf)?;
+        if chunk == self.chunk {
+            buf[self.at] ^= 0x01;
+        }
+        Ok(())
+    }
+    fn write_spare(&mut self, chunk: ChunkId, data: &[u8]) -> Result<(), BackendError> {
+        self.inner.write_spare(chunk, data)
+    }
+    fn disk_stats(&self) -> &[BackendDiskStats] {
+        self.inner.disk_stats()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// One flipped byte in any cell of a repaired stripe — a repaired
+    /// cell or a surviving one — violates a chain equation, so it fails
+    /// `verify_backend` with the run's counts intact: every shipped code
+    /// at every prime up to 7 it supports.
+    #[test]
+    fn a_flipped_byte_in_a_repaired_stripe_fails_verification(
+        spec_idx in 0usize..6,
+        p_idx in 0usize..3,
+        pick in 0usize..1 << 16,
+        cell_idx in 0usize..1 << 16,
+        at in 0usize..1024,
+    ) {
+        let code = CodeSpec::EXTENDED[spec_idx];
+        let cfg = ExperimentConfig::builder()
+            .code(code)
+            .p([3, 5, 7][p_idx].max(code.min_prime()))
+            .cache_mb(1)
+            .chunk_kb(1)
+            .stripes(16)
+            .error_count(4)
+            .workers(2)
+            .gen_threads(1)
+            .build()
+            .unwrap();
+        let plan = PlannedCampaign::cold(&cfg).unwrap();
+        let mut sim = sim_backend_for(&cfg, &plan).unwrap();
+        let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
+        let report = verify_backend(&cfg, &plan, &m, &mut sim).unwrap();
+        prop_assert_eq!(report.stripes, 4);
+
+        let damage = &plan.errors.damage_by_stripe()[pick % 4];
+        let layout = StripeCode::build(cfg.code, cfg.p).unwrap().layout().clone();
+        let cell = layout.cells().nth(cell_idx % layout.len()).unwrap();
+        let mut flipped = FlipOnRead {
+            inner: Box::new(sim),
+            chunk: ChunkId::new(damage.stripe, cell),
+            at,
+        };
+        match verify_backend(&cfg, &plan, &m, &mut flipped) {
+            Err(RunError::Verify(why)) => prop_assert!(why.contains("violated"), "{why}"),
+            other => panic!("{code:?} {cell} byte {at} flipped: {other:?}"),
+        }
+    }
+}
+
+/// The check is the code's, not the generator's: an array whose damaged
+/// stripes hold content the test wrote itself — arbitrary data cells,
+/// encoded, written through the backing files over what `format` wrote —
+/// verifies after a repair, and the repair rebuilt that content.
+#[test]
+fn an_array_of_foreign_content_verifies_after_a_repair() {
+    let cfg = small(PolicyKind::Fbf);
+    let plan = PlannedCampaign::cold(&cfg).unwrap();
+    let scratch = Scratch::new("foreign");
+    let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
+    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
+    let layout = code.layout();
+    let chunk_bytes = cfg.chunk_bytes() as usize;
+    let mapping = file.mapping();
+    let disks: Vec<std::fs::File> = (0..mapping.disks)
+        .map(|disk| {
+            let path = scratch.0.join(format!("disk-{disk:03}.dat"));
+            std::fs::OpenOptions::new().write(true).open(path).unwrap()
+        })
+        .collect();
+    let mut written = Vec::new();
+    for damage in plan.errors.damage_by_stripe() {
+        let mut stripe = Stripe::zeroed(layout, chunk_bytes);
+        for (i, cell) in layout.data_cells().enumerate() {
+            let seed = damage.stripe as usize * 131 + i * 17;
+            let bytes: Vec<u8> = (0..chunk_bytes)
+                .map(|k| (k * 7 + seed) as u8 ^ 0x5A)
+                .collect();
+            stripe.set(layout, cell, bytes.into());
+        }
+        encode(&code, &mut stripe).unwrap();
+        for cell in layout.cells().filter(|c| !damage.cells.contains(c)) {
+            let chunk = ChunkId::new(damage.stripe, cell);
+            let offset = mapping.lba_of(chunk) * chunk_bytes as u64;
+            disks[mapping.disk_of(chunk)]
+                .write_all_at(stripe.get(layout, cell), offset)
+                .unwrap();
+        }
+        written.push((damage, stripe));
+    }
+
+    let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
+    let report = verify_backend(&cfg, &plan, &m, &mut file).unwrap();
+    assert_eq!(report.stripes, cfg.error_count);
+    let mut buf = vec![0u8; chunk_bytes];
+    for (damage, stripe) in written {
+        for &cell in &damage.cells {
+            file.read_chunk(ChunkId::new(damage.stripe, cell), &mut buf)
+                .unwrap();
+            assert_eq!(&buf[..], &stripe.get(layout, cell)[..], "{cell}");
+        }
+    }
 }

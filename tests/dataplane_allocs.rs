@@ -126,9 +126,8 @@ fn format(stripes: u32) -> u64 {
     let code = StripeCode::build(CodeSpec::Tip, 5).unwrap();
     let dir = std::env::temp_dir().join(format!("fbf-format-allocs-{}", std::process::id()));
     let ids: Vec<u32> = (0..stripes).collect();
-    let (backend, calls) = counted(|| {
-        FileBackend::format(&dir, &code, LARGE, 64, &ids, &[], FaultPlan::none()).unwrap()
-    });
+    let (backend, calls) =
+        counted(|| FileBackend::format(&dir, &code, LARGE, 64, &ids, &[]).unwrap());
     drop(backend);
     std::fs::remove_dir_all(&dir).unwrap();
     println!(
