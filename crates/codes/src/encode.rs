@@ -25,12 +25,15 @@ pub fn encode(code: &StripeCode, stripe: &mut Stripe) -> Result<()> {
 
 /// Verify that every chain's equation holds (XOR of members equals parity).
 /// Returns the ids of violated chains; empty means the stripe is consistent.
+/// One chunk-sized accumulator serves every chain.
 pub fn verify(code: &StripeCode, stripe: &Stripe) -> Vec<crate::ChainId> {
+    let layout = code.layout();
+    let mut acc = vec![0u8; stripe.chunk_size()];
     let mut bad = Vec::new();
     for chain in code.chains() {
-        let mut acc = stripe.get(code.layout(), chain.parity).to_vec();
+        acc.copy_from_slice(stripe.get(layout, chain.parity));
         for &cell in &chain.members {
-            xor_into(&mut acc, stripe.get(code.layout(), cell));
+            xor_into(&mut acc, stripe.get(layout, cell));
         }
         if !crate::xor::is_zero(&acc) {
             bad.push(chain.id);

@@ -1,4 +1,5 @@
-//! The payload generator: splitmix64 in counter form, runtime-dispatched.
+//! The payload generator: splitmix64 in counter form, one block loop
+//! compiled twice.
 //!
 //! Every pristine chunk the data plane checks repaired bytes against is
 //! generated here ([`Stripe::patterned_seeded`](crate::Stripe::patterned_seeded)).
@@ -16,16 +17,13 @@
 //! sequential `x += γ` loop this replaced, byte for byte the same
 //! sequence, is the differential oracle in `tests/fill_diff.rs`.
 //!
-//! Two kernels implement that one function:
-//!
-//! * [`FillKernel::Portable`] — the block loop as written, always
-//!   available.
-//! * [`FillKernel::Avx512`] — the same loop compiled with
-//!   `avx512f,avx512dq` enabled, whose 64-bit lane multiply
-//!   (`vpmullq`) the portable build lacks.
-//!
-//! The active kernel is the best one the CPU supports ([`active_kernel`],
-//! via `is_x86_feature_detected!`); [`fill_with`] pins one for tests.
+//! The block loop is compiled twice: as written for the baseline target,
+//! and as a clone with `avx512f,avx512dq` enabled, whose 64-bit lane
+//! multiply (`vpmullq`) the baseline lacks. [`fill`] runs the clone when
+//! the CPU probe in [`simd`](crate::simd) reports AVX-512; [`fill_with`]
+//! pins a tier for tests.
+
+use crate::simd::{self, Kernel};
 
 /// splitmix64's increment: the odd golden-ratio constant each step adds.
 pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -44,36 +42,6 @@ const LANE_OFFSETS: [u64; LANES] = {
     out
 };
 
-/// A payload-generator implementation, ordered weakest to strongest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FillKernel {
-    /// The block loop on the baseline target. Always available.
-    Portable,
-    /// The same loop with AVX-512F and AVX-512DQ enabled.
-    Avx512,
-}
-
-/// The kernel [`fill`] uses: the best the CPU supports. Under Miri only
-/// the portable path runs (runtime feature detection is compiled out).
-pub fn active_kernel() -> FillKernel {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
-            return FillKernel::Avx512;
-        }
-    }
-    FillKernel::Portable
-}
-
-/// Every kernel the host supports, weakest first.
-pub fn supported_kernels() -> Vec<FillKernel> {
-    let mut out = vec![FillKernel::Portable];
-    if active_kernel() >= FillKernel::Avx512 {
-        out.push(FillKernel::Avx512);
-    }
-    out
-}
-
 /// splitmix64's output function.
 #[inline(always)]
 fn mix(mut z: u64) -> u64 {
@@ -85,19 +53,17 @@ fn mix(mut z: u64) -> u64 {
 /// Fill `buf` with the stream that starts at `base`:
 /// `buf[k] = mix(base + (k + 1)·γ) >> 56`.
 pub fn fill(buf: &mut [u8], base: u64) {
-    fill_with(active_kernel(), buf, base)
+    fill_with(simd::detected(), buf, base)
 }
 
-/// [`fill`] on an explicit kernel, clamped to what the CPU supports:
-/// asking for a kernel above [`active_kernel`] runs the active one.
-pub fn fill_with(kernel: FillKernel, buf: &mut [u8], base: u64) {
-    match kernel.min(active_kernel()) {
-        FillKernel::Portable => fill_blocks(buf, base),
+/// [`fill`] on the widest clone at or below `kernel`, clamped to what the
+/// CPU supports: below `Avx512` that is the portable loop.
+pub fn fill_with(kernel: Kernel, buf: &mut [u8], base: u64) {
+    match kernel.min(simd::detected()) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamped to the detected kernel, so the CPU has AVX-512F/DQ.
-        FillKernel::Avx512 => unsafe { fill_avx512(buf, base) },
-        #[cfg(not(target_arch = "x86_64"))]
-        FillKernel::Avx512 => fill_blocks(buf, base),
+        // SAFETY: clamped to the detected tier, so the CPU has AVX-512F/DQ.
+        Kernel::Avx512 => unsafe { fill_avx512(buf, base) },
+        _ => fill_blocks(buf, base),
     }
 }
 
@@ -117,11 +83,9 @@ fn fill_blocks(buf: &mut [u8], base: u64) {
     }
 }
 
-/// # Safety
-/// The CPU must support AVX-512F and AVX-512DQ.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn fill_avx512(buf: &mut [u8], base: u64) {
+fn fill_avx512(buf: &mut [u8], base: u64) {
     fill_blocks(buf, base)
 }
 
@@ -145,16 +109,11 @@ mod tests {
         // Small enough for Miri; the 0..=4096 and 32 KiB cases live in the
         // differential suite.
         let mut want = vec![0u8; LANES * 2 + 5];
-        fill_with(FillKernel::Portable, &mut want, 7);
-        for kernel in [FillKernel::Portable, FillKernel::Avx512] {
+        fill_with(Kernel::Portable, &mut want, 7);
+        for kernel in [Kernel::Portable, Kernel::Avx2, Kernel::Avx512] {
             let mut got = vec![0xEEu8; want.len()];
             fill_with(kernel, &mut got, 7);
             assert_eq!(got, want, "{kernel:?}");
         }
-    }
-
-    #[test]
-    fn active_kernel_is_supported() {
-        assert!(supported_kernels().contains(&active_kernel()));
     }
 }

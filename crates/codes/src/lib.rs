@@ -13,8 +13,10 @@
 //!   rebuild a lost chunk through a given chain,
 //! * an [`encode`]r and a peeling + GF(2)-elimination [`decode`]r so that
 //!   reconstruction results can be checked bit-for-bit,
-//! * a word-wide [`xor`] kernel shared by all of the above, and
-//! * the payload generator ([`fill`]) behind test and pristine stripes.
+//! * the [`xor`] kernels shared by all of the above,
+//! * the payload generator ([`fill`]) behind test and pristine stripes, and
+//! * the one CPU probe ([`simd`]) that picks which compiled clone of each
+//!   runs.
 //!
 //! Every code is represented uniformly as a [`StripeCode`]: a layout plus a
 //! list of XOR equations ([`chain::ParityChain`]). STAR's EVENODD-style
@@ -45,6 +47,7 @@ pub mod hash;
 pub mod layout;
 pub mod prime;
 pub mod repair;
+pub mod simd;
 pub mod stripe;
 pub mod xor;
 

@@ -1,80 +1,41 @@
-//! XOR kernels: runtime-dispatched SIMD with a scalar differential oracle.
+//! XOR kernels: one portable loop per operation, compiled twice, with a
+//! scalar differential oracle.
 //!
-//! Everything in a 3DFT code — encoding, chain repair, full decode — reduces
-//! to XOR-ing chunk buffers together. Three kernels implement the same
-//! contract:
+//! Everything in a 3DFT code — encoding, chain repair, full decode,
+//! verify — reduces to two primitives: `dst ^= src` ([`xor_into`]) and the
+//! all-zero scan ([`is_zero`]). Each is written once as a safe loop that
+//! the compiler vectorises for the baseline target (SSE2 on `x86_64`, NEON
+//! on `aarch64`), and compiled a second time as a
+//! `#[target_feature(enable = "avx2")]` clone. The CPU probe in
+//! [`simd`](crate::simd) picks the clone; [`active_kernel`] names it. A
+//! multi-source XOR ([`xor_many`]) copies its first source and XORs the
+//! rest in one at a time — the same accumulator the data plane keeps per
+//! worker.
 //!
-//! * [`XorKernel::Scalar`] — the original word-wide loop (`align_to::<u64>`
-//!   middle, byte edges). Kept verbatim in [`scalar`] as the differential
-//!   oracle: every SIMD path must produce byte-identical output, enforced by
-//!   the proptest suite in `tests/xor_diff.rs`.
-//! * [`XorKernel::Sse2`] — 16-byte lanes, 64-byte strides, unaligned loads.
-//! * [`XorKernel::Avx2`] — 32-byte lanes, 128-byte strides, unaligned loads.
-//!
-//! Each kernel has one primitive per operation: `dst ^= src` and the
-//! all-zero scan. The active kernel is the best one the CPU supports
-//! ([`active_kernel`], via `is_x86_feature_detected!`). A multi-source XOR
-//! ([`xor_many`]) copies its first source and XORs the rest in one at a
-//! time — the same accumulator the data plane keeps per worker.
+//! [`scalar`], the original word-wide loop (`align_to::<u64>` middle, byte
+//! edges), is kept verbatim and is not dispatched: it is the oracle every
+//! clone must match byte for byte (`tests/xor_diff.rs`).
 
-/// An XOR kernel implementation, ordered weakest to strongest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum XorKernel {
-    /// Word-wide (`u64`) loop; the differential oracle. Always available.
-    Scalar,
-    /// SSE2 128-bit lanes (baseline on `x86_64`).
-    Sse2,
-    /// AVX2 256-bit lanes.
-    Avx2,
+use crate::simd::{self, Kernel};
+
+/// Bytes per block of the all-zero scan, which stops at the first
+/// non-zero block.
+const ZERO_BLOCK: usize = 256;
+
+/// The tier [`xor_into`] / [`xor_many`] / [`is_zero`] run: the widest XOR
+/// clone the CPU supports (`Avx2` on an AVX-512 host).
+pub fn active_kernel() -> Kernel {
+    clone_for(simd::detected())
 }
 
-impl XorKernel {
-    /// Stable lowercase name, recorded in bench snapshots (`machine.simd`).
-    pub fn name(self) -> &'static str {
-        match self {
-            XorKernel::Scalar => "scalar",
-            XorKernel::Sse2 => "sse2",
-            XorKernel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// The kernel used by [`xor_into`] / [`xor_many`] / [`is_zero`]: the best
-/// the CPU supports (`is_x86_feature_detected!` probes once and caches).
-/// Under Miri only the scalar path runs: runtime feature detection and
-/// vendor intrinsics are not supported there, and the point of the Miri
-/// job is the `align_to` surface of the oracle.
-pub fn active_kernel() -> XorKernel {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return XorKernel::Avx2;
-        }
-        if is_x86_feature_detected!("sse2") {
-            return XorKernel::Sse2;
-        }
-    }
-    XorKernel::Scalar
-}
-
-/// Every kernel the host supports, weakest first. Test suites iterate this
-/// so a run on non-x86 hardware still exercises (trivially) the full matrix.
-pub fn supported_kernels() -> Vec<XorKernel> {
-    let best = active_kernel();
-    let mut out = vec![XorKernel::Scalar];
-    if best >= XorKernel::Sse2 {
-        out.push(XorKernel::Sse2);
-    }
-    if best >= XorKernel::Avx2 {
-        out.push(XorKernel::Avx2);
-    }
-    out
+/// The widest XOR clone at or below `kernel`, clamped to the CPU.
+fn clone_for(kernel: Kernel) -> Kernel {
+    kernel.min(simd::detected()).min(Kernel::Avx2)
 }
 
 /// `dst ^= src`, element-wise. Panics if lengths differ.
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    // SAFETY: the active kernel is the detected one.
-    unsafe { xor_into_unchecked(active_kernel(), dst, src) }
+    xor_into_with(simd::detected(), dst, src)
 }
 
 /// `dst = XOR(srcs)`: copy the first source, XOR the rest in one at a
@@ -95,50 +56,63 @@ pub fn xor_many(dst: &mut [u8], srcs: &[&[u8]]) {
 /// Returns true if the buffer is all zero — handy for parity-consistency
 /// checks (`XOR of a whole chain must be zero`).
 pub fn is_zero(buf: &[u8]) -> bool {
-    // SAFETY: the active kernel is the detected one.
-    unsafe { is_zero_unchecked(active_kernel(), buf) }
+    is_zero_with(simd::detected(), buf)
 }
 
-/// [`xor_into`] on an explicit kernel, clamped to what the CPU supports:
-/// asking for a kernel above [`active_kernel`] runs the active one.
-pub fn xor_into_with(kernel: XorKernel, dst: &mut [u8], src: &[u8]) {
-    // SAFETY: clamped to the detected kernel.
-    unsafe { xor_into_unchecked(kernel.min(active_kernel()), dst, src) }
-}
-
-/// [`is_zero`] on an explicit kernel, clamped like [`xor_into_with`].
-pub fn is_zero_with(kernel: XorKernel, buf: &[u8]) -> bool {
-    // SAFETY: clamped to the detected kernel.
-    unsafe { is_zero_unchecked(kernel.min(active_kernel()), buf) }
-}
-
-/// # Safety
-/// `kernel` must be one of [`supported_kernels`].
-unsafe fn xor_into_unchecked(kernel: XorKernel, dst: &mut [u8], src: &[u8]) {
+/// [`xor_into`] on the widest clone at or below `kernel`, clamped to what
+/// the CPU supports.
+pub fn xor_into_with(kernel: Kernel, dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_into length mismatch");
-    match kernel {
-        XorKernel::Scalar => scalar::xor_into(dst, src),
+    match clone_for(kernel) {
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Sse2 => sse2::xor_into(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        XorKernel::Avx2 => avx2::xor_into(dst, src),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::xor_into(dst, src),
+        // SAFETY: clamped to the detected tier, so the CPU has AVX2.
+        Kernel::Avx2 => unsafe { xor_avx2(dst, src) },
+        _ => xor_loop(dst, src),
     }
 }
 
-/// # Safety
-/// `kernel` must be one of [`supported_kernels`].
-unsafe fn is_zero_unchecked(kernel: XorKernel, buf: &[u8]) -> bool {
-    match kernel {
-        XorKernel::Scalar => scalar::is_zero(buf),
+/// [`is_zero`] on the widest clone at or below `kernel`, clamped like
+/// [`xor_into_with`].
+pub fn is_zero_with(kernel: Kernel, buf: &[u8]) -> bool {
+    match clone_for(kernel) {
         #[cfg(target_arch = "x86_64")]
-        XorKernel::Sse2 => sse2::is_zero(buf),
-        #[cfg(target_arch = "x86_64")]
-        XorKernel::Avx2 => avx2::is_zero(buf),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::is_zero(buf),
+        // SAFETY: clamped to the detected tier, so the CPU has AVX2.
+        Kernel::Avx2 => unsafe { zero_avx2(buf) },
+        _ => zero_loop(buf),
     }
+}
+
+/// `dst ^= src`: the loop every clone compiles.
+#[inline(always)]
+fn xor_loop(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= *s;
+    }
+}
+
+/// The all-zero scan every clone compiles: OR-reduce each block, stop at
+/// the first non-zero one, then check the bytes after the last full block.
+#[inline(always)]
+fn zero_loop(buf: &[u8]) -> bool {
+    let mut blocks = buf.chunks_exact(ZERO_BLOCK);
+    for block in &mut blocks {
+        if block.iter().fold(0, |acc, &b| acc | b) != 0 {
+            return false;
+        }
+    }
+    blocks.remainder().iter().fold(0, |acc, &b| acc | b) == 0
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn xor_avx2(dst: &mut [u8], src: &[u8]) {
+    xor_loop(dst, src)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn zero_avx2(buf: &[u8]) -> bool {
+    zero_loop(buf)
 }
 
 /// The original word-wide kernels, kept verbatim as the differential oracle.
@@ -192,135 +166,30 @@ pub mod scalar {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use std::arch::x86_64::*;
-
-    /// `dst ^= src` with 4×16-byte unrolled lanes per 64-byte stride.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (guaranteed on `x86_64`, but
-    /// dispatch still checks) and `dst.len() == src.len()`. All loads/stores
-    /// are unaligned-safe (`loadu`/`storeu`) and stay within the slices.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn xor_into(dst: &mut [u8], src: &[u8]) {
-        const STRIDE: usize = 64;
-        let len = dst.len();
-        let main = len - len % STRIDE;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut off = 0;
-        while off < main {
-            for lane in [0, 16, 32, 48] {
-                let d = dp.add(off + lane) as *mut __m128i;
-                let s = sp.add(off + lane) as *const __m128i;
-                _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), _mm_loadu_si128(s)));
-            }
-            off += STRIDE;
-        }
-        for (d, s) in dst[main..].iter_mut().zip(&src[main..]) {
-            *d ^= s;
-        }
-    }
-
-    /// All-zero scan, 64 bytes per iteration with an early exit per block.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2; loads are unaligned-safe and in-bounds.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn is_zero(buf: &[u8]) -> bool {
-        const STRIDE: usize = 64;
-        let len = buf.len();
-        let main = len - len % STRIDE;
-        let bp = buf.as_ptr();
-        let mut off = 0;
-        while off < main {
-            let a = _mm_or_si128(
-                _mm_loadu_si128(bp.add(off) as *const __m128i),
-                _mm_loadu_si128(bp.add(off + 16) as *const __m128i),
-            );
-            let b = _mm_or_si128(
-                _mm_loadu_si128(bp.add(off + 32) as *const __m128i),
-                _mm_loadu_si128(bp.add(off + 48) as *const __m128i),
-            );
-            let acc = _mm_or_si128(a, b);
-            // SSE2 has no testz; compare against zero and check the mask.
-            let eq = _mm_cmpeq_epi8(acc, _mm_setzero_si128());
-            if _mm_movemask_epi8(eq) != 0xFFFF {
-                return false;
-            }
-            off += STRIDE;
-        }
-        buf[main..].iter().all(|&b| b == 0)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// `dst ^= src` with 4×32-byte unrolled lanes per 128-byte stride.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 (dispatch checks via
-    /// `is_x86_feature_detected!`) and `dst.len() == src.len()`. All
-    /// loads/stores are unaligned-safe (`loadu`/`storeu`) and stay within
-    /// the slices.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_into(dst: &mut [u8], src: &[u8]) {
-        const STRIDE: usize = 128;
-        let len = dst.len();
-        let main = len - len % STRIDE;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut off = 0;
-        while off < main {
-            for lane in [0, 32, 64, 96] {
-                let d = dp.add(off + lane) as *mut __m256i;
-                let s = sp.add(off + lane) as *const __m256i;
-                _mm256_storeu_si256(
-                    d,
-                    _mm256_xor_si256(_mm256_loadu_si256(d), _mm256_loadu_si256(s)),
-                );
-            }
-            off += STRIDE;
-        }
-        for (d, s) in dst[main..].iter_mut().zip(&src[main..]) {
-            *d ^= s;
-        }
-    }
-
-    /// All-zero scan, 128 bytes per iteration with an early exit per block.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2; loads are unaligned-safe and in-bounds.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn is_zero(buf: &[u8]) -> bool {
-        const STRIDE: usize = 128;
-        let len = buf.len();
-        let main = len - len % STRIDE;
-        let bp = buf.as_ptr();
-        let mut off = 0;
-        while off < main {
-            let a = _mm256_or_si256(
-                _mm256_loadu_si256(bp.add(off) as *const __m256i),
-                _mm256_loadu_si256(bp.add(off + 32) as *const __m256i),
-            );
-            let b = _mm256_or_si256(
-                _mm256_loadu_si256(bp.add(off + 64) as *const __m256i),
-                _mm256_loadu_si256(bp.add(off + 96) as *const __m256i),
-            );
-            let acc = _mm256_or_si256(a, b);
-            if _mm256_testz_si256(acc, acc) == 0 {
-                return false;
-            }
-            off += STRIDE;
-        }
-        buf[main..].iter().all(|&b| b == 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every tier the host runs, plus the oracle: `None` is `scalar`.
+    fn paths() -> Vec<Option<Kernel>> {
+        std::iter::once(None)
+            .chain(simd::supported().into_iter().map(Some))
+            .collect()
+    }
+
+    fn xor_on(path: Option<Kernel>, dst: &mut [u8], src: &[u8]) {
+        match path {
+            Some(kernel) => xor_into_with(kernel, dst, src),
+            None => scalar::xor_into(dst, src),
+        }
+    }
+
+    fn zero_on(path: Option<Kernel>, buf: &[u8]) -> bool {
+        match path {
+            Some(kernel) => is_zero_with(kernel, buf),
+            None => scalar::is_zero(buf),
+        }
+    }
 
     #[test]
     fn xor_into_basic() {
@@ -342,16 +211,16 @@ mod tests {
 
     #[test]
     fn xor_into_odd_lengths_all_kernels() {
-        // Exercise the unaligned head/tail paths with awkward sizes, on
-        // every kernel the host supports.
-        for kernel in supported_kernels() {
-            for len in [0, 1, 3, 7, 8, 9, 15, 17, 31, 63, 64, 65, 127, 129] {
+        // Awkward sizes around vector widths and the scan's block, on the
+        // oracle and on every kernel the host supports.
+        for path in paths() {
+            for len in [0, 1, 3, 7, 8, 9, 15, 17, 31, 63, 64, 65, 127, 129, 255, 257] {
                 let a_orig: Vec<u8> = (0..len).map(|i| i as u8).collect();
                 let b: Vec<u8> = (0..len).map(|i| (i * 3 + 1) as u8).collect();
                 let mut a = a_orig.clone();
-                xor_into_with(kernel, &mut a, &b);
+                xor_on(path, &mut a, &b);
                 for i in 0..len {
-                    assert_eq!(a[i], a_orig[i] ^ b[i], "{kernel:?} len={len} idx={i}");
+                    assert_eq!(a[i], a_orig[i] ^ b[i], "{path:?} len={len} idx={i}");
                 }
             }
         }
@@ -362,15 +231,15 @@ mod tests {
         // Force differing alignments of dst and src.
         let backing_a = [0xABu8; 80];
         let backing_b: Vec<u8> = (0..80).map(|i| i as u8).collect();
-        for kernel in supported_kernels() {
+        for path in paths() {
             for off_a in 0..4 {
                 for off_b in 0..4 {
                     let mut a = backing_a[off_a..off_a + 64].to_vec();
                     // Copy with offset to change the underlying alignment.
                     let b = &backing_b[off_b..off_b + 64];
                     let expect: Vec<u8> = a.iter().zip(b).map(|(x, y)| x ^ y).collect();
-                    xor_into_with(kernel, &mut a, b);
-                    assert_eq!(a, expect, "{kernel:?} off_a={off_a} off_b={off_b}");
+                    xor_on(path, &mut a, b);
+                    assert_eq!(a, expect, "{path:?} off_a={off_a} off_b={off_b}");
                 }
             }
         }
@@ -427,7 +296,7 @@ mod tests {
         let src: Vec<u8> = (0..333).map(|i| (i * 7 + 1) as u8).collect();
         let mut want = dst.clone();
         scalar::xor_into(&mut want, &src);
-        for kernel in [XorKernel::Scalar, XorKernel::Sse2, XorKernel::Avx2] {
+        for kernel in [Kernel::Portable, Kernel::Avx2, Kernel::Avx512] {
             let mut got = dst.clone();
             xor_into_with(kernel, &mut got, &src);
             assert_eq!(got, want, "{kernel:?}");
@@ -443,15 +312,16 @@ mod tests {
 
     #[test]
     fn is_zero_detects_on_every_kernel() {
-        for kernel in supported_kernels() {
-            assert!(is_zero_with(kernel, &[0u8; 16]), "{kernel:?}");
-            assert!(!is_zero_with(kernel, &[0, 0, 1, 0]), "{kernel:?}");
-            assert!(is_zero_with(kernel, &[]), "{kernel:?}");
-            assert!(is_zero_with(kernel, &[0u8; 333]), "{kernel:?}");
+        for path in paths() {
+            assert!(zero_on(path, &[0u8; 16]), "{path:?}");
+            assert!(!zero_on(path, &[0, 0, 1, 0]), "{path:?}");
+            assert!(zero_on(path, &[]), "{path:?}");
+            assert!(zero_on(path, &[0u8; 333]), "{path:?}");
             let mut buf = vec![0u8; 333];
-            for poison in [0, 63, 64, 150, 332] {
+            // Both blocks' edges and the bytes after the last full block.
+            for poison in [0, 63, 64, 150, 255, 256, 300, 332] {
                 buf[poison] = 1;
-                assert!(!is_zero_with(kernel, &buf), "{kernel:?} poison={poison}");
+                assert!(!zero_on(path, &buf), "{path:?} poison={poison}");
                 buf[poison] = 0;
             }
         }
@@ -459,6 +329,7 @@ mod tests {
 
     #[test]
     fn active_kernel_is_supported() {
-        assert!(supported_kernels().contains(&active_kernel()));
+        assert!(simd::supported().contains(&active_kernel()));
+        assert_eq!(active_kernel(), simd::detected().min(Kernel::Avx2));
     }
 }

@@ -4,13 +4,14 @@
 //! The oracle below is that loop verbatim — one `x += γ` step, one `mix`
 //! per byte — kept here, out of the library, because nothing but this
 //! suite needs it. `fill_with` must reproduce it byte for byte on every
-//! kernel the host supports (`supported_kernels()`: on a host without
-//! AVX-512 that is `[Portable]`), at every length from empty through
+//! tier the host supports (`simd::supported()`; below AVX-512 each runs
+//! the portable loop), at every length from empty through
 //! several 64-lane blocks and at the data plane's 32 KiB chunk, and
 //! `Stripe::patterned_seeded` must reproduce the stripe the oracle's
 //! per-cell seeding built.
 
-use fbf_codes::fill::{fill_with, supported_kernels};
+use fbf_codes::fill::fill_with;
+use fbf_codes::simd::supported;
 use fbf_codes::{CodeSpec, Stripe, StripeCode};
 use proptest::prelude::*;
 
@@ -51,7 +52,7 @@ fn oracle_stripe(code: &StripeCode, chunk_size: usize, extra: u64) -> Vec<Vec<u8
 
 fn assert_every_kernel_matches(base: u64, len: usize) {
     let want = oracle(base, len);
-    for kernel in supported_kernels() {
+    for kernel in supported() {
         let mut got = vec![0xA5u8; len];
         fill_with(kernel, &mut got, base);
         assert!(

@@ -1,16 +1,18 @@
 //! Differential tests: every dispatchable XOR kernel vs the scalar
 //! reference.
 //!
-//! The SIMD rewrite keeps the original word-wise kernels verbatim in
-//! `xor::scalar` exactly so they can serve as the oracle here. The
-//! `xor_into` and `is_zero` properties drive the full kernel matrix
-//! (`supported_kernels()` — on a non-x86 or pre-SSE2 host that is just
-//! `[Scalar]` and the suite degenerates to a self-check) over adversarial
-//! shapes: lengths that are not multiples of any vector width and buffers
-//! deliberately misaligned by 0..8 bytes. `xor_many` is the dispatched
-//! copy-then-`xor_into` driver, checked against `scalar::xor_many`.
+//! `xor::scalar`, the original word-wise loop, is kept verbatim and never
+//! dispatched so it can serve as the oracle here. The `xor_into` and
+//! `is_zero` properties drive every tier the host runs
+//! (`simd::supported()`: `[Portable]` on a host without AVX2, where the
+//! suite checks the portable loop alone) over adversarial shapes: lengths
+//! 0..=4096, which straddle every vector width and the zero scan's
+//! 256-byte block, and buffers deliberately misaligned by 0..8 bytes.
+//! `xor_many`, the dispatched copy-then-`xor_into` loop, is checked
+//! against `scalar::xor_many`.
 
-use fbf_codes::xor::{is_zero_with, scalar, supported_kernels, xor_into_with, xor_many};
+use fbf_codes::simd::supported;
+use fbf_codes::xor::{is_zero_with, scalar, xor_into_with, xor_many};
 use proptest::prelude::*;
 
 /// Deterministic bytes from a seed — xorshift, one byte per step.
@@ -50,7 +52,7 @@ proptest! {
         let mut expected = dst_buf.clone();
         scalar::xor_into(&mut expected[dst_r.clone()], &src_buf[src_r.clone()]);
 
-        for &k in &supported_kernels() {
+        for &k in &supported() {
             let mut got = dst_buf.clone();
             xor_into_with(k, &mut got[dst_r.clone()], &src_buf[src_r.clone()]);
             prop_assert_eq!(&got, &expected, "kernel {:?} diverged", k);
@@ -100,7 +102,7 @@ proptest! {
         }
         let slice = &buf[off..off + len];
         let expected = scalar::is_zero(slice);
-        for &k in &supported_kernels() {
+        for &k in &supported() {
             prop_assert_eq!(is_zero_with(k, slice), expected, "kernel {:?} diverged", k);
         }
     }

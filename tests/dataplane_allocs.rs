@@ -6,15 +6,17 @@
 //! run allocates is a function of the config — cache size and workers —
 //! not of how many chunks it reads. `FileBackend::format` keeps one
 //! stripe across its per-stripe loop: its chunk-sized allocations do not
-//! grow with the stripes it writes.
+//! grow with the stripes it writes. `encode::verify`, which `verify_backend`
+//! and `scrub` run per stripe, keeps one accumulator for all its chains.
 
 mod common;
 
 use common::{counted, LARGE};
+use fbf::codes::encode::{encode, verify};
 use fbf::core::PlannedCampaign;
 use fbf::{
     run_planned_on, ArrayMapping, BackendDiskStats, BackendError, ChunkId, CodeSpec,
-    ExperimentConfig, FaultPlan, FileBackend, PlanSource, StorageBackend, StripeCode,
+    ExperimentConfig, FaultPlan, FileBackend, PlanSource, StorageBackend, Stripe, StripeCode,
 };
 
 /// A backend that moves no bytes and allocates nothing per call, so every
@@ -147,4 +149,23 @@ fn format_allocates_one_stripe_whatever_it_writes() {
     );
     // One buffer per cell, plus the zero chunk the empty stripe shares.
     assert_eq!(few, cells + 1);
+}
+
+#[test]
+fn verify_allocates_one_accumulator_for_every_chain() {
+    let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
+    let mut stripe = Stripe::patterned_seeded(code.layout(), 32 << 10, 1);
+    encode(&code, &mut stripe).unwrap();
+    let (bad, calls) = counted(|| verify(&code, &stripe));
+    assert!(bad.is_empty(), "chains {bad:?} violated after encode");
+    println!(
+        "verify of {} chains: {} chunk-sized allocations",
+        code.chains().len(),
+        calls.large
+    );
+    assert!(
+        calls.large <= 1,
+        "{} chunk-sized allocations for one stripe",
+        calls.large
+    );
 }
