@@ -64,8 +64,6 @@ pub enum CodeError {
     NotPrime(usize),
     /// `p` is prime but too small for the requested code family.
     PrimeTooSmall { p: usize, min: usize },
-    /// A chunk buffer had the wrong length.
-    ChunkSizeMismatch { expected: usize, got: usize },
     /// The erasure pattern is beyond the decoding capability of the code.
     Unrecoverable { unresolved: usize },
     /// A cell address is outside the stripe layout.
@@ -78,12 +76,6 @@ impl std::fmt::Display for CodeError {
             CodeError::NotPrime(p) => write!(f, "{p} is not prime"),
             CodeError::PrimeTooSmall { p, min } => {
                 write!(f, "prime {p} too small for this code (need >= {min})")
-            }
-            CodeError::ChunkSizeMismatch { expected, got } => {
-                write!(
-                    f,
-                    "chunk size mismatch: expected {expected} bytes, got {got}"
-                )
             }
             CodeError::Unrecoverable { unresolved } => {
                 write!(

@@ -69,51 +69,6 @@ pub fn option_through(code: &StripeCode, target: Cell, id: ChainId) -> RepairOpt
     }
 }
 
-/// For each direction, the cheapest usable chain (if any) as
-/// `(read cost, chain)` — [`best_per_direction`] without the read sets.
-///
-/// Winners are selected on `(cost, chain order)`: an equation of `n`
-/// members always costs `n` reads no matter which of its cells is the
-/// target, so the whole scan is compare-only and allocates nothing. The
-/// scheme planner calls this once per still-lost candidate per round and
-/// materialises ([`option_through`]) only the chain it picks.
-pub fn best_chain_per_direction(
-    code: &StripeCode,
-    target: Cell,
-    lost: &[Cell],
-) -> [Option<(usize, ChainId)>; 3] {
-    let mut win: [Option<(usize, ChainId)>; 3] = [None, None, None];
-    for &id in code.chains_of(target) {
-        let chain = code.chain(id);
-        // Usable iff no *other* lost cell sits on the equation (it would be
-        // part of the read set).
-        if lost.iter().any(|&c| c != target && chain.covers(c)) {
-            continue;
-        }
-        let cost = chain.len();
-        let slot = &mut win[chain.direction.index()];
-        let better = match slot {
-            Some((cur, _)) => cost < *cur,
-            None => true,
-        };
-        if better {
-            *slot = Some((cost, id));
-        }
-    }
-    win
-}
-
-/// For each direction, the cheapest usable option (if any): the winners of
-/// [`best_chain_per_direction`], each with its read set.
-pub fn best_per_direction(
-    code: &StripeCode,
-    target: Cell,
-    lost: &[Cell],
-) -> [Option<RepairOption>; 3] {
-    best_chain_per_direction(code, target, lost)
-        .map(|w| w.map(|(_, id)| option_through(code, target, id)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,9 +122,9 @@ mod tests {
             let code = StripeCode::build(spec, 7).unwrap();
             let lost: Vec<Cell> = (0..code.rows() - 1).map(|r| Cell::new(r, 0)).collect();
             for &target in &lost {
-                let best = best_per_direction(&code, target, &lost);
+                let usable = usable_repair_options(&code, target, &lost);
                 assert!(
-                    best[Direction::Horizontal.index()].is_some(),
+                    usable.iter().any(|o| o.direction == Direction::Horizontal),
                     "{spec} {target} lacks horizontal repair"
                 );
             }

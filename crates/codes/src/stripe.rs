@@ -7,7 +7,6 @@
 //! verified bit-for-bit.
 
 use crate::layout::{Cell, Layout};
-use crate::CodeError;
 use std::sync::Arc;
 
 /// One chunk's payload. Cheaply cloneable (reference-counted).
@@ -39,21 +38,6 @@ impl Stripe {
         }
     }
 
-    /// Build a stripe from explicit chunk buffers (row-major). All buffers
-    /// must share the same length.
-    pub fn from_chunks(chunks: Vec<ChunkBuf>) -> Result<Self, CodeError> {
-        let chunk_size = chunks.first().map(|c| c.len()).unwrap_or(0);
-        for c in &chunks {
-            if c.len() != chunk_size {
-                return Err(CodeError::ChunkSizeMismatch {
-                    expected: chunk_size,
-                    got: c.len(),
-                });
-            }
-        }
-        Ok(Stripe { chunk_size, chunks })
-    }
-
     /// Fill the data cells of a zeroed stripe from a deterministic
     /// byte pattern derived from the cell address. Useful for tests: each
     /// cell's payload is unique, so mix-ups are caught.
@@ -78,13 +62,14 @@ impl Stripe {
     pub fn refill_seeded(&mut self, layout: &Layout, seed: u64) {
         assert_eq!(self.chunks.len(), layout.len(), "stripe/layout mismatch");
         for cell in layout.data_cells() {
-            fill_data_cell(self.unique_mut(layout.index_of(cell)), seed, cell);
+            fill_data_cell(self.chunk_mut(layout.index_of(cell)), seed, cell);
         }
     }
 
-    /// Chunk `i`'s buffer, writable: the same buffer when no clone shares
-    /// it, otherwise a fresh (zeroed) one put in its place.
-    fn unique_mut(&mut self, i: usize) -> &mut [u8] {
+    /// Chunk `i`'s buffer (row-major), writable: the same buffer when no
+    /// clone shares it, otherwise a fresh (zeroed) one put in its place,
+    /// so clones keep their bytes.
+    pub fn chunk_mut(&mut self, i: usize) -> &mut [u8] {
         if Arc::get_mut(&mut self.chunks[i]).is_none() {
             // One allocation, no copy: `repeat_n` reports its exact length.
             self.chunks[i] = std::iter::repeat_n(0, self.chunk_size).collect();
@@ -136,7 +121,7 @@ impl Stripe {
         debug_assert!(!cells.contains(&dst), "{dst} XORed into itself");
         let d = layout.index_of(dst);
         let Some((&first, rest)) = cells.split_first() else {
-            self.unique_mut(d).fill(0);
+            self.chunk_mut(d).fill(0);
             return;
         };
         // Park a clone of the first source in `dst`'s slot (a count bump,
@@ -221,17 +206,5 @@ mod tests {
             }
         }
         assert_eq!(x.as_ref(), manual.as_slice());
-    }
-
-    #[test]
-    fn from_chunks_rejects_mismatched_sizes() {
-        let r = Stripe::from_chunks(vec![Arc::from([0u8; 4]), Arc::from([0u8; 5])]);
-        assert!(matches!(
-            r,
-            Err(CodeError::ChunkSizeMismatch {
-                expected: 4,
-                got: 5
-            })
-        ));
     }
 }

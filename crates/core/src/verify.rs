@@ -2,10 +2,10 @@
 //!
 //! The data plane ([`crate::backend_run`]) is the engine's run moving real
 //! bytes, so checking a campaign is checking what that run left on its
-//! backend. [`verify_backend`] reads every chunk of every repaired stripe
-//! back and requires every chain equation of the code to hold, and holds
-//! the run's counts to what it read. It checks the code, not a generator,
-//! so it verifies any content a backend holds. [`verify_campaign`] is that
+//! backend. [`verify_backend`] reads every repaired stripe back whole
+//! ([`StorageBackend::read_stripe`]), requires every chain equation of the
+//! code to hold, and holds the run's counts to what it read. It checks the
+//! code, not a generator, so it verifies any content a backend holds. [`verify_campaign`] is that
 //! check after a run on a [`SimBackend`](fbf_disksim::SimBackend) at the
 //! config's chunk size: run it after a sweep to certify that the timing
 //! results describe a reconstruction that actually produces correct data.
@@ -16,9 +16,8 @@ use crate::metrics::Metrics;
 use crate::plan::{PlanSource, PlannedCampaign};
 use crate::runner::RunError;
 use fbf_codes::encode::verify;
-use fbf_codes::{ChunkBuf, ChunkId, Stripe, StripeCode};
+use fbf_codes::{ChunkId, Stripe, StripeCode};
 use fbf_disksim::StorageBackend;
-use std::sync::Arc;
 
 /// Outcome of a verified campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,11 +82,8 @@ pub fn verify_backend(
     };
     let mut unresolved = 0;
     let chunk_bytes = backend.chunk_bytes();
-    // One buffer per cell for the whole check: each stripe read back holds
-    // clones of them only until its equations are checked.
-    let mut cells: Vec<ChunkBuf> = (code.layout().cells())
-        .map(|_| vec![0u8; chunk_bytes].into())
-        .collect();
+    // One stripe of buffers for the whole check, refilled by each read.
+    let mut read_back = Stripe::zeroed(code.layout(), chunk_bytes);
     for damage in plan.errors.damage_by_stripe() {
         let stripe = damage.stripe;
         if metrics.data_loss.iter().any(|l| l.stripe == stripe) {
@@ -97,13 +93,11 @@ pub fn verify_backend(
             unresolved += 1;
             continue;
         }
-        for (cell, buf) in code.layout().cells().zip(&mut cells) {
-            let chunk = ChunkId::new(stripe, cell);
-            let buf = Arc::get_mut(buf).expect("no read-back stripe outlives its check");
-            backend.read_chunk(chunk, buf).map_err(RunError::Backend)?;
-            report.chunks += usize::from(backend.is_repaired(chunk));
-        }
-        if !verify(&code, &Stripe::from_chunks(cells.clone())?).is_empty() {
+        (backend.read_stripe(stripe, &mut read_back)).map_err(RunError::Backend)?;
+        report.chunks += (code.layout().cells())
+            .filter(|&cell| backend.is_repaired(ChunkId::new(stripe, cell)))
+            .count();
+        if !verify(&code, &read_back).is_empty() {
             return Err(RunError::Verify(format!(
                 "stripe {stripe} reads back with violated chain equations"
             )));

@@ -53,7 +53,7 @@ use fbf_cache::{FxHashMap, FxHashSet};
 use fbf_codes::encode::encode;
 use fbf_codes::stripe::fill_data_cell;
 use fbf_codes::xor::xor_into;
-use fbf_codes::{ChunkId, Stripe, StripeCode};
+use fbf_codes::{Cell, ChunkId, Stripe, StripeCode};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -226,6 +226,20 @@ pub trait StorageBackend: Send {
     /// the chunk has been repaired; refuses a chunk outside the array.
     fn read_chunk(&mut self, chunk: ChunkId, buf: &mut [u8]) -> Result<(), BackendError>;
 
+    /// Read every chunk of `stripe` into `out` (row-major, the array's
+    /// `rows × cols` chunks of [`chunk_bytes`](Self::chunk_bytes)): what
+    /// [`read_chunk`](Self::read_chunk) of each cell in turn returns, and
+    /// the error of the first cell it refuses. The default is that loop;
+    /// `out`'s bytes are unspecified after an error.
+    fn read_stripe(&mut self, stripe: u32, out: &mut Stripe) -> Result<(), BackendError> {
+        let cols = self.mapping().cols;
+        for i in 0..out.len() {
+            let chunk = ChunkId::new(stripe, Cell::new(i / cols, i % cols));
+            self.read_chunk(chunk, out.chunk_mut(i))?;
+        }
+        Ok(())
+    }
+
     /// Write a recovered chunk to its spare location and register the
     /// redirect for later reads; refuses a chunk outside the array.
     fn write_spare(&mut self, chunk: ChunkId, data: &[u8]) -> Result<(), BackendError>;
@@ -274,8 +288,11 @@ fn materialize_into(code: &StripeCode, stripe: u32, out: &mut Stripe) {
 /// XOR of its data support's seeded fills, written straight into the
 /// caller's buffer (a data cell is one fill; a parity cell fills its first
 /// support cell there and XORs each other one in through one chunk-sized
-/// scratch buffer). Damaged cells are erased and spare writes are held in
-/// a map, so the backend's memory is the spare copies, whatever it reads.
+/// scratch buffer). A whole stripe is one fill per data cell and an
+/// encode ([`read_stripe`](StorageBackend::read_stripe)), not every
+/// parity cell's support again. Damaged cells are erased and spare writes
+/// are held in a map, so the backend's memory is the spare copies,
+/// whatever it reads.
 pub struct SimBackend {
     code: StripeCode,
     mapping: ArrayMapping,
@@ -359,6 +376,35 @@ impl StorageBackend for SimBackend {
         }
         self.stats[disk].reads += 1;
         self.stats[disk].bytes_read += buf.len() as u64;
+        Ok(())
+    }
+
+    fn read_stripe(&mut self, stripe: u32, out: &mut Stripe) -> Result<(), BackendError> {
+        if out.chunk_size() != self.chunk_bytes {
+            return Err(BackendError::SizeMismatch {
+                expected: self.chunk_bytes,
+                got: out.chunk_size(),
+            });
+        }
+        let layout = self.code.layout();
+        // Refuse what the per-cell loop would, at the cell it would.
+        for cell in layout.cells() {
+            let chunk = ChunkId::new(stripe, cell);
+            in_array(&self.mapping, self.data_stripes, chunk)?;
+            if self.damaged.contains(&chunk) && !self.spare.contains_key(&chunk) {
+                return Err(BackendError::DamagedRead(chunk));
+            }
+        }
+        materialize_into(&self.code, stripe, out);
+        for (i, cell) in layout.cells().enumerate() {
+            let chunk = ChunkId::new(stripe, cell);
+            if let Some(spare) = self.spare.get(&chunk) {
+                out.chunk_mut(i).copy_from_slice(spare);
+            }
+            let disk = self.mapping.disk_of(chunk);
+            self.stats[disk].reads += 1;
+            self.stats[disk].bytes_read += self.chunk_bytes as u64;
+        }
         Ok(())
     }
 
@@ -461,7 +507,7 @@ impl FileBackend {
             materialize_into(code, s, &mut stripe);
             for r in 0..code.rows() {
                 for c in 0..code.cols() {
-                    let cell = fbf_codes::Cell::new(r, c);
+                    let cell = Cell::new(r, c);
                     let chunk = ChunkId::new(s, cell);
                     if backend.damaged.contains(&chunk) {
                         continue; // lost cells hold no data

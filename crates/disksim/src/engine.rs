@@ -53,6 +53,11 @@ pub enum Op {
     Write { chunk: ChunkId },
 }
 
+// Lowering stores every op once and the engine streams them back, so a
+// script's bytes are its cost: `SimTime`'s 4-byte alignment keeps an op
+// at 12 bytes (DESIGN.md §8).
+const _: () = assert!(std::mem::size_of::<Op>() == 12);
+
 /// A parallel fan-out read: all chunks are requested at once (degraded
 /// reads fan out to a whole parity chain; parallel repair reads do too).
 /// The worker resumes when the slowest chunk arrives. Kept separate from

@@ -8,7 +8,15 @@
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in (or span of) virtual time, in nanoseconds.
+///
+/// 4-byte aligned (`packed(4)`), so an [`Op`](crate::Op) carrying one is
+/// 12 bytes rather than 16 and every worker script a quarter smaller
+/// (DESIGN.md §8). Read the tick count by value (`t.0`, [`as_nanos`]);
+/// a reference to the field would be unaligned and does not compile.
+///
+/// [`as_nanos`]: SimTime::as_nanos
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed(4))]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -102,14 +110,15 @@ impl std::iter::Sum for SimTime {
 
 impl std::fmt::Display for SimTime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 >= 1_000_000_000 {
+        let ns = self.0;
+        if ns >= 1_000_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())
-        } else if self.0 >= 1_000_000 {
+        } else if ns >= 1_000_000 {
             write!(f, "{:.3}ms", self.as_millis_f64())
-        } else if self.0 >= 1_000 {
-            write!(f, "{:.3}us", self.0 as f64 / 1e3)
+        } else if ns >= 1_000 {
+            write!(f, "{:.3}us", ns as f64 / 1e3)
         } else {
-            write!(f, "{}ns", self.0)
+            write!(f, "{ns}ns")
         }
     }
 }

@@ -2,10 +2,10 @@
 //! scheduling equivalences.
 
 use fbf_cache::PolicyKind;
-use fbf_codes::{Cell, ChunkId};
+use fbf_codes::{Cell, ChunkId, CodeSpec, Stripe, StripeCode};
 use fbf_disksim::{
-    ArrayMapping, CacheSharing, DiskModel, DiskSched, Engine, EngineConfig, Op, SimTime,
-    WorkerScript,
+    ArrayMapping, BackendError, CacheSharing, DiskModel, DiskSched, Engine, EngineConfig, Op,
+    SimBackend, SimTime, StorageBackend, WorkerScript,
 };
 use proptest::prelude::*;
 
@@ -151,5 +151,66 @@ proptest! {
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(a.disk_reads, b.disk_reads);
         prop_assert_eq!(a.cache, b.cache);
+    }
+
+    /// A `SimBackend`'s `read_stripe` (fills, an encode, the spare copies
+    /// laid over) is what `read_chunk` of each cell returns, on every
+    /// shipped code at every prime up to 13 it accepts: random damage,
+    /// some of it repaired, spare copies of undamaged cells too, and
+    /// refusals (a damaged cell with no copy, a stripe past the array)
+    /// with the same error. A read that succeeds counts the same reads.
+    #[test]
+    fn sim_read_stripe_equals_per_chunk_reads(
+        stripe in 0u32..5,
+        cells in proptest::collection::vec((0usize..1 << 16, 0u8..3), 0..8),
+    ) {
+        const CHUNK: usize = 64;
+        for spec in CodeSpec::EXTENDED {
+            for code in [3, 5, 7, 11, 13]
+                .into_iter()
+                .filter_map(|p| StripeCode::build(spec, p).ok())
+            {
+                let layout = code.layout();
+                let chunk_at = |i: usize| {
+                    let i = i % layout.len();
+                    ChunkId::new(stripe, Cell::new(i / code.cols(), i % code.cols()))
+                };
+                // `how`: 0 damaged with no copy, 1 damaged and repaired,
+                // 2 a copy of an undamaged cell. Four stripes: stripe 4
+                // is past the array.
+                let backend = || {
+                    let damaged = (cells.iter())
+                        .filter(|&&(_, how)| how < 2)
+                        .map(|&(i, _)| chunk_at(i));
+                    let mut b = SimBackend::new(code.clone(), CHUNK, 4, damaged);
+                    for &(i, how) in cells.iter().filter(|&&(_, how)| how > 0) {
+                        let _ = b.write_spare(chunk_at(i), &[i as u8 ^ how; CHUNK]);
+                    }
+                    b
+                };
+                let (mut whole, mut per_chunk) = (backend(), backend());
+                let mut out = Stripe::zeroed(layout, CHUNK);
+                let got = whole.read_stripe(stripe, &mut out);
+                let want: Result<Vec<_>, _> = (layout.cells())
+                    .map(|cell| {
+                        let mut buf = vec![0u8; CHUNK];
+                        (per_chunk.read_chunk(ChunkId::new(stripe, cell), &mut buf)).map(|()| buf)
+                    })
+                    .collect();
+                match (got, want) {
+                    (Ok(()), Ok(want)) => {
+                        for (cell, buf) in layout.cells().zip(&want) {
+                            prop_assert_eq!(out.get(layout, cell).as_ref(), &buf[..], "{:?} {}", spec, cell);
+                        }
+                        prop_assert_eq!(whole.disk_stats(), per_chunk.disk_stats());
+                    }
+                    (Err(BackendError::DamagedRead(a)), Err(BackendError::DamagedRead(b)))
+                    | (Err(BackendError::OutOfArray(a)), Err(BackendError::OutOfArray(b))) => {
+                        prop_assert_eq!(a, b)
+                    }
+                    (got, want) => panic!("{spec:?} p={}: {got:?} against {want:?}", code.p()),
+                }
+            }
+        }
     }
 }

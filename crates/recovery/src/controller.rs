@@ -20,7 +20,7 @@
 //! choice is made; the [`StripePlan`] it returns carries the stripe's
 //! priorities and restores its bytes.
 
-use crate::error::{ErrorGroup, StripeDamage};
+use crate::error::{merge_run, stripe_runs, ErrorGroup, PartialStripeError, StripeDamage};
 use crate::exec::apply_scheme;
 use crate::joint::JointRepair;
 use crate::priority::PriorityDictionary;
@@ -103,6 +103,9 @@ pub struct RecoveryController<'a> {
     kind: SchemeKind,
     /// What each format planned so far decides, stamped onto its stripes.
     memo: FxHashMap<Format, Arc<FormatPlan>>,
+    /// Per-chain still-lost counts of the generation under way, kept so
+    /// no generation allocates them.
+    counts: Vec<u16>,
     hits: usize,
     misses: usize,
 }
@@ -114,6 +117,7 @@ impl<'a> RecoveryController<'a> {
             code,
             kind,
             memo: FxHashMap::default(),
+            counts: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -121,14 +125,25 @@ impl<'a> RecoveryController<'a> {
 
     /// Scheme for one stripe's damage, memoised by format.
     pub fn scheme_for(&mut self, damage: &StripeDamage) -> Result<RecoveryScheme, SchemeError> {
-        if let Some(format) = self.memo.get(damage.cells.as_slice()) {
+        self.scheme_for_cells(damage.stripe, &damage.cells)
+    }
+
+    /// [`scheme_for`](Self::scheme_for) on `stripe`'s lost cells, which
+    /// must be distinct.
+    fn scheme_for_cells(
+        &mut self,
+        stripe: u32,
+        cells: &[Cell],
+    ) -> Result<RecoveryScheme, SchemeError> {
+        if let Some(format) = self.memo.get(cells) {
             self.hits += 1;
-            return Ok(RecoveryScheme::stamp(format, damage.stripe));
+            return Ok(RecoveryScheme::stamp(format, stripe));
         }
         self.misses += 1;
-        let format = Arc::new(FormatPlan::generate(self.code, &damage.cells, self.kind)?);
-        let scheme = RecoveryScheme::stamp(&format, damage.stripe);
-        self.memo.insert(Format(damage.cells.clone()), format);
+        let format = FormatPlan::generate(self.code, cells, self.kind, &mut self.counts)?;
+        let format = Arc::new(format);
+        let scheme = RecoveryScheme::stamp(&format, stripe);
+        self.memo.insert(Format(cells.to_vec()), format);
         Ok(scheme)
     }
 
@@ -151,19 +166,25 @@ impl<'a> RecoveryController<'a> {
         &mut self,
         group: &ErrorGroup,
     ) -> Result<(Vec<RecoveryScheme>, PriorityDictionary), SchemeError> {
-        let schemes = self.plan_damages(&group.damage_by_stripe())?;
+        let errors = group.by_stripe();
+        let runs = stripe_runs(&errors);
+        let schemes = self.plan_runs(&runs)?;
         let dictionary = PriorityDictionary::from_schemes(&schemes);
         Ok((schemes, dictionary))
     }
 
-    /// The schemes of already-merged damage, one entry per stripe.
-    pub(crate) fn plan_damages(
+    /// The schemes of damaged stripes given as their runs of errors (see
+    /// [`ErrorGroup::by_stripe`]), one entry per run. The runs are merged
+    /// through one reused cell buffer, not a list per stripe.
+    pub(crate) fn plan_runs(
         &mut self,
-        damages: &[StripeDamage],
+        runs: &[&[&PartialStripeError]],
     ) -> Result<Vec<RecoveryScheme>, SchemeError> {
-        let mut schemes = Vec::with_capacity(damages.len());
-        for damage in damages {
-            schemes.push(self.scheme_for(damage)?);
+        let mut schemes = Vec::with_capacity(runs.len());
+        let mut cells = Vec::with_capacity(self.code.rows());
+        for run in runs {
+            merge_run(run, &mut cells);
+            schemes.push(self.scheme_for_cells(run[0].stripe, &cells)?);
         }
         Ok(schemes)
     }

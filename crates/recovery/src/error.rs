@@ -105,6 +105,29 @@ impl StripeDamage {
     }
 }
 
+/// One run of errors per damaged stripe, in stripe order, of errors
+/// already [ordered by stripe](ErrorGroup::by_stripe).
+pub(crate) fn stripe_runs<'a>(
+    by_stripe: &'a [&'a PartialStripeError],
+) -> Vec<&'a [&'a PartialStripeError]> {
+    // `chunk_by` hints no length; a stripe has at least one error.
+    let mut runs = Vec::with_capacity(by_stripe.len());
+    runs.extend(by_stripe.chunk_by(|a, b| a.stripe == b.stripe));
+    runs
+}
+
+/// Set `cells` to the lost cells of one stripe's run of errors, sorted
+/// and distinct. One error's cells already are, so only a stripe with
+/// several errors is sorted.
+pub(crate) fn merge_run(run: &[&PartialStripeError], cells: &mut Vec<Cell>) {
+    cells.clear();
+    cells.extend(run.iter().flat_map(|e| e.cell_iter()));
+    if run.len() > 1 {
+        cells.sort_unstable();
+        cells.dedup();
+    }
+}
+
 impl ErrorGroup {
     /// Empty group.
     pub fn new() -> Self {
@@ -132,20 +155,26 @@ impl ErrorGroup {
 
     /// Merge the campaign into per-stripe damage, ordered by stripe.
     pub fn damage_by_stripe(&self) -> Vec<StripeDamage> {
-        let mut by_stripe: Vec<&PartialStripeError> = self.errors.iter().collect();
-        by_stripe.sort_unstable_by_key(|e| e.stripe);
+        let by_stripe = self.by_stripe();
         let mut damages = Vec::with_capacity(by_stripe.len());
         for run in by_stripe.chunk_by(|a, b| a.stripe == b.stripe) {
             let mut cells = Vec::with_capacity(run.iter().map(|e| e.len).sum());
-            cells.extend(run.iter().flat_map(|e| e.cell_iter()));
-            cells.sort_unstable();
-            cells.dedup();
+            merge_run(run, &mut cells);
             damages.push(StripeDamage {
                 stripe: run[0].stripe,
                 cells,
             });
         }
         damages
+    }
+
+    /// The errors ordered by stripe: `chunk_by` equal stripes yields each
+    /// damaged stripe's run (see [`stripe_runs`]), which [`merge_run`]
+    /// turns into its cells.
+    pub(crate) fn by_stripe(&self) -> Vec<&PartialStripeError> {
+        let mut by_stripe: Vec<&PartialStripeError> = self.errors.iter().collect();
+        by_stripe.sort_unstable_by_key(|e| e.stripe);
+        by_stripe
     }
 
     /// Number of errors.

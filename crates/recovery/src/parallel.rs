@@ -15,17 +15,17 @@
 //!   columns compare the controller against.
 
 use crate::controller::RecoveryController;
-use crate::error::{ErrorGroup, StripeDamage};
+use crate::error::{stripe_runs, ErrorGroup};
 use crate::scheme::{generate_for_cells, RecoveryScheme, SchemeError, SchemeKind};
 use fbf_codes::StripeCode;
 
-/// Run `work` over contiguous slices of `damages` on up to `threads` host
-/// threads (`0` = one per available CPU, never more than one per stripe);
+/// Run `work` over contiguous slices of `items` on up to `threads` host
+/// threads (`0` = one per available CPU, never more than one per item);
 /// at least one result, in slice order.
-fn fan_out<T: Send>(
-    damages: &[StripeDamage],
+fn fan_out<D: Sync, T: Send>(
+    items: &[D],
     threads: usize,
-    work: impl Fn(&[StripeDamage]) -> T + Sync,
+    work: impl Fn(&[D]) -> T + Sync,
 ) -> Vec<T> {
     let threads = if threads == 0 {
         std::thread::available_parallelism()
@@ -34,15 +34,15 @@ fn fan_out<T: Send>(
     } else {
         threads
     }
-    .min(damages.len());
+    .min(items.len());
     if threads <= 1 {
-        return vec![work(damages)];
+        return vec![work(items)];
     }
     let work = &work;
     // Joins every worker and re-raises a worker's panic.
     std::thread::scope(|scope| {
-        let workers: Vec<_> = damages
-            .chunks(damages.len().div_ceil(threads))
+        let workers: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
             .map(|slice| scope.spawn(move || work(slice)))
             .collect();
         workers
@@ -61,15 +61,17 @@ fn fan_out<T: Send>(
 /// slices' results are concatenated in stripe order. The plan does not
 /// depend on `threads`: a scheme and its table are functions of the
 /// damage format alone, and an error is the first one in stripe order.
+/// Each stripe's errors are merged in the thread's one reused cell buffer.
 pub fn plan_campaign_parallel(
     code: &StripeCode,
     group: &ErrorGroup,
     kind: SchemeKind,
     threads: usize,
 ) -> Result<Vec<RecoveryScheme>, SchemeError> {
-    let damages = group.damage_by_stripe();
-    let mut parts = fan_out(&damages, threads, |slice| {
-        RecoveryController::new(code, kind).plan_damages(slice)
+    let errors = group.by_stripe();
+    let runs = stripe_runs(&errors);
+    let mut parts = fan_out(&runs, threads, |slice| {
+        RecoveryController::new(code, kind).plan_runs(slice)
     })
     .into_iter();
     let mut schemes = parts.next().expect("fan_out yields a result")?;

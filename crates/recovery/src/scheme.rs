@@ -17,15 +17,17 @@
 //! All generators only select repairs whose read sets avoid still-lost
 //! cells; when damage makes that impossible for some target, repairs are
 //! ordered so that previously-recovered chunks may be read (they are warm
-//! in the buffer by then).
+//! in the buffer by then). Which chains are usable is counted, not
+//! scanned: per chain, the number of still-lost cells it covers. A chain
+//! through a lost `target` is usable iff that count is 1 (`target`
+//! alone), and each scheduled repair decrements the chains through its
+//! target.
 
 use crate::error::PartialStripeError;
 use crate::priority::PriorityTable;
 use fbf_codes::hash::FxHashSet;
-use fbf_codes::repair::{
-    best_chain_per_direction, best_per_direction, option_through, RepairOption,
-};
-use fbf_codes::{Cell, Direction, StripeCode};
+use fbf_codes::repair::{option_through, RepairOption};
+use fbf_codes::{Cell, ChainId, Direction, StripeCode};
 use std::sync::Arc;
 
 /// Which scheme generator to use.
@@ -111,41 +113,54 @@ pub struct FormatPlan {
 
 impl FormatPlan {
     /// Plan the repair of the lost-cell set `lost` — a full generation,
-    /// what a recurring format never pays again.
+    /// what a recurring format never pays again. The cells must be
+    /// distinct (a duplicate would count twice); `counts` is scratch the
+    /// caller keeps across generations, one slot per chain once sized.
     pub(crate) fn generate(
         code: &StripeCode,
         lost: &[Cell],
         kind: SchemeKind,
+        counts: &mut Vec<u16>,
     ) -> Result<Self, SchemeError> {
         let repairs = match kind {
             // Horizontal if available, else first available family.
-            SchemeKind::Typical => plan(lost, |_, target, still_lost| {
-                pick_in_order(code, target, still_lost, Direction::ALL)
+            SchemeKind::Typical => plan(code, lost, counts, |_, target, counts| {
+                pick_in_order(code, target, counts, Direction::ALL)
             }),
             // Cycle H, D, A by position within the error run.
-            SchemeKind::FbfCycling => plan(lost, |i, target, still_lost| {
+            SchemeKind::FbfCycling => plan(code, lost, counts, |i, target, counts| {
                 let start = i % 3;
                 let order = [
                     Direction::ALL[start],
                     Direction::ALL[(start + 1) % 3],
                     Direction::ALL[(start + 2) % 3],
                 ];
-                pick_in_order(code, target, still_lost, order)
+                pick_in_order(code, target, counts, order)
             }),
             // Fewest new chunks beyond what is already scheduled for read.
+            // Scored on the chains; only the pick's read set is built.
             SchemeKind::Greedy => {
                 let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
-                plan(lost, |_, target, still_lost| {
-                    let menu = best_per_direction(code, target, still_lost);
-                    let pick = menu.into_iter().flatten().min_by_key(|opt| {
-                        let new = opt.reads.iter().filter(|c| !scheduled.contains(*c)).count();
-                        (new, opt.reads.len(), opt.direction)
+                plan(code, lost, counts, |_, target, counts| {
+                    let winners = best_chain_per_direction(code, target, counts);
+                    let (_, id) = winners.into_iter().flatten().min_by_key(|&(cost, id)| {
+                        let chain = code.chain(id);
+                        let new = (chain.all_cells())
+                            .filter(|c| *c != target && !scheduled.contains(c))
+                            .count();
+                        (new, cost, chain.direction)
                     })?;
+                    let pick = option_through(code, target, id);
                     scheduled.extend(pick.reads.iter().copied());
                     Some(pick)
                 })
             }
         }?;
+        Ok(FormatPlan::from_repairs(code, kind, repairs))
+    }
+
+    /// Everything else a format decides follows from its repairs.
+    fn from_repairs(code: &StripeCode, kind: SchemeKind, repairs: Vec<ChunkRepair>) -> Self {
         let mut column_reads = vec![0u32; code.cols()].into_boxed_slice();
         let mut script_ops = 0;
         for repair in &repairs {
@@ -154,13 +169,13 @@ impl FormatPlan {
                 column_reads[cell.c()] += 1;
             }
         }
-        Ok(FormatPlan {
+        FormatPlan {
             kind,
             table: PriorityTable::new(&repairs, code.rows(), code.cols()),
             repairs,
             column_reads,
             script_ops,
-        })
+        }
     }
 
     /// FBF priority of reading `cell` (Table II); 1 when no repair reads
@@ -267,44 +282,84 @@ pub fn generate_for_cells(
     lost: &[Cell],
     kind: SchemeKind,
 ) -> Result<RecoveryScheme, SchemeError> {
-    let format = Arc::new(FormatPlan::generate(code, lost, kind)?);
+    let format = Arc::new(FormatPlan::generate(code, lost, kind, &mut Vec::new())?);
     Ok(RecoveryScheme { stripe, format })
 }
 
 /// Shared planning loop: repeatedly pick a repair for the first still-lost
 /// cell that has a usable option, allowing reads of already-repaired cells.
 ///
-/// `chooser(position, target, still_lost)` returns the repair it wants for
-/// `target` (which is then scheduled — a `Some` is never declined) or
-/// `None` when no chain is usable yet; `position` is the index of the
-/// target within the original error run (drives FBF's direction cycling).
-fn plan<F>(lost: &[Cell], mut chooser: F) -> Result<Vec<ChunkRepair>, SchemeError>
+/// `counts[chain]` is how many still-lost cells `chain` covers: filled
+/// from `lost` here, decremented for each scheduled target. `chooser(
+/// position, target, counts)` returns the repair it wants for `target`
+/// (which is then scheduled — a `Some` is never declined) or `None` when
+/// no chain is usable yet; `position` is the index of the target within
+/// the original error run (drives FBF's direction cycling).
+fn plan<F>(
+    code: &StripeCode,
+    lost: &[Cell],
+    counts: &mut Vec<u16>,
+    mut chooser: F,
+) -> Result<Vec<ChunkRepair>, SchemeError>
 where
-    F: FnMut(usize, Cell, &[Cell]) -> Option<RepairOption>,
+    F: FnMut(usize, Cell, &[u16]) -> Option<RepairOption>,
 {
+    debug_assert!(
+        (lost.iter().enumerate()).all(|(i, c)| !lost[..i].contains(c)),
+        "lost cells must be distinct: {lost:?}"
+    );
+    counts.clear();
+    counts.resize(code.chains().len(), 0);
+    for &cell in lost {
+        for id in code.chains_of(cell) {
+            counts[id.index()] += 1;
+        }
+    }
     let mut remaining: Vec<(usize, Cell)> = lost.iter().copied().enumerate().collect();
     let mut repairs = Vec::with_capacity(lost.len());
-    let mut still_lost: Vec<Cell> = Vec::with_capacity(lost.len());
-
     while !remaining.is_empty() {
-        // The still-lost set is fixed for the round; build it once instead
-        // of per candidate.
-        still_lost.clear();
-        still_lost.extend(remaining.iter().map(|&(_, c)| c));
         let picked = remaining
             .iter()
             .enumerate()
             .find_map(|(slot, &(pos, target))| {
-                chooser(pos, target, &still_lost)
-                    .map(|option| (slot, ChunkRepair { target, option }))
+                chooser(pos, target, counts).map(|option| (slot, ChunkRepair { target, option }))
             });
         let Some((slot, repair)) = picked else {
             return Err(SchemeError::Unschedulable(remaining[0].1));
         };
+        // The target is repaired: it blocks none of its chains any more.
+        for id in code.chains_of(repair.target) {
+            counts[id.index()] -= 1;
+        }
         repairs.push(repair);
         remaining.remove(slot);
     }
     Ok(repairs)
+}
+
+/// For each direction, the cheapest chain usable for `target` as
+/// `(read cost, chain)`: `target` is its only still-lost cell. An
+/// equation of `n` members costs `n` reads whichever cell is the target,
+/// so the winners are chosen on `(cost, chain order)` with nothing
+/// materialised.
+fn best_chain_per_direction(
+    code: &StripeCode,
+    target: Cell,
+    counts: &[u16],
+) -> [Option<(usize, ChainId)>; 3] {
+    let mut win: [Option<(usize, ChainId)>; 3] = [None, None, None];
+    for &id in code.chains_of(target) {
+        if counts[id.index()] != 1 {
+            continue;
+        }
+        let chain = code.chain(id);
+        let cost = chain.len();
+        let slot = &mut win[chain.direction.index()];
+        if slot.is_none_or(|(cur, _)| cost < cur) {
+            *slot = Some((cost, id));
+        }
+    }
+    win
 }
 
 /// The cheapest usable chain of the first direction in `order` that has
@@ -313,10 +368,10 @@ where
 fn pick_in_order(
     code: &StripeCode,
     target: Cell,
-    still_lost: &[Cell],
+    counts: &[u16],
     order: [Direction; 3],
 ) -> Option<RepairOption> {
-    let winners = best_chain_per_direction(code, target, still_lost);
+    let winners = best_chain_per_direction(code, target, counts);
     order
         .into_iter()
         .find_map(|d| winners[d.index()])
@@ -327,6 +382,171 @@ fn pick_in_order(
 mod tests {
     use super::*;
     use fbf_codes::CodeSpec;
+
+    /// The planner before usability was counted, kept as the oracle: per
+    /// round the still-lost set, and per candidate chain a scan of it with
+    /// a binary search per chain member.
+    mod scan {
+        use super::*;
+        use fbf_codes::repair::RepairOption;
+
+        pub(super) fn generate(
+            code: &StripeCode,
+            lost: &[Cell],
+            kind: SchemeKind,
+        ) -> Result<FormatPlan, SchemeError> {
+            let repairs = match kind {
+                SchemeKind::Typical => plan(lost, |_, target, still_lost| {
+                    pick_in_order(code, target, still_lost, Direction::ALL)
+                }),
+                SchemeKind::FbfCycling => plan(lost, |i, target, still_lost| {
+                    let start = i % 3;
+                    let order = [
+                        Direction::ALL[start],
+                        Direction::ALL[(start + 1) % 3],
+                        Direction::ALL[(start + 2) % 3],
+                    ];
+                    pick_in_order(code, target, still_lost, order)
+                }),
+                SchemeKind::Greedy => {
+                    let mut scheduled: FxHashSet<Cell> = FxHashSet::default();
+                    plan(lost, |_, target, still_lost| {
+                        let menu = best_chain_per_direction(code, target, still_lost)
+                            .map(|w| w.map(|(_, id)| option_through(code, target, id)));
+                        let pick = menu.into_iter().flatten().min_by_key(|opt| {
+                            let new = opt.reads.iter().filter(|c| !scheduled.contains(*c)).count();
+                            (new, opt.reads.len(), opt.direction)
+                        })?;
+                        scheduled.extend(pick.reads.iter().copied());
+                        Some(pick)
+                    })
+                }
+            }?;
+            Ok(FormatPlan::from_repairs(code, kind, repairs))
+        }
+
+        fn plan<F>(lost: &[Cell], mut chooser: F) -> Result<Vec<ChunkRepair>, SchemeError>
+        where
+            F: FnMut(usize, Cell, &[Cell]) -> Option<RepairOption>,
+        {
+            let mut remaining: Vec<(usize, Cell)> = lost.iter().copied().enumerate().collect();
+            let mut repairs = Vec::with_capacity(lost.len());
+            let mut still_lost: Vec<Cell> = Vec::with_capacity(lost.len());
+            while !remaining.is_empty() {
+                still_lost.clear();
+                still_lost.extend(remaining.iter().map(|&(_, c)| c));
+                let picked = remaining
+                    .iter()
+                    .enumerate()
+                    .find_map(|(slot, &(pos, target))| {
+                        chooser(pos, target, &still_lost)
+                            .map(|option| (slot, ChunkRepair { target, option }))
+                    });
+                let Some((slot, repair)) = picked else {
+                    return Err(SchemeError::Unschedulable(remaining[0].1));
+                };
+                repairs.push(repair);
+                remaining.remove(slot);
+            }
+            Ok(repairs)
+        }
+
+        fn pick_in_order(
+            code: &StripeCode,
+            target: Cell,
+            still_lost: &[Cell],
+            order: [Direction; 3],
+        ) -> Option<RepairOption> {
+            let winners = best_chain_per_direction(code, target, still_lost);
+            order
+                .into_iter()
+                .find_map(|d| winners[d.index()])
+                .map(|(_, chain)| option_through(code, target, chain))
+        }
+
+        fn best_chain_per_direction(
+            code: &StripeCode,
+            target: Cell,
+            lost: &[Cell],
+        ) -> [Option<(usize, ChainId)>; 3] {
+            let mut win: [Option<(usize, ChainId)>; 3] = [None, None, None];
+            for &id in code.chains_of(target) {
+                let chain = code.chain(id);
+                if lost.iter().any(|&c| c != target && chain.covers(c)) {
+                    continue;
+                }
+                let cost = chain.len();
+                let slot = &mut win[chain.direction.index()];
+                let better = match slot {
+                    Some((cur, _)) => cost < *cur,
+                    None => true,
+                };
+                if better {
+                    *slot = Some((cost, id));
+                }
+            }
+            win
+        }
+    }
+
+    /// The counted planner equals the scan on every code at p ∈ {5, 7,
+    /// 11, 13}, every generator, and seeded random damage of 1–4 columns
+    /// (a run of rows per column, sometimes a scattered cell more), both
+    /// sorted and in error order: the same `FormatPlan`, or the same
+    /// `SchemeError`. Unschedulable sets must be among them.
+    #[test]
+    fn counted_planner_equals_the_scan() {
+        let mut state = 0x5EED_u64;
+        let mut next = |n: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let (mut planned, mut refused) = (0, 0);
+        let mut counts = Vec::new();
+        for spec in CodeSpec::EXTENDED {
+            for c in [5, 7, 11, 13]
+                .into_iter()
+                .filter_map(|p| StripeCode::build(spec, p).ok())
+            {
+                let (rows, cols) = (c.rows(), c.cols());
+                for _ in 0..40 {
+                    let mut lost: Vec<Cell> = Vec::new();
+                    for _ in 0..1 + next(4) {
+                        let col = next(cols);
+                        let first = next(rows);
+                        let len = 1 + next(rows - first);
+                        lost.extend((first..first + len).map(|r| Cell::new(r, col)));
+                        if next(4) == 0 {
+                            lost.push(Cell::new(next(rows), col));
+                        }
+                    }
+                    let mut seen = FxHashSet::default();
+                    lost.retain(|&cell| seen.insert(cell));
+                    let mut sorted = lost.clone();
+                    sorted.sort_unstable();
+                    for cells in [&sorted, &lost] {
+                        for kind in SchemeKind::ALL {
+                            let counted = FormatPlan::generate(&c, cells, kind, &mut counts);
+                            let oracle = scan::generate(&c, cells, kind);
+                            assert_eq!(counted, oracle, "{spec:?} p={} {kind} {cells:?}", c.p());
+                            match counted {
+                                Ok(_) => planned += 1,
+                                Err(_) => refused += 1,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            planned > 0 && refused > 0,
+            "{planned} planned, {refused} refused"
+        );
+    }
 
     fn code(spec: CodeSpec, p: usize) -> StripeCode {
         StripeCode::build(spec, p).unwrap()
