@@ -9,16 +9,26 @@
 //!
 //! **The byte hook.** The engine tells it, op by op in event order, which
 //! chunk each worker was served and from where, which spare chunk it
-//! writes, and which repair a failed read voided. The payloads of the
-//! cache slices' residents live in one slab ([`PayloadCache`]): a hit
-//! reads the resident slot, a miss reads the backend into a free slot. A
-//! chained repair XORs each source into its worker's one accumulator as
-//! it is served, and its `Op::Write` writes the accumulator. A joint
-//! re-plan (escalation only) copies the gathered cells into the worker's
-//! [`Stripe`]; the gather's first `Op::Write` solves it
-//! ([`StripePlan::restore`]) and each write takes its own cell. No slot
-//! outlives the access, so the slab never holds more slots than the
-//! slices hold chunks. The first [`BackendError`] ends the run.
+//! writes, and which repair a failed read voided. Payloads live in one
+//! slab ([`PayloadCache`]): a hit reads the resident slot, a miss reads
+//! the backend into a free slot. A chained repair XORs each source into
+//! its worker's one accumulator as it is served, and its `Op::Write`
+//! writes the accumulator. A joint re-plan (escalation only) copies the
+//! gathered cells into the worker's [`Stripe`]; the gather's first
+//! `Op::Write` solves it ([`StripePlan::restore`]) and each write takes
+//! its own cell. The first [`BackendError`] ends the run.
+//!
+//! **A payload is held while a later read needs it.** The plan fixes
+//! every read, so before each pass the data plane counts, per cache slice
+//! ([`CacheSharing::slice_of`], the engine's own mapping), the reads of
+//! each chunk in the pass's scripts: every `Op::Read` and every chunk of
+//! every `Op::Gather`. Each access served takes one off, and a chunk's
+//! last read frees its slot although the policy may still list it. The
+//! slab so holds the residents with a read to come — a handful per
+//! worker — not the whole cache; which accesses hit, and so the
+//! [`Metrics`] and the bytes, are the engine's either way. A read the
+//! pass skips (its stripe failed hard) is never served, so its chunk is
+//! held until the pass ends or the policy evicts it.
 //!
 //! **One clock.** Every time the data plane reports is the engine's
 //! virtual time. On a wall clock the order of events — and with it cache
@@ -36,7 +46,8 @@ use crate::runner::{simulate, RunError};
 use fbf_cache::{FxHashMap, InsertOutcome};
 use fbf_codes::{ChunkId, Stripe, StripeCode};
 use fbf_disksim::{
-    BackendError, ByteHook, EngineScratch, FileBackend, PayloadCache, SimBackend, StorageBackend,
+    BackendError, ByteHook, CacheSharing, EngineScratch, FileBackend, Op, PayloadCache, SimBackend,
+    StorageBackend, WorkerScript,
 };
 use fbf_recovery::StripePlan;
 use std::path::Path;
@@ -81,6 +92,7 @@ pub(crate) fn run_observed_on(
         }));
     }
     let mut bytes = DataPlane {
+        sharing: cfg.sharing,
         slots: PayloadCache::new(cfg.workers, chunk_bytes),
         lanes: (0..cfg.workers).map(|_| Lane::default()).collect(),
         code: None,
@@ -116,6 +128,9 @@ pub(crate) fn run_observed_on(
 /// The [`ByteHook`] that moves a run's payloads through a backend.
 pub(crate) struct DataPlane<'b> {
     backend: &'b mut dyn StorageBackend,
+    /// How the engine divides the cache: which slice a worker's reads
+    /// count against.
+    sharing: CacheSharing,
     slots: PayloadCache,
     lanes: Vec<Lane>,
     /// Set by a re-plan: the code, and the pass's joint plans by stripe.
@@ -212,8 +227,13 @@ impl ByteHook for DataPlane<'_> {
 }
 
 impl PassBytes for DataPlane<'_> {
-    fn fresh(&mut self) -> &mut Self {
-        self.slots.reset();
+    fn fresh(&mut self, scripts: &[WorkerScript]) -> &mut Self {
+        let sharing = self.sharing;
+        self.slots
+            .reset(scripts.iter().enumerate().flat_map(|(worker, script)| {
+                let slice = sharing.slice_of(worker);
+                chunks_read(script).map(move |chunk| (slice, chunk))
+            }));
         self.lanes.iter_mut().for_each(Lane::clear);
         self
     }
@@ -226,6 +246,20 @@ impl PassBytes for DataPlane<'_> {
             .map(|plan| (plan.stripe(), plan.clone()))
             .collect();
     }
+}
+
+/// Every chunk `script` reads, once per read: each [`Op::Read`] and each
+/// chunk of each [`Op::Gather`].
+fn chunks_read(script: &WorkerScript) -> impl Iterator<Item = ChunkId> + '_ {
+    script.ops.iter().flat_map(|op| {
+        let (read, gathered) = match *op {
+            Op::Read { chunk, .. } => (Some(chunk), &[][..]),
+            Op::Gather { index } => (None, &script.gathers[index as usize].chunks[..]),
+            _ => (None, &[][..]),
+        };
+        read.into_iter()
+            .chain(gathered.iter().map(|&(chunk, _)| chunk))
+    })
 }
 
 /// A [`SimBackend`] matching `cfg`'s geometry with `plan`'s damage set —

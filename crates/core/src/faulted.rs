@@ -88,9 +88,10 @@ pub struct FaultedOutcome {
 /// ([`NoBytes`]), or repair a storage backend's array
 /// ([`DataPlane`](crate::backend_run::DataPlane)).
 pub(crate) trait PassBytes: ByteHook {
-    /// Forget the previous pass — it starts with fresh payload slots, as
-    /// it starts with fresh caches.
-    fn fresh(&mut self) -> &mut Self {
+    /// Forget the previous pass and expect the next one to run `scripts`
+    /// — it starts with fresh payload slots, as it starts with fresh
+    /// caches, and every read it makes is known before it starts.
+    fn fresh(&mut self, _scripts: &[WorkerScript]) -> &mut Self {
         self
     }
 
@@ -153,7 +154,7 @@ impl<'a> Passes<'a> {
     ) -> Result<&'m [FailedRead], B::Error> {
         let report =
             self.engine(merged.passes())
-                .run_with_bytes(scripts, scratch, bytes.fresh())?;
+                .run_with_bytes(scripts, scratch, bytes.fresh(scripts))?;
         Ok(merged.absorb(report))
     }
 }

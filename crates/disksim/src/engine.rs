@@ -159,6 +159,18 @@ pub enum CacheSharing {
     Shared,
 }
 
+impl CacheSharing {
+    /// The cache slice worker `worker` reads through: its own share when
+    /// [`Partitioned`](Self::Partitioned), the one cache when
+    /// [`Shared`](Self::Shared).
+    pub fn slice_of(self, worker: usize) -> usize {
+        match self {
+            CacheSharing::Shared => 0,
+            CacheSharing::Partitioned => worker,
+        }
+    }
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -610,6 +622,13 @@ impl Engine {
     }
 }
 
+/// Spare writes `scripts` issue, those a fault skips included.
+fn writes(scripts: &[WorkerScript]) -> usize {
+    (scripts.iter().flat_map(|s| &s.ops))
+        .filter(|op| matches!(op, Op::Write { .. }))
+        .count()
+}
+
 // Two event kinds, ordered by (time, kind, id): disk completions before
 // worker steps at the same instant (a completion is what unblocks its
 // worker), ids breaking the remaining ties so runs replay exactly. Only
@@ -689,6 +708,9 @@ impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
             repaired: FxHashSet::default(),
             report: RunReport {
                 per_disk_class_reads: vec![[0u64; RequestClass::COUNT]; cfg.mapping.disks],
+                // One allocation of the size the run can reach: the vector
+                // outlives the run only to give two quantiles.
+                write_completions: Vec::with_capacity(writes(scripts)),
                 ..Default::default()
             },
             bytes,
@@ -706,10 +728,7 @@ impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
         Step {
             worker,
             class: self.scripts[worker].class,
-            slice: match self.cfg.sharing {
-                CacheSharing::Shared => 0,
-                CacheSharing::Partitioned => worker,
-            },
+            slice: self.cfg.sharing.slice_of(worker),
             now,
             event,
             chunk_bytes: self.cfg.chunk_bytes,

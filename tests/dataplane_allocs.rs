@@ -1,10 +1,11 @@
 //! Allocation discipline on the data plane, counted exactly.
 //!
 //! `run_planned_on` keeps chunk payloads in a slab
-//! ([`PayloadCache`](fbf::disksim::PayloadCache)) that recycles its slots,
-//! and gives each worker one accumulator: how many chunk-sized buffers a
-//! run allocates is a function of the config — cache size and workers —
-//! not of how many chunks it reads. `FileBackend::format` keeps one
+//! ([`PayloadCache`](fbf::disksim::PayloadCache)) that recycles its slots
+//! and holds a chunk only while a later read of its pass needs it, and
+//! gives each worker one accumulator: how many chunk-sized buffers a run
+//! allocates is bounded by the config — well under the cache, plus the
+//! workers — not by how many chunks it reads. `FileBackend::format` keeps one
 //! stripe across its per-stripe loop: its chunk-sized allocations do not
 //! grow with the stripes it writes. `encode::verify`, which `verify_backend`
 //! and `scrub` run per stripe, keeps one accumulator for all its chains.
@@ -76,8 +77,10 @@ fn config(errors: usize) -> ExperimentConfig {
 }
 
 /// Chunk-sized allocations of one run, its disk reads, and the config's
-/// ceiling on the former: a slot per cache chunk, plus one accumulator per
-/// worker.
+/// ceiling on the former: slots for half the cache, plus one accumulator
+/// per worker. A slab that held every cached chunk would need them all
+/// (64 slots); one that holds only chunks with a read to come needs 17 at
+/// 64 errors and 29 at 256.
 fn run(errors: usize) -> (u64, u64, u64) {
     let cfg = config(errors);
     assert_eq!(cfg.chunk_bytes() as usize, LARGE);
@@ -93,7 +96,7 @@ fn run(errors: usize) -> (u64, u64, u64) {
     };
     let (metrics, calls) =
         counted(|| run_planned_on(&cfg, &plan, PlanSource::Cold, &mut backend).unwrap());
-    let ceiling = cfg.cache_chunks() + cfg.workers;
+    let ceiling = cfg.cache_chunks() / 2 + cfg.workers;
     println!(
         "{errors} errors: {} chunk-sized allocations for {} disk reads (ceiling {ceiling})",
         calls.large, metrics.disk_reads
