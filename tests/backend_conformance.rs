@@ -14,11 +14,15 @@
 //!   a repaired stripe or a dropped spare write, and passes on an array
 //!   whose content the generator did not write; and
 //! * every chunk of every repaired stripe reads back as its pristine
-//!   encode, byte for byte (the oracle in [`assert_verifies`]).
+//!   encode, byte for byte (the oracle in [`assert_verifies`]); and
+//! * the data plane holds a payload only while a later read needs it:
+//!   its slab (`payload_slots`) stays within the cache, and on a
+//!   fault-free run within the plan's own bound ([`live_bound`]).
 
 use fbf::codes::encode::encode;
 use fbf::core::PlannedCampaign;
-use fbf::disksim::{DiskKill, Engine, EngineScratch};
+use fbf::disksim::{DiskKill, Engine, EngineScratch, Op, WorkerScript};
+use fbf::obs::CountingSubscriber;
 use fbf::recovery::StripePlan;
 use fbf::{
     file_backend_for, run_planned, run_planned_on, sim_backend_for, verify_backend,
@@ -27,6 +31,7 @@ use fbf::{
     StorageBackend, Stripe, StripeCode,
 };
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -133,52 +138,127 @@ fn joint_replans(cfg: &ExperimentConfig, plan: &PlannedCampaign) -> usize {
         .count()
 }
 
-/// All ten policies × both sharings × fault-free and faulted, on
-/// `SimBackend`; `FileBackend` on two policies to keep the suite fast.
-/// The data plane's `Metrics` JSON must equal the engine's byte for byte —
-/// hits, reads, virtual latencies, fault counters, re-plans — and every
-/// repaired stripe must verify. The faulted runs must escalate, abandon
-/// repairs mid-stripe and re-plan jointly at least once, or the byte
-/// hook's abandon and joint paths go untested.
+/// Every chunk `script` reads, once per read, in script order.
+fn chunks_read(script: &WorkerScript) -> Vec<ChunkId> {
+    let mut reads = Vec::new();
+    for op in &script.ops {
+        match *op {
+            Op::Read { chunk, .. } => reads.push(chunk),
+            Op::Gather { index } => {
+                let gather = &script.gathers[index as usize];
+                reads.extend(gather.chunks.iter().map(|&(chunk, _)| chunk));
+            }
+            _ => {}
+        }
+    }
+    reads
+}
+
+/// The most payloads a fault-free pass of `scripts` can hold at once: per
+/// worker, the most chunks read both before and after some point of its
+/// script, summed over workers (whose reads interleave), plus the slot of
+/// the miss being read.
+fn live_bound(scripts: &[WorkerScript]) -> u64 {
+    let widest: usize = scripts
+        .iter()
+        .map(|script| {
+            let reads = chunks_read(script);
+            let last: HashMap<ChunkId, usize> =
+                reads.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+            let mut live = HashSet::new();
+            let mut widest = 0;
+            for (i, chunk) in reads.iter().enumerate() {
+                if last[chunk] == i {
+                    live.remove(chunk);
+                } else {
+                    live.insert(*chunk);
+                }
+                widest = widest.max(live.len());
+            }
+            widest
+        })
+        .sum();
+    widest as u64 + 1
+}
+
+/// All ten policies × both sharings × fault-free and faulted × three
+/// campaign seeds, on `SimBackend`; `FileBackend` on two policies and the
+/// first seed to keep the suite fast. The data plane's `Metrics` JSON
+/// must equal the engine's byte for byte — hits, reads, virtual
+/// latencies, fault counters, re-plans — and every repaired stripe must
+/// verify. The sim run's slab (`payload_slots`) must stay within the
+/// cache, and a fault-free one within [`live_bound`], itself under half
+/// the cache so a slab that held every cached chunk cannot pass. The
+/// faulted runs must escalate, abandon repairs mid-stripe and re-plan
+/// jointly at least once, or the byte hook's abandon and joint paths go
+/// untested.
 #[test]
 fn sim_and_file_backends_agree_with_the_engine() {
     let (mut joint, mut skipped) = (0usize, 0u64);
     for policy in PolicyKind::EXTENDED {
         for sharing in [CacheSharing::Partitioned, CacheSharing::Shared] {
-            let clean = ExperimentConfig {
-                sharing,
-                ..small(policy)
-            };
-            for cfg in [clean, faulted(clean)] {
-                let plan = PlannedCampaign::cold(&cfg).unwrap();
-                let engine = run_planned(&cfg, &plan, PlanSource::Cold);
-                let label = format!("{policy:?}/{sharing:?}/{:?}", cfg.code);
-                if cfg.faults.is_active() {
-                    assert!(engine.replans > 0, "{label}: nothing escalated");
-                    skipped += engine.faults.skipped_ops;
+            for seed in 1..=3 {
+                let clean = ExperimentConfig {
+                    sharing,
+                    seed,
+                    obs: true,
+                    ..small(policy)
+                };
+                for cfg in [clean, faulted(clean)] {
+                    agree(&cfg, seed == 1, &mut joint, &mut skipped);
                 }
-
-                let mut sim = sim_backend_for(&cfg, &plan).unwrap();
-                let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut sim).unwrap();
-                assert_eq!(m.to_json(), engine.to_json(), "{label}/sim");
-                assert_verifies(&cfg, &plan, &m, &mut sim, &format!("{label}/sim"));
-                if cfg.faults.is_active() && joint == 0 {
-                    joint = joint_replans(&cfg, &plan);
-                }
-
-                if !matches!(policy, PolicyKind::Fbf | PolicyKind::Lru) {
-                    continue;
-                }
-                let scratch = Scratch::new(&format!("agree-{policy:?}-{sharing:?}"));
-                let mut file = file_backend_for(&cfg, &plan, &scratch.0).unwrap();
-                let m = run_planned_on(&cfg, &plan, PlanSource::Cold, &mut file).unwrap();
-                assert_eq!(m.to_json(), engine.to_json(), "{label}/file");
-                assert_verifies(&cfg, &plan, &m, &mut file, &format!("{label}/file"));
             }
         }
     }
     assert!(skipped > 0, "no repair was abandoned mid-stripe");
     assert!(joint > 0, "no stripe was re-planned jointly");
+}
+
+/// One configuration of [`sim_and_file_backends_agree_with_the_engine`]:
+/// the sim run, and the file run too if `with_file` and the policy is FBF
+/// or LRU.
+fn agree(cfg: &ExperimentConfig, with_file: bool, joint: &mut usize, skipped: &mut u64) {
+    let (policy, sharing, seed) = (cfg.policy, cfg.sharing, cfg.seed);
+    let plan = PlannedCampaign::cold(cfg).unwrap();
+    let engine = run_planned(cfg, &plan, PlanSource::Cold);
+    let label = format!("{policy:?}/{sharing:?}/seed {seed}/{:?}", cfg.code);
+    if cfg.faults.is_active() {
+        assert!(engine.replans > 0, "{label}: nothing escalated");
+        *skipped += engine.faults.skipped_ops;
+    }
+
+    let mut sim = sim_backend_for(cfg, &plan).unwrap();
+    let counting = Arc::new(CountingSubscriber::default());
+    fbf::obs::install(counting.clone());
+    let m = run_planned_on(cfg, &plan, PlanSource::Cold, &mut sim);
+    fbf::obs::uninstall();
+    let m = m.unwrap();
+    assert_eq!(m.to_json(), engine.to_json(), "{label}/sim");
+    assert_verifies(cfg, &plan, &m, &mut sim, &format!("{label}/sim"));
+    let slots = counting.total("data_plane/decode/payload_slots");
+    let cache = cfg.cache_chunks() as u64;
+    assert!(slots <= cache + 1, "{label}: {slots} slots, cache {cache}");
+    if cfg.faults.is_active() {
+        if *joint == 0 {
+            *joint = joint_replans(cfg, &plan);
+        }
+    } else {
+        let bound = live_bound(&plan.scripts);
+        assert!(bound < cache / 2, "{label}: bound {bound}, cache {cache}");
+        assert!(
+            slots <= bound,
+            "{label}: {slots} slots, {bound} chunks pending at most"
+        );
+    }
+
+    if !with_file || !matches!(policy, PolicyKind::Fbf | PolicyKind::Lru) {
+        return;
+    }
+    let scratch = Scratch::new(&format!("agree-{policy:?}-{sharing:?}"));
+    let mut file = file_backend_for(cfg, &plan, &scratch.0).unwrap();
+    let m = run_planned_on(cfg, &plan, PlanSource::Cold, &mut file).unwrap();
+    assert_eq!(m.to_json(), engine.to_json(), "{label}/file");
+    assert_verifies(cfg, &plan, &m, &mut file, &format!("{label}/file"));
 }
 
 /// Fault accounting is the engine's: a data-plane repair resolves every
