@@ -27,8 +27,8 @@
 //! slab so holds the residents with a read to come — a handful per
 //! worker — not the whole cache; which accesses hit, and so the
 //! [`Metrics`] and the bytes, are the engine's either way. A read the
-//! pass skips (its stripe failed hard) is never served, so its chunk is
-//! held until the pass ends or the policy evicts it.
+//! pass skips is never served: when a hard failure voids a repair, the
+//! reads of its stripe not served yet come off the counts at once.
 //!
 //! **One clock.** Every time the data plane reports is the engine's
 //! virtual time. On a wall clock the order of events — and with it cache
@@ -140,12 +140,16 @@ pub(crate) struct DataPlane<'b> {
 
 /// One worker's repair in progress: the XOR of the `sources` chunks a
 /// chained repair was served so far, or the stripe a joint gather fills
-/// (its id, cells, and whether it is solved).
+/// (its id, cells, and whether it is solved). And the worker's place in
+/// its pass: every chunk its script reads, in order, and how many of
+/// those reads were served or skipped so far.
 #[derive(Default)]
 struct Lane {
     acc: Vec<u8>,
     sources: usize,
     joint: Option<(u32, Stripe, bool)>,
+    reads: Vec<ChunkId>,
+    next: usize,
 }
 
 impl Lane {
@@ -193,7 +197,14 @@ impl ByteHook for DataPlane<'_> {
                 .slots
                 .miss(slice, chunk, outcome, |buf| backend.read_chunk(chunk, buf))?,
         };
-        self.lanes[worker].serve(chunk, bytes, gathered, self.code.as_ref());
+        let lane = &mut self.lanes[worker];
+        debug_assert_eq!(
+            lane.reads.get(lane.next),
+            Some(&chunk),
+            "reads out of order"
+        );
+        lane.next += 1;
+        lane.serve(chunk, bytes, gathered, self.code.as_ref());
         Ok(())
     }
 
@@ -221,20 +232,42 @@ impl ByteHook for DataPlane<'_> {
         self.backend.write_spare(chunk, data)
     }
 
+    /// The failed read is the first of the worker's not served yet. A
+    /// stripe's ops are contiguous in one worker's script and a gather
+    /// reads one stripe, so the reads of the failed stripe still to come
+    /// are the ones that follow it while the stripe lasts: the engine
+    /// skips them all, and their counts come off now. The engine fails a
+    /// stripe once (a later chunk of it is stale), so each run of reads
+    /// comes off once.
     fn abandon(&mut self, worker: usize) {
-        self.lanes[worker].clear();
+        let lane = &mut self.lanes[worker];
+        lane.clear();
+        let slice = self.sharing.slice_of(worker);
+        let Some(stripe) = lane.reads.get(lane.next).map(|c| c.stripe) else {
+            return;
+        };
+        while let Some(&chunk) = lane.reads.get(lane.next).filter(|c| c.stripe == stripe) {
+            self.slots.skip(slice, chunk);
+            lane.next += 1;
+        }
     }
 }
 
 impl PassBytes for DataPlane<'_> {
     fn fresh(&mut self, scripts: &[WorkerScript]) -> &mut Self {
+        for (worker, lane) in self.lanes.iter_mut().enumerate() {
+            lane.clear();
+            lane.reads.clear();
+            lane.reads
+                .extend(scripts.get(worker).into_iter().flat_map(chunks_read));
+            lane.next = 0;
+        }
         let sharing = self.sharing;
         self.slots
-            .reset(scripts.iter().enumerate().flat_map(|(worker, script)| {
+            .reset(self.lanes.iter().enumerate().flat_map(|(worker, lane)| {
                 let slice = sharing.slice_of(worker);
-                chunks_read(script).map(move |chunk| (slice, chunk))
+                lane.reads.iter().map(move |&chunk| (slice, chunk))
             }));
-        self.lanes.iter_mut().for_each(Lane::clear);
         self
     }
 

@@ -256,7 +256,7 @@ pub fn code_from_name(s: &str) -> Option<CodeSpec> {
 
 /// Parse a replacement-policy name (`fifo`, `lru`, `lfu`, `arc`, `fbf`,
 /// `lru-k`, `2q`, `lrfu`, `fbr`, `vdf`).
-pub fn policy_from_name(s: &str) -> Option<PolicyKind> {
+fn policy_from_name(s: &str) -> Option<PolicyKind> {
     match s.to_ascii_lowercase().as_str() {
         "fifo" => Some(PolicyKind::Fifo),
         "lru" => Some(PolicyKind::Lru),

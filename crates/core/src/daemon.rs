@@ -361,7 +361,7 @@ impl Listener {
 
 /// A connected protocol stream (either transport), used by both the
 /// daemon's connection handlers and [`DaemonClient`].
-pub enum ClientStream {
+enum ClientStream {
     /// Unix-domain transport.
     Unix(UnixStream),
     /// TCP transport.

@@ -246,18 +246,9 @@ fn merge_round(total: &mut RunReport, round: &RunReport) {
 /// hit with failures still pending — is a typed verdict
 /// ([`FaultedOutcome::rounds_exhausted`] + [`FaultedOutcome::unresolved`]),
 /// never a silent partial success.
-pub fn execute_faulted(
-    cfg: &ExperimentConfig,
-    plan: &PlannedCampaign,
-    scratch: &mut EngineScratch,
-    progress: Option<&Progress>,
-) -> FaultedOutcome {
-    let Ok(outcome) = execute_capped(cfg, plan, scratch, progress, &mut NoBytes, MAX_ROUNDS);
-    outcome
-}
-
-/// [`execute_faulted`] with every pass's bytes moved through `bytes` and
-/// an explicit escalation-round cap.
+///
+/// Every pass's bytes move through `bytes`, and at most `max_rounds`
+/// escalation rounds run.
 pub(crate) fn execute_capped<B: PassBytes>(
     cfg: &ExperimentConfig,
     plan: &PlannedCampaign,
@@ -436,8 +427,20 @@ mod tests {
     }
 
     fn outcome(cfg: &ExperimentConfig) -> FaultedOutcome {
-        let plan = PlannedCampaign::cold(cfg).unwrap();
-        execute_faulted(cfg, &plan, &mut EngineScratch::new(), None)
+        execute(cfg, &PlannedCampaign::cold(cfg).unwrap())
+    }
+
+    /// The campaign as the driver runs it, moving no bytes.
+    fn execute(cfg: &ExperimentConfig, plan: &PlannedCampaign) -> FaultedOutcome {
+        let Ok(out) = execute_capped(
+            cfg,
+            plan,
+            &mut EngineScratch::new(),
+            None,
+            &mut NoBytes,
+            MAX_ROUNDS,
+        );
+        out
     }
 
     #[test]
@@ -495,7 +498,7 @@ mod tests {
         let mut cfg = faulty(0, None);
         cfg.faults = FaultPlan::none();
         let plan = PlannedCampaign::cold(&cfg).unwrap();
-        let out = execute_faulted(&cfg, &plan, &mut EngineScratch::new(), None);
+        let out = execute(&cfg, &plan);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.replans, 0);
         assert!(out.data_loss.is_empty());

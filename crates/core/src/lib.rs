@@ -52,13 +52,10 @@ pub mod verify;
 
 pub use backend_run::{file_backend_for, run_planned_on, sim_backend_for};
 pub use config::{
-    code_from_name, policy_from_name, scheme_from_name, ConfigError, ExperimentConfig,
-    ExperimentConfigBuilder,
+    code_from_name, scheme_from_name, ConfigError, ExperimentConfig, ExperimentConfigBuilder,
 };
-pub use daemon::{
-    serve, ClientStream, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, ServerAddr,
-};
-pub use faulted::{execute_faulted, FaultedOutcome, MAX_ROUNDS};
+pub use daemon::{serve, DaemonClient, DaemonError, DaemonHandle, DaemonOptions, ServerAddr};
+pub use faulted::{FaultedOutcome, MAX_ROUNDS};
 pub use fbf_obs::json::{self, Json, JsonError};
 pub use job::{BackendKind, Outcome, RequestError, Work};
 pub use metrics::{ClassLatency, Metrics, METRICS_SCHEMA_VERSION};
@@ -66,11 +63,10 @@ pub use plan::{PlanKey, PlanSource, PlanStore, PlanStoreStats, PlannedCampaign};
 pub use progress::{Progress, ProgressSnapshot};
 pub use prom::{prometheus_snapshot, Live};
 pub use rebuild::{execute_rebuild, run_rebuild, RebuildOutcome, RebuildSpec};
-pub use reliability::{mttdl_gain, mttdl_hours, mttdl_years, ReliabilityParams};
+pub use reliability::{mttdl_years, ReliabilityParams};
 pub use report::Table;
 pub use runner::{run_experiment, run_planned, run_planned_observed, RunError};
 pub use sweep::{
-    policy_grid, sweep, sweep_with_progress, sweep_with_store, Grid, SweepPoint, SweepProgress,
-    CACHE_MB,
+    policy_grid, sweep, sweep_with_progress, Grid, SweepPoint, SweepProgress, CACHE_MB,
 };
 pub use verify::{verify_backend, verify_campaign, VerifyReport};

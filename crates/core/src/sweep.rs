@@ -113,23 +113,13 @@ impl<R> Grid<R> {
 /// Run every configuration, preserving order. `threads = 0` uses all
 /// cores. Plans are shared through an internal [`PlanStore`].
 pub fn sweep(configs: &[ExperimentConfig], threads: usize) -> Result<Vec<SweepPoint>, RunError> {
-    let store = PlanStore::new();
-    sweep_with_store(configs, threads, &store)
+    sweep_with_progress(configs, threads, &PlanStore::new(), |_| {})
 }
 
-/// [`sweep`] against a caller-owned [`PlanStore`], so campaigns persist
-/// across multiple sweeps (and hit/miss counts are observable).
-pub fn sweep_with_store(
-    configs: &[ExperimentConfig],
-    threads: usize,
-    store: &PlanStore,
-) -> Result<Vec<SweepPoint>, RunError> {
-    sweep_with_progress(configs, threads, store, |_| {})
-}
-
-/// The full sweep driver: shared plan store, work-stealing execution, and
-/// a per-point progress callback (invoked from worker threads, in
-/// completion order).
+/// The full sweep driver: a caller-owned [`PlanStore`], so campaigns
+/// persist across sweeps (and hit/miss counts are observable),
+/// work-stealing execution, and a per-point progress callback (invoked
+/// from worker threads, in completion order).
 pub fn sweep_with_progress(
     configs: &[ExperimentConfig],
     threads: usize,
@@ -522,7 +512,7 @@ mod tests {
             .flat_map(|p| [2, 4, 8].map(|mb| tiny(p, mb)))
             .collect();
         let store = PlanStore::new();
-        let points = sweep_with_store(&configs, 4, &store).unwrap();
+        let points = sweep_with_progress(&configs, 4, &store, |_| {}).unwrap();
         assert_eq!(points.len(), 15);
         let stats = store.stats();
         assert_eq!(stats.misses, 1, "one campaign shape, one cold plan");
@@ -575,8 +565,8 @@ mod tests {
             .map(|mb| tiny(PolicyKind::Lru, mb))
             .collect();
         let store = PlanStore::new();
-        sweep_with_store(&configs, 2, &store).unwrap();
-        sweep_with_store(&configs, 2, &store).unwrap();
+        sweep_with_progress(&configs, 2, &store, |_| {}).unwrap();
+        sweep_with_progress(&configs, 2, &store, |_| {}).unwrap();
         assert_eq!(store.stats(), PlanStoreStats { hits: 3, misses: 1 });
     }
 }

@@ -540,21 +540,12 @@ impl Step<'_> {
 /// The simulation engine. Build once per run.
 pub struct Engine {
     config: EngineConfig,
-    /// Test seam: FCFS disks queue their requests and complete them through
-    /// disk events, as the reordering disciplines do — the oracle the
-    /// at-issue dispatch is compared against.
-    #[cfg(test)]
-    fcfs_by_events: bool,
 }
 
 impl Engine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine {
-            config,
-            #[cfg(test)]
-            fcfs_by_events: false,
-        }
+        Engine { config }
     }
 
     /// Execute all worker scripts to completion and report, allocating
@@ -682,14 +673,7 @@ impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
                         scale_milli = scale_milli * u64::from(s.scale_milli) / 1000;
                     }
                 }
-                let disk = QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli);
-                #[cfg(test)]
-                let disk = if engine.fcfs_by_events {
-                    disk.dispatch_by_events()
-                } else {
-                    disk
-                };
-                disk
+                QueuedDisk::with_scale_milli(cfg.disk_model, cfg.sched, scale_milli)
             })
             .collect();
         for w in (0..scripts.len()).filter(|&w| !scripts[w].ops.is_empty()) {
@@ -1527,108 +1511,6 @@ mod tests {
         assert_eq!(base.disk_reads, faulted.disk_reads);
         assert_eq!(base.cache, faulted.cache);
         assert!(faulted.faults.is_empty());
-    }
-
-    /// Decode one generated tuple into a script op over a 5×5 array.
-    /// Gathers draw their chunks from two adjacent columns, so several
-    /// chunks of one fan-out land on the same disk.
-    fn push_op(
-        s: &mut WorkerScript,
-        (kind, stripe, row, col, extra): (u8, u32, usize, usize, u64),
-    ) {
-        match kind {
-            0 | 1 => s.ops.push(Op::Read {
-                chunk: chunk(stripe, row, col),
-                priority: 1 + (extra % 3) as u8,
-            }),
-            2 => s.ops.push(Op::Compute {
-                // Zero-length computes re-run the worker at the same instant.
-                duration: SimTime::from_micros(extra * 700),
-            }),
-            3 => s.ops.push(Op::Write {
-                chunk: chunk(stripe, row, col),
-            }),
-            _ => s.push_gather(
-                (0..2 + extra as usize)
-                    .map(|i| (chunk(stripe, (row + i / 2) % 5, (col + i % 2) % 5), 1))
-                    .collect(),
-            ),
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
-
-        /// Standing invariant of the at-issue fast path: an FCFS disk that
-        /// names completions at submit and one that queues requests and
-        /// completes them through disk events (the dispatch SSTF/C-LOOK
-        /// use) yield the same report, field for field.
-        #[test]
-        fn fcfs_at_issue_matches_event_driven_dispatch(
-            ops in proptest::collection::vec(
-                proptest::collection::vec((0u8..6, 0u32..4, 0usize..5, 0usize..5, 0u64..4), 1..40),
-                1..6,
-            ),
-            model in 0u8..3,
-            shared in 0u8..2,
-            cache_chunks in 0usize..14,
-            zero_hit_time in 0u8..2,
-            straggler in 0u8..3,
-            transient_per_mille in 0u16..2,
-            kill_at_ms in 0u64..120,
-            seed in 0u64..1_000,
-        ) {
-            let scripts: Vec<WorkerScript> = ops
-                .into_iter()
-                .map(|worker_ops| {
-                    let mut s = WorkerScript::default();
-                    worker_ops.into_iter().for_each(|op| push_op(&mut s, op));
-                    s
-                })
-                .collect();
-            let mut cfg = EngineConfig::paper(
-                PolicyKind::Lru,
-                cache_chunks,
-                ArrayMapping::new(5, 5, false),
-                4,
-            );
-            cfg.disk_model = match model {
-                0 => DiskModel::paper_default(),
-                1 => DiskModel::Fixed { access: SimTime::ZERO },
-                _ => DiskModel::detailed_default(),
-            };
-            if shared == 1 {
-                cfg.sharing = CacheSharing::Shared;
-            }
-            if zero_hit_time == 1 {
-                cfg.cache_hit_time = SimTime::ZERO;
-            }
-            if straggler == 1 {
-                cfg.straggler = Some((1, 2.5));
-            }
-            cfg.faults = FaultPlan {
-                seed,
-                // Stalls up to 5 against 3 retries: some reads survive
-                // with a delay, some exhaust their retries.
-                transient_per_mille: transient_per_mille * 300,
-                transient_failures_max: 5,
-                straggler: (straggler == 2).then_some(crate::fault::SlowDisk {
-                    disk: 2,
-                    scale_milli: 3300,
-                }),
-                // The upper third of the range leaves the disk alive.
-                disk_kill: (kill_at_ms < 80).then_some(crate::fault::DiskKill {
-                    disk: 3,
-                    at: SimTime::from_millis(kill_at_ms),
-                }),
-                ..FaultPlan::none()
-            };
-            let at_issue = Engine::new(cfg.clone()).run(&scripts);
-            let mut oracle = Engine::new(cfg);
-            oracle.fcfs_by_events = true;
-            let by_events = oracle.run(&scripts);
-            assert_eq!(format!("{at_issue:?}"), format!("{by_events:?}"));
-        }
     }
 
     #[test]

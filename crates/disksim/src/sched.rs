@@ -78,9 +78,7 @@ pub struct DiskRequest {
 pub struct QueuedDisk {
     disk: Disk,
     sched: DiskSched,
-    /// Requests complete at submit (FCFS) instead of waiting in `pending`.
-    at_issue: bool,
-    /// At-issue only: completion instants of the requests the disk has not
+    /// FCFS only: completion instants of the requests the disk has not
     /// finished yet, oldest first — what `max_queue` counts.
     unfinished: VecDeque<SimTime>,
     /// Engine event that last retired finished requests from `unfinished`.
@@ -92,26 +90,12 @@ pub struct QueuedDisk {
 }
 
 impl QueuedDisk {
-    /// An idle disk.
-    pub fn new(model: DiskModel, sched: DiskSched) -> Self {
-        Self::with_scale(model, sched, 1.0)
-    }
-
-    /// An idle disk whose every service takes `scale`× the model time
-    /// (straggler injection; `scale` is stored with milli precision so
-    /// the simulation stays integer-deterministic).
-    fn with_scale(model: DiskModel, sched: DiskSched, scale: f64) -> Self {
-        assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
-        Self::with_scale_milli(model, sched, (scale * 1000.0).round() as u64)
-    }
-
-    /// [`with_scale`](QueuedDisk::with_scale) with the multiplier already
-    /// in milli-units (fault plans carry integers for replay-exactness).
+    /// An idle disk whose every service takes `scale_milli`/1000 × the
+    /// model time (straggler injection, in integers for replay-exactness).
     pub fn with_scale_milli(model: DiskModel, sched: DiskSched, scale_milli: u64) -> Self {
         QueuedDisk {
             disk: Disk::with_scale_milli(model, scale_milli),
             sched,
-            at_issue: sched == DiskSched::Fcfs,
             unfinished: VecDeque::new(),
             retired_by: u64::MAX,
             pending: Vec::new(),
@@ -119,28 +103,9 @@ impl QueuedDisk {
         }
     }
 
-    /// Test seam: make an FCFS disk queue its requests and complete them
-    /// through `start_next`/`complete` like the reordering disciplines do —
-    /// the event-driven oracle the at-issue path is checked against.
-    #[cfg(test)]
-    pub(crate) fn dispatch_by_events(mut self) -> Self {
-        self.at_issue = false;
-        self
-    }
-
     /// Counters.
     pub fn stats(&self) -> DiskStats {
         self.disk.stats
-    }
-
-    /// Is the disk currently servicing a queued request?
-    pub fn busy(&self) -> bool {
-        self.current.is_some()
-    }
-
-    /// Pending queue depth (not counting the in-flight request).
-    pub fn queue_depth(&self) -> usize {
-        self.pending.len()
     }
 
     /// Hand the disk a request at `req.issued`.
@@ -154,9 +119,11 @@ impl QueuedDisk {
     /// one event (a fan-out read) all arrive before the disk serves any of
     /// them, so finished requests are retired from the depth count once
     /// per event, ahead of its first arrival — which keeps `max_queue`
-    /// equal to the queued dispatch's even for zero-length services.
+    /// equal to that of a disk that queues every request and completes it
+    /// through an event (the reference engine in `tests/reference/`), even
+    /// for zero-length services.
     pub fn submit(&mut self, req: DiskRequest, event: u64) -> Option<SimTime> {
-        let done = if self.at_issue {
+        let done = if self.sched == DiskSched::Fcfs {
             if self.retired_by != event {
                 self.retired_by = event;
                 while self.unfinished.front().is_some_and(|&t| t <= req.issued) {
@@ -191,16 +158,16 @@ impl QueuedDisk {
             return None;
         }
         let head = self.disk.head_lba();
-        // One scan; the smallest key wins and, `pending` being in arrival
-        // order, the earliest arrival among equals.
+        // One scan over what SSTF or C-LOOK queued; the smallest key wins
+        // and, `pending` being in arrival order, the earliest arrival among
+        // equals.
         let idx = (0..self.pending.len()).min_by_key(|&i| {
             let lba = self.pending[i].lba;
-            match self.sched {
-                // Only `dispatch_by_events` queues FCFS requests.
-                DiskSched::Fcfs => (false, 0),
-                DiskSched::Sstf => (false, lba.abs_diff(head)),
+            if self.sched == DiskSched::CLook {
                 // Smallest LBA >= head; else wrap to the smallest overall.
-                DiskSched::CLook => (lba < head, lba),
+                (lba < head, lba)
+            } else {
+                (false, lba.abs_diff(head))
             }
         })?;
         let req = self.pending.remove(idx);
@@ -223,7 +190,11 @@ mod tests {
     use super::*;
 
     fn disk(sched: DiskSched) -> QueuedDisk {
-        QueuedDisk::new(DiskModel::detailed_default(), sched)
+        QueuedDisk::with_scale_milli(DiskModel::detailed_default(), sched, 1000)
+    }
+
+    fn paper_fcfs() -> QueuedDisk {
+        QueuedDisk::with_scale_milli(DiskModel::paper_default(), DiskSched::Fcfs, 1000)
     }
 
     fn req(tag: usize, lba: u64, bytes: u64, issued: SimTime) -> DiskRequest {
@@ -257,17 +228,10 @@ mod tests {
         );
         // The far request arrived first, so the near one waits behind it.
         assert!(done[0].unwrap() < done[1].unwrap());
-        assert_eq!(d.queue_depth(), 0, "FCFS requests never wait in pending");
-        // The event-driven dispatch of the same arrivals agrees.
-        let mut o = disk(DiskSched::Fcfs).dispatch_by_events();
-        o.submit(req(0, 1000, 4096, SimTime::ZERO), 0);
-        o.submit(req(1, 10, 4096, SimTime::ZERO), 1);
-        let (first, t1) = o.start_next().unwrap();
-        assert_eq!((first.tag, Some(t1)), (0, done[0]));
-        o.complete();
-        let (second, t2) = o.start_next().unwrap();
-        assert_eq!((second.tag, Some(t2)), (1, done[1]));
-        assert_eq!(o.stats(), d.stats());
+        assert!(
+            d.start_next().is_none(),
+            "FCFS requests never wait in pending"
+        );
     }
 
     #[test]
@@ -330,7 +294,6 @@ mod tests {
         d.submit(req(0, 1, 4096, SimTime::ZERO), 0);
         d.submit(req(1, 2, 4096, SimTime::ZERO), 1);
         assert!(d.start_next().is_some());
-        assert!(d.busy());
         assert!(d.start_next().is_none(), "busy disk must not start another");
         d.complete();
         assert!(d.start_next().is_some());
@@ -338,7 +301,7 @@ mod tests {
 
     #[test]
     fn straggler_scale_slows_service() {
-        let mut d = QueuedDisk::with_scale(DiskModel::paper_default(), DiskSched::Fcfs, 3.0);
+        let mut d = QueuedDisk::with_scale_milli(DiskModel::paper_default(), DiskSched::Fcfs, 3000);
         let done = d.submit(req(0, 0, 1, SimTime::ZERO), 0);
         assert_eq!(done, Some(SimTime::from_millis(30)));
     }
@@ -346,12 +309,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "scale must be positive")]
     fn zero_scale_rejected() {
-        QueuedDisk::with_scale(DiskModel::paper_default(), DiskSched::Fcfs, 0.0);
+        QueuedDisk::with_scale_milli(DiskModel::paper_default(), DiskSched::Fcfs, 0);
     }
 
     #[test]
     fn injected_delay_extends_service() {
-        let mut d = QueuedDisk::new(DiskModel::paper_default(), DiskSched::Fcfs);
+        let mut d = paper_fcfs();
         let stalled = DiskRequest {
             delay: SimTime::from_millis(25),
             ..req(0, 0, 1, SimTime::ZERO)
@@ -363,18 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn integer_scale_matches_float_scale() {
-        let mut a = QueuedDisk::with_scale(DiskModel::paper_default(), DiskSched::Fcfs, 2.5);
-        let mut b = QueuedDisk::with_scale_milli(DiskModel::paper_default(), DiskSched::Fcfs, 2500);
-        assert_eq!(
-            a.submit(req(0, 0, 1, SimTime::ZERO), 0),
-            b.submit(req(0, 0, 1, SimTime::ZERO), 0)
-        );
-    }
-
-    #[test]
     fn queue_time_accounted() {
-        let mut d = QueuedDisk::new(DiskModel::paper_default(), DiskSched::Fcfs);
+        let mut d = paper_fcfs();
         d.submit(req(0, 0, 1, SimTime::ZERO), 0);
         d.submit(req(1, 0, 1, SimTime::ZERO), 1); // waits 10 ms
         assert_eq!(d.stats().queued, SimTime::from_millis(10));
@@ -401,7 +354,7 @@ mod tests {
     #[test]
     fn fcfs_depth_counts_only_unfinished_requests() {
         let ms = SimTime::from_millis;
-        let mut d = QueuedDisk::new(DiskModel::paper_default(), DiskSched::Fcfs);
+        let mut d = paper_fcfs();
         // Three arrivals at t=0 finish at 10, 20, 30 ms: depth 3.
         for event in 0..3 {
             d.submit(req(0, 0, 1, SimTime::ZERO), event);
@@ -418,11 +371,12 @@ mod tests {
 
     #[test]
     fn fcfs_fanout_of_one_event_all_counts_even_at_zero_service() {
-        let mut d = QueuedDisk::new(
+        let mut d = QueuedDisk::with_scale_milli(
             DiskModel::Fixed {
                 access: SimTime::ZERO,
             },
             DiskSched::Fcfs,
+            1000,
         );
         // One event's fan-out arrives whole before any of it is served.
         d.submit(req(0, 0, 1, SimTime::ZERO), 0);

@@ -54,14 +54,13 @@ pub use fbf_codes::{Cell, ChunkId, CodeSpec, Stripe, StripeCode};
 // Experiment configuration, execution, metrics, daemon, reporting.
 pub use fbf_core::report;
 pub use fbf_core::{
-    code_from_name, file_backend_for, mttdl_gain, mttdl_hours, mttdl_years, policy_from_name,
-    prometheus_snapshot, run_experiment, run_planned, run_planned_on, run_rebuild,
-    scheme_from_name, serve, sim_backend_for, sweep, sweep_with_store, verify_backend,
-    verify_campaign, BackendKind, ClassLatency, ConfigError, DaemonClient, DaemonError,
-    DaemonHandle, DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, Json, JsonError, Live,
-    Metrics, Outcome, PlanSource, PlanStore, Progress, ProgressSnapshot, RebuildOutcome,
-    RebuildSpec, ReliabilityParams, RequestError, RunError, ServerAddr, SweepPoint, Table,
-    VerifyReport, Work, METRICS_SCHEMA_VERSION,
+    code_from_name, file_backend_for, mttdl_years, prometheus_snapshot, run_experiment,
+    run_planned, run_planned_on, run_rebuild, scheme_from_name, serve, sim_backend_for, sweep,
+    verify_backend, verify_campaign, BackendKind, ClassLatency, ConfigError, DaemonClient,
+    DaemonError, DaemonHandle, DaemonOptions, ExperimentConfig, ExperimentConfigBuilder, Json,
+    JsonError, Live, Metrics, Outcome, PlanSource, PlanStore, Progress, ProgressSnapshot,
+    RebuildOutcome, RebuildSpec, ReliabilityParams, RequestError, RunError, ServerAddr, SweepPoint,
+    Table, VerifyReport, Work, METRICS_SCHEMA_VERSION,
 };
 
 // Storage backends and the simulator types that surface in reports.

@@ -16,14 +16,14 @@
 //! * every chunk of every repaired stripe reads back as its pristine
 //!   encode, byte for byte (the oracle in [`assert_verifies`]); and
 //! * the data plane holds a payload only while a later read needs it:
-//!   its slab (`payload_slots`) stays within the cache, and on a
-//!   fault-free run within the plan's own bound ([`live_bound`]).
+//!   its slab (`payload_slots`) stays within the cache and within the
+//!   bound of its passes' own scripts ([`live_bound`]), faulted or not.
 
 use fbf::codes::encode::encode;
-use fbf::core::PlannedCampaign;
-use fbf::disksim::{DiskKill, Engine, EngineScratch, Op, WorkerScript};
+use fbf::core::{PlannedCampaign, MAX_ROUNDS};
+use fbf::disksim::{DiskKill, Engine, Op, RequestClass, WorkerScript};
 use fbf::obs::CountingSubscriber;
-use fbf::recovery::StripePlan;
+use fbf::recovery::{build_scripts_from_plans, Escalator, ExecConfig, StripePlan};
 use fbf::{
     file_backend_for, run_planned, run_planned_on, sim_backend_for, verify_backend,
     verify_campaign, ArrayMapping, BackendDiskStats, BackendError, CacheSharing, ChunkId, CodeSpec,
@@ -130,12 +130,41 @@ fn assert_verifies(
     report
 }
 
-/// Stripes of `cfg`'s campaign that a joint re-plan repaired.
-fn joint_replans(cfg: &ExperimentConfig, plan: &PlannedCampaign) -> usize {
-    let outcome = fbf::core::execute_faulted(cfg, plan, &mut EngineScratch::new(), None);
-    (outcome.replanned.values())
-        .filter(|(_, replan)| matches!(replan, StripePlan::Joint(_)))
-        .count()
+/// The engine passes of `cfg`'s campaign as the driver runs them
+/// (`faulted.rs`): the plan's scripts, then each escalation round's
+/// re-plans of the stripes the previous pass failed, with a disk kill
+/// moved to time zero. Returns each pass's scripts, the disk reads of
+/// all passes, and how many re-plans were joint.
+fn passes(cfg: &ExperimentConfig, plan: &PlannedCampaign) -> (Vec<Vec<WorkerScript>>, u64, usize) {
+    let code = StripeCode::build(cfg.code, cfg.p).unwrap();
+    let mut escalator = Escalator::new(&code, cfg.scheme, &plan.errors);
+    let replan = ExecConfig {
+        workers: cfg.workers,
+        class: RequestClass::Replan,
+        ..Default::default()
+    };
+    let mapping = ArrayMapping::new(plan.cols, plan.rows, cfg.code.rotated_placement());
+    let (mut faults, mut reads, mut joint) = (cfg.faults, 0, 0);
+    let mut passes = vec![plan.scripts.clone()];
+    loop {
+        let engine_cfg = cfg.engine_config(mapping.clone(), Arc::clone(&plan.victim_map), faults);
+        let report = Engine::new(engine_cfg).run(passes.last().unwrap());
+        reads += report.disk_reads;
+        if report.failed_reads.is_empty() || escalator.rounds() == MAX_ROUNDS {
+            return (passes, reads, joint);
+        }
+        let replans = escalator.absorb(&report.failed_reads).replans;
+        if replans.is_empty() {
+            return (passes, reads, joint);
+        }
+        joint += (replans.iter())
+            .filter(|p| matches!(p, StripePlan::Joint(_)))
+            .count();
+        passes.push(build_scripts_from_plans(&replans, &replan));
+        if let Some(kill) = faults.disk_kill.as_mut() {
+            kill.at = SimTime::ZERO;
+        }
+    }
 }
 
 /// Every chunk `script` reads, once per read, in script order.
@@ -154,10 +183,11 @@ fn chunks_read(script: &WorkerScript) -> Vec<ChunkId> {
     reads
 }
 
-/// The most payloads a fault-free pass of `scripts` can hold at once: per
-/// worker, the most chunks read both before and after some point of its
-/// script, summed over workers (whose reads interleave), plus the slot of
-/// the miss being read.
+/// The most payloads a pass of `scripts` can hold at once: per worker,
+/// the most chunks read both before and after some point of its script,
+/// summed over workers (whose reads interleave), plus the slot of the
+/// miss being read. A hard failure only takes reads away: the reads of
+/// its stripe not served yet come off at once.
 fn live_bound(scripts: &[WorkerScript]) -> u64 {
     let widest: usize = scripts
         .iter()
@@ -187,11 +217,11 @@ fn live_bound(scripts: &[WorkerScript]) -> u64 {
 /// must equal the engine's byte for byte — hits, reads, virtual
 /// latencies, fault counters, re-plans — and every repaired stripe must
 /// verify. The sim run's slab (`payload_slots`) must stay within the
-/// cache, and a fault-free one within [`live_bound`], itself under half
-/// the cache so a slab that held every cached chunk cannot pass. The
-/// faulted runs must escalate, abandon repairs mid-stripe and re-plan
-/// jointly at least once, or the byte hook's abandon and joint paths go
-/// untested.
+/// cache, and within the largest [`live_bound`] of its passes' scripts,
+/// itself under half the cache so a slab that held every cached chunk
+/// cannot pass. The faulted runs must escalate, abandon repairs
+/// mid-stripe and re-plan jointly at least once, or the byte hook's
+/// abandon and joint paths go untested.
 #[test]
 fn sim_and_file_backends_agree_with_the_engine() {
     let (mut joint, mut skipped) = (0usize, 0u64);
@@ -238,18 +268,18 @@ fn agree(cfg: &ExperimentConfig, with_file: bool, joint: &mut usize, skipped: &m
     let slots = counting.total("data_plane/decode/payload_slots");
     let cache = cfg.cache_chunks() as u64;
     assert!(slots <= cache + 1, "{label}: {slots} slots, cache {cache}");
-    if cfg.faults.is_active() {
-        if *joint == 0 {
-            *joint = joint_replans(cfg, &plan);
-        }
-    } else {
-        let bound = live_bound(&plan.scripts);
-        assert!(bound < cache / 2, "{label}: bound {bound}, cache {cache}");
-        assert!(
-            slots <= bound,
-            "{label}: {slots} slots, {bound} chunks pending at most"
-        );
-    }
+    let (passes, reads, joint_plans) = passes(cfg, &plan);
+    assert_eq!(
+        reads, engine.disk_reads,
+        "{label}: the passes are the driver's"
+    );
+    *joint += joint_plans;
+    let bound = passes.iter().map(|s| live_bound(s)).max().unwrap();
+    assert!(bound < cache / 2, "{label}: bound {bound}, cache {cache}");
+    assert!(
+        slots <= bound,
+        "{label}: {slots} slots, {bound} chunks pending at most"
+    );
 
     if !with_file || !matches!(policy, PolicyKind::Fbf | PolicyKind::Lru) {
         return;
@@ -499,10 +529,7 @@ fn a_dropped_spare_write_fails_verification() {
 fn verify_campaign_certifies_a_joint_replanned_campaign() {
     let cfg = faulted(small(PolicyKind::Fbf));
     let plan = PlannedCampaign::cold(&cfg).unwrap();
-    assert!(
-        joint_replans(&cfg, &plan) > 0,
-        "no joint re-plan to certify"
-    );
+    assert!(passes(&cfg, &plan).2 > 0, "no joint re-plan to certify");
     let report = verify_campaign(&cfg).unwrap();
     let engine = run_planned(&cfg, &plan, PlanSource::Cold);
     assert_eq!(report.stripes, engine.stripes_repaired);

@@ -3,11 +3,10 @@
 //! measures. These tests pin the acceptance criteria of the shared-plan
 //! sweep engine at the facade level.
 
+use fbf::core::sweep_with_progress;
 use fbf::CodeSpec;
 use fbf::PolicyKind;
-use fbf::{
-    run_experiment, sweep, sweep_with_store, ExperimentConfig, Metrics, PlanSource, PlanStore,
-};
+use fbf::{run_experiment, sweep, ExperimentConfig, Metrics, PlanSource, PlanStore};
 
 fn grid_point(code: CodeSpec, p: usize, policy: PolicyKind, cache_mb: usize) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -48,7 +47,7 @@ fn shared_plans_are_bit_identical_to_cold_for_every_policy() {
         .collect();
 
     let store = PlanStore::new();
-    let shared = sweep_with_store(&configs, 4, &store).unwrap();
+    let shared = sweep_with_progress(&configs, 4, &store, |_| {}).unwrap();
     assert_eq!(store.stats().misses, 1, "ten policies share one campaign");
 
     for (point, cfg) in shared.iter().zip(&configs) {
@@ -84,7 +83,7 @@ fn fig8_grid_plans_once_per_campaign_shape() {
     let distinct_shapes = codes.len() * primes.len();
 
     let store = PlanStore::new();
-    let points = sweep_with_store(&configs, 4, &store).unwrap();
+    let points = sweep_with_progress(&configs, 4, &store, |_| {}).unwrap();
     assert_eq!(points.len(), configs.len());
 
     let stats = store.stats();
