@@ -192,18 +192,19 @@ fn read_exact_stoppable(
     Ok(true)
 }
 
-/// One job's lifecycle; what it produced lives in the state that has it.
-/// (Nearly every job in the table is `Done`: boxing the outcome saves nothing.)
-#[allow(clippy::large_enum_variant)]
+/// One job's lifecycle; each state holds what it needs and no more, so a
+/// finished job keeps its outcome and not its request. Payloads are boxed:
+/// the job table's empty slots cost a `JobState`'s size too.
 enum JobState {
-    /// Accepted, waiting for a worker.
-    Queued,
-    /// A worker is executing it.
-    Running,
+    /// Accepted, waiting for a worker: what was asked for.
+    Queued(Box<Work>),
+    /// A worker is executing it and publishing its live escalation
+    /// counters (`stat`).
+    Running(Arc<Progress>),
     /// Finished: the outcome `status` reports and `read` serves from.
-    Done(Outcome),
-    /// Failed; the payload is the error message.
-    Failed(String),
+    Done(Box<Outcome>),
+    /// Failed: the error message and the escalation counters at the end.
+    Failed(Box<(String, ProgressSnapshot)>),
 }
 
 impl JobState {
@@ -212,8 +213,8 @@ impl JobState {
 
     fn index(&self) -> usize {
         match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
+            JobState::Queued(_) => 0,
+            JobState::Running(_) => 1,
             JobState::Done(_) => 2,
             JobState::Failed(_) => 3,
         }
@@ -221,14 +222,12 @@ impl JobState {
 }
 
 struct Job {
-    /// What was asked for, shared with the worker executing it.
-    work: Arc<Work>,
+    /// The backend the request named ([`Work::backend_name`]).
+    backend: &'static str,
     state: JobState,
     /// The request's trace id (minted or client-supplied); every event
     /// the job emits carries it.
     trace: u64,
-    /// Live escalation counters the worker publishes mid-job (`stat`).
-    progress: Arc<Progress>,
 }
 
 impl Job {
@@ -237,29 +236,37 @@ impl Job {
         vec![
             ("job", id.into()),
             ("state", JobState::NAMES[self.state.index()].into()),
-            ("backend", self.work.backend_name().into()),
+            ("backend", self.backend.into()),
         ]
     }
 
     /// The metrics of a finished repair.
     fn metrics(&self) -> Option<&Metrics> {
         match &self.state {
-            JobState::Done(Outcome::Repair { metrics, .. }) => Some(metrics),
+            JobState::Done(outcome) => match &**outcome {
+                Outcome::Repair { metrics, .. } => Some(metrics),
+                Outcome::Rebuild(_) => None,
+            },
             _ => None,
         }
     }
 
     /// What `stat` says of the job's escalation: a finished repair's
-    /// metrics, whatever backend ran it, else the live progress.
+    /// metrics, whatever backend ran it, else the progress it published
+    /// (none before it runs, and none for a rebuild).
     fn escalation(&self) -> ProgressSnapshot {
-        match self.metrics() {
-            Some(m) => ProgressSnapshot {
+        if let Some(m) = self.metrics() {
+            return ProgressSnapshot {
                 rounds: m.replan_rounds,
                 replans: m.replans,
                 faults: m.faults.hard_failures(),
                 stripes_lost: m.stripes_lost as u64,
-            },
-            None => self.progress.snapshot(),
+            };
+        }
+        match &self.state {
+            JobState::Running(progress) => progress.snapshot(),
+            JobState::Failed(failure) => failure.1,
+            _ => ProgressSnapshot::default(),
         }
     }
 }
@@ -499,49 +506,60 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<u64>>, ctx: &Ctx, store: &PlanStore) {
                 Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
         };
-        let Some((work, trace, progress)) = ({
-            let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
-            jobs.get_mut(&job_id).map(|job| {
-                job.state = JobState::Running;
-                (Arc::clone(&job.work), job.trace, Arc::clone(&job.progress))
-            })
-        }) else {
-            continue;
-        };
-        // Activate the request's trace for everything this job emits; the
-        // daemon/repair span is the request tree's single root.
-        let trace_guard = fbf_obs::with_trace(trace);
-        let root = fbf_obs::span("daemon", "repair");
-        fbf_obs::instant(
-            "daemon",
-            "job-start",
-            &[
-                ("job", fbf_obs::Value::U64(job_id)),
-                ("backend", fbf_obs::Value::Str(work.backend_name())),
-            ],
-        );
-        // A panicking job must become `Failed`, not a dead worker thread:
-        // before this guard, a panic left the job `Running` forever, so
-        // the `fbf_jobs_total{state}` gauges drifted (a phantom running
-        // job, one fewer live worker) for the rest of the daemon's life.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            work.execute(store, &mut scratch, Some(&progress))
-                .map_err(|e| e.to_string())
-        }))
-        .unwrap_or_else(|panic| {
-            // The scratch may hold a torn event heap; start fresh.
-            scratch = EngineScratch::new();
-            Err(format!("job panicked: {}", panic_message(&*panic)))
-        });
-        let failed = outcome.is_err();
-        ctx.finish(job_id, outcome);
-        fbf_obs::instant("daemon", "job-end", &[("job", fbf_obs::Value::U64(job_id))]);
-        root.end_with(&[
-            ("job", fbf_obs::Value::U64(job_id)),
-            ("failed", fbf_obs::Value::U64(u64::from(failed))),
-        ]);
-        drop(trace_guard);
+        run_job(ctx, store, &mut scratch, job_id);
     }
+}
+
+/// Run queued job `job_id` to its end: the worker takes the request out
+/// of the table, and [`Ctx::finish`] puts the outcome back.
+fn run_job(ctx: &Ctx, store: &PlanStore, scratch: &mut EngineScratch, job_id: u64) {
+    let Some((work, trace, progress)) = ({
+        let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
+        jobs.get_mut(&job_id).map(|job| {
+            let progress = Arc::new(Progress::new());
+            let running = JobState::Running(Arc::clone(&progress));
+            let JobState::Queued(work) = std::mem::replace(&mut job.state, running) else {
+                unreachable!("only a queued job is sent to the workers");
+            };
+            (work, job.trace, progress)
+        })
+    }) else {
+        return;
+    };
+    // Activate the request's trace for everything this job emits; the
+    // daemon/repair span is the request tree's single root.
+    let trace_guard = fbf_obs::with_trace(trace);
+    let root = fbf_obs::span("daemon", "repair");
+    fbf_obs::instant(
+        "daemon",
+        "job-start",
+        &[
+            ("job", fbf_obs::Value::U64(job_id)),
+            ("backend", fbf_obs::Value::Str(work.backend_name())),
+        ],
+    );
+    // A panicking job must become `Failed`, not a dead worker thread:
+    // before this guard, a panic left the job `Running` forever, so
+    // the `fbf_jobs_total{state}` gauges drifted (a phantom running
+    // job, one fewer live worker) for the rest of the daemon's life.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        work.execute(store, scratch, Some(&progress))
+            .map_err(|e| e.to_string())
+    }))
+    .unwrap_or_else(|panic| {
+        // The scratch may hold a torn event heap; start fresh.
+        *scratch = EngineScratch::new();
+        Err(format!("job panicked: {}", panic_message(&*panic)))
+    });
+    drop(work);
+    let failed = outcome.is_err();
+    ctx.finish(job_id, outcome);
+    fbf_obs::instant("daemon", "job-end", &[("job", fbf_obs::Value::U64(job_id))]);
+    root.end_with(&[
+        ("job", fbf_obs::Value::U64(job_id)),
+        ("failed", fbf_obs::Value::U64(u64::from(failed))),
+    ]);
+    drop(trace_guard);
 }
 
 impl Ctx {
@@ -560,14 +578,19 @@ impl Ctx {
         let Some(job) = jobs.get_mut(&id) else {
             return;
         };
+        let resident = matches!(
+            outcome,
+            Ok(Outcome::Repair {
+                backend: Some(_),
+                ..
+            })
+        );
+        let escalation = job.escalation();
         job.state = match outcome {
-            Ok(outcome) => JobState::Done(outcome),
-            Err(message) => JobState::Failed(message),
+            Ok(outcome) => JobState::Done(Box::new(outcome)),
+            Err(message) => JobState::Failed(Box::new((message, escalation))),
         };
-        if let JobState::Done(Outcome::Repair {
-            backend: Some(_), ..
-        }) = job.state
-        {
+        if resident {
             let mut retained = self.retained.lock().unwrap_or_else(|p| p.into_inner());
             retained.push_back(id);
             while retained.len() > self.retain {
@@ -575,10 +598,10 @@ impl Ctx {
             }
         }
         for old in &evicted {
-            if let Some(JobState::Done(Outcome::Repair { backend, .. })) =
-                jobs.get_mut(old).map(|job| &mut job.state)
-            {
-                *backend = None;
+            if let Some(JobState::Done(outcome)) = jobs.get_mut(old).map(|job| &mut job.state) {
+                if let Outcome::Repair { backend, .. } = &mut **outcome {
+                    *backend = None;
+                }
             }
         }
         drop(jobs);
@@ -707,10 +730,9 @@ fn submit(req: &Json, ctx: &Ctx) -> Json {
         *dir = Some(ctx.job_dir(id));
     }
     let job = Job {
-        work: Arc::new(work),
-        state: JobState::Queued,
+        backend: work.backend_name(),
+        state: JobState::Queued(Box::new(work)),
         trace,
-        progress: Arc::new(Progress::new()),
     };
     let mut jobs = ctx.jobs.lock().unwrap_or_else(|p| p.into_inner());
     jobs.insert(id, job);
@@ -732,12 +754,12 @@ fn cmd_status(req: &Json, ctx: &Ctx) -> Json {
     };
     let mut fields = job.header(id);
     fields.extend(match &job.state {
-        JobState::Queued | JobState::Running => None,
-        JobState::Failed(message) => Some(("error", message.as_str().into())),
-        JobState::Done(Outcome::Repair { metrics, .. }) => {
-            Some(("metrics", metrics.to_json_value()))
-        }
-        JobState::Done(Outcome::Rebuild(outcome)) => Some(("rebuild", outcome.to_json_value())),
+        JobState::Queued(_) | JobState::Running(_) => None,
+        JobState::Failed(failure) => Some(("error", failure.0.as_str().into())),
+        JobState::Done(outcome) => match &**outcome {
+            Outcome::Repair { metrics, .. } => Some(("metrics", metrics.to_json_value())),
+            Outcome::Rebuild(outcome) => Some(("rebuild", outcome.to_json_value())),
+        },
     });
     ok_reply(fields)
 }
@@ -769,14 +791,16 @@ fn cmd_read(req: &Json, ctx: &Ctx) -> Json {
     let Some(job) = jobs.get_mut(&id) else {
         return err_reply(&format!("no such job {id}"));
     };
-    let JobState::Done(Outcome::Repair {
-        backend: Some(backend),
-        ..
-    }) = &mut job.state
-    else {
+    let (repair, backend) = match &mut job.state {
+        JobState::Done(outcome) => match &mut **outcome {
+            Outcome::Repair { backend, .. } => (true, backend.as_mut()),
+            Outcome::Rebuild(_) => (false, None),
+        },
+        _ => (false, None),
+    };
+    let Some(backend) = backend else {
         // A finished repair off the engine had an array: the cap took it.
-        let evicted = matches!(job.state, JobState::Done(Outcome::Repair { .. }))
-            && job.work.backend_name() != "engine";
+        let evicted = repair && job.backend != "engine";
         return err_reply(match evicted {
             true => "job's backend was evicted by the retention cap (rerun or raise --retain)",
             false => "job has no data-plane backend (engine jobs move identities only)",
@@ -808,7 +832,7 @@ fn live(ctx: &Ctx, jobs: &HashMap<u64, Job>) -> Live {
     for job in jobs.values() {
         counts[job.state.index()] += 1;
     }
-    let running = counts[JobState::Running.index()];
+    let [_, running, ..] = counts;
     Live {
         jobs: std::array::from_fn(|i| (JobState::NAMES[i], counts[i])),
         running,
@@ -1091,6 +1115,59 @@ mod tests {
         let stop = AtomicBool::new(false);
         let err = read_frame(&mut io::Cursor::new(buf), &stop).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    /// A daemon's context with no listener and no workers: a test submits
+    /// jobs and runs them on its own thread.
+    fn bare_ctx() -> (Ctx, mpsc::Receiver<u64>) {
+        let (queue, rx) = mpsc::channel();
+        let ctx = Ctx {
+            shutdown: AtomicBool::new(false),
+            jobs: Mutex::default(),
+            queue,
+            next_id: AtomicU64::new(1),
+            recorder: Arc::new(FlightRecorder::with_capacity(1)),
+            workers: 1,
+            retain: 0,
+            retained: Mutex::default(),
+            scratch: scratch_root().with_extension("unit"),
+            started: Instant::now(),
+        };
+        (ctx, rx)
+    }
+
+    #[test]
+    fn a_finished_job_holds_no_work() {
+        let (ctx, queue) = bare_ctx();
+        // A trace replay: the request carries its campaign inline.
+        let code = fbf_codes::StripeCode::build(fbf_codes::CodeSpec::Tip, 7).unwrap();
+        let errors = fbf_workload::generate_errors(
+            &code,
+            &fbf_workload::ErrorGenConfig::paper_default(64, 16, 9),
+        );
+        let req = Json::obj([
+            ("cmd", "repair".into()),
+            ("trace", fbf_workload::render_trace(&errors).into()),
+            ("config", Json::obj([("stripes", Json::Num(64.0))])),
+        ]);
+        let id = submit(&req, &ctx).get("job").and_then(Json::as_u64);
+        let id = id.expect("the repair is queued");
+        let queued = |ctx: &Ctx| matches!(ctx.jobs.lock().unwrap()[&id].state, JobState::Queued(_));
+        assert!(queued(&ctx), "the request waits in the table");
+        run_job(
+            &ctx,
+            &PlanStore::new(),
+            &mut EngineScratch::new(),
+            queue.recv().unwrap(),
+        );
+        let jobs = ctx.jobs.lock().unwrap();
+        let job = &jobs[&id];
+        assert!(matches!(job.state, JobState::Done(_)), "the repair ran");
+        assert_eq!(job.backend, "engine");
+        assert!(job.metrics().is_some_and(|m| m.disk_reads > 0));
+        // The entry is the backend's name, the trace id and one boxed
+        // outcome: no request, no progress block.
+        assert_eq!(std::mem::size_of::<Job>(), 40);
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //!
 //! ## Cost model
 //!
-//! Every emitting thread appends to the one log under one mutex, held for
-//! a `VecDeque` push (the event's owned copy is made before the lock).
-//! Emission sites fire per run, per wave or per request — never from the
-//! engine's per-access loop — so the lock is rarely contended. With the
-//! recorder absent the cost is the usual single relaxed load.
+//! Every emitting thread appends to the one log under one mutex, held
+//! while the event is encoded (a few dozen bytes) and copied onto the
+//! log's tail. Emission sites fire per run, per wave or per request —
+//! never from the engine's per-access loop — so the lock is rarely
+//! contended. With the recorder absent the cost is the usual single
+//! relaxed load. Once the log is full and its byte buffer has grown to
+//! the window it holds, recording allocates nothing: the oldest record
+//! is dropped from the front and the new one written behind the last.
 //!
 //! ## Memory bound and drop semantics
 //!
-//! The log holds at most `capacity` owned events (default
+//! The log holds at most `capacity` events (default
 //! [`DEFAULT_CAPACITY`], override via [`FlightRecorder::with_capacity`]),
 //! whichever threads recorded them. When full, the oldest event is
 //! dropped and the `dropped` counter grows — a dump therefore always
@@ -36,25 +39,45 @@
 //!
 //! [`FlightRecorder::dump_lines`] renders the retained events in record
 //! order as chrome-trace JSONL: the event lines `TraceWriter` files hold,
-//! without their flow records.
+//! without their flow records. Each record decodes back to the `Event`
+//! it was encoded from and renders through [`render_chrome_line`], so a
+//! dump line is the line a follower got for the same event.
 //! `normalize: true` rewrites the wall-clock and process-global fields —
 //! timestamps become per-dump ordinals, durations zero, and thread /
 //! trace / span / run ids are renumbered in first-appearance order — so
 //! two seeded runs of the same faulted campaign dump byte-identical
-//! files. Triggers ([`trigger_dump`]) snapshot the log's owned events and
-//! remember the snapshot for inspection; it is rendered only when read
+//! files. Triggers ([`trigger_dump`]) copy the log's records and
+//! remember the copy for inspection; it is rendered only when read
 //! ([`last_dump`]) or when `$FBF_FLIGHT_DIR` asks for a file.
 //!
 //! ## What an event costs
 //!
-//! Category, name and argument keys are `&'static str` pointers, so a
-//! retained event is one fixed-size slot in the log plus one boxed
-//! argument slice of 32 bytes per argument — a second buffer only when
-//! an argument is a string.
+//! One variable-length record in a packed byte log, plus a 4-byte entry
+//! in the record index (each retained record's length, oldest first):
+//!
+//! - a head byte: the kind (bits 0–1), whether a [`TraceCtx`] follows
+//!   (bit 2) and the argument count (bits 3–7; 31 means the count
+//!   follows as a varint);
+//! - category and name as varint ids into the log's name table (they are
+//!   `&'static str` from a bounded set of emission sites; the table only
+//!   grows, so an id stays valid in every snapshot);
+//! - `ts`, then `dur` for a span, as the 8 bytes of their `f64` bits;
+//! - `tid`, then trace, span and parent ids when a ctx is present, as
+//!   varints;
+//! - per argument, one varint holding the key's id and the value's tag
+//!   (`id << 2 | tag`), then the value: a `u64` as a varint, an `i64`
+//!   zigzagged to a varint, an `f64` as its 8 bytes, a string as its
+//!   varint length and its bytes.
+//!
+//! A `daemon_small` job's 16 events average ≈ 40 bytes a record, so a
+//! full 4096-event window is ≈ 160 KiB of records and ≈ 208 KiB live
+//! with the index and the byte buffer's growth slack
+//! (`tests/footprint_allocs.rs` bounds it at 320 KiB).
 
 use crate::subscriber::{Event, EventKind, TraceCtx, Value};
 use crate::trace::render_chrome_line;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -62,124 +85,233 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// Default recorder capacity, in events.
 const DEFAULT_CAPACITY: usize = 4096;
 
-/// An event the recorder owns outright. The emission-site `Event`
-/// borrows its args from the caller's stack; category, name and keys are
-/// `'static` there already, so owning the event copies only the values:
-/// one boxed argument slice, plus one text buffer when an argument is a
-/// string.
-#[derive(Debug, Clone)]
-struct OwnedEvent {
-    cat: &'static str,
-    name: &'static str,
-    kind: EventKind,
-    ts_us: f64,
-    tid: u64,
-    ctx: Option<TraceCtx>,
-    args: Box<[(&'static str, OwnedValue)]>,
-    /// Every string argument, concatenated (empty, so unallocated, when
-    /// there is none).
-    text: Box<str>,
+/// Head-byte flag: a [`TraceCtx`] follows the tid.
+const HAS_CTX: u8 = 1 << 2;
+/// Head-byte argument count meaning "the count follows as a varint".
+const MANY_ARGS: u8 = 31;
+/// Value tags, the low two bits of an argument's key word.
+const TAG_U64: u64 = 0;
+const TAG_I64: u64 = 1;
+const TAG_F64: u64 = 2;
+const TAG_STR: u64 = 3;
+
+/// The names a log's records refer to by id: every category, event name
+/// and argument key recorded so far, in first-use order. It only grows,
+/// and only by what emission sites name, so it stays small.
+#[derive(Default)]
+struct Names {
+    /// Ids by the name's address and length, so a lookup never reads
+    /// the text. Names are literals, so this holds one entry per literal
+    /// (a text two sites spell out may hold two ids, both decoding to it).
+    ids: HashMap<(usize, usize), u64, BuildHasherDefault<AddrHash>>,
+    names: Vec<&'static str>,
 }
 
-/// An owned argument value: 16 bytes, so an argument is 32.
-#[derive(Debug, Clone, Copy)]
-enum OwnedValue {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    /// A string argument: its byte range in the event's `text`.
-    Str(u32, u32),
-}
-
-impl OwnedEvent {
-    fn new(event: &Event<'_>) -> Self {
-        let mut text = String::with_capacity(
-            event
-                .args
-                .iter()
-                .map(|(_, v)| match v {
-                    Value::Str(v) => v.len(),
-                    _ => 0,
-                })
-                .sum(),
-        );
-        let args = event
-            .args
-            .iter()
-            .map(|&(key, value)| {
-                let value = match value {
-                    Value::U64(v) => OwnedValue::U64(v),
-                    Value::I64(v) => OwnedValue::I64(v),
-                    Value::F64(v) => OwnedValue::F64(v),
-                    Value::Str(v) => {
-                        let at = |len: usize| u32::try_from(len).expect("labels under 4 GiB");
-                        let start = at(text.len());
-                        text.push_str(v);
-                        OwnedValue::Str(start, at(text.len()))
-                    }
-                };
-                (key, value)
-            })
-            .collect();
-        OwnedEvent {
-            cat: event.cat,
-            name: event.name,
-            kind: event.kind,
-            ts_us: event.ts_us,
-            tid: event.tid,
-            ctx: event.ctx,
-            args,
-            text: text.into_boxed_str(),
+impl Names {
+    fn id(&mut self, name: &'static str) -> u64 {
+        let key = (name.as_ptr() as usize, name.len());
+        let next = self.names.len() as u64;
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.names.push(name);
         }
+        id
+    }
+}
+
+/// A multiply-rotate hash of the two words of a name's key.
+#[derive(Default)]
+struct AddrHash(u64);
+
+impl Hasher for AddrHash {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// The event as a chrome-trace line; `norm` rewrites its
-    /// nondeterministic fields first (see [`Normalizer`]).
-    fn render(&self, norm: Option<(&mut Normalizer, u64)>) -> String {
-        let mut args: Vec<(&'static str, Value<'_>)> = self
-            .args
-            .iter()
-            .map(|&(key, value)| {
-                let value = match value {
-                    OwnedValue::U64(v) => Value::U64(v),
-                    OwnedValue::I64(v) => Value::I64(v),
-                    OwnedValue::F64(v) => Value::F64(v),
-                    OwnedValue::Str(start, end) => {
-                        Value::Str(&self.text[start as usize..end as usize])
-                    }
-                };
-                (key, value)
-            })
-            .collect();
-        let mut event = Event {
-            cat: self.cat,
-            name: self.name,
-            kind: self.kind,
-            ts_us: self.ts_us,
-            tid: self.tid,
-            ctx: self.ctx,
-            args: &[],
-        };
-        if let Some((norm, ordinal)) = norm {
-            norm.apply(&mut event, &mut args, ordinal);
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(usize::from(b)));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Append `event`'s record to `out` (see "What an event costs").
+fn encode(event: &Event<'_>, names: &mut Names, out: &mut Vec<u8>) {
+    let (kind, dur) = match event.kind {
+        EventKind::Complete { dur_us } => (0, Some(dur_us)),
+        EventKind::Instant => (1, None),
+        EventKind::Counter => (2, None),
+    };
+    let ctx = if event.ctx.is_some() { HAS_CTX } else { 0 };
+    let count = event.args.len().min(usize::from(MANY_ARGS)) as u8;
+    out.push(kind | ctx | count << 3);
+    if count == MANY_ARGS {
+        put_varint(out, event.args.len() as u64);
+    }
+    put_varint(out, names.id(event.cat));
+    put_varint(out, names.id(event.name));
+    put_f64(out, event.ts_us);
+    if let Some(dur) = dur {
+        put_f64(out, dur);
+    }
+    put_varint(out, event.tid);
+    if let Some(ctx) = event.ctx {
+        put_varint(out, ctx.trace);
+        put_varint(out, ctx.span);
+        put_varint(out, ctx.parent);
+    }
+    for &(key, value) in event.args {
+        let key = names.id(key) << 2;
+        match value {
+            Value::U64(v) => {
+                put_varint(out, key | TAG_U64);
+                put_varint(out, v);
+            }
+            Value::I64(v) => {
+                put_varint(out, key | TAG_I64);
+                put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+            }
+            Value::F64(v) => {
+                put_varint(out, key | TAG_F64);
+                put_f64(out, v);
+            }
+            Value::Str(v) => {
+                put_varint(out, key | TAG_STR);
+                put_varint(out, v.len() as u64);
+                out.extend_from_slice(v.as_bytes());
+            }
         }
-        event.args = &args;
-        render_chrome_line(&event)
+    }
+}
+
+/// Reads records back in the order [`encode`] wrote them.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    names: &'a [&'static str],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        head
+    }
+
+    fn byte(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+
+    fn f64(&mut self) -> f64 {
+        let bits = self.take(8).try_into().expect("8 bytes");
+        f64::from_bits(u64::from_le_bytes(bits))
+    }
+
+    fn name(&mut self) -> &'static str {
+        self.names[self.varint() as usize]
+    }
+
+    /// Decode the next record into the event it was encoded from: its
+    /// arguments replace `args`' contents, the returned event has none.
+    fn event(&mut self, args: &mut Vec<(&'static str, Value<'a>)>) -> Event<'a> {
+        let head = self.byte();
+        let count = match head >> 3 {
+            MANY_ARGS => self.varint() as usize,
+            count => usize::from(count),
+        };
+        let (cat, name, ts_us) = (self.name(), self.name(), self.f64());
+        let kind = match head & 3 {
+            0 => EventKind::Complete { dur_us: self.f64() },
+            1 => EventKind::Instant,
+            _ => EventKind::Counter,
+        };
+        let tid = self.varint();
+        let ctx = (head & HAS_CTX != 0).then(|| TraceCtx {
+            trace: self.varint(),
+            span: self.varint(),
+            parent: self.varint(),
+        });
+        args.clear();
+        for _ in 0..count {
+            let word = self.varint();
+            let key = self.names[(word >> 2) as usize];
+            let value = match word & 3 {
+                TAG_U64 => Value::U64(self.varint()),
+                TAG_I64 => {
+                    let v = self.varint();
+                    Value::I64((v >> 1) as i64 ^ -((v & 1) as i64))
+                }
+                TAG_F64 => Value::F64(self.f64()),
+                _ => {
+                    let len = self.varint() as usize;
+                    Value::Str(std::str::from_utf8(self.take(len)).expect("recorded as a str"))
+                }
+            };
+            args.push((key, value));
+        }
+        Event {
+            cat,
+            name,
+            kind,
+            ts_us,
+            tid,
+            ctx,
+            args: &[],
+        }
     }
 }
 
 /// What the recorder holds behind its one lock.
 #[derive(Default)]
 struct Log {
-    /// Retained events, oldest first, in record order.
-    events: VecDeque<OwnedEvent>,
+    /// Retained events' records, oldest first, back to back.
+    bytes: VecDeque<u8>,
+    /// The record index: each retained record's length, oldest first.
+    index: VecDeque<u32>,
+    /// What the records' name ids index.
+    names: Names,
+    /// The record being encoded, kept for its buffer.
+    scratch: Vec<u8>,
     /// Events pushed out past capacity.
     dropped: u64,
     /// Live consumers of rendered lines.
     followers: Vec<Sender<String>>,
 }
 
-/// The process flight recorder: one bounded log of owned events.
+/// Retained events copied out of a log: their records back to back and
+/// the names the records' ids index.
+struct Snapshot {
+    records: Vec<u8>,
+    names: Vec<&'static str>,
+    events: usize,
+}
+
+/// The process flight recorder: one bounded log of packed events.
 pub struct FlightRecorder {
     capacity: usize,
     log: Mutex<Log>,
@@ -211,17 +343,28 @@ impl FlightRecorder {
     /// Record one event, dropping the oldest past capacity, and send its
     /// rendered line to every follower.
     pub fn record(&self, event: &Event<'_>) {
-        let owned = OwnedEvent::new(event);
-        let mut log = self.log();
+        let mut guard = self.log();
+        let log = &mut *guard;
         if !log.followers.is_empty() {
             let line = render_chrome_line(event);
             log.followers.retain(|tx| tx.send(line.clone()).is_ok());
         }
-        if log.events.len() == self.capacity {
-            log.events.pop_front();
+        if log.index.len() == self.capacity {
+            let oldest = log.index.pop_front().expect("a full log") as usize;
+            log.bytes.drain(..oldest);
             log.dropped += 1;
         }
-        log.events.push_back(owned);
+        log.scratch.clear();
+        encode(event, &mut log.names, &mut log.scratch);
+        let len = log.scratch.len();
+        // Grow by a quarter, not the doubling `extend` would pick: the
+        // buffer settles near the window's size.
+        if log.bytes.capacity() - log.bytes.len() < len {
+            log.bytes.reserve_exact(len.max(log.bytes.len() / 4));
+        }
+        log.bytes.extend(&log.scratch);
+        log.index
+            .push_back(u32::try_from(len).expect("records under 4 GiB"));
     }
 
     /// Follow the recorder: every later event arrives on the receiver as
@@ -241,7 +384,7 @@ impl FlightRecorder {
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.log().events.len()
+        self.log().index.len()
     }
 
     /// No events retained?
@@ -253,7 +396,8 @@ impl FlightRecorder {
     /// followers survive).
     pub fn clear(&self) {
         let mut log = self.log();
-        log.events.clear();
+        log.bytes.clear();
+        log.index.clear();
         log.dropped = 0;
     }
 
@@ -270,15 +414,21 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first.
-    fn snapshot(&self) -> Vec<OwnedEvent> {
-        self.log().events.iter().cloned().collect()
+    fn snapshot(&self) -> Snapshot {
+        let log = self.log();
+        let (front, back) = log.bytes.as_slices();
+        Snapshot {
+            records: [front, back].concat(),
+            names: log.names.names.clone(),
+            events: log.index.len(),
+        }
     }
 }
 
-/// Render `events` as a dump: the process-metadata line, then one line
+/// Render `snapshot` as a dump: the process-metadata line, then one line
 /// per event in order (see [`FlightRecorder::dump_lines`]).
-fn render_dump(events: &[OwnedEvent], normalize: bool) -> Vec<String> {
-    let mut lines = Vec::with_capacity(events.len() + 1);
+fn render_dump(snapshot: &Snapshot, normalize: bool) -> Vec<String> {
+    let mut lines = Vec::with_capacity(snapshot.events + 1);
     lines.push(
         concat!(
             r#"{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"#,
@@ -287,9 +437,21 @@ fn render_dump(events: &[OwnedEvent], normalize: bool) -> Vec<String> {
         )
         .to_string(),
     );
+    let mut reader = Reader {
+        bytes: &snapshot.records,
+        names: &snapshot.names,
+    };
     let mut norm = Normalizer::default();
-    for (ordinal, event) in events.iter().enumerate() {
-        lines.push(event.render(normalize.then_some((&mut norm, ordinal as u64))));
+    let mut args = Vec::new();
+    for ordinal in 0..snapshot.events as u64 {
+        let mut event = reader.event(&mut args);
+        if normalize {
+            norm.apply(&mut event, &mut args, ordinal);
+        }
+        lines.push(render_chrome_line(&Event {
+            args: &args,
+            ..event
+        }));
     }
     lines
 }
@@ -305,24 +467,19 @@ impl Default for FlightRecorder {
 /// normalize to the same bytes.
 #[derive(Default)]
 struct Normalizer {
-    tids: Vec<u64>,
-    traces: Vec<u64>,
-    spans: Vec<u64>,
-    runs: Vec<u64>,
+    tids: HashMap<u64, u64>,
+    traces: HashMap<u64, u64>,
+    spans: HashMap<u64, u64>,
+    runs: HashMap<u64, u64>,
 }
 
 impl Normalizer {
-    fn map(table: &mut Vec<u64>, id: u64) -> u64 {
+    fn map(table: &mut HashMap<u64, u64>, id: u64) -> u64 {
         if id == 0 {
             return 0;
         }
-        match table.iter().position(|&x| x == id) {
-            Some(i) => i as u64 + 1,
-            None => {
-                table.push(id);
-                table.len() as u64
-            }
-        }
+        let next = table.len() as u64 + 1;
+        *table.entry(id).or_insert(next)
     }
 
     fn apply(&mut self, ev: &mut Event<'_>, args: &mut [(&'static str, Value<'_>)], ordinal: u64) {
@@ -360,8 +517,8 @@ static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
 /// this relaxed flag instead of taking the lock, so a subscriber-only
 /// process pays one load — not a lock round-trip — per event.
 static RECORDER_ON: AtomicBool = AtomicBool::new(false);
-/// A triggered dump: its reason and the events it snapshot.
-type Dump = (String, Vec<OwnedEvent>);
+/// A triggered dump: its reason and the events it copied.
+type Dump = (String, Snapshot);
 /// The most recent triggered dump, rendered only when [`last_dump`] asks.
 static LAST_DUMP: Mutex<Option<Arc<Dump>>> = Mutex::new(None);
 /// Per-process dump counter (distinct trigger file names).
@@ -425,17 +582,17 @@ pub fn trigger_dump(reason: &str) -> usize {
     let Some(rec) = recorder() else {
         return 0;
     };
-    let events = rec.snapshot();
-    let n = events.len() + 1;
+    let snapshot = rec.snapshot();
+    let n = snapshot.events + 1;
     if let Ok(dir) = std::env::var("FBF_FLIGHT_DIR") {
         if !dir.is_empty() {
             let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
             let path = std::path::Path::new(&dir).join(format!("flight-{reason}-{seq}.jsonl"));
             let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(&path, render_dump(&events, true).concat());
+            let _ = std::fs::write(&path, render_dump(&snapshot, true).concat());
         }
     }
-    let last = Arc::new((reason.to_string(), events));
+    let last = Arc::new((reason.to_string(), snapshot));
     *LAST_DUMP.lock().unwrap_or_else(|p| p.into_inner()) = Some(last);
     n
 }
@@ -446,8 +603,8 @@ pub fn last_dump() -> Option<(String, Vec<String>)> {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .clone()?;
-    let (reason, events) = &*last;
-    Some((reason.clone(), render_dump(events, true)))
+    let (reason, snapshot) = &*last;
+    Some((reason.clone(), render_dump(snapshot, true)))
 }
 
 #[cfg(test)]
@@ -527,8 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn owned_events_render_like_the_borrowed_ones() {
-        assert_eq!(std::mem::size_of::<OwnedValue>(), 16);
+    fn packed_events_render_like_the_borrowed_ones() {
         let args = [
             ("run", Value::U64(3)),
             ("policy", Value::Str("fbf")),
@@ -538,11 +694,24 @@ mod tests {
             ("empty", Value::Str("")),
         ];
         let event = ev("mixed", &args);
-        let owned = OwnedEvent::new(&event);
-        assert_eq!(&*owned.text, "fbfwarm \"q\"");
-        assert_eq!(owned.render(None), render_chrome_line(&event));
-        let plain = OwnedEvent::new(&ev("plain", &args[..1]));
-        assert!(plain.text.is_empty());
+        let rec = FlightRecorder::with_capacity(4);
+        rec.record(&event);
+        rec.record(&event);
+        assert_eq!(rec.dump_lines(false)[2], render_chrome_line(&event));
+        let log = rec.log();
+        // Head, cat, name, ts and tid are 12 bytes; the arguments 2 + 5 +
+        // 2 + 10 + 9 + 2.
+        assert_eq!(log.index, [42, 42]);
+        assert_eq!(log.bytes.len(), 84);
+        assert_eq!(log.names.names.len(), 8, "each name is kept once");
+        drop(log);
+        // Past 30 arguments the count leaves the head byte for a varint.
+        let many: Vec<_> = (0..40).map(|i| ("run", Value::U64(i))).collect();
+        rec.record(&ev("many", &many));
+        assert_eq!(
+            rec.dump_lines(false)[3],
+            render_chrome_line(&ev("many", &many))
+        );
     }
 
     #[test]
@@ -606,6 +775,36 @@ mod tests {
     }
 
     #[test]
+    fn ids_are_renumbered_in_first_appearance_order() {
+        let rec = FlightRecorder::with_capacity(8);
+        for (tid, trace, span, parent, run) in [
+            (9, 500, 70, 0, 42),
+            (4, 300, 0, 70, 7),
+            (9, 500, 71, 70, 42),
+        ] {
+            rec.record(&Event {
+                ctx: Some(TraceCtx {
+                    trace,
+                    span,
+                    parent,
+                }),
+                tid,
+                ..ev("n", &[("run", Value::U64(run))])
+            });
+        }
+        let lines = rec.dump_lines(true);
+        let ids = |line: &str| {
+            let id = |key| arg(line, key);
+            (id("tid"), id("trace_id"), id("parent_id"), id("run"))
+        };
+        assert_eq!(ids(&lines[1]), (0, 1, 0, 1));
+        assert!(lines[1].contains("\"span_id\":1,"), "{}", lines[1]);
+        assert_eq!(ids(&lines[2]), (1, 2, 1, 2));
+        assert_eq!(ids(&lines[3]), (0, 1, 1, 1));
+        assert!(lines[3].contains("\"span_id\":2,"), "{}", lines[3]);
+    }
+
+    #[test]
     fn trigger_records_a_last_dump() {
         // Serialise against other tests touching the global recorder.
         let prev = uninstall();
@@ -624,6 +823,102 @@ mod tests {
         assert!(recorder().is_none());
         if let Some(prev) = prev {
             install(prev);
+        }
+    }
+
+    /// Names a drawn event uses: escapes, control characters and
+    /// multibyte text included.
+    const NAMES: [&str; 7] = [
+        "engine",
+        "run",
+        "busy_ms",
+        "q\"uote",
+        "back\\slash",
+        "ctl\u{1}\n\t",
+        "é→𝄞",
+    ];
+    const U64S: [u64; 6] = [0, 1, 127, 128, 1 << 35, u64::MAX];
+    const I64S: [i64; 6] = [i64::MIN, -300, -1, 0, 1, i64::MAX];
+    const F64S: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE / 3.0,
+        1.5,
+        1_234_567.891,
+        -2.5e300,
+    ];
+
+    /// One drawn event (its args leaked: events borrow them).
+    fn drawn(draws: &mut impl Iterator<Item = u64>) -> Event<'static> {
+        let mut pick = |n: usize| (draws.next().unwrap() % n as u64) as usize;
+        let kind = match pick(3) {
+            0 => EventKind::Complete {
+                dur_us: F64S[pick(10)],
+            },
+            1 => EventKind::Instant,
+            _ => EventKind::Counter,
+        };
+        let ctx = (pick(2) == 1).then(|| TraceCtx {
+            trace: U64S[pick(6)],
+            span: U64S[pick(6)],
+            parent: U64S[pick(6)],
+        });
+        let args: Vec<_> = (0..pick(13))
+            .map(|_| {
+                let value = match pick(4) {
+                    0 => Value::U64(U64S[pick(6)]),
+                    1 => Value::I64(I64S[pick(6)]),
+                    2 => Value::F64(F64S[pick(10)]),
+                    _ => Value::Str([NAMES[pick(7)], ""][pick(2)]),
+                };
+                (NAMES[pick(7)], value)
+            })
+            .collect();
+        Event {
+            cat: NAMES[pick(7)],
+            name: NAMES[pick(7)],
+            kind,
+            ts_us: F64S[pick(10)],
+            // Normalizing maps `tid + 1`: a tid is a thread count.
+            tid: U64S[pick(6)] >> (1 + pick(63)),
+            ctx,
+            args: Vec::leak(args),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dumps_render_the_recorded_events(
+            draws in proptest::collection::vec(0u64..u64::MAX, 64..65),
+        ) {
+            let mut draws = draws.into_iter().cycle();
+            let events: Vec<_> = (0..1 + draws.next().unwrap() % 6)
+                .map(|_| drawn(&mut draws))
+                .collect();
+            let rec = FlightRecorder::with_capacity(4);
+            for event in &events {
+                rec.record(event);
+            }
+            let kept = &events[events.len().saturating_sub(4)..];
+            let raw: Vec<_> = kept.iter().map(render_chrome_line).collect();
+            proptest::prop_assert_eq!(&rec.dump_lines(false)[1..], &raw[..]);
+            let mut norm = Normalizer::default();
+            let normalized: Vec<_> = kept
+                .iter()
+                .enumerate()
+                .map(|(ordinal, event)| {
+                    let (mut event, mut args) = (*event, event.args.to_vec());
+                    norm.apply(&mut event, &mut args, ordinal as u64);
+                    render_chrome_line(&Event { args: &args, ..event })
+                })
+                .collect();
+            proptest::prop_assert_eq!(&rec.dump_lines(true)[1..], &normalized[..]);
         }
     }
 }

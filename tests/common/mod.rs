@@ -3,7 +3,8 @@
 //! allocation behaviour is a
 //! property a timing cannot pin on a shared host and a counter can. The
 //! counters are per thread, so the test harness's other threads do not
-//! leak in. A test crate opts in with `mod common;`.
+//! leak in; bytes handed out minus bytes given back are the thread's
+//! live bytes. A test crate opts in with `mod common;`.
 
 // Each suite reads some of the counters, none of them all.
 #![allow(dead_code)]
@@ -28,6 +29,9 @@ pub struct Calls {
     /// Bytes handed out: the size `alloc` was asked for, or the new size
     /// of a `realloc`.
     pub bytes: u64,
+    /// Bytes given back: the size `dealloc` freed, or the old size of a
+    /// `realloc`.
+    pub freed: u64,
 }
 
 impl Calls {
@@ -36,11 +40,18 @@ impl Calls {
     pub fn total(&self) -> u64 {
         self.alloc + self.realloc
     }
+
+    /// Bytes still allocated: handed out and not given back.
+    pub fn live(&self) -> i64 {
+        self.bytes as i64 - self.freed as i64
+    }
 }
 
 thread_local! {
     static CALLS: Cell<Calls> = const {
-        Cell::new(Calls { alloc: 0, realloc: 0, free: 0, realloc_bytes: 0, large: 0, bytes: 0 })
+        Cell::new(Calls {
+            alloc: 0, realloc: 0, free: 0, realloc_bytes: 0, large: 0, bytes: 0, freed: 0,
+        })
     };
 }
 
@@ -76,7 +87,10 @@ unsafe impl GlobalAlloc for Counting {
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(|c| c.free += 1);
+        bump(|c| {
+            c.free += 1;
+            c.freed += layout.size() as u64;
+        });
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -85,6 +99,7 @@ unsafe impl GlobalAlloc for Counting {
             c.realloc_bytes += layout.size() as u64;
             c.large += u64::from(new_size >= LARGE);
             c.bytes += new_size as u64;
+            c.freed += layout.size() as u64;
         });
         System.realloc(ptr, layout, new_size)
     }
@@ -108,6 +123,7 @@ pub fn counted<T>(work: impl FnOnce() -> T) -> (T, Calls) {
             realloc_bytes: after.realloc_bytes - before.realloc_bytes,
             large: after.large - before.large,
             bytes: after.bytes - before.bytes,
+            freed: after.freed - before.freed,
         },
     )
 }
