@@ -17,7 +17,7 @@
 use fbf_bench::{Artefact, Failure, Scale};
 use fbf_cache::PolicyKind;
 use fbf_codes::CodeSpec;
-use fbf_core::{run_experiment, verify_campaign, ExperimentConfig, Json, Metrics, SweepPoint};
+use fbf_core::{run_experiment, verify_campaign, ExperimentConfig, Json, SweepPoint};
 use std::fmt::Write;
 
 fn campaign(scale: &Scale) -> Result<ExperimentConfig, Failure> {
@@ -42,15 +42,6 @@ fn campaign(scale: &Scale) -> Result<ExperimentConfig, Failure> {
     Ok(builder.build()?)
 }
 
-/// Zero the two host-wall-clock fields (scheme-generation overhead is
-/// measured on the host, not the virtual clock) so `==` checks exactly
-/// the simulated, seed-determined portion of the metrics.
-fn simulated(mut m: Metrics) -> Metrics {
-    m.overhead_per_stripe_ms = 0.0;
-    m.overhead_pct = 0.0;
-    m
-}
-
 fn main() {
     fbf_bench::main(|scale| {
         let cfg = campaign(scale)?;
@@ -60,8 +51,10 @@ fn main() {
             cfg.stripes, cfg.error_count, cfg.faults.seed
         );
 
-        let first = simulated(run_experiment(&cfg)?);
-        let second = simulated(run_experiment(&cfg)?);
+        // `==` skips the one host-time field (`HostTime` always compares
+        // equal): it checks exactly what the seed determines.
+        let first = run_experiment(&cfg)?;
+        let second = run_experiment(&cfg)?;
         if first != second {
             return Err(format!(
                 "DETERMINISM FAILURE: two runs of the same seeded fault plan diverged\n\

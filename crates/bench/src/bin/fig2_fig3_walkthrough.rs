@@ -16,7 +16,7 @@
 
 use fbf_bench::{Artefact, Failure};
 use fbf_codes::{CodeSpec, StripeCode};
-use fbf_recovery::{scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind};
+use fbf_recovery::{scheme::generate, PartialStripeError, SchemeKind};
 use std::fmt::Write;
 
 fn show_error(out: &mut Artefact, code: &StripeCode, len: usize, fig: &str) -> Result<(), Failure> {
@@ -46,10 +46,9 @@ fn show_error(out: &mut Artefact, code: &StripeCode, len: usize, fig: &str) -> R
         )?;
 
         if kind == SchemeKind::FbfCycling {
-            let dict = PriorityDictionary::from_scheme(&scheme);
             writeln!(out, "priority dictionary (Table III format):")?;
             for prio in (1..=3).rev() {
-                let cells = dict.cells_with_priority(0, prio);
+                let cells = scheme.cells_with(prio);
                 let names: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
                 let names = names.join(", ");
                 let names = if names.is_empty() { "-" } else { &names };

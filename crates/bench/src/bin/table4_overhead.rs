@@ -13,6 +13,7 @@ use fbf_bench::{Artefact, TIP_PRIMES};
 use fbf_cache::PolicyKind;
 use fbf_codes::{CodeSpec, StripeCode};
 use fbf_core::{report::f, run_planned, PlanSource, PlannedCampaign, SweepPoint, Table};
+use fbf_obs::HostTime;
 use fbf_recovery::generate_schemes_parallel;
 use std::time::Instant;
 
@@ -24,10 +25,10 @@ fn main() {
             &[
                 "p",
                 "code",
-                "memo_ms_per_stripe",
-                "memo_pct",
-                "full_ms_per_stripe",
-                "full_pct",
+                "host_memo_ms_per_stripe",
+                "host_memo_pct",
+                "host_full_ms_per_stripe",
+                "host_full_pct",
             ],
         );
         for p in TIP_PRIMES {
@@ -37,9 +38,9 @@ fn main() {
                 CodeSpec::Tip,
                 CodeSpec::Hdd1,
             ] {
-                // memo_*: the paper's format-memoised controller ("priorities
+                // host_memo_*: the paper's format-memoised controller ("priorities
                 // can be enumerated once a same format ... is detected again"),
-                // on one host thread. full_*: the same campaign through the
+                // on one host thread. host_full_*: the same campaign through the
                 // un-memoised oracle — every stripe's scheme and priorities
                 // generated from scratch, also on one thread — bounding what
                 // the memo saves. Both produce the same plan, so both are
@@ -51,18 +52,18 @@ fn main() {
                 let built = StripeCode::build(code, p)?;
                 let t0 = Instant::now();
                 let schemes = generate_schemes_parallel(&built, &plan.errors, config.scheme, 1)?;
-                let full_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let full = HostTime::since(t0);
                 // Scheme equality compares the priority tables too.
                 out.check(schemes == plan.schemes, || {
                     format!("{code}(p={p}): memoised plan differs from the oracle's")
                 });
-                let full_per_stripe_ms = full_ms / schemes.len() as f64;
-                let full_pct = 100.0 * full_ms / (metrics.reconstruction_s * 1e3);
+                let full_per_stripe_ms = full.ms() / schemes.len() as f64;
+                let full_pct = 100.0 * full.secs() / metrics.reconstruction_s;
                 table.push_row(vec![
                     p.to_string(),
                     code.name().to_string(),
-                    f(metrics.overhead_per_stripe_ms, 4),
-                    f(metrics.overhead_pct, 3),
+                    f(metrics.overhead_per_stripe_ms(), 4),
+                    f(metrics.overhead_pct(), 3),
                     f(full_per_stripe_ms, 4),
                     f(full_pct, 3),
                 ]);

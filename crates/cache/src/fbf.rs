@@ -78,13 +78,6 @@ impl FbfPolicy {
         }
     }
 
-    /// Number of chunks currently in `Queue{n}` (n = 1..=3). Exposed for
-    /// tests that replay the paper's Figs 5–7.
-    pub fn queue_len(&self, n: usize) -> usize {
-        assert!((1..=3).contains(&n), "queues are numbered 1..=3");
-        self.queues[n - 1].len()
-    }
-
     /// The queue level (1..=3) a resident key sits in.
     pub fn level(&self, key: &Key) -> Option<u8> {
         self.level_of.get(key).map(|&l| l + 1)
@@ -318,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_occupancy_mirrors_queue_len() {
+    fn queue_occupancy_counts_each_queue() {
         let mut fbf = FbfPolicy::new(10);
         fbf.on_insert(c(0, 0), 1);
         fbf.on_insert(c(0, 1), 3);
@@ -345,8 +338,6 @@ mod tests {
         fbf.on_insert(c(0, 1), 2);
         fbf.on_insert(c(0, 2), 3);
         assert_eq!(fbf.len(), 3);
-        assert_eq!(fbf.queue_len(1), 1);
-        assert_eq!(fbf.queue_len(2), 1);
-        assert_eq!(fbf.queue_len(3), 1);
+        assert_eq!(fbf.queue_occupancy(), Some([1, 1, 1]));
     }
 }

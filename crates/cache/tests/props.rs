@@ -8,6 +8,11 @@ fn trace_strategy(len: usize) -> impl Strategy<Value = Vec<(u32, usize, usize, u
     proptest::collection::vec((0u32..6, 0usize..6, 0usize..8, 1u8..4), 1..len)
 }
 
+/// How many chunks each of FBF's three queues holds.
+fn occupancy(fbf: &FbfPolicy) -> [usize; 3] {
+    fbf.queue_occupancy().expect("FBF has queues")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -74,7 +79,7 @@ proptest! {
         for (s, r, c, prio) in ops {
             let k = key(s, r, c);
             if !fbf.on_access(k) {
-                let q1_before = fbf.queue_len(1);
+                let q1_before = occupancy(&fbf)[0];
                 if let Some(victim) = fbf.on_insert(k, prio).evicted() {
                     if q1_before > 0 {
                         // The victim must have come from Queue1: Queue1
@@ -88,7 +93,7 @@ proptest! {
                 }
             }
             // Level bookkeeping is consistent with queue contents.
-            let total = fbf.queue_len(1) + fbf.queue_len(2) + fbf.queue_len(3);
+            let total: usize = occupancy(&fbf).iter().sum();
             prop_assert_eq!(total, fbf.len());
         }
     }

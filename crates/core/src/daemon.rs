@@ -59,7 +59,7 @@ use crate::prom::{prometheus_snapshot, Live};
 use crate::sweep::panic_message;
 use fbf_codes::{Cell, ChunkId};
 use fbf_disksim::{Digest, EngineScratch, RequestClass};
-use fbf_obs::{FlightRecorder, Json};
+use fbf_obs::{FlightRecorder, HostTime, Json};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -905,7 +905,7 @@ fn cmd_stat(ctx: &Ctx) -> Json {
         .collect();
     let [(_, queued), _, (_, done), (_, failed)] = live.jobs;
     ok_reply([
-        ("uptime_s", Json::Num(ctx.started.elapsed().as_secs_f64())),
+        ("host_uptime_s", HostTime::since(ctx.started).secs().into()),
         ("workers", Json::Num(ctx.workers as f64)),
         ("workers_busy", live.busy.into()),
         ("queue_depth", queued.into()),

@@ -5,7 +5,7 @@ use crate::faulted::FaultedOutcome;
 use crate::plan::PlanSource;
 use fbf_cache::CacheStats;
 use fbf_disksim::{Digest, FaultCounters, RequestClass, SimTime};
-use fbf_obs::Json;
+use fbf_obs::{HostTime, Json};
 use fbf_recovery::DataLoss;
 
 /// Schema revision of every metrics JSON document this workspace emits
@@ -83,11 +83,9 @@ pub struct Metrics {
     pub repair_p50_s: f64,
     /// Time by which 90% of the lost chunks were rewritten, seconds.
     pub repair_p90_s: f64,
-    /// Table IV — host time spent generating schemes + priorities,
-    /// averaged per stripe, ms.
-    pub overhead_per_stripe_ms: f64,
-    /// Table IV — total overhead as a percentage of reconstruction time.
-    pub overhead_pct: f64,
+    /// Table IV — host time spent generating the campaign's schemes and
+    /// priorities (see [`overhead_per_stripe_ms`](Self::overhead_per_stripe_ms)).
+    pub generation: HostTime,
     /// Spare-area writes (sanity: equals lost chunks).
     pub disk_writes: u64,
     /// Raw cache counters.
@@ -97,8 +95,8 @@ pub struct Metrics {
     /// Chunks recovered.
     pub chunks_recovered: usize,
     /// Whether this run generated its plan (`Cold`) or reused a shared one
-    /// (`Warm`). The overhead figures always report the *cold* generation
-    /// cost; this field records their provenance.
+    /// (`Warm`). `generation` is always the *cold* generation cost; this
+    /// field records its provenance.
     pub plan_source: PlanSource,
     /// Fault-path counters (all zero when the fault plan is inactive).
     pub faults: FaultCounters,
@@ -132,16 +130,33 @@ impl Metrics {
         ClassLatency::from_digest(&self.class_digests[class.index()])
     }
 
+    /// Table IV — generation host time per repaired stripe, ms (0 when
+    /// none was).
+    pub fn overhead_per_stripe_ms(&self) -> f64 {
+        match self.stripes_repaired {
+            0 => 0.0,
+            n => self.generation.ms() / n as f64,
+        }
+    }
+
+    /// Table IV — generation host time as a percentage of the (virtual)
+    /// reconstruction time (0 when the reconstruction took none).
+    pub fn overhead_pct(&self) -> f64 {
+        if self.reconstruction_s == 0.0 {
+            0.0
+        } else {
+            100.0 * self.generation.secs() / self.reconstruction_s
+        }
+    }
+
     /// Assemble from a simulated campaign: the merged report's figures
     /// plus the escalation verdicts.
     pub fn from_faulted(
         outcome: &FaultedOutcome,
-        overhead_host: std::time::Duration,
+        generation: HostTime,
         plan_source: PlanSource,
     ) -> Self {
         let report = &outcome.report;
-        let recon = report.makespan;
-        let overhead_ms = overhead_host.as_secs_f64() * 1e3;
         let reads = report.read_latency();
         Metrics {
             hit_ratio: report.cache.hit_ratio(),
@@ -150,19 +165,10 @@ impl Metrics {
             p50_response_ms: quantile_ms(&reads, 0.50),
             p95_response_ms: quantile_ms(&reads, 0.95),
             p99_response_ms: quantile_ms(&reads, 0.99),
-            reconstruction_s: recon.as_secs_f64(),
+            reconstruction_s: report.makespan.as_secs_f64(),
             repair_p50_s: completion_quantile(&report.write_completions, 0.50),
             repair_p90_s: completion_quantile(&report.write_completions, 0.90),
-            overhead_per_stripe_ms: if outcome.stripes_repaired == 0 {
-                0.0
-            } else {
-                overhead_ms / outcome.stripes_repaired as f64
-            },
-            overhead_pct: if recon == SimTime::ZERO {
-                0.0
-            } else {
-                100.0 * overhead_ms / recon.as_millis_f64()
-            },
+            generation,
             disk_writes: report.disk_writes,
             cache: report.cache,
             stripes_repaired: outcome.stripes_repaired,
@@ -241,13 +247,14 @@ impl std::fmt::Display for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "hit={:.4} reads={} resp={:.3}ms recon={:.3}s overhead={:.4}ms/stripe ({:.2}%)",
+            "hit={:.4} reads={} resp={:.3}ms recon={:.3}s \
+             host_overhead_ms_per_stripe={:.4} host_overhead_pct={:.2}",
             self.hit_ratio,
             self.disk_reads,
             self.avg_response_ms,
             self.reconstruction_s,
-            self.overhead_per_stripe_ms,
-            self.overhead_pct
+            self.overhead_per_stripe_ms(),
+            self.overhead_pct()
         )?;
         if !self.faults.is_empty() || self.stripes_lost > 0 {
             write!(
@@ -306,7 +313,7 @@ mod tests {
     /// `chunks_recovered` chunks, with no escalation.
     fn from_run(
         report: &RunReport,
-        overhead_host: std::time::Duration,
+        generation: HostTime,
         stripes_repaired: usize,
         chunks_recovered: usize,
         plan_source: PlanSource,
@@ -322,14 +329,14 @@ mod tests {
             rounds_exhausted: false,
             unresolved: Vec::new(),
         };
-        Metrics::from_faulted(&outcome, overhead_host, plan_source)
+        Metrics::from_faulted(&outcome, generation, plan_source)
     }
 
     #[test]
     fn from_run_maps_fields() {
         let m = from_run(
             &report(),
-            std::time::Duration::from_millis(20),
+            HostTime::from_nanos(20_000_000),
             10,
             12,
             PlanSource::Cold,
@@ -338,17 +345,17 @@ mod tests {
         assert_eq!(m.disk_reads, 70);
         assert!((m.avg_response_ms - 5.0).abs() < 1e-9);
         assert!((m.reconstruction_s - 2.0).abs() < 1e-12);
-        assert!((m.overhead_per_stripe_ms - 2.0).abs() < 1e-9);
-        assert!((m.overhead_pct - 1.0).abs() < 1e-9);
+        assert!((m.overhead_per_stripe_ms() - 2.0).abs() < 1e-9);
+        assert!((m.overhead_pct() - 1.0).abs() < 1e-9);
         assert_eq!(m.disk_writes, 12);
     }
 
     #[test]
     fn zero_denominators_are_safe() {
         let r = RunReport::default();
-        let m = from_run(&r, std::time::Duration::ZERO, 0, 0, PlanSource::Cold);
-        assert_eq!(m.overhead_per_stripe_ms, 0.0);
-        assert_eq!(m.overhead_pct, 0.0);
+        let m = from_run(&r, HostTime::ZERO, 0, 0, PlanSource::Cold);
+        assert_eq!(m.overhead_per_stripe_ms(), 0.0);
+        assert_eq!(m.overhead_pct(), 0.0);
         assert_eq!(m.hit_ratio, 0.0);
     }
 
@@ -356,7 +363,7 @@ mod tests {
     fn repair_progress_quantiles() {
         let mut r = report();
         r.write_completions = (1..=10).map(SimTime::from_secs).collect();
-        let m = from_run(&r, std::time::Duration::ZERO, 10, 10, PlanSource::Cold);
+        let m = from_run(&r, HostTime::ZERO, 10, 10, PlanSource::Cold);
         assert!((m.repair_p50_s - 5.0).abs() < 1e-9);
         assert!((m.repair_p90_s - 9.0).abs() < 1e-9);
     }
@@ -365,7 +372,7 @@ mod tests {
     fn repair_progress_empty_is_zero() {
         let m = from_run(
             &RunReport::default(),
-            std::time::Duration::ZERO,
+            HostTime::ZERO,
             0,
             0,
             PlanSource::Cold,
@@ -396,7 +403,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let m = from_run(&r, HostTime::ZERO, 1, 1, PlanSource::Cold);
         assert_eq!(m.class_latency(RequestClass::App).count, 90);
         assert_eq!(m.class_latency(RequestClass::Recovery).count, 10);
         assert!(m.class_latency(RequestClass::App).p99_ms < 3.0);
@@ -411,7 +418,7 @@ mod tests {
         let mut r = report();
         r.record_read(RequestClass::App, SimTime::from_millis(2));
         r.faults.media_errors = 3;
-        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let mut m = from_run(&r, HostTime::ZERO, 1, 1, PlanSource::Cold);
         m.stripes_lost = 1;
         m.data_loss = vec![DataLoss {
             stripe: 9,
@@ -440,7 +447,7 @@ mod tests {
     fn display_mentions_busy_classes_and_verdict() {
         let mut r = report();
         r.record_read(RequestClass::Recovery, SimTime::from_millis(5));
-        let mut m = from_run(&r, std::time::Duration::ZERO, 1, 1, PlanSource::Cold);
+        let mut m = from_run(&r, HostTime::ZERO, 1, 1, PlanSource::Cold);
         m.stripes_lost = 2;
         let s = m.to_string();
         assert!(s.contains("recovery[n=1"), "{s}");
@@ -452,7 +459,7 @@ mod tests {
     fn display_is_compact() {
         let m = from_run(
             &report(),
-            std::time::Duration::from_millis(20),
+            HostTime::from_nanos(20_000_000),
             10,
             12,
             PlanSource::Cold,

@@ -21,6 +21,7 @@ use crate::runner::RunError;
 use fbf_cache::FxHashMap;
 use fbf_codes::{CodeSpec, StripeCode};
 use fbf_disksim::WorkerScript;
+use fbf_obs::HostTime;
 use fbf_recovery::{
     build_scripts_borrowed, plan_campaign_parallel, ErrorGroup, ExecConfig, RecoveryScheme,
     SchemeKind,
@@ -29,7 +30,7 @@ use fbf_workload::{generate_errors, ErrorGenConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The configuration fields a planned campaign actually depends on.
 ///
@@ -113,7 +114,7 @@ pub struct PlannedCampaign {
     pub chunks_lost: usize,
     /// Host wall-clock spent on cold scheme + priority generation — the
     /// paper's Table IV "extra calculation" cost.
-    pub generation: Duration,
+    pub generation: HostTime,
 }
 
 impl PlannedCampaign {
@@ -159,7 +160,7 @@ impl PlannedCampaign {
         // FBF's "extra calculation" — wall-clock it for Table IV.
         let t0 = Instant::now();
         let schemes = plan_campaign_parallel(code, &errors, cfg.scheme, cfg.gen_threads)?;
-        let generation = t0.elapsed();
+        let generation = HostTime::since(t0);
 
         let scripts = if LOWER {
             build_scripts_borrowed(
@@ -187,10 +188,7 @@ impl PlannedCampaign {
                 ("stripes", fbf_obs::Value::U64(cfg.stripes as u64)),
                 ("errors", fbf_obs::Value::U64(cfg.error_count as u64)),
                 ("schemes", fbf_obs::Value::U64(schemes.len() as u64)),
-                (
-                    "generation_ms",
-                    fbf_obs::Value::F64(generation.as_secs_f64() * 1e3),
-                ),
+                ("host_generation_ms", fbf_obs::Value::F64(generation.ms())),
             ]);
         }
         Ok(PlannedCampaign {

@@ -26,6 +26,7 @@ use crate::plan::{PlanSource, PlanStore};
 use crate::report::Table;
 use crate::runner::{run_planned_with_scratch, RunError};
 use fbf_disksim::EngineScratch;
+use fbf_obs::{HostTime, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -147,8 +148,8 @@ pub fn sweep_with_progress(
         None
     };
     let sweep_t0 = Instant::now();
-    // Phase totals across all workers, nanoseconds (plan vs simulate
-    // split per point; busy = both plus per-point bookkeeping).
+    // Host-time phase totals across all workers, nanoseconds (plan vs
+    // simulate split per point; busy = both plus per-point bookkeeping).
     let plan_ns = AtomicU64::new(0);
     let sim_ns = AtomicU64::new(0);
     let busy_ns = AtomicU64::new(0);
@@ -179,25 +180,25 @@ pub fn sweep_with_progress(
                 None
             };
             let point_t0 = Instant::now();
-            let mut point_plan_ns = 0u64;
-            let mut point_sim_ns = 0u64;
+            let mut point_plan = HostTime::ZERO;
+            let mut point_sim = HostTime::ZERO;
             let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<_, RunError> {
                 cfg.validate()?;
                 let t = Instant::now();
                 let (plan, source) = store.plan(cfg)?;
-                point_plan_ns = t.elapsed().as_nanos() as u64;
+                point_plan = HostTime::since(t);
                 let t = Instant::now();
                 let metrics = run_planned_with_scratch(cfg, &plan, source, scratch);
-                point_sim_ns = t.elapsed().as_nanos() as u64;
+                point_sim = HostTime::since(t);
                 Ok((metrics, source))
             }));
-            let point_ns = point_t0.elapsed().as_nanos() as u64;
+            let point = HostTime::since(point_t0);
             worker_points += 1;
-            worker_busy_ns += point_ns;
+            worker_busy_ns += point.as_nanos();
             if obs {
-                plan_ns.fetch_add(point_plan_ns, Ordering::Relaxed);
-                sim_ns.fetch_add(point_sim_ns, Ordering::Relaxed);
-                busy_ns.fetch_add(point_ns, Ordering::Relaxed);
+                plan_ns.fetch_add(point_plan.as_nanos(), Ordering::Relaxed);
+                sim_ns.fetch_add(point_sim.as_nanos(), Ordering::Relaxed);
+                busy_ns.fetch_add(point.as_nanos(), Ordering::Relaxed);
             }
             if let Some(span) = point_span {
                 let source = match &outcome {
@@ -206,12 +207,12 @@ pub fn sweep_with_progress(
                     Err(_) => "panic",
                 };
                 span.end_with(&[
-                    ("index", fbf_obs::Value::U64(i as u64)),
-                    ("policy", fbf_obs::Value::Str(cfg.policy.name())),
-                    ("cache_mb", fbf_obs::Value::U64(cfg.cache_mb as u64)),
-                    ("plan", fbf_obs::Value::Str(source)),
-                    ("plan_ms", fbf_obs::Value::F64(point_plan_ns as f64 / 1e6)),
-                    ("sim_ms", fbf_obs::Value::F64(point_sim_ns as f64 / 1e6)),
+                    ("index", Value::U64(i as u64)),
+                    ("policy", Value::Str(cfg.policy.name())),
+                    ("cache_mb", Value::U64(cfg.cache_mb as u64)),
+                    ("plan", Value::Str(source)),
+                    ("host_plan_ms", Value::F64(point_plan.ms())),
+                    ("host_sim_ms", Value::F64(point_sim.ms())),
                 ]);
             }
             drop(trace_guard);
@@ -239,17 +240,15 @@ pub fn sweep_with_progress(
             *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
         }
         if obs && worker_points > 0 {
+            let worker_busy = HostTime::from_nanos(worker_busy_ns);
             fbf_obs::instant(
                 "sweep",
                 "worker",
                 &[
-                    ("worker", fbf_obs::Value::U64(worker as u64)),
-                    ("points", fbf_obs::Value::U64(worker_points)),
-                    ("busy_ms", fbf_obs::Value::F64(worker_busy_ns as f64 / 1e6)),
-                    (
-                        "alive_ms",
-                        fbf_obs::Value::F64(worker_t0.elapsed().as_secs_f64() * 1e3),
-                    ),
+                    ("worker", Value::U64(worker as u64)),
+                    ("points", Value::U64(worker_points)),
+                    ("host_busy_ms", Value::F64(worker_busy.ms())),
+                    ("host_alive_ms", Value::F64(HostTime::since(worker_t0).ms())),
                 ],
             );
         }
@@ -276,12 +275,13 @@ pub fn sweep_with_progress(
         }
     }
     if obs {
-        let wall_ms = sweep_t0.elapsed().as_secs_f64() * 1e3;
-        let busy_ms = busy_ns.load(Ordering::Relaxed) as f64 / 1e6;
+        let wall = HostTime::since(sweep_t0);
+        let total = |ns: &AtomicU64| HostTime::from_nanos(ns.load(Ordering::Relaxed));
+        let busy = total(&busy_ns);
         // Utilization: fraction of the workers' combined wall-clock
         // budget spent running points.
-        let util = if wall_ms > 0.0 {
-            (busy_ms / (wall_ms * threads as f64)).min(1.0) * 100.0
+        let util = if wall.ms() > 0.0 {
+            (busy.ms() / (wall.ms() * threads as f64)).min(1.0) * 100.0
         } else {
             0.0
         };
@@ -290,31 +290,25 @@ pub fn sweep_with_progress(
             "sweep",
             "summary",
             &[
-                ("points", fbf_obs::Value::U64(out.len() as u64)),
-                ("threads", fbf_obs::Value::U64(threads as u64)),
-                ("wall_ms", fbf_obs::Value::F64(wall_ms)),
+                ("points", Value::U64(out.len() as u64)),
+                ("threads", Value::U64(threads as u64)),
+                ("host_wall_ms", Value::F64(wall.ms())),
+                ("host_plan_ms", Value::F64(total(&plan_ns).ms())),
+                ("host_sim_ms", Value::F64(total(&sim_ns).ms())),
                 (
-                    "plan_ms",
-                    fbf_obs::Value::F64(plan_ns.load(Ordering::Relaxed) as f64 / 1e6),
+                    "host_gather_ms",
+                    Value::F64(HostTime::since(gather_t0).ms()),
                 ),
-                (
-                    "sim_ms",
-                    fbf_obs::Value::F64(sim_ns.load(Ordering::Relaxed) as f64 / 1e6),
-                ),
-                (
-                    "gather_ms",
-                    fbf_obs::Value::F64(gather_t0.elapsed().as_secs_f64() * 1e3),
-                ),
-                ("busy_ms", fbf_obs::Value::F64(busy_ms)),
-                ("util_pct", fbf_obs::Value::F64(util)),
-                ("plan_cold", fbf_obs::Value::U64(store_stats.misses)),
-                ("plan_warm", fbf_obs::Value::U64(store_stats.hits)),
+                ("host_busy_ms", Value::F64(busy.ms())),
+                ("host_util_pct", Value::F64(util)),
+                ("plan_cold", Value::U64(store_stats.misses)),
+                ("plan_warm", Value::U64(store_stats.hits)),
                 // High-water across the sweep: a max over points, computed
                 // here because CountingSubscriber *sums* across events —
                 // per-point emission would corrupt the high-water on merge.
                 (
                     "queue_depth_max",
-                    fbf_obs::Value::U64(
+                    Value::U64(
                         out.iter()
                             .map(|p| p.metrics.queue_depth_max)
                             .max()
@@ -338,29 +332,20 @@ pub fn sweep_with_progress(
                 "sweep",
                 "faults",
                 &[
-                    ("media", fbf_obs::Value::U64(fault_totals.media_errors)),
-                    (
-                        "transient",
-                        fbf_obs::Value::U64(fault_totals.transient_faults),
-                    ),
-                    ("retries", fbf_obs::Value::U64(fault_totals.retries)),
-                    (
-                        "exhausted",
-                        fbf_obs::Value::U64(fault_totals.retries_exhausted),
-                    ),
-                    (
-                        "dead_disk",
-                        fbf_obs::Value::U64(fault_totals.dead_disk_reads),
-                    ),
-                    ("replans", fbf_obs::Value::U64(replans)),
-                    ("stripes_lost", fbf_obs::Value::U64(lost)),
+                    ("media", Value::U64(fault_totals.media_errors)),
+                    ("transient", Value::U64(fault_totals.transient_faults)),
+                    ("retries", Value::U64(fault_totals.retries)),
+                    ("exhausted", Value::U64(fault_totals.retries_exhausted)),
+                    ("dead_disk", Value::U64(fault_totals.dead_disk_reads)),
+                    ("replans", Value::U64(replans)),
+                    ("stripes_lost", Value::U64(lost)),
                 ],
             );
         }
         if let Some(span) = sweep_span {
             span.end_with(&[
-                ("points", fbf_obs::Value::U64(out.len() as u64)),
-                ("threads", fbf_obs::Value::U64(threads as u64)),
+                ("points", Value::U64(out.len() as u64)),
+                ("threads", Value::U64(threads as u64)),
             ]);
         }
     }

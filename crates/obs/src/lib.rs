@@ -50,6 +50,7 @@
 
 pub mod digest;
 pub mod flags;
+pub mod host;
 pub mod json;
 pub mod ring;
 pub mod subscriber;
@@ -57,6 +58,7 @@ pub mod trace;
 
 pub use digest::{Digest, RequestClass};
 pub use flags::ObsFlags;
+pub use host::HostTime;
 pub use json::{Json, JsonError};
 pub use ring::FlightRecorder;
 pub use subscriber::{

@@ -43,8 +43,8 @@
 //! it was encoded from and renders through [`render_chrome_line`], so a
 //! dump line is the line a follower got for the same event.
 //! `normalize: true` rewrites the wall-clock and process-global fields —
-//! timestamps become per-dump ordinals, durations zero, and thread /
-//! trace / span / run ids are renumbered in first-appearance order — so
+//! timestamps become per-dump ordinals, durations and `host_*` args zero,
+//! thread / trace / span / run ids renumbered by first appearance — so
 //! two seeded runs of the same faulted campaign dump byte-identical
 //! files. Triggers ([`trigger_dump`]) copy the log's records and
 //! remember the copy for inspection; it is rendered only when read
@@ -406,9 +406,9 @@ impl FlightRecorder {
     /// process-metadata line.
     ///
     /// `normalize` rewrites every nondeterministic field for byte-exact
-    /// reproducibility: `ts` becomes the event's dump ordinal, `dur` 0,
-    /// and tids plus trace/span/parent/`run` ids are renumbered in
-    /// first-appearance order.
+    /// reproducibility: `ts` becomes the event's dump ordinal, `dur` and
+    /// every `host_*` arg 0, and tids plus trace/span/parent/`run` ids
+    /// are renumbered in first-appearance order.
     pub fn dump_lines(&self, normalize: bool) -> Vec<String> {
         render_dump(&self.snapshot(), normalize)
     }
@@ -499,13 +499,11 @@ impl Normalizer {
                     *v = Self::map(&mut self.runs, *v);
                 }
             }
-            // Wall-clock measurement args (`*_ms` floats, e.g. the plan
-            // span's `generation_ms`) vary run to run like `dur` does;
-            // zero them so normalized dumps stay byte-diffable.
-            if key.ends_with("_ms") {
-                if let Value::F64(v) = value {
-                    *v = 0.0;
-                }
+            // Host time (what a `host_` arg carries, `crate::host`) varies
+            // run to run like `dur` does; zero it so normalized dumps stay
+            // byte-diffable.
+            if key.starts_with("host_") {
+                *value = Value::F64(0.0);
             }
         }
     }
@@ -831,7 +829,7 @@ mod tests {
     const NAMES: [&str; 7] = [
         "engine",
         "run",
-        "busy_ms",
+        "host_busy_ms",
         "q\"uote",
         "back\\slash",
         "ctl\u{1}\n\t",

@@ -277,7 +277,7 @@ mod tests {
         let (code, _) = setup();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let scheme = generate(&code, &e, SchemeKind::FbfCycling).unwrap();
-        let dict = PriorityDictionary::from_scheme(&scheme);
+        let dict = PriorityDictionary::from_schemes([&scheme]);
         let scripts = build_scripts(
             std::slice::from_ref(&scheme),
             &dict,
@@ -304,7 +304,7 @@ mod tests {
         let (code, _) = setup();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let scheme = generate(&code, &e, SchemeKind::FbfCycling).unwrap();
-        let dict = PriorityDictionary::from_scheme(&scheme);
+        let dict = PriorityDictionary::from_schemes([&scheme]);
         let scripts = build_scripts(
             std::slice::from_ref(&scheme),
             &dict,
@@ -397,7 +397,7 @@ mod tests {
         let (code, _) = setup();
         let e = PartialStripeError::new(&code, 0, 0, 0, 2).unwrap();
         let scheme = generate(&code, &e, SchemeKind::Typical).unwrap();
-        let dict = PriorityDictionary::from_scheme(&scheme);
+        let dict = PriorityDictionary::from_schemes([&scheme]);
         let scripts = build_scripts(
             std::slice::from_ref(&scheme),
             &dict,
@@ -415,7 +415,7 @@ mod tests {
         let (code, _) = setup();
         let e = PartialStripeError::new(&code, 0, 0, 0, 2).unwrap();
         let scheme = generate(&code, &e, SchemeKind::Typical).unwrap();
-        let dict = PriorityDictionary::from_scheme(&scheme);
+        let dict = PriorityDictionary::from_schemes([&scheme]);
         build_scripts(
             std::slice::from_ref(&scheme),
             &dict,

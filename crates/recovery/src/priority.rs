@@ -94,7 +94,7 @@ impl PriorityTable {
     }
 
     /// The read cells with their priorities, in `(row, col)` order.
-    fn cells(&self) -> impl Iterator<Item = (Cell, u8)> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (Cell, u8)> + '_ {
         let cols = self.cols;
         self.prio
             .iter()
@@ -137,44 +137,27 @@ pub struct PriorityDictionary {
 }
 
 impl PriorityDictionary {
-    /// Empty dictionary (everything priority 1).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from one scheme.
-    pub fn from_scheme(scheme: &RecoveryScheme) -> Self {
-        let mut d = Self::new();
-        d.add_scheme(scheme);
-        d
-    }
-
     /// Build from a whole campaign of schemes, every stripe taking the
-    /// table of its own scheme.
+    /// table of its own scheme. A chunk that two schemes for one stripe
+    /// read keeps its highest priority.
     pub fn from_schemes<'a>(schemes: impl IntoIterator<Item = &'a RecoveryScheme>) -> Self {
-        let mut d = Self::new();
-        for s in schemes {
-            d.add_scheme(s);
-        }
-        d
-    }
-
-    /// Merge one scheme's (possibly shared) table in. A chunk the
-    /// stripe's earlier schemes already read keeps its highest priority.
-    pub fn add_scheme(&mut self, scheme: &RecoveryScheme) {
-        let table = &scheme.table;
-        if table.known == 0 {
-            return;
-        }
-        match self.tables.entry(scheme.stripe) {
-            Entry::Vacant(slot) => {
-                slot.insert(table.clone());
+        let mut tables: FxHashMap<u32, PriorityTable> = FxHashMap::default();
+        for scheme in schemes {
+            let table = &scheme.table;
+            if table.known == 0 {
+                continue;
             }
-            Entry::Occupied(mut slot) => {
-                let merged = slot.get().max_merged(table);
-                slot.insert(merged);
+            match tables.entry(scheme.stripe) {
+                Entry::Vacant(slot) => {
+                    slot.insert(table.clone());
+                }
+                Entry::Occupied(mut slot) => {
+                    let merged = slot.get().max_merged(table);
+                    slot.insert(merged);
+                }
             }
         }
+        PriorityDictionary { tables }
     }
 
     /// The table of one stripe, if any scheme reads from it — fetch it
@@ -187,32 +170,6 @@ impl PriorityDictionary {
     pub fn priority_of(&self, chunk: &ChunkId) -> u8 {
         self.table(chunk.stripe)
             .map_or(1, |t| t.priority(chunk.cell))
-    }
-
-    /// Chunks holding a given priority, unordered. Used by reports and the
-    /// Table III reproduction example.
-    pub fn chunks_with_priority(&self, prio: u8) -> Vec<ChunkId> {
-        self.tables
-            .iter()
-            .flat_map(|(&stripe, table)| {
-                table
-                    .cells()
-                    .filter(move |&(_, p)| p == prio)
-                    .map(move |(cell, _)| ChunkId::new(stripe, cell))
-            })
-            .collect()
-    }
-
-    /// Cells (within `stripe`) holding a given priority, sorted — matches
-    /// the paper's Table III presentation. Reads the stripe's one table,
-    /// which is stored in `(row, col)` order already.
-    pub fn cells_with_priority(&self, stripe: u32, prio: u8) -> Vec<Cell> {
-        self.table(stripe)
-            .into_iter()
-            .flat_map(PriorityTable::cells)
-            .filter(|&(_, p)| p == prio)
-            .map(|(cell, _)| cell)
-            .collect()
     }
 
     /// Number of known chunks.
@@ -256,8 +213,8 @@ mod tests {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let s = generate(&code, &e, SchemeKind::FbfCycling).unwrap();
-        let d = PriorityDictionary::from_scheme(&s);
-        for (cell, count) in s.share_counts() {
+        let d = PriorityDictionary::from_schemes([&s]);
+        for (cell, count) in s.share_count_list() {
             let chunk = ChunkId::new(0, cell);
             assert_eq!(d.priority_of(&chunk), priority_for_count(count), "{cell}");
         }
@@ -287,7 +244,7 @@ mod tests {
 
     #[test]
     fn unknown_chunks_default_to_one() {
-        let d = PriorityDictionary::new();
+        let d = PriorityDictionary::default();
         assert_eq!(d.priority_of(&ChunkId::new(9, Cell::new(0, 0))), 1);
     }
 
@@ -296,17 +253,17 @@ mod tests {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let s = generate(&code, &e, SchemeKind::FbfCycling).unwrap();
-        let mut d = PriorityDictionary::from_scheme(&s);
+        let once = PriorityDictionary::from_schemes([&s]);
         let before: Vec<(ChunkId, u8)> = s
-            .share_counts()
-            .keys()
-            .map(|&c| {
+            .share_count_list()
+            .into_iter()
+            .map(|(c, _)| {
                 let id = ChunkId::new(0, c);
-                (id, d.priority_of(&id))
+                (id, once.priority_of(&id))
             })
             .collect();
         // Adding the same scheme again must not lower any priority.
-        d.add_scheme(&s);
+        let d = PriorityDictionary::from_schemes([&s, &s]);
         for (id, p) in before {
             assert!(d.priority_of(&id) >= p);
         }
@@ -319,9 +276,8 @@ mod tests {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let s = generate(&code, &e, SchemeKind::FbfCycling).unwrap();
-        let d = PriorityDictionary::from_scheme(&s);
-        let p1 = d.cells_with_priority(0, 1).len();
-        let p2plus = d.cells_with_priority(0, 2).len() + d.cells_with_priority(0, 3).len();
+        let p1 = s.cells_with(1).len();
+        let p2plus = s.cells_with(2).len() + s.cells_with(3).len();
         assert!(p1 > 0, "some single-reference chunks");
         assert!(p2plus > 0, "some shared chunks (Table III shape)");
     }
@@ -331,9 +287,9 @@ mod tests {
         let code = StripeCode::build(CodeSpec::Tip, 7).unwrap();
         let e = PartialStripeError::new(&code, 0, 0, 0, 5).unwrap();
         let s = generate(&code, &e, SchemeKind::Typical).unwrap();
-        let d = PriorityDictionary::from_scheme(&s);
-        assert!(d.cells_with_priority(0, 2).is_empty());
-        assert!(d.cells_with_priority(0, 3).is_empty());
-        assert_eq!(d.cells_with_priority(0, 1).len(), d.len());
+        let d = PriorityDictionary::from_schemes([&s]);
+        assert!(s.cells_with(2).is_empty());
+        assert!(s.cells_with(3).is_empty());
+        assert_eq!(s.cells_with(1).len(), d.len());
     }
 }

@@ -184,15 +184,17 @@ impl FormatPlan {
         self.table.priority(cell)
     }
 
-    /// How many times each surviving cell is read across all repairs — the
-    /// share counts that become FBF priorities.
-    pub fn share_counts(&self) -> std::collections::HashMap<Cell, usize> {
-        self.share_count_list().into_iter().collect()
+    /// The cells read at priority `prio`, in `(row, col)` order — Table
+    /// III's listing.
+    pub fn cells_with(&self, prio: u8) -> Vec<Cell> {
+        let cells = self.table.cells().filter(|&(_, p)| p == prio);
+        cells.map(|(cell, _)| cell).collect()
     }
 
-    /// [`share_counts`](Self::share_counts) as a vector in first-read
-    /// order. A scheme touches a few dozen cells at most, so a linear-scan
-    /// count beats a hash map and allocates once.
+    /// How many times each surviving cell is read across all repairs — the
+    /// share counts that become FBF priorities — in first-read order. A
+    /// scheme touches a few dozen cells at most, so a linear-scan count
+    /// beats a hash map and allocates once.
     pub fn share_count_list(&self) -> Vec<(Cell, usize)> {
         let mut counts: Vec<(Cell, usize)> = Vec::new();
         for repair in &self.repairs {
@@ -665,8 +667,8 @@ mod tests {
         let c = code(CodeSpec::Tip, 7);
         let e = error(&c, 0, 0, 5);
         let s = generate(&c, &e, SchemeKind::FbfCycling).unwrap();
-        let counts = s.share_counts();
-        let total: usize = counts.values().sum();
+        let counts = s.share_count_list();
+        let total: usize = counts.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, s.total_read_slots());
         assert_eq!(counts.len(), s.unique_reads());
     }

@@ -117,11 +117,11 @@ impl LoadReport {
     }
 
     /// Human-readable summary table: one row per class with count, mean,
-    /// and tail quantiles in milliseconds.
+    /// and tail quantiles, in host milliseconds (`host_` columns).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{:<10} {:>8} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-            "class", "count", "fail", "mean_ms", "p50_ms", "p99_ms", "p999_ms"
+            "{:<10} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
+            "class", "count", "fail", "host_mean_ms", "host_p50_ms", "host_p99_ms", "host_p999_ms"
         );
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut rows: BTreeMap<&str, ()> = BTreeMap::new();
@@ -143,7 +143,7 @@ impl LoadReport {
                 _ => (0, 0, 0, 0, 0),
             };
             out.push_str(&format!(
-                "{:<10} {:>8} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
+                "{:<10} {:>8} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>12.3}\n",
                 class,
                 count,
                 self.failure_count(class),

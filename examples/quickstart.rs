@@ -12,9 +12,7 @@
 //!    and print the metrics.
 
 use fbf::codes::encode::encode;
-use fbf::recovery::{
-    apply_scheme, scheme::generate, PartialStripeError, PriorityDictionary, SchemeKind,
-};
+use fbf::recovery::{apply_scheme, scheme::generate, PartialStripeError, SchemeKind};
 use fbf::PolicyKind;
 use fbf::{run_experiment, ExperimentConfig};
 use fbf::{CodeSpec, Stripe, StripeCode};
@@ -39,7 +37,6 @@ fn main() {
 
     // 4. FBF recovery scheme + priorities.
     let scheme = generate(&code, &error, SchemeKind::FbfCycling).expect("schedulable");
-    let dict = PriorityDictionary::from_scheme(&scheme);
     println!(
         "scheme reads {} distinct chunks ({} slots, {} saved by sharing)",
         scheme.unique_reads(),
@@ -47,7 +44,7 @@ fn main() {
         scheme.shared_savings()
     );
     for prio in (1..=3).rev() {
-        let cells = dict.cells_with_priority(0, prio);
+        let cells = scheme.cells_with(prio);
         if !cells.is_empty() {
             let names: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
             println!("  priority {prio}: {}", names.join(", "));

@@ -46,11 +46,11 @@
 use fbf::core::{policy_grid, CACHE_MB};
 use fbf::disksim::EngineScratch;
 use fbf::obs::flags::{take_flag, take_switch};
+use fbf::obs::HostTime;
 use fbf::obs::ObsFlags;
 use fbf::recovery::priority::priority_for_count;
 use fbf::recovery::{
-    scheme::generate, PartialStripeError, PriorityDictionary, RecoveryController, SchemeKind,
-    StripeDamage, StripePlan,
+    scheme::generate, PartialStripeError, RecoveryController, SchemeKind, StripeDamage, StripePlan,
 };
 use fbf::report::f;
 use fbf::workload::{
@@ -397,7 +397,7 @@ fn plan_census(args: &mut Args) -> Result<(), Exit> {
             (col, first, len, plan)
         })
         .collect();
-    let overhead_ms = started.elapsed().as_secs_f64() * 1e3;
+    let overhead = HostTime::since(started);
 
     // What is reported of `lost` chunks whose repairs make `refs[k]` read
     // references at priority `k + 1`.
@@ -446,7 +446,7 @@ fn plan_census(args: &mut Args) -> Result<(), Exit> {
             ("scheme", Json::from(kind.name())),
             ("formats", Json::Num(planned.len() as f64)),
             ("joint", Json::Num(joint as f64)),
-            ("overhead_ms", Json::Num(overhead_ms)),
+            ("host_overhead_ms", Json::Num(overhead.ms())),
             ("rows", Json::Arr(table)),
         ];
         print_json(&Json::obj(head.into_iter().chain(json(summary))));
@@ -458,7 +458,10 @@ fn plan_census(args: &mut Args) -> Result<(), Exit> {
         kind.name(),
         planned.len()
     );
-    println!("  FBF overhead       : {overhead_ms:.3} ms once per (code, p), then a lookup");
+    println!(
+        "  FBF overhead       : host_overhead_ms={:.3} once per (code, p), then a lookup",
+        overhead.ms()
+    );
     let labels = [
         "reads / lost chunk",
         "priority 3 share",
@@ -490,9 +493,8 @@ fn cmd_plan(args: &mut Args) -> Result<(), Exit> {
         .map_err(|e| Exit::fail(format!("invalid error: {e}")))?;
     let scheme = generate(&code, &error, kind)
         .map_err(|e| Exit::fail(format!("scheme generation failed: {e}")))?;
-    let dict = PriorityDictionary::from_scheme(&scheme);
     let with_priority = |prio: u8| -> Vec<String> {
-        let cells = dict.cells_with_priority(0, prio);
+        let cells = scheme.cells_with(prio);
         cells.iter().map(|c| c.to_string()).collect()
     };
     if args.json {
@@ -659,8 +661,9 @@ fn print_run(args: &Args, m: &fbf::Metrics) -> Result<(), Exit> {
     println!("  avg response       : {:.3} ms", m.avg_response_ms);
     println!("  reconstruction time: {:.3} s", m.reconstruction_s);
     println!(
-        "  FBF overhead       : {:.4} ms/stripe ({:.3}%)",
-        m.overhead_per_stripe_ms, m.overhead_pct
+        "  FBF overhead       : host_overhead_ms_per_stripe={:.4} host_overhead_pct={:.3}",
+        m.overhead_per_stripe_ms(),
+        m.overhead_pct()
     );
     println!("  chunks recovered   : {}", m.chunks_recovered);
     if !m.faults.is_empty() || m.stripes_lost > 0 {
@@ -869,8 +872,8 @@ fn cmd(name: &str) -> Json {
 fn render_stat(reply: &Json) -> String {
     let num = |key: &str| reply.get(key).and_then(Json::as_f64).unwrap_or(0.0);
     let mut out = format!(
-        "fbfd up {:.1}s · workers {} (busy {}) · queue {} · running {} · done {} · failed {}\n",
-        num("uptime_s"),
+        "fbfd host_uptime_s={:.1} · workers {} (busy {}) · queue {} · running {} · done {} · failed {}\n",
+        num("host_uptime_s"),
         num("workers"),
         num("workers_busy"),
         num("queue_depth"),
@@ -1166,7 +1169,7 @@ fn client_load(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
             Err(_) => merged.record_failure("connect"),
         }
     }
-    let wall = started.elapsed();
+    let wall = HostTime::since(started);
     if args.json {
         let class = |name: &str| {
             let d = merged.digest(name);
@@ -1174,11 +1177,11 @@ fn client_load(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
                 ("count", Json::Num(merged.count(name) as f64)),
                 ("failures", Json::Num(merged.failure_count(name) as f64)),
                 (
-                    "p50_ms",
+                    "host_p50_ms",
                     Json::Num(d.and_then(|d| d.quantile_ns(0.5)).unwrap_or(0) as f64 / 1e6),
                 ),
                 (
-                    "p99_ms",
+                    "host_p99_ms",
                     Json::Num(d.and_then(|d| d.quantile_ns(0.99)).unwrap_or(0) as f64 / 1e6),
                 ),
             ])
@@ -1186,17 +1189,17 @@ fn client_load(args: &mut Args, addr: &ServerAddr) -> Result<(), Exit> {
         print_json(&Json::obj([
             ("connections", Json::Num(connections as f64)),
             ("errors", Json::Num(group.len() as f64)),
-            ("wall_ms", Json::Num(wall.as_secs_f64() * 1e3)),
+            ("host_wall_ms", Json::Num(wall.ms())),
             ("repair", class("repair")),
             ("status", class("status")),
             ("failures", Json::Num(merged.total_failures() as f64)),
         ]));
     } else {
         println!(
-            "load: {} errors over {} connections in {:.1} ms",
+            "load: {} errors over {} connections in host_wall_ms={:.1}",
             group.len(),
             connections,
-            wall.as_secs_f64() * 1e3
+            wall.ms()
         );
         print!("{}", merged.render());
     }

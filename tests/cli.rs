@@ -2,7 +2,7 @@
 //! `tests/cli/script.txt` — each subcommand in text and `--json` mode,
 //! every usage-error branch, and a whole `serve` / `client` round trip on
 //! a scratch socket — must reproduce `tests/cli/transcript.txt`: stdout,
-//! stderr and exit code, host-time numbers masked.
+//! stderr and exit code, `host_` values masked.
 //!
 //! When a change to the CLI is intended, the failing run leaves the new
 //! transcript next to the test's scratch files; review the diff and copy
@@ -27,33 +27,34 @@ impl Drop for Daemon {
     }
 }
 
-/// Replace what is host time with `*`: the numbers of `"wall_ms"`,
-/// `"uptime_s"` and `"overhead_*"` JSON fields, `run`'s "FBF overhead"
-/// line and the uptime in `stat`'s header.
+/// Replace what is host time with `*`. One rule (`fbf_obs::host`) says
+/// where it is: the number after a `host_` key — `"host_x":1.5` in JSON,
+/// `host_x=1.5` in text.
 fn mask(line: &str) -> String {
-    if line.trim_start().starts_with("FBF overhead") {
-        return "  FBF overhead       : *".to_string();
-    }
-    if let Some((_, tail)) = line
-        .strip_prefix("fbfd up ")
-        .and_then(|l| l.split_once("s "))
-    {
-        return format!("fbfd up *s {tail}");
-    }
     let mut out = String::with_capacity(line.len());
     let mut rest = line;
-    while let Some(colon) = rest.find("\":") {
-        let (head, tail) = rest.split_at(colon + 2);
-        out.push_str(head);
-        let key = head[..colon].rsplit('"').next().unwrap_or("");
-        let number = tail
-            .find(|c: char| !(c.is_ascii_digit() || ".eE+-".contains(c)))
-            .unwrap_or(tail.len());
-        if matches!(key, "wall_ms" | "uptime_s") || key.starts_with("overhead_") {
-            out.push('*');
-            rest = &tail[number..];
-        } else {
-            rest = tail;
+    while let Some(at) = rest.find("host_") {
+        let key = &rest[at..];
+        let key_len = key
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(key.len());
+        let after = &key[key_len..];
+        let value = after.strip_prefix('"').unwrap_or(after);
+        let value = value.strip_prefix([':', '=']).map(str::trim_start);
+        let number = value.map_or(0, |v| {
+            v.find(|c: char| !(c.is_ascii_digit() || ".eE+-".contains(c)))
+                .unwrap_or(v.len())
+        });
+        match value {
+            Some(v) if number > 0 => {
+                out.push_str(&rest[..rest.len() - v.len()]);
+                out.push('*');
+                rest = &v[number..];
+            }
+            _ => {
+                out.push_str(&rest[..at + key_len]);
+                rest = &rest[at + key_len..];
+            }
         }
     }
     out + rest
@@ -161,19 +162,23 @@ fn every_invocation_reproduces_the_committed_transcript() {
 #[test]
 fn mask_hides_host_time_and_nothing_else() {
     assert_eq!(
-        mask(r#"{"errors":16,"wall_ms":12.5e1,"uptime_s":0.25,"p50_ms":3.5}"#),
-        r#"{"errors":16,"wall_ms":*,"uptime_s":*,"p50_ms":3.5}"#
+        mask(r#"{"errors":16,"host_wall_ms":12.5e1,"host_uptime_s":0.25,"p50_ms":3.5}"#),
+        r#"{"errors":16,"host_wall_ms":*,"host_uptime_s":*,"p50_ms":3.5}"#
     );
     assert_eq!(
-        mask("  FBF overhead       : 0.0123 ms/stripe (0.456%)"),
-        "  FBF overhead       : *"
+        mask("  FBF overhead       : host_overhead_ms_per_stripe=0.0123 host_overhead_pct=0.456"),
+        "  FBF overhead       : host_overhead_ms_per_stripe=* host_overhead_pct=*"
     );
     assert_eq!(
-        mask("fbfd up 1.3s · workers 1 (busy 0)"),
-        "fbfd up *s · workers 1 (busy 0)"
+        mask("fbfd host_uptime_s=1.3 · workers 1 (busy 0)"),
+        "fbfd host_uptime_s=* · workers 1 (busy 0)"
     );
     assert_eq!(
         mask("  disk reads         : 458"),
         "  disk reads         : 458"
+    );
+    assert_eq!(
+        mask("a host_ word, host_x: none, wall_ms=3"),
+        "a host_ word, host_x: none, wall_ms=3"
     );
 }

@@ -745,21 +745,8 @@ fn a_request_yields_the_same_result_in_process_and_through_the_daemon() {
             ("placement", "rotated".into()),
         ],
     ];
-    // Host time would differ between the doors; mask it as `tests/cli.rs`
-    // does (`Metrics` JSON carries none today).
-    fn masked(value: &Json) -> Json {
-        match value {
-            Json::Obj(map) => Json::Obj(
-                map.iter()
-                    .filter(|(key, _)| {
-                        !(key.starts_with("overhead_") || matches!(key.as_str(), "wall_ms"))
-                    })
-                    .map(|(key, value)| (key.clone(), masked(value)))
-                    .collect(),
-            ),
-            other => other.clone(),
-        }
-    }
+    // Neither document carries host time (no `host_` key), so the two
+    // doors must agree key for key.
     for fields in requests {
         let request = Json::obj(fields.clone());
         let work = Work::from_request(&request).expect("a well-formed request");
@@ -776,7 +763,8 @@ fn a_request_yields_the_same_result_in_process_and_through_the_daemon() {
         let remote = status
             .get(key)
             .unwrap_or_else(|| panic!("{}", status.render()));
-        assert_eq!(masked(remote), masked(&local), "{}", request.render());
+        assert!(!local.render().contains("\"host_"), "{}", local.render());
+        assert_eq!(remote, &local, "{}", request.render());
     }
 
     shut_down(client, handle);

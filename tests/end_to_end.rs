@@ -83,7 +83,7 @@ fn campaign_priorities_match_brute_force() {
     let schemes = generate_schemes_parallel(&code, &campaign, SchemeKind::FbfCycling, 0).unwrap();
     let dict = PriorityDictionary::from_schemes(&schemes);
     for scheme in &schemes {
-        for (cell, count) in scheme.share_counts() {
+        for (cell, count) in scheme.share_count_list() {
             let id = fbf::codes::ChunkId::new(scheme.stripe, cell);
             let expect = match count {
                 0 | 1 => 1u8,

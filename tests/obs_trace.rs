@@ -431,6 +431,82 @@ fn data_loss_triggers_a_reproducible_flight_dump() {
     );
 }
 
+/// What the flight recorder holds after `work` runs against a fresh one,
+/// as a normalized dump: `ts`, `dur` and every `host_*` arg zeroed, ids
+/// renumbered by first appearance.
+fn normalized_trace(work: impl FnOnce()) -> Vec<String> {
+    let rec = Arc::new(fbf::obs::ring::FlightRecorder::with_capacity(1 << 16));
+    fbf::obs::ring::install(Arc::clone(&rec));
+    work();
+    fbf::obs::ring::uninstall();
+    assert_eq!(rec.dropped(), 0, "the recorder kept the whole trace");
+    rec.dump_lines(true)
+}
+
+/// Normalizing zeroes host time and nothing else: the engine's simulated
+/// `makespan_ms` survives, so two cache sizes dump differently, while one
+/// seed run twice dumps byte-identically.
+#[test]
+fn normalized_flight_dumps_keep_simulated_time() {
+    let _gate = lock();
+    let dump = |cache_mb: usize| {
+        let cfg = ExperimentConfig::builder()
+            .cache_mb(cache_mb)
+            .stripes(192)
+            .error_count(48)
+            .workers(8)
+            .gen_threads(1)
+            .obs(true)
+            .build()
+            .expect("config is valid");
+        normalized_trace(|| {
+            fbf::run_experiment(&cfg).expect("runs");
+        })
+    };
+    let makespans = |lines: &[String]| -> Vec<String> {
+        let at = |line: &String| line.find("\"makespan_ms\":").map(|i| line[i..].to_string());
+        lines.iter().filter_map(at).collect()
+    };
+    // Per-worker partitions: at 1 MiB each worker's cache is too small
+    // for its reads, at 8 MiB every shared chunk fits.
+    let (small, again, large) = (dump(1), dump(1), dump(8));
+    assert_eq!(small, again, "one seed, one normalized dump");
+    assert!(
+        !makespans(&small).is_empty(),
+        "the run span carries makespan_ms"
+    );
+    assert_ne!(
+        makespans(&small),
+        makespans(&large),
+        "simulated time is not masked"
+    );
+}
+
+/// The `host_` rule is complete: a traced sweep plus a faulted repair,
+/// run twice at one seed, leave equal traces once `ts`, `dur` and
+/// `host_*` are zeroed and ids renumbered. A host-time value under any
+/// other name would tell the two runs apart.
+#[test]
+fn traces_of_one_seed_differ_only_in_host_time() {
+    let _gate = lock();
+    let trace = || {
+        normalized_trace(|| {
+            sweep(&grid(), 1).expect("sweep runs");
+            let m = fbf::run_experiment(&lossy_config()).expect("faulted repair runs");
+            assert!(m.faults.hard_failures() > 0, "the repair met faults");
+        })
+    };
+    let (first, second) = (trace(), trace());
+    for name in [
+        "\"host_plan_ms\":0",
+        "\"host_util_pct\":0",
+        "\"host_generation_ms\":0",
+    ] {
+        assert!(first.iter().any(|l| l.contains(name)), "{name} was masked");
+    }
+    assert_eq!(first, second);
+}
+
 /// One captured event: its name, thread, phase and causal ids.
 #[derive(Clone)]
 struct Seen {

@@ -114,15 +114,15 @@ fn overhead_small_and_growing_with_p() {
     let m5 = run_experiment(&cfg(PolicyKind::Fbf, 64, 5, CodeSpec::Tip)).unwrap();
     let m13 = run_experiment(&cfg(PolicyKind::Fbf, 64, 13, CodeSpec::Tip)).unwrap();
     assert!(
-        m5.overhead_pct < 10.0,
+        m5.overhead_pct() < 10.0,
         "overhead {}% too large",
-        m5.overhead_pct
+        m5.overhead_pct()
     );
-    assert!(m13.overhead_pct < 10.0);
+    assert!(m13.overhead_pct() < 10.0);
     assert!(
-        m13.overhead_per_stripe_ms >= m5.overhead_per_stripe_ms,
+        m13.overhead_per_stripe_ms() >= m5.overhead_per_stripe_ms(),
         "larger stripes cost more to plan: {} vs {}",
-        m13.overhead_per_stripe_ms,
-        m5.overhead_per_stripe_ms
+        m13.overhead_per_stripe_ms(),
+        m5.overhead_per_stripe_ms()
     );
 }
