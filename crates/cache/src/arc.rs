@@ -13,7 +13,16 @@
 //! fetches and places the chunk.
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
+use crate::queue::{Entry, OrderedQueue};
+
+/// Resident, seen once recently.
+const T1: usize = 0;
+/// Resident, seen at least twice.
+const T2: usize = 1;
+/// Ghost of a key evicted from T1.
+const B1: usize = 2;
+/// Ghost of a key evicted from T2.
+const B2: usize = 3;
 
 /// Adaptive Replacement Cache.
 #[derive(Debug)]
@@ -21,10 +30,9 @@ pub struct ArcPolicy {
     capacity: usize,
     /// Target size for T1 (the "recency" side), `0..=capacity`.
     p: usize,
-    t1: OrderedQueue,
-    t2: OrderedQueue,
-    b1: OrderedQueue,
-    b2: OrderedQueue,
+    /// The directory: T1, T2, B1 and B2 as lists of one structure, so a
+    /// key's list says whether it is resident or a ghost.
+    lists: OrderedQueue<4>,
 }
 
 impl ArcPolicy {
@@ -34,27 +42,27 @@ impl ArcPolicy {
         ArcPolicy {
             capacity,
             p: 0,
-            t1: OrderedQueue::new(),
-            t2: OrderedQueue::new(),
-            b1: OrderedQueue::new(),
-            b2: OrderedQueue::new(),
+            lists: OrderedQueue::new(),
         }
     }
 
     /// REPLACE(x, p) from the paper: demote one resident page to its ghost
-    /// list and return it.
+    /// list (a splice: it stays in the directory) and return it.
     fn replace(&mut self, requested_in_b2: bool) -> Option<Key> {
-        let t1_len = self.t1.len();
-        if t1_len >= 1 && (t1_len > self.p || (requested_in_b2 && t1_len == self.p)) {
-            let victim = self.t1.pop_front().expect("t1 non-empty");
-            self.b1.push_back(victim);
-            Some(victim)
-        } else if let Some(victim) = self.t2.pop_front() {
-            self.b2.push_back(victim);
-            Some(victim)
-        } else {
-            None
-        }
+        let t1_len = self.lists.list_len(T1);
+        let (from, to) =
+            if t1_len >= 1 && (t1_len > self.p || (requested_in_b2 && t1_len == self.p)) {
+                (T1, B1)
+            } else {
+                (T2, B2)
+            };
+        let victim = self.lists.front(from)?;
+        self.lists.move_back(victim, to);
+        Some(self.lists.key_of(victim))
+    }
+
+    fn is_resident(list: usize) -> bool {
+        list == T1 || list == T2
     }
 }
 
@@ -68,80 +76,84 @@ impl ReplacementPolicy for ArcPolicy {
     }
 
     fn len(&self) -> usize {
-        self.t1.len() + self.t2.len()
+        self.lists.list_len(T1) + self.lists.list_len(T2)
     }
 
     fn contains(&self, key: &Key) -> bool {
-        self.t1.contains(key) || self.t2.contains(key)
+        (self.lists.find(key)).is_some_and(|slot| Self::is_resident(self.lists.list_of(slot)))
     }
 
     fn on_access(&mut self, key: Key) -> bool {
-        // Case I: hit in T1 or T2 → move to MRU of T2.
-        if self.t1.remove(&key) {
-            self.t2.push_back(key);
-            true
-        } else {
-            self.t2.touch(key)
+        // Case I: hit in T1 or T2 → move to MRU of T2. A ghost is a miss.
+        match self.lists.find(&key) {
+            Some(slot) if Self::is_resident(self.lists.list_of(slot)) => {
+                self.lists.move_back(slot, T2);
+                true
+            }
+            _ => false,
         }
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
         let c = self.capacity;
-        if self.contains(&key) {
-            // Case I after all: treat as the resident hit it is.
-            self.on_access(key);
-            return InsertOutcome::AlreadyResident;
-        }
-
-        // Case II: ghost hit in B1 → favour recency.
-        if self.b1.contains(&key) {
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(c);
-            let evicted = self.replace(false);
-            self.b1.remove(&key);
-            self.t2.push_back(key);
-            return InsertOutcome::Inserted { evicted };
-        }
-
-        // Case III: ghost hit in B2 → favour frequency.
-        if self.b2.contains(&key) {
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            let evicted = self.replace(true);
-            self.b2.remove(&key);
-            self.t2.push_back(key);
-            return InsertOutcome::Inserted { evicted };
-        }
-
-        // Case IV: brand-new key.
-        let l1 = self.t1.len() + self.b1.len();
-        let total = l1 + self.t2.len() + self.b2.len();
-        let evicted = if l1 == c {
-            if self.t1.len() < c {
-                self.b1.pop_front();
-                self.replace(false)
-            } else {
-                // B1 empty, T1 full: evict T1's LRU outright (no ghost).
-                self.t1.pop_front()
+        let slot = match self.lists.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => {
+                // Case IV: brand-new key, in no list while room is made.
+                let l1 = self.lists.list_len(T1) + self.lists.list_len(B1);
+                let total = l1 + self.lists.list_len(T2) + self.lists.list_len(B2);
+                let evicted = if l1 == c {
+                    if self.lists.list_len(T1) < c {
+                        self.lists.pop_front(B1);
+                        self.replace(false)
+                    } else {
+                        // B1 empty, T1 full: evict T1's LRU outright (no ghost).
+                        self.lists.pop_front(T1)
+                    }
+                } else if l1 < c && total >= c {
+                    if total == 2 * c {
+                        self.lists.pop_front(B2);
+                    }
+                    self.replace(false)
+                } else {
+                    None
+                };
+                self.lists.move_back(slot, T1);
+                return InsertOutcome::Inserted { evicted };
             }
-        } else if l1 < c && total >= c {
-            if total == 2 * c {
-                self.b2.pop_front();
-            }
-            self.replace(false)
-        } else {
-            None
         };
-        self.t1.push_back(key);
+        let in_b2 = match self.lists.list_of(slot) {
+            // Case I after all: treat as the resident hit it is.
+            T1 | T2 => {
+                self.lists.move_back(slot, T2);
+                return InsertOutcome::AlreadyResident;
+            }
+            list => list == B2,
+        };
+        let (b1, b2) = (self.lists.list_len(B1), self.lists.list_len(B2));
+        if in_b2 {
+            // Case III: ghost hit in B2 → favour frequency.
+            self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1));
+        } else {
+            // Case II: ghost hit in B1 → favour recency.
+            self.p = (self.p + (b2 / b1.max(1)).max(1)).min(c);
+        }
+        let evicted = self.replace(in_b2);
+        self.lists.move_back(slot, T2);
         InsertOutcome::Inserted { evicted }
     }
 
     fn clear(&mut self) {
-        self.t1.clear();
-        self.t2.clear();
-        self.b1.clear();
-        self.b2.clear();
+        self.lists.clear();
         self.p = 0;
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.lists.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.lists.reserve(accesses.min(2 * self.capacity + 1));
     }
 }
 
@@ -149,6 +161,11 @@ impl ReplacementPolicy for ArcPolicy {
 mod tests {
     use super::*;
     use crate::key;
+
+    /// Is `k` in `list`?
+    fn holds(arc: &ArcPolicy, list: usize, k: Key) -> bool {
+        (arc.lists.find(&k)).is_some_and(|slot| arc.lists.list_of(slot) == list)
+    }
 
     /// Drive the miss path: access (miss) then insert.
     fn miss(arc: &mut ArcPolicy, k: Key) -> Option<Key> {
@@ -160,10 +177,10 @@ mod tests {
     fn resident_hit_promotes_to_t2() {
         let mut arc = ArcPolicy::new(4);
         miss(&mut arc, key(0, 0, 0));
-        assert_eq!(arc.t1.len(), 1);
+        assert_eq!(arc.lists.list_len(T1), 1);
         assert!(arc.on_access(key(0, 0, 0)));
-        assert_eq!(arc.t1.len(), 0);
-        assert_eq!(arc.t2.len(), 1);
+        assert_eq!(arc.lists.list_len(T1), 0);
+        assert_eq!(arc.lists.list_len(T2), 1);
     }
 
     #[test]
@@ -179,7 +196,10 @@ mod tests {
                 "resident {} > capacity after {i}",
                 arc.len()
             );
-            assert!(arc.b1.len() + arc.b2.len() <= 4 + 1, "ghosts overgrown");
+            assert!(
+                arc.lists.list_len(B1) + arc.lists.list_len(B2) <= 4 + 1,
+                "ghosts overgrown"
+            );
         }
     }
 
@@ -193,7 +213,7 @@ mod tests {
         let evicted = miss(&mut arc, key(0, 0, 2));
         assert_eq!(evicted, Some(key(0, 0, 0)));
         assert!(
-            !arc.b1.contains(&key(0, 0, 0)),
+            !holds(&arc, B1, key(0, 0, 0)),
             "no ghost when B1 path not taken"
         );
     }
@@ -206,12 +226,12 @@ mod tests {
         arc.on_access(key(0, 0, 0)); // T2 = [0]
         miss(&mut arc, key(0, 0, 1)); // T1 = [1]
         miss(&mut arc, key(0, 0, 2)); // REPLACE: T1 LRU (1) → B1
-        assert!(arc.b1.contains(&key(0, 0, 1)));
+        assert!(holds(&arc, B1, key(0, 0, 1)));
         let p_before = arc.p;
         miss(&mut arc, key(0, 0, 1)); // ghost hit in B1
         assert!(arc.p > p_before);
         // Ghost-hit key is resident again, in T2.
-        assert!(arc.t2.contains(&key(0, 0, 1)));
+        assert!(holds(&arc, T2, key(0, 0, 1)));
     }
 
     #[test]
@@ -224,15 +244,15 @@ mod tests {
         arc.on_access(key(0, 0, 1)); // T2 = [0, 1]
         miss(&mut arc, key(0, 0, 2)); // T1 empty → T2 LRU (0) → B2
         assert!(
-            arc.b2.contains(&key(0, 0, 0)),
+            holds(&arc, B2, key(0, 0, 0)),
             "b2={:?}",
-            arc.b2.iter().collect::<Vec<_>>()
+            arc.lists.iter(B2).collect::<Vec<_>>()
         );
         // Grow p first so there is something to shrink.
         arc.p = 2;
         miss(&mut arc, key(0, 0, 0));
         assert!(arc.p < 2);
-        assert!(arc.t2.contains(&key(0, 0, 0)));
+        assert!(holds(&arc, T2, key(0, 0, 0)));
     }
 
     #[test]
@@ -265,7 +285,7 @@ mod tests {
             if !arc.on_access(k) {
                 arc.on_insert(k, 1);
             }
-            let total = arc.t1.len() + arc.t2.len() + arc.b1.len() + arc.b2.len();
+            let total = arc.lists.len();
             assert!(total <= 2 * 3, "directory {total} exceeds 2c");
         }
     }

@@ -20,8 +20,7 @@
 //! the figures), and the ablation bench measures the difference.
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
-use crate::FxHashMap;
+use crate::queue::{Entry, OrderedQueue, Slot};
 
 /// Where a demoted chunk lands in the lower queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,10 +48,9 @@ pub struct FbfConfig {
 pub struct FbfPolicy {
     capacity: usize,
     config: FbfConfig,
-    /// queues\[0\] = Queue1 (lowest), queues\[2\] = Queue3 (highest).
-    queues: [OrderedQueue; 3],
-    /// Which queue each resident key currently sits in (0..3).
-    level_of: FxHashMap<Key, u8>,
+    /// List 0 = Queue1 (lowest) … list 2 = Queue3 (highest); a key's list
+    /// is its level.
+    queues: OrderedQueue<3>,
     /// Lifetime count of queue demotions (Algorithm 1's hit branch).
     demotions: u64,
 }
@@ -68,31 +66,31 @@ impl FbfPolicy {
         FbfPolicy {
             capacity,
             config,
-            queues: [
-                OrderedQueue::new(),
-                OrderedQueue::new(),
-                OrderedQueue::new(),
-            ],
-            level_of: FxHashMap::default(),
+            queues: OrderedQueue::new(),
             demotions: 0,
         }
     }
 
     /// The queue level (1..=3) a resident key sits in.
     pub fn level(&self, key: &Key) -> Option<u8> {
-        self.level_of.get(key).map(|&l| l + 1)
+        let slot = self.queues.find(key)?;
+        Some(self.queues.list_of(slot) as u8 + 1)
     }
 
-    fn demote(&mut self, key: Key, from: u8) {
-        debug_assert!(from > 0);
-        self.demotions += 1;
-        let to = from - 1;
-        self.queues[from as usize].remove(&key);
-        match self.config.demote_to {
-            DemotePosition::Back => self.queues[to as usize].push_back(key),
-            DemotePosition::Front => self.queues[to as usize].push_front(key),
+    /// Algorithm 1's cache-hit branch on a resident's slot: Queue3 →
+    /// Queue2, Queue2 → Queue1 (a splice into the lower list), or an LRU
+    /// touch within Queue1 or under ablated demotion.
+    fn hit(&mut self, slot: Slot) {
+        let level = self.queues.list_of(slot);
+        if self.config.disable_demotion || level == 0 {
+            self.queues.move_back(slot, level);
+            return;
         }
-        self.level_of.insert(key, to);
+        self.demotions += 1;
+        match self.config.demote_to {
+            DemotePosition::Back => self.queues.move_back(slot, level - 1),
+            DemotePosition::Front => self.queues.move_front(slot, level - 1),
+        }
     }
 }
 
@@ -106,57 +104,46 @@ impl ReplacementPolicy for FbfPolicy {
     }
 
     fn len(&self) -> usize {
-        self.level_of.len()
+        self.queues.len()
     }
 
     fn contains(&self, key: &Key) -> bool {
-        self.level_of.contains_key(key)
+        self.queues.contains(key)
     }
 
     fn on_access(&mut self, key: Key) -> bool {
-        let Some(&level) = self.level_of.get(&key) else {
+        let Some(slot) = self.queues.find(&key) else {
             return false;
         };
-        if self.config.disable_demotion || level == 0 {
-            // Queue1 hit (or ablated demotion): LRU touch within the queue.
-            self.queues[level as usize].touch(key);
-        } else {
-            // Queue3 → Queue2, Queue2 → Queue1.
-            self.demote(key, level);
-        }
+        self.hit(slot);
         true
     }
 
     fn admit(&mut self, key: Key, priority: u8) -> InsertOutcome {
-        if self.contains(&key) {
-            // Treat as the hit it is: Algorithm 1's demote-on-hit applies.
-            self.on_access(key);
-            return InsertOutcome::AlreadyResident;
-        }
-        let evicted = if self.len() >= self.capacity {
-            // Replacement policy: drain Queue1, then Queue2, then Queue3.
-            let victim = self
-                .queues
-                .iter_mut()
-                .find_map(|q| q.pop_front())
-                .expect("full cache has a victim");
-            self.level_of.remove(&victim);
-            Some(victim)
-        } else {
-            None
+        let full = self.queues.len() >= self.capacity;
+        let slot = match self.queues.entry(key) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(slot) => {
+                // Treat as the hit it is: Algorithm 1's demote-on-hit applies.
+                self.hit(slot);
+                return InsertOutcome::AlreadyResident;
+            }
         };
+        // Replacement policy: drain Queue1, then Queue2, then Queue3. The
+        // new key is in no queue yet, so it cannot be its own victim.
+        let evicted = full.then(|| {
+            (0..3)
+                .find_map(|level| self.queues.pop_front(level))
+                .expect("full cache has a victim")
+        });
         // Table II: priority ≥ 3 → Queue3; clamp 0 to 1 defensively.
-        let level = priority.clamp(1, 3) - 1;
-        self.queues[level as usize].push_back(key);
-        self.level_of.insert(key, level);
+        self.queues
+            .move_back(slot, usize::from(priority.clamp(1, 3) - 1));
         InsertOutcome::Inserted { evicted }
     }
 
     fn clear(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.level_of.clear();
+        self.queues.clear();
         self.demotions = 0;
     }
 
@@ -165,11 +152,15 @@ impl ReplacementPolicy for FbfPolicy {
     }
 
     fn queue_occupancy(&self) -> Option<[usize; 3]> {
-        Some([
-            self.queues[0].len(),
-            self.queues[1].len(),
-            self.queues[2].len(),
-        ])
+        Some([0, 1, 2].map(|level| self.queues.list_len(level)))
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.queues.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.queues.reserve(accesses.min(self.capacity + 1));
     }
 }
 
@@ -186,7 +177,7 @@ mod tests {
 
     /// Front-to-back contents of `Queue{n}`; front is the next victim.
     fn queue_contents(fbf: &FbfPolicy, n: usize) -> Vec<Key> {
-        fbf.queues[n - 1].iter().copied().collect()
+        fbf.queues.iter(n - 1).copied().collect()
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! Section sizing follows the original paper's recommendation:
 //! new ≈ 25%, old ≈ 50% of capacity.
 
+use crate::key_map::KeyMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
-use crate::FxHashMap;
+use crate::queue::{Entry, OrderedQueue, Slot};
 
 /// The FBR policy.
 #[derive(Debug)]
@@ -23,7 +23,7 @@ pub struct FbrPolicy {
     old_size: usize,
     /// LRU stack: front = LRU (old end), back = MRU (new end).
     stack: OrderedQueue,
-    counts: FxHashMap<Key, u64>,
+    counts: KeyMap<u64>,
 }
 
 impl FbrPolicy {
@@ -34,14 +34,14 @@ impl FbrPolicy {
             new_size: (capacity / 4).max(1),
             old_size: (capacity / 2).max(1),
             stack: OrderedQueue::new(),
-            counts: FxHashMap::default(),
+            counts: KeyMap::default(),
         }
     }
 
     /// Is `key` currently within the new (MRU-most) section?
     fn in_new_section(&self, key: &Key) -> bool {
         self.stack
-            .iter()
+            .iter(0)
             .rev()
             .take(self.new_size)
             .any(|k| k == key)
@@ -50,12 +50,24 @@ impl FbrPolicy {
     /// Victim: minimum count within the old (LRU-most) section, ties to
     /// the LRU end.
     fn victim(&self) -> Key {
-        let old: Vec<Key> = self.stack.iter().take(self.old_size).copied().collect();
+        let old: Vec<Key> = self.stack.iter(0).take(self.old_size).copied().collect();
         *old.iter()
             .enumerate()
             .min_by_key(|(pos, k)| (self.counts[k], *pos))
             .map(|(_, k)| k)
             .expect("victim() on non-empty cache")
+    }
+}
+
+impl FbrPolicy {
+    /// A hit on a resident's slot: frequency credit only outside the new
+    /// section (factors out correlated re-references), then MRU.
+    fn hit(&mut self, slot: Slot) {
+        let key = self.stack.key_of(slot);
+        if !self.in_new_section(&key) {
+            *self.counts.get_mut(&key).expect("resident has a count") += 1;
+        }
+        self.stack.move_back(slot, 0);
     }
 }
 
@@ -77,32 +89,29 @@ impl ReplacementPolicy for FbrPolicy {
     }
 
     fn on_access(&mut self, key: Key) -> bool {
-        if !self.stack.contains(&key) {
+        let Some(slot) = self.stack.find(&key) else {
             return false;
-        }
-        // Frequency credit only outside the new section (factors out
-        // correlated re-references).
-        if !self.in_new_section(&key) {
-            *self.counts.get_mut(&key).expect("resident has a count") += 1;
-        }
-        self.stack.touch(key);
+        };
+        self.hit(slot);
         true
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
-        if self.stack.contains(&key) {
-            self.on_access(key);
-            return InsertOutcome::AlreadyResident;
-        }
-        let evicted = if self.stack.len() >= self.capacity {
+        let full = self.stack.len() >= self.capacity;
+        let slot = match self.stack.entry(key) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(slot) => {
+                self.hit(slot);
+                return InsertOutcome::AlreadyResident;
+            }
+        };
+        let evicted = full.then(|| {
             let v = self.victim();
             self.stack.remove(&v);
             self.counts.remove(&v);
-            Some(v)
-        } else {
-            None
-        };
-        self.stack.push_back(key);
+            v
+        });
+        self.stack.move_back(slot, 0);
         self.counts.insert(key, 1);
         InsertOutcome::Inserted { evicted }
     }
@@ -110,6 +119,16 @@ impl ReplacementPolicy for FbrPolicy {
     fn clear(&mut self) {
         self.stack.clear();
         self.counts.clear();
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.stack.map_ops() + self.counts.ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        let keys = accesses.min(self.capacity + 1);
+        self.stack.reserve(keys);
+        self.counts.reserve(keys);
     }
 }
 

@@ -1,7 +1,7 @@
 //! FIFO replacement: evict in arrival order, ignore re-references.
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
+use crate::queue::{Entry, OrderedQueue};
 
 /// First-in first-out cache. The simplest baseline in the paper's figures:
 /// hits do not refresh position, so long-lived shared chunks age out exactly
@@ -45,21 +45,26 @@ impl ReplacementPolicy for FifoPolicy {
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
-        if self.queue.contains(&key) {
+        let full = self.queue.len() >= self.capacity;
+        let Entry::Vacant(slot) = self.queue.entry(key) else {
             // FIFO order is insertion order: a re-insert changes nothing.
             return InsertOutcome::AlreadyResident;
-        }
-        let evicted = if self.queue.len() >= self.capacity {
-            self.queue.pop_front()
-        } else {
-            None
         };
-        self.queue.push_back(key);
+        let evicted = full.then(|| self.queue.pop_front(0).expect("full cache has a victim"));
+        self.queue.move_back(slot, 0);
         InsertOutcome::Inserted { evicted }
     }
 
     fn clear(&mut self) {
         self.queue.clear();
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.queue.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.queue.reserve(accesses.min(self.capacity + 1));
     }
 }
 

@@ -1,7 +1,7 @@
 //! LFU replacement: evict the least frequently used chunk.
 
+use crate::key_map::KeyMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::FxHashMap;
 use std::collections::BTreeSet;
 
 /// Least-frequently-used cache (Aho, Denning & Ullman 1971 — the paper's
@@ -15,7 +15,7 @@ pub struct LfuPolicy {
     /// (frequency, last-access tick, key) ordered ascending: the first
     /// element is the eviction victim.
     order: BTreeSet<(u64, u64, Key)>,
-    info: FxHashMap<Key, (u64, u64)>,
+    info: KeyMap<(u64, u64)>,
     tick: u64,
 }
 
@@ -25,7 +25,7 @@ impl LfuPolicy {
         LfuPolicy {
             capacity,
             order: BTreeSet::new(),
-            info: FxHashMap::default(),
+            info: KeyMap::default(),
             tick: 0,
         }
     }
@@ -89,6 +89,14 @@ impl ReplacementPolicy for LfuPolicy {
         self.order.clear();
         self.info.clear();
         self.tick = 0;
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.info.ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.info.reserve(accesses.min(self.capacity));
     }
 }
 

@@ -26,6 +26,7 @@ pub mod arc;
 pub mod fbf;
 pub mod fbr;
 pub mod fifo;
+pub mod key_map;
 pub mod lfu;
 pub mod lrfu;
 pub mod lru;

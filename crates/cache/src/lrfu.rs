@@ -14,8 +14,8 @@
 //! tick*; since decay is monotone in elapsed time, comparing
 //! `C · 2^(-λ·(t_now - t_last))` across pages is exact.
 
+use crate::key_map::KeyMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::FxHashMap;
 
 /// Per-page CRF state.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +30,7 @@ pub struct LrfuPolicy {
     capacity: usize,
     lambda: f64,
     tick: u64,
-    pages: FxHashMap<Key, Crf>,
+    pages: KeyMap<Crf>,
 }
 
 impl LrfuPolicy {
@@ -47,7 +47,7 @@ impl LrfuPolicy {
             capacity,
             lambda,
             tick: 0,
-            pages: FxHashMap::default(),
+            pages: KeyMap::default(),
         }
     }
 
@@ -134,6 +134,14 @@ impl ReplacementPolicy for LrfuPolicy {
         self.pages.clear();
         self.tick = 0;
     }
+
+    fn map_ops(&self) -> u64 {
+        self.pages.ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.pages.reserve(accesses.min(self.capacity));
+    }
 }
 
 #[cfg(test)]
@@ -185,8 +193,8 @@ mod tests {
                 assert!(c.len() <= 4);
             }
         }
-        let mut ka: Vec<Key> = a.pages.keys().copied().collect();
-        let mut kb: Vec<Key> = b.pages.keys().copied().collect();
+        let mut ka: Vec<Key> = a.pages.iter().map(|(&k, _)| k).collect();
+        let mut kb: Vec<Key> = b.pages.iter().map(|(&k, _)| k).collect();
         ka.sort_unstable();
         kb.sort_unstable();
         assert_eq!(ka, kb);

@@ -1,7 +1,7 @@
 //! LRU replacement: evict the least recently used chunk.
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
+use crate::queue::{Entry, OrderedQueue};
 
 /// Least-recently-used cache (Mattson et al. 1970 — the paper's
 /// reference \[25\]). Hits refresh recency; eviction takes the stalest chunk.
@@ -43,20 +43,29 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
-        if self.queue.touch(key) {
-            return InsertOutcome::AlreadyResident;
-        }
-        let evicted = if self.queue.len() >= self.capacity {
-            self.queue.pop_front()
-        } else {
-            None
+        let full = self.queue.len() >= self.capacity;
+        let slot = match self.queue.entry(key) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(slot) => {
+                self.queue.move_back(slot, 0);
+                return InsertOutcome::AlreadyResident;
+            }
         };
-        self.queue.push_back(key);
+        let evicted = full.then(|| self.queue.pop_front(0).expect("full cache has a victim"));
+        self.queue.move_back(slot, 0);
         InsertOutcome::Inserted { evicted }
     }
 
     fn clear(&mut self) {
         self.queue.clear();
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.queue.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.queue.reserve(accesses.min(self.capacity + 1));
     }
 }
 

@@ -9,8 +9,8 @@
 //! (the paper's *Retained Information Period*), so a page re-fetched soon
 //! after eviction keeps its credit.
 
+use crate::key_map::KeyMap;
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::FxHashMap;
 use std::collections::VecDeque;
 
 /// Reference history of one page: the last up-to-K access ticks, most
@@ -44,9 +44,9 @@ pub struct LruKPolicy {
     k: usize,
     tick: u64,
     /// Histories of resident pages.
-    resident: FxHashMap<Key, History>,
+    resident: KeyMap<History>,
     /// Histories retained for evicted pages, bounded FIFO.
-    retained: FxHashMap<Key, History>,
+    retained: KeyMap<History>,
     retained_order: VecDeque<Key>,
 }
 
@@ -63,8 +63,8 @@ impl LruKPolicy {
             capacity,
             k,
             tick: 0,
-            resident: FxHashMap::default(),
-            retained: FxHashMap::default(),
+            resident: KeyMap::default(),
+            retained: KeyMap::default(),
             retained_order: VecDeque::new(),
         }
     }
@@ -154,6 +154,16 @@ impl ReplacementPolicy for LruKPolicy {
         self.retained.clear();
         self.retained_order.clear();
         self.tick = 0;
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.resident.ops() + self.retained.ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        let keys = accesses.min(self.capacity);
+        self.resident.reserve(keys);
+        self.retained.reserve(keys);
     }
 }
 

@@ -114,6 +114,19 @@ pub trait ReplacementPolicy: Send {
     fn queue_occupancy(&self) -> Option<[usize; 3]> {
         None
     }
+
+    /// Key-map lookups, inserts and removals made since the policy was
+    /// built or last cleared, over all its chunk-keyed maps
+    /// ([`KeyMap`](crate::key_map::KeyMap) counts them).
+    fn map_ops(&self) -> u64;
+
+    /// Size the policy's storage once, for a run that makes at most
+    /// `accesses` accesses through it: to the most keys it can index at
+    /// once (residents, ghosts, and the key an insert admits before its
+    /// victim leaves), or to `accesses` if that is fewer — a run cannot
+    /// bring in more keys than it makes accesses. Nothing then grows or
+    /// rehashes during the run.
+    fn reserve(&mut self, accesses: usize);
 }
 
 /// Selector for building policies from experiment configuration.

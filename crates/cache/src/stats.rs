@@ -18,6 +18,10 @@ pub struct CacheStats {
     /// priority 3) — the priority distribution of fetched chunks.
     /// Single-priority policies count everything under priority 1.
     pub prio_inserts: [u64; 3],
+    /// Key-map lookups, inserts and removals the policy made — the work
+    /// an access costs it ([`KeyMap`](crate::key_map::KeyMap) counts
+    /// them).
+    pub map_ops: u64,
 }
 
 impl CacheStats {
@@ -65,6 +69,7 @@ impl CacheStats {
         self.evictions += other.evictions;
         self.inserts += other.inserts;
         self.demotions += other.demotions;
+        self.map_ops += other.map_ops;
         for (mine, theirs) in self.prio_inserts.iter_mut().zip(other.prio_inserts) {
             *mine += theirs;
         }
@@ -149,6 +154,7 @@ mod tests {
             inserts: 4,
             demotions: 5,
             prio_inserts: [1, 1, 2],
+            map_ops: 6,
         };
         let b = CacheStats {
             hits: 10,
@@ -157,6 +163,7 @@ mod tests {
             inserts: 40,
             demotions: 50,
             prio_inserts: [10, 10, 20],
+            map_ops: 60,
         };
         a.merge(&b);
         assert_eq!(
@@ -168,6 +175,7 @@ mod tests {
                 inserts: 44,
                 demotions: 55,
                 prio_inserts: [11, 11, 22],
+                map_ops: 66,
             }
         );
     }

@@ -11,7 +11,14 @@
 //! `Kout = capacity / 2` (minimum 1 each).
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
+use crate::queue::{Entry, OrderedQueue};
+
+/// Resident, fetched once: FIFO.
+const A1IN: usize = 0;
+/// Resident with proven reuse: LRU.
+const AM: usize = 1;
+/// Ghost of a page paged out of A1in: identities only, FIFO.
+const A1OUT: usize = 2;
 
 /// The 2Q policy.
 #[derive(Debug)]
@@ -19,9 +26,8 @@ pub struct TwoQPolicy {
     capacity: usize,
     kin: usize,
     kout: usize,
-    a1in: OrderedQueue,
-    a1out: OrderedQueue, // ghost: identities only
-    am: OrderedQueue,
+    /// A1in, Am and A1out as lists of one structure.
+    lists: OrderedQueue<3>,
 }
 
 impl TwoQPolicy {
@@ -31,31 +37,31 @@ impl TwoQPolicy {
             capacity,
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
-            a1in: OrderedQueue::new(),
-            a1out: OrderedQueue::new(),
-            am: OrderedQueue::new(),
+            lists: OrderedQueue::new(),
         }
     }
 
-    /// Make room for one page; returns the evicted resident, if any.
+    /// Make room for one page; returns the evicted resident, if any, and
+    /// whether trimming A1out dropped `ghost`.
     /// (The `reclaimfor` procedure of the original paper.)
-    fn reclaim(&mut self) -> Option<Key> {
+    fn reclaim(&mut self, ghost: Option<Key>) -> (Option<Key>, bool) {
         if self.len() < self.capacity {
-            return None;
+            return (None, false);
         }
-        if self.a1in.len() > self.kin {
+        if self.lists.list_len(A1IN) > self.kin {
             // Page out the A1in FIFO head, remember it in A1out.
-            let victim = self.a1in.pop_front().expect("a1in non-empty");
-            while self.a1out.len() >= self.kout {
-                self.a1out.pop_front();
+            let victim = self.lists.front(A1IN).expect("a1in non-empty");
+            let mut dropped = false;
+            while self.lists.list_len(A1OUT) >= self.kout {
+                dropped |= self.lists.pop_front(A1OUT) == ghost;
             }
-            self.a1out.push_back(victim);
-            Some(victim)
-        } else if let Some(victim) = self.am.pop_front() {
+            self.lists.move_back(victim, A1OUT);
+            (Some(self.lists.key_of(victim)), dropped)
+        } else if let Some(victim) = self.lists.pop_front(AM) {
             // Am evictions are NOT remembered in A1out (original design).
-            Some(victim)
+            (Some(victim), false)
         } else {
-            self.a1in.pop_front()
+            (self.lists.pop_front(A1IN), false)
         }
     }
 }
@@ -70,41 +76,67 @@ impl ReplacementPolicy for TwoQPolicy {
     }
 
     fn len(&self) -> usize {
-        self.a1in.len() + self.am.len()
+        self.lists.list_len(A1IN) + self.lists.list_len(AM)
     }
 
     fn contains(&self, key: &Key) -> bool {
-        self.a1in.contains(key) || self.am.contains(key)
+        (self.lists.find(key)).is_some_and(|slot| self.lists.list_of(slot) != A1OUT)
     }
 
     fn on_access(&mut self, key: Key) -> bool {
-        if self.am.touch(key) {
-            true
-        } else {
+        match self
+            .lists
+            .find(&key)
+            .map(|slot| (slot, self.lists.list_of(slot)))
+        {
+            Some((slot, AM)) => {
+                self.lists.move_back(slot, AM);
+                true
+            }
             // A1in hit: correlated reference, page stays put.
-            self.a1in.contains(&key)
+            Some((_, list)) => list == A1IN,
+            None => false,
         }
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
-        if self.contains(&key) {
-            self.on_access(key);
-            return InsertOutcome::AlreadyResident;
+        let slot = match self.lists.entry(key) {
+            Entry::Vacant(slot) => {
+                let (evicted, _) = self.reclaim(None);
+                self.lists.move_back(slot, A1IN);
+                return InsertOutcome::Inserted { evicted };
+            }
+            Entry::Occupied(slot) => slot,
+        };
+        match self.lists.list_of(slot) {
+            AM => self.lists.move_back(slot, AM),
+            A1IN => {}
+            _ => {
+                // Proven reuse: straight into Am — unless making room
+                // trimmed the ghost itself out of A1out, when it is new.
+                let (evicted, dropped) = self.reclaim(Some(key));
+                if dropped {
+                    self.lists.push_back(A1IN, key);
+                } else {
+                    self.lists.move_back(slot, AM);
+                }
+                return InsertOutcome::Inserted { evicted };
+            }
         }
-        let evicted = self.reclaim();
-        if self.a1out.remove(&key) {
-            // Proven reuse: straight into Am.
-            self.am.push_back(key);
-        } else {
-            self.a1in.push_back(key);
-        }
-        InsertOutcome::Inserted { evicted }
+        InsertOutcome::AlreadyResident
     }
 
     fn clear(&mut self) {
-        self.a1in.clear();
-        self.a1out.clear();
-        self.am.clear();
+        self.lists.clear();
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.lists.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.lists
+            .reserve(accesses.min(self.capacity + self.kout + 1));
     }
 }
 
@@ -113,12 +145,17 @@ mod tests {
     use super::*;
     use crate::key;
 
+    /// Is `k` in `list`?
+    fn holds(c: &TwoQPolicy, list: usize, k: Key) -> bool {
+        (c.lists.find(&k)).is_some_and(|slot| c.lists.list_of(slot) == list)
+    }
+
     #[test]
     fn new_pages_enter_a1in() {
         let mut c = TwoQPolicy::new(8);
         c.on_insert(key(0, 0, 0), 1);
-        assert!(c.a1in.contains(&key(0, 0, 0)));
-        assert!(!c.am.contains(&key(0, 0, 0)));
+        assert!(holds(&c, A1IN, key(0, 0, 0)));
+        assert!(!holds(&c, AM, key(0, 0, 0)));
     }
 
     #[test]
@@ -130,11 +167,11 @@ mod tests {
         c.on_insert(key(0, 0, 3), 1);
         // Overflow: A1in > kin → key0 pushed to A1out ghost.
         c.on_insert(key(0, 0, 4), 1);
-        assert!(c.a1out.contains(&key(0, 0, 0)));
+        assert!(holds(&c, A1OUT, key(0, 0, 0)));
         // Re-fetch key0 → promoted to Am.
         assert!(!c.on_access(key(0, 0, 0)));
         c.on_insert(key(0, 0, 0), 1);
-        assert!(c.am.contains(&key(0, 0, 0)));
+        assert!(holds(&c, AM, key(0, 0, 0)));
     }
 
     #[test]
@@ -143,7 +180,7 @@ mod tests {
         c.on_insert(key(0, 0, 0), 1);
         assert!(c.on_access(key(0, 0, 0)));
         assert!(
-            c.a1in.contains(&key(0, 0, 0)),
+            holds(&c, A1IN, key(0, 0, 0)),
             "correlated hit stays in A1in"
         );
     }
@@ -157,7 +194,7 @@ mod tests {
             c.on_insert(key(0, 0, i), 1);
         }
         c.on_insert(key(0, 0, 0), 1); // ghost hit → Am
-        assert!(c.am.contains(&key(0, 0, 0)));
+        assert!(holds(&c, AM, key(0, 0, 0)));
         // Long scan of fresh pages.
         for i in 100..140 {
             let k = key(0, 1, i);

@@ -14,7 +14,7 @@
 //! (`extended_policies`) quantifies it.
 
 use crate::policy::{InsertOutcome, Key, PolicyKind, ReplacementPolicy};
-use crate::queue::OrderedQueue;
+use crate::queue::{Entry, OrderedQueue};
 use crate::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
@@ -27,11 +27,15 @@ pub struct VdfPolicy {
     /// damaged column). More precise than the global set: a column is only
     /// "victim" in the stripes where it is actually broken.
     victim_map: Option<Arc<FxHashMap<u32, u16>>>,
-    /// Chunks of healthy (non-victim) disks: evicted first.
-    normal: OrderedQueue,
-    /// Chunks of victim disks: protected.
-    protected: OrderedQueue,
+    /// List [`NORMAL`], chunks of healthy (non-victim) disks, evicted
+    /// first; list [`PROTECTED`], chunks of victim disks.
+    lists: OrderedQueue<2>,
 }
+
+/// Chunks of healthy disks.
+const NORMAL: usize = 0;
+/// Chunks of victim disks.
+const PROTECTED: usize = 1;
 
 impl VdfPolicy {
     /// VDF with an empty victim set (degenerates to LRU). Use
@@ -47,8 +51,7 @@ impl VdfPolicy {
             capacity,
             victim_cols,
             victim_map: None,
-            normal: OrderedQueue::new(),
-            protected: OrderedQueue::new(),
+            lists: OrderedQueue::new(),
         }
     }
 
@@ -61,8 +64,7 @@ impl VdfPolicy {
             capacity,
             victim_cols: FxHashSet::default(),
             victim_map: Some(map),
-            normal: OrderedQueue::new(),
-            protected: OrderedQueue::new(),
+            lists: OrderedQueue::new(),
         }
     }
 
@@ -87,40 +89,50 @@ impl ReplacementPolicy for VdfPolicy {
     }
 
     fn len(&self) -> usize {
-        self.normal.len() + self.protected.len()
+        self.lists.len()
     }
 
     fn contains(&self, key: &Key) -> bool {
-        self.normal.contains(key) || self.protected.contains(key)
+        self.lists.contains(key)
     }
 
     fn on_access(&mut self, key: Key) -> bool {
-        self.normal.touch(key) || self.protected.touch(key)
+        self.lists.touch(key)
     }
 
     fn admit(&mut self, key: Key, _priority: u8) -> InsertOutcome {
-        if self.contains(&key) {
-            self.on_access(key);
-            return InsertOutcome::AlreadyResident;
-        }
-        let evicted = if self.len() >= self.capacity {
-            self.normal
-                .pop_front()
-                .or_else(|| self.protected.pop_front())
-        } else {
-            None
+        let full = self.lists.len() >= self.capacity;
+        let slot = match self.lists.entry(key) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(slot) => {
+                self.lists.move_back(slot, self.lists.list_of(slot));
+                return InsertOutcome::AlreadyResident;
+            }
         };
-        if self.is_victim(&key) {
-            self.protected.push_back(key);
+        let evicted = full.then(|| {
+            (self.lists.pop_front(NORMAL))
+                .or_else(|| self.lists.pop_front(PROTECTED))
+                .expect("full cache has a victim")
+        });
+        let list = if self.is_victim(&key) {
+            PROTECTED
         } else {
-            self.normal.push_back(key);
-        }
+            NORMAL
+        };
+        self.lists.move_back(slot, list);
         InsertOutcome::Inserted { evicted }
     }
 
     fn clear(&mut self) {
-        self.normal.clear();
-        self.protected.clear();
+        self.lists.clear();
+    }
+
+    fn map_ops(&self) -> u64 {
+        self.lists.map_ops()
+    }
+
+    fn reserve(&mut self, accesses: usize) {
+        self.lists.reserve(accesses.min(self.capacity + 1));
     }
 }
 

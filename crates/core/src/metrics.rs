@@ -12,7 +12,7 @@ use fbf_recovery::DataLoss;
 /// ([`Metrics::to_json`], daemon replies). Bump when a key is renamed,
 /// removed, or changes meaning, so consumers can reject documents whose
 /// version they do not understand instead of misreading them.
-pub const METRICS_SCHEMA_VERSION: u64 = 2;
+pub const METRICS_SCHEMA_VERSION: u64 = 3;
 
 /// Tail summary of one request class's read latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -203,6 +203,7 @@ impl Metrics {
             ("hit_ratio", Json::Num(self.hit_ratio)),
             ("disk_reads", n(self.disk_reads)),
             ("disk_writes", n(self.disk_writes)),
+            ("map_ops", n(self.cache.map_ops)),
             ("avg_response_ms", Json::Num(self.avg_response_ms)),
             ("p99_response_ms", Json::Num(self.p99_response_ms)),
             ("reconstruction_s", Json::Num(self.reconstruction_s)),
@@ -418,6 +419,7 @@ mod tests {
         let mut r = report();
         r.record_read(RequestClass::App, SimTime::from_millis(2));
         r.faults.media_errors = 3;
+        r.cache.map_ops = 17;
         let mut m = from_run(&r, HostTime::ZERO, 1, 1, PlanSource::Cold);
         m.stripes_lost = 1;
         m.data_loss = vec![DataLoss {
@@ -427,8 +429,9 @@ mod tests {
         }];
         let v = m.to_json_value();
         assert_eq!(Json::parse(&m.to_json()).unwrap(), v);
-        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(2));
+        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("media_errors").and_then(Json::as_u64), Some(3));
+        assert_eq!(v.get("map_ops").and_then(Json::as_u64), Some(17));
         assert_eq!(v.get("hit_ratio").and_then(Json::as_f64), Some(m.hit_ratio));
         let loss = &v.get("data_loss").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(loss.get("stripe").and_then(Json::as_u64), Some(9));

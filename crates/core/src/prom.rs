@@ -19,7 +19,7 @@ use std::fmt::Write;
 type Counter = (&'static str, &'static str, fn(&Metrics) -> u64);
 
 /// The run counters, in exposition order.
-const COUNTERS: [Counter; 7] = [
+const COUNTERS: [Counter; 8] = [
     (
         "fbf_disk_reads_total",
         "chunk reads issued to disks across all points",
@@ -39,6 +39,11 @@ const COUNTERS: [Counter; 7] = [
         "fbf_cache_misses_total",
         "buffer-cache misses across all points",
         |m| m.cache.misses,
+    ),
+    (
+        "fbf_cache_map_ops_total",
+        "replacement-policy key-map lookups, inserts and removals across all points",
+        |m| m.cache.map_ops,
     ),
     (
         "fbf_replans_total",

@@ -74,13 +74,21 @@ impl BufferCache {
         self.policy.contains(key)
     }
 
-    /// Accumulated statistics. Demotions live inside the policy (the
-    /// hot-path `on_access` signature stays counter-free); they are folded
-    /// into the snapshot here so callers see one uniform struct.
+    /// Accumulated statistics. Demotions and key-map operations live
+    /// inside the policy (the hot-path `on_access` signature stays
+    /// counter-free); they are folded into the snapshot here so callers
+    /// see one uniform struct.
     pub fn stats(&self) -> CacheStats {
         let mut stats = self.stats;
         stats.demotions = self.policy.demotions();
+        stats.map_ops = self.policy.map_ops();
         stats
+    }
+
+    /// Size the policy once for a run that makes at most `accesses`
+    /// accesses through this cache ([`ReplacementPolicy::reserve`]).
+    pub fn reserve(&mut self, accesses: usize) {
+        self.policy.reserve(accesses);
     }
 
     /// Current `[Queue1, Queue2, Queue3]` occupancy for priority-queue
@@ -314,6 +322,46 @@ mod tests {
         assert_eq!(c.queue_occupancy(), Some([2, 0, 0]));
         c.reset();
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    /// What each read costs FBF in key-map operations, on the paper's
+    /// Fig. 5–7 sequence: a hit — demoting or not — is one lookup; a miss
+    /// is the lookup plus one entry insert, and one removal more when it
+    /// evicts.
+    #[test]
+    fn map_ops_per_read_on_the_fig5_to_7_sequence() {
+        let mut c = BufferCache::new(PolicyKind::Fbf, 5);
+        let cell = |r, col| key(0, r, col);
+        let mut read = |k: Key, prio: u8| {
+            let before = c.stats().map_ops;
+            if c.access(k) == Lookup::Miss {
+                c.insert(k, prio);
+            }
+            c.stats().map_ops - before
+        };
+        // Fig. 5: five cold misses fill the cache without evicting.
+        for (k, prio) in [
+            (cell(1, 1), 3),
+            (cell(2, 2), 1),
+            (cell(4, 4), 2),
+            (cell(5, 5), 1),
+            (cell(0, 6), 1),
+        ] {
+            assert_eq!(read(k, prio), 2, "cold miss {k}");
+        }
+        // Fig. 6: two hits demote C(1,1) Queue3 → Queue2 → Queue1.
+        assert_eq!(read(cell(1, 1), 3), 1);
+        assert_eq!(read(cell(1, 1), 3), 1);
+        // Fig. 7: a full cache; each miss evicts a Queue1 chunk.
+        assert_eq!(read(cell(1, 6), 1), 3);
+        assert_eq!(read(cell(1, 7), 1), 3);
+        // A Queue1 hit is an LRU touch: one lookup.
+        assert_eq!(read(cell(1, 1), 3), 1);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.demotions), (3, 7, 2, 2));
+        assert_eq!(s.map_ops, 19);
+        c.reset();
+        assert_eq!(c.stats().map_ops, 0);
     }
 
     fn slices(kind: PolicyKind, capacities: &[usize]) -> Vec<BufferCache> {

@@ -679,6 +679,16 @@ impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
         for w in (0..scripts.len()).filter(|&w| !scripts[w].ops.is_empty()) {
             queue.push((SimTime::ZERO, EV_WORKER, w));
         }
+        // Each slice sized once, to what the scripts it serves can bring
+        // in: no slice regrows or rehashes during the run.
+        let mut caches = build_caches(cfg, scripts.len());
+        let mut reads = vec![0; caches.len()];
+        for (w, script) in scripts.iter().enumerate() {
+            reads[cfg.sharing.slice_of(w)] += script.reads();
+        }
+        for (cache, reads) in caches.iter_mut().zip(reads) {
+            cache.reserve(reads);
+        }
         Run {
             cfg,
             scripts,
@@ -687,7 +697,7 @@ impl<'a, Q: EventQueue, B: ByteHook> Run<'a, Q, B> {
             gather_left,
             gather_floor,
             disks,
-            caches: build_caches(cfg, scripts.len()),
+            caches,
             failed_stripes: FxHashSet::default(),
             repaired: FxHashSet::default(),
             report: RunReport {

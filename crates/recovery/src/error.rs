@@ -9,18 +9,21 @@
 use fbf_codes::{Cell, StripeCode};
 
 /// One partial stripe error: `len` consecutive chunks starting at
-/// `first_row` in column `col` of stripe `stripe`.
+/// `first_row` in column `col` of stripe `stripe`. Rows and columns are
+/// `u16`, as in a [`Cell`], so an error is 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartialStripeError {
     /// Stripe number within the array.
     pub stripe: u32,
     /// Failed column (disk within the stripe's layout).
-    pub col: usize,
+    pub col: u16,
     /// First bad row.
-    pub first_row: usize,
+    pub first_row: u16,
     /// Number of consecutive bad chunks (`1..=p-1`, i.e. `<= rows`).
-    pub len: usize,
+    pub len: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<PartialStripeError>() == 12);
 
 impl PartialStripeError {
     /// Construct and validate against a code's geometry.
@@ -44,11 +47,13 @@ impl PartialStripeError {
                 code.rows()
             ));
         }
+        // In the code's geometry, so each fits a cell's u16.
+        let narrow = |v: usize| u16::try_from(v).map_err(|_| format!("{v} exceeds u16::MAX"));
         Ok(PartialStripeError {
             stripe,
-            col,
-            first_row,
-            len,
+            col: narrow(col)?,
+            first_row: narrow(first_row)?,
+            len: narrow(len)?,
         })
     }
 
@@ -58,8 +63,8 @@ impl PartialStripeError {
     }
 
     fn cell_iter(&self) -> impl Iterator<Item = Cell> {
-        let col = self.col;
-        (self.first_row..self.first_row + self.len).map(move |r| Cell::new(r, col))
+        let (col, first) = (usize::from(self.col), usize::from(self.first_row));
+        (first..first + usize::from(self.len)).map(move |r| Cell::new(r, col))
     }
 }
 
@@ -71,7 +76,7 @@ impl std::fmt::Display for PartialStripeError {
             self.stripe,
             self.col,
             self.first_row,
-            self.first_row + self.len
+            u32::from(self.first_row) + u32::from(self.len)
         )
     }
 }
@@ -158,7 +163,7 @@ impl ErrorGroup {
         let by_stripe = self.by_stripe();
         let mut damages = Vec::with_capacity(by_stripe.len());
         for run in by_stripe.chunk_by(|a, b| a.stripe == b.stripe) {
-            let mut cells = Vec::with_capacity(run.iter().map(|e| e.len).sum());
+            let mut cells = Vec::with_capacity(run.iter().map(|e| usize::from(e.len)).sum());
             merge_run(run, &mut cells);
             damages.push(StripeDamage {
                 stripe: run[0].stripe,

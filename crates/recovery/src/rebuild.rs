@@ -61,17 +61,14 @@ pub fn rebuild_campaign(
 /// Distinct chunks a scheme kind fetches to rebuild one full column,
 /// relative to the horizontal-only baseline. Xiang et al. \[22\] prove the
 /// optimum for RDP is `~0.75`; the greedy generator should approach it.
+/// Panics if `failed_col` is not a column of `code`.
 pub fn rebuild_read_ratio(
     code: &StripeCode,
     failed_col: usize,
     kind: SchemeKind,
 ) -> Result<f64, SchemeError> {
-    let error = crate::PartialStripeError {
-        stripe: 0,
-        col: failed_col,
-        first_row: 0,
-        len: code.rows(),
-    };
+    let error = crate::PartialStripeError::new(code, 0, failed_col, 0, code.rows())
+        .expect("the failed column is a column of the code");
     let baseline = generate(code, &error, SchemeKind::Typical)?;
     let scheme = generate(code, &error, kind)?;
     Ok(scheme.unique_reads() as f64 / baseline.unique_reads() as f64)

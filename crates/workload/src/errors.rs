@@ -157,7 +157,7 @@ mod tests {
         };
         let c = code();
         let g = generate_errors(&c, &cfg);
-        let lens: Vec<usize> = g.errors.iter().map(|e| e.len).collect();
+        let lens: Vec<usize> = g.errors.iter().map(|e| usize::from(e.len)).collect();
         assert_eq!(*lens.iter().min().unwrap(), 1);
         assert_eq!(*lens.iter().max().unwrap(), c.rows());
         let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
@@ -174,8 +174,8 @@ mod tests {
         let cfg = ErrorGenConfig::paper_default(300, 300, 11);
         let g = generate_errors(&c, &cfg);
         for e in &g.errors {
-            assert!(e.first_row + e.len <= c.rows());
-            assert!(e.col < c.cols());
+            assert!(usize::from(e.first_row + e.len) <= c.rows());
+            assert!(usize::from(e.col) < c.cols());
             assert!(e.len >= 1);
         }
     }

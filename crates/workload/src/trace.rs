@@ -24,7 +24,8 @@ pub fn render_trace(group: &ErrorGroup) -> String {
 /// Parse trace text back into a campaign. Validation against a specific
 /// code's geometry is [`validate_against`]'s job (traces themselves are
 /// geometry-agnostic), but structural nonsense — malformed lines,
-/// zero-length errors, stripe numbers past `u32` — is rejected here.
+/// zero-length errors, stripe numbers past `u32`, columns or rows past a
+/// cell's `u16` — is rejected here.
 pub fn parse_trace(text: &str) -> Result<ErrorGroup, String> {
     let mut group = ErrorGroup::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -49,9 +50,28 @@ pub fn parse_trace(text: &str) -> Result<ErrorGroup, String> {
         // error, not a silent truncation onto some unrelated stripe.
         let stripe = u32::try_from(parse(0)?)
             .map_err(|_| format!("line {}: stripe {} exceeds u32::MAX", lineno + 1, fields[0]))?;
-        let (col, first_row, len) = (parse(1)?, parse(2)?, parse(3)?);
+        // Columns and rows are a cell's u16; the run's last row must fit
+        // too.
+        let narrow = |i: usize| -> Result<u16, String> {
+            u16::try_from(parse(i)?).map_err(|_| {
+                let field = ["stripe", "col", "first_row", "len"][i];
+                format!(
+                    "line {}: {field} {} exceeds u16::MAX",
+                    lineno + 1,
+                    fields[i]
+                )
+            })
+        };
+        let (col, first_row, len) = (narrow(1)?, narrow(2)?, narrow(3)?);
         if len == 0 {
             return Err(format!("line {}: zero-length error", lineno + 1));
+        }
+        if first_row.checked_add(len - 1).is_none() {
+            return Err(format!(
+                "line {}: rows {first_row}..{} exceed u16::MAX",
+                lineno + 1,
+                u32::from(first_row) + u32::from(len)
+            ));
         }
         group.push(PartialStripeError {
             stripe,
@@ -82,8 +102,14 @@ pub fn validate_against(
                 stripes
             ));
         }
-        PartialStripeError::new(code, e.stripe, e.col, e.first_row, e.len)
-            .map_err(|msg| format!("error {}: {msg}", i + 1))?;
+        PartialStripeError::new(
+            code,
+            e.stripe,
+            usize::from(e.col),
+            usize::from(e.first_row),
+            usize::from(e.len),
+        )
+        .map_err(|msg| format!("error {}: {msg}", i + 1))?;
     }
     Ok(())
 }
@@ -128,6 +154,25 @@ mod tests {
         assert!(err.contains("u32::MAX"), "{err}");
         // u32::MAX itself still parses (the type's full range is legal).
         assert!(parse_trace("4294967295 0 0 1\n").is_ok());
+    }
+
+    #[test]
+    fn oversized_column_or_row_is_an_error_not_a_truncation() {
+        // 65 536 would wrap to 0 as a u16.
+        for (text, field) in [
+            ("0 65536 0 1\n", "col 65536"),
+            ("0 0 65536 1\n", "first_row 65536"),
+            ("0 0 0 65536\n", "len 65536"),
+        ] {
+            let err = parse_trace(text).unwrap_err();
+            assert!(err.contains(field) && err.contains("u16::MAX"), "{err}");
+        }
+        // The run's last row must be a row too: 65 535 + 2 chunks is not.
+        let err = parse_trace("0 0 65535 2\n").unwrap_err();
+        assert!(err.contains("rows 65535..65537"), "{err}");
+        // The type's full range is legal: the last row is 65 535.
+        let g = parse_trace("0 65535 65535 1\n0 0 0 65535\n").unwrap();
+        assert_eq!((g.errors[0].col, g.errors[1].len), (65535, 65535));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use fbf_recovery::{ErrorGroup, PartialStripeError};
 use fbf_workload::{parse_trace, render_trace, validate_against};
 use proptest::prelude::*;
 
-fn to_group(tuples: Vec<(u32, usize, usize, usize)>) -> ErrorGroup {
+fn to_group(tuples: Vec<(u32, u16, u16, u16)>) -> ErrorGroup {
     let mut g = ErrorGroup::new();
     for (stripe, col, first_row, len) in tuples {
         g.push(PartialStripeError {
@@ -25,27 +25,22 @@ fn to_group(tuples: Vec<(u32, usize, usize, usize)>) -> ErrorGroup {
 /// Arbitrary *geometry-valid* error groups for the TIP code at p = 7
 /// (6 rows, 8 columns, runs capped at p - 1 = 6 rows).
 fn group_strategy() -> impl Strategy<Value = ErrorGroup> {
-    proptest::collection::vec((0u32..200, 0usize..8, 0usize..6, 1usize..=6), 0..40).prop_map(
-        |tuples| {
-            to_group(
-                tuples
-                    .into_iter()
-                    .map(|(s, c, r, l)| (s, c, r, l.min(6 - r)))
-                    .collect(),
-            )
-        },
-    )
+    proptest::collection::vec((0u32..200, 0u16..8, 0u16..6, 1u16..=6), 0..40).prop_map(|tuples| {
+        to_group(
+            tuples
+                .into_iter()
+                .map(|(s, c, r, l)| (s, c, r, l.min(6 - r)))
+                .collect(),
+        )
+    })
 }
 
 /// Arbitrary structurally-valid trace *values*, unconstrained by any
 /// code's geometry — parse_trace must accept these; validate_against
 /// decides separately.
 fn raw_group_strategy(min: usize) -> impl Strategy<Value = ErrorGroup> {
-    proptest::collection::vec(
-        (0u32..=u32::MAX, 0usize..64, 0usize..64, 1usize..64),
-        min..40,
-    )
-    .prop_map(to_group)
+    proptest::collection::vec((0u32..=u32::MAX, 0u16..64, 0u16..64, 1u16..64), min..40)
+        .prop_map(to_group)
 }
 
 proptest! {

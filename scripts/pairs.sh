@@ -9,8 +9,9 @@
 # own target dir). Pair i runs both at one seed — i for odd pairs, 100 + i
 # for even ones, so half the seeds are ones nobody develops against — and
 # alternates which side goes first. Each run gets its own --out under
-# $TMPDIR. Prints every pair's op_p50_ms / peak_rss_mb / setup_s, both
-# sides' medians and quartiles and the win count; exits 1 if any sim_*
+# $TMPDIR. Prints every pair's op_p50_ms / chunks_per_s / peak_rss_mb /
+# setup_s, both sides' medians and quartiles, and the win counts of
+# op_p50_ms (lower wins) and chunks_per_s (higher wins); exits 1 if any sim_*
 # metric differs between the binaries at equal seed (they are exact, so a
 # difference is a behaviour change, not noise). --smoke runs the 1/20-scale
 # workloads for a fraction of a second: CI uses it, with one binary on both
@@ -52,7 +53,9 @@ python3 - "$out" "$workload" "$pairs" <<'PY'
 import json, statistics, sys
 
 out, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
-SHOWN = ("op_p50_ms", "peak_rss_mb", "setup_s")
+SHOWN = ("op_p50_ms", "chunks_per_s", "peak_rss_mb", "setup_s")
+# The end-to-end rates a pair is won on, and which way is better.
+WON_ON = (("op_p50_ms", "lower"), ("chunks_per_s", "higher"))
 
 
 def load(side, i):
@@ -69,7 +72,7 @@ def spread(values):
 
 
 print(f"{workload}: {pairs} pair(s), parent | change")
-print("seed  first   " + "  ".join(f"{name:>21}" for name in SHOWN))
+print("seed  first   " + "  ".join(f"{name:>25}" for name in SHOWN))
 sides = {"parent": [], "change": []}
 moved = []
 for i in range(1, pairs + 1):
@@ -78,7 +81,7 @@ for i in range(1, pairs + 1):
     parent, change = load("parent", i), load("change", i)
     sides["parent"].append(parent)
     sides["change"].append(change)
-    cells = "  ".join(f"{parent[n]:>10.3f}|{change[n]:<10.3f}" for n in SHOWN)
+    cells = "  ".join(f"{parent[n]:>12.3f}|{change[n]:<12.3f}" for n in SHOWN)
     print(f"{seed:>4}  {'parent' if i % 2 else 'change':<6}  {cells}")
     for name in sorted(set(parent) | set(change)):
         if name.startswith("sim_") and parent.get(name) != change.get(name):
@@ -87,10 +90,11 @@ for i in range(1, pairs + 1):
 for name in SHOWN:
     for side in ("parent", "change"):
         print(f"{name:<12} {side}: {spread([run[name] for run in sides[side]])}")
-p50 = [(p["op_p50_ms"], c["op_p50_ms"]) for p, c in zip(sides["parent"], sides["change"])]
-wins = sum(c < p for p, c in p50)
-ties = sum(c == p for p, c in p50)
-print(f"op_p50_ms: change wins {wins}/{pairs} pairs ({ties} tie(s))")
+for name, better in WON_ON:
+    both = [(p[name], c[name]) for p, c in zip(sides["parent"], sides["change"])]
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in both)
+    ties = sum(c == p for p, c in both)
+    print(f"{name}: change wins {wins}/{pairs} pairs ({ties} tie(s))")
 if moved:
     print("sim_* metrics differ at equal seed:", *moved, sep="\n  ", file=sys.stderr)
     sys.exit(1)

@@ -364,3 +364,35 @@ fn every_request_class_has_a_front_door() {
         assert!(seen[class.index()].count() > 0, "no {class} reads");
     }
 }
+
+/// The policies' key-map work on a small TIP p = 5 run is what the
+/// per-access costs add up to: under FBF and LRU a hit is one lookup, a
+/// miss one lookup and one entry insert, and an eviction one removal
+/// more (DESIGN §8), so `map_ops = hits + 2·misses + evictions`.
+#[test]
+fn key_map_work_adds_up_on_a_small_tip_run() {
+    let run = |policy| {
+        let cfg = ExperimentConfig::builder()
+            .code(CodeSpec::Tip)
+            .p(5)
+            .policy(policy)
+            .cache_mb(1)
+            .stripes(24)
+            .error_count(12)
+            .workers(2)
+            .gen_threads(1)
+            .build()
+            .unwrap();
+        run_experiment(&cfg).unwrap().cache
+    };
+    for (policy, pinned) in [(PolicyKind::Fbf, 165), (PolicyKind::Lru, 165)] {
+        let c = run(policy);
+        assert!(c.hits > 0 && c.evictions > 0, "{policy}: {c}");
+        assert_eq!(
+            c.map_ops,
+            c.hits + 2 * c.misses + c.evictions,
+            "{policy}: {c}"
+        );
+        assert_eq!(c.map_ops, pinned, "{policy}: {c}");
+    }
+}
